@@ -3,7 +3,7 @@
 GO ?= go
 BIN := bin
 
-.PHONY: build test race lint bench-smoke fig-hotring fig-scan fault-sweep corruption-sweep clean
+.PHONY: build test race lint bench-smoke perf perf-test perf-selfcheck fig-hotring fig-scan fault-sweep corruption-sweep clean
 
 build:
 	$(GO) build ./...
@@ -32,7 +32,22 @@ $(BIN)/unikvlint: FORCE
 
 # One iteration per benchmark: compiles and runs them without measuring.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/bench/
+	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/bench/ ./internal/vlog/ ./internal/core/
+
+# The perf ledger (perf/README.md, BENCHMARK.json): every workload, timed
+# and traced. perf/ is a Go module of its own, so `go test ./...` at the
+# root does not reach it — perf-test does. perf-selfcheck runs the whole
+# set twice with one seed and compares (about 5 minutes). For a
+# before/after of one workload against another build, see
+# `perf/run.sh --against` in perf/README.md.
+perf:
+	bash perf/run.sh --seed 1
+
+perf-test:
+	cd perf && $(GO) vet . && $(GO) test -race .
+
+perf-selfcheck:
+	bash perf/run.sh --selfcheck
 
 # The hot-key read layer experiment at full scale, regenerating the
 # committed trajectory artifact (bench/BENCH_fig-hotring.json). CI runs

@@ -103,8 +103,8 @@ func main() {
 			fmt.Println("sorted view:")
 			fmt.Printf("  entries:             %d (%d bytes)\n", m.SortedViewEntries, m.SortedViewBytes)
 			fmt.Printf("  builds/rebuilds:     %d / %d\n", m.SortedViewBuilds, m.SortedViewRebuilds)
-			fmt.Println("scan prefetch:")
-			fmt.Printf("  spans issued/wasted: %d / %d\n", m.ScanPrefetchIssued, m.ScanPrefetchWasted)
+			fmt.Println("scan readahead:")
+			fmt.Printf("  spans read/wasted:   %d / %d\n", m.ScanPrefetchIssued, m.ScanPrefetchWasted)
 		})
 	case "get":
 		if flag.NArg() < 2 {

@@ -129,8 +129,12 @@ type Stats struct {
 	// Snapshots counts NewSnapshot calls; SnapshotGets/SnapshotScans count
 	// reads served through pinned handles.
 	Snapshots, SnapshotGets, SnapshotScans atomic.Int64
-	HashProbes                               atomic.Int64
-	Stalls, StallNanos, SlowdownNanos        atomic.Int64
+	HashProbes                             atomic.Int64
+	// ScanPrefetchIssued counts the value-log spans scans read ahead (one
+	// read covering a contiguous run of a scan's values);
+	// ScanPrefetchWasted those from which not one value verified.
+	ScanPrefetchIssued, ScanPrefetchWasted atomic.Int64
+	Stalls, StallNanos, SlowdownNanos      atomic.Int64
 	// BackgroundErrors counts distinct terminal job failures (a job that
 	// exhausted its retries or hit corruption); BackgroundRetries counts
 	// job attempts that failed transiently and were retried.
@@ -224,8 +228,9 @@ type StatsSnapshot struct {
 	SortedViewBuilds   int64
 	SortedViewRebuilds int64
 
-	// Scan readahead effectiveness: spans issued by the adaptive per-run
-	// prefetch, and spans retired without serving a single read.
+	// Scan readahead effectiveness: value-log spans read by scans (one per
+	// contiguous run of a scan's values), and spans from which no value
+	// verified.
 	ScanPrefetchIssued int64
 	ScanPrefetchWasted int64
 
@@ -837,7 +842,8 @@ func (db *DB) Metrics() StatsSnapshot {
 	}
 	s.ValueLogs = len(db.vl.LogNums())
 	s.ValueLogBytes = db.vl.TotalSize()
-	s.ScanPrefetchIssued, s.ScanPrefetchWasted = db.vl.PrefetchStats()
+	s.ScanPrefetchIssued = db.stats.ScanPrefetchIssued.Load()
+	s.ScanPrefetchWasted = db.stats.ScanPrefetchWasted.Load()
 	cs := db.cache.Snapshot()
 	s.CacheBlockHits = cs.BlockHits
 	s.CacheBlockMisses = cs.BlockMisses

@@ -1,11 +1,18 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"math"
+	"slices"
 	"sync"
 
 	"unikv/internal/codec"
+	"unikv/internal/memtable"
 	"unikv/internal/record"
+	"unikv/internal/sorted"
+	"unikv/internal/sortedview"
+	"unikv/internal/unsorted"
+	"unikv/internal/vlog"
 )
 
 // maxRouteRetries bounds the route→lock→covers dance in Get, Scan, apply,
@@ -96,14 +103,19 @@ func (p *partition) resolve(rec record.Record, warm bool) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		// vl.ReadHinted returns a freshly allocated (or prefetch-copied)
-		// buffer; no further copy is needed.
+		// vl.ReadHinted returns a freshly allocated buffer; no further copy
+		// is needed.
 		return p.db.vl.ReadHinted(ptr, warm)
 	}
 	return nil, codec.ErrCorrupt
 }
 
-// KV is one scan result.
+// KV is one scan result. The pairs of one Scan result belong to the
+// caller, to keep or mutate: the engine holds no reference to them. Keys
+// and values of the same result may share backing arrays — each slice's
+// capacity ends where it does, so appending to one reallocates instead of
+// running into a neighbour — which means keeping one pair alive can keep
+// the memory of others (at most about twice the bytes the scan returned).
 type KV struct {
 	Key   []byte
 	Value []byte
@@ -111,7 +123,7 @@ type KV struct {
 
 // Scan returns up to limit pairs with start <= key < end, in key order.
 // end == nil means no upper bound; limit <= 0 means no count bound (then
-// end must be non-nil).
+// end must be non-nil). The result is the caller's (see KV).
 //
 // The scan follows the paper: locate the covering partition by boundary
 // keys, merge the memtable / UnsortedStore / SortedStore iterators by
@@ -123,11 +135,8 @@ func (db *DB) Scan(start, end []byte, limit int) ([]KV, error) {
 	if db.closed.Load() {
 		return nil, ErrClosed
 	}
-	if limit <= 0 && end == nil {
-		limit = 1 << 30 // "no bound" still terminates at the key space end
-	}
 	db.stats.Scans.Add(1)
-	var out []KV
+	sc := newScanner(db, end, limit)
 	cursor := start
 	retries := 0
 	for {
@@ -141,167 +150,54 @@ func (db *DB) Scan(start, end []byte, limit int) ([]KV, error) {
 			continue
 		}
 		retries = 0 // advancing to the next partition resets the budget
-		want := 0
-		if limit > 0 {
-			want = limit - len(out)
-		}
-		kvs, err := p.scanLocked(cursor, end, want)
+		err := p.scanLocked(sc, cursor)
 		next := p.upper
 		p.mu.RUnlock()
 		if err != nil {
 			db.noteReadCorruption(p, err)
 			return nil, err
 		}
-		out = append(out, kvs...)
-		if limit > 0 && len(out) >= limit {
-			return out[:limit], nil
-		}
-		if next == nil {
-			return out, nil
-		}
-		if end != nil && codec.Compare(next, end) >= 0 {
-			return out, nil
+		if sc.done(next) {
+			return sc.out, nil
 		}
 		cursor = next
 	}
 }
 
-// scanLocked collects up to n pairs in [start, end) from this partition.
-// Requires p.mu held (read).
-//
-// The UnsortedStore contributes either its sorted view (one iterator that
-// binary-searches once and walks globally ordered entries — the REMIX
-// optimization, see internal/sortedview) or, with SortedViewOff, one
-// iterator per table that the k-way merge re-merges on every call. The
-// view loaded here is pinned for the whole scan: p.mu is held and the view
-// is immutable, so concurrent flush/merge swaps cannot disturb it.
-func (p *partition) scanLocked(start, end []byte, n int) ([]KV, error) {
-	var iters []recIter
-	iters = append(iters, p.mem.NewIterator())
-	for i := len(p.imm) - 1; i >= 0; i-- {
-		iters = append(iters, p.imm[i].NewIterator())
-	}
-	if v := p.uns.ScanView(); v != nil {
-		iters = append(iters, v.NewIterator())
-	} else {
-		for _, t := range p.uns.Tables() {
-			iters = append(iters, t.Reader.NewIterator())
-		}
-	}
-	iters = append(iters, p.srt.NewIterator())
-	m := newMergeIter(iters)
+// scanLocked appends this partition's pairs from start on to sc. Requires
+// p.mu held (read): the lock pins the tiers — and the view loaded here,
+// which is immutable — for the whole scan, so concurrent flush/merge swaps
+// cannot disturb it, and it keeps GC from removing a log mid-fetch.
+func (p *partition) scanLocked(sc *scanner, start []byte) error {
+	return sc.scan(tiers{mem: p.mem, imm: p.imm, view: p.uns.ScanView(), uns: p.uns.Tables(), srt: p.srt},
+		start, math.MaxUint64)
+}
 
-	var out []KV
-	var fetches []pendingFetch
-	var lastKey []byte
-	haveLast := false
-	for ok := m.Seek(start); ok; ok = m.Next() {
-		rec := m.Record()
-		if end != nil && codec.Compare(rec.Key, end) >= 0 {
-			break
-		}
-		if haveLast && codec.Compare(rec.Key, lastKey) == 0 {
-			continue
-		}
-		lastKey = append(lastKey[:0], rec.Key...)
-		haveLast = true
-		switch rec.Kind {
-		case record.KindDelete:
-			continue
-		case record.KindSet:
-			out = append(out, KV{
-				Key:   append([]byte(nil), rec.Key...),
-				Value: append([]byte(nil), rec.Value...),
-			})
-		case record.KindSetPtr:
-			ptr, err := record.DecodePtr(rec.Value)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, KV{Key: append([]byte(nil), rec.Key...)})
-			fetches = append(fetches, pendingFetch{idx: len(out) - 1, ptr: ptr})
-		}
-		if n > 0 && len(out) >= n {
-			break
-		}
-	}
-	for _, it := range iters {
-		if e, ok := it.(interface{ Err() error }); ok {
-			if err := e.Err(); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if len(fetches) == 0 {
-		return out, nil
-	}
+// tiers is what one partition's scan merges: the live structures under
+// p.mu, or a snapshot's pinned copies.
+type tiers struct {
+	mem *memtable.Memtable
+	imm []*memtable.Memtable // oldest first
+	// view is the cross-table sorted view over uns (one iterator that
+	// binary-searches once and walks globally ordered entries — the REMIX
+	// optimization, see internal/sortedview); nil, with SortedViewOff,
+	// falls back to one iterator per table that the k-way merge re-merges.
+	view *sortedview.View
+	uns  []*unsorted.Table
+	srt  *sorted.Store
+}
 
-	// Readahead (paper: readahead from the first key's value, made
-	// adaptive): instead of one all-or-nothing prefetch over the densest
-	// log, group the pointers per log, sort each group by offset, and
-	// detect contiguous runs — maximal stretches where the gap between
-	// consecutive values stays small. Each qualifying run becomes its own
-	// prefetch span, so a scan whose values are key-ordered in several logs
-	// (fresh merges interleaved with GC rewrites) gets readahead for every
-	// dense stretch while scattered singletons still take the per-value
-	// path. The value-log ring holds the spans side by side; its hit
-	// accounting feeds the ScanPrefetchIssued/Wasted counters.
-	if !p.db.opts.DisableScanPrefetch {
-		p.issuePrefetches(fetches)
-	}
-
-	// Value fetch: chunks of pointers are dispatched to the fixed worker
-	// pool (paper: a fixed number of value addresses is inserted into the
-	// worker queue and sleeping threads fetch them in parallel). Small
-	// fetch sets run inline — dispatch would cost more than it saves.
-	fetchOne := func(f pendingFetch) error {
-		// ReadUncached: scan traffic bypasses the value cache so one large
-		// range query cannot evict the point-read hot set (the prefetch
-		// buffer above already serves the dense case).
-		val, err := p.db.vl.ReadUncached(f.ptr)
-		if err != nil {
-			return err
-		}
-		out[f.idx].Value = val
-		return nil
-	}
-	const chunkSize = 16
-	if p.db.opts.DisableScanParallel || len(fetches) <= chunkSize {
-		for _, f := range fetches {
-			if err := fetchOne(f); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	}
-	nChunks := (len(fetches) + chunkSize - 1) / chunkSize
-	var wg sync.WaitGroup
-	errs := make([]error, nChunks)
-	wg.Add(nChunks)
-	for c := 0; c < nChunks; c++ {
-		c := c
-		lo := c * chunkSize
-		hi := lo + chunkSize
-		if hi > len(fetches) {
-			hi = len(fetches)
-		}
-		p.db.pool.run(func() {
-			defer wg.Done()
-			for _, f := range fetches[lo:hi] {
-				if err := fetchOne(f); err != nil {
-					errs[c] = err
-					return
-				}
-			}
-		})
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+// scanner accumulates one Scan call's result across partitions and owns
+// every buffer the result points into.
+type scanner struct {
+	db    *DB
+	end   []byte
+	limit int // > 0
+	out   []KV
+	// arena is the free tail of the current chunk of the byte arena that
+	// holds the result's keys and inline values.
+	arena   []byte
+	fetches []pendingFetch // the current partition's pointer records
 }
 
 // pendingFetch is one scan result awaiting its value-log dereference.
@@ -310,78 +206,280 @@ type pendingFetch struct {
 	ptr record.ValuePtr
 }
 
-// Tuning for the adaptive scan readahead (issuePrefetches).
+const (
+	// scanPresize caps how many result slots a scan reserves up front: the
+	// limit is the caller's bound, not a promise the range holds that many.
+	scanPresize = 512
+	// scanArenaChunk is the arena's allocation unit — and so the most a
+	// caller pins by keeping a single key of a result.
+	scanArenaChunk = 4 << 10
+)
+
+func newScanner(db *DB, end []byte, limit int) *scanner {
+	sc := &scanner{db: db, end: end, limit: limit}
+	if limit <= 0 {
+		sc.limit = math.MaxInt // the scan still terminates at end or the key space's
+	} else {
+		n := min(limit, scanPresize)
+		sc.out = make([]KV, 0, n)
+		sc.fetches = make([]pendingFetch, 0, n)
+	}
+	return sc
+}
+
+// done reports whether the scan is complete after a partition whose upper
+// bound is next.
+func (sc *scanner) done(next []byte) bool {
+	return len(sc.out) >= sc.limit || next == nil ||
+		(sc.end != nil && codec.Compare(next, sc.end) >= 0)
+}
+
+// keep copies b into the arena. A slice too large to share a chunk gets
+// its own allocation, so no chunk tail is abandoned for it.
+func (sc *scanner) keep(b []byte) []byte {
+	if len(b) > len(sc.arena) {
+		if len(b) > scanArenaChunk/4 {
+			return append([]byte(nil), b...)
+		}
+		sc.arena = make([]byte, scanArenaChunk)
+	}
+	out := sc.arena[:len(b):len(b)]
+	copy(out, b)
+	sc.arena = sc.arena[len(b):]
+	return out
+}
+
+// scan merges t's iterators from start and appends the pairs visible at
+// seq (the newest version of each key sequenced at or below it; live scans
+// pass the maximum) until the scan's end or limit, then fills in the
+// pointed-to values.
+func (sc *scanner) scan(t tiers, start []byte, seq uint64) error {
+	iters := make([]recIter, 0, len(t.imm)+len(t.uns)+2)
+	iters = append(iters, t.mem.NewIterator())
+	for i := len(t.imm) - 1; i >= 0; i-- {
+		iters = append(iters, t.imm[i].NewIterator())
+	}
+	if t.view != nil {
+		iters = append(iters, t.view.NewIterator())
+	} else {
+		for _, tb := range t.uns {
+			iters = append(iters, tb.Reader.NewIterator())
+		}
+	}
+	iters = append(iters, t.srt.NewIterator())
+	m := newMergeIter(iters)
+
+	sc.fetches = sc.fetches[:0]
+	// lastKey is the key most recently decided: it aliases the pair just
+	// appended, or tombstone, the copy of a deleted key.
+	var lastKey, tombstone []byte
+	haveLast := false
+	for ok := m.Seek(start); ok; ok = m.Next() {
+		rec := m.Record()
+		if sc.end != nil && codec.Compare(rec.Key, sc.end) >= 0 {
+			break
+		}
+		if rec.Seq > seq {
+			continue // written after the pin: invisible, and must not shadow
+		}
+		if haveLast && codec.Compare(rec.Key, lastKey) == 0 {
+			continue
+		}
+		haveLast = true
+		switch rec.Kind {
+		case record.KindDelete:
+			tombstone = append(tombstone[:0], rec.Key...)
+			lastKey = tombstone
+			continue
+		case record.KindSet:
+			sc.out = append(sc.out, KV{Key: sc.keep(rec.Key), Value: sc.keep(rec.Value)})
+		case record.KindSetPtr:
+			ptr, err := record.DecodePtr(rec.Value)
+			if err != nil {
+				return err
+			}
+			sc.fetches = append(sc.fetches, pendingFetch{idx: len(sc.out), ptr: ptr})
+			sc.out = append(sc.out, KV{Key: sc.keep(rec.Key)})
+		default:
+			return codec.ErrCorrupt
+		}
+		if len(sc.out) >= sc.limit {
+			break
+		}
+		lastKey = sc.out[len(sc.out)-1].Key
+	}
+	if err := m.Err(); err != nil {
+		return err
+	}
+	return sc.fill()
+}
+
+// Tuning for the scan readahead (spanRuns).
 const (
 	// prefetchRunGap is the largest hole between two consecutive values
 	// (sorted by offset, same log) that still extends a contiguous run —
 	// roughly four data blocks of dead or foreign bytes are cheaper to read
 	// through than to split the span over.
 	prefetchRunGap = 16 << 10
-	// prefetchMaxSpan caps one run's prefetch size so a single scan cannot
-	// allocate unbounded readahead buffers.
+	// prefetchMaxSpan caps one run's span so a single read cannot allocate
+	// an unbounded buffer.
 	prefetchMaxSpan = 1 << 20
-	// prefetchMaxRuns bounds spans issued per scan; it matches the value
-	// log's readahead ring, so no span issued here is evicted before the
-	// fetch phase can hit it.
-	prefetchMaxRuns = 8
 	// prefetchMinRun is the smallest pointer count worth a span (a
 	// singleton reads exactly its own bytes either way).
 	prefetchMinRun = 2
-	// vlogFrameLen is the value log's per-record framing overhead
-	// (length + checksum), counted into span extents.
-	vlogFrameLen = 8
+	// fetchChunk is how many read units one fetch-pool job takes, and the
+	// unit count up to which a scan reads inline — dispatch would cost
+	// more than it saves.
+	fetchChunk = 16
 )
 
-// issuePrefetches implements the adaptive readahead: per-log contiguous-
-// run detection over the scan's pending value fetches. Runs are ranked by
-// pointer count so that when there are more dense stretches than ring
-// slots, the spans that serve the most fetches win. Best effort — a failed
-// prefetch read just leaves those pointers on the per-value path.
-func (p *partition) issuePrefetches(fetches []pendingFetch) {
-	byLog := map[uint32][]record.ValuePtr{}
-	for _, f := range fetches {
-		byLog[f.ptr.LogNum] = append(byLog[f.ptr.LogNum], f.ptr)
+// fill dereferences the pending pointers into sc.out.
+//
+// Readahead (paper: readahead from the first key's value, made adaptive):
+// the pointers are sorted by log and offset and cut into read units —
+// maximal contiguous runs, each read once as a span the values then alias,
+// and leftover single pointers, each a per-value read. So a scan whose
+// values are key-ordered in several logs (fresh merges interleaved with GC
+// rewrites) gets one read per dense stretch while scattered singletons
+// read exactly their own bytes. Scan traffic bypasses the value cache so
+// one large range query cannot evict the point-read hot set.
+//
+// Units go to the fixed worker pool in chunks (paper: a fixed number of
+// value addresses is inserted into the worker queue and sleeping threads
+// fetch them in parallel).
+func (sc *scanner) fill() error {
+	if len(sc.fetches) == 0 {
+		return nil
 	}
-	type run struct {
-		log    uint32
-		lo, hi int64
-		count  int
+	var units [][]pendingFetch
+	if sc.db.opts.DisableScanPrefetch {
+		units = make([][]pendingFetch, len(sc.fetches))
+		for i := range units {
+			units[i] = sc.fetches[i : i+1]
+		}
+	} else {
+		slices.SortFunc(sc.fetches, func(a, b pendingFetch) int {
+			if c := cmp.Compare(a.ptr.LogNum, b.ptr.LogNum); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.ptr.Offset, b.ptr.Offset)
+		})
+		units = spanRuns(sc.fetches)
 	}
-	var runs []run
-	for log, ptrs := range byLog {
-		if len(ptrs) < prefetchMinRun {
+	if sc.db.opts.DisableScanParallel || len(units) <= fetchChunk {
+		return sc.readUnits(units)
+	}
+	nChunks := (len(units) + fetchChunk - 1) / fetchChunk
+	var wg sync.WaitGroup
+	errs := make([]error, nChunks)
+	wg.Add(nChunks)
+	for c := 0; c < nChunks; c++ {
+		c := c
+		chunk := units[c*fetchChunk : min((c+1)*fetchChunk, len(units))]
+		sc.db.pool.run(func() {
+			defer wg.Done()
+			errs[c] = sc.readUnits(chunk)
+		})
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// frameExtent returns the log byte range [off, end) of ptr's frame.
+func frameExtent(ptr record.ValuePtr) (off, end int64) {
+	off = int64(ptr.Offset)
+	return off, off + vlog.HeaderLen + int64(ptr.Length)
+}
+
+// spanRuns cuts fetches, sorted by (log, offset), into maximal runs: the
+// next frame extends the run while it is in the same log, starts within
+// prefetchRunGap of the run's end, and keeps the span under
+// prefetchMaxSpan.
+func spanRuns(fetches []pendingFetch) [][]pendingFetch {
+	var runs [][]pendingFetch
+	lo := 0
+	start, hi := frameExtent(fetches[0].ptr)
+	for i := 1; i < len(fetches); i++ {
+		off, end := frameExtent(fetches[i].ptr)
+		if fetches[i].ptr.LogNum == fetches[lo].ptr.LogNum &&
+			off-hi <= prefetchRunGap && end-start <= prefetchMaxSpan {
+			hi = max(hi, end)
 			continue
 		}
-		sort.Slice(ptrs, func(i, j int) bool { return ptrs[i].Offset < ptrs[j].Offset })
-		cur := run{log: log, lo: int64(ptrs[0].Offset), hi: int64(ptrs[0].Offset) + vlogFrameLen + int64(ptrs[0].Length), count: 1}
-		flush := func() {
-			if cur.count >= prefetchMinRun && cur.hi-cur.lo <= prefetchMaxSpan {
-				runs = append(runs, cur)
+		runs = append(runs, fetches[lo:i])
+		lo, start, hi = i, off, end
+	}
+	return append(runs, fetches[lo:])
+}
+
+func (sc *scanner) readUnits(units [][]pendingFetch) error {
+	for _, u := range units {
+		if err := sc.readUnit(u); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// readUnit fills in the values of one read unit. A run is read once and
+// its values alias the span buffer, unless under half the span is values:
+// then they are copied into one right-sized buffer, so that a caller who
+// keeps a value never pins much more than the scan returned. A frame that
+// does not verify inside the span (a short read at the log tail, a flipped
+// byte) takes the per-value read, whose error is the scan's.
+func (sc *scanner) readUnit(run []pendingFetch) error {
+	vl := sc.db.vl
+	if len(run) < prefetchMinRun {
+		for _, f := range run {
+			val, err := vl.ReadUncached(f.ptr)
+			if err != nil {
+				return err
+			}
+			sc.out[f.idx].Value = val
+		}
+		return nil
+	}
+	lo, hi := frameExtent(run[0].ptr)
+	var values int64
+	for _, f := range run {
+		_, end := frameExtent(f.ptr)
+		hi = max(hi, end)
+		values += int64(f.ptr.Length)
+	}
+	span, err := vl.ReadSpan(run[0].ptr.LogNum, lo, hi-lo)
+	if err != nil {
+		return err
+	}
+	sc.db.stats.ScanPrefetchIssued.Add(1)
+	sparse := 2*values < hi-lo
+	var dense []byte // the copy target of a sparse run
+	if sparse {
+		dense = make([]byte, 0, values)
+	}
+	verified := false
+	for _, f := range run {
+		val, err := vlog.SpanValue(span, lo, f.ptr)
+		if err != nil {
+			if val, err = vl.ReadUncached(f.ptr); err != nil {
+				return err
+			}
+		} else {
+			verified = true
+			if sparse {
+				n := len(dense)
+				dense = append(dense, val...)
+				val = dense[n:len(dense):len(dense)]
 			}
 		}
-		for _, ptr := range ptrs[1:] {
-			start := int64(ptr.Offset)
-			end := start + vlogFrameLen + int64(ptr.Length)
-			if start-cur.hi <= prefetchRunGap && end-cur.lo <= prefetchMaxSpan {
-				if end > cur.hi {
-					cur.hi = end
-				}
-				cur.count++
-				continue
-			}
-			flush()
-			cur = run{log: log, lo: start, hi: end, count: 1}
-		}
-		flush()
+		sc.out[f.idx].Value = val
 	}
-	if len(runs) == 0 {
-		return
+	if !verified {
+		sc.db.stats.ScanPrefetchWasted.Add(1)
 	}
-	sort.Slice(runs, func(i, j int) bool { return runs[i].count > runs[j].count })
-	if len(runs) > prefetchMaxRuns {
-		runs = runs[:prefetchMaxRuns]
-	}
-	for _, r := range runs {
-		p.db.vl.Prefetch(r.log, r.lo, r.hi-r.lo) // best effort
-	}
+	return nil
 }

@@ -7,7 +7,6 @@ import (
 	"unikv/internal/memtable"
 	"unikv/internal/record"
 	"unikv/internal/sorted"
-	"unikv/internal/sortedview"
 	"unikv/internal/unsorted"
 )
 
@@ -43,24 +42,22 @@ type snapPart struct {
 	id           uint32
 	lower, upper []byte
 
+	// tiers are the pinned read sources.
+	//
 	// mem is the partition's live memtable at pin time — shared with the
 	// writer. It only grows, and every record written after the pin
 	// carries a larger sequence (assigned under the partition lock), so
 	// sequence filtering makes it immutable from the snapshot's view.
-	mem *memtable.Memtable
-	// imm is the frozen memtable queue at pin time, oldest first. Frozen
-	// tables are never mutated; flush only drops them from the live queue.
-	imm []*memtable.Memtable
+	// imm is the frozen memtable queue at pin time: frozen tables are never
+	// mutated; flush only drops them from the live queue.
 	// uns is the UnsortedStore table set at pin time, flush order; every
 	// reader is Ref'd. view is the pinned cross-table sorted view over
-	// exactly those tables (nil falls back to per-table merging).
-	uns  []*unsorted.Table
-	view *sortedview.View
+	// exactly those tables.
 	// srt is a private SortedStore over the pinned sorted run: the live
 	// store's iterator reads its mutable table slice, so the snapshot owns
 	// its own copy. Every reader is Ref'd (srtTables mirrors the set for
 	// release and backup).
-	srt       *sorted.Store
+	tiers
 	srtTables []*sorted.Table
 	// logs are the value logs this snapshot retains (via DB.logRefs, the
 	// same refcount vlog GC consults before removing a file); logSizes
@@ -90,12 +87,15 @@ func (db *DB) NewSnapshot() (*Snapshot, error) {
 	s := &Snapshot{db: db, seq: seq, parts: make([]snapPart, 0, len(parts))}
 	for _, p := range parts {
 		sp := snapPart{
-			id:        p.id,
-			lower:     append([]byte(nil), p.lower...),
-			mem:       p.mem,
-			imm:       append([]*memtable.Memtable(nil), p.imm...),
-			uns:       append([]*unsorted.Table(nil), p.uns.Tables()...),
-			view:      p.uns.ScanView(), // may lazily rebuild under viewMu; nil → per-table
+			id:    p.id,
+			lower: append([]byte(nil), p.lower...),
+			tiers: tiers{
+				mem:  p.mem,
+				imm:  append([]*memtable.Memtable(nil), p.imm...),
+				uns:  append([]*unsorted.Table(nil), p.uns.Tables()...),
+				view: p.uns.ScanView(), // may lazily rebuild under viewMu; nil → per-table
+				srt:  sorted.New(),
+			},
 			srtTables: append([]*sorted.Table(nil), p.srt.Tables()...),
 			logs:      p.logsSliceLocked(),
 		}
@@ -108,7 +108,6 @@ func (db *DB) NewSnapshot() (*Snapshot, error) {
 		for _, t := range sp.srtTables {
 			t.Reader.Ref()
 		}
-		sp.srt = sorted.New()
 		sp.srt.ReplaceAll(sp.srtTables)
 		sp.logSizes = make(map[uint32]int64, len(sp.logs))
 		for _, n := range sp.logs {
@@ -264,107 +263,31 @@ func (s *Snapshot) resolve(rec record.Record) ([]byte, error) {
 }
 
 // Scan returns up to limit pairs with start <= key < end as of the pinned
-// sequence, in key order (same bounds semantics as DB.Scan).
+// sequence, in key order (same bounds semantics, readahead and result
+// ownership as DB.Scan).
 func (s *Snapshot) Scan(start, end []byte, limit int) ([]KV, error) {
 	if s.closed.Load() {
 		return nil, ErrSnapshotClosed
 	}
-	if limit <= 0 && end == nil {
-		limit = 1 << 30 // "no bound" still terminates at the key space end
-	}
 	s.db.stats.SnapshotScans.Add(1)
-	var out []KV
+	sc := newScanner(s.db, end, limit)
 	cursor := start
 	for i := s.partIdxFor(start); i < len(s.parts); i++ {
 		sp := &s.parts[i]
-		want := 0
-		if limit > 0 {
-			want = limit - len(out)
-		}
-		kvs, err := sp.scan(s, cursor, end, want)
-		if err != nil {
+		if err := sp.scan(sc, cursor, s.seq); err != nil {
 			return nil, err
 		}
-		out = append(out, kvs...)
-		if limit > 0 && len(out) >= limit {
-			return out[:limit], nil
-		}
-		if sp.upper == nil {
-			break
-		}
-		if end != nil && codec.Compare(sp.upper, end) >= 0 {
+		if sc.done(sp.upper) {
 			break
 		}
 		cursor = sp.upper
 	}
-	return out, nil
+	return sc.out, nil
 }
 
-// scan collects up to n pairs in [start, end) from this pinned partition:
-// the same k-way merge DB.Scan runs, over the pinned sources, with the
-// sequence filter applied before the per-key dedup (a version sequenced
-// after the pin must not shadow the version the snapshot owns).
-func (sp *snapPart) scan(s *Snapshot, start, end []byte, n int) ([]KV, error) {
-	var iters []recIter
-	iters = append(iters, sp.mem.NewIterator())
-	for i := len(sp.imm) - 1; i >= 0; i-- {
-		iters = append(iters, sp.imm[i].NewIterator())
-	}
-	if sp.view != nil {
-		iters = append(iters, sp.view.NewIterator())
-	} else {
-		for _, t := range sp.uns {
-			iters = append(iters, t.Reader.NewIterator())
-		}
-	}
-	iters = append(iters, sp.srt.NewIterator())
-	m := newMergeIter(iters)
-
-	var out []KV
-	var lastKey []byte
-	haveLast := false
-	for ok := m.Seek(start); ok; ok = m.Next() {
-		rec := m.Record()
-		if end != nil && codec.Compare(rec.Key, end) >= 0 {
-			break
-		}
-		if rec.Seq > s.seq {
-			continue // written after the pin: invisible, and must not set lastKey
-		}
-		if haveLast && codec.Compare(rec.Key, lastKey) == 0 {
-			continue
-		}
-		lastKey = append(lastKey[:0], rec.Key...)
-		haveLast = true
-		switch rec.Kind {
-		case record.KindDelete:
-			continue
-		case record.KindSet:
-			out = append(out, KV{
-				Key:   append([]byte(nil), rec.Key...),
-				Value: append([]byte(nil), rec.Value...),
-			})
-		case record.KindSetPtr:
-			ptr, err := record.DecodePtr(rec.Value)
-			if err != nil {
-				return nil, err
-			}
-			// ReadUncached like the live scan path: snapshot range reads
-			// must not evict the point-read hot set.
-			val, err := s.db.vl.ReadUncached(ptr)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, KV{Key: append([]byte(nil), rec.Key...), Value: val})
-		default:
-			return nil, codec.ErrCorrupt
-		}
-		if n > 0 && len(out) >= n {
-			break
-		}
-	}
-	if err := m.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
+// scan appends this pinned partition's pairs from start on to sc: the
+// merge DB.Scan runs, over the pinned sources, bounded by the pinned
+// sequence. The pinned log refcount keeps every pointed-to log in place.
+func (sp *snapPart) scan(sc *scanner, start []byte, seq uint64) error {
+	return sc.scan(sp.tiers, start, seq)
 }

@@ -11,19 +11,21 @@
 // by scanning the SortedStore's keys+pointers (unlike WiscKey, which must
 // store keys in the vLog to probe the LSM-tree).
 //
-// The manager also implements the paper's scan readahead: Prefetch loads a
-// log region into an in-process cache before the scan dereferences pointers
-// (the portable equivalent of posix_fadvise(WILLNEED)).
+// The manager holds no read-side state beyond the value cache: a scan's
+// readahead (paper: posix_fadvise(WILLNEED) before dereferencing pointers)
+// is ReadSpan into a buffer the scan owns, decoded in place by SpanValue.
 package vlog
 
 import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"unikv/internal/cache"
 	"unikv/internal/codec"
@@ -71,31 +73,15 @@ type Manager struct {
 	dirDirty  bool   // a log file was created since the last SyncDir
 	scratch   []byte // frame staging for Append (guarded by mu)
 
-	sizes   map[uint32]int64 // total bytes per log
-	garbage map[uint32]int64 // dead bytes per log (greedy GC accounting)
-	readers map[uint32]vfs.File
+	sizes   map[uint32]int64  // total bytes per log
+	garbage map[uint32]int64  // dead bytes per log (greedy GC accounting)
 	pins    map[uint64]uint32 // open append windows: token → lowest log num
 	pinSeq  uint64
 
-	prefetchMu     sync.Mutex
-	prefetchSpans  [maxPrefetchSpans]prefetchSpan
-	prefetchClock  int   // round-robin eviction cursor
-	prefetchIssued int64 // spans loaded (Prefetch calls that installed data)
-	prefetchWasted int64 // spans dropped without serving a single read
-}
-
-// maxPrefetchSpans bounds the readahead ring: one scan can keep several
-// per-log contiguous runs resident at once (the adaptive prefetch in
-// internal/core issues one span per detected run), and parallel fetch
-// chunks then hit their own spans instead of evicting each other's.
-const maxPrefetchSpans = 8
-
-// prefetchSpan is one resident readahead region.
-type prefetchSpan struct {
-	log  uint32
-	off  int64
-	buf  []byte // nil = empty slot
-	hits int64
+	// readers is the read-handle table, published copy-on-write: readers
+	// Load it without a lock (so no read ever queues behind an Append's
+	// framing and write), and setReaderLocked replaces it under mu.
+	readers atomic.Pointer[map[uint32]vfs.File]
 }
 
 // LogName formats the file name of log n.
@@ -127,9 +113,9 @@ func Open(fs vfs.FS, dir string, opts Options) (*Manager, error) {
 		opts:    opts,
 		sizes:   make(map[uint32]int64),
 		garbage: make(map[uint32]int64),
-		readers: make(map[uint32]vfs.File),
 		pins:    make(map[uint64]uint32),
 	}
+	m.readers.Store(&map[uint32]vfs.File{})
 	names, err := fs.List(dir)
 	if err != nil {
 		return nil, err
@@ -369,23 +355,40 @@ func (m *Manager) Sync() error {
 
 // reader returns a cached read handle for log n.
 func (m *Manager) reader(n uint32) (vfs.File, error) {
+	if f, ok := (*m.readers.Load())[n]; ok {
+		return f, nil
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if f, ok := m.readers[n]; ok {
+	if f, ok := (*m.readers.Load())[n]; ok {
 		return f, nil
 	}
 	f, err := m.fs.Open(filepath.Join(m.dir, LogName(n)))
 	if err != nil {
 		return nil, err
 	}
-	m.readers[n] = f
+	m.setReaderLocked(n, f)
 	return f, nil
 }
 
+// setReaderLocked publishes a copy of the handle table with log n mapped
+// to f, or unmapped when f is nil, and returns the handle it replaced.
+// Requires m.mu held.
+func (m *Manager) setReaderLocked(n uint32, f vfs.File) vfs.File {
+	old := *m.readers.Load()
+	next := maps.Clone(old)
+	if f != nil {
+		next[n] = f
+	} else {
+		delete(next, n)
+	}
+	m.readers.Store(&next)
+	return old[n]
+}
+
 // Read fetches the value at ptr for a point lookup, verifying length and
-// checksum. The scan readahead buffer is consulted first, then the value
-// cache; a miss reads the log and caches the verified value. The returned
-// buffer is owned by the caller.
+// checksum. The value cache is consulted first; a miss reads the log and
+// caches the verified value. The returned buffer is owned by the caller.
 func (m *Manager) Read(ptr record.ValuePtr) ([]byte, error) {
 	return m.ReadHinted(ptr, true)
 }
@@ -396,16 +399,13 @@ func (m *Manager) Read(ptr record.ValuePtr) ([]byte, error) {
 // hot ring's frequency signal — a key it has sampled at least twice — so
 // scattered reads over a cold tail cannot evict the resident hot set.
 func (m *Manager) ReadHinted(ptr record.ValuePtr, warm bool) ([]byte, error) {
-	if b, ok := m.fromPrefetch(ptr); ok {
-		return b, nil
-	}
 	ck := cache.Key{Pool: cache.PoolValue, ID: uint64(ptr.LogNum), Off: uint64(ptr.Offset)}
 	if b, ok := m.opts.Cache.Get(ck); ok && uint32(len(b)) == ptr.Length {
 		// Cached bytes are shared and immutable; Read hands the buffer to
 		// the caller, so copy.
 		return append([]byte(nil), b...), nil
 	}
-	val, err := m.readFramed(ptr)
+	val, err := m.ReadUncached(ptr)
 	if err != nil {
 		return nil, err
 	}
@@ -417,34 +417,22 @@ func (m *Manager) ReadHinted(ptr record.ValuePtr, warm bool) ([]byte, error) {
 	return val, nil
 }
 
-// ReadUncached is Read without value-cache participation (it neither
-// consults nor populates it). Scans and GC use it so bulk value traffic
-// cannot evict the point-read hot set.
+// ReadUncached reads and validates the framed value at ptr from the log
+// file, without value-cache participation (it neither consults nor
+// populates it): scans and GC use it so bulk value traffic cannot evict
+// the point-read hot set. A short read — a pointer past the synced tail
+// after a crash — is an explicit error, never partial data: ReadAt can
+// return n < len(buf) with io.EOF, and the stale/zero suffix of buf must
+// not reach the decoder as if it had been read.
 func (m *Manager) ReadUncached(ptr record.ValuePtr) ([]byte, error) {
-	if b, ok := m.fromPrefetch(ptr); ok {
-		return b, nil
-	}
-	return m.readFramed(ptr)
-}
-
-// readFramed reads and validates the framed value at ptr from the log
-// file. A short read — a pointer past the synced tail after a crash — is
-// an explicit error, never partial data: ReadAt can return n < len(buf)
-// with io.EOF, and the stale/zero suffix of buf must not reach the
-// decoder as if it had been read.
-func (m *Manager) readFramed(ptr record.ValuePtr) ([]byte, error) {
-	f, err := m.reader(ptr.LogNum)
+	want := headerLen + int64(ptr.Length)
+	buf, err := m.ReadSpan(ptr.LogNum, int64(ptr.Offset), want)
 	if err != nil {
 		return nil, err
 	}
-	buf := make([]byte, headerLen+int(ptr.Length))
-	n, err := f.ReadAt(buf, int64(ptr.Offset))
-	if err != nil && err != io.EOF {
-		return nil, err
-	}
-	if n < len(buf) {
+	if int64(len(buf)) < want {
 		return nil, fmt.Errorf("vlog: log %d truncated at offset %d (%d of %d bytes): %w",
-			ptr.LogNum, ptr.Offset, n, len(buf), ErrBadPointer)
+			ptr.LogNum, ptr.Offset, len(buf), want, ErrBadPointer)
 	}
 	return decodeValue(buf, ptr.Length)
 }
@@ -459,95 +447,44 @@ func decodeValue(buf []byte, wantLen uint32) ([]byte, error) {
 	if length != wantLen || len(rest) < int(length) {
 		return nil, ErrBadPointer
 	}
-	val := rest[:length]
+	val := rest[:length:length]
 	if codec.MaskChecksum(codec.Checksum(val)) != crc {
 		return nil, ErrBadPointer
 	}
 	return val, nil
 }
 
-// Prefetch loads log n's byte range [off, off+length) into a slot of the
-// readahead ring so subsequent Reads inside that range avoid per-value
-// I/O. The ring holds up to maxPrefetchSpans regions; a new span evicts
-// round-robin, counting a never-hit victim as wasted readahead.
-func (m *Manager) Prefetch(n uint32, off int64, length int64) error {
+// ReadSpan reads log n's byte range [off, off+length) into a fresh buffer
+// the caller owns — the scan readahead: one read covers a run of values,
+// which SpanValue then decodes in place. A short read at the log tail
+// returns the bytes that exist; SpanValue rejects pointers reaching past
+// them.
+func (m *Manager) ReadSpan(n uint32, off, length int64) ([]byte, error) {
 	f, err := m.reader(n)
 	if err != nil {
-		return err
-	}
-	if length <= 0 {
-		return nil
+		return nil, err
 	}
 	buf := make([]byte, length)
-	// A short read is fine here: the buffer is truncated to the bytes
-	// actually read, so fromPrefetch's coverage check rejects pointers
-	// past the tail and they fall back to the per-value read path.
 	rd, err := f.ReadAt(buf, off)
 	if err != nil && err != io.EOF {
-		return err
+		return nil, err
 	}
-	m.prefetchMu.Lock()
-	s := &m.prefetchSpans[m.prefetchClock]
-	m.prefetchClock = (m.prefetchClock + 1) % maxPrefetchSpans
-	if s.buf != nil && s.hits == 0 {
-		m.prefetchWasted++
-	}
-	*s = prefetchSpan{log: n, off: off, buf: buf[:rd]}
-	m.prefetchIssued++
-	m.prefetchMu.Unlock()
-	return nil
+	return buf[:rd], nil
 }
 
-// fromPrefetch serves ptr from the readahead ring when a span fully
-// covers it.
-func (m *Manager) fromPrefetch(ptr record.ValuePtr) ([]byte, bool) {
-	m.prefetchMu.Lock()
-	defer m.prefetchMu.Unlock()
-	for i := range m.prefetchSpans {
-		s := &m.prefetchSpans[i]
-		if s.buf == nil || ptr.LogNum != s.log {
-			continue
-		}
-		start := int64(ptr.Offset) - s.off
-		end := start + headerLen + int64(ptr.Length)
-		if start < 0 || end > int64(len(s.buf)) {
-			continue
-		}
-		val, err := decodeValue(s.buf[start:end], ptr.Length)
-		if err != nil {
-			continue
-		}
-		s.hits++
-		out := make([]byte, len(val))
-		copy(out, val)
-		return out, true
+// SpanValue returns the value ptr addresses inside span — the bytes of
+// ptr's log from offset spanOff on, as ReadSpan returned them — after
+// verifying the frame's length and checksum. The result aliases span,
+// cap-limited to the value, so appending to it cannot reach a neighbour.
+// A pointer not fully inside span, or whose frame fails verification,
+// yields ErrBadPointer.
+func SpanValue(span []byte, spanOff int64, ptr record.ValuePtr) ([]byte, error) {
+	start := int64(ptr.Offset) - spanOff
+	end := start + headerLen + int64(ptr.Length)
+	if start < 0 || end > int64(len(span)) {
+		return nil, ErrBadPointer
 	}
-	return nil, false
-}
-
-// dropPrefetch clears every span whose log matches, charging never-hit
-// ones to the wasted counter.
-func (m *Manager) dropPrefetch(match func(log uint32) bool) {
-	m.prefetchMu.Lock()
-	for i := range m.prefetchSpans {
-		s := &m.prefetchSpans[i]
-		if s.buf == nil || !match(s.log) {
-			continue
-		}
-		if s.hits == 0 {
-			m.prefetchWasted++
-		}
-		*s = prefetchSpan{}
-	}
-	m.prefetchMu.Unlock()
-}
-
-// PrefetchStats reports readahead effectiveness: spans issued and spans
-// retired without a single hit.
-func (m *Manager) PrefetchStats() (issued, wasted int64) {
-	m.prefetchMu.Lock()
-	defer m.prefetchMu.Unlock()
-	return m.prefetchIssued, m.prefetchWasted
+	return decodeValue(span[start:end], ptr.Length)
 }
 
 // AddGarbage records n dead bytes in log logNum (an overwritten or deleted
@@ -672,13 +609,11 @@ func (m *Manager) Remove(n uint32) error {
 	if m.active != nil && m.activeNum == n {
 		return errors.New("vlog: cannot remove active log")
 	}
-	if f, ok := m.readers[n]; ok {
+	if f := m.setReaderLocked(n, nil); f != nil {
 		f.Close()
-		delete(m.readers, n)
 	}
 	delete(m.sizes, n)
 	delete(m.garbage, n)
-	m.dropPrefetch(func(log uint32) bool { return log == n })
 	return m.fs.Remove(filepath.Join(m.dir, LogName(n)))
 }
 
@@ -696,11 +631,10 @@ func (m *Manager) Close() error {
 		}
 		m.active = nil
 	}
-	for n, f := range m.readers {
+	for _, f := range *m.readers.Swap(&map[uint32]vfs.File{}) {
 		if err := f.Close(); err != nil && first == nil {
 			first = err
 		}
-		delete(m.readers, n)
 	}
 	return first
 }

@@ -2,8 +2,10 @@ package vlog
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -199,36 +201,212 @@ func TestTruncatedTailRejected(t *testing.T) {
 	}
 }
 
-func TestPrefetch(t *testing.T) {
-	fs := vfs.NewMem()
-	m := newMgr(t, fs, Options{})
-	defer m.Close()
-
-	var ptrs []record.ValuePtr
-	for i := 0; i < 20; i++ {
-		ptr, _ := m.Append([]byte(fmt.Sprintf("v%02d", i)))
-		ptrs = append(ptrs, ptr)
-	}
-	m.Sync()
-
-	first, last := ptrs[0], ptrs[len(ptrs)-1]
-	length := int64(last.Offset) + headerLen + int64(last.Length) - int64(first.Offset)
-	if err := m.Prefetch(first.LogNum, int64(first.Offset), length); err != nil {
-		t.Fatal(err)
-	}
-	readsBefore := fs.Counters().ReadOps.Load()
-	for i, ptr := range ptrs {
-		v, err := m.Read(ptr)
+// spanOver appends n 1 KiB values and returns their pointers, the values,
+// and the extent [lo, hi) of the log bytes that hold them.
+func spanOver(t testing.TB, m *Manager, n int) (ptrs []record.ValuePtr, vals [][]byte, lo, hi int64) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		v := bytes.Repeat([]byte{byte('a' + i%26)}, 1024)
+		ptr, err := m.Append(v)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if string(v) != fmt.Sprintf("v%02d", i) {
-			t.Fatalf("value %d = %q", i, v)
+		ptrs, vals = append(ptrs, ptr), append(vals, v)
+	}
+	if err := m.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	last := ptrs[n-1]
+	return ptrs, vals, int64(ptrs[0].Offset), int64(last.Offset) + headerLen + int64(last.Length)
+}
+
+// TestReadSpan: one ReadSpan serves every value of a run through SpanValue
+// with a single file read, and each value is cap-limited to itself.
+func TestReadSpan(t *testing.T) {
+	fs := vfs.NewMem()
+	m := newMgr(t, fs, Options{})
+	defer m.Close()
+	ptrs, vals, lo, hi := spanOver(t, m, 20)
+
+	readsBefore := fs.Counters().ReadOps.Load()
+	span, err := m.ReadSpan(ptrs[0].LogNum, lo, hi-lo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ptr := range ptrs {
+		v, err := SpanValue(span, lo, ptr)
+		if err != nil {
+			t.Fatalf("value %d: %v", i, err)
+		}
+		if !bytes.Equal(v, vals[i]) {
+			t.Fatalf("value %d mismatch", i)
+		}
+		if cap(v) != len(v) {
+			t.Fatalf("value %d: cap %d reaches past its %d bytes", i, cap(v), len(v))
 		}
 	}
-	if fs.Counters().ReadOps.Load() != readsBefore {
-		t.Fatal("reads within prefetched range hit the file")
+	if got := fs.Counters().ReadOps.Load() - readsBefore; got != 1 {
+		t.Fatalf("%d file reads for one span, want 1", got)
 	}
+}
+
+// TestReadSpanShortAtTail: a span asked for past the log's end returns the
+// bytes that exist; the pointer reaching past them is rejected in-span and
+// by the per-value read, its neighbours are served.
+func TestReadSpanShortAtTail(t *testing.T) {
+	fs := vfs.NewMem()
+	m := newMgr(t, fs, Options{})
+	ptrs, vals, lo, hi := spanOver(t, m, 4)
+	m.Close()
+	// Tear the last frame, as a crash before the sync would.
+	name := "p0/" + LogName(ptrs[0].LogNum)
+	data, err := fs.ReadFile(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.WriteFile(name, data[:len(data)-100]); err != nil {
+		t.Fatal(err)
+	}
+	m = newMgr(t, fs, Options{})
+	defer m.Close()
+
+	span, err := m.ReadSpan(ptrs[0].LogNum, lo, hi-lo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(span)) != hi-lo-100 {
+		t.Fatalf("span holds %d bytes, want the %d that exist", len(span), hi-lo-100)
+	}
+	for i, ptr := range ptrs[:3] {
+		if v, err := SpanValue(span, lo, ptr); err != nil || !bytes.Equal(v, vals[i]) {
+			t.Fatalf("value %d before the tear: %v", i, err)
+		}
+	}
+	if _, err := SpanValue(span, lo, ptrs[3]); !errors.Is(err, ErrBadPointer) {
+		t.Fatalf("torn value in span: %v, want ErrBadPointer", err)
+	}
+	if _, err := m.ReadUncached(ptrs[3]); !errors.Is(err, ErrBadPointer) {
+		t.Fatalf("torn value read alone: %v, want ErrBadPointer", err)
+	}
+}
+
+// TestSpanValueFlippedByte: a flipped byte inside a span fails exactly the
+// frame it sits in — in the span and on the per-value read a scan falls
+// back to — while the neighbours still decode from the same span.
+func TestSpanValueFlippedByte(t *testing.T) {
+	fs := vfs.NewMem()
+	m := newMgr(t, fs, Options{})
+	ptrs, vals, lo, hi := spanOver(t, m, 5)
+	m.Close()
+	name := "p0/" + LogName(ptrs[0].LogNum)
+	data, err := fs.ReadFile(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[int(ptrs[2].Offset)+headerLen+17] ^= 0x40
+	if err := fs.WriteFile(name, data); err != nil {
+		t.Fatal(err)
+	}
+	m = newMgr(t, fs, Options{})
+	defer m.Close()
+
+	span, err := m.ReadSpan(ptrs[0].LogNum, lo, hi-lo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ptr := range ptrs {
+		v, err := SpanValue(span, lo, ptr)
+		if i == 2 {
+			if !errors.Is(err, ErrBadPointer) {
+				t.Fatalf("flipped frame in span: %v, want ErrBadPointer", err)
+			}
+			if _, err := m.ReadUncached(ptr); !errors.Is(err, ErrBadPointer) {
+				t.Fatalf("flipped frame read alone: %v, want ErrBadPointer", err)
+			}
+			continue
+		}
+		if err != nil || !bytes.Equal(v, vals[i]) {
+			t.Fatalf("neighbour %d of the flipped frame: %v", i, err)
+		}
+	}
+}
+
+// TestSpanValueBounds: pointers straddling either end of a span, or wholly
+// outside it, are rejected, as is a pointer whose length disagrees with
+// the frame.
+func TestSpanValueBounds(t *testing.T) {
+	fs := vfs.NewMem()
+	m := newMgr(t, fs, Options{})
+	defer m.Close()
+	ptrs, _, _, _ := spanOver(t, m, 4)
+
+	// A span over the middle two frames, cut 10 bytes short of the third's end.
+	lo := int64(ptrs[1].Offset)
+	length := int64(ptrs[3].Offset) - lo - 10
+	span, err := m.ReadSpan(ptrs[0].LogNum, lo, length)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := SpanValue(span, lo, ptrs[1]); err != nil {
+		t.Fatalf("frame inside the span: %v", err)
+	}
+	short := ptrs[1]
+	short.Length--
+	for name, ptr := range map[string]record.ValuePtr{
+		"before the span":         ptrs[0],
+		"straddling the span end": ptrs[2],
+		"after the span":          ptrs[3],
+		"wrong length":            short,
+	} {
+		if _, err := SpanValue(span, lo, ptr); !errors.Is(err, ErrBadPointer) {
+			t.Errorf("pointer %s: %v, want ErrBadPointer", name, err)
+		}
+	}
+}
+
+// TestReaderTableConcurrent: point reads load the handle table without the
+// append mutex while appends rotate logs and sealed logs are removed; run
+// under -race.
+func TestReaderTableConcurrent(t *testing.T) {
+	m := newMgr(t, vfs.NewMem(), Options{MaxLogSize: 4 << 10})
+	defer m.Close()
+	keep, _, _, _ := spanOver(t, m, 8) // logs 0 and 1: read throughout, never removed
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for _, ptr := range keep {
+					if _, err := m.ReadUncached(ptr); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	for i := 0; i < 200; i++ {
+		ptr, err := m.Append(bytes.Repeat([]byte{'z'}, 1024))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.ReadUncached(ptr); err != nil { // opens a handle on the new log
+			t.Fatal(err)
+		}
+		if prev := ptr.LogNum - 1; prev > keep[len(keep)-1].LogNum {
+			m.Remove(prev) // sealed by the rotation; an error means it is already gone
+		}
+	}
+	close(stop)
+	wg.Wait()
 }
 
 func TestGarbageAccounting(t *testing.T) {
@@ -291,7 +469,7 @@ func TestParseLogName(t *testing.T) {
 }
 
 // TestQuickRoundTrip stores random values across rotating logs and reads
-// them all back, in random order, with and without prefetch.
+// them all back, in random order.
 func TestQuickRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		rnd := rand.New(rand.NewSource(seed))
@@ -471,4 +649,73 @@ func TestPinWindow(t *testing.T) {
 		}
 	}
 	m.Unpin(pin3)
+}
+
+var benchSink []byte
+
+// benchLog is a manager whose first log holds n 1 KiB values.
+func benchLog(b *testing.B, n int) (*Manager, []record.ValuePtr, int64, int64) {
+	b.Helper()
+	m, err := Open(vfs.NewMem(), "p0", Options{MaxLogSize: 1 << 30})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { m.Close() })
+	ptrs, _, lo, hi := spanOver(b, m, n)
+	return m, ptrs, lo, hi
+}
+
+func BenchmarkAppend(b *testing.B) {
+	m, err := Open(vfs.NewMem(), "p0", Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer m.Close()
+	value := bytes.Repeat([]byte("v"), 1024)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(value)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.Append(value); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkReadPoint is the per-value read: the slow-path Get's value
+// fetch, and what a scan pays for a pointer outside any run.
+func BenchmarkReadPoint(b *testing.B) {
+	m, ptrs, _, _ := benchLog(b, 4096)
+	b.ReportAllocs()
+	b.SetBytes(1024)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v, err := m.ReadUncached(ptrs[i*61%len(ptrs)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink = v
+	}
+}
+
+// BenchmarkReadSpan64 is a scan's readahead: one span over 64 consecutive
+// 1 KiB values, each verified and sub-sliced in place.
+func BenchmarkReadSpan64(b *testing.B) {
+	m, ptrs, lo, hi := benchLog(b, 64)
+	b.ReportAllocs()
+	b.SetBytes(64 * 1024)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		span, err := m.ReadSpan(ptrs[0].LogNum, lo, hi-lo)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, ptr := range ptrs {
+			v, err := SpanValue(span, lo, ptr)
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchSink = v
+		}
+	}
 }

@@ -72,11 +72,15 @@ func (it *Iterator) Next() bool {
 	return true
 }
 
-// Key returns the current pair's key. Valid after Next returned true; the
-// slice is owned by the iterator's current page.
+// Key returns the current pair's key. Valid after Next returned true. The
+// slice is the caller's to keep or mutate — the iterator never reads a
+// returned key again (it resumes from its own copy) — but it shares a
+// backing array with other pairs of the current page (see KV), so
+// keeping it keeps part of the page alive.
 func (it *Iterator) Key() []byte { return it.page[it.idx].Key }
 
-// Value returns the current pair's value. Valid after Next returned true.
+// Value returns the current pair's value. Valid after Next returned true;
+// the same ownership as Key.
 func (it *Iterator) Value() []byte { return it.page[it.idx].Value }
 
 // Err returns the first error the iterator encountered, if any.

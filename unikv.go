@@ -111,7 +111,11 @@ const CacheOff = core.CacheOff
 // Options.HotRingEntries (0 means "use the default size").
 const HotRingOff = core.HotRingOff
 
-// KV is one key-value pair returned by Scan.
+// KV is one key-value pair returned by Scan. The pairs of one Scan result
+// are the caller's to keep or mutate. Their keys and values may share
+// backing arrays; each slice's capacity ends where it does, so appending
+// to one reallocates instead of running into a neighbour, and keeping one
+// pair alive keeps at most about twice the bytes the scan returned.
 type KV = core.KV
 
 // Metrics is a snapshot of engine statistics.
@@ -273,6 +277,8 @@ func (db *DB) Delete(key []byte) error { return db.eng.Delete(key) }
 
 // Scan returns up to limit pairs with start <= key < end in key order.
 // A nil end means "no upper bound"; limit <= 0 means "no count bound".
+// The result belongs to the caller (see KV for how its slices share
+// memory).
 func (db *DB) Scan(start, end []byte, limit int) ([]KV, error) {
 	return db.eng.Scan(start, end, limit)
 }
@@ -357,7 +363,8 @@ func (s *Snapshot) Seq() uint64 { return s.s.Seq() }
 func (s *Snapshot) Get(key []byte) ([]byte, error) { return s.s.Get(key) }
 
 // Scan returns up to limit pairs with start <= key < end as of the pinned
-// point, in key order (same bounds semantics as DB.Scan).
+// point, in key order (same bounds semantics and result ownership as
+// DB.Scan).
 func (s *Snapshot) Scan(start, end []byte, limit int) ([]KV, error) {
 	return s.s.Scan(start, end, limit)
 }
