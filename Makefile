@@ -3,7 +3,7 @@
 GO ?= go
 BIN := bin
 
-.PHONY: build test race lint bench-smoke perf perf-test perf-selfcheck fig-hotring fig-scan fault-sweep corruption-sweep clean
+.PHONY: build test race lint bench-smoke perf perf-pair perf-test perf-selfcheck fig-hotring fig-scan fault-sweep corruption-sweep clean
 
 build:
 	$(GO) build ./...
@@ -31,8 +31,10 @@ $(BIN)/unikvlint: FORCE
 	$(GO) build -o $(BIN)/unikvlint ./cmd/unikvlint
 
 # One iteration per benchmark: compiles and runs them without measuring.
+# The substrate packages carry the per-layer microbenchmarks (ns/op and
+# allocs/op of wal, memtable, sstable, vlog and the core put/scan paths).
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/bench/ ./internal/vlog/ ./internal/core/
+	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/bench/ ./internal/wal/ ./internal/memtable/ ./internal/sstable/ ./internal/vlog/ ./internal/core/
 
 # The perf ledger (perf/README.md, BENCHMARK.json): every workload, timed
 # and traced. perf/ is a Go module of its own, so `go test ./...` at the
@@ -45,6 +47,13 @@ perf:
 
 perf-test:
 	cd perf && $(GO) vet . && $(GO) test -race .
+
+# Paired A/B of one workload: the working tree against HEAD~1, N
+# alternating pairs (default 10), per-side median and quartiles, win
+# count and the verdict for every end-to-end metric. W=<workload> is
+# required; N and SEED are optional. See scripts/perf-pair.sh.
+perf-pair:
+	bash scripts/perf-pair.sh $(W) $(or $(N),10) $(or $(SEED),1)
 
 perf-selfcheck:
 	bash perf/run.sh --selfcheck

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"unikv/internal/arena"
 	"unikv/internal/record"
 )
 
@@ -12,23 +13,22 @@ import (
 // design — the paper's partitions are fully independent).
 type Batch struct {
 	ops []record.Record
+	mem arena.Bytes // owns the queued keys and values until Reset
 }
 
 // NewBatch returns an empty batch.
 func NewBatch() *Batch { return &Batch{} }
 
-// Put queues an insert/overwrite. Key and value are copied (once, into a
-// single allocation; the engine never copies them again on the write path).
+// Put queues an insert/overwrite. Key and value are copied into the
+// batch's arena (the caller may reuse its buffers at once); ApplyBatch
+// hands them to the WAL and the memtable, which keep their own copies.
 func (b *Batch) Put(key, value []byte) {
-	b.ops = append(b.ops, copyRecord(key, value, 0, record.KindSet))
+	b.ops = append(b.ops, record.Record{Key: b.mem.Copy(key), Kind: record.KindSet, Value: b.mem.Copy(value)})
 }
 
 // Delete queues a tombstone. The key is copied.
 func (b *Batch) Delete(key []byte) {
-	b.ops = append(b.ops, record.Record{
-		Key:  append([]byte(nil), key...),
-		Kind: record.KindDelete,
-	})
+	b.ops = append(b.ops, record.Record{Key: b.mem.Copy(key), Kind: record.KindDelete})
 }
 
 // Len returns the number of queued operations.
@@ -41,8 +41,12 @@ func (b *Batch) Len() int { return len(b.ops) }
 // single commit (one WAL record and fsync per partition) for all of them.
 func (b *Batch) Append(o *Batch) { b.ops = append(b.ops, o.ops...) }
 
-// Reset empties the batch for reuse.
-func (b *Batch) Reset() { b.ops = b.ops[:0] }
+// Reset empties the batch for reuse. The arena is dropped, not rewound:
+// a batch this one was Appended to may still share its buffers.
+func (b *Batch) Reset() {
+	b.ops = b.ops[:0]
+	b.mem = arena.Bytes{}
+}
 
 // ApplyBatch applies every operation in the batch. Operations are
 // sequenced in queue order; per-key ordering is always preserved (a key

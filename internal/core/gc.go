@@ -89,8 +89,9 @@ func (p *partition) gcTables(locked bool) error {
 		return err
 	}
 	w := p.newTableWriter(p.dir)
-	it := p.srt.NewIterator()
+	it := p.srt.NewMaintIterator()
 	var rewritten int64
+	var ptrBuf [record.EncodedPtrLen]byte
 	for ok := it.First(); ok; ok = it.Next() {
 		rec := it.Record()
 		if rec.Kind != record.KindSetPtr {
@@ -109,20 +110,17 @@ func (p *partition) gcTables(locked bool) error {
 			}
 			continue
 		}
-		// Bypass the value cache: GC touches every live value once and
-		// would otherwise flush the hot set with dead-cold data.
-		val, err := db.vl.ReadUncached(ptr)
+		// The frame moves log to log through the rewrite log's staging
+		// buffer, bypassing the value cache: GC touches every live value
+		// once and would otherwise flush the hot set with dead-cold data.
+		nptr, err := d.Rewrite(ptr)
 		if err != nil {
 			return err
 		}
-		nptr, err := d.Append(val)
-		if err != nil {
-			return err
-		}
-		rewritten += int64(len(val))
+		rewritten += int64(ptr.Length)
 		if err := w.add(record.Record{
 			Key: rec.Key, Seq: rec.Seq, Kind: record.KindSetPtr,
-			Value: nptr.Encode(nil),
+			Value: nptr.Encode(ptrBuf[:0]),
 		}); err != nil {
 			return err
 		}

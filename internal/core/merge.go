@@ -8,6 +8,7 @@ import (
 	"unikv/internal/sorted"
 	"unikv/internal/sstable"
 	"unikv/internal/unsorted"
+	"unikv/internal/vlog"
 )
 
 // recIter and mergeIter come from the shared mergeiter package (the
@@ -110,6 +111,99 @@ func tableMetas(tables []*sorted.Table) []manifest.TableMeta {
 }
 
 // ---------------------------------------------------------------------------
+// Partial KV separation into the shared active log.
+
+const (
+	// sepBatchBytes is how many framed value bytes a merge stages before
+	// appending them to the value log in one write.
+	sepBatchBytes = 256 << 10
+	// sepMaxPending bounds the records held back behind a staged batch (a
+	// run of carried pointers between two sparse new values would otherwise
+	// pin every block it came from).
+	sepMaxPending = 4096
+)
+
+// pendingRec is a merge output record waiting for its batch's pointers.
+type pendingRec struct {
+	rec    record.Record
+	staged bool // rec's value sits in the batch; rec.Value is unset
+}
+
+// separator is the tail of a merge: it routes output records to the table
+// writer, moving the values of records that qualify into the value log.
+// Offsets in the shared active log are only known once a batch is appended,
+// so while values are staged every output record — separated or not — is
+// held back, and flush emits them in key order once the pointers exist.
+// Held records alias their source blocks, which are immutable.
+type separator struct {
+	p       *partition
+	w       *tableWriter
+	batch   vlog.Batch
+	pending []pendingRec
+	ptrs    []record.ValuePtr
+	ptrBuf  [record.EncodedPtrLen]byte
+	logs    map[uint32]bool // logs that received values
+}
+
+func (p *partition) newSeparator(w *tableWriter) *separator {
+	return &separator{p: p, w: w, logs: map[uint32]bool{}}
+}
+
+// separates reports whether rec's value belongs in the value log.
+func (p *partition) separates(rec record.Record) bool {
+	return rec.Kind == record.KindSet && !p.db.opts.DisableKVSeparation &&
+		len(rec.Value) >= p.db.opts.ValueThreshold
+}
+
+// add emits rec, staging its value for the log if it qualifies.
+func (s *separator) add(rec record.Record) error {
+	staged := s.p.separates(rec)
+	if !staged && len(s.pending) == 0 {
+		return s.w.add(rec)
+	}
+	if staged {
+		s.batch.Add(rec.Value)
+		rec.Value = nil
+	}
+	s.pending = append(s.pending, pendingRec{rec: rec, staged: staged})
+	if s.batch.Size() >= sepBatchBytes || len(s.pending) >= sepMaxPending {
+		return s.flush()
+	}
+	return nil
+}
+
+// flush appends the staged values as one batch and emits the held records
+// with their pointers filled in. Call it before finishing the writer.
+func (s *separator) flush() error {
+	if len(s.pending) == 0 {
+		return nil
+	}
+	ptrs, err := s.p.db.vl.AppendBatch(s.p.id, &s.batch, s.ptrs[:0])
+	if err != nil {
+		return err
+	}
+	s.ptrs = ptrs
+	next := 0
+	for _, pr := range s.pending {
+		rec := pr.rec
+		if pr.staged {
+			ptr := ptrs[next]
+			next++
+			s.logs[ptr.LogNum] = true
+			rec.Kind = record.KindSetPtr
+			rec.Value = ptr.Encode(s.ptrBuf[:0])
+		}
+		if err := s.w.add(rec); err != nil {
+			return err
+		}
+	}
+	s.batch.Reset()
+	clear(s.pending) // drop the block references
+	s.pending = s.pending[:0]
+	return nil
+}
+
+// ---------------------------------------------------------------------------
 // Unsorted → Sorted merge with partial KV separation.
 
 // mergeLocked drains the UnsortedStore into the SortedStore. Requires
@@ -161,54 +255,35 @@ func (p *partition) mergeTables(snap []*unsorted.Table, locked bool) error {
 	pin := db.vl.Pin()
 	defer db.vl.Unpin(pin)
 
-	var iters []recIter
+	iters := make([]recIter, 0, len(snap)+1)
 	for _, t := range snap {
-		iters = append(iters, t.Reader.NewIterator())
+		iters = append(iters, t.Reader.NewMaintIterator())
 	}
-	iters = append(iters, p.srt.NewIterator())
+	iters = append(iters, p.srt.NewMaintIterator())
 	m := newMergeIter(iters)
 
 	w := p.newTableWriter(p.dir)
-	newLogs := map[uint32]bool{}
+	sep := p.newSeparator(w)
 	var lastKey []byte
-	haveLast := false
 	for ok := m.First(); ok; ok = m.Next() {
 		rec := m.Record()
-		if haveLast && codec.Compare(rec.Key, lastKey) == 0 {
+		if lastKey != nil && codec.Compare(rec.Key, lastKey) == 0 {
 			// Shadowed version: if it pointed into a log, that value is
 			// now garbage.
 			p.accountGarbage(rec)
 			continue
 		}
-		lastKey = append(lastKey[:0], rec.Key...)
-		haveLast = true
-		switch rec.Kind {
-		case record.KindDelete:
+		lastKey = rec.Key // aliases an immutable block
+		if rec.Kind == record.KindDelete {
 			// The SortedStore is the bottom tier: drop the tombstone.
 			continue
-		case record.KindSetPtr:
-			if err := w.add(rec); err != nil {
-				return err
-			}
-		case record.KindSet:
-			if db.opts.DisableKVSeparation || len(rec.Value) < db.opts.ValueThreshold {
-				if err := w.add(rec); err != nil {
-					return err
-				}
-				continue
-			}
-			ptr, err := db.vl.AppendFor(p.id, rec.Value)
-			if err != nil {
-				return err
-			}
-			newLogs[ptr.LogNum] = true
-			if err := w.add(record.Record{
-				Key: rec.Key, Seq: rec.Seq, Kind: record.KindSetPtr,
-				Value: ptr.Encode(nil),
-			}); err != nil {
-				return err
-			}
 		}
+		if err := sep.add(rec); err != nil {
+			return err
+		}
+	}
+	if err := sep.flush(); err != nil {
+		return err
 	}
 	for _, it := range iters {
 		if e, ok := it.(interface{ Err() error }); ok {
@@ -233,7 +308,7 @@ func (p *partition) mergeTables(snap []*unsorted.Table, locked bool) error {
 	// Log set: keep everything previously referenced (their pointers were
 	// carried through) plus the logs the new values landed in.
 	var added []uint32
-	for n := range newLogs {
+	for n := range sep.logs {
 		if !p.logs[n] {
 			p.logs[n] = true
 			added = append(added, n)
@@ -345,9 +420,9 @@ func (p *partition) scanMergeTables(snap []*unsorted.Table, locked bool) error {
 	}
 	db := p.db
 
-	var iters []recIter
+	iters := make([]recIter, 0, len(snap))
 	for _, t := range snap {
-		iters = append(iters, t.Reader.NewIterator())
+		iters = append(iters, t.Reader.NewMaintIterator())
 	}
 	m := newMergeIter(iters)
 
@@ -359,14 +434,12 @@ func (p *partition) scanMergeTables(snap []*unsorted.Table, locked bool) error {
 	}
 	b := sstable.NewBuilder(f, sstable.BuilderOptions{BlockSize: db.opts.BlockSize})
 	var lastKey []byte
-	haveLast := false
 	for ok := m.First(); ok; ok = m.Next() {
 		rec := m.Record()
-		if haveLast && codec.Compare(rec.Key, lastKey) == 0 {
+		if lastKey != nil && codec.Compare(rec.Key, lastKey) == 0 {
 			continue
 		}
-		lastKey = append(lastKey[:0], rec.Key...)
-		haveLast = true
+		lastKey = rec.Key // aliases an immutable block
 		b.Add(rec)
 	}
 	for _, it := range iters {

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"unikv/internal/arena"
 	"unikv/internal/codec"
 	"unikv/internal/manifest"
 	"unikv/internal/memtable"
@@ -40,6 +41,7 @@ type partition struct {
 	immWALs  []uint64             // WAL file per frozen memtable (0 = none)
 	wal      *wal.Writer
 	walNum   uint64
+	walBuf   []byte // WAL record encoding scratch, reused under mu
 	uns      *unsorted.Store
 	srt      *sorted.Store
 	logs     map[uint32]bool // referenced value logs
@@ -152,7 +154,7 @@ func (p *partition) replayWAL(num uint64) error {
 				// here (everything before is intact).
 				return nil
 			}
-			p.mem.Put(rec.Clone())
+			p.mem.Put(rec) // the memtable copies; rec aliases data
 		}
 	}
 }
@@ -162,47 +164,67 @@ func (p *partition) replayWAL(num uint64) error {
 // or flush, but the partition must not silently accept un-logged writes
 // afterwards: a later crash would lose them even though they were acked).
 // File numbers are monotonic, so the replacement WAL replays after the
-// closed one and write order is preserved.
+// closed one and write order is preserved. It also retires a torn WAL.
 func (p *partition) ensureWALLocked() error {
-	if p.wal != nil || p.db.opts.DisableWAL {
+	switch {
+	case p.db.opts.DisableWAL:
+		return nil
+	case p.wal == nil:
+		return p.newWALLocked()
+	case p.wal.Torn():
+		return p.retireTornWALLocked()
+	}
+	return nil
+}
+
+// retireTornWALLocked moves the partition off a WAL whose last write left
+// partial bytes in the file. Replay stops at the tear, so nothing more may
+// be logged there — but everything acknowledged sits before it, which
+// makes the file a valid log of exactly the live memtable. So the memtable
+// leaves with it (flushed inline, or frozen for the flush worker) and the
+// next write starts a fresh memtable on a fresh WAL; one WAL per memtable
+// still holds. Until this succeeds the partition rejects writes.
+func (p *partition) retireTornWALLocked() error {
+	switch {
+	case p.mem.Empty():
+		return p.rotateWALLocked()
+	case p.db.sched != nil:
+		if err := p.freezeMemLocked(); err != nil {
+			return err
+		}
+		p.db.sched.enqueue(p, jobFlush)
 		return nil
 	}
-	return p.newWALLocked()
+	return p.flushLocked()
 }
+
+// maxRetainedWALBuf bounds the encoding scratch a partition keeps between
+// writes, so one huge batch does not pin its size.
+const maxRetainedWALBuf = 1 << 20
 
 // put applies one record. It returns true when the partition wants a split
 // (checked by DB.Put, which owns the router lock ordering).
 func (p *partition) put(rec record.Record) (wantSplit bool, err error) {
-	if err := p.ensureWALLocked(); err != nil {
-		return false, err
-	}
-	if p.wal != nil {
-		if err := p.wal.AddRecord(rec.Encode(nil)); err != nil {
-			return false, err
-		}
-		if p.db.opts.SyncWrites {
-			if err := p.wal.Sync(); err != nil {
-				return false, err
-			}
-		}
-	}
-	p.mem.Put(rec)
-	return p.afterWriteLocked()
+	return p.putBatch([]record.Record{rec})
 }
 
 // putBatch applies several records with one WAL record — they become
-// durable atomically within this partition.
+// durable atomically within this partition. The records may borrow caller
+// memory: the WAL gets their encoding and the memtable copies them.
 func (p *partition) putBatch(recs []record.Record) (wantSplit bool, err error) {
 	if err := p.ensureWALLocked(); err != nil {
 		return false, err
 	}
 	if p.wal != nil {
-		var buf []byte
+		buf := p.walBuf[:0]
 		for _, rec := range recs {
 			buf = rec.Encode(buf)
 		}
+		if cap(buf) <= maxRetainedWALBuf {
+			p.walBuf = buf
+		}
 		if err := p.wal.AddRecord(buf); err != nil {
-			return false, err
+			return false, err // a torn WAL is retired by the next write's ensureWALLocked
 		}
 		if p.db.opts.SyncWrites {
 			if err := p.wal.Sync(); err != nil {
@@ -331,9 +353,15 @@ func (p *partition) buildTable(mem *memtable.Memtable) (*unsorted.Table, [][]byt
 		return nil, nil, nil, err
 	}
 	b := sstable.NewBuilder(f, sstable.BuilderOptions{BlockSize: p.db.opts.BlockSize})
-	var keys [][]byte
-	var entries []sortedview.Entry
 	collect := !p.db.opts.SortedViewOff
+	keys := make([][]byte, 0, mem.Len())
+	var entries []sortedview.Entry
+	// View entries outlive the memtable and must not pin its slabs: their
+	// keys are copied into one arena per table.
+	var keyArena arena.Bytes
+	if collect {
+		entries = make([]sortedview.Entry, 0, mem.Len())
+	}
 	it := mem.NewIterator()
 	var last []byte
 	for ok := it.First(); ok; ok = it.Next() {
@@ -344,9 +372,7 @@ func (p *partition) buildTable(mem *memtable.Memtable) (*unsorted.Table, [][]byt
 		last = rec.Key
 		k := rec.Key
 		if collect {
-			// Copy: view entries outlive the memtable and must not pin its
-			// record buffers.
-			k = append([]byte(nil), rec.Key...)
+			k = keyArena.Copy(rec.Key)
 			block, pos := b.NextPosition()
 			entries = append(entries, sortedview.Entry{
 				Key: k, Seq: rec.Seq, Kind: rec.Kind,

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sync"
 
+	"unikv/internal/arena"
 	"unikv/internal/codec"
 	"unikv/internal/memtable"
 	"unikv/internal/record"
@@ -194,9 +195,8 @@ type scanner struct {
 	end   []byte
 	limit int // > 0
 	out   []KV
-	// arena is the free tail of the current chunk of the byte arena that
-	// holds the result's keys and inline values.
-	arena   []byte
+	// mem holds the result's keys and inline values.
+	mem     arena.Bytes
 	fetches []pendingFetch // the current partition's pointer records
 }
 
@@ -211,12 +211,13 @@ const (
 	// limit is the caller's bound, not a promise the range holds that many.
 	scanPresize = 512
 	// scanArenaChunk is the arena's allocation unit — and so the most a
-	// caller pins by keeping a single key of a result.
+	// caller pins by keeping a single key of a result. A slice over a
+	// quarter of it gets its own allocation.
 	scanArenaChunk = 4 << 10
 )
 
 func newScanner(db *DB, end []byte, limit int) *scanner {
-	sc := &scanner{db: db, end: end, limit: limit}
+	sc := &scanner{db: db, end: end, limit: limit, mem: arena.New(scanArenaChunk, scanArenaChunk)}
 	if limit <= 0 {
 		sc.limit = math.MaxInt // the scan still terminates at end or the key space's
 	} else {
@@ -232,21 +233,6 @@ func newScanner(db *DB, end []byte, limit int) *scanner {
 func (sc *scanner) done(next []byte) bool {
 	return len(sc.out) >= sc.limit || next == nil ||
 		(sc.end != nil && codec.Compare(next, sc.end) >= 0)
-}
-
-// keep copies b into the arena. A slice too large to share a chunk gets
-// its own allocation, so no chunk tail is abandoned for it.
-func (sc *scanner) keep(b []byte) []byte {
-	if len(b) > len(sc.arena) {
-		if len(b) > scanArenaChunk/4 {
-			return append([]byte(nil), b...)
-		}
-		sc.arena = make([]byte, scanArenaChunk)
-	}
-	out := sc.arena[:len(b):len(b)]
-	copy(out, b)
-	sc.arena = sc.arena[len(b):]
-	return out
 }
 
 // scan merges t's iterators from start and appends the pairs visible at
@@ -292,14 +278,14 @@ func (sc *scanner) scan(t tiers, start []byte, seq uint64) error {
 			lastKey = tombstone
 			continue
 		case record.KindSet:
-			sc.out = append(sc.out, KV{Key: sc.keep(rec.Key), Value: sc.keep(rec.Value)})
+			sc.out = append(sc.out, KV{Key: sc.mem.Copy(rec.Key), Value: sc.mem.Copy(rec.Value)})
 		case record.KindSetPtr:
 			ptr, err := record.DecodePtr(rec.Value)
 			if err != nil {
 				return err
 			}
 			sc.fetches = append(sc.fetches, pendingFetch{idx: len(sc.out), ptr: ptr})
-			sc.out = append(sc.out, KV{Key: sc.keep(rec.Key)})
+			sc.out = append(sc.out, KV{Key: sc.mem.Copy(rec.Key)})
 		default:
 			return codec.ErrCorrupt
 		}

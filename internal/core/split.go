@@ -81,17 +81,16 @@ func (db *DB) splitPartition(parent *partition) error {
 
 	m := parent.newFullMergeIterLocked()
 	var lastKey []byte
-	haveLast := false
+	var ptrBuf [record.EncodedPtrLen]byte
 	idx := 0
 	var boundary []byte
 	for ok := m.First(); ok; ok = m.Next() {
 		rec := m.Record()
-		if haveLast && codec.Compare(rec.Key, lastKey) == 0 {
+		if lastKey != nil && codec.Compare(rec.Key, lastKey) == 0 {
 			parent.accountGarbage(rec)
 			continue
 		}
-		lastKey = append(lastKey[:0], rec.Key...)
-		haveLast = true
+		lastKey = rec.Key // aliases an immutable block
 		if rec.Kind == record.KindDelete {
 			continue
 		}
@@ -105,28 +104,16 @@ func (db *DB) splitPartition(parent *partition) error {
 		if right {
 			w, lg = rightW, rightLog
 		}
-		switch rec.Kind {
-		case record.KindSetPtr:
-			if err := w.add(rec); err != nil {
-				return err
-			}
-		case record.KindSet:
-			if db.opts.DisableKVSeparation || len(rec.Value) < db.opts.ValueThreshold {
-				if err := w.add(rec); err != nil {
-					return err
-				}
-				continue
-			}
+		if parent.separates(rec) {
 			ptr, err := lg.Append(rec.Value)
 			if err != nil {
 				return err
 			}
-			if err := w.add(record.Record{
-				Key: rec.Key, Seq: rec.Seq, Kind: record.KindSetPtr,
-				Value: ptr.Encode(nil),
-			}); err != nil {
-				return err
-			}
+			rec.Kind = record.KindSetPtr
+			rec.Value = ptr.Encode(ptrBuf[:0])
+		}
+		if err := w.add(rec); err != nil {
+			return err
 		}
 	}
 	leftTables, err := leftW.finish()
@@ -283,9 +270,9 @@ func (db *DB) splitPartition(parent *partition) error {
 func (p *partition) newFullMergeIterLocked() *mergeIter {
 	var iters []recIter
 	for _, t := range p.uns.Tables() {
-		iters = append(iters, t.Reader.NewIterator())
+		iters = append(iters, t.Reader.NewMaintIterator())
 	}
-	iters = append(iters, p.srt.NewIterator())
+	iters = append(iters, p.srt.NewMaintIterator())
 	return newMergeIter(iters)
 }
 
@@ -294,15 +281,13 @@ func (p *partition) newFullMergeIterLocked() *mergeIter {
 func (p *partition) countMergedLocked() (int, error) {
 	m := p.newFullMergeIterLocked()
 	var lastKey []byte
-	haveLast := false
 	n := 0
 	for ok := m.First(); ok; ok = m.Next() {
 		rec := m.Record()
-		if haveLast && codec.Compare(rec.Key, lastKey) == 0 {
+		if lastKey != nil && codec.Compare(rec.Key, lastKey) == 0 {
 			continue
 		}
-		lastKey = append(lastKey[:0], rec.Key...)
-		haveLast = true
+		lastKey = rec.Key // aliases an immutable block
 		if rec.Kind == record.KindDelete {
 			continue
 		}

@@ -26,21 +26,6 @@ func (db *DB) Delete(key []byte) error {
 	return db.apply(key, nil, record.KindDelete)
 }
 
-// copyRecord builds the engine-owned record for a write: the caller's key
-// and value are copied exactly once, into a single allocation (the record
-// outlives the call — it lands in the memtable — so it cannot alias caller
-// memory).
-func copyRecord(key, value []byte, seq uint64, kind record.Kind) record.Record {
-	buf := make([]byte, len(key)+len(value))
-	copy(buf, key)
-	copy(buf[len(key):], value)
-	rec := record.Record{Key: buf[:len(key):len(key)], Seq: seq, Kind: kind}
-	if len(value) > 0 {
-		rec.Value = buf[len(key):]
-	}
-	return rec
-}
-
 // apply routes one write to its partition, retrying if a concurrent split
 // moves the boundary, and runs the split the partition requests.
 func (db *DB) apply(key, value []byte, kind record.Kind) error {
@@ -53,7 +38,10 @@ func (db *DB) apply(key, value []byte, kind record.Kind) error {
 	if len(key) == 0 || len(key) >= maxKeyLen || len(value) >= maxValueLen {
 		return ErrKeyTooLarge
 	}
-	rec := copyRecord(key, value, 0, kind)
+	// The record borrows the caller's slices: the WAL encodes them and the
+	// memtable copies them into its own slabs before apply returns, so the
+	// engine retains nothing of the caller's.
+	rec := record.Record{Key: key, Kind: kind, Value: value}
 	for tries := 0; tries < maxRouteRetries; tries++ {
 		p := db.partitionFor(key)
 		if err := db.throttle(p); err != nil {

@@ -102,6 +102,7 @@ type DB struct {
 
 	mu       sync.Mutex
 	mem      *memtable.Memtable
+	logBuf   []byte // WAL record encoding scratch, reused under mu
 	logw     *wal.Writer
 	walNum   uint64
 	levels   [NumLevels][]run // runs newest-first within a level
@@ -157,13 +158,12 @@ func (db *DB) tableName(n uint64) string {
 
 // Put inserts or overwrites a key.
 func (db *DB) Put(key, value []byte) error {
-	return db.apply(record.Record{Key: append([]byte(nil), key...),
-		Kind: record.KindSet, Value: append([]byte(nil), value...)})
+	return db.apply(record.Record{Key: key, Kind: record.KindSet, Value: value})
 }
 
 // Delete writes a tombstone.
 func (db *DB) Delete(key []byte) error {
-	return db.apply(record.Record{Key: append([]byte(nil), key...), Kind: record.KindDelete})
+	return db.apply(record.Record{Key: key, Kind: record.KindDelete})
 }
 
 func (db *DB) apply(rec record.Record) error {
@@ -175,7 +175,8 @@ func (db *DB) apply(rec record.Record) error {
 	db.seq++
 	rec.Seq = db.seq
 	if db.logw != nil {
-		if err := db.logw.AddRecord(rec.Encode(nil)); err != nil {
+		db.logBuf = rec.Encode(db.logBuf[:0])
+		if err := db.logw.AddRecord(db.logBuf); err != nil {
 			return err
 		}
 		if db.cfg.SyncWrites {

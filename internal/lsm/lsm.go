@@ -150,6 +150,7 @@ type DB struct {
 
 	mu       sync.RWMutex
 	mem      *memtable.Memtable
+	logBuf   []byte // WAL record encoding scratch, reused under mu
 	logw     *wal.Writer
 	walNum   uint64
 	levels   [NumLevels][]*table // L0 in flush order (oldest first); L1+ key-sorted
@@ -207,13 +208,12 @@ func (db *DB) tableName(n uint64) string {
 
 // Put inserts or overwrites a key.
 func (db *DB) Put(key, value []byte) error {
-	return db.apply(record.Record{Key: append([]byte(nil), key...),
-		Kind: record.KindSet, Value: append([]byte(nil), value...)})
+	return db.apply(record.Record{Key: key, Kind: record.KindSet, Value: value})
 }
 
 // Delete writes a tombstone.
 func (db *DB) Delete(key []byte) error {
-	return db.apply(record.Record{Key: append([]byte(nil), key...), Kind: record.KindDelete})
+	return db.apply(record.Record{Key: key, Kind: record.KindDelete})
 }
 
 func (db *DB) apply(rec record.Record) error {
@@ -225,7 +225,8 @@ func (db *DB) apply(rec record.Record) error {
 	db.seq++
 	rec.Seq = db.seq
 	if db.logw != nil {
-		if err := db.logw.AddRecord(rec.Encode(nil)); err != nil {
+		db.logBuf = rec.Encode(db.logBuf[:0])
+		if err := db.logw.AddRecord(db.logBuf); err != nil {
 			return err
 		}
 		if db.cfg.SyncWrites {
@@ -476,7 +477,6 @@ func (db *DB) replayWAL() error {
 			if err != nil {
 				return nil
 			}
-			rec = rec.Clone()
 			db.mem.Put(rec)
 			if rec.Seq > db.seq {
 				db.seq = rec.Seq

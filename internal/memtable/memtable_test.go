@@ -197,3 +197,73 @@ func TestConcurrentReaders(t *testing.T) {
 		<-done
 	}
 }
+
+// benchRecords returns n records with 24-byte keys in a seeded random
+// order and 1 KiB values — the perf ledger's record shape.
+func benchRecords(n int) []record.Record {
+	rnd := rand.New(rand.NewSource(1))
+	val := make([]byte, 1024)
+	rnd.Read(val)
+	recs := make([]record.Record, n)
+	for i, k := range rnd.Perm(n) {
+		recs[i] = record.Record{Key: []byte(fmt.Sprintf("user%020d", k)), Seq: uint64(i + 1), Kind: record.KindSet, Value: val}
+	}
+	return recs
+}
+
+// benchFill is one engine memtable's worth of records: 4 MiB of 1 KiB values.
+const benchFill = 4096
+
+var benchSink record.Record
+
+// BenchmarkPut fills memtables the way the engine does: benchFill inserts,
+// then a fresh table.
+func BenchmarkPut(b *testing.B) {
+	recs := benchRecords(benchFill)
+	b.ReportAllocs()
+	b.SetBytes(1024)
+	b.ResetTimer()
+	var m *Memtable
+	for i := 0; i < b.N; i++ {
+		if i%benchFill == 0 {
+			m = New()
+		}
+		m.Put(recs[i%benchFill])
+	}
+}
+
+func benchTable() (*Memtable, []record.Record) {
+	recs := benchRecords(benchFill)
+	m := New()
+	for _, r := range recs {
+		m.Put(r)
+	}
+	return m, recs
+}
+
+func BenchmarkGet(b *testing.B) {
+	m, recs := benchTable()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, ok := m.Get(recs[i%benchFill].Key)
+		if !ok {
+			b.Fatal("missing key")
+		}
+		benchSink = r
+	}
+}
+
+// BenchmarkIterate reports the cost per record of a full in-order walk
+// (what a flush pays).
+func BenchmarkIterate(b *testing.B) {
+	m, _ := benchTable()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += benchFill {
+		it := m.NewIterator()
+		for ok := it.First(); ok; ok = it.Next() {
+			benchSink = it.Record()
+		}
+	}
+}

@@ -83,15 +83,31 @@ func (s *Store) Get(key []byte) (record.Record, bool, error) {
 
 // Iterator walks the sorted run across table boundaries.
 type Iterator struct {
-	s   *Store
-	ti  int
-	it  *sstable.Iterator
-	err error
+	s     *Store
+	maint bool // per-table iterators are maintenance iterators
+	ti    int
+	it    *sstable.Iterator
+	err   error
 }
 
 // NewIterator returns an iterator positioned before the first record.
 func (s *Store) NewIterator() *Iterator {
 	return &Iterator{s: s, ti: -1}
+}
+
+// NewMaintIterator is NewIterator for a one-shot maintenance pass (merge,
+// GC, split): it reads through the block cache without populating it (see
+// sstable.Reader.NewMaintIterator).
+func (s *Store) NewMaintIterator() *Iterator {
+	return &Iterator{s: s, ti: -1, maint: true}
+}
+
+// tableIter opens the per-table iterator for table i.
+func (it *Iterator) tableIter(i int) *sstable.Iterator {
+	if it.maint {
+		return it.s.tables[i].Reader.NewMaintIterator()
+	}
+	return it.s.tables[i].Reader.NewIterator()
 }
 
 // Valid reports whether the iterator is on a record.
@@ -130,7 +146,7 @@ func (it *Iterator) Next() bool {
 			it.it = nil
 			return false
 		}
-		it.it = it.s.tables[it.ti].Reader.NewIterator()
+		it.it = it.tableIter(it.ti)
 		if it.it.First() {
 			return true
 		}
@@ -158,7 +174,7 @@ func (it *Iterator) Seek(target []byte) bool {
 		return false
 	}
 	it.ti = lo
-	it.it = it.s.tables[lo].Reader.NewIterator()
+	it.it = it.tableIter(lo)
 	if it.it.Seek(target) {
 		return true
 	}

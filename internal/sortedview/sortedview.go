@@ -33,6 +33,7 @@ import (
 	"sort"
 	"sync/atomic"
 
+	"unikv/internal/arena"
 	"unikv/internal/codec"
 	"unikv/internal/record"
 	"unikv/internal/sstable"
@@ -154,12 +155,13 @@ func less(ka []byte, sa uint64, kb []byte, sb uint64) bool {
 // collects entries for free while building the table.
 func Collect(r *sstable.Reader) ([]Entry, error) {
 	entries := make([]Entry, 0, r.Count())
+	var keyArena arena.Bytes
 	it := r.NewIterator()
 	for ok := it.First(); ok; ok = it.Next() {
 		rec := it.Record()
 		block, pos := it.Position()
 		entries = append(entries, Entry{
-			Key:   append([]byte(nil), rec.Key...),
+			Key:   keyArena.Copy(rec.Key),
 			Seq:   rec.Seq,
 			Kind:  rec.Kind,
 			Block: int32(block),

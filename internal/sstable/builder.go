@@ -17,6 +17,9 @@
 package sstable
 
 import (
+	"errors"
+	"sync"
+
 	"unikv/internal/codec"
 	"unikv/internal/record"
 	"unikv/internal/vfs"
@@ -39,27 +42,45 @@ type BuilderOptions struct {
 	BlockSize int
 }
 
+// outBufSize is how many output bytes the builder stages before handing
+// them to the file: a flushed memtable (4 MiB by default) is normally one
+// Write, a merge output a few.
+const outBufSize = 4 << 20
+
+// outPool recycles staging buffers between builders; a table's worth of
+// output would otherwise be a fresh multi-megabyte allocation per flush.
+var outPool = sync.Pool{New: func() any {
+	b := make([]byte, 0, outBufSize+outBufSize/16)
+	return &b
+}}
+
 // Builder writes a table. Add must be called in strictly increasing
-// (key asc, seq desc) order.
+// (key asc, seq desc) order. Records are encoded straight into a pooled
+// output buffer — block payloads, their CRCs, meta, index and footer all
+// land there — which is written out whenever it reaches outBufSize and at
+// Finish. Nothing a reader would accept exists in the file before Finish
+// writes the footer, so a failed or torn write leaves only an unpublished
+// file for the orphan sweep.
 type Builder struct {
 	f    vfs.File
 	opts BuilderOptions
 
-	block     []byte
-	blockN    int
-	offsets   []uint16 // start offset of each record within the block
-	offset    uint64
-	index     []byte
-	numBlocks int
+	out        []byte   // staged output not yet written
+	pooled     *[]byte  // out's pool slot; nil once Finish released it
+	flushed    uint64   // bytes already written to f
+	blockStart int      // where the pending data block begins in out
+	blockN     int      // records in the pending block
+	offsets    []uint16 // start offset of each record within the block
+	index      []byte
+	numBlocks  int
 
 	count    int
 	smallest []byte
-	largest  []byte
+	largest  []byte // also the pending block's last key
 	minSeq   uint64
 	maxSeq   uint64
 
 	keyHashes []uint32
-	lastKey   []byte
 
 	err error
 }
@@ -69,7 +90,8 @@ func NewBuilder(f vfs.File, opts BuilderOptions) *Builder {
 	if opts.BlockSize <= 0 {
 		opts.BlockSize = BlockSize
 	}
-	return &Builder{f: f, opts: opts, minSeq: ^uint64(0)}
+	pooled := outPool.Get().(*[]byte)
+	return &Builder{f: f, opts: opts, minSeq: ^uint64(0), out: (*pooled)[:0], pooled: pooled}
 }
 
 // Add appends one record.
@@ -92,18 +114,17 @@ func (b *Builder) Add(r record.Record) {
 		b.keyHashes = append(b.keyHashes, bloomHash(r.Key))
 	}
 
-	b.offsets = append(b.offsets, uint16(len(b.block)))
-	b.block = r.Encode(b.block)
+	b.offsets = append(b.offsets, uint16(len(b.out)-b.blockStart))
+	b.out = r.Encode(b.out)
 	b.blockN++
-	b.lastKey = append(b.lastKey[:0], r.Key...)
 	// Flush at the size target, and always before a record would start
 	// past the uint16 offset range.
-	if len(b.block) >= b.opts.BlockSize || len(b.block) > 0xf000 {
+	if n := len(b.out) - b.blockStart; n >= b.opts.BlockSize || n > 0xf000 {
 		b.flushBlock()
 	}
 }
 
-// flushBlock writes the pending data block and records it in the index.
+// flushBlock seals the pending data block and records it in the index.
 // The block payload is the concatenated records followed by a trailer of
 // per-record start offsets (uint16 LE each) and the record count (uint16
 // LE), enabling intra-block binary search (LevelDB's restart points with a
@@ -113,36 +134,46 @@ func (b *Builder) flushBlock() {
 		return
 	}
 	for _, off := range b.offsets {
-		b.block = append(b.block, byte(off), byte(off>>8))
+		b.out = append(b.out, byte(off), byte(off>>8))
 	}
 	n := uint16(len(b.offsets))
-	b.block = append(b.block, byte(n), byte(n>>8))
+	b.out = append(b.out, byte(n), byte(n>>8))
 	b.offsets = b.offsets[:0]
-	payloadLen := len(b.block)
-	b.index = codec.PutBytes(b.index, b.lastKey)
-	b.index = codec.PutUint64(b.index, b.offset)
+	off, payloadLen := b.sealPayload()
+	b.index = codec.PutBytes(b.index, b.largest)
+	b.index = codec.PutUint64(b.index, off)
 	b.index = codec.PutUint32(b.index, uint32(payloadLen))
-
-	b.err = b.writeChecked(b.block)
-	b.offset += uint64(payloadLen) + 4
-	b.block = b.block[:0]
 	b.blockN = 0
 	b.numBlocks++
+	if len(b.out) >= outBufSize {
+		b.writeOut()
+	}
 }
 
-// writeChecked writes payload followed by its masked CRC.
-func (b *Builder) writeChecked(payload []byte) error {
-	if _, err := b.f.Write(payload); err != nil {
-		return err
+// sealPayload appends the masked CRC of the payload staged since
+// blockStart and returns the payload's file offset and length.
+func (b *Builder) sealPayload() (off uint64, length int) {
+	off = b.flushed + uint64(b.blockStart)
+	length = len(b.out) - b.blockStart
+	c := codec.MaskChecksum(codec.Checksum(b.out[b.blockStart:]))
+	b.out = codec.PutUint32(b.out, c)
+	b.blockStart = len(b.out)
+	return off, length
+}
+
+// writeOut hands the staged bytes to the file. Only called between
+// payloads (blockStart == len(b.out)).
+func (b *Builder) writeOut() {
+	if b.err != nil || len(b.out) == 0 {
+		return
 	}
-	var crc [4]byte
-	c := codec.MaskChecksum(codec.Checksum(payload))
-	crc[0] = byte(c)
-	crc[1] = byte(c >> 8)
-	crc[2] = byte(c >> 16)
-	crc[3] = byte(c >> 24)
-	_, err := b.f.Write(crc[:])
-	return err
+	if _, err := b.f.Write(b.out); err != nil {
+		b.err = err
+		return
+	}
+	b.flushed += uint64(len(b.out))
+	b.out = b.out[:0]
+	b.blockStart = 0
 }
 
 // Count returns the number of records added so far.
@@ -155,55 +186,61 @@ func (b *Builder) Count() int { return b.count }
 // without re-reading the finished file.
 func (b *Builder) NextPosition() (block, pos int) { return b.numBlocks, b.blockN }
 
-// EstimatedSize returns the bytes written plus the pending block.
-func (b *Builder) EstimatedSize() int64 { return int64(b.offset) + int64(len(b.block)) }
+// EstimatedSize returns the table bytes produced so far, including the
+// pending block.
+func (b *Builder) EstimatedSize() int64 { return int64(b.flushed) + int64(len(b.out)) }
+
+// release returns the staging buffer to the pool (oversized ones — a
+// table of huge records — are left to the collector).
+func (b *Builder) release() {
+	if cap(b.out) <= 2*outBufSize {
+		*b.pooled = b.out[:0]
+		outPool.Put(b.pooled)
+	}
+	b.out, b.pooled = nil, nil
+}
 
 // Finish flushes remaining data and writes meta, index, and footer. The
 // file is synced. Finish returns table statistics for the caller's
-// metadata (manifest entries).
+// metadata (manifest entries). The builder is spent afterwards.
 func (b *Builder) Finish() (Props, error) {
+	if b.pooled == nil {
+		return Props{}, errors.New("sstable: builder already finished")
+	}
+	defer b.release()
 	b.flushBlock()
 	if b.err != nil {
 		return Props{}, b.err
 	}
 
 	// Meta block.
-	var meta []byte
-	meta = codec.PutUvarint(meta, uint64(b.count))
-	meta = codec.PutUvarint(meta, b.minSeq)
-	meta = codec.PutUvarint(meta, b.maxSeq)
-	meta = codec.PutBytes(meta, b.smallest)
-	meta = codec.PutBytes(meta, b.largest)
+	b.out = codec.PutUvarint(b.out, uint64(b.count))
+	b.out = codec.PutUvarint(b.out, b.minSeq)
+	b.out = codec.PutUvarint(b.out, b.maxSeq)
+	b.out = codec.PutBytes(b.out, b.smallest)
+	b.out = codec.PutBytes(b.out, b.largest)
 	var filter []byte
 	if b.opts.BloomBitsPerKey > 0 && len(b.keyHashes) > 0 {
 		filter = buildBloom(b.keyHashes, b.opts.BloomBitsPerKey)
 	}
-	meta = codec.PutBytes(meta, filter)
-	metaOff := b.offset
-	if err := b.writeChecked(meta); err != nil {
-		return Props{}, err
-	}
-	b.offset += uint64(len(meta)) + 4
+	b.out = codec.PutBytes(b.out, filter)
+	metaOff, metaLen := b.sealPayload()
 
 	// Index block.
-	indexOff := b.offset
-	if err := b.writeChecked(b.index); err != nil {
-		return Props{}, err
-	}
-	b.offset += uint64(len(b.index)) + 4
+	b.out = append(b.out, b.index...)
+	indexOff, indexLen := b.sealPayload()
 
 	// Footer.
-	var footer []byte
-	footer = codec.PutUint64(footer, indexOff)
-	footer = codec.PutUint32(footer, uint32(len(b.index)))
-	footer = codec.PutUint64(footer, metaOff)
-	footer = codec.PutUint32(footer, uint32(len(meta)))
-	footer = codec.PutUint64(footer, tableMagic)
-	if _, err := b.f.Write(footer); err != nil {
-		return Props{}, err
-	}
-	b.offset += uint64(len(footer))
+	b.out = codec.PutUint64(b.out, indexOff)
+	b.out = codec.PutUint32(b.out, uint32(indexLen))
+	b.out = codec.PutUint64(b.out, metaOff)
+	b.out = codec.PutUint32(b.out, uint32(metaLen))
+	b.out = codec.PutUint64(b.out, tableMagic)
 
+	b.writeOut()
+	if b.err != nil {
+		return Props{}, b.err
+	}
 	if err := b.f.Sync(); err != nil {
 		return Props{}, err
 	}
@@ -213,7 +250,7 @@ func (b *Builder) Finish() (Props, error) {
 		MaxSeq:   b.maxSeq,
 		Smallest: b.smallest,
 		Largest:  append([]byte(nil), b.largest...),
-		Size:     int64(b.offset),
+		Size:     int64(b.flushed),
 	}, nil
 }
 

@@ -9,6 +9,7 @@ import (
 // data blocks lazily.
 type Iterator struct {
 	r        *Reader
+	noFill   bool // maintenance pass: read through the cache, never populate it
 	blockIdx int
 	pb       parsedBlock
 	pos      int // record index within pb; pb.n means exhausted
@@ -20,6 +21,14 @@ type Iterator struct {
 // NewIterator returns an iterator positioned before the first record.
 func (r *Reader) NewIterator() *Iterator {
 	return &Iterator{r: r, blockIdx: -1}
+}
+
+// NewMaintIterator returns an iterator for a one-shot pass over the whole
+// table — merge, scan-merge, GC and split inputs, which are deleted right
+// after. It takes blocks the cache already holds but never adds the ones
+// it reads, so a maintenance job cannot evict the read path's hot set.
+func (r *Reader) NewMaintIterator() *Iterator {
+	return &Iterator{r: r, blockIdx: -1, noFill: true}
 }
 
 // Err returns the first I/O or corruption error encountered.
@@ -48,7 +57,7 @@ func (it *Iterator) First() bool {
 
 // loadBlock reads and parses block i, positioning before its first record.
 func (it *Iterator) loadBlock(i int) bool {
-	b, err := it.r.readBlock(i)
+	b, err := it.r.readBlock(i, !it.noFill)
 	if err != nil {
 		it.err = err
 		it.valid = false

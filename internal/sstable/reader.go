@@ -155,7 +155,7 @@ func Open(f vfs.File) (*Reader, error) {
 		if h.length, index, err = codec.Uint32(index); err != nil {
 			return nil, err
 		}
-		h.lastKey = append([]byte(nil), key...)
+		h.lastKey = key // aliases the index payload, which the reader owns
 		r.index = append(r.index, h)
 	}
 	return r, nil
@@ -181,11 +181,12 @@ func (r *Reader) readChecked(off uint64, length uint32) ([]byte, error) {
 	return payload, nil
 }
 
-// readBlock fetches data block i, consulting the attached cache first. The
+// readBlock fetches data block i, consulting the attached cache first and,
+// when fill is set, leaving the block there for the next reader. The
 // returned bytes may be shared with the cache and other readers: callers
 // must treat them as immutable (records parsed from a block are copied
 // before they leave the engine).
-func (r *Reader) readBlock(i int) ([]byte, error) {
+func (r *Reader) readBlock(i int, fill bool) ([]byte, error) {
 	ck := cache.Key{Pool: cache.PoolBlock, ID: r.cacheID, Off: uint64(i)}
 	if b, ok := r.cache.Get(ck); ok {
 		return b, nil
@@ -196,7 +197,9 @@ func (r *Reader) readBlock(i int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.cache.Add(ck, b)
+	if fill {
+		r.cache.Add(ck, b)
+	}
 	return b, nil
 }
 
@@ -228,7 +231,7 @@ func (r *Reader) LoadBlock(i int) (Block, error) {
 	if i < 0 || i >= len(r.index) {
 		return Block{}, ErrCorruptTable
 	}
-	raw, err := r.readBlock(i)
+	raw, err := r.readBlock(i, true)
 	if err != nil {
 		return Block{}, err
 	}
@@ -335,7 +338,7 @@ func (r *Reader) Get(key []byte) (record.Record, bool, error) {
 	if bi >= len(r.index) {
 		return record.Record{}, false, nil
 	}
-	block, err := r.readBlock(bi)
+	block, err := r.readBlock(bi, true)
 	if err != nil {
 		return record.Record{}, false, err
 	}

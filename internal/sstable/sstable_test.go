@@ -2,12 +2,14 @@ package sstable
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
 
+	"unikv/internal/cache"
 	"unikv/internal/record"
 	"unikv/internal/vfs"
 )
@@ -467,5 +469,261 @@ func TestVerifyChecksums(t *testing.T) {
 	defer r2.Close()
 	if err := r2.VerifyChecksums(); err == nil {
 		t.Fatal("corruption not detected by VerifyChecksums")
+	}
+}
+
+// goldenRecords is the fixed record stream behind TestGoldenBytes: 6000
+// sorted keys with seeded value sizes up to 2 KiB (over 6 MiB, so the
+// builder's output buffer is written out mid-table), empty values, all
+// three kinds, multi-version keys, and a few values past the 60 KiB
+// early-flush limit of a block.
+func goldenRecords() []record.Record {
+	rnd := rand.New(rand.NewSource(42))
+	var recs []record.Record
+	seq := uint64(1 << 20)
+	for i := 0; i < 6000; i++ {
+		key := []byte(fmt.Sprintf("user%020d", i*7))
+		versions := 1
+		if i%41 == 0 {
+			versions = 3
+		}
+		for v := 0; v < versions; v++ {
+			r := record.Record{Key: key, Seq: seq, Kind: record.KindSet}
+			seq--
+			switch {
+			case i%29 == 5:
+				r.Kind = record.KindDelete
+			case i%13 == 2:
+				r.Kind = record.KindSetPtr
+				r.Value = record.ValuePtr{Partition: 1, LogNum: uint32(i), Offset: uint32(i * 1032), Length: 1024}.Encode(nil)
+			case i%997 == 1:
+				r.Value = make([]byte, 70<<10)
+				rnd.Read(r.Value)
+			case i%17 == 0:
+				// empty value
+			default:
+				r.Value = make([]byte, rnd.Intn(2<<10))
+				rnd.Read(r.Value)
+			}
+			recs = append(recs, r)
+		}
+	}
+	return recs
+}
+
+// golden table sums: SHA-256 of the files the parent commit's builder (two
+// Writes per block, separate block buffer) produced for goldenRecords. The
+// buffered builder must produce the same bytes.
+var goldenTableSums = map[string]string{
+	"plain":    "2a571c68741c7f921ff363e115ca448100b3dfa7a0e2080052404393916912c8",
+	"bloom10":  "bd47b2ed991838743c5457bc699c31ea5d28595d3ff74c49d90d7c1c6a2c866b",
+	"block512": "f14ccb93a0de71fe01690d4338ae9cf00e5202db6768b16f295f55b1570a3abd",
+}
+
+func TestGoldenBytes(t *testing.T) {
+	recs := goldenRecords()
+	for name, opts := range map[string]BuilderOptions{
+		"plain":    {},
+		"bloom10":  {BloomBitsPerKey: 10},
+		"block512": {BlockSize: 512},
+	} {
+		fs := vfs.NewMem()
+		r := buildTable(t, fs, "t.sst", opts, recs)
+		data, err := fs.ReadFile("t.sst")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != goldenTableSums[name] {
+			t.Errorf("%s: table bytes changed: sha256 %s, want %s", name, got, goldenTableSums[name])
+		}
+		// The file reads back as the stream.
+		it := r.NewIterator()
+		i := 0
+		for ok := it.First(); ok; ok = it.Next() {
+			got := it.Record()
+			if !bytes.Equal(got.Key, recs[i].Key) || got.Seq != recs[i].Seq || got.Kind != recs[i].Kind || !bytes.Equal(got.Value, recs[i].Value) {
+				t.Fatalf("%s: record %d differs", name, i)
+			}
+			i++
+		}
+		if err := it.Err(); err != nil || i != len(recs) {
+			t.Fatalf("%s: iterated %d of %d records: %v", name, i, len(recs), err)
+		}
+		r.Close()
+	}
+}
+
+// TestBuilderWritesInLargeUnits pins the output contract: a table reaches
+// the file in outBufSize pieces plus the tail, not two writes per block.
+func TestBuilderWritesInLargeUnits(t *testing.T) {
+	fs := vfs.NewMem()
+	r := buildTable(t, fs, "t.sst", BuilderOptions{}, goldenRecords())
+	defer r.Close()
+	if r.NumBlocks() < 1000 {
+		t.Fatalf("only %d blocks; the test needs a big table", r.NumBlocks())
+	}
+	want := r.Size()/outBufSize + 1
+	if got := fs.Counters().WriteOps.Load(); got > want {
+		t.Fatalf("%d-byte table took %d writes, want at most %d", r.Size(), got, want)
+	}
+}
+
+// TestFailedWriteFailsFinish: a write error while the table is being built
+// — including a short write of a full output buffer — surfaces from Finish,
+// and the partial file is not a table (no footer), so the engine's orphan
+// sweep is all that is left to do.
+func TestFailedWriteFailsFinish(t *testing.T) {
+	for _, torn := range []int{0, 1 << 20} {
+		inner := vfs.NewMem()
+		ffs := vfs.NewFail(inner)
+		f, _ := ffs.Create("t.sst")
+		b := NewBuilder(f, BuilderOptions{})
+		ffs.ArmPlan(vfs.FailPlan{Fail: 1, Kinds: vfs.OpWrite, TornBytes: torn})
+		for _, r := range goldenRecords() {
+			b.Add(r)
+		}
+		if _, err := b.Finish(); err == nil {
+			t.Fatalf("torn=%d: Finish succeeded over a failed write", torn)
+		}
+		f.Close()
+		rf, _ := inner.Open("t.sst")
+		if sz, _ := rf.Size(); sz != int64(torn) {
+			t.Fatalf("torn=%d: %d bytes landed", torn, sz)
+		}
+		if _, err := Open(rf); err == nil {
+			t.Fatalf("torn=%d: the partial file opened as a table", torn)
+		}
+	}
+}
+
+// TestMaintIteratorLeavesCacheAlone: a maintenance iterator reads through
+// the block cache — it takes hits — but adds nothing to it.
+func TestMaintIteratorLeavesCacheAlone(t *testing.T) {
+	fs := vfs.NewMem()
+	r := buildTable(t, fs, "t.sst", BuilderOptions{}, sortedRecords(2000, 100))
+	defer r.Close()
+	c := cache.New(8<<20, 0)
+	r.SetCache(c, 1)
+	walk := func(it *Iterator) (n int) {
+		for ok := it.First(); ok; ok = it.Next() {
+			n++
+		}
+		if it.Err() != nil {
+			t.Fatal(it.Err())
+		}
+		return n
+	}
+	if n := walk(r.NewMaintIterator()); n != 2000 {
+		t.Fatalf("maintenance pass saw %d records", n)
+	}
+	if s := c.Snapshot(); s.Bytes != 0 || r.BlockReads.Load() != int64(r.NumBlocks()) {
+		t.Fatalf("maintenance pass cached %d bytes (block reads %d)", s.Bytes, r.BlockReads.Load())
+	}
+	walk(r.NewIterator()) // populates
+	before := r.BlockReads.Load()
+	walk(r.NewMaintIterator())
+	if r.BlockReads.Load() != before {
+		t.Fatal("maintenance pass ignored cached blocks")
+	}
+}
+
+// benchRecords is the benchmarks' table: 4 MiB of 1 KiB records, the
+// shape of one flushed memtable.
+func benchRecords() []record.Record {
+	rnd := rand.New(rand.NewSource(1))
+	recs := make([]record.Record, 4096)
+	for i := range recs {
+		val := make([]byte, 1024)
+		rnd.Read(val)
+		recs[i] = record.Record{Key: []byte(fmt.Sprintf("user%020d", i)), Seq: uint64(i + 1), Kind: record.KindSet, Value: val}
+	}
+	return recs
+}
+
+func benchBuild(b *testing.B, fs vfs.FS, recs []record.Record) {
+	f, err := fs.Create("bench.sst")
+	if err != nil {
+		b.Fatal(err)
+	}
+	bl := NewBuilder(f, BuilderOptions{})
+	for _, r := range recs {
+		bl.Add(r)
+	}
+	if _, err := bl.Finish(); err != nil {
+		b.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkBuild reports the cost per record of building a 4 MiB table on
+// the in-memory file system (allocs/op is per record too: Add's steady
+// state plus the table's fixed costs spread over 4096 records).
+func BenchmarkBuild(b *testing.B) {
+	recs := benchRecords()
+	fs := vfs.NewMem()
+	b.ReportAllocs()
+	b.SetBytes(1024)
+	b.ResetTimer()
+	for i := 0; i < b.N; i += len(recs) {
+		benchBuild(b, fs, recs)
+	}
+}
+
+func benchReader(b *testing.B) (*Reader, []record.Record) {
+	recs := benchRecords()
+	fs := vfs.NewMem()
+	benchBuild(b, fs, recs)
+	rf, err := fs.Open("bench.sst")
+	if err != nil {
+		b.Fatal(err)
+	}
+	r, err := Open(rf)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { r.Close() })
+	return r, recs
+}
+
+var benchSink record.Record
+
+func BenchmarkGet(b *testing.B) {
+	r, recs := benchReader(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec, ok, err := r.Get(recs[i*61%len(recs)].Key)
+		if !ok || err != nil {
+			b.Fatal(ok, err)
+		}
+		benchSink = rec
+	}
+}
+
+func BenchmarkSeek(b *testing.B) {
+	r, recs := benchReader(b)
+	it := r.NewIterator()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !it.Seek(recs[i*61%len(recs)].Key) {
+			b.Fatal(it.Err())
+		}
+		benchSink = it.Record()
+	}
+}
+
+// BenchmarkIterate reports the cost per record of a full table walk.
+func BenchmarkIterate(b *testing.B) {
+	r, recs := benchReader(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += len(recs) {
+		it := r.NewIterator()
+		for ok := it.First(); ok; ok = it.Next() {
+			benchSink = it.Record()
+		}
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"unikv/internal/arena"
 	"unikv/internal/codec"
 	"unikv/internal/hashindex"
 	"unikv/internal/manifest"
@@ -102,6 +103,7 @@ func (s *Store) AddTable(t *Table, keys [][]byte, entries []sortedview.Entry) er
 	if insertIdx || collectView {
 		it := t.Reader.NewIterator()
 		var collected []sortedview.Entry
+		var keyArena arena.Bytes // view keys must not pin block buffers
 		if collectView {
 			collected = make([]sortedview.Entry, 0, t.Reader.Count())
 		}
@@ -113,7 +115,7 @@ func (s *Store) AddTable(t *Table, keys [][]byte, entries []sortedview.Entry) er
 			if collectView {
 				block, pos := it.Position()
 				collected = append(collected, sortedview.Entry{
-					Key:   append([]byte(nil), rec.Key...),
+					Key:   keyArena.Copy(rec.Key),
 					Seq:   rec.Seq,
 					Kind:  rec.Kind,
 					Block: int32(block),

@@ -88,6 +88,11 @@ type FailPlan struct {
 	Pattern string
 	// Err overrides the injected error; nil means ErrInjected.
 	Err error
+	// TornBytes > 0 makes a failing Write land that many bytes of its
+	// buffer (always fewer than the whole buffer) before reporting the
+	// error — the short write a real file system can leave behind when it
+	// fails mid-call. 0 keeps failed writes all-or-nothing.
+	TornBytes int
 }
 
 // CorruptPlan describes deterministic read-time corruption: reads of
@@ -432,7 +437,14 @@ type failFile struct {
 
 func (f *failFile) Write(p []byte) (int, error) {
 	if err := f.fs.step(OpWrite, f.name); err != nil {
-		return 0, err
+		f.fs.mu.Lock()
+		torn := min(f.fs.plan.TornBytes, len(p)-1)
+		f.fs.mu.Unlock()
+		if torn <= 0 {
+			return 0, err
+		}
+		n, _ := f.f.Write(p[:torn])
+		return n, err
 	}
 	return f.f.Write(p)
 }

@@ -70,8 +70,9 @@ type Manager struct {
 	activeNum uint32
 	activeOff int64
 	nextNum   uint32
-	dirDirty  bool   // a log file was created since the last SyncDir
-	scratch   []byte // frame staging for Append (guarded by mu)
+	dirDirty  bool               // a log file was created since the last SyncDir
+	scratch   Batch              // Append's one-value batch (guarded by mu)
+	ptr1      [1]record.ValuePtr // and its pointer
 
 	sizes   map[uint32]int64  // total bytes per log
 	garbage map[uint32]int64  // dead bytes per log (greedy GC accounting)
@@ -172,50 +173,120 @@ func (m *Manager) ensureActiveLocked() error {
 	return nil
 }
 
-// Append writes value and returns its pointer. The write is buffered by the
-// OS; call Sync before relying on durability (the merge path syncs once per
-// batch, as the paper's sequential-log design intends).
-func (m *Manager) Append(value []byte) (record.ValuePtr, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if err := m.ensureActiveLocked(); err != nil {
-		return record.ValuePtr{}, err
-	}
-	off := m.activeOff
-	m.scratch = frameInto(m.scratch[:0], value)
-	if _, err := m.active.Write(m.scratch); err != nil {
-		m.reconcileActiveLocked()
-		return record.ValuePtr{}, err
-	}
-	n := int64(len(m.scratch))
-	m.activeOff += n
-	m.sizes[m.activeNum] += n
-	return record.ValuePtr{
-		Partition: m.opts.Partition,
-		LogNum:    m.activeNum,
-		Offset:    uint32(off),
-		Length:    uint32(len(value)),
-	}, nil
+// Batch stages framed values for one AppendBatch: Add copies a value into
+// the batch's buffer already framed (length, checksum, bytes), so the
+// bytes a merge lifts out of a table block are copied exactly once on
+// their way to the log. The zero value is ready to use; Reset empties it
+// and keeps the buffer.
+type Batch struct {
+	buf  []byte
+	lens []uint32 // value length of each staged frame
 }
 
-// AppendFor is Append with an explicit partition stamp; the engine uses it
-// because several partitions share one log namespace.
-func (m *Manager) AppendFor(partition uint32, value []byte) (record.ValuePtr, error) {
-	ptr, err := m.Append(value)
-	ptr.Partition = partition
-	return ptr, err
+// Add stages one value.
+func (b *Batch) Add(value []byte) {
+	b.buf = frameInto(b.buf, value)
+	b.lens = append(b.lens, uint32(len(value)))
 }
 
-// frameInto appends value's framed record (length, checksum, bytes) to
-// buf. Records are staged and written as ONE Write call on purpose: a
-// rejected write then leaves the log exactly as it was, so a retried
-// background job re-appends at the same offset instead of burying a torn
-// header mid-log where the sequential verifier (and nothing else) would
-// find it.
+// frameInto appends value's framed record (length, checksum, bytes) to buf.
 func frameInto(buf, value []byte) []byte {
 	buf = codec.PutUint32(buf, uint32(len(value)))
 	buf = codec.PutUint32(buf, codec.MaskChecksum(codec.Checksum(value)))
 	return append(buf, value...)
+}
+
+// Len returns the number of staged values.
+func (b *Batch) Len() int { return len(b.lens) }
+
+// Size returns the staged bytes, frame headers included.
+func (b *Batch) Size() int { return len(b.buf) }
+
+// Reset empties the batch for reuse.
+func (b *Batch) Reset() {
+	b.buf = b.buf[:0]
+	b.lens = b.lens[:0]
+}
+
+// Append writes value and returns its pointer. The write is buffered by the
+// OS; call Sync before relying on durability (the merge path syncs once per
+// merge, as the paper's sequential-log design intends).
+func (m *Manager) Append(value []byte) (record.ValuePtr, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.scratch.Reset()
+	m.scratch.Add(value)
+	ptrs, err := m.appendBatchLocked(m.opts.Partition, &m.scratch, m.ptr1[:0])
+	if err != nil {
+		return record.ValuePtr{}, err
+	}
+	return ptrs[0], nil
+}
+
+// AppendBatch appends every value staged in b to the shared active log
+// under one lock acquisition and — unless the log rotates inside the batch
+// — one Write, and appends their pointers, stamped with partition (several
+// partitions share one log namespace), to ptrs in staging order. The log
+// rotates at exactly the frame where value-at-a-time appends would have
+// rotated it, so the files are the same bytes either way. b is left as it
+// was; Reset it before staging the next batch.
+//
+// Failure is batch-granular: a rejected Write leaves the log as it was
+// before that Write, no pointer of the batch is valid, and the caller's
+// job fails as a unit (a retry re-appends the values; bytes an earlier
+// Write of the same batch landed in a since-rotated log are unreferenced
+// garbage, like every value of a failed merge).
+func (m *Manager) AppendBatch(partition uint32, b *Batch, ptrs []record.ValuePtr) ([]record.ValuePtr, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.appendBatchLocked(partition, b, ptrs)
+}
+
+func (m *Manager) appendBatchLocked(partition uint32, b *Batch, ptrs []record.ValuePtr) ([]record.ValuePtr, error) {
+	written := 0 // bytes of b.buf already handed to a log
+	pos := 0     // start of the frame being placed
+	for _, n := range b.lens {
+		// Frames [written, pos) are placed in the active log but not yet
+		// written; the rotation test sees the offset they will end at.
+		if m.active == nil || m.activeOff+int64(pos-written) >= m.opts.MaxLogSize {
+			if err := m.writeActiveLocked(b.buf[written:pos]); err != nil {
+				return nil, err
+			}
+			written = pos
+			if err := m.ensureActiveLocked(); err != nil {
+				return nil, err
+			}
+		}
+		ptrs = append(ptrs, record.ValuePtr{
+			Partition: partition,
+			LogNum:    m.activeNum,
+			Offset:    uint32(m.activeOff + int64(pos-written)),
+			Length:    n,
+		})
+		pos += headerLen + int(n)
+	}
+	if err := m.writeActiveLocked(b.buf[written:pos]); err != nil {
+		return nil, err
+	}
+	return ptrs, nil
+}
+
+// writeActiveLocked hands seg — whole frames — to the active log as ONE
+// Write on purpose: a rejected write then leaves the log exactly as it
+// was, so a retried background job re-appends at the same offset instead
+// of burying a torn header mid-log where the sequential verifier (and
+// nothing else) would find it.
+func (m *Manager) writeActiveLocked(seg []byte) error {
+	if len(seg) == 0 {
+		return nil
+	}
+	if _, err := m.active.Write(seg); err != nil {
+		m.reconcileActiveLocked()
+		return err
+	}
+	m.activeOff += int64(len(seg))
+	m.sizes[m.activeNum] += int64(len(seg))
+	return nil
 }
 
 // reconcileActiveLocked re-anchors the active log after a failed append.
@@ -240,17 +311,25 @@ func (m *Manager) reconcileActiveLocked() {
 	m.active = nil
 }
 
+// dedicatedStage is how many framed bytes a DedicatedLog buffers before
+// writing them out: GC and split rewrites reach the file system as a few
+// large sequential writes instead of one per value.
+const dedicatedStage = 256 << 10
+
 // DedicatedLog is a log file outside the active rotation, used by GC and
 // partition split so their rewrites do not interleave with concurrent merge
-// appends in the shared active log.
+// appends in the shared active log. Being the file's only writer it knows
+// every offset in advance: appends return their pointer at once and only
+// stage the bytes, which reach the file in dedicatedStage-sized writes and
+// at Finish. Pointers must not be dereferenced before Finish.
 type DedicatedLog struct {
-	m       *Manager
-	f       vfs.File
-	num     uint32
-	off     int64
-	part    uint32
-	done    bool
-	scratch []byte
+	m     *Manager
+	f     vfs.File
+	num   uint32
+	off   int64 // bytes appended, staged ones included
+	part  uint32
+	done  bool
+	stage []byte // framed values not yet written
 }
 
 // NewDedicatedLog opens a fresh log for exclusive appends, stamping ptrs
@@ -278,36 +357,68 @@ func (d *DedicatedLog) Num() uint32 { return d.num }
 // Size returns the bytes appended so far.
 func (d *DedicatedLog) Size() int64 { return d.off }
 
-// Append writes one value. A failed append poisons the whole log: the
-// owning job fails, the file is abandoned (orphan cleanup removes it at
-// the next open), and a retry starts over on a fresh dedicated log.
+// Append stages one value and returns the pointer it will have. A failed
+// write poisons the whole log: the owning job fails, the file is abandoned
+// (orphan cleanup removes it at the next open), and a retry starts over on
+// a fresh dedicated log.
 func (d *DedicatedLog) Append(value []byte) (record.ValuePtr, error) {
-	off := d.off
-	d.scratch = frameInto(d.scratch[:0], value)
-	if _, err := d.f.Write(d.scratch); err != nil {
-		return record.ValuePtr{}, err
-	}
-	n := int64(len(d.scratch))
-	d.off += n
-	d.m.mu.Lock()
-	d.m.sizes[d.num] += n
-	d.m.mu.Unlock()
-	return record.ValuePtr{
-		Partition: d.part,
-		LogNum:    d.num,
-		Offset:    uint32(off),
-		Length:    uint32(len(value)),
-	}, nil
+	d.stage = frameInto(d.stage, value)
+	return d.placed(uint32(len(value)))
 }
 
-// Finish syncs and closes the log. The log remains readable via the
-// Manager. If nothing was appended the empty file is removed and Finish
-// reports that via the returned bool.
+// Rewrite copies the value ptr addresses — in any log of the manager —
+// into this log and returns its new pointer: the frame is read from the
+// source log straight into the staging buffer and verified there (the
+// frame format is position-independent), so GC moves a live value with
+// one read and no per-value buffer. It bypasses the value cache like
+// ReadUncached.
+func (d *DedicatedLog) Rewrite(ptr record.ValuePtr) (record.ValuePtr, error) {
+	var err error
+	if d.stage, err = d.m.appendFrame(d.stage, ptr); err != nil {
+		return record.ValuePtr{}, err
+	}
+	return d.placed(ptr.Length)
+}
+
+// placed accounts for the frame of a length-byte value just staged and
+// writes the stage out once it is large enough.
+func (d *DedicatedLog) placed(length uint32) (record.ValuePtr, error) {
+	ptr := record.ValuePtr{Partition: d.part, LogNum: d.num, Offset: uint32(d.off), Length: length}
+	d.off += headerLen + int64(length)
+	if len(d.stage) >= dedicatedStage {
+		if err := d.flush(); err != nil {
+			return record.ValuePtr{}, err
+		}
+	}
+	return ptr, nil
+}
+
+// flush writes the staged frames.
+func (d *DedicatedLog) flush() error {
+	if len(d.stage) == 0 {
+		return nil
+	}
+	if _, err := d.f.Write(d.stage); err != nil {
+		return err
+	}
+	d.m.mu.Lock()
+	d.m.sizes[d.num] += int64(len(d.stage))
+	d.m.mu.Unlock()
+	d.stage = d.stage[:0]
+	return nil
+}
+
+// Finish writes what is still staged, then syncs and closes the log. The
+// log remains readable via the Manager. If nothing was appended the empty
+// file is removed and Finish reports that via the returned bool.
 func (d *DedicatedLog) Finish() (nonEmpty bool, err error) {
 	if d.done {
 		return d.off > 0, nil
 	}
 	d.done = true
+	if err := d.flush(); err != nil {
+		return false, err
+	}
 	if err := d.f.Sync(); err != nil {
 		return false, err
 	}
@@ -425,16 +536,35 @@ func (m *Manager) ReadHinted(ptr record.ValuePtr, warm bool) ([]byte, error) {
 // return n < len(buf) with io.EOF, and the stale/zero suffix of buf must
 // not reach the decoder as if it had been read.
 func (m *Manager) ReadUncached(ptr record.ValuePtr) ([]byte, error) {
-	want := headerLen + int64(ptr.Length)
-	buf, err := m.ReadSpan(ptr.LogNum, int64(ptr.Offset), want)
+	frame, err := m.appendFrame(nil, ptr)
 	if err != nil {
 		return nil, err
 	}
-	if int64(len(buf)) < want {
-		return nil, fmt.Errorf("vlog: log %d truncated at offset %d (%d of %d bytes): %w",
-			ptr.LogNum, ptr.Offset, len(buf), want, ErrBadPointer)
+	return frame[headerLen:len(frame):len(frame)], nil
+}
+
+// appendFrame reads the frame ptr addresses (header and value) onto the end
+// of dst and verifies it there; on any error dst comes back unchanged.
+func (m *Manager) appendFrame(dst []byte, ptr record.ValuePtr) ([]byte, error) {
+	f, err := m.reader(ptr.LogNum)
+	if err != nil {
+		return dst, err
 	}
-	return decodeValue(buf, ptr.Length)
+	start := len(dst)
+	want := headerLen + int(ptr.Length)
+	dst = append(dst, make([]byte, want)...)
+	n, err := f.ReadAt(dst[start:], int64(ptr.Offset))
+	if err != nil && err != io.EOF {
+		return dst[:start], err
+	}
+	if n < want {
+		return dst[:start], fmt.Errorf("vlog: log %d truncated at offset %d (%d of %d bytes): %w",
+			ptr.LogNum, ptr.Offset, n, want, ErrBadPointer)
+	}
+	if _, err := decodeValue(dst[start:], ptr.Length); err != nil {
+		return dst[:start], err
+	}
+	return dst, nil
 }
 
 // decodeValue validates a framed value against the pointer's length.

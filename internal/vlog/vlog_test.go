@@ -512,7 +512,16 @@ func TestDedicatedLog(t *testing.T) {
 	defer m.Close()
 
 	// Interleave shared-log appends with a dedicated log.
-	p1, _ := m.AppendFor(1, []byte("shared-a"))
+	appendFor := func(part uint32, v string) record.ValuePtr {
+		var b Batch
+		b.Add([]byte(v))
+		ptrs, err := m.AppendBatch(part, &b, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ptrs[0]
+	}
+	p1 := appendFor(1, "shared-a")
 	d, err := m.NewDedicatedLog(7)
 	if err != nil {
 		t.Fatal(err)
@@ -521,7 +530,7 @@ func TestDedicatedLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, _ := m.AppendFor(1, []byte("shared-b"))
+	p2 := appendFor(1, "shared-b")
 	dp2, _ := d.Append([]byte("gc-value-2"))
 	if dp1.LogNum == p1.LogNum {
 		t.Fatal("dedicated log shares number with active log")

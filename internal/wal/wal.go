@@ -35,45 +35,55 @@ const (
 // ErrClosed is returned by operations on a closed Writer.
 var ErrClosed = errors.New("wal: closed")
 
+// maxRetainedBuf bounds the staging buffer a Writer keeps between calls;
+// one oversized record does not pin its size for the writer's lifetime.
+const maxRetainedBuf = 1 << 20
+
+// zeroPad fills a block tail too short for a fragment header.
+var zeroPad [headerLen]byte
+
 // Writer appends logical records to a log file.
 type Writer struct {
 	f           vfs.File
 	blockOffset int // bytes used in the current block
 	buf         []byte
 	closed      bool
+	err         error // sticky: a failed write left bytes in the file
 	written     int64
 }
 
 // NewWriter creates a log writer over f, assuming f is empty or that the
 // caller wants to continue at a block boundary (we always start fresh files).
 func NewWriter(f vfs.File) *Writer {
-	return &Writer{f: f, buf: make([]byte, 0, BlockSize)}
+	return &Writer{f: f, buf: make([]byte, 0, 4096)}
 }
 
-// AddRecord appends one logical record.
+// AddRecord appends one logical record. Every fragment of the record —
+// headers, payload, block padding — is assembled in the writer's buffer
+// and handed to the file as ONE Write, so a rejected write leaves the log
+// exactly as it was and the writer stays usable. If the file grew anyway
+// (a partial write on a real file system) the torn tail cannot be appended
+// over: the writer turns sticky-failed and the owner must start a new log
+// (replay stops at the torn record, so nothing after it would be read).
 func (w *Writer) AddRecord(rec []byte) error {
 	if w.closed {
 		return ErrClosed
 	}
+	if w.err != nil {
+		return w.err
+	}
+	buf := w.buf[:0]
+	off := w.blockOffset
 	first := true
 	for {
-		leftover := BlockSize - w.blockOffset
+		leftover := BlockSize - off
 		if leftover < headerLen {
 			// Pad the tail of the block with zeros; readers skip it.
-			if leftover > 0 {
-				if _, err := w.f.Write(make([]byte, leftover)); err != nil {
-					return err
-				}
-				w.written += int64(leftover)
-			}
-			w.blockOffset = 0
+			buf = append(buf, zeroPad[:leftover]...)
+			off = 0
 			leftover = BlockSize
 		}
-		avail := leftover - headerLen
-		frag := rec
-		if len(frag) > avail {
-			frag = rec[:avail]
-		}
+		frag := rec[:min(len(rec), leftover-headerLen)]
 		rec = rec[len(frag):]
 
 		var typ byte
@@ -88,26 +98,38 @@ func (w *Writer) AddRecord(rec []byte) error {
 			typ = typeMiddle
 		}
 
-		w.buf = w.buf[:0]
-		var hdr [headerLen]byte
-		crc := codec.MaskChecksum(codec.Checksum(append([]byte{typ}, frag...)))
-		binary.LittleEndian.PutUint32(hdr[0:4], crc)
-		binary.LittleEndian.PutUint16(hdr[4:6], uint16(len(frag)))
-		hdr[6] = typ
-		w.buf = append(w.buf, hdr[:]...)
-		w.buf = append(w.buf, frag...)
-		if _, err := w.f.Write(w.buf); err != nil {
-			return err
-		}
-		w.written += int64(len(w.buf))
-		w.blockOffset += len(w.buf)
+		// The checksum covers type byte + payload, which sit next to each
+		// other in the frame: checksum them in place, then fill in the header.
+		h := len(buf)
+		buf = append(buf, 0, 0, 0, 0, byte(len(frag)), byte(len(frag)>>8), typ)
+		buf = append(buf, frag...)
+		crc := codec.MaskChecksum(codec.Checksum(buf[h+headerLen-1:]))
+		binary.LittleEndian.PutUint32(buf[h:], crc)
+		off += headerLen + len(frag)
 
 		first = false
 		if len(rec) == 0 {
-			return nil
+			break
 		}
 	}
+	if cap(buf) <= maxRetainedBuf {
+		w.buf = buf
+	}
+	if _, err := w.f.Write(buf); err != nil {
+		if sz, serr := w.f.Size(); serr != nil || sz != w.written {
+			w.err = fmt.Errorf("wal: log torn by a failed write: %w", err)
+		}
+		return err
+	}
+	w.written += int64(len(buf))
+	w.blockOffset = off
+	return nil
 }
+
+// Torn reports whether a failed write left partial bytes in the file. A
+// torn writer rejects every further AddRecord; the owner switches to a
+// fresh log.
+func (w *Writer) Torn() bool { return w.err != nil }
 
 // Sync flushes the log to stable storage.
 func (w *Writer) Sync() error {
@@ -179,7 +201,8 @@ func (r *Reader) nextFragment() (byte, []byte, error) {
 		}
 		payload := r.block[r.blockPos+headerLen : r.blockPos+headerLen+length]
 		want := codec.UnmaskChecksum(binary.LittleEndian.Uint32(hdr[0:4]))
-		got := codec.Checksum(append([]byte{typ}, payload...))
+		// Type byte and payload are adjacent in the block: no temporary.
+		got := codec.Checksum(r.block[r.blockPos+headerLen-1 : r.blockPos+headerLen+length])
 		if want != got {
 			return 0, nil, errTorn
 		}

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"io"
 	"math/rand"
@@ -232,3 +233,209 @@ func TestWriterSize(t *testing.T) {
 		t.Fatalf("Size=%d", w.Size())
 	}
 }
+
+// goldenStream is the fixed record stream behind TestGoldenBytes: seeded
+// random sizes up to 3 KiB, 40 KiB and 100 KiB records that fragment across
+// block boundaries, an empty record, and — the delicate cases — records
+// crafted to end exactly 0..7 bytes short of a block boundary, so the next
+// record meets every padding length (< headerLen bytes left: zero padding)
+// and the leftover == headerLen case (a zero-length first fragment).
+func goldenStream(t testing.TB, add func(rec []byte), size func() int64) {
+	rnd := rand.New(rand.NewSource(42))
+	payload := func(n int) []byte {
+		b := make([]byte, n)
+		rnd.Read(b)
+		return b
+	}
+	for i := 0; i < 200; i++ {
+		switch {
+		case i%50 == 7:
+			add(payload(40 << 10))
+		case i%97 == 3:
+			add(payload(100 << 10))
+		case i == 11:
+			add(nil)
+		default:
+			add(payload(rnd.Intn(3 << 10)))
+		}
+	}
+	for k := 0; k <= headerLen; k++ {
+		// Land the end of a record exactly k bytes before the boundary.
+		room := BlockSize - int(size()%BlockSize)
+		if room < 2*headerLen+k {
+			add(payload(room)) // spills into the next block; recompute
+			room = BlockSize - int(size()%BlockSize)
+		}
+		add(payload(room - headerLen - k))
+		if got := BlockSize - int(size()%BlockSize); got != k && !(k == 0 && got == BlockSize) {
+			t.Fatalf("crafted record left %d bytes in the block, want %d", got, k)
+		}
+		add(payload(100 + k)) // meets the k-byte tail
+	}
+}
+
+// goldenWALSum is the SHA-256 of the file the parent commit's writer (one
+// Write per fragment, allocating checksum) produced for goldenStream. The
+// one-Write-per-record writer must produce the same bytes.
+const goldenWALSum = "bc37467f9d9d2758365a0300f7aa03e4ad8293c2424e2703865ec9896becdd17"
+
+func TestGoldenBytes(t *testing.T) {
+	fs := vfs.NewMem()
+	f, _ := fs.Create("log")
+	w := NewWriter(f)
+	var want [][]byte
+	goldenStream(t, func(rec []byte) {
+		if err := w.AddRecord(rec); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, rec)
+	}, w.Size)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := fs.ReadFile("log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(data)) != w.Size() {
+		t.Fatalf("file holds %d bytes, writer counted %d", len(data), w.Size())
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != goldenWALSum {
+		t.Fatalf("WAL bytes changed: sha256 %s, want %s", got, goldenWALSum)
+	}
+	// And the file replays to the stream.
+	rf, _ := fs.Open("log")
+	r := NewReader(rf)
+	for i, rec := range want {
+		got, err := r.Next()
+		if err != nil || !bytes.Equal(got, rec) {
+			t.Fatalf("record %d of %d: %d bytes, %v; want %d bytes", i, len(want), len(got), err, len(rec))
+		}
+	}
+	if _, err := r.Next(); err != io.EOF {
+		t.Fatalf("trailing record: %v", err)
+	}
+}
+
+// TestOneWritePerRecord pins the write-path contract: however many
+// fragments and padding bytes a record needs, it reaches the file as one
+// Write call.
+func TestOneWritePerRecord(t *testing.T) {
+	fs := vfs.NewMem()
+	f, _ := fs.Create("log")
+	w := NewWriter(f)
+	n := 0
+	goldenStream(t, func(rec []byte) {
+		if err := w.AddRecord(rec); err != nil {
+			t.Fatal(err)
+		}
+		n++
+	}, w.Size)
+	if got := fs.Counters().WriteOps.Load(); got != int64(n) {
+		t.Fatalf("%d records took %d writes", n, got)
+	}
+}
+
+// readAll replays a log file to the end.
+func readAll(t *testing.T, fs vfs.FS, name string) [][]byte {
+	t.Helper()
+	rf, err := fs.Open(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rf.Close()
+	r := NewReader(rf)
+	var out [][]byte
+	for {
+		rec, err := r.Next()
+		if err == io.EOF {
+			return out
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, rec)
+	}
+}
+
+// TestRejectedWriteLeavesLogUsable: a write the file system rejects whole
+// lands nothing — not even the first fragments of a multi-fragment record,
+// which the one-Write-per-fragment writer used to strand — so the writer
+// carries on and every record acknowledged before and after replays.
+func TestRejectedWriteLeavesLogUsable(t *testing.T) {
+	inner := vfs.NewMem()
+	ffs := vfs.NewFail(inner)
+	f, _ := ffs.Create("log")
+	w := NewWriter(f)
+	if err := w.AddRecord([]byte("before")); err != nil {
+		t.Fatal(err)
+	}
+	ffs.ArmPlan(vfs.FailPlan{Fail: 1, Kinds: vfs.OpWrite})
+	if err := w.AddRecord(bytes.Repeat([]byte("x"), 100<<10)); err == nil {
+		t.Fatal("armed write succeeded")
+	}
+	if w.Torn() {
+		t.Fatal("an all-or-nothing rejection must not poison the writer")
+	}
+	if err := w.AddRecord([]byte("after")); err != nil {
+		t.Fatal(err)
+	}
+	got := readAll(t, inner, "log")
+	if len(got) != 2 || string(got[0]) != "before" || string(got[1]) != "after" {
+		t.Fatalf("replayed %q", got)
+	}
+}
+
+// TestTornWritePoisonsWriter: a short write of a multi-fragment record
+// leaves a tear replay stops at, so the writer must refuse everything
+// after it (the owner switches logs) rather than append records no reader
+// would ever reach.
+func TestTornWritePoisonsWriter(t *testing.T) {
+	inner := vfs.NewMem()
+	ffs := vfs.NewFail(inner)
+	f, _ := ffs.Create("log")
+	w := NewWriter(f)
+	if err := w.AddRecord([]byte("before")); err != nil {
+		t.Fatal(err)
+	}
+	// 40000 bytes: the whole first fragment and part of the second.
+	ffs.ArmPlan(vfs.FailPlan{Fail: 1, Kinds: vfs.OpWrite, TornBytes: 40000})
+	if err := w.AddRecord(bytes.Repeat([]byte("x"), 100<<10)); err == nil {
+		t.Fatal("armed write succeeded")
+	}
+	if !w.Torn() {
+		t.Fatal("a short write must poison the writer")
+	}
+	if err := w.AddRecord([]byte("after")); err == nil {
+		t.Fatal("torn writer accepted a record")
+	}
+	got := readAll(t, inner, "log")
+	if len(got) != 1 || string(got[0]) != "before" {
+		t.Fatalf("replayed %d records, want the one acknowledged before the tear", len(got))
+	}
+}
+
+// discardFile swallows writes, so the benchmarks time the writer's own
+// work (framing, checksums, copies) and not the in-memory file system's
+// append growth, which costs several times as much per byte.
+type discardFile struct{ vfs.File }
+
+func (discardFile) Write(p []byte) (int, error) { return len(p), nil }
+func (discardFile) Size() (int64, error)        { return 0, nil }
+
+func benchAddRecord(b *testing.B, size int) {
+	rec := make([]byte, size)
+	rand.New(rand.NewSource(1)).Read(rec)
+	w := NewWriter(discardFile{})
+	b.ReportAllocs()
+	b.SetBytes(int64(size))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := w.AddRecord(rec); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkAddRecord1K(b *testing.B)  { benchAddRecord(b, 1<<10) }
+func BenchmarkAddRecord40K(b *testing.B) { benchAddRecord(b, 40<<10) }

@@ -266,7 +266,8 @@ func Open(path string, opts *Options) (*DB, error) {
 	return &DB{eng: eng}, nil
 }
 
-// Put inserts or overwrites key with value.
+// Put inserts or overwrites key with value. The store keeps its own copies:
+// key and value are the caller's again as soon as Put returns.
 func (db *DB) Put(key, value []byte) error { return db.eng.Put(key, value) }
 
 // Get returns the value stored for key, or ErrNotFound.
