@@ -22,7 +22,10 @@
 package hashindex
 
 import (
+	"encoding/binary"
 	"errors"
+	"math/bits"
+	"slices"
 	"sync"
 
 	"unikv/internal/codec"
@@ -223,8 +226,9 @@ const checkpointMagic uint64 = 0x756e696b76686169 // "unikvhai"
 // Marshal serializes the index (with a trailing checksum) for embedding in
 // a larger checkpoint file.
 func (x *Index) Marshal() []byte {
-	buf := x.marshalBody()
-	return codec.PutUint32(buf, codec.MaskChecksum(codec.Checksum(buf)))
+	x.mu.RLock()
+	defer x.mu.RUnlock()
+	return x.appendMarshal(make([]byte, 0, x.marshaledSize()))
 }
 
 // Unmarshal restores an index serialized by Marshal.
@@ -237,31 +241,49 @@ func (x *Index) Save(fs vfs.FS, name string) error {
 	return fs.WriteFile(name, x.Marshal())
 }
 
-// marshalBody serializes the index without the checksum.
-func (x *Index) marshalBody() []byte {
+// AppendLengthPrefixed appends Marshal's bytes to dst behind their uvarint
+// length (codec.PutBytes framing), growing dst at most once.
+func (x *Index) AppendLengthPrefixed(dst []byte) []byte {
 	x.mu.RLock()
-	var buf []byte
-	buf = codec.PutUint64(buf, checkpointMagic)
-	buf = codec.PutUvarint(buf, uint64(x.numHash))
-	buf = codec.PutUvarint(buf, uint64(len(x.buckets)))
-	buf = codec.PutUvarint(buf, uint64(len(x.arena)))
+	defer x.mu.RUnlock()
+	n := x.marshaledSize()
+	dst = slices.Grow(dst, binary.MaxVarintLen64+n)
+	return x.appendMarshal(codec.PutUvarint(dst, uint64(n)))
+}
+
+// marshaledSize is the exact length of the Marshal encoding: header, 9 bytes
+// per bucket, 8 per overflow entry, checksum. Callers hold x.mu.
+func (x *Index) marshaledSize() int {
+	return 8 + uvarintLen(uint64(x.numHash)) + uvarintLen(uint64(len(x.buckets))) + uvarintLen(uint64(len(x.arena))) +
+		9*len(x.buckets) + 8*len(x.arena) + 4
+}
+
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// appendMarshal appends the encoding and its checksum to dst, which has
+// marshaledSize spare capacity. Callers hold x.mu.
+func (x *Index) appendMarshal(dst []byte) []byte {
+	start := len(dst)
+	dst = codec.PutUint64(dst, checkpointMagic)
+	dst = codec.PutUvarint(dst, uint64(x.numHash))
+	dst = codec.PutUvarint(dst, uint64(len(x.buckets)))
+	dst = codec.PutUvarint(dst, uint64(len(x.arena)))
 	for i := range x.buckets {
 		b := &x.buckets[i]
 		u := byte(0)
 		if b.used {
 			u = 1
 		}
-		buf = append(buf, u)
-		buf = codec.PutUint32(buf, uint32(b.tag)|uint32(b.table)<<16)
-		buf = codec.PutUint32(buf, b.head)
+		dst = append(dst, u)
+		dst = codec.PutUint32(dst, uint32(b.tag)|uint32(b.table)<<16)
+		dst = codec.PutUint32(dst, b.head)
 	}
 	for i := range x.arena {
 		e := &x.arena[i]
-		buf = codec.PutUint32(buf, uint32(e.tag)|uint32(e.table)<<16)
-		buf = codec.PutUint32(buf, e.next)
+		dst = codec.PutUint32(dst, uint32(e.tag)|uint32(e.table)<<16)
+		dst = codec.PutUint32(dst, e.next)
 	}
-	x.mu.RUnlock()
-	return buf
+	return codec.PutUint32(dst, codec.MaskChecksum(codec.Checksum(dst[start:])))
 }
 
 // Load restores an index from a checkpoint written by Save.

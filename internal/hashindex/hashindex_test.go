@@ -1,6 +1,7 @@
 package hashindex
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -265,5 +266,45 @@ func TestDefaultsAndSmallSizes(t *testing.T) {
 	x.Insert([]byte("a"), 1)
 	if got := lookupFirst(x, []byte("a")); got != 1 {
 		t.Fatalf("got %d", got)
+	}
+}
+
+// goldenIndex is the fixed index behind TestGoldenBytes and BenchmarkMarshal:
+// 20 000 seeded keys into 8192 buckets, so most entries sit in overflow
+// chains and both halves of the encoding carry weight.
+func goldenIndex() *Index {
+	x := New(8192, 4)
+	rng := rand.New(rand.NewSource(42))
+	for i := 0; i < 20000; i++ {
+		x.Insert([]byte(fmt.Sprintf("key-%08d", rng.Intn(1<<30))), uint16(rng.Intn(64)))
+	}
+	return x
+}
+
+// goldenMarshalSum is the SHA-256 of goldenIndex().Marshal() as written by
+// the append-grown encoder this one replaced: the checkpoint format did not
+// change with the presized buffer.
+const goldenMarshalSum = "2649aa65ca1d65cb108186dd91ab57158afa3c412b8fc346bed72e7392b7f78d"
+
+func TestGoldenBytes(t *testing.T) {
+	x := goldenIndex()
+	data := x.Marshal()
+	if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != goldenMarshalSum {
+		t.Fatalf("marshaled index hashes to %s, want %s", got, goldenMarshalSum)
+	}
+	if want := x.marshaledSize(); len(data) != want || cap(data) != want {
+		t.Fatalf("Marshal returned len %d cap %d, want both %d", len(data), cap(data), want)
+	}
+}
+
+var sinkBytes []byte
+
+func BenchmarkMarshal(b *testing.B) {
+	x := goldenIndex()
+	b.SetBytes(int64(len(x.Marshal())))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkBytes = x.Marshal()
 	}
 }

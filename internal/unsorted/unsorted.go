@@ -11,6 +11,7 @@
 package unsorted
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -348,14 +349,14 @@ const ckptMagic uint64 = 0x756e696b76756e73 // "unikvuns"
 
 // Checkpoint serializes the index and its covered-table list to name.
 func (s *Store) Checkpoint(fs vfs.FS, name string) error {
-	var buf []byte
+	buf := make([]byte, 0, 8+binary.MaxVarintLen64*(1+len(s.tables)))
 	buf = codec.PutUint64(buf, ckptMagic)
 	buf = codec.PutUvarint(buf, uint64(len(s.tables)))
 	for _, t := range s.tables {
 		buf = codec.PutUvarint(buf, t.Meta.FileNum)
 	}
-	buf = codec.PutBytes(buf, s.index.Marshal())
-	return fs.WriteFile(name, buf)
+	// The index, by far the larger part, grows buf once to its final size.
+	return fs.WriteFile(name, s.index.AppendLengthPrefixed(buf))
 }
 
 // Recover rebuilds the store from the manifest's table list, using the

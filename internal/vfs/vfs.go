@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"sort"
@@ -337,10 +338,127 @@ type memFS struct {
 	counters Counters
 }
 
+// memData is one file's contents: an append-only list of extents. A byte
+// is copied once into the tail extent when written and once out when read,
+// like a page cache; it never moves afterwards, so an append costs its own
+// length whatever the file's size, and readers need no lock.
+//
+// Extent 0 holds memFirstExtent bytes and extent k in 1..8 holds
+// memFirstExtent<<(k-1), which together cover the first memExtentSize bytes
+// (a MANIFEST, CURRENT or test-sized file stays a few KiB); every later
+// extent holds memExtentSize.
+//
+// Writers serialise on mu. They publish to readers in this order: the extent
+// table if it grew, the bytes, then size. A reader loads size first and then
+// the table, so every extent below the size it saw is in the table it sees;
+// table slots and bytes below size are written once and never again.
 type memData struct {
 	mu     sync.Mutex
-	data   []byte
-	synced int // length that has been "fsynced"
+	exts   [][]byte // guarded by mu; shares its backing array with table
+	synced int64    // guarded by mu: the length that has been "fsynced"
+	table  atomic.Pointer[[][]byte]
+	size   atomic.Int64
+}
+
+const (
+	memExtentSize  = 1 << 20
+	memFirstExtent = 4 << 10
+	// memSmallExtents is how many extents cover the first memExtentSize bytes.
+	memSmallExtents = 9
+)
+
+// memLocate maps a file offset to its extent and the offset inside it.
+func memLocate(off int64) (idx, in int) {
+	switch {
+	case off >= memExtentSize:
+		return memSmallExtents - 1 + int(uint64(off)/memExtentSize), int(uint64(off) % memExtentSize)
+	case off < memFirstExtent:
+		return 0, int(off)
+	}
+	idx = bits.Len64(uint64(off) / memFirstExtent)
+	return idx, int(off) - memFirstExtent<<(idx-1)
+}
+
+// memExtentLen is the capacity of extent idx.
+func memExtentLen(idx int) int {
+	switch {
+	case idx == 0:
+		return memFirstExtent
+	case idx < memSmallExtents:
+		return memFirstExtent << (idx - 1)
+	}
+	return memExtentSize
+}
+
+// write appends p. Readers see none of it until the final size.Store.
+func (d *memData) write(p []byte) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	size := d.size.Load()
+	for len(p) > 0 {
+		idx, in := memLocate(size)
+		if idx == len(d.exts) {
+			d.addExtent()
+		}
+		n := copy(d.exts[idx][in:], p)
+		p = p[n:]
+		size += int64(n)
+	}
+	d.size.Store(size)
+}
+
+// addExtent allocates the next extent. The table doubles when full (a
+// pointer copy; the extents stay where they are) and is published at full
+// capacity, so the slot filled here is already in the readers' table.
+func (d *memData) addExtent() {
+	if len(d.exts) == cap(d.exts) {
+		grown := make([][]byte, len(d.exts), max(16, 2*cap(d.exts)))
+		copy(grown, d.exts)
+		d.exts = grown
+		full := grown[:cap(grown)]
+		d.table.Store(&full)
+	}
+	d.exts = append(d.exts, make([]byte, memExtentLen(len(d.exts))))
+}
+
+// readAt copies the bytes at [off, min(off+len(p), size)) into p and returns
+// how many, taking no lock. size is a value the caller loaded from d.size.
+func (d *memData) readAt(p []byte, off, size int64) int {
+	if off >= size {
+		return 0
+	}
+	if int64(len(p)) > size-off {
+		p = p[:size-off]
+	}
+	exts := *d.table.Load()
+	idx, in := memLocate(off)
+	n := 0
+	for n < len(p) {
+		n += copy(p[n:], exts[idx][in:])
+		idx, in = idx+1, 0
+	}
+	return n
+}
+
+// crashCopy returns the file a power loss leaves behind: the synced prefix.
+// Extents wholly below synced are immutable and shared; the one synced cuts
+// through is copied, because d's open handles may still append to it.
+func (d *memData) crashCopy() *memData {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	nd := &memData{synced: d.synced}
+	if d.synced == 0 {
+		return nd
+	}
+	last, in := memLocate(d.synced - 1)
+	nd.exts = append(make([][]byte, 0, last+1), d.exts[:last]...)
+	tail := make([]byte, memExtentLen(last))
+	copy(tail, d.exts[last][:in+1])
+	nd.exts = append(nd.exts, tail)
+	full := nd.exts
+	nd.table.Store(&full)
+	nd.size.Store(d.synced)
+	return nd
 }
 
 // NewMem returns an FS that keeps all files in memory.
@@ -493,10 +611,8 @@ func (fs *memFS) ReadFile(name string) ([]byte, error) {
 	if !ok {
 		return nil, &os.PathError{Op: "open", Path: name, Err: os.ErrNotExist}
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]byte, len(d.data))
-	copy(out, d.data)
+	out := make([]byte, d.size.Load())
+	d.readAt(out, 0, int64(len(out)))
 	fs.counters.BytesRead.Add(int64(len(out)))
 	fs.counters.ReadOps.Add(1)
 	return out, nil
@@ -545,11 +661,7 @@ func (fs *memFS) Crash() {
 	defer fs.mu.Unlock()
 	files := make(map[string]*memData, len(fs.durable))
 	for name, d := range fs.durable {
-		d.mu.Lock()
-		nd := &memData{data: append([]byte(nil), d.data[:d.synced]...)}
-		nd.synced = len(nd.data)
-		d.mu.Unlock()
-		files[name] = nd
+		files[name] = d.crashCopy()
 	}
 	fs.files = files
 	fs.durable = make(map[string]*memData, len(files))
@@ -564,31 +676,31 @@ type memFile struct {
 	d        *memData
 	c        *Counters
 	writable bool
-	closed   bool
+	closed   atomic.Bool
 }
 
 func (f *memFile) Write(p []byte) (int, error) {
-	if f.closed {
+	if f.closed.Load() {
 		return 0, os.ErrClosed
 	}
 	if !f.writable {
 		return 0, errors.New("vfs: file opened read-only")
 	}
-	f.d.mu.Lock()
-	f.d.data = append(f.d.data, p...)
-	f.d.mu.Unlock()
+	f.d.write(p)
 	f.c.BytesWritten.Add(int64(len(p)))
 	f.c.WriteOps.Add(1)
 	return len(p), nil
 }
 
 func (f *memFile) ReadAt(p []byte, off int64) (int, error) {
-	f.d.mu.Lock()
-	defer f.d.mu.Unlock()
-	if off >= int64(len(f.d.data)) {
+	if f.closed.Load() {
+		return 0, os.ErrClosed
+	}
+	size := f.d.size.Load()
+	if off >= size {
 		return 0, io.EOF
 	}
-	n := copy(p, f.d.data[off:])
+	n := f.d.readAt(p, off, size)
 	f.c.BytesRead.Add(int64(n))
 	f.c.ReadOps.Add(1)
 	if n < len(p) {
@@ -597,18 +709,22 @@ func (f *memFile) ReadAt(p []byte, off int64) (int, error) {
 	return n, nil
 }
 
-func (f *memFile) Close() error { f.closed = true; return nil }
+func (f *memFile) Close() error { f.closed.Store(true); return nil }
 
 func (f *memFile) Sync() error {
+	if f.closed.Load() {
+		return os.ErrClosed
+	}
 	f.d.mu.Lock()
-	f.d.synced = len(f.d.data)
+	f.d.synced = f.d.size.Load()
 	f.d.mu.Unlock()
 	f.c.Syncs.Add(1)
 	return nil
 }
 
 func (f *memFile) Size() (int64, error) {
-	f.d.mu.Lock()
-	defer f.d.mu.Unlock()
-	return int64(len(f.d.data)), nil
+	if f.closed.Load() {
+		return 0, os.ErrClosed
+	}
+	return f.d.size.Load(), nil
 }
