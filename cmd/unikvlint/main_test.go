@@ -205,24 +205,28 @@ type FS interface {
 
 func Swap(fs FS) error { return fs.Rename("CURRENT.tmp", "CURRENT") }
 `,
-			// refpair: the ref leaks on the error return.
+			// refpair: the pinned version leaks on the error return.
 			"internal/core/refs.go": `package core
 
 import "errors"
 
-type Reader struct{ refs int }
+type version struct{ refs int }
 
-func (r *Reader) Ref()         { r.refs++ }
-func (r *Reader) Close() error { r.refs--; return nil }
+func (v *version) release() { v.refs-- }
+
+type partition struct{ cur *version }
+
+func (p *partition) acquire() *version { p.cur.refs++; return p.cur }
 
 func step() error { return errors.New("boom") }
 
-func LeakRef(r *Reader) error {
-	r.Ref()
+func LeakPin(p *partition) error {
+	v := p.acquire()
 	if err := step(); err != nil {
 		return err
 	}
-	return r.Close()
+	v.release()
+	return nil
 }
 `,
 			// errclass: a bare errors.New on the background-job path.

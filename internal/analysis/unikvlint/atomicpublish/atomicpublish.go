@@ -7,14 +7,21 @@
 //     assignment tears the publish: the copy is a fresh, unsynchronized
 //     word, and the race detector only notices if a reader races the exact
 //     interleaving.
+//
 //  2. A value PUBLISHED via Store/Swap/CompareAndSwap must be complete
 //     before the call — any mutation after the publish is visible to
 //     readers mid-change. This is the PR 8 pre-fix bug shape: a snapshot
 //     state published before its sequence field was final, so a concurrent
 //     reader observed an out-of-order sequence.
+//
 //  3. A value obtained from Load must never be mutated: it is shared with
 //     every other reader. Copy-on-write means clone-then-modify-then-Store,
 //     never modify-in-place.
+//
+//  4. A pointer type with a registered publish helper (singlePublisher) is
+//     stored only inside that helper — the partition version, whose publish
+//     also takes the version's hold on its files and fills in its gauges:
+//     a Store anywhere else would publish a version without them.
 //
 // "Mutation" is an assignment THROUGH the value (v.f = x, v.s[i] = y,
 // *v = z) — rebinding the variable is fine, and calling a method is not
@@ -50,6 +57,24 @@ func init() { analysis.RegisterCheck(Analyzer.Name) }
 // atomicMethods are the only selectors allowed on an atomic.Pointer value.
 var atomicMethods = map[string]bool{
 	"Load": true, "Store": true, "Swap": true, "CompareAndSwap": true,
+}
+
+// singlePublisher registers the pointed-to types that may be published —
+// Store, Swap or CompareAndSwap on an atomic.Pointer to them — by one
+// function only: type name → function name.
+var singlePublisher = map[string]string{
+	"version": "publish", // internal/core: partition.cur
+}
+
+// pointee returns the name of T's pointed-to named type for an
+// atomic.Pointer[T] ("" if unnamed).
+func pointee(t types.Type) string {
+	if n, ok := t.(*types.Named); ok && n.TypeArgs().Len() == 1 {
+		if e, ok := n.TypeArgs().At(0).(*types.Named); ok {
+			return e.Obj().Name()
+		}
+	}
+	return ""
 }
 
 // isAtomicPointer reports whether t is sync/atomic.Pointer[T] (the value
@@ -226,8 +251,14 @@ func checkFunc(pass *analysis.Pass, g *callgraph.Graph, f *callgraph.Func, mutat
 			if !ok || !atomicMethods[sel.Sel.Name] {
 				return true
 			}
-			if tv, ok := info.Types[sel.X]; !ok || !isAtomicPointer(tv.Type) {
+			tv, ok := info.Types[sel.X]
+			if !ok || !isAtomicPointer(tv.Type) {
 				return true
+			}
+			if helper := singlePublisher[pointee(tv.Type)]; helper != "" && sel.Sel.Name != "Load" && f.Name != helper {
+				pass.Reportf(call.Pos(),
+					"%s.%s outside %s: a %s is published only through its helper, which completes it first",
+					exprString(sel.X), sel.Sel.Name, helper, pointee(tv.Type))
 			}
 			var arg ast.Expr
 			switch sel.Sel.Name {

@@ -149,3 +149,31 @@ func (b *box) wordMethods(s *state) {
 	_ = p.Load()        // fine: through the pointer
 	_ = b.slots[0].Load() // fine: indexed element receiver
 }
+
+// A type with a registered publish helper (the partition version shape):
+// only the helper stores the pointer; everyone may Load.
+type version struct {
+	tables int
+	bytes  int // a gauge the helper fills in
+}
+
+type part struct {
+	cur atomic.Pointer[version]
+}
+
+func (p *part) publish(next *version) {
+	next.bytes = next.tables * 4096
+	p.cur.Store(next)
+}
+
+func (p *part) addTable() {
+	p.publish(&version{tables: p.cur.Load().tables + 1})
+}
+
+func (p *part) bypass(next *version) {
+	p.cur.Store(next) // want `p\.cur\.Store outside publish: a version is published only through its helper`
+}
+
+func (p *part) bypassCAS(old, next *version) bool {
+	return p.cur.CompareAndSwap(old, next) // want `p\.cur\.CompareAndSwap outside publish`
+}

@@ -1,5 +1,5 @@
 // Fixture: the documented lock hierarchy snapMu -> maintMu -> flushMu
-// -> router.mu -> partition.mu -> unsorted.viewMu -> logRefs.mu
+// -> router.mu -> partition.mu -> logRefs.mu
 // -> hotring.writerMu replayed over local stand-ins (classification is by
 // field name, so the mutex types themselves need only Lock/Unlock-shaped
 // methods).
@@ -152,33 +152,6 @@ func (db *DB) ringReentry(p *partition, sh *ringShard) {
 	defer sh.writerMu.Unlock()
 	p.mu.Lock() // want `acquires partition\.mu while hotring\.writerMu`
 	defer p.mu.Unlock()
-}
-
-// The unsorted store's lazy sorted-view rebuild lock (classified by field
-// name, like the engine's unsorted.Store.viewMu).
-type store struct {
-	viewMu mutex
-	tables int
-}
-
-// The lazy-rebuild shape: viewMu taken under a partition read lock is
-// clean — it ranks directly after partition.mu.
-func (db *DB) lazyRebuild(p *partition, s *store) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	s.viewMu.Lock()
-	defer s.viewMu.Unlock()
-	doWork()
-}
-
-// But viewMu must never be held across another acquisition: a rebuild
-// reaching for the logRefs table is fine rank-wise, reaching back for a
-// partition lock is the inversion.
-func (db *DB) viewReentry(p *partition, s *store) {
-	s.viewMu.Lock()
-	defer s.viewMu.Unlock()
-	p.mu.RLock() // want `acquires partition\.mu while unsorted\.viewMu`
-	defer p.mu.RUnlock()
 }
 
 // The NewSnapshot capture shape: the snapshot registry lock is rank 0,

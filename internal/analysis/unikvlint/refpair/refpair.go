@@ -1,18 +1,21 @@
 // Package refpair enforces the refcount-fencing protocol of the storage
-// packages: an acquired reference — sstable.Reader.Ref, DB.retainLogs, a
-// vlog append-window Pin, or a NewSnapshot handle — must reach its matching
-// release (Close, releaseLogs, Unpin, Snapshot.Close) on every ERROR path.
-// A reference leaked on an error return is never retried and never dropped:
-// the refcount stays above zero forever, which permanently blocks value-log
-// GC and table retirement (the file outlives every reader that could have
-// used it).
+// packages: an acquired reference — a pinned partition version
+// (partition.acquire) or a NewSnapshot handle, DB.retainLogs, a vlog
+// append-window Pin — must reach its matching release (version.release or
+// Snapshot.Close, releaseLogs, Unpin) on every ERROR path. A reference
+// leaked on an error return is never retried and never dropped: the
+// refcount stays above zero forever, which permanently keeps the files the
+// version names — tables and value logs — on disk.
 //
-// Success returns are deliberately exempt: the engine's constructors and
-// commit paths transfer ownership on success (NewSnapshot hands its Refs to
-// the Snapshot, gcTables installs its retains into partition state), and a
-// transfer looks exactly like a leak to a checker that cannot see the
-// receiving struct. Error returns have no such excuse — a failed operation
-// owns everything it acquired.
+// Table readers are not in the table: a version takes one reference per
+// reader it names when it is published and gives it back when its own count
+// reaches zero (internal/core/version.go), and nothing else calls Ref.
+//
+// Success returns are deliberately exempt: the engine's constructors
+// transfer ownership on success (NewSnapshot hands its pins to the
+// Snapshot), and a transfer looks exactly like a leak to a checker that
+// cannot see the receiving struct. Error returns have no such excuse — a
+// failed operation owns everything it acquired.
 //
 // The check is interprocedural via fixed-point summaries over the package
 // call graph (internal/analysis/callgraph): a void helper that acquires
@@ -21,9 +24,8 @@
 // void helpers hand acquisitions to the caller: a callee that returns a
 // non-error result owns them via the returned handle (the NewSnapshot
 // shape), and a callee that can fail polices its own error paths and
-// transfers ownership into shared state when it succeeds (the
-// splitPartition/mergeLocked commit shape) — either way the caller's frame
-// holds nothing.
+// transfers ownership into shared state when it succeeds — either way the
+// caller's frame holds nothing.
 //
 // Two recognized non-leaks: the error return immediately guarding a
 // (handle, error) constructor call reports the constructor's OWN failure
@@ -44,9 +46,9 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "refpair",
-	Doc: "require every acquired reference (Reader.Ref, retainLogs, vlog Pin, " +
-		"NewSnapshot) to be released on all error paths — a leaked ref " +
-		"permanently blocks value-log GC and table retirement",
+	Doc: "require every acquired reference (a pinned partition version or " +
+		"NewSnapshot handle, retainLogs, vlog Pin) to be released on all error " +
+		"paths — a leaked ref keeps the files it fences on disk forever",
 	Run: run,
 }
 
@@ -56,37 +58,32 @@ func init() { analysis.RegisterCheck(Analyzer.Name) }
 type pairKind uint8
 
 const (
-	kindRef  pairKind = iota // Reader.Ref / Close
-	kindLogs                 // retainLogs / releaseLogs
-	kindPin                  // Pin / Unpin
-	kindSnap                 // NewSnapshot / Snapshot.Close
+	kindHandle pairKind = iota // acquire / release, NewSnapshot / Close
+	kindLogs                   // retainLogs / releaseLogs
+	kindPin                    // Pin / Unpin
 	numKinds
 )
 
 func (k pairKind) describe(key string) string {
 	switch k {
-	case kindRef:
-		return "reader ref " + key + ".Ref()"
+	case kindHandle:
+		return "handle " + key
 	case kindLogs:
 		return "log retention (retainLogs)"
 	case kindPin:
 		return "vlog append pin"
-	case kindSnap:
-		return "snapshot " + key
 	}
 	return "reference"
 }
 
 func (k pairKind) release() string {
 	switch k {
-	case kindRef:
-		return "Close"
+	case kindHandle:
+		return "release/Close"
 	case kindLogs:
 		return "releaseLogs"
 	case kindPin:
 		return "Unpin"
-	case kindSnap:
-		return "Close"
 	}
 	return "release"
 }
@@ -105,9 +102,9 @@ const (
 type event struct {
 	kind evKind
 	pair pairKind
-	// key pairs acquire with release: the receiver chain for kindRef
-	// ("t.Reader"), the handle variable for kindSnap ("s"); kindLogs and
-	// kindPin pair by kind alone (retain and release sets differ textually).
+	// key pairs acquire with release: the handle variable for kindHandle
+	// ("v", "s"); kindLogs and kindPin pair by kind alone (retain and
+	// release sets differ textually).
 	key string
 	pos token.Pos
 	// errObj, on an evAcquire from a (handle, error) constructor, is the
@@ -211,10 +208,7 @@ func replay(pass *analysis.Pass, f *callgraph.Func, events []event, sums map[*ca
 	release := func(pair pairKind, key string, deferOnly bool) {
 		kept := live[:0]
 		for _, h := range live {
-			match := h.pair == pair
-			if pair == kindRef || pair == kindSnap {
-				match = (h.pair == kindRef || h.pair == kindSnap) && h.key == key
-			}
+			match := h.pair == pair && (pair != kindHandle || h.key == key)
 			if match {
 				if deferOnly {
 					h.deferred = true
@@ -301,14 +295,16 @@ func collect(pass *analysis.Pass, g *callgraph.Graph, f *callgraph.Func) []event
 				}
 				return false
 			case *ast.AssignStmt:
-				// Constructor shape: handle[, err] := NewSnapshot-like call.
+				// Constructor shape: handle[, err] := acquire/NewSnapshot call.
 				if len(n.Rhs) == 1 {
 					if call, ok := ast.Unparen(n.Rhs[0]).(*ast.CallExpr); ok {
 						if ev, ok := classifyAcquire(info, call); ok {
-							if ev.pair == kindSnap {
+							if ev.pair == kindHandle {
 								if id, ok := n.Lhs[0].(*ast.Ident); ok {
 									ev.key = id.Name
-									ev.errObj = objOf(info, n.Lhs[len(n.Lhs)-1])
+									if len(n.Lhs) > 1 {
+										ev.errObj = objOf(info, n.Lhs[len(n.Lhs)-1])
+									}
 								}
 							}
 							out = append(out, ev)
@@ -381,19 +377,14 @@ func classifyAcquire(info *types.Info, c *ast.CallExpr) (event, bool) {
 	}
 	recv := info.Types[sel.X].Type
 	switch sel.Sel.Name {
-	case "Ref":
-		if len(c.Args) == 0 && recv != nil &&
-			lintutil.HasMethod(recv, "Ref") && lintutil.HasMethod(recv, "Close") {
-			return event{kind: evAcquire, pair: kindRef, key: lintutil.ExprString(sel.X), pos: c.Pos()}, true
-		}
+	case "acquire", "NewSnapshot":
+		return event{kind: evAcquire, pair: kindHandle, key: "<unnamed>", pos: c.Pos()}, true
 	case "retainLogs":
 		return event{kind: evAcquire, pair: kindLogs, key: "logs", pos: c.Pos()}, true
 	case "Pin":
 		if recv != nil && lintutil.HasMethod(recv, "Unpin") {
 			return event{kind: evAcquire, pair: kindPin, key: "pin", pos: c.Pos()}, true
 		}
-	case "NewSnapshot":
-		return event{kind: evAcquire, pair: kindSnap, key: "<snapshot>", pos: c.Pos()}, true
 	}
 	return event{}, false
 }
@@ -408,9 +399,9 @@ func classifyRelease(info *types.Info, c *ast.CallExpr) (event, bool) {
 		return event{}, false
 	}
 	switch sel.Sel.Name {
-	case "Close":
-		// Pairs by key: releases a held kindRef/kindSnap on the same chain.
-		return event{kind: evRelease, pair: kindRef, key: lintutil.ExprString(sel.X), pos: c.Pos()}, true
+	case "release", "Close":
+		// Pairs by key: releases the handle held in that variable.
+		return event{kind: evRelease, pair: kindHandle, key: lintutil.ExprString(sel.X), pos: c.Pos()}, true
 	case "releaseLogs":
 		return event{kind: evRelease, pair: kindLogs, pos: c.Pos()}, true
 	case "Unpin":

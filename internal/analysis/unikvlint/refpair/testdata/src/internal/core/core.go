@@ -1,17 +1,18 @@
-// Fixture: acquired references (Reader.Ref, retainLogs, vlog Pin,
-// NewSnapshot) must be released on every error path. Stand-ins mirror the
-// engine's shapes: classification is by method-set shape and name, so local
-// types with Ref/Close (etc.) behave like the real ones.
+// Fixture: acquired references (a pinned partition version, retainLogs,
+// vlog Pin, NewSnapshot) must be released on every error path. Stand-ins
+// mirror the engine's shapes: classification is by name, so local types
+// with acquire/release (etc.) behave like the real ones.
 package core
 
 import "errors"
 
-type Reader struct{ refs int }
+type version struct{ refs int }
 
-func (r *Reader) Ref()         { r.refs++ }
-func (r *Reader) Close() error { r.refs--; return nil }
+func (v *version) release() { v.refs-- }
 
-type Table struct{ Reader *Reader }
+type partition struct{ cur *version }
+
+func (p *partition) acquire() *version { p.cur.refs++; return p.cur }
 
 type Manager struct{ pins int }
 
@@ -23,9 +24,10 @@ type Snapshot struct{ db *DB }
 func (s *Snapshot) Close() error { s.db.releaseLogs(nil); return nil }
 
 type DB struct {
-	vl     *Manager
-	tables []*Table
-	logs   map[uint32]int
+	vl    *Manager
+	parts []*partition
+	held  []*version
+	logs  map[uint32]int
 }
 
 func (db *DB) retainLogs(nums []uint32)  {}
@@ -39,44 +41,58 @@ func (db *DB) NewSnapshot() (*Snapshot, error) {
 func (db *DB) step() error { return errors.New("boom") }
 
 // ---------------------------------------------------------------------------
-// Reader.Ref / Close.
+// partition.acquire / version.release.
 
-// The motivating bug: the ref leaks when the step between acquire and
-// release fails — the reader's refcount never drops, so vlog GC and table
-// retirement are blocked forever.
-func (db *DB) pinLeaky(t *Table) error {
-	t.Reader.Ref()
+// The motivating bug: the pin leaks when the step between acquire and
+// release fails — the version's count never drops, so every table and
+// value log it names stays on disk forever.
+func (db *DB) pinLeaky(p *partition) error {
+	v := p.acquire()
 	if err := db.step(); err != nil {
-		return err // want `error return leaks reader ref t\.Reader\.Ref\(\)`
+		return err // want `error return leaks handle v`
 	}
-	return t.Reader.Close()
+	v.release()
+	return nil
 }
 
 // Releasing before the error return is clean.
-func (db *DB) pinReleased(t *Table) error {
-	t.Reader.Ref()
+func (db *DB) pinReleased(p *partition) error {
+	v := p.acquire()
 	if err := db.step(); err != nil {
-		t.Reader.Close()
+		v.release()
 		return err
 	}
-	return t.Reader.Close()
+	v.release()
+	return nil
 }
 
 // A deferred release protects every path.
-func (db *DB) pinDeferred(t *Table) error {
-	t.Reader.Ref()
-	defer t.Reader.Close()
+func (db *DB) pinDeferred(p *partition) error {
+	v := p.acquire()
+	defer v.release()
 	if err := db.step(); err != nil {
 		return err
 	}
 	return nil
 }
 
-// Success returns transfer ownership (the NewSnapshot/gcTables shape) and
-// are never flagged.
-func (db *DB) pinTransfer(t *Table) error {
-	t.Reader.Ref()
-	db.tables = append(db.tables, t)
+// Releasing another handle does not discharge this one.
+func (db *DB) pinWrongHandle(p, q *partition) error {
+	v := p.acquire()
+	w := q.acquire()
+	w.release()
+	if err := db.step(); err != nil {
+		return err // want `error return leaks handle v`
+	}
+	v.release()
+	return nil
+}
+
+// Success returns transfer ownership (the NewSnapshot shape) and are never
+// flagged.
+func (db *DB) pinTransfer(p *partition) error {
+	v := p.acquire()
+	db.held = append(db.held, v)
 	return nil
 }
 
@@ -145,7 +161,7 @@ func (db *DB) backupLeaky() error {
 		return err
 	}
 	if err := db.step(); err != nil {
-		return err // want `error return leaks snapshot s`
+		return err // want `error return leaks handle s`
 	}
 	return s.Close()
 }
@@ -153,19 +169,15 @@ func (db *DB) backupLeaky() error {
 // ---------------------------------------------------------------------------
 // Interprocedural: a void helper's acquisitions belong to its caller, and a
 // releasing helper discharges them — at any depth via the fixed-point
-// summaries. (NewSnapshot's own Refs do NOT travel: it returns the handle
-// that owns them.)
+// summaries. (NewSnapshot's own retentions do NOT travel: it returns the
+// handle that owns them.)
 
 func (db *DB) pinAll() {
-	for _, t := range db.tables {
-		t.Reader.Ref()
-	}
+	db.retainLogs(nil)
 }
 
 func (db *DB) releaseAll() {
-	for _, t := range db.tables {
-		t.Reader.Close()
-	}
+	db.releaseLogs(nil)
 }
 
 // pinAllDeep hides the acquisition one level further down.
@@ -176,7 +188,7 @@ func (db *DB) pinAllDeep() {
 func (db *DB) captureLeaky() error {
 	db.pinAllDeep()
 	if err := db.step(); err != nil {
-		return err // want `error return leaks reader ref`
+		return err // want `error return leaks log retention`
 	}
 	db.releaseAll()
 	return nil
@@ -203,9 +215,8 @@ func (db *DB) captureDeferred() error {
 }
 
 // A fallible callee keeps its acquisitions to itself: its success return
-// transferred them into shared state (the splitPartition/mergeLocked commit
-// shape), and its own error paths are checked in its own body — the caller's
-// later error returns hold nothing.
+// transferred them into shared state, and its own error paths are checked in
+// its own body — the caller's later error returns hold nothing.
 func (db *DB) commitRetain(nums []uint32) error {
 	db.retainLogs(nums)
 	if err := db.step(); err != nil {
@@ -227,10 +238,11 @@ func (db *DB) commitCaller() error {
 
 // ---------------------------------------------------------------------------
 // The escape hatch: ownership recorded somewhere the checker cannot see.
-func (db *DB) adoptLeaky(t *Table) error {
-	t.Reader.Ref()
+func (db *DB) adoptLeaky(p *partition) error {
+	v := p.acquire()
+	db.held = append(db.held, v)
 	if err := db.step(); err != nil {
-		//unikv:allow(refpair) ref adopted by the recovery registry before step
+		//unikv:allow(refpair) pin adopted by the registry before step
 		return err
 	}
 	return nil

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+	"slices"
 
 	"unikv/internal/manifest"
 	"unikv/internal/memtable"
@@ -22,8 +23,8 @@ import (
 // reproduce the snapshot byte for byte.
 //
 // Writes, flushes, merges, splits, and GC proceed concurrently: the
-// snapshot's reader and log references keep every copied file alive and
-// immutable for the duration (an active value log can grow, which is why
+// snapshot's pinned versions keep every copied file alive and immutable
+// for the duration (an active value log can grow, which is why
 // logs are length-bounded copies rather than links).
 func (db *DB) Backup(destDir string) error {
 	s, err := db.NewSnapshot()
@@ -48,21 +49,20 @@ func (db *DB) BackupAt(s *Snapshot, destDir string) error {
 	}
 
 	// Value logs first: collect the union across partitions (a split leaves
-	// shared logs referenced by both children) and copy each pinned prefix
-	// once. The pinned size sits on a frame boundary — appends are staged
-	// and issued as one write, and the size advances only after success —
-	// so the copy never ends mid-record.
+	// shared logs referenced by both children) and copy each log's current
+	// prefix once. A log's size sits on a frame boundary — appends are
+	// staged and issued as one write, and the size advances only after
+	// success — so the copy never ends mid-record.
 	destVlog := filepath.Join(destDir, "vlog")
 	if err := db.fs.MkdirAll(destVlog); err != nil {
 		return err
 	}
 	logSizes := map[uint32]int64{}
-	for i := range s.parts {
-		sp := &s.parts[i]
-		for _, n := range sp.logs {
-			if sz := sp.logSizes[n]; sz > logSizes[n] {
-				logSizes[n] = sz
-			}
+	for _, v := range s.parts {
+		for _, n := range v.logs {
+			// The log's size now: at least its size at the pin, which bounds
+			// every pinned pointer.
+			logSizes[n] = db.vl.SizeOf(n)
 		}
 	}
 	maxLog := uint32(0)
@@ -81,45 +81,41 @@ func (db *DB) BackupAt(s *Snapshot, destDir string) error {
 
 	// Per-partition state: table files plus a WAL cut of the pinned
 	// memtable queue. Table files are immutable and kept alive by the
-	// snapshot's reader refs even if the engine retires them mid-backup
-	// (removal is deferred until the last reference drops).
+	// snapshot's versions even if the engine replaces them mid-backup
+	// (removal is deferred until the last version naming them is released).
 	maxPart := uint32(0)
 	var edits []manifest.Edit
-	for i := range s.parts {
-		sp := &s.parts[i]
-		if sp.id >= maxPart {
-			maxPart = sp.id + 1
+	for _, v := range s.parts {
+		id := v.p.id
+		if id >= maxPart {
+			maxPart = id + 1
 		}
-		srcDir := db.partDir(sp.id)
-		dstDir := filepath.Join(destDir, fmt.Sprintf("p%d", sp.id))
+		srcDir := v.p.dir
+		dstDir := filepath.Join(destDir, fmt.Sprintf("p%d", id))
 		if err := db.fs.MkdirAll(dstDir); err != nil {
 			return err
 		}
-		for _, t := range sp.uns {
-			if err := db.linkOrCopy(tableName(srcDir, t.Meta.FileNum), tableName(dstDir, t.Meta.FileNum)); err != nil {
-				return fmt.Errorf("unikv: backup partition %d table %d: %w", sp.id, t.Meta.FileNum, err)
+		uns, srt := unsortedMetas(v.uns.Tables()), tableMetas(v.srt.Tables())
+		for _, tm := range append(slices.Clone(uns), srt...) {
+			if err := db.linkOrCopy(tableName(srcDir, tm.FileNum), tableName(dstDir, tm.FileNum)); err != nil {
+				return fmt.Errorf("unikv: backup partition %d table %d: %w", id, tm.FileNum, err)
 			}
 		}
-		for _, t := range sp.srtTables {
-			if err := db.linkOrCopy(tableName(srcDir, t.Meta.FileNum), tableName(dstDir, t.Meta.FileNum)); err != nil {
-				return fmt.Errorf("unikv: backup partition %d table %d: %w", sp.id, t.Meta.FileNum, err)
-			}
-		}
-		walNum, err := db.cutWAL(sp, s.seq, dstDir)
+		walNum, err := db.cutWAL(v, s.seq, dstDir)
 		if err != nil {
-			return fmt.Errorf("unikv: backup partition %d wal: %w", sp.id, err)
+			return fmt.Errorf("unikv: backup partition %d wal: %w", id, err)
 		}
 		if err := db.fs.SyncDir(dstDir); err != nil {
 			return err
 		}
 		edits = append(edits,
-			manifest.AddPartition(sp.id, sp.lower),
-			manifest.SetUnsorted(sp.id, unsortedMetas(sp.uns)),
-			manifest.SetSorted(sp.id, tableMetas(sp.srtTables)),
-			manifest.SetLogs(sp.id, sp.logs),
+			manifest.AddPartition(id, v.p.lower),
+			manifest.SetUnsorted(id, uns),
+			manifest.SetSorted(id, srt),
+			manifest.SetLogs(id, v.logs),
 		)
 		if walNum != 0 {
-			edits = append(edits, manifest.SetWAL(sp.id, walNum))
+			edits = append(edits, manifest.SetWAL(id, walNum))
 		}
 		// HashCkpt stays 0: the destination rebuilds its hash index from
 		// the copied tables at open, so no checkpoint file is carried over.
@@ -156,8 +152,8 @@ func (db *DB) BackupAt(s *Snapshot, destDir string) error {
 // returning its file number (0 when there is nothing to cut). Replay
 // rebuilds the records in a skiplist, so intra-file order is free; one
 // logical WAL record per source memtable keeps the framing simple.
-func (db *DB) cutWAL(sp *snapPart, seq uint64, dstDir string) (uint64, error) {
-	tables := append(append([]*memtable.Memtable(nil), sp.imm...), sp.mem)
+func (db *DB) cutWAL(v *version, seq uint64, dstDir string) (uint64, error) {
+	tables := append(append([]*memtable.Memtable(nil), v.imm...), v.mem)
 	var w *wal.Writer
 	var f vfs.File
 	num := uint64(0)

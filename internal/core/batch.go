@@ -79,7 +79,13 @@ func (db *DB) ApplyBatch(b *Batch) error {
 			return err
 		}
 		p.mu.Lock()
-		if !p.covers(pending[0].Key) {
+		if done := p.splitting; done != nil {
+			p.mu.Unlock()
+			<-done
+			continue
+		}
+		v := p.cur.Load()
+		if !v.covers(pending[0].Key) {
 			p.mu.Unlock()
 			if retries++; retries >= maxRouteRetries {
 				return classified(ErrRouterInconsistent)
@@ -95,7 +101,7 @@ func (db *DB) ApplyBatch(b *Batch) error {
 		// the rest.
 		var mine, rest []record.Record
 		for _, op := range pending {
-			if p.covers(op.Key) {
+			if v.covers(op.Key) {
 				mine = append(mine, op)
 			} else {
 				rest = append(rest, op)
@@ -124,9 +130,6 @@ func (db *DB) ApplyBatch(b *Batch) error {
 			if err := db.splitPartition(p); err != nil {
 				return classified(err)
 			}
-		}
-		if db.sched != nil {
-			db.checkMaintenance(p)
 		}
 		pending = rest
 	}

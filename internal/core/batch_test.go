@@ -181,10 +181,9 @@ func TestSelectiveKVSeparation(t *testing.T) {
 		}
 	}
 	// Check the layout: inspect sorted-store records directly.
-	p := db.partitions()[0]
-	p.mu.RLock()
+	v := db.partitions()[0].acquire()
 	inline, ptrs := 0, 0
-	it := p.srt.NewIterator()
+	it := v.srt.NewIterator()
 	for ok := it.First(); ok; ok = it.Next() {
 		switch it.Record().Kind {
 		case record.KindSet:
@@ -193,7 +192,7 @@ func TestSelectiveKVSeparation(t *testing.T) {
 			ptrs++
 		}
 	}
-	p.mu.RUnlock()
+	v.release()
 	if inline == 0 || ptrs == 0 {
 		t.Fatalf("selective separation not selective: inline=%d ptrs=%d", inline, ptrs)
 	}

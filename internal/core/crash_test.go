@@ -369,11 +369,7 @@ func TestCrashDuringSplit(t *testing.T) {
 					t.Fatalf("pre-split put %d: %v", i, err)
 				}
 				acked = i + 1
-				p := db.partitions()[0]
-				p.mu.RLock()
-				big := p.sizeLocked() >= opts.PartitionSizeLimit*8/10
-				p.mu.RUnlock()
-				if big {
+				if liveGauges(db.partitions()[0]).size >= opts.PartitionSizeLimit*8/10 {
 					target = i + 400
 					break
 				}
@@ -404,7 +400,7 @@ func TestCrashDuringSplit(t *testing.T) {
 			// Routing invariants.
 			parts := db2.partitions()
 			for i := 1; i < len(parts); i++ {
-				if !bytes.Equal(parts[i-1].upper, parts[i].lower) {
+				if !bytes.Equal(parts[i-1].cur.Load().upper, parts[i].lower) {
 					t.Fatalf("boundary mismatch after crash recovery")
 				}
 			}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -13,7 +14,9 @@ import (
 	"unikv/internal/codec"
 	"unikv/internal/hotring"
 	"unikv/internal/manifest"
+	"unikv/internal/sorted"
 	"unikv/internal/sstable"
+	"unikv/internal/unsorted"
 	"unikv/internal/vfs"
 	"unikv/internal/vlog"
 )
@@ -66,14 +69,14 @@ type DB struct {
 
 	seq      atomic.Uint64
 	nextFile atomic.Uint64
+	nextPart atomic.Uint32 // next partition ID; persisted by the split that used one
 
 	// router orders partitions by lower boundary key. Lock order:
 	// snapMu -> maintMu -> flushMu -> router.mu -> partition.mu
-	//   -> unsorted.viewMu -> logRefs.mu -> hotring.writerMu
+	//   -> logRefs.mu -> hotring.writerMu
 	// (snapMu is the snapshot-registry lock below; maintMu/flushMu exist
 	// per partition and only matter with BackgroundWorkers > 0; see
-	// scheduler.go. viewMu serializes the lazy sorted-view rebuild and is
-	// never held across any other lock.)
+	// scheduler.go.)
 	router struct {
 		sync.RWMutex
 		parts []*partition
@@ -82,7 +85,8 @@ type DB struct {
 	// snaps registers live MVCC snapshots, keyed by handle ID; each entry
 	// pins a sequence number, and the minimum over the table is the seq
 	// below which background work must keep superseded versions reachable
-	// (enforced physically: snapshots hold reader refs and log refs).
+	// (enforced physically: a snapshot pins partition versions, which hold
+	// their files).
 	// snapMu is the first rank of the lock order: NewSnapshot holds it
 	// across the whole partition capture, and Close takes it around the
 	// closed transition so a snapshot can never race the teardown.
@@ -92,11 +96,18 @@ type DB struct {
 		nextID uint64
 	}
 
-	// logRefs counts how many partitions reference each value log; a log
-	// is deleted when its count drops to zero (lazy value split).
+	// logRefs keeps the value logs' two counts. refs[n] is how many holders
+	// log n has — every live partition version naming it, plus a scrub or
+	// verify walking it — and the file is deleted when it drops to zero.
+	// owners[n] is how many partitions name n in their current version:
+	// the divisor of a partition's share of a log split lazily between
+	// the children of a split (version.logBytes). moved counts the times a
+	// partition joined or left a log another partition owns: each changes
+	// that owner's share without a publish of its own (version.sharesAt).
 	logRefs struct {
 		sync.Mutex
-		refs map[uint32]int
+		refs, owners map[uint32]int
+		moved        uint64
 	}
 
 	pool   *fetchPool
@@ -114,11 +125,18 @@ type DB struct {
 	// transient error surviving JobRetries retries, lands here.
 	degradedState atomic.Pointer[DegradedError]
 
+	// triggerEvals counts checkMaintenance calls: one per published version
+	// that can arm a trigger (a memtable freeze, a job's commit), none per
+	// put. Tests hold the write path to that.
+	triggerEvals atomic.Int64
+
 	// Test hooks (nil in production). testHookJobStart fires as a worker
 	// picks up a job; testHookMergeBuild fires inside a background merge
-	// after the snapshot is taken, before the build.
+	// after the version is pinned, before the build; testHookPublish fires
+	// as a version becomes current, with what publish requires still held.
 	testHookJobStart   func(*partition, jobKind)
 	testHookMergeBuild func(*partition)
+	testHookPublish    func(*version)
 }
 
 // Stats aggregates operation counters for the experiments.
@@ -282,6 +300,7 @@ func Open(dir string, opts Options) (*DB, error) {
 	opts = opts.Sanitize()
 	db := &DB{opts: opts, fs: opts.FS, dir: dir}
 	db.logRefs.refs = make(map[uint32]int)
+	db.logRefs.owners = make(map[uint32]int)
 	db.snaps.m = make(map[uint64]*Snapshot)
 	if err := db.fs.MkdirAll(dir); err != nil {
 		return nil, err
@@ -337,6 +356,7 @@ func Open(dir string, opts Options) (*DB, error) {
 			return nil, err
 		}
 	}
+	db.nextPart.Store(man.State().NextPartID)
 	if !opts.DisableOrphanCleanup {
 		db.sweepOrphans()
 	}
@@ -358,9 +378,6 @@ func (db *DB) bootstrap() error {
 		return err
 	}
 	p := &partition{db: db, id: pid, dir: pdir}
-	if err := p.initEmptyStores(); err != nil {
-		return err
-	}
 	edits := []manifest.Edit{
 		manifest.AddPartition(pid, nil),
 		manifest.NextPart(2),
@@ -375,6 +392,7 @@ func (db *DB) bootstrap() error {
 	if err := db.man.Apply(edits...); err != nil {
 		return err
 	}
+	p.publish(p.emptyVersion(nil))
 	db.router.parts = []*partition{p}
 	return nil
 }
@@ -385,26 +403,25 @@ func (db *DB) recover(state *manifest.State) error {
 	metas := state.SortedPartitions()
 	parts := make([]*partition, 0, len(metas))
 	for i, meta := range metas {
-		p, err := db.recoverPartition(meta)
+		var upper []byte
+		if i+1 < len(metas) {
+			upper = append(upper, metas[i+1].Lower...)
+		}
+		p, err := db.recoverPartition(meta, upper)
 		if err != nil {
 			return err
 		}
-		if i+1 < len(metas) {
-			p.upper = append([]byte(nil), metas[i+1].Lower...)
-		}
 		parts = append(parts, p)
-		for _, l := range meta.Logs {
-			db.logRefs.refs[l]++
-		}
 	}
 	db.router.parts = parts
 	// Sequence: manifest's LastSeq covers flushed data; WAL replay may
 	// have seen higher.
 	for _, p := range parts {
-		if s := p.mem.MaxSeq(); s > db.seq.Load() {
+		v := p.cur.Load()
+		if s := v.mem.MaxSeq(); s > db.seq.Load() {
 			db.seq.Store(s)
 		}
-		for _, t := range p.uns.Tables() {
+		for _, t := range v.uns.Tables() {
 			if t.Meta.MaxSeq > db.seq.Load() {
 				db.seq.Store(t.Meta.MaxSeq)
 			}
@@ -414,7 +431,7 @@ func (db *DB) recover(state *manifest.State) error {
 	for _, p := range parts {
 		p.mu.Lock()
 		var err error
-		if !p.mem.Empty() {
+		if !p.cur.Load().mem.Empty() {
 			err = p.flushLocked()
 		} else if !db.opts.DisableWAL && p.wal == nil {
 			err = p.rotateWALLocked()
@@ -427,57 +444,48 @@ func (db *DB) recover(state *manifest.State) error {
 	return nil
 }
 
-// recoverPartition restores one partition's stores and memtable.
-func (db *DB) recoverPartition(meta *manifest.PartitionMeta) (*partition, error) {
+// recoverPartition restores one partition — its stores, its memtable from
+// the WALs — and publishes its first version.
+func (db *DB) recoverPartition(meta *manifest.PartitionMeta, upper []byte) (*partition, error) {
 	pdir := db.partDir(meta.ID)
 	if err := db.fs.MkdirAll(pdir); err != nil {
 		return nil, err
 	}
 	p := &partition{
-		db:    db,
-		id:    meta.ID,
-		dir:   pdir,
-		lower: append([]byte(nil), meta.Lower...),
+		db:       db,
+		id:       meta.ID,
+		dir:      pdir,
+		lower:    append([]byte(nil), meta.Lower...),
+		hashCkpt: meta.HashCkpt,
 	}
-	p.logs = make(map[uint32]bool, len(meta.Logs))
-	for _, l := range meta.Logs {
-		p.logs[l] = true
-	}
-	p.hashCkpt = meta.HashCkpt
-
-	openTable := func(tm manifest.TableMeta) (*sstable.Reader, error) {
-		f, err := db.fs.Open(tableName(pdir, tm.FileNum))
-		if err != nil {
-			return nil, err
-		}
-		rdr, err := sstable.Open(f)
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-		rdr.SetCache(db.cache, tm.FileNum)
-		return rdr, nil
-	}
+	v := p.emptyVersion(upper)
+	v.logs = slices.Clone(meta.Logs)
+	slices.Sort(v.logs)
+	openTable := func(tm manifest.TableMeta) (*sstable.Reader, error) { return db.openTable(pdir, tm) }
 
 	// UnsortedStore: checkpoint + replay.
 	ckpt := ""
 	if meta.HashCkpt != 0 {
 		ckpt = ckptName(pdir, meta.HashCkpt)
 	}
-	uns, err := db.recoverUnsorted(meta, ckpt, openTable)
+	var err error
+	v.uns, err = unsorted.Recover(db.fs, db.opts.HashBuckets, meta.Unsorted, ckpt,
+		db.opts.DisableHashIndex, db.opts.SortedViewOff, openTable)
 	if err != nil {
 		return nil, err
 	}
-	p.uns = uns
 
 	// SortedStore.
-	srt, err := recoverSorted(meta, openTable)
-	if err != nil {
-		return nil, err
+	run := make([]*sorted.Table, 0, len(meta.Sorted))
+	for _, tm := range meta.Sorted {
+		rdr, err := openTable(tm)
+		if err != nil {
+			return nil, err
+		}
+		run = append(run, &sorted.Table{Meta: tm, Reader: rdr})
 	}
-	p.srt = srt
+	v.srt = sorted.New(run)
 
-	p.mem = newMemtable()
 	// WAL replay. The manifest records the oldest WAL still holding
 	// unflushed data; background mode freezes memtables onto per-memtable
 	// WALs without a manifest edit, so any later-numbered .wal file in the
@@ -486,12 +494,14 @@ func (db *DB) recoverPartition(meta *manifest.PartitionMeta) (*partition, error)
 	// write order.
 	if meta.WALNum != 0 {
 		for _, num := range db.walNumsFrom(pdir, meta.WALNum) {
-			if err := p.replayWAL(num); err != nil {
+			if err := p.replayWAL(num, v.mem); err != nil {
 				return nil, err
 			}
 			p.walNum = num // flushed or rotated by recover()
 		}
 	}
+	p.publish(v)
+	v.closeTables() // the references the readers were opened with
 	return p, nil
 }
 
@@ -552,17 +562,12 @@ func (db *DB) Close() error {
 			p.wakeStalled()
 		}
 	}
-	db.router.Lock()
-	parts := db.router.parts
-	db.router.Unlock()
-	for _, p := range parts {
+	for _, p := range db.partitions() {
 		p.mu.Lock()
-		if len(p.imm) > 0 && db.degradedErr() == nil {
+		if db.degradedErr() == nil {
 			if err := p.drainImmLocked(); err != nil && first == nil {
 				first = err
 			}
-		}
-		if !p.mem.Empty() && db.degradedErr() == nil {
 			if err := p.flushLocked(); err != nil && first == nil {
 				first = err
 			}
@@ -574,7 +579,12 @@ func (db *DB) Close() error {
 			p.wal.Close()
 			p.wal = nil
 		}
-		p.closeTablesLocked()
+		// The last version names no table, which closes every reader once
+		// the reads still in flight let go of theirs. It keeps naming the
+		// logs: those stay on disk.
+		last := p.cur.Load().successor()
+		last.mem, last.uns, last.srt = newMemtable(), unsorted.New(0, true, true), sorted.New(nil)
+		p.publish(last)
 		p.mu.Unlock()
 	}
 	if db.pool != nil {
@@ -639,8 +649,8 @@ func (db *DB) partitions() []*partition {
 	return append([]*partition(nil), db.router.parts...)
 }
 
-// releaseLogs drops one reference from each log in nums, removing files
-// whose count reaches zero.
+// releaseLogs drops one hold from each log in nums, removing files whose
+// count reaches zero.
 func (db *DB) releaseLogs(nums []uint32) {
 	db.logRefs.Lock()
 	var dead []uint32
@@ -657,19 +667,7 @@ func (db *DB) releaseLogs(nums []uint32) {
 	}
 }
 
-// retireTable deletes a replaced table when its last owner closes: with no
-// snapshot pinning the reader, that is immediately (matching the old
-// close-then-remove); otherwise the file and reader outlive retirement
-// until the last pinned handle drops. Removal is best effort, like the
-// inline removes it replaces — the orphan sweep covers failures.
-func (db *DB) retireTable(dir string, num uint64, r *sstable.Reader) {
-	fs := db.fs
-	name := tableName(dir, num)
-	r.SetRetire(func() { fs.Remove(name) })
-	r.Close()
-}
-
-// retainLogs adds one reference to each log in nums.
+// retainLogs adds one hold to each log in nums (see logRefs).
 func (db *DB) retainLogs(nums []uint32) {
 	db.logRefs.Lock()
 	for _, n := range nums {
@@ -819,26 +817,26 @@ func (db *DB) Metrics() StatsSnapshot {
 		s.PendingJobs = db.sched.pendingJobs()
 	}
 	for _, p := range db.partitions() {
-		p.mu.RLock()
+		v := p.acquire()
 		s.Partitions++
-		s.ImmutableMemtables += len(p.imm)
-		s.UnsortedTables += p.uns.NumTables()
-		s.SortedTables += p.srt.NumTables()
-		s.HashIndexBytes += p.uns.Index().MemoryBytes()
-		s.UnsortedBytes += p.uns.SizeBytes()
-		s.SortedBytes += p.srt.SizeBytes()
-		for _, t := range p.uns.Tables() {
+		s.ImmutableMemtables += v.nImm
+		s.UnsortedTables += v.unsTables
+		s.SortedTables += v.srt.NumTables()
+		s.HashIndexBytes += v.uns.Index().MemoryBytes()
+		s.UnsortedBytes += v.unsBytes
+		s.SortedBytes += v.srt.SizeBytes()
+		for _, t := range v.uns.Tables() {
 			s.TableBlockReads += t.Reader.BlockReads.Load()
 		}
-		for _, t := range p.srt.Tables() {
+		for _, t := range v.srt.Tables() {
 			s.TableBlockReads += t.Reader.BlockReads.Load()
 		}
-		ve, vb, builds, rebuilds := p.uns.ViewStats()
+		ve, vb, builds, rebuilds := v.uns.ViewStats()
 		s.SortedViewEntries += int64(ve)
 		s.SortedViewBytes += vb
 		s.SortedViewBuilds += builds
 		s.SortedViewRebuilds += rebuilds
-		p.mu.RUnlock()
+		v.release()
 	}
 	s.ValueLogs = len(db.vl.LogNums())
 	s.ValueLogBytes = db.vl.TotalSize()

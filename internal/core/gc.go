@@ -3,39 +3,39 @@ package core
 import (
 	"unikv/internal/manifest"
 	"unikv/internal/record"
+	"unikv/internal/sorted"
 )
 
-// maybeGCLocked runs value-log GC when the partition's dead bytes exceed
-// GCRatio of its referenced log bytes (the paper's greedy policy: GC the
-// partition with the most garbage; with inline scheduling each partition
-// checks itself at its merge points). Requires p.mu held for writing.
+// needsGC reports whether v's partition has accumulated enough dead value
+// bytes — GCRatio of its referenced log bytes — to rewrite its logs (the
+// paper's greedy policy: GC the partition with the most garbage; each
+// partition checks itself where it publishes a version).
+func (v *version) needsGC() bool {
+	opts := &v.p.db.opts
+	return !opts.DisableKVSeparation && v.logBytes > 0 &&
+		float64(v.p.garbageBytes.Load()) >= opts.GCRatio*float64(v.logBytes)
+}
+
+// maybeGCLocked runs value-log GC if the trigger holds (inline mode, at the
+// partition's merge points). Requires p.mu held for writing.
 func (p *partition) maybeGCLocked() error {
-	if p.db.opts.DisableKVSeparation {
-		return nil
+	if v := p.cur.Load(); v.needsGC() {
+		return p.gcTables(v, true)
 	}
-	refBytes := p.logBytesLocked()
-	if refBytes == 0 || float64(p.garbageBytes.Load()) < p.db.opts.GCRatio*float64(refBytes) {
-		return nil
-	}
-	return p.gcTables(true)
+	return nil
 }
 
 // backgroundGC is the GC job: it re-checks the trigger, then runs the
 // value rewrite without the partition lock (the SortedStore and log set
 // are stable under maintMu; concurrent reads resolve pointers against the
-// old logs, which survive until after the commit).
+// old logs, which live as long as a version naming them).
 func (p *partition) backgroundGC() error {
-	if p.db.opts.DisableKVSeparation {
+	v := p.acquire()
+	defer v.release()
+	if !v.needsGC() {
 		return nil
 	}
-	p.mu.RLock()
-	refBytes := p.logBytesLocked()
-	ok := refBytes > 0 && float64(p.garbageBytes.Load()) >= p.db.opts.GCRatio*float64(refBytes)
-	p.mu.RUnlock()
-	if !ok {
-		return nil
-	}
-	return p.gcTables(false)
+	return p.gcTables(v, false)
 }
 
 // gcTables rewrites the partition's live values out of its collectable
@@ -45,40 +45,34 @@ func (p *partition) backgroundGC() error {
 //  1. identify valid KV pairs (scan the SortedStore's keys+pointers),
 //  2. read the live values and write them to a new log file,
 //  3. write all keys with new pointers to new SortedStore tables,
-//  4. commit — the manifest batch is the GC_done marker — then delete the
-//     old tables; old logs are removed once no partition references them.
+//  4. commit — the manifest batch is the GC_done marker — and publish; the
+//     old tables and the collected logs go when the last version naming
+//     them does (for a log: in any partition).
 //
 // A crash before step 4 leaves the old state intact (the GC simply redoes);
 // the orphaned new files are swept at the next open.
 //
-// locked means the caller holds p.mu for writing (inline mode); otherwise
-// only the commit takes it.
-func (p *partition) gcTables(locked bool) error {
+// locked means the caller holds p.mu for writing and v is current;
+// otherwise v is pinned and only the commit takes the lock. v's SortedStore
+// and log set are the partition's until then: only structural jobs change
+// them and those hold maintMu.
+func (p *partition) gcTables(v *version, locked bool) error {
 	db := p.db
 
 	// Collectable logs: everything the partition references except the
-	// engine-wide active log (still being appended by merges). The set is
-	// read under at least a read lock; it cannot change mid-GC because
-	// only structural jobs mutate it and those hold maintMu.
+	// engine-wide active log (still being appended by merges).
 	collect := map[uint32]bool{}
 	activeNum, hasActive := db.vl.ActiveNum()
 	minPinned, hasPinned := db.vl.MinPinned()
-	if !locked {
-		p.mu.RLock()
-	}
-	for n := range p.logs {
-		if hasActive && n == activeNum {
-			continue
-		}
+	var logs []uint32 // the log set after the GC
+	for _, n := range v.logs {
 		// A pinned append window means an in-flight merge may be
 		// writing into this or any later log; leave them alone.
-		if hasPinned && n >= minPinned {
-			continue
+		if (hasActive && n == activeNum) || (hasPinned && n >= minPinned) {
+			logs = append(logs, n)
+		} else {
+			collect[n] = true
 		}
-		collect[n] = true
-	}
-	if !locked {
-		p.mu.RUnlock()
 	}
 	if len(collect) == 0 {
 		return nil
@@ -89,7 +83,8 @@ func (p *partition) gcTables(locked bool) error {
 		return err
 	}
 	w := p.newTableWriter(p.dir)
-	it := p.srt.NewMaintIterator()
+	defer w.close()
+	it := v.srt.NewMaintIterator()
 	var rewritten int64
 	var ptrBuf [record.EncodedPtrLen]byte
 	for ok := it.First(); ok; ok = it.Next() {
@@ -136,52 +131,33 @@ func (p *partition) gcTables(locked bool) error {
 	if err != nil {
 		return err
 	}
-
-	if !locked {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-	}
-
-	// New log set: uncollected logs plus the rewrite target.
-	newLogs := map[uint32]bool{}
-	for n := range p.logs {
-		if !collect[n] {
-			newLogs[n] = true
-		}
-	}
 	if nonEmpty {
-		newLogs[d.Num()] = true
+		logs = mergeLogs(logs, map[uint32]bool{d.Num(): true})
 	}
-	oldSorted := p.srt.Tables()
-	oldLogs := p.logs
-	p.logs = newLogs
-
 	// New tables and the rewrite log must be findable after a crash before
 	// the GC_done commit (d.Finish synced the vlog directory).
 	if err := db.fs.SyncDir(p.dir); err != nil {
 		return err
 	}
+
+	if !locked {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+	}
+	next := p.cur.Load().successor()
+	next.srt, next.logs = sorted.New(tables), logs
 	if err := db.man.Apply(
 		manifest.SetSorted(p.id, tableMetas(tables)),
-		manifest.SetLogs(p.id, p.logsSliceLocked()),
+		manifest.SetLogs(p.id, logs),
 		manifest.LastSeq(db.seq.Load()),
 		db.nextFileEdit(),
 	); err != nil {
-		p.logs = oldLogs
 		return err
 	}
-	if nonEmpty {
-		db.retainLogs([]uint32{d.Num()})
+	for _, t := range v.srt.Tables() {
+		db.markObsolete(p.dir, t.Meta.FileNum, t.Reader)
 	}
-	p.srt.ReplaceAll(tables)
-	for _, t := range oldSorted {
-		db.retireTable(p.dir, t.Meta.FileNum, t.Reader)
-	}
-	var released []uint32
-	for n := range collect {
-		released = append(released, n)
-	}
-	db.releaseLogs(released)
+	p.publish(next)
 	p.garbageBytes.Store(0)
 	db.stats.GCs.Add(1)
 	db.stats.GCBytesRewritten.Add(rewritten)

@@ -36,9 +36,9 @@ func TestLazyValueSplitLifecycle(t *testing.T) {
 	// Find logs shared by more than one partition.
 	db.logRefs.Lock()
 	shared := map[uint32]int{}
-	for n, refs := range db.logRefs.refs {
-		if refs > 1 {
-			shared[n] = refs
+	for n, owners := range db.logRefs.owners {
+		if owners > 1 {
+			shared[n] = owners
 		}
 	}
 	db.logRefs.Unlock()
@@ -64,7 +64,7 @@ func TestLazyValueSplitLifecycle(t *testing.T) {
 	// Force GC in every partition that still has garbage.
 	for _, p := range db.partitions() {
 		p.mu.Lock()
-		err := p.gcTables(true)
+		err := p.gcTables(p.cur.Load(), true)
 		p.mu.Unlock()
 		if err != nil {
 			t.Fatal(err)
@@ -116,9 +116,7 @@ func TestSplitPreservesBoundaryInvariants(t *testing.T) {
 		t.Fatalf("first partition's lower bound must be empty, got %q", parts[0].lower)
 	}
 	for i, p := range parts {
-		p.mu.RLock()
-		lower, upper := p.lower, p.upper
-		p.mu.RUnlock()
+		lower, upper := p.lower, p.cur.Load().upper
 		if i+1 < len(parts) {
 			next := parts[i+1]
 			if !bytes.Equal(upper, next.lower) {
@@ -134,16 +132,16 @@ func TestSplitPreservesBoundaryInvariants(t *testing.T) {
 	}
 	// Every partition's tables stay inside its range.
 	for _, p := range parts {
-		p.mu.RLock()
-		for _, tab := range p.srt.Tables() {
+		v := p.acquire()
+		for _, tab := range v.srt.Tables() {
 			if len(p.lower) > 0 && bytes.Compare(tab.Meta.Smallest, p.lower) < 0 {
 				t.Fatalf("table below partition lower bound: %q < %q", tab.Meta.Smallest, p.lower)
 			}
-			if p.upper != nil && bytes.Compare(tab.Meta.Largest, p.upper) >= 0 {
-				t.Fatalf("table above partition upper bound: %q >= %q", tab.Meta.Largest, p.upper)
+			if v.upper != nil && bytes.Compare(tab.Meta.Largest, v.upper) >= 0 {
+				t.Fatalf("table above partition upper bound: %q >= %q", tab.Meta.Largest, v.upper)
 			}
 		}
-		p.mu.RUnlock()
+		v.release()
 	}
 }
 

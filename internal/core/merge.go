@@ -32,8 +32,7 @@ type tableWriter struct {
 	f      interface {
 		Close() error
 	}
-	num      uint64
-	fileNums []uint64
+	num uint64
 }
 
 func (p *partition) newTableWriter(dir string) *tableWriter {
@@ -69,25 +68,12 @@ func (w *tableWriter) roll() error {
 	if err := w.f.Close(); err != nil {
 		return err
 	}
-	rf, err := w.p.db.fs.Open(tableName(w.dir, w.num))
+	meta := tableMeta(w.num, props)
+	rdr, err := w.p.db.openTable(w.dir, meta)
 	if err != nil {
 		return err
 	}
-	rdr, err := sstable.Open(rf)
-	if err != nil {
-		rf.Close()
-		return err
-	}
-	rdr.SetCache(w.p.db.cache, w.num)
-	w.tables = append(w.tables, &sorted.Table{
-		Meta: manifest.TableMeta{
-			FileNum: w.num, Size: props.Size, Count: props.Count,
-			Smallest: props.Smallest, Largest: props.Largest,
-			MinSeq: props.MinSeq, MaxSeq: props.MaxSeq,
-		},
-		Reader: rdr,
-	})
-	w.fileNums = append(w.fileNums, w.num)
+	w.tables = append(w.tables, &sorted.Table{Meta: meta, Reader: rdr})
 	w.b = nil
 	w.f = nil
 	return nil
@@ -99,6 +85,14 @@ func (w *tableWriter) finish() ([]*sorted.Table, error) {
 		return nil, err
 	}
 	return w.tables, nil
+}
+
+// close drops the writer's references on the readers it opened: after a
+// commit the published version holds its own, after a failure nobody does.
+func (w *tableWriter) close() {
+	for _, t := range w.tables {
+		t.Reader.Close()
+	}
 }
 
 // metas extracts the manifest metadata of the written tables.
@@ -209,64 +203,96 @@ func (s *separator) flush() error {
 // mergeLocked drains the UnsortedStore into the SortedStore. Requires
 // p.mu held for writing (inline mode and CompactAll).
 func (p *partition) mergeLocked() error {
-	return p.mergeTables(p.uns.Tables(), true)
+	v := p.cur.Load()
+	m, err := p.buildMerge(v)
+	if m == nil {
+		return err
+	}
+	defer m.close()
+	uns, err := p.rebuildUnsorted(len(v.uns.Tables()), nil)
+	if err != nil {
+		return err
+	}
+	return p.commitMergeLocked(v, m, uns)
 }
 
-// backgroundMerge is the merge job: it snapshots the UnsortedStore's
-// current tables (flush order is append-only, so the snapshot stays a
-// stable prefix while concurrent flushes land behind it), re-checks the
-// trigger, and runs the heavy merge without the partition lock.
+// backgroundMerge is the merge job: it pins the current version — its
+// unsorted tables stay a stable prefix while concurrent flushes land behind
+// them — re-checks the trigger, runs the heavy merge without the partition
+// lock and takes it only to commit. The SortedStore cannot change meanwhile:
+// structural jobs are serialized by maintMu, and flushes only append.
 func (p *partition) backgroundMerge() error {
-	p.mu.RLock()
-	if p.uns.SizeBytes() < p.db.opts.UnsortedLimit {
-		p.mu.RUnlock()
+	v := p.acquire()
+	defer v.release()
+	if v.unsBytes < p.db.opts.UnsortedLimit {
 		return nil
 	}
-	snap := append([]*unsorted.Table(nil), p.uns.Tables()...)
-	p.mu.RUnlock()
 	if h := p.db.testHookMergeBuild; h != nil {
 		h(p) // test-only gate: hold the merge "mid-build", no locks held
 	}
-	return p.mergeTables(snap, false)
+	m, err := p.buildMerge(v)
+	if m == nil {
+		return err
+	}
+	defer m.close()
+	return p.replaceUnsorted(len(v.uns.Tables()), nil, func(uns *unsorted.Store) error {
+		return p.commitMergeLocked(v, m, uns)
+	})
 }
 
-// mergeTables merges snap (a prefix of the UnsortedStore in flush order)
-// and the SortedStore run into a new sorted run: keys are merge-sorted
-// with the existing run; values of incoming (hot-tier) records are
-// appended to the value log and replaced by pointers; existing pointers
-// are carried through untouched.
-//
-// locked means the caller already holds p.mu for writing and owns the
-// whole UnsortedStore (snap is all of it). Otherwise the build runs
-// without the lock — the SortedStore and the snapshot are stable because
-// structural jobs are serialized by maintMu and flushes only append —
-// and the commit re-locks to install the new run, keeping whatever
-// tables were flushed after the snapshot.
-func (p *partition) mergeTables(snap []*unsorted.Table, locked bool) error {
-	if len(snap) == 0 {
-		return nil
-	}
-	db := p.db
+// mergeBuild is a merge between its build and its commit: the new sorted
+// run, the logs its separated values landed in, and the append-window pin.
+type mergeBuild struct {
+	p      *partition
+	w      *tableWriter
+	tables []*sorted.Table
+	logs   map[uint32]bool
+	pin    uint64
+}
 
+// close drops what the build held for the commit.
+func (m *mergeBuild) close() {
+	m.w.close()
+	m.p.db.vl.Unpin(m.pin)
+}
+
+// buildMerge merges v's unsorted tables (a prefix of the UnsortedStore in
+// flush order) and its SortedStore run into a new sorted run: keys are
+// merge-sorted with the existing run; values of incoming (hot-tier) records
+// are appended to the value log and replaced by pointers; existing pointers
+// are carried through untouched. It touches only new files, and returns
+// nil with nothing to merge.
+func (p *partition) buildMerge(v *version) (*mergeBuild, error) {
+	if v.unsTables == 0 {
+		return nil, nil
+	}
 	// Separated values land in the shared active log, which can rotate
 	// mid-merge; their pointers become visible only at commit. Pin the
 	// append window so a concurrent GC in another partition does not
 	// collect the logs we are writing into.
-	pin := db.vl.Pin()
-	defer db.vl.Unpin(pin)
+	m := &mergeBuild{p: p, w: p.newTableWriter(p.dir), pin: p.db.vl.Pin()}
+	if err := m.run(v); err != nil {
+		m.close()
+		return nil, err
+	}
+	return m, nil
+}
 
+func (m *mergeBuild) run(v *version) (err error) {
+	p, db := m.p, m.p.db
+	snap := v.uns.Tables()
 	iters := make([]recIter, 0, len(snap)+1)
 	for _, t := range snap {
 		iters = append(iters, t.Reader.NewMaintIterator())
 	}
-	iters = append(iters, p.srt.NewMaintIterator())
-	m := newMergeIter(iters)
+	iters = append(iters, v.srt.NewMaintIterator())
+	mi := newMergeIter(iters)
 
-	w := p.newTableWriter(p.dir)
-	sep := p.newSeparator(w)
+	sep := p.newSeparator(m.w)
+	m.logs = sep.logs
 	var lastKey []byte
-	for ok := m.First(); ok; ok = m.Next() {
-		rec := m.Record()
+	for ok := mi.First(); ok; ok = mi.Next() {
+		rec := mi.Record()
 		if lastKey != nil && codec.Compare(rec.Key, lastKey) == 0 {
 			// Shadowed version: if it pointed into a log, that value is
 			// now garbage.
@@ -285,6 +311,84 @@ func (p *partition) mergeTables(snap []*unsorted.Table, locked bool) error {
 	if err := sep.flush(); err != nil {
 		return err
 	}
+	if err := itersErr(iters); err != nil {
+		return err
+	}
+	if m.tables, err = m.w.finish(); err != nil {
+		return err
+	}
+	if err := db.vl.Sync(); err != nil {
+		return err
+	}
+	// Make the new run's directory entries durable before the commit
+	// references them (vl.Sync above covered the value-log directory).
+	return db.fs.SyncDir(p.dir)
+}
+
+// commitMergeLocked installs a merge of v's tables: uns holds the tables
+// flushed behind them, which stay in the UnsortedStore. Requires p.mu held
+// for writing.
+func (p *partition) commitMergeLocked(v *version, m *mergeBuild, uns *unsorted.Store) error {
+	db := p.db
+	// Log set: keep everything previously referenced (their pointers were
+	// carried through) plus the logs the new values landed in.
+	next := p.cur.Load().successor()
+	next.uns, next.srt, next.logs = uns, sorted.New(m.tables), mergeLogs(next.logs, m.logs)
+	if err := db.man.Apply(
+		manifest.SetUnsorted(p.id, unsortedMetas(uns.Tables())),
+		manifest.SetSorted(p.id, tableMetas(m.tables)),
+		manifest.SetLogs(p.id, next.logs),
+		manifest.SetHashCkpt(p.id, 0),
+		manifest.LastSeq(db.seq.Load()),
+		db.nextFileEdit(),
+	); err != nil {
+		return err
+	}
+	for _, t := range v.uns.Tables() {
+		db.markObsolete(p.dir, t.Meta.FileNum, t.Reader)
+	}
+	for _, t := range v.srt.Tables() {
+		db.markObsolete(p.dir, t.Meta.FileNum, t.Reader)
+	}
+	p.publish(next)
+	p.dropHashCkptLocked()
+	db.stats.Merges.Add(1)
+	return nil
+}
+
+// replaceUnsorted commits a background merge or scan merge of the first
+// merged unsorted tables: it rebuilds the UnsortedStore — reading tables —
+// in front of the partition lock and runs commit under it, holding flushMu
+// across both so that no flush lands a table the new store would miss.
+func (p *partition) replaceUnsorted(merged int, head *unsorted.Table, commit func(*unsorted.Store) error) error {
+	p.flushMu.Lock()
+	defer p.flushMu.Unlock()
+	uns, err := p.rebuildUnsorted(merged, head)
+	if err != nil {
+		return err
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return commit(uns)
+}
+
+// rebuildUnsorted builds the UnsortedStore a merge or scan merge installs:
+// head (nil when the merged tables drain into the SortedStore) followed by
+// whatever was flushed behind the first merged tables, under a fresh hash
+// index and view (local IDs are positional). It reads those tables, which
+// is why the background jobs call it in front of the partition lock (see
+// replaceUnsorted) and commit in memory.
+func (p *partition) rebuildUnsorted(merged int, head *unsorted.Table) (*unsorted.Store, error) {
+	uns := p.cur.Load().uns // maintMu plus flushMu (or p.mu) pin its table list
+	var tables []*unsorted.Table
+	if head != nil {
+		tables = append(tables, head)
+	}
+	return uns.Rebuild(append(tables, uns.Tables()[merged:]...))
+}
+
+// itersErr returns the first error a merge's input iterators ran into.
+func itersErr(iters []recIter) error {
 	for _, it := range iters {
 		if e, ok := it.(interface{ Err() error }); ok {
 			if err := e.Err(); err != nil {
@@ -292,72 +396,6 @@ func (p *partition) mergeTables(snap []*unsorted.Table, locked bool) error {
 			}
 		}
 	}
-	tables, err := w.finish()
-	if err != nil {
-		return err
-	}
-	if err := db.vl.Sync(); err != nil {
-		return err
-	}
-
-	if !locked {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-	}
-
-	// Log set: keep everything previously referenced (their pointers were
-	// carried through) plus the logs the new values landed in.
-	var added []uint32
-	for n := range sep.logs {
-		if !p.logs[n] {
-			p.logs[n] = true
-			added = append(added, n)
-		}
-	}
-
-	// Tables flushed after the snapshot stay in the UnsortedStore (their
-	// local IDs are positional, so removing the merged prefix rebuilds
-	// the index over the survivors).
-	remaining := append([]*unsorted.Table(nil), p.uns.Tables()[len(snap):]...)
-	oldSorted := p.srt.Tables()
-	oldCkpt := p.hashCkpt
-
-	// Make the new run's directory entries durable before the commit
-	// references them (vl.Sync above covered the value-log directory).
-	if err := db.fs.SyncDir(p.dir); err != nil {
-		return err
-	}
-	if err := db.man.Apply(
-		manifest.SetUnsorted(p.id, unsortedMetas(remaining)),
-		manifest.SetSorted(p.id, tableMetas(tables)),
-		manifest.SetLogs(p.id, p.logsSliceLocked()),
-		manifest.SetHashCkpt(p.id, 0),
-		manifest.LastSeq(db.seq.Load()),
-		db.nextFileEdit(),
-	); err != nil {
-		return err
-	}
-	db.retainLogs(added)
-
-	// Swap in-memory state, then retire the replaced tables (deleted when
-	// the last owner — possibly a pinned snapshot — closes them).
-	if err := p.uns.ReplaceTables(remaining); err != nil {
-		//unikv:allow(refpair) the manifest above already committed the added logs; the retention mirrors durable state, and releasing it here would let GC delete logs the manifest references
-		return err
-	}
-	p.srt.ReplaceAll(tables)
-	p.hashCkpt = 0
-	p.flushesSinceCkpt = 0
-	for _, t := range snap {
-		db.retireTable(p.dir, t.Meta.FileNum, t.Reader)
-	}
-	for _, t := range oldSorted {
-		db.retireTable(p.dir, t.Meta.FileNum, t.Reader)
-	}
-	if oldCkpt != 0 {
-		db.fs.Remove(ckptName(p.dir, oldCkpt))
-	}
-	db.stats.Merges.Add(1)
 	return nil
 }
 
@@ -394,29 +432,45 @@ func (p *partition) accountGarbage(rec record.Record) {
 // (they still shadow the SortedStore).
 
 func (p *partition) scanMergeLocked() error {
-	return p.scanMergeTables(p.uns.Tables(), true)
+	v := p.cur.Load()
+	tbl, err := p.buildScanMerge(v)
+	if tbl == nil {
+		return err
+	}
+	defer tbl.Reader.Close()
+	uns, err := p.rebuildUnsorted(len(v.uns.Tables()), tbl)
+	if err != nil {
+		return err
+	}
+	return p.commitScanMergeLocked(v, uns)
 }
 
-// backgroundScanMerge is the scan-merge job (snapshot semantics as in
-// backgroundMerge).
+// backgroundScanMerge is the scan-merge job (version pinned as in
+// backgroundMerge). The merged table takes the oldest position and
+// later-flushed tables keep shadowing it, preserving newest-first probe
+// order.
 func (p *partition) backgroundScanMerge() error {
-	p.mu.RLock()
-	if p.db.opts.DisableScanMerge || p.uns.NumTables() < p.db.opts.ScanMergeLimit {
-		p.mu.RUnlock()
+	v := p.acquire()
+	defer v.release()
+	if p.db.opts.DisableScanMerge || v.unsTables < p.db.opts.ScanMergeLimit {
 		return nil
 	}
-	snap := append([]*unsorted.Table(nil), p.uns.Tables()...)
-	p.mu.RUnlock()
-	return p.scanMergeTables(snap, false)
+	tbl, err := p.buildScanMerge(v)
+	if tbl == nil {
+		return err
+	}
+	defer tbl.Reader.Close()
+	return p.replaceUnsorted(len(v.uns.Tables()), tbl, func(uns *unsorted.Store) error {
+		return p.commitScanMergeLocked(v, uns)
+	})
 }
 
-// scanMergeTables compacts snap into a single table that keeps tombstones
-// and inline values. In background mode the merged table takes the oldest
-// position and later-flushed tables keep shadowing it, preserving
-// newest-first probe order.
-func (p *partition) scanMergeTables(snap []*unsorted.Table, locked bool) error {
+// buildScanMerge compacts v's unsorted tables into a single table that
+// keeps tombstones and inline values; nil with fewer than two.
+func (p *partition) buildScanMerge(v *version) (*unsorted.Table, error) {
+	snap := v.uns.Tables()
 	if len(snap) <= 1 {
-		return nil
+		return nil, nil
 	}
 	db := p.db
 
@@ -427,10 +481,9 @@ func (p *partition) scanMergeTables(snap []*unsorted.Table, locked bool) error {
 	m := newMergeIter(iters)
 
 	num := db.allocFileNum()
-	name := tableName(p.dir, num)
-	f, err := db.fs.Create(name)
+	f, err := db.fs.Create(tableName(p.dir, num))
 	if err != nil {
-		return err
+		return nil, err
 	}
 	b := sstable.NewBuilder(f, sstable.BuilderOptions{BlockSize: db.opts.BlockSize})
 	var lastKey []byte
@@ -442,66 +495,48 @@ func (p *partition) scanMergeTables(snap []*unsorted.Table, locked bool) error {
 		lastKey = rec.Key // aliases an immutable block
 		b.Add(rec)
 	}
-	for _, it := range iters {
-		if e, ok := it.(interface{ Err() error }); ok {
-			if err := e.Err(); err != nil {
-				f.Close()
-				return err
-			}
-		}
+	if err := itersErr(iters); err != nil {
+		f.Close()
+		return nil, err
 	}
 	props, err := b.Finish()
 	if err != nil {
 		f.Close()
-		return err
+		return nil, err
 	}
 	if err := f.Close(); err != nil {
-		return err
+		return nil, err
 	}
-	rf, err := db.fs.Open(name)
+	meta := tableMeta(num, props)
+	rdr, err := db.openTable(p.dir, meta)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	rdr, err := sstable.Open(rf)
-	if err != nil {
-		rf.Close()
-		return err
-	}
-	rdr.SetCache(db.cache, num)
-	meta := manifest.TableMeta{
-		FileNum: num, Size: props.Size, Count: props.Count,
-		Smallest: props.Smallest, Largest: props.Largest,
-		MinSeq: props.MinSeq, MaxSeq: props.MaxSeq,
-	}
-
-	if !locked {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-	}
-	newSet := append([]*unsorted.Table{{Meta: meta, Reader: rdr}},
-		p.uns.Tables()[len(snap):]...)
-	oldCkpt := p.hashCkpt
 	if err := db.fs.SyncDir(p.dir); err != nil {
-		return err
+		rdr.Close()
+		return nil, err
 	}
+	return &unsorted.Table{Meta: meta, Reader: rdr}, nil
+}
+
+// commitScanMergeLocked installs uns, the merged table plus whatever was
+// flushed behind v's tables. Requires p.mu held for writing.
+func (p *partition) commitScanMergeLocked(v *version, uns *unsorted.Store) error {
+	db := p.db
 	if err := db.man.Apply(
-		manifest.SetUnsorted(p.id, unsortedMetas(newSet)),
+		manifest.SetUnsorted(p.id, unsortedMetas(uns.Tables())),
 		manifest.SetHashCkpt(p.id, 0),
 		db.nextFileEdit(),
 	); err != nil {
 		return err
 	}
-	if err := p.uns.ReplaceTables(newSet); err != nil {
-		return err
+	for _, t := range v.uns.Tables() {
+		db.markObsolete(p.dir, t.Meta.FileNum, t.Reader)
 	}
-	p.hashCkpt = 0
-	p.flushesSinceCkpt = 0
-	for _, t := range snap {
-		db.retireTable(p.dir, t.Meta.FileNum, t.Reader)
-	}
-	if oldCkpt != 0 {
-		db.fs.Remove(ckptName(p.dir, oldCkpt))
-	}
+	next := p.cur.Load().successor()
+	next.uns = uns
+	p.publish(next)
+	p.dropHashCkptLocked()
 	db.stats.ScanMerges.Add(1)
 	return nil
 }

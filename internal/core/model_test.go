@@ -26,6 +26,7 @@ func TestQuickModel(t *testing.T) {
 			return false
 		}
 		defer func() { db.Close() }()
+		watchGauges(t, db, true) // inline, one goroutine: exact at every publish
 		model := map[string]string{}
 		keyOf := func() string { return fmt.Sprintf("key-%04d", rnd.Intn(400)) }
 
@@ -98,6 +99,7 @@ func TestQuickModel(t *testing.T) {
 						t.Logf("reopen: %v", err)
 						return false
 					}
+					watchGauges(t, db, true)
 				}
 			}
 		}

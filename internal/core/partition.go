@@ -17,35 +17,37 @@ import (
 	"unikv/internal/wal"
 )
 
-// partition is one range partition: memtable + WAL + UnsortedStore +
-// SortedStore + references to value logs. Its RWMutex serializes writers
-// and structural changes (flush/merge/GC/split) against readers.
+// partition is one range partition: a WAL and the published version naming
+// its memtables, UnsortedStore, SortedStore and value logs (see version.go).
+// mu serializes what changes the partition — the WAL, memtable insertion,
+// sequence assignment, installing a version; reads take no partition lock.
 type partition struct {
 	db    *DB
 	id    uint32
 	dir   string
-	lower []byte // inclusive; nil/empty = -inf
-	upper []byte // exclusive; nil = +inf
+	lower []byte // inclusive; nil/empty = -inf; fixed at creation
 
 	// maintMu serializes structural background jobs (merge/scan-merge/
 	// GC/split) on this partition; flushMu serializes flushes (a flush
-	// may run concurrently with a structural job, but not with a split
-	// or a user-driven Flush draining the immutable queue). Both are
+	// may run concurrently with a structural job, but not with a split,
+	// a user-driven Flush draining the immutable queue, or the moment a
+	// structural job rebuilds the UnsortedStore for its commit). Both are
 	// acquired before mu; see scheduler.go for the full lock order.
 	maintMu sync.Mutex
 	flushMu sync.Mutex
 
+	// cur is the current version, stored only by publish.
+	cur atomic.Pointer[version]
+
 	mu       sync.RWMutex
-	mem      *memtable.Memtable
-	imm      []*memtable.Memtable // frozen, flush-pending; oldest first
-	immWALs  []uint64             // WAL file per frozen memtable (0 = none)
+	immWALs  []uint64 // WAL file per frozen memtable of cur.imm (0 = none)
 	wal      *wal.Writer
 	walNum   uint64
 	walBuf   []byte // WAL record encoding scratch, reused under mu
-	uns      *unsorted.Store
-	srt      *sorted.Store
-	logs     map[uint32]bool // referenced value logs
-	hashCkpt uint64          // current checkpoint file number (0 = none)
+	hashCkpt uint64 // current checkpoint file number (0 = none)
+	// splitting is non-nil while the partition splits: a writer that finds
+	// it lets go of mu, waits for it to be closed and routes again.
+	splitting chan struct{}
 
 	flushesSinceCkpt int
 	garbageBytes     atomic.Int64 // dead value bytes attributed to this partition
@@ -61,28 +63,15 @@ type partition struct {
 	stallCh chan struct{} // closed to wake throttled writers
 }
 
-// covers reports whether key belongs to this partition.
-func (p *partition) covers(key []byte) bool {
-	if codec.Compare(key, p.lower) < 0 && len(p.lower) > 0 {
-		return false
-	}
-	if p.upper != nil && codec.Compare(key, p.upper) >= 0 {
-		return false
-	}
-	return true
-}
-
 func newMemtable() *memtable.Memtable { return memtable.New() }
 
-// initEmptyStores sets up fresh in-memory components.
-func (p *partition) initEmptyStores() error {
-	p.mem = newMemtable()
-	p.uns = unsorted.New(p.db.opts.HashBuckets)
-	p.uns.DisableIndex = p.db.opts.DisableHashIndex
-	p.uns.DisableView = p.db.opts.SortedViewOff
-	p.srt = sorted.New()
-	p.logs = make(map[uint32]bool)
-	return nil
+// emptyVersion returns an unpublished version with fresh, empty components
+// up to upper.
+func (p *partition) emptyVersion(upper []byte) *version {
+	opts := &p.db.opts
+	return &version{p: p, upper: upper, mem: newMemtable(),
+		uns: unsorted.New(opts.HashBuckets, opts.DisableHashIndex, opts.SortedViewOff),
+		srt: sorted.New(nil)}
 }
 
 // newWALLocked creates a fresh WAL file (no manifest commit; callers batch
@@ -130,8 +119,8 @@ func (p *partition) rotateWALLocked() error {
 	return nil
 }
 
-// replayWAL loads the partition's WAL into the memtable.
-func (p *partition) replayWAL(num uint64) error {
+// replayWAL loads WAL file num into mem.
+func (p *partition) replayWAL(num uint64, mem *memtable.Memtable) error {
 	f, err := p.db.fs.Open(walName(p.dir, num))
 	if err != nil {
 		return err
@@ -154,7 +143,7 @@ func (p *partition) replayWAL(num uint64) error {
 				// here (everything before is intact).
 				return nil
 			}
-			p.mem.Put(rec) // the memtable copies; rec aliases data
+			mem.Put(rec) // the memtable copies; rec aliases data
 		}
 	}
 }
@@ -186,14 +175,10 @@ func (p *partition) ensureWALLocked() error {
 // still holds. Until this succeeds the partition rejects writes.
 func (p *partition) retireTornWALLocked() error {
 	switch {
-	case p.mem.Empty():
+	case p.cur.Load().mem.Empty():
 		return p.rotateWALLocked()
 	case p.db.sched != nil:
-		if err := p.freezeMemLocked(); err != nil {
-			return err
-		}
-		p.db.sched.enqueue(p, jobFlush)
-		return nil
+		return p.freezeMemLocked()
 	}
 	return p.flushLocked()
 }
@@ -232,91 +217,58 @@ func (p *partition) putBatch(recs []record.Record) (wantSplit bool, err error) {
 			}
 		}
 	}
+	mem := p.cur.Load().mem // after ensureWALLocked, which may publish
 	for _, rec := range recs {
-		p.mem.Put(rec)
+		mem.Put(rec)
 	}
 	return p.afterWriteLocked()
 }
 
-// afterWriteLocked runs the scheduling that follows a write. Inline mode
-// (no scheduler): flush at MemtableSize, merge at UnsortedLimit (then
-// maybe GC, then report a split wish), size-based scan merge at
-// ScanMergeLimit — all synchronously, under the lock. Background mode:
-// freeze the full memtable onto the immutable queue and hand everything
-// else to the worker pool.
+// afterWriteLocked runs the scheduling that follows a write, once the
+// memtable is full. Inline mode (no scheduler): flush, then merge at
+// UnsortedLimit (then maybe GC, then report a split wish) or a size-based
+// scan merge at ScanMergeLimit — all synchronously, under the lock.
+// Background mode: freeze the memtable onto the immutable queue and hand
+// everything else to the worker pool. Each step publishes a version, and
+// the triggers are read off the version it published.
 func (p *partition) afterWriteLocked() (wantSplit bool, err error) {
-	if p.mem.Size() < p.db.opts.MemtableSize {
+	opts := &p.db.opts
+	if p.cur.Load().mem.Size() < opts.MemtableSize {
 		return false, nil
 	}
 	if p.db.sched != nil {
-		if err := p.freezeMemLocked(); err != nil {
-			return false, err
-		}
-		p.db.sched.enqueue(p, jobFlush)
-		return false, nil
+		return false, p.freezeMemLocked()
 	}
 	if err := p.flushLocked(); err != nil {
 		return false, err
 	}
-	if p.uns.SizeBytes() >= p.db.opts.UnsortedLimit {
+	v := p.cur.Load()
+	if v.unsBytes >= opts.UnsortedLimit {
 		if err := p.mergeLocked(); err != nil {
 			return false, err
 		}
 		if err := p.maybeGCLocked(); err != nil {
 			return false, err
 		}
-		return p.sizeLocked() >= p.db.opts.PartitionSizeLimit && !p.db.opts.DisablePartitioning, nil
+		return p.cur.Load().size >= opts.PartitionSizeLimit && !opts.DisablePartitioning, nil
 	}
-	if !p.db.opts.DisableScanMerge && p.uns.NumTables() >= p.db.opts.ScanMergeLimit {
-		if err := p.scanMergeLocked(); err != nil {
-			return false, err
-		}
+	if !opts.DisableScanMerge && v.unsTables >= opts.ScanMergeLimit {
+		return false, p.scanMergeLocked()
 	}
 	return false, nil
 }
 
-// logBytesLocked estimates the value-log bytes attributable to this
-// partition: each referenced log's size divided by its number of
-// referencing partitions (a log shared after a split counts half to each
-// child until their lazy value splits disentangle it).
-func (p *partition) logBytesLocked() int64 {
-	var size int64
-	p.db.logRefs.Lock()
-	for n := range p.logs {
-		refs := p.db.logRefs.refs[n]
-		if refs < 1 {
-			refs = 1
-		}
-		size += p.db.vl.SizeOf(n) / int64(refs)
-	}
-	p.db.logRefs.Unlock()
-	return size
-}
-
-// immBytesLocked sums the frozen memtables' sizes.
-func (p *partition) immBytesLocked() int64 {
-	var size int64
-	for _, m := range p.imm {
-		size += m.Size()
-	}
-	return size
-}
-
-// sizeLocked returns the partition's data footprint: table bytes, memtable
-// bytes (live and frozen), and its attributed share of the value-log
-// bytes.
-func (p *partition) sizeLocked() int64 {
-	return p.uns.SizeBytes() + p.srt.SizeBytes() + p.mem.Size() + p.immBytesLocked() + p.logBytesLocked()
-}
-
-// freezeMemLocked moves the full memtable (and its WAL) onto the immutable
-// queue and installs a fresh memtable + WAL. No manifest edit happens
-// here: file numbers are allocated monotonically, so recovery replays the
-// committed WAL plus every later-numbered WAL file in the directory, and
-// each flush commit advances the manifest pointer to the oldest WAL still
-// holding unflushed data.
+// freezeMemLocked moves the live memtable (and its WAL) onto the immutable
+// queue, installs a fresh memtable + WAL, and — background mode's trigger
+// point on the write path — has the scheduler look at the version this
+// published, which queues the flush. No manifest edit happens here: file
+// numbers are allocated monotonically, so recovery replays the committed
+// WAL plus every later-numbered WAL file in the directory, and each flush
+// commit advances the manifest pointer to the oldest WAL still holding
+// unflushed data.
 func (p *partition) freezeMemLocked() error {
-	if p.mem.Empty() {
+	v := p.cur.Load()
+	if v.mem.Empty() {
 		return nil
 	}
 	frozenWAL := p.walNum
@@ -332,9 +284,12 @@ func (p *partition) freezeMemLocked() error {
 	} else {
 		frozenWAL = 0
 	}
-	p.imm = append(p.imm, p.mem)
+	next := v.successor()
+	next.imm = append(v.imm[:len(v.imm):len(v.imm)], v.mem)
+	next.mem = newMemtable()
 	p.immWALs = append(p.immWALs, frozenWAL)
-	p.mem = newMemtable()
+	p.publish(next)
+	p.db.checkMaintenance(p)
 	return nil
 }
 
@@ -390,20 +345,10 @@ func (p *partition) buildTable(mem *memtable.Memtable) (*unsorted.Table, [][]byt
 	if err := f.Close(); err != nil {
 		return nil, nil, nil, err
 	}
-	rf, err := p.db.fs.Open(name)
+	meta := tableMeta(num, props)
+	rdr, err := p.db.openTable(p.dir, meta)
 	if err != nil {
 		return nil, nil, nil, err
-	}
-	rdr, err := sstable.Open(rf)
-	if err != nil {
-		rf.Close()
-		return nil, nil, nil, err
-	}
-	rdr.SetCache(p.db.cache, num)
-	meta := manifest.TableMeta{
-		FileNum: num, Size: props.Size, Count: props.Count,
-		Smallest: props.Smallest, Largest: props.Largest,
-		MinSeq: props.MinSeq, MaxSeq: props.MaxSeq,
 	}
 	return &unsorted.Table{Meta: meta, Reader: rdr}, keys, entries, nil
 }
@@ -411,10 +356,16 @@ func (p *partition) buildTable(mem *memtable.Memtable) (*unsorted.Table, [][]byt
 // flushLocked writes the live memtable to a new UnsortedStore table,
 // commits it, rotates the WAL, and checkpoints the hash index on schedule.
 func (p *partition) flushLocked() error {
-	if p.mem.Empty() {
+	v := p.cur.Load()
+	if v.mem.Empty() {
 		return nil
 	}
-	tbl, keys, entries, err := p.buildTable(p.mem)
+	tbl, keys, entries, err := p.buildTable(v.mem)
+	if err != nil {
+		return err
+	}
+	defer tbl.Reader.Close() // the build's reference; the version holds its own
+	uns, err := v.uns.WithTable(tbl, keys, entries)
 	if err != nil {
 		return err
 	}
@@ -422,10 +373,7 @@ func (p *partition) flushLocked() error {
 	// Rotate the WAL under the same commit so replay never duplicates the
 	// flushed data.
 	oldWAL := p.walNum
-	edits := []manifest.Edit{
-		manifest.AddUnsorted(p.id, tbl.Meta),
-		manifest.LastSeq(p.db.seq.Load()),
-	}
+	var setWAL []manifest.Edit
 	if p.wal != nil {
 		p.wal.Sync()
 		p.wal.Close()
@@ -435,124 +383,116 @@ func (p *partition) flushLocked() error {
 		if err := p.newWALLocked(); err != nil {
 			return err
 		}
-		edits = append(edits, manifest.SetWAL(p.id, p.walNum))
+		setWAL = append(setWAL, manifest.SetWAL(p.id, p.walNum))
 	}
-	edits = append(edits, p.db.nextFileEdit())
 	// Make the new table's directory entry durable before the manifest
 	// commit references it.
 	if err := p.db.fs.SyncDir(p.dir); err != nil {
 		return err
 	}
-	if err := p.db.man.Apply(edits...); err != nil {
-		return err
-	}
-	if oldWAL != 0 {
-		p.db.fs.Remove(walName(p.dir, oldWAL))
-	}
-	if err := p.uns.AddTable(tbl, keys, entries); err != nil {
-		return err
-	}
-	p.mem = newMemtable()
-	p.db.stats.Flushes.Add(1)
-
-	// Periodic hash-index checkpoint (paper: every UnsortedLimit/2 worth
-	// of flushed tables).
-	p.flushesSinceCkpt++
-	if !p.db.opts.DisableHashCkpt && p.flushesSinceCkpt >= p.db.opts.HashCheckpointEvery {
-		if err := p.checkpointHashLocked(); err != nil {
-			return err
-		}
-	}
-	return nil
+	next := v.successor()
+	next.mem, next.uns = newMemtable(), uns
+	return p.commitFlushLocked(next, tbl, setWAL, oldWAL)
 }
 
-// commitImmLocked installs a table built from the oldest frozen memtable:
-// one manifest batch adds the table and advances the WAL pointer to the
-// oldest WAL still holding unflushed data, then the memtable leaves the
-// queue and its WAL file is removed. Requires p.mu held for writing.
-func (p *partition) commitImmLocked(tbl *unsorted.Table, keys [][]byte, entries []sortedview.Entry) error {
-	oldWAL := p.immWALs[0]
-	nextWAL := p.walNum
-	if len(p.immWALs) > 1 {
-		nextWAL = p.immWALs[1]
-	}
-	edits := []manifest.Edit{
+// commitFlushLocked commits a flushed table — one manifest batch adds it
+// and moves the WAL pointer — then publishes next, removes the WAL the
+// table made redundant and checkpoints the hash index on schedule (the
+// paper: every UnsortedLimit/2 worth of flushed tables). Requires p.mu held
+// for writing and the table's directory entry synced.
+func (p *partition) commitFlushLocked(next *version, tbl *unsorted.Table, setWAL []manifest.Edit, oldWAL uint64) error {
+	edits := append([]manifest.Edit{
 		manifest.AddUnsorted(p.id, tbl.Meta),
 		manifest.LastSeq(p.db.seq.Load()),
-	}
-	if nextWAL != 0 {
-		edits = append(edits, manifest.SetWAL(p.id, nextWAL))
-	}
-	edits = append(edits, p.db.nextFileEdit())
-	if err := p.db.fs.SyncDir(p.dir); err != nil {
-		tbl.Reader.Close()
+	}, setWAL...)
+	if err := p.db.man.Apply(append(edits, p.db.nextFileEdit())...); err != nil {
 		return err
 	}
-	if err := p.db.man.Apply(edits...); err != nil {
-		tbl.Reader.Close()
-		return err
-	}
-	if err := p.uns.AddTable(tbl, keys, entries); err != nil {
-		return err
-	}
-	p.imm = p.imm[1:]
-	p.immWALs = p.immWALs[1:]
+	p.immWALs = p.immWALs[len(p.immWALs)-len(next.imm):] // a flushed memtable's WAL leaves with it
+	p.publish(next)
 	if oldWAL != 0 {
 		p.db.fs.Remove(walName(p.dir, oldWAL))
 	}
 	p.db.stats.Flushes.Add(1)
 	p.flushesSinceCkpt++
-	if !p.db.opts.DisableHashCkpt && p.flushesSinceCkpt >= p.db.opts.HashCheckpointEvery {
-		if err := p.checkpointHashLocked(); err != nil {
-			return err
-		}
+	if p.db.opts.DisableHashCkpt || p.flushesSinceCkpt < p.db.opts.HashCheckpointEvery {
+		return nil
 	}
-	return nil
+	return p.checkpointHashLocked()
 }
 
-// backgroundFlush is the flush job: it builds the table from the oldest
-// frozen memtable without the partition lock (readers keep hitting the
-// frozen memtable meanwhile) and takes the lock only to commit.
+// backgroundFlush is the flush job.
 func (p *partition) backgroundFlush() error {
 	p.flushMu.Lock()
 	defer p.flushMu.Unlock()
-	p.mu.RLock()
-	if len(p.imm) == 0 {
-		p.mu.RUnlock()
+	v := p.acquire()
+	defer v.release()
+	if len(v.imm) == 0 {
 		return nil
 	}
-	mem := p.imm[0]
-	p.mu.RUnlock()
-
-	tbl, keys, entries, err := p.buildTable(mem)
-	if err != nil {
-		return err
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.commitImmLocked(tbl, keys, entries)
+	return p.flushImm(v, false)
 }
 
 // drainImmLocked flushes every frozen memtable, oldest first. Requires
 // p.mu; callers racing the worker pool (Flush, CompactAll, split) must
 // also hold flushMu so no flush job is mid-build.
 func (p *partition) drainImmLocked() error {
-	for len(p.imm) > 0 {
-		tbl, keys, entries, err := p.buildTable(p.imm[0])
-		if err != nil {
-			return err
-		}
-		if err := p.commitImmLocked(tbl, keys, entries); err != nil {
+	for v := p.cur.Load(); len(v.imm) > 0; v = p.cur.Load() {
+		if err := p.flushImm(v, true); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
+// flushImm flushes v's oldest frozen memtable: it builds the table, extends
+// the UnsortedStore and syncs the directory entry — without the partition
+// lock unless the caller already holds it (locked); readers keep hitting
+// the frozen memtable meanwhile — and takes the lock only to commit: the
+// manifest's WAL pointer advances to the oldest WAL still holding unflushed
+// data and the memtable leaves the queue.
+func (p *partition) flushImm(v *version, locked bool) error {
+	tbl, keys, entries, err := p.buildTable(v.imm[0])
+	if err != nil {
+		return err
+	}
+	defer tbl.Reader.Close()
+	uns, err := v.uns.WithTable(tbl, keys, entries)
+	if err != nil {
+		return err
+	}
+	if err := p.db.fs.SyncDir(p.dir); err != nil {
+		return err
+	}
+	if !locked {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+	}
+	cur := p.cur.Load()
+	if cur.uns != v.uns {
+		// A structural job, or the first scan's view, replaced the store
+		// while the table was built: extend the current one. In memory.
+		if uns, err = cur.uns.WithTable(tbl, keys, entries); err != nil {
+			return err
+		}
+	}
+	var setWAL []manifest.Edit
+	nextWAL := p.walNum
+	if len(p.immWALs) > 1 {
+		nextWAL = p.immWALs[1]
+	}
+	if nextWAL != 0 {
+		setWAL = append(setWAL, manifest.SetWAL(p.id, nextWAL))
+	}
+	next := cur.successor()
+	next.imm, next.uns = cur.imm[1:], uns
+	return p.commitFlushLocked(next, tbl, setWAL, p.immWALs[0])
+}
+
 // checkpointHashLocked persists the hash index and commits the pointer.
 func (p *partition) checkpointHashLocked() error {
 	num := p.db.allocFileNum()
-	if err := p.uns.Checkpoint(p.db.fs, ckptName(p.dir, num)); err != nil {
+	if err := p.cur.Load().uns.Checkpoint(p.db.fs, ckptName(p.dir, num)); err != nil {
 		return err
 	}
 	old := p.hashCkpt
@@ -573,75 +513,46 @@ func (p *partition) checkpointHashLocked() error {
 	return nil
 }
 
-// closeTablesLocked releases all table readers (Close path).
-func (p *partition) closeTablesLocked() {
-	for _, t := range p.uns.Tables() {
-		t.Reader.Close()
+// dropHashCkptLocked forgets the hash checkpoint a commit that replaced the
+// UnsortedStore's tables (and set the manifest's pointer to 0) made stale.
+func (p *partition) dropHashCkptLocked() {
+	if p.hashCkpt != 0 {
+		p.db.fs.Remove(ckptName(p.dir, p.hashCkpt))
 	}
-	for _, t := range p.srt.Tables() {
-		t.Reader.Close()
+	p.hashCkpt = 0
+	p.flushesSinceCkpt = 0
+}
+
+// markObsolete arranges for a table the current commit replaced to be
+// deleted when its last holder — the version being replaced, or an older
+// one a reader or snapshot still pins — lets go of it. Call it before the
+// publish that drops the table. Removal is best effort; the orphan sweep
+// covers failures.
+func (db *DB) markObsolete(dir string, num uint64, r *sstable.Reader) {
+	fs, name := db.fs, tableName(dir, num)
+	r.SetRetire(func() { fs.Remove(name) })
+}
+
+// tableMeta is the manifest entry of table num, just built with props.
+func tableMeta(num uint64, props sstable.Props) manifest.TableMeta {
+	return manifest.TableMeta{
+		FileNum: num, Size: props.Size, Count: props.Count,
+		Smallest: props.Smallest, Largest: props.Largest,
+		MinSeq: props.MinSeq, MaxSeq: props.MaxSeq,
 	}
 }
 
-// logsSliceLocked returns the referenced log set as a sorted slice for
-// manifest edits.
-func (p *partition) logsSliceLocked() []uint32 {
-	out := make([]uint32, 0, len(p.logs))
-	for n := range p.logs {
-		out = append(out, n)
+// openTable opens table tm of the partition directory pdir.
+func (db *DB) openTable(pdir string, tm manifest.TableMeta) (*sstable.Reader, error) {
+	f, err := db.fs.Open(tableName(pdir, tm.FileNum))
+	if err != nil {
+		return nil, err
 	}
-	// insertion sort; sets are small
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
+	rdr, err := sstable.Open(f)
+	if err != nil {
+		f.Close()
+		return nil, err
 	}
-	return out
-}
-
-// recoverUnsorted restores a partition's UnsortedStore.
-func (db *DB) recoverUnsorted(
-	meta *manifest.PartitionMeta,
-	ckpt string,
-	openTable func(manifest.TableMeta) (*sstable.Reader, error),
-) (*unsorted.Store, error) {
-	if db.opts.DisableHashIndex {
-		s := unsorted.New(db.opts.HashBuckets)
-		s.DisableIndex = true
-		s.DisableView = db.opts.SortedViewOff
-		if len(meta.Unsorted) > 0 {
-			// Like unsorted.Recover: defer the view rebuild to the first
-			// scan so recovery reads no table bytes here.
-			s.MarkViewStale()
-		}
-		for _, tm := range meta.Unsorted {
-			rdr, err := openTable(tm)
-			if err != nil {
-				return nil, err
-			}
-			if err := s.AddTable(&unsorted.Table{Meta: tm, Reader: rdr}, nil, nil); err != nil {
-				return nil, err
-			}
-		}
-		return s, nil
-	}
-	return unsorted.Recover(db.fs, db.opts.HashBuckets, meta.Unsorted, ckpt, db.opts.SortedViewOff, openTable)
-}
-
-// recoverSorted restores a partition's SortedStore.
-func recoverSorted(
-	meta *manifest.PartitionMeta,
-	openTable func(manifest.TableMeta) (*sstable.Reader, error),
-) (*sorted.Store, error) {
-	s := sorted.New()
-	tables := make([]*sorted.Table, 0, len(meta.Sorted))
-	for _, tm := range meta.Sorted {
-		rdr, err := openTable(tm)
-		if err != nil {
-			return nil, err
-		}
-		tables = append(tables, &sorted.Table{Meta: tm, Reader: rdr})
-	}
-	s.ReplaceAll(tables)
-	return s, nil
+	rdr.SetCache(db.cache, tm.FileNum)
+	return rdr, nil
 }

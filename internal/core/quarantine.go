@@ -21,8 +21,8 @@ import (
 // Blast-radius rules:
 //   - a corrupt table quarantines its owning partition only;
 //   - a corrupt shared value log quarantines exactly the partitions
-//     holding live pointers into it (their p.logs sets — the same
-//     bookkeeping GC uses to decide when a log is collectable);
+//     holding live pointers into it (their current versions' log sets —
+//     the bookkeeping GC uses to decide when a log is collectable);
 //   - manifest/WAL-level damage still degrades the whole DB (setDegraded):
 //     with the metadata spine suspect there is no trustworthy partition
 //     boundary to scope a quarantine to.
@@ -52,15 +52,12 @@ func (db *DB) quarantinePartition(p *partition, cause string, err error) bool {
 
 // quarantineLog quarantines every partition holding live pointers into
 // value log n, returning the IDs transitioned by this call. The owner set
-// is read under each partition's lock — the same p.logs bookkeeping that
-// keeps the log alive for GC.
+// is each partition's current version's log set — the bookkeeping that
+// keeps the log alive.
 func (db *DB) quarantineLog(n uint32, cause string, err error) []uint32 {
 	var hit []uint32
 	for _, p := range db.partitions() {
-		p.mu.RLock()
-		owns := p.logs[n]
-		p.mu.RUnlock()
-		if owns && db.quarantinePartition(p, cause, err) {
+		if p.cur.Load().hasLog(n) && db.quarantinePartition(p, cause, err) {
 			hit = append(hit, p.id)
 		}
 	}

@@ -8,20 +8,17 @@ import (
 
 	"unikv/internal/arena"
 	"unikv/internal/codec"
-	"unikv/internal/memtable"
 	"unikv/internal/record"
-	"unikv/internal/sorted"
 	"unikv/internal/sortedview"
-	"unikv/internal/unsorted"
 	"unikv/internal/vlog"
 )
 
-// maxRouteRetries bounds the route→lock→covers dance in Get, Scan, apply,
-// and ApplyBatch. A re-route is legitimate only when a concurrent split
-// moves a boundary between partitionFor and the partition lock; that
-// cannot recur this many times for one key, so exhausting the bound means
-// the router is inconsistent (see ErrRouterInconsistent) — fail instead of
-// spinning forever.
+// maxRouteRetries bounds the route→version→covers dance in Get, Scan,
+// apply, and ApplyBatch. A re-route is legitimate only when a concurrent
+// split moves a boundary between partitionFor and the look at the
+// partition's version; that cannot recur this many times for one key, so
+// exhausting the bound means the router is inconsistent (see
+// ErrRouterInconsistent) — fail instead of spinning forever.
 const maxRouteRetries = 64
 
 // Get returns the value stored for key, or ErrNotFound.
@@ -31,7 +28,8 @@ const maxRouteRetries = 64
 // boundary-key binary search; a pointer record is then dereferenced into
 // the value log. A ring miss takes a promotion token BEFORE the tiered
 // lookup so the value it reads can be installed without ever serving a
-// concurrently overwritten value (see internal/hotring).
+// concurrently overwritten value (see internal/hotring). The lookup runs
+// on a pinned version of the partition and takes no partition lock.
 func (db *DB) Get(key []byte) ([]byte, error) {
 	if db.closed.Load() {
 		return nil, ErrClosed
@@ -46,13 +44,13 @@ func (db *DB) Get(key []byte) ([]byte, error) {
 	warm := tok.Warm || db.hot == nil
 	for tries := 0; tries < maxRouteRetries; tries++ {
 		p := db.partitionFor(key)
-		p.mu.RLock()
-		if !p.covers(key) {
-			p.mu.RUnlock()
+		v := p.acquire()
+		if !v.covers(key) {
+			v.release()
 			continue
 		}
-		val, err := p.getLocked(key, warm)
-		p.mu.RUnlock()
+		val, err := v.get(key, math.MaxUint64, warm)
+		v.release()
 		if err == nil && tok.Promote {
 			db.hot.Install(tok, key, val)
 		}
@@ -65,27 +63,30 @@ func (db *DB) Get(key []byte) ([]byte, error) {
 	return nil, classified(ErrRouterInconsistent)
 }
 
-// getLocked performs the tiered lookup. warm is the hot ring's cache
-// admission hint for a value-log dereference. Requires p.mu held (read).
-func (p *partition) getLocked(key []byte, warm bool) ([]byte, error) {
-	if rec, ok := p.mem.Get(key); ok {
-		return p.resolve(rec, warm)
+// get is the tiered lookup of key as of seq (live reads pass the maximum):
+// memtable, frozen memtables newest first, UnsortedStore, SortedStore.
+// Only the memtables filter by sequence: a version pinned at a sequence
+// was captured with every partition's writers excluded, so its tables hold
+// nothing newer. warm is the hot ring's cache admission hint for a
+// value-log dereference. The caller holds v.
+func (v *version) get(key []byte, seq uint64, warm bool) ([]byte, error) {
+	if rec, ok := v.mem.GetAtSeq(key, seq); ok {
+		return v.resolve(rec, warm)
 	}
-	// Frozen memtables awaiting background flush, newest first.
-	for i := len(p.imm) - 1; i >= 0; i-- {
-		if rec, ok := p.imm[i].Get(key); ok {
-			return p.resolve(rec, warm)
+	for i := len(v.imm) - 1; i >= 0; i-- {
+		if rec, ok := v.imm[i].GetAtSeq(key, seq); ok {
+			return v.resolve(rec, warm)
 		}
 	}
-	if rec, ok, err := p.uns.Get(key); err != nil {
+	if rec, ok, err := v.uns.Get(key); err != nil {
 		return nil, err
 	} else if ok {
-		return p.resolve(rec, warm)
+		return v.resolve(rec, warm)
 	}
-	if rec, ok, err := p.srt.Get(key); err != nil {
+	if rec, ok, err := v.srt.Get(key); err != nil {
 		return nil, err
 	} else if ok {
-		return p.resolve(rec, warm)
+		return v.resolve(rec, warm)
 	}
 	return nil, ErrNotFound
 }
@@ -93,7 +94,8 @@ func (p *partition) getLocked(key []byte, warm bool) ([]byte, error) {
 // resolve materializes a record into its user value. warm gates value-cache
 // admission on a log read: a key the hot ring has sampled at least twice
 // may evict cache residents, a cold one is admitted only into free space.
-func (p *partition) resolve(rec record.Record, warm bool) ([]byte, error) {
+// The version's hold on its logs keeps the pointed-to segment in place.
+func (v *version) resolve(rec record.Record, warm bool) ([]byte, error) {
 	switch rec.Kind {
 	case record.KindDelete:
 		return nil, ErrNotFound
@@ -106,7 +108,7 @@ func (p *partition) resolve(rec record.Record, warm bool) ([]byte, error) {
 		}
 		// vl.ReadHinted returns a freshly allocated buffer; no further copy
 		// is needed.
-		return p.db.vl.ReadHinted(ptr, warm)
+		return v.p.db.vl.ReadHinted(ptr, warm)
 	}
 	return nil, codec.ErrCorrupt
 }
@@ -131,7 +133,9 @@ type KV struct {
 // repeated smallest-key selection, then fetch pointed-to values with
 // readahead and the parallel fetch pool. Results from consecutive
 // partitions are concatenated (ranges are disjoint and ordered, so no
-// re-sort is needed).
+// re-sort is needed). Each partition is read from a pinned version with no
+// partition lock held, so writes proceed beside the scan and may or may not
+// show in it; a Snapshot scans one point in time.
 func (db *DB) Scan(start, end []byte, limit int) ([]KV, error) {
 	if db.closed.Load() {
 		return nil, ErrClosed
@@ -142,18 +146,18 @@ func (db *DB) Scan(start, end []byte, limit int) ([]KV, error) {
 	retries := 0
 	for {
 		p := db.partitionFor(cursor)
-		p.mu.RLock()
-		if !p.covers(cursor) {
-			p.mu.RUnlock()
+		v := p.acquire()
+		if !v.covers(cursor) {
+			v.release()
 			if retries++; retries >= maxRouteRetries {
 				return nil, classified(ErrRouterInconsistent)
 			}
 			continue
 		}
 		retries = 0 // advancing to the next partition resets the budget
-		err := p.scanLocked(sc, cursor)
-		next := p.upper
-		p.mu.RUnlock()
+		err := sc.scan(v, cursor, math.MaxUint64)
+		next := v.upper
+		v.release()
 		if err != nil {
 			db.noteReadCorruption(p, err)
 			return nil, err
@@ -165,27 +169,32 @@ func (db *DB) Scan(start, end []byte, limit int) ([]KV, error) {
 	}
 }
 
-// scanLocked appends this partition's pairs from start on to sc. Requires
-// p.mu held (read): the lock pins the tiers — and the view loaded here,
-// which is immutable — for the whole scan, so concurrent flush/merge swaps
-// cannot disturb it, and it keeps GC from removing a log mid-fetch.
-func (p *partition) scanLocked(sc *scanner, start []byte) error {
-	return sc.scan(tiers{mem: p.mem, imm: p.imm, view: p.uns.ScanView(), uns: p.uns.Tables(), srt: p.srt},
-		start, math.MaxUint64)
-}
-
-// tiers is what one partition's scan merges: the live structures under
-// p.mu, or a snapshot's pinned copies.
-type tiers struct {
-	mem *memtable.Memtable
-	imm []*memtable.Memtable // oldest first
-	// view is the cross-table sorted view over uns (one iterator that
-	// binary-searches once and walks globally ordered entries — the REMIX
-	// optimization, see internal/sortedview); nil, with SortedViewOff,
-	// falls back to one iterator per table that the k-way merge re-merges.
-	view *sortedview.View
-	uns  []*unsorted.Table
-	srt  *sorted.Store
+// scanView returns the cross-table sorted view over v's unsorted tables
+// (one iterator that binary-searches once and walks globally ordered
+// entries — the REMIX optimization, see internal/sortedview), or nil to
+// have the scan merge one iterator per table: the view is off
+// (SortedViewOff), or recovery left it unbuilt and v is not the version to
+// build it for. Recovery reads no table for the view's sake, so the first
+// scan of the partition builds it — for the version it holds, off the lock —
+// and publishes a successor that carries it, unless the store moved on
+// meanwhile. A failed build leaves the next scan to retry.
+func (v *version) scanView() *sortedview.View {
+	p := v.p
+	if !v.uns.NeedsView() || p.cur.Load().uns != v.uns {
+		return v.uns.View()
+	}
+	view, err := v.uns.BuildView()
+	if err != nil {
+		return nil
+	}
+	p.mu.Lock()
+	if cur := p.cur.Load(); cur.uns == v.uns {
+		next := cur.successor()
+		next.uns = cur.uns.WithView(view)
+		p.publish(next)
+	}
+	p.mu.Unlock()
+	return view
 }
 
 // scanner accumulates one Scan call's result across partitions and owns
@@ -235,24 +244,25 @@ func (sc *scanner) done(next []byte) bool {
 		(sc.end != nil && codec.Compare(next, sc.end) >= 0)
 }
 
-// scan merges t's iterators from start and appends the pairs visible at
-// seq (the newest version of each key sequenced at or below it; live scans
-// pass the maximum) until the scan's end or limit, then fills in the
-// pointed-to values.
-func (sc *scanner) scan(t tiers, start []byte, seq uint64) error {
-	iters := make([]recIter, 0, len(t.imm)+len(t.uns)+2)
-	iters = append(iters, t.mem.NewIterator())
-	for i := len(t.imm) - 1; i >= 0; i-- {
-		iters = append(iters, t.imm[i].NewIterator())
+// scan merges the iterators of v, which the caller holds, from start and
+// appends the pairs visible at seq (the newest version of each key
+// sequenced at or below it; live scans pass the maximum) until the scan's
+// end or limit, then fills in the pointed-to values — v's hold on its logs
+// keeps them in place.
+func (sc *scanner) scan(v *version, start []byte, seq uint64) error {
+	iters := make([]recIter, 0, len(v.imm)+v.unsTables+2)
+	iters = append(iters, v.mem.NewIterator())
+	for i := len(v.imm) - 1; i >= 0; i-- {
+		iters = append(iters, v.imm[i].NewIterator())
 	}
-	if t.view != nil {
-		iters = append(iters, t.view.NewIterator())
+	if view := v.scanView(); view != nil {
+		iters = append(iters, view.NewIterator())
 	} else {
-		for _, tb := range t.uns {
+		for _, tb := range v.uns.Tables() {
 			iters = append(iters, tb.Reader.NewIterator())
 		}
 	}
-	iters = append(iters, t.srt.NewIterator())
+	iters = append(iters, v.srt.NewIterator())
 	m := newMergeIter(iters)
 
 	sc.fetches = sc.fetches[:0]

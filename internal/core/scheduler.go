@@ -24,7 +24,7 @@ import (
 // with a long merge build. Lock order with the pool:
 //
 //	snapMu -> maintMu -> flushMu -> router.mu -> partition.mu
-//	  -> unsorted.viewMu -> logRefs.mu -> hotring.writerMu
+//	  -> logRefs.mu -> hotring.writerMu
 //
 // A job error is classified (see errors.go) before it can do damage: a
 // transient error is retried with bounded exponential backoff + jitter
@@ -39,8 +39,8 @@ import (
 //
 // jobScrub is the odd one out: enqueued by the scrub pass driver
 // (scrub.go) on a timer rather than by a write-side trigger, it only
-// reads — verifying table checksums under reader pins — so it runs
-// without maintMu and can overlap a merge on the same partition.
+// reads — verifying the tables of a pinned version — so it runs without
+// maintMu and can overlap a merge on the same partition.
 
 type jobKind uint8
 
@@ -85,9 +85,12 @@ type scheduler struct {
 	cond    *sync.Cond
 	queue   []task
 	pending map[uint32]*[numJobKinds]bool // queued or running, per partition
-	closing bool
-	stopCh  chan struct{} // closed by close(); interrupts retry backoff
-	wg      sync.WaitGroup
+	// settling counts workers between finishing a job and having queued
+	// what its commit armed, so that pendingJobs reads zero only at rest.
+	settling int
+	closing  bool
+	stopCh   chan struct{} // closed by close(); interrupts retry backoff
+	wg       sync.WaitGroup
 }
 
 func newScheduler(db *DB, workers int) *scheduler {
@@ -131,7 +134,7 @@ func (s *scheduler) enqueue(p *partition, kind jobKind) {
 func (s *scheduler) pendingJobs() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := 0
+	n := s.settling
 	for _, flags := range s.pending {
 		for _, set := range flags {
 			if set {
@@ -155,13 +158,13 @@ func (s *scheduler) close() {
 
 func (s *scheduler) worker() {
 	defer s.wg.Done()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for {
-		s.mu.Lock()
 		for len(s.queue) == 0 && !s.closing {
 			s.cond.Wait()
 		}
 		if s.closing {
-			s.mu.Unlock()
 			return
 		}
 		t := s.queue[0]
@@ -174,23 +177,40 @@ func (s *scheduler) worker() {
 		if flags := s.pending[t.p.id]; flags != nil {
 			flags[t.kind] = false
 		}
+		s.settling++
 		s.mu.Unlock()
+		s.jobDone(t, err)
+		s.mu.Lock()
+		s.settling--
+	}
+}
 
-		// Wake throttled writers (and let them observe a failure).
-		t.p.wakeStalled()
-		if err != nil {
-			s.db.jobFailed(t, err)
-			continue
-		}
-		// A completed job may arm the next trigger (flush fills the
-		// UnsortedStore, merge creates garbage, GC shrinks toward a split
-		// decision). A split changes the partition set, so re-check all.
-		if t.kind == jobSplit {
-			for _, q := range s.db.partitions() {
-				s.db.checkMaintenance(q)
-			}
-		} else {
-			s.db.checkMaintenance(t.p)
+// jobDone follows up on a finished job: it wakes throttled writers (and
+// lets them observe a failure), escalates a terminal error, and otherwise
+// looks at what the job's commit may have armed (flush fills the
+// UnsortedStore, merge creates garbage, GC shrinks toward a split decision;
+// a split changes the partition set, so all are re-checked).
+func (s *scheduler) jobDone(t task, err error) {
+	t.p.wakeStalled()
+	if err != nil {
+		s.db.jobFailed(t, err)
+		return
+	}
+	s.db.afterCommit(t.p, t.kind == jobSplit)
+}
+
+// afterCommit looks at the triggers a commit on p may have armed. A commit
+// that took p into or out of a shared value log armed more than p's: the
+// log's other owners get their gauges refreshed and their triggers looked at
+// too, so that what runs next does not depend on which of them happened to
+// publish last. all re-checks every partition.
+func (db *DB) afterCommit(p *partition, all bool) {
+	if db.sched == nil {
+		return
+	}
+	for _, q := range db.partitions() {
+		if q.refreshShares() || q == p || all {
+			db.checkMaintenance(q)
 		}
 	}
 }
@@ -249,9 +269,12 @@ func (s *scheduler) run(t task) error {
 		return p.backgroundFlush()
 	}
 	if t.kind == jobScrub {
-		// Read-only: verifies under reader pins, never mutates, and so
+		// Read-only: verifies a pinned version, never mutates, and so
 		// deliberately skips maintMu — a scrub must not delay a merge.
 		return db.scrubPartitionTables(p)
+	}
+	if t.kind == jobSplit {
+		return db.splitPartition(p) // takes maintMu and flushMu itself
 	}
 	p.maintMu.Lock()
 	defer p.maintMu.Unlock()
@@ -262,17 +285,14 @@ func (s *scheduler) run(t task) error {
 		return p.backgroundScanMerge()
 	case jobGC:
 		return p.backgroundGC()
-	case jobSplit:
-		p.flushMu.Lock()
-		defer p.flushMu.Unlock()
-		return db.splitPartition(p)
 	}
 	return nil
 }
 
-// checkMaintenance re-evaluates p's triggers and enqueues what the current
-// state calls for. Runs after a write freezes a memtable and after every
-// completed job.
+// checkMaintenance enqueues what p's current version calls for. The
+// triggers are functions of the version, so they are evaluated where one is
+// published: when a write freezes a memtable and after every completed job
+// — never per put.
 func (db *DB) checkMaintenance(p *partition) {
 	if db.sched == nil || db.closed.Load() || db.degradedErr() != nil {
 		return
@@ -280,30 +300,20 @@ func (db *DB) checkMaintenance(p *partition) {
 	if p.quarantine.Load() != nil {
 		return
 	}
-	p.mu.RLock()
-	nImm := len(p.imm)
-	unsBytes := p.uns.SizeBytes()
-	unsTables := p.uns.NumTables()
-	needGC := false
-	if !db.opts.DisableKVSeparation {
-		refBytes := p.logBytesLocked()
-		needGC = refBytes > 0 && float64(p.garbageBytes.Load()) >= db.opts.GCRatio*float64(refBytes)
-	}
-	needSplit := !db.opts.DisablePartitioning && p.sizeLocked() >= db.opts.PartitionSizeLimit
-	p.mu.RUnlock()
-
-	if nImm > 0 {
+	db.triggerEvals.Add(1)
+	v := p.cur.Load()
+	if v.nImm > 0 {
 		db.sched.enqueue(p, jobFlush)
 	}
-	if unsBytes >= db.opts.UnsortedLimit {
+	if v.unsBytes >= db.opts.UnsortedLimit {
 		db.sched.enqueue(p, jobMerge)
-	} else if !db.opts.DisableScanMerge && unsTables >= db.opts.ScanMergeLimit {
+	} else if !db.opts.DisableScanMerge && v.unsTables >= db.opts.ScanMergeLimit {
 		db.sched.enqueue(p, jobScanMerge)
 	}
-	if needGC {
+	if v.needsGC() {
 		db.sched.enqueue(p, jobGC)
 	}
-	if needSplit {
+	if !db.opts.DisablePartitioning && v.size >= db.opts.PartitionSizeLimit {
 		db.sched.enqueue(p, jobSplit)
 	}
 }
@@ -348,8 +358,8 @@ func (db *DB) degradedErr() error {
 // queue depth (and, as a backstop, to an UnsortedStore that outgrew its
 // limit because merges lag): a soft slowdown sleeps each write briefly so
 // flushes can catch up; a hard stall blocks writers until a maintenance
-// job completes. Throttling happens before the partition lock is taken,
-// so stalled writers never block readers.
+// job completes. Throttling reads the gauges of the partition's current
+// version and happens before the partition lock is taken.
 
 const (
 	slowdownUnsFactor = 2 // soft throttle at 2x UnsortedLimit
@@ -377,10 +387,8 @@ func (db *DB) throttle(p *partition) error {
 			// wait forever, so surface the quarantine instead.
 			return err
 		}
-		p.mu.RLock()
-		nImm := len(p.imm)
-		unsBytes := p.uns.SizeBytes()
-		p.mu.RUnlock()
+		v := p.cur.Load()
+		nImm, unsBytes := v.nImm, v.unsBytes
 		switch {
 		case nImm >= db.opts.StallImmutables || unsBytes >= stallUnsFactor*db.opts.UnsortedLimit:
 			if !stalled {

@@ -20,12 +20,11 @@ import (
 // corruption it finds quarantines exactly the affected partitions
 // (quarantine.go) while the rest of the DB keeps serving.
 //
-// Concurrency contract: a table scrub pins each reader via Ref under the
-// partition's read lock (the snapshot capture pattern), so a concurrent
-// merge retiring the table closes nothing out from under the verify; a
-// log scrub holds a logRefs reference, so GC cannot delete the file
-// mid-walk. The scrub never takes maintMu and never mutates — it can
-// overlap any maintenance job.
+// Concurrency contract: a table scrub pins the partition's current version,
+// which holds its readers, so a concurrent merge replacing a table closes
+// nothing out from under the verify; a log scrub holds a logRefs
+// reference, so GC cannot delete the file mid-walk. The scrub never takes
+// maintMu and never mutates — it can overlap any maintenance job.
 //
 // Scheduling: with a worker pool, each partition's table scrub is a
 // jobScrub task (deduplicated like any other kind, visible in
@@ -131,18 +130,23 @@ func (s *scrubber) runWithRetry(p *partition) {
 	}
 }
 
-// scrubTable names one pinned table during a scrub.
+// scrubTable names one table during a scrub.
 type scrubTable struct {
 	tier string
 	num  uint64
 	r    *sstable.Reader
 }
 
-// closeScrubTables releases the scrub's table pins on every exit path.
-func closeScrubTables(tables []scrubTable) {
-	for _, t := range tables {
-		t.r.Close()
+// tablesOf lists v's tables, unsorted then sorted, for a verification pass.
+func tablesOf(v *version) []scrubTable {
+	var tables []scrubTable
+	for _, t := range v.uns.Tables() {
+		tables = append(tables, scrubTable{tier: "unsorted", num: t.Meta.FileNum, r: t.Reader})
 	}
+	for _, t := range v.srt.Tables() {
+		tables = append(tables, scrubTable{tier: "sorted", num: t.Meta.FileNum, r: t.Reader})
+	}
+	return tables
 }
 
 // scrubPartitionTables checksum-verifies every table of p block by block,
@@ -154,21 +158,11 @@ func (db *DB) scrubPartitionTables(p *partition) error {
 	if s == nil {
 		return nil
 	}
-	// Pin the current table set under the read lock (snapshot.go's capture
-	// pattern): each Ref keeps the reader and its file alive even if a
-	// concurrent merge/GC retires the table before the verify reaches it.
-	p.mu.RLock()
-	var tables []scrubTable
-	for _, t := range p.uns.Tables() {
-		t.Reader.Ref()
-		tables = append(tables, scrubTable{tier: "unsorted", num: t.Meta.FileNum, r: t.Reader})
-	}
-	for _, t := range p.srt.Tables() {
-		t.Reader.Ref()
-		tables = append(tables, scrubTable{tier: "sorted", num: t.Meta.FileNum, r: t.Reader})
-	}
-	p.mu.RUnlock()
-	defer closeScrubTables(tables)
+	// The pinned version keeps every reader and file alive even if a
+	// concurrent merge/GC replaces the table before the verify reaches it.
+	v := p.acquire()
+	defer v.release()
+	tables := tablesOf(v)
 	for _, t := range tables {
 		for i := 0; i < t.r.NumBlocks(); i++ {
 			n, err := t.r.VerifyBlock(i)
@@ -195,11 +189,9 @@ func (s *scrubber) scrubLogs() {
 	db := s.db
 	logs := map[uint32]bool{}
 	for _, p := range db.partitions() {
-		p.mu.RLock()
-		for n := range p.logs {
+		for _, n := range p.cur.Load().logs {
 			logs[n] = true
 		}
-		p.mu.RUnlock()
 	}
 	activeNum, activeOff, hasActive := db.vl.ActiveBound()
 	for n := range logs {

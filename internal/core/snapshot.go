@@ -4,10 +4,6 @@ import (
 	"sync/atomic"
 
 	"unikv/internal/codec"
-	"unikv/internal/memtable"
-	"unikv/internal/record"
-	"unikv/internal/sorted"
-	"unikv/internal/unsorted"
 )
 
 // Snapshot is a consistent point-in-time read handle pinned to the global
@@ -15,62 +11,30 @@ import (
 // records sequenced at or below the pin, no matter how many writes,
 // flushes, merges, splits, or value-log GCs run afterwards.
 //
-// The pin is physical, not advisory: the handle captures each partition's
-// memtable queue, UnsortedStore tables (plus the pinned cross-table sorted
-// view), SortedStore run, and referenced value logs, taking a reference on
-// every table reader and value log. Background rewrites retire superseded
-// tables by dropping their own reference (see sstable.Reader.SetRetire),
-// so files a snapshot can still reach outlive the retirement and the log
-// refcount fences value-log GC the same way. Only the live memtable is
-// shared with writers; it is append-only and reads filter by sequence.
+// The pin is physical, not advisory: the handle holds the version each
+// partition had at pin time, and a version holds its table readers and
+// value logs (version.go), so files the snapshot can still reach outlive
+// whatever replaces them. A snapshot read is the live read path run over
+// those versions with the pinned sequence; only the live memtable is shared
+// with writers — it is append-only and reads filter by sequence.
 //
 // Snapshot reads bypass the hot ring, which serves latest values only.
 // A Snapshot is safe for concurrent use. Close releases the pinned
-// resources; DB.Close refuses (ErrSnapshotOpen) while any handle is open.
+// versions; DB.Close refuses (ErrSnapshotOpen) while any handle is open.
 type Snapshot struct {
 	db  *DB
 	seq uint64
 	id  uint64
 
-	parts  []snapPart
+	parts  []*version // router order; boundaries as of the pin
 	closed atomic.Bool
-}
-
-// snapPart is the pinned read state of one partition, captured under the
-// partition's read lock at pin time.
-type snapPart struct {
-	id           uint32
-	lower, upper []byte
-
-	// tiers are the pinned read sources.
-	//
-	// mem is the partition's live memtable at pin time — shared with the
-	// writer. It only grows, and every record written after the pin
-	// carries a larger sequence (assigned under the partition lock), so
-	// sequence filtering makes it immutable from the snapshot's view.
-	// imm is the frozen memtable queue at pin time: frozen tables are never
-	// mutated; flush only drops them from the live queue.
-	// uns is the UnsortedStore table set at pin time, flush order; every
-	// reader is Ref'd. view is the pinned cross-table sorted view over
-	// exactly those tables.
-	// srt is a private SortedStore over the pinned sorted run: the live
-	// store's iterator reads its mutable table slice, so the snapshot owns
-	// its own copy. Every reader is Ref'd (srtTables mirrors the set for
-	// release and backup).
-	tiers
-	srtTables []*sorted.Table
-	// logs are the value logs this snapshot retains (via DB.logRefs, the
-	// same refcount vlog GC consults before removing a file); logSizes
-	// captures each log's size at pin time — every pinned pointer lies
-	// below it, which bounds the backup copy.
-	logs     []uint32
-	logSizes map[uint32]int64
 }
 
 // NewSnapshot pins the current sequence number and returns a consistent
 // read handle. The capture holds every partition's read lock at once, so
-// the pinned sequence and the captured structures agree: a write is either
-// fully visible in a captured memtable or sequenced above the pin.
+// the pinned sequence and the pinned versions agree: a write is either
+// fully visible in a captured memtable or sequenced above the pin, and no
+// captured table holds a record above it.
 func (db *DB) NewSnapshot() (*Snapshot, error) {
 	db.snaps.snapMu.Lock()
 	defer db.snaps.snapMu.Unlock()
@@ -83,41 +47,9 @@ func (db *DB) NewSnapshot() (*Snapshot, error) {
 		//unikv:allow(lockorder) all-partition capture: released below via parts[i].mu.RUnlock in reverse order
 		p.mu.RLock()
 	}
-	seq := db.seq.Load()
-	s := &Snapshot{db: db, seq: seq, parts: make([]snapPart, 0, len(parts))}
-	for _, p := range parts {
-		sp := snapPart{
-			id:    p.id,
-			lower: append([]byte(nil), p.lower...),
-			tiers: tiers{
-				mem:  p.mem,
-				imm:  append([]*memtable.Memtable(nil), p.imm...),
-				uns:  append([]*unsorted.Table(nil), p.uns.Tables()...),
-				view: p.uns.ScanView(), // may lazily rebuild under viewMu; nil → per-table
-				srt:  sorted.New(),
-			},
-			srtTables: append([]*sorted.Table(nil), p.srt.Tables()...),
-			logs:      p.logsSliceLocked(),
-		}
-		if p.upper != nil {
-			sp.upper = append([]byte(nil), p.upper...)
-		}
-		for _, t := range sp.uns {
-			t.Reader.Ref()
-		}
-		for _, t := range sp.srtTables {
-			t.Reader.Ref()
-		}
-		sp.srt.ReplaceAll(sp.srtTables)
-		sp.logSizes = make(map[uint32]int64, len(sp.logs))
-		for _, n := range sp.logs {
-			sp.logSizes[n] = db.vl.SizeOf(n)
-		}
-		// logRefs.mu ranks after partition.mu, so retaining under the read
-		// locks is legal — and necessary: a GC between unlock and retain
-		// could otherwise release a pinned log's last reference.
-		db.retainLogs(sp.logs)
-		s.parts = append(s.parts, sp)
+	s := &Snapshot{db: db, seq: db.seq.Load(), parts: make([]*version, len(parts))}
+	for i, p := range parts {
+		s.parts[i] = p.acquire()
 	}
 	for i := len(parts) - 1; i >= 0; i-- {
 		parts[i].mu.RUnlock()
@@ -148,8 +80,8 @@ func (db *DB) snapshotGauges() (open int, minSeq uint64) {
 // Seq returns the pinned sequence number.
 func (s *Snapshot) Seq() uint64 { return s.seq }
 
-// Close releases the snapshot's pinned tables and value logs and removes
-// it from the DB's registry. Idempotent.
+// Close releases the snapshot's pinned versions and removes it from the
+// DB's registry. Idempotent.
 func (s *Snapshot) Close() error {
 	if s.closed.Swap(true) {
 		return nil
@@ -158,15 +90,8 @@ func (s *Snapshot) Close() error {
 	db.snaps.snapMu.Lock()
 	delete(db.snaps.m, s.id)
 	db.snaps.snapMu.Unlock()
-	for i := range s.parts {
-		sp := &s.parts[i]
-		for _, t := range sp.uns {
-			t.Reader.Close()
-		}
-		for _, t := range sp.srtTables {
-			t.Reader.Close()
-		}
-		db.releaseLogs(sp.logs)
+	for _, v := range s.parts {
+		v.release()
 	}
 	return nil
 }
@@ -178,7 +103,7 @@ func (s *Snapshot) partIdxFor(key []byte) int {
 	lo, hi := 0, len(s.parts)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if codec.Compare(s.parts[mid].lower, key) <= 0 {
+		if codec.Compare(s.parts[mid].p.lower, key) <= 0 {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -191,75 +116,12 @@ func (s *Snapshot) partIdxFor(key []byte) int {
 }
 
 // Get returns the value key had at the pinned sequence, or ErrNotFound.
-// The lookup never consults the hot ring (latest values only) or the
-// UnsortedStore hash index (rebuilt in place by merges): captured tables
-// are probed newest-first directly.
 func (s *Snapshot) Get(key []byte) ([]byte, error) {
 	if s.closed.Load() {
 		return nil, ErrSnapshotClosed
 	}
 	s.db.stats.SnapshotGets.Add(1)
-	sp := &s.parts[s.partIdxFor(key)]
-	rec, ok, err := sp.get(key, s.seq)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, ErrNotFound
-	}
-	return s.resolve(rec)
-}
-
-// get runs the tiered lookup over the pinned structures. Captured tables
-// hold only records at or below the pin by construction; the filter stays
-// on every tier defensively.
-func (sp *snapPart) get(key []byte, seq uint64) (record.Record, bool, error) {
-	if rec, ok := sp.mem.GetAtSeq(key, seq); ok {
-		return rec, true, nil
-	}
-	for i := len(sp.imm) - 1; i >= 0; i-- {
-		if rec, ok := sp.imm[i].GetAtSeq(key, seq); ok {
-			return rec, true, nil
-		}
-	}
-	// Unsorted tables newest-first: each holds one version per key, and a
-	// newer table's version always shadows an older one's.
-	for i := len(sp.uns) - 1; i >= 0; i-- {
-		rec, hit, err := sp.uns[i].Reader.Get(key)
-		if err != nil {
-			return record.Record{}, false, err
-		}
-		if hit && rec.Seq <= seq {
-			return rec, true, nil
-		}
-	}
-	rec, hit, err := sp.srt.Get(key)
-	if err != nil {
-		return record.Record{}, false, err
-	}
-	if hit && rec.Seq <= seq {
-		return rec, true, nil
-	}
-	return record.Record{}, false, nil
-}
-
-// resolve materializes a pinned record into its user value. Pointer
-// dereferences go to the value log as usual — the pinned log refcount
-// guarantees the segment still exists.
-func (s *Snapshot) resolve(rec record.Record) ([]byte, error) {
-	switch rec.Kind {
-	case record.KindDelete:
-		return nil, ErrNotFound
-	case record.KindSet:
-		return append([]byte(nil), rec.Value...), nil
-	case record.KindSetPtr:
-		ptr, err := record.DecodePtr(rec.Value)
-		if err != nil {
-			return nil, err
-		}
-		return s.db.vl.ReadHinted(ptr, true)
-	}
-	return nil, codec.ErrCorrupt
+	return s.parts[s.partIdxFor(key)].get(key, s.seq, true)
 }
 
 // Scan returns up to limit pairs with start <= key < end as of the pinned
@@ -272,22 +134,14 @@ func (s *Snapshot) Scan(start, end []byte, limit int) ([]KV, error) {
 	s.db.stats.SnapshotScans.Add(1)
 	sc := newScanner(s.db, end, limit)
 	cursor := start
-	for i := s.partIdxFor(start); i < len(s.parts); i++ {
-		sp := &s.parts[i]
-		if err := sp.scan(sc, cursor, s.seq); err != nil {
+	for _, v := range s.parts[s.partIdxFor(start):] {
+		if err := sc.scan(v, cursor, s.seq); err != nil {
 			return nil, err
 		}
-		if sc.done(sp.upper) {
+		if sc.done(v.upper) {
 			break
 		}
-		cursor = sp.upper
+		cursor = v.upper
 	}
 	return sc.out, nil
-}
-
-// scan appends this pinned partition's pairs from start on to sc: the
-// merge DB.Scan runs, over the pinned sources, bounded by the pinned
-// sequence. The pinned log refcount keeps every pointed-to log in place.
-func (sp *snapPart) scan(sc *scanner, start []byte, seq uint64) error {
-	return sc.scan(sp.tiers, start, seq)
 }

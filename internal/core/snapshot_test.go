@@ -131,6 +131,7 @@ func TestSnapshotStormConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
+	watchGauges(t, db, false)
 
 	rnd := rand.New(rand.NewSource(11))
 	k := func(i int) string { return fmt.Sprintf("key-%03d", i) }

@@ -4,12 +4,15 @@ import (
 	"unikv/internal/codec"
 	"unikv/internal/manifest"
 	"unikv/internal/record"
+	"unikv/internal/sorted"
 )
 
 // splitPartition implements dynamic range partitioning (paper §Design):
 // when a partition reaches PartitionSizeLimit it is divided into two
-// partitions at the median key. The partition is locked for the duration —
-// writes to its range pause (other partitions proceed).
+// partitions at the median key. Writes to its range wait for the duration;
+// reads go on against the version from before the split, and other
+// partitions proceed — the partition lock is held only to flush the
+// buffered writes at the start, and it and the router lock to commit.
 //
 // Keys are split eagerly: the whole partition is merge-sorted (exactly like
 // a merge) and each half's keys+pointers are written to its own
@@ -17,33 +20,47 @@ import (
 // UnsortedStore are appended to each child's fresh log during the split
 // merge; values already in logs stay put — both children reference the old
 // (now shared) logs, and each child's next GC rewrites its live values into
-// its own logs (releaseLogs deletes a shared log once both sides moved on).
+// its own logs (a shared log goes once both sides' versions moved on).
 func (db *DB) splitPartition(parent *partition) error {
-	db.router.Lock()
-	defer db.router.Unlock()
-	parent.mu.Lock()
-	defer parent.mu.Unlock()
-
 	if db.opts.DisablePartitioning {
 		return nil
 	}
-	// Re-check under the lock: another trigger may have split already.
-	if parent.sizeLocked() < db.opts.PartitionSizeLimit {
-		return nil
-	}
+	// No structural job and no flush beside a split; another split of this
+	// partition waits here and then finds it small.
+	parent.maintMu.Lock()
+	defer parent.maintMu.Unlock()
+	parent.flushMu.Lock()
+	defer parent.flushMu.Unlock()
 
-	// Step 1: flush buffered writes so the merge stream sees everything.
-	// In background mode frozen memtables may still be queued; the caller
-	// holds flushMu, so no flush job races this drain.
-	if err := parent.drainImmLocked(); err != nil {
+	// Step 1: flush buffered writes so the merge stream sees everything
+	// (frozen memtables may still be queued), and turn writers away until
+	// the split is over. From here on only a scan's first view can publish.
+	parent.mu.Lock()
+	var err error
+	if parent.cur.Load().size < db.opts.PartitionSizeLimit {
+		parent.mu.Unlock()
+		return nil // another trigger split it already
+	}
+	if err = parent.drainImmLocked(); err == nil {
+		err = parent.flushLocked()
+	}
+	if err != nil {
+		parent.mu.Unlock()
 		return err
 	}
-	if err := parent.flushLocked(); err != nil {
-		return err
-	}
+	v := parent.cur.Load()
+	done := make(chan struct{})
+	parent.splitting = done
+	parent.mu.Unlock()
+	defer func() {
+		parent.mu.Lock()
+		parent.splitting = nil
+		parent.mu.Unlock()
+		close(done)
+	}()
 
 	// Pass 1: count output records to locate the median.
-	total, err := parent.countMergedLocked()
+	total, err := v.countMerged()
 	if err != nil {
 		return err
 	}
@@ -53,17 +70,12 @@ func (db *DB) splitPartition(parent *partition) error {
 	half := total / 2
 
 	// Allocate the right child.
-	state := db.man.State()
-	childID := state.NextPartID
+	childID := db.nextPart.Add(1) - 1
 	childDir := db.partDir(childID)
 	if err := db.fs.MkdirAll(childDir); err != nil {
 		return err
 	}
-	child := &partition{db: db, id: childID, dir: childDir, upper: parent.upper}
-	if err := child.initEmptyStores(); err != nil {
-		return err
-	}
-	child.uns.DisableIndex = db.opts.DisableHashIndex
+	child := &partition{db: db, id: childID, dir: childDir}
 
 	// Pass 2: stream the merge, writing the first half to the parent's new
 	// run and the rest to the child's, with fresh logs for unsorted-tier
@@ -77,9 +89,11 @@ func (db *DB) splitPartition(parent *partition) error {
 		return err
 	}
 	leftW := parent.newTableWriter(parent.dir)
+	defer leftW.close()
 	rightW := child.newTableWriter(childDir)
+	defer rightW.close()
 
-	m := parent.newFullMergeIterLocked()
+	m := v.newFullMergeIter()
 	var lastKey []byte
 	var ptrBuf [record.EncodedPtrLen]byte
 	idx := 0
@@ -140,18 +154,17 @@ func (db *DB) splitPartition(parent *partition) error {
 
 	// Log sets: each child references all previously shared logs plus its
 	// own fresh one.
-	shared := parent.logsSliceLocked()
-	leftLogs := map[uint32]bool{}
-	rightLogs := map[uint32]bool{}
-	for _, n := range shared {
-		leftLogs[n] = true
-		rightLogs[n] = true
-	}
+	leftLogs, rightLogs := v.logs, v.logs
 	if leftHasLog {
-		leftLogs[leftLog.Num()] = true
+		leftLogs = mergeLogs(v.logs, map[uint32]bool{leftLog.Num(): true})
 	}
 	if rightHasLog {
-		rightLogs[rightLog.Num()] = true
+		rightLogs = mergeLogs(v.logs, map[uint32]bool{rightLog.Num(): true})
+	}
+
+	leftUns, err := v.uns.Rebuild(nil)
+	if err != nil {
+		return err
 	}
 
 	// Child WAL.
@@ -163,32 +176,15 @@ func (db *DB) splitPartition(parent *partition) error {
 		childEdits = append(childEdits, manifest.SetWAL(childID, child.walNum))
 	}
 
-	oldUnsorted := parent.uns.Tables()
-	oldSorted := parent.srt.Tables()
-	oldCkpt := parent.hashCkpt
-
-	logsOf := func(set map[uint32]bool) []uint32 {
-		out := make([]uint32, 0, len(set))
-		for n := range set {
-			out = append(out, n)
-		}
-		for i := 1; i < len(out); i++ {
-			for j := i; j > 0 && out[j] < out[j-1]; j-- {
-				out[j], out[j-1] = out[j-1], out[j]
-			}
-		}
-		return out
-	}
-
 	edits := []manifest.Edit{
 		manifest.AddPartition(childID, boundary),
-		manifest.NextPart(childID + 1),
+		manifest.NextPart(db.nextPart.Load()),
 		manifest.SetUnsorted(parent.id, nil),
 		manifest.SetSorted(parent.id, tableMetas(leftTables)),
 		manifest.SetHashCkpt(parent.id, 0),
-		manifest.SetLogs(parent.id, logsOf(leftLogs)),
+		manifest.SetLogs(parent.id, leftLogs),
 		manifest.SetSorted(childID, tableMetas(rightTables)),
-		manifest.SetLogs(childID, logsOf(rightLogs)),
+		manifest.SetLogs(childID, rightLogs),
 		manifest.LastSeq(db.seq.Load()),
 		db.nextFileEdit(),
 	}
@@ -202,31 +198,36 @@ func (db *DB) splitPartition(parent *partition) error {
 	if err := db.fs.SyncDir(childDir); err != nil {
 		return err
 	}
+
+	// Commit: the manifest edit, the two versions and the router entry.
+	db.router.Lock()
+	defer db.router.Unlock()
+	parent.mu.Lock()
+	defer parent.mu.Unlock()
 	if err := db.man.Apply(edits...); err != nil {
 		return err
 	}
 
-	// Reference accounting: shared logs gain the child's reference; the
-	// fresh logs gain their single owner.
-	db.retainLogs(shared)
-	if leftHasLog {
-		db.retainLogs([]uint32{leftLog.Num()})
+	// Install the in-memory split: the parent's next version ends at the
+	// boundary, the child's first one starts there. The replaced tables are
+	// deleted once the last version naming them — the parent's old one, or
+	// an older one a reader or snapshot pins — is released: a split
+	// invalidates nothing a pinned reader can still reach.
+	for _, t := range v.uns.Tables() {
+		db.markObsolete(parent.dir, t.Meta.FileNum, t.Reader)
 	}
-	if rightHasLog {
-		db.retainLogs([]uint32{rightLog.Num()})
+	for _, t := range v.srt.Tables() {
+		db.markObsolete(parent.dir, t.Meta.FileNum, t.Reader)
 	}
-
-	// Install the in-memory split.
-	parent.uns.Reset()
-	parent.srt.ReplaceAll(leftTables)
-	parent.hashCkpt = 0
-	parent.flushesSinceCkpt = 0
-	parent.upper = boundary
-	parent.logs = leftLogs
-	parent.garbageBytes.Store(parent.garbageBytes.Load() / 2)
 	child.lower = boundary
-	child.srt.ReplaceAll(rightTables)
-	child.logs = rightLogs
+	right := child.emptyVersion(v.upper)
+	right.srt, right.logs = sorted.New(rightTables), rightLogs
+	child.publish(right)
+	left := parent.cur.Load().successor()
+	left.upper, left.uns, left.srt, left.logs = boundary, leftUns, sorted.New(leftTables), leftLogs
+	parent.publish(left)
+	parent.dropHashCkptLocked()
+	parent.garbageBytes.Store(parent.garbageBytes.Load() / 2)
 	child.garbageBytes.Store(parent.garbageBytes.Load())
 
 	// Insert the child after the parent in router order.
@@ -243,43 +244,30 @@ func (db *DB) splitPartition(parent *partition) error {
 	parts[pos] = child
 	db.router.parts = parts
 
-	// Drop the handed-over range [boundary, child.upper) from the hot ring:
-	// its heat belongs to the child now, and a ranged handoff must never
-	// leave hits behind (hotring.writerMu is the last lock rank, safe under
+	// Drop the handed-over range [boundary, upper) from the hot ring: its
+	// heat belongs to the child now, and a ranged handoff must never leave
+	// hits behind (hotring.writerMu is the last lock rank, safe under
 	// router.mu + parent.mu held here).
-	db.hot.InvalidateRange(boundary, child.upper)
-
-	// Retire replaced tables (deleted once the last owner — possibly a
-	// pinned snapshot — closes them): a split invalidates nothing a pinned
-	// reader can still reach.
-	for _, t := range oldUnsorted {
-		db.retireTable(parent.dir, t.Meta.FileNum, t.Reader)
-	}
-	for _, t := range oldSorted {
-		db.retireTable(parent.dir, t.Meta.FileNum, t.Reader)
-	}
-	if oldCkpt != 0 {
-		db.fs.Remove(ckptName(parent.dir, oldCkpt))
-	}
+	db.hot.InvalidateRange(boundary, v.upper)
 	db.stats.Splits.Add(1)
 	return nil
 }
 
-// newFullMergeIterLocked builds the merge stream over the partition's
-// whole on-disk state (all unsorted tables + the sorted run).
-func (p *partition) newFullMergeIterLocked() *mergeIter {
+// newFullMergeIter builds the merge stream over v's whole on-disk state
+// (all unsorted tables + the sorted run).
+func (v *version) newFullMergeIter() *mergeIter {
 	var iters []recIter
-	for _, t := range p.uns.Tables() {
+	for _, t := range v.uns.Tables() {
 		iters = append(iters, t.Reader.NewMaintIterator())
 	}
-	iters = append(iters, p.srt.NewMaintIterator())
+	iters = append(iters, v.srt.NewMaintIterator())
 	return newMergeIter(iters)
 }
 
-// countMergedLocked counts the records a full merge would output (unique
-// live keys), for median finding.
-func (p *partition) countMergedLocked() (int, error) {
-	m := p.newFullMergeIterLocked()
+// countMerged counts the records a full merge would output (unique live
+// keys), for median finding.
+func (v *version) countMerged() (int, error) {
+	m := v.newFullMergeIter()
 	var lastKey []byte
 	n := 0
 	for ok := m.First(); ok; ok = m.Next() {

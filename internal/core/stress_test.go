@@ -40,6 +40,7 @@ func runConcurrentStress(t *testing.T, tweak func(*Options)) {
 		t.Fatal(err)
 	}
 	defer db.Close()
+	watchGauges(t, db, false)
 
 	const (
 		writers       = 4

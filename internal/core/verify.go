@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"sort"
 
-	"unikv/internal/sstable"
 	"unikv/internal/vlog"
 )
 
@@ -48,8 +47,8 @@ func (r CorruptionReport) String() string {
 // sealed prefix (the reconciled frame boundary below which bytes are
 // immutable). It returns the first corruption found, or nil.
 //
-// Partitions are verified one at a time under their read lock, so
-// concurrent reads proceed and writes to other partitions are unaffected.
+// Partitions are verified one at a time on a pinned version, so reads and
+// writes proceed beside the verification.
 func (db *DB) VerifyIntegrity() error {
 	reports, err := db.VerifyIntegrityReport()
 	if err != nil {
@@ -67,9 +66,9 @@ func (db *DB) VerifyIntegrity() error {
 // result means every file verified clean. The error return is reserved
 // for ErrClosed; corruption never surfaces there.
 //
-// Each table is read under its partition's lock and each value log is
-// pinned via the DB's log references while it is walked, so a concurrent
-// merge or GC can retire files without racing the verification.
+// Each table is read through a pinned version of its partition and each
+// value log is held via the DB's log references while it is walked, so a
+// concurrent merge or GC can replace files without racing the verification.
 func (db *DB) VerifyIntegrityReport() ([]CorruptionReport, error) {
 	if db.closed.Load() {
 		return nil, ErrClosed
@@ -77,21 +76,16 @@ func (db *DB) VerifyIntegrityReport() ([]CorruptionReport, error) {
 	var reports []CorruptionReport
 	logOwners := map[uint32][]uint32{}
 	for _, p := range db.partitions() {
-		p.mu.RLock()
-		for _, t := range p.uns.Tables() {
-			if r, bad := verifyTable(p, "unsorted", t.Meta.FileNum, t.Reader); bad {
+		v := p.acquire()
+		for _, t := range tablesOf(v) {
+			if r, bad := verifyTable(p, t); bad {
 				reports = append(reports, r)
 			}
 		}
-		for _, t := range p.srt.Tables() {
-			if r, bad := verifyTable(p, "sorted", t.Meta.FileNum, t.Reader); bad {
-				reports = append(reports, r)
-			}
-		}
-		for n := range p.logs {
+		for _, n := range v.logs {
 			logOwners[n] = append(logOwners[n], p.id)
 		}
-		p.mu.RUnlock()
+		v.release()
 	}
 	nums := make([]uint32, 0, len(logOwners))
 	for n := range logOwners {
@@ -126,18 +120,18 @@ func (db *DB) VerifyIntegrityReport() ([]CorruptionReport, error) {
 	return reports, nil
 }
 
-// verifyTable checksums every block of one table under the owning
-// partition's read lock, reporting the first bad block.
-func verifyTable(p *partition, tier string, num uint64, r *sstable.Reader) (CorruptionReport, bool) {
-	for i := 0; i < r.NumBlocks(); i++ {
-		if _, err := r.VerifyBlock(i); err != nil {
+// verifyTable checksums every block of one table of a pinned version of p,
+// reporting the first bad block.
+func verifyTable(p *partition, t scrubTable) (CorruptionReport, bool) {
+	for i := 0; i < t.r.NumBlocks(); i++ {
+		if _, err := t.r.VerifyBlock(i); err != nil {
 			return CorruptionReport{
 				Partition:  p.id,
 				Partitions: []uint32{p.id},
-				File:       tableName(p.dir, num),
+				File:       tableName(p.dir, t.num),
 				Block:      i,
 				Offset:     -1,
-				Err:        fmt.Errorf("partition %d %s table %d: %w", p.id, tier, num, err),
+				Err:        fmt.Errorf("partition %d %s table %d: %w", p.id, t.tier, t.num, err),
 			}, true
 		}
 	}

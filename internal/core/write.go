@@ -48,7 +48,12 @@ func (db *DB) apply(key, value []byte, kind record.Kind) error {
 			return err
 		}
 		p.mu.Lock()
-		if !p.covers(key) {
+		if done := p.splitting; done != nil {
+			p.mu.Unlock()
+			<-done
+			continue
+		}
+		if !p.cur.Load().covers(key) {
 			p.mu.Unlock()
 			continue
 		}
@@ -76,9 +81,6 @@ func (db *DB) apply(key, value []byte, kind record.Kind) error {
 		}
 		if wantSplit {
 			return classified(db.splitPartition(p))
-		}
-		if db.sched != nil {
-			db.checkMaintenance(p)
 		}
 		return nil
 	}
@@ -110,6 +112,7 @@ func (db *DB) Flush() error {
 		if err != nil {
 			return classified(err)
 		}
+		db.checkMaintenance(p) // the versions this published may arm a trigger
 	}
 	return nil
 }
@@ -144,6 +147,7 @@ func (db *DB) CompactAll() error {
 		if err != nil {
 			return classified(err)
 		}
+		db.afterCommit(p, false)
 	}
 	return nil
 }

@@ -19,24 +19,22 @@ type Table struct {
 	Reader *sstable.Reader
 }
 
-// Store is the SortedStore of one partition. The caller serializes
-// mutations (ReplaceAll); reads are safe concurrently with each other.
+// Store is one sorted run of a partition. It is immutable: the merge, GC
+// and split paths build a new run and the partition publishes a version
+// naming it, so readers use a Store without any lock.
 type Store struct {
 	tables []*Table // key order, non-overlapping
 	size   int64
 }
 
-// New returns an empty store.
-func New() *Store { return &Store{} }
-
-// ReplaceAll installs a new sorted run (the merge and GC paths always
-// rewrite the run wholesale).
-func (s *Store) ReplaceAll(tables []*Table) {
-	s.tables = tables
-	s.size = 0
+// New returns the run over tables (key order, non-overlapping); no tables
+// is the empty run.
+func New(tables []*Table) *Store {
+	s := &Store{tables: tables}
 	for _, t := range tables {
 		s.size += t.Meta.Size
 	}
+	return s
 }
 
 // Tables returns the run's tables in key order.

@@ -14,7 +14,6 @@ import (
 // records each and installs them in a Store.
 func buildRun(t *testing.T, fs vfs.FS, keys []string, perTable int) *Store {
 	t.Helper()
-	s := New()
 	var tables []*Table
 	fileNum := uint64(1)
 	for start := 0; start < len(keys); start += perTable {
@@ -51,8 +50,7 @@ func buildRun(t *testing.T, fs vfs.FS, keys []string, perTable int) *Store {
 		})
 		fileNum++
 	}
-	s.ReplaceAll(tables)
-	return s
+	return New(tables)
 }
 
 func seqKeys(n int) []string {
@@ -119,7 +117,7 @@ func TestGetChecksExactlyOneTable(t *testing.T) {
 }
 
 func TestEmptyStore(t *testing.T) {
-	s := New()
+	s := New(nil)
 	if _, ok, err := s.Get([]byte("k")); ok || err != nil {
 		t.Fatal("empty store returned a record")
 	}

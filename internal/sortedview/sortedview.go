@@ -18,11 +18,11 @@
 // replaces the table set.
 //
 // A View is immutable after construction and carries a monotonically
-// increasing version: the owner (internal/unsorted.Store) swaps the
-// current view under the partition's write lock, and a scan holding the
-// partition read lock pins whichever view it loaded — entries, cursors,
-// and the table readers they point into stay consistent for the scan's
-// lifetime. The package has no locks of its own.
+// increasing version. Its owner, an internal/unsorted.Store, is immutable
+// too: a successor store carries the successor view, and a scan holds the
+// view it iterates through the partition version that names the store —
+// entries, cursors, and the table readers they point into stay consistent
+// for the scan's lifetime. The package has no locks of its own.
 //
 // Memory: one entry stores a copy of the key plus ~40 bytes of cursor and
 // ordering state. This parallels the paper's two-level hash index, whose

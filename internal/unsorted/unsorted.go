@@ -14,7 +14,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"unikv/internal/arena"
@@ -36,77 +35,89 @@ type Table struct {
 	Reader *sstable.Reader
 }
 
-// Store is the UnsortedStore of one partition. Callers (the partition)
-// serialize mutations; reads are safe concurrently with each other.
+// Store is one immutable state of a partition's UnsortedStore: a table list
+// in flush order, the hash index over it and the cross-table sorted view.
+// A partition version names one Store; readers use it without any lock.
+// Every change builds a successor — WithTable for a flush, Rebuild when a
+// merge, scan merge or split replaces the table set — and the partition
+// publishes it in a new version.
+//
+// The one structure successors share is the hash index, and only along
+// WithTable: a flush inserts the new table's keys under local ID
+// len(tables), which the predecessor's Get skips (its table list is one
+// shorter, and it still reads those keys from the frozen memtable). Rebuild
+// always starts a fresh index, so a Store's index never holds an entry for
+// an ID below len(tables) that is not about its own table of that ID.
 type Store struct {
-	tables []*Table
-	index  *hashindex.Index
-	size   int64
+	tables   []*Table
+	index    *hashindex.Index
+	nBuckets int
+	size     int64
 
-	// view is the cross-table sorted view (internal/sortedview). It is an
-	// atomic pointer because one mutation path does not hold the partition
-	// write lock: the lazy post-recovery rebuild runs under the partition
-	// READ lock plus viewMu, concurrently with other scans loading the
-	// pointer. All other swaps happen under the partition write lock like
-	// the rest of the store's state.
-	view atomic.Pointer[sortedview.View]
-	// viewMu serializes the lazy rebuild (see ScanView). Lock order: it is
-	// taken strictly after the owning partition's mu and is never held
-	// across any other lock acquisition.
-	viewMu sync.Mutex
-	// viewStale is set by recovery instead of building the view eagerly:
-	// rebuilding would read every table and erase the hash checkpoint's
-	// recovery savings. While stale, AddTable skips view maintenance (the
-	// rebuild walks the full table list anyway) and scans either trigger
-	// the rebuild or fall back to per-table merging.
-	viewStale atomic.Bool
+	// view is the cross-table sorted view (internal/sortedview) over exactly
+	// tables, or nil: the view is disabled, or this Store came from Recover,
+	// which reads no table for the view's sake (that would void the hash
+	// checkpoint's recovery savings) — the first scan builds it (BuildView)
+	// and the partition publishes a successor that carries it (WithView).
+	view *sortedview.View
 
-	// viewBuilds counts incremental view extensions (one per AddTable);
-	// viewRebuilds counts from-scratch reconstructions (ReplaceTables,
-	// lazy post-recovery rebuilds) and drops (Reset).
-	viewBuilds   atomic.Int64
-	viewRebuilds atomic.Int64
+	// disableIndex turns off the hash index (the fig11 ablation): lookups
+	// probe tables newest-first like a conventional L0. disableView turns
+	// off the sorted view (Options.SortedViewOff): scans merge one iterator
+	// per table.
+	disableIndex bool
+	disableView  bool
 
-	// DisableIndex turns off the hash index (the fig11 ablation): lookups
-	// probe tables newest-first like a conventional L0, and AddTable skips
-	// index maintenance. Set it before the first AddTable.
-	DisableIndex bool
-	// DisableView turns off the cross-table sorted view (Options.
-	// SortedViewOff): scans fall back to a per-call k-way merge over the
-	// tables. Set it before the first AddTable.
-	DisableView bool
+	// stats counts view maintenance across the whole successor chain.
+	stats *viewStats
+}
+
+// viewStats: builds counts tables merged into a maintained view (one per
+// WithTable), rebuilds counts views started from scratch (Rebuild, a lazy
+// BuildView installed by WithView).
+type viewStats struct {
+	builds, rebuilds atomic.Int64
 }
 
 // New creates an empty store whose hash index has nBuckets buckets.
-func New(nBuckets int) *Store {
-	s := &Store{index: hashindex.New(nBuckets, hashindex.DefaultNumHash)}
-	s.view.Store(sortedview.New())
+func New(nBuckets int, disableIndex, disableView bool) *Store {
+	s := &Store{
+		index:        hashindex.New(nBuckets, hashindex.DefaultNumHash),
+		nBuckets:     nBuckets,
+		disableIndex: disableIndex,
+		disableView:  disableView,
+		stats:        &viewStats{},
+	}
+	if !disableView {
+		s.view = sortedview.New()
+	}
 	return s
 }
 
-// AddTable registers a freshly flushed table. keys carries the table's keys
-// in any order and entries the table's sorted-view cursors in table order,
-// when the caller already has them (the flush path collects both while
-// writing the table); pass nil to have the store iterate the table once and
-// derive what it needs (the recovery and table-replacement paths).
-func (s *Store) AddTable(t *Table, keys [][]byte, entries []sortedview.Entry) error {
+// WithTable returns the successor that has t appended. keys carries the
+// table's keys in any order and entries the table's sorted-view cursors in
+// table order, when the caller already has them (the flush path collects
+// both while writing the table); pass nil to have the table iterated once
+// for whatever is missing (Rebuild and Recover). The receiver is unchanged
+// except for its hash index, which the successor shares (see Store): at
+// most one WithTable successor of a Store may ever be published.
+func (s *Store) WithTable(t *Table, keys [][]byte, entries []sortedview.Entry) (*Store, error) {
 	id := len(s.tables)
 	if id > 0xffff {
-		return fmt.Errorf("unsorted: too many tables (%d)", id)
+		return nil, fmt.Errorf("unsorted: too many tables (%d)", id)
 	}
 	// One reader pass covers both the hash index and the view when either
-	// is missing its input; no path iterates the table twice. A stale view
-	// is left untouched: its eventual rebuild walks the full table list,
-	// new tables included.
-	maintainView := !s.DisableView && !s.viewStale.Load()
-	insertIdx := !s.DisableIndex && keys == nil
+	// is missing its input; no path iterates the table twice. An unbuilt
+	// view stays unbuilt: BuildView walks the full table list, new tables
+	// included.
+	maintainView := s.view != nil
+	insertIdx := !s.disableIndex && keys == nil
 	collectView := maintainView && entries == nil
 	if insertIdx || collectView {
 		it := t.Reader.NewIterator()
-		var collected []sortedview.Entry
 		var keyArena arena.Bytes // view keys must not pin block buffers
 		if collectView {
-			collected = make([]sortedview.Entry, 0, t.Reader.Count())
+			entries = make([]sortedview.Entry, 0, t.Reader.Count())
 		}
 		for ok := it.First(); ok; ok = it.Next() {
 			rec := it.Record()
@@ -115,7 +126,7 @@ func (s *Store) AddTable(t *Table, keys [][]byte, entries []sortedview.Entry) er
 			}
 			if collectView {
 				block, pos := it.Position()
-				collected = append(collected, sortedview.Entry{
+				entries = append(entries, sortedview.Entry{
 					Key:   keyArena.Copy(rec.Key),
 					Seq:   rec.Seq,
 					Kind:  rec.Kind,
@@ -125,24 +136,41 @@ func (s *Store) AddTable(t *Table, keys [][]byte, entries []sortedview.Entry) er
 			}
 		}
 		if err := it.Err(); err != nil {
-			return err
-		}
-		if collectView {
-			entries = collected
+			return nil, err
 		}
 	}
-	if !s.DisableIndex && keys != nil {
+	if !s.disableIndex {
 		for _, k := range keys {
 			s.index.Insert(k, uint16(id))
 		}
 	}
-	s.tables = append(s.tables, t)
-	s.size += t.Meta.Size
+	next := *s
+	next.tables = append(s.tables[:id:id], t)
+	next.size += t.Meta.Size
 	if maintainView {
-		s.view.Store(s.view.Load().WithTable(t.Reader, entries))
-		s.viewBuilds.Add(1)
+		next.view = s.view.WithTable(t.Reader, entries)
+		s.stats.builds.Add(1)
 	}
-	return nil
+	return &next, nil
+}
+
+// Rebuild returns a store over exactly tables, with a fresh hash index and
+// view read from them (local IDs and view table IDs are positional, so the
+// survivors of a partial replacement need fresh ones). It reads every
+// table once; callers run it before taking the partition lock.
+func (s *Store) Rebuild(tables []*Table) (*Store, error) {
+	next := New(s.nBuckets, s.disableIndex, s.disableView)
+	next.stats = s.stats
+	if !s.disableView {
+		s.stats.rebuilds.Add(1)
+	}
+	for _, t := range tables {
+		var err error
+		if next, err = next.WithTable(t, nil, nil); err != nil {
+			return nil, err
+		}
+	}
+	return next, nil
 }
 
 // Get returns the newest record for key across all tables, using the hash
@@ -152,24 +180,15 @@ func (s *Store) AddTable(t *Table, keys [][]byte, entries []sortedview.Entry) er
 // alien entry into the probe sequence. keyTag false positives are resolved
 // by the key comparison inside the table read.
 func (s *Store) Get(key []byte) (record.Record, bool, error) {
-	if s.DisableIndex {
-		for i := len(s.tables) - 1; i >= 0; i-- {
-			rec, hit, err := s.tables[i].Reader.Get(key)
-			if err != nil {
-				return record.Record{}, false, err
-			}
-			if hit {
-				return rec, true, nil
-			}
-		}
-		return record.Record{}, false, nil
+	if s.disableIndex {
+		return s.probeAll(key)
 	}
 	var cand [8]uint16
 	n := 0
 	overflowed := false
 	s.index.Lookup(key, func(tid uint16) bool {
 		if int(tid) >= len(s.tables) {
-			return false // stale entry beyond current tables: skip
+			return false // a successor's flush (see Store): not this store's table
 		}
 		for i := 0; i < n; i++ {
 			if cand[i] == tid {
@@ -187,16 +206,7 @@ func (s *Store) Get(key []byte) (record.Record, bool, error) {
 	if overflowed {
 		// Implausibly many tag collisions: fall back to scanning tables
 		// newest-first directly.
-		for i := len(s.tables) - 1; i >= 0; i-- {
-			rec, hit, err := s.tables[i].Reader.Get(key)
-			if err != nil {
-				return record.Record{}, false, err
-			}
-			if hit {
-				return rec, true, nil
-			}
-		}
-		return record.Record{}, false, nil
+		return s.probeAll(key)
 	}
 	// Sort the (tiny) candidate set descending by local ID.
 	ids := cand[:n]
@@ -217,6 +227,20 @@ func (s *Store) Get(key []byte) (record.Record, bool, error) {
 	return record.Record{}, false, nil
 }
 
+// probeAll looks key up in every table, newest first.
+func (s *Store) probeAll(key []byte) (record.Record, bool, error) {
+	for i := len(s.tables) - 1; i >= 0; i-- {
+		rec, hit, err := s.tables[i].Reader.Get(key)
+		if err != nil {
+			return record.Record{}, false, err
+		}
+		if hit {
+			return rec, true, nil
+		}
+	}
+	return record.Record{}, false, nil
+}
+
 // Tables returns the tables in flush order (oldest first).
 func (s *Store) Tables() []*Table { return s.tables }
 
@@ -229,112 +253,43 @@ func (s *Store) SizeBytes() int64 { return s.size }
 // Index exposes the hash index (stats, checkpointing).
 func (s *Store) Index() *hashindex.Index { return s.index }
 
-// ScanView returns the current cross-table sorted view, or nil when the
-// view is disabled or cannot be produced. The returned view is immutable:
-// a scan that loads it under the partition read lock can iterate it
-// safely while later mutations swap in successors.
-//
-// After recovery the view is stale (never built — see MarkViewStale); the
-// first ScanView rebuilds it here, under viewMu so concurrent scans do
-// the work once. Callers hold the partition read lock, which keeps the
-// table set frozen during the rebuild. A rebuild error degrades to the
-// per-table merge path by returning nil; the next scan retries.
-func (s *Store) ScanView() *sortedview.View {
-	if s.DisableView {
-		return nil
-	}
-	if s.viewStale.Load() {
-		if !s.rebuildViewLazy() {
-			return nil
-		}
-	}
-	return s.view.Load()
-}
+// View returns the cross-table sorted view, or nil when the view is
+// disabled or not built yet (see NeedsView). The view is immutable.
+func (s *Store) View() *sortedview.View { return s.view }
 
-// rebuildViewLazy constructs the view from the current table set and
-// clears staleness. Requires the partition read lock (table-set
-// stability); viewMu makes concurrent callers collapse into one rebuild.
-func (s *Store) rebuildViewLazy() bool {
-	s.viewMu.Lock()
-	defer s.viewMu.Unlock()
-	if !s.viewStale.Load() {
-		return true // another scan already rebuilt it
-	}
+// NeedsView reports whether the view is enabled but unbuilt: the state
+// Recover leaves, which the first scan repairs with BuildView and WithView.
+func (s *Store) NeedsView() bool { return !s.disableView && s.view == nil }
+
+// BuildView reads every table and returns the view over them.
+func (s *Store) BuildView() (*sortedview.View, error) {
 	v := sortedview.New()
 	for _, t := range s.tables {
 		entries, err := sortedview.Collect(t.Reader)
 		if err != nil {
-			return false
+			return nil, err
 		}
 		v = v.WithTable(t.Reader, entries)
 	}
-	s.view.Store(v)
-	s.viewRebuilds.Add(1)
-	s.viewStale.Store(false)
-	return true
+	return v, nil
 }
 
-// MarkViewStale defers view construction to the first scan. Recovery uses
-// it so reopening a store does not read every table just to rebuild the
-// memory-only view (which would void the hash checkpoint's savings).
-func (s *Store) MarkViewStale() {
-	if !s.DisableView {
-		s.viewStale.Store(true)
-	}
+// WithView returns the successor that carries v, a view BuildView made of
+// this store's tables.
+func (s *Store) WithView(v *sortedview.View) *Store {
+	next := *s
+	next.view = v
+	s.stats.rebuilds.Add(1)
+	return &next
 }
 
 // ViewStats reports the view's entry count, approximate memory, and the
-// incremental-build / rebuild counters (zeros when disabled).
+// incremental-build / rebuild counters (zeros when disabled or unbuilt).
 func (s *Store) ViewStats() (entries int, bytes, builds, rebuilds int64) {
-	if s.DisableView {
-		return 0, 0, 0, 0
+	if s.view == nil {
+		return 0, 0, s.stats.builds.Load(), s.stats.rebuilds.Load()
 	}
-	v := s.view.Load()
-	return v.Len(), v.MemoryBytes(), s.viewBuilds.Load(), s.viewRebuilds.Load()
-}
-
-// Reset drops all tables and index entries (after the store drains into
-// the SortedStore). The caller closes readers and deletes files.
-func (s *Store) Reset() {
-	s.tables = nil
-	s.size = 0
-	s.index.Reset()
-	if !s.DisableView {
-		s.view.Store(sortedview.New())
-		s.viewStale.Store(false) // empty is exact, stale or not
-		s.viewRebuilds.Add(1)
-	}
-}
-
-// ReplaceAll swaps the table set for the single merged table produced by
-// the size-based merge (scan optimization) and rebuilds the index over it.
-func (s *Store) ReplaceAll(t *Table) error {
-	return s.ReplaceTables([]*Table{t})
-}
-
-// ReplaceTables swaps the full table set, rebuilding the index and the
-// sorted view (local IDs and view table IDs are positional, so survivors
-// of a partial replacement need fresh IDs). Background merges use this to
-// drop the merged prefix while keeping tables flushed during the merge
-// build. The single reader pass per table inside AddTable feeds both
-// structures.
-func (s *Store) ReplaceTables(tables []*Table) error {
-	s.tables = nil
-	s.size = 0
-	s.index.Reset()
-	if !s.DisableView {
-		// A full replacement makes any staleness moot: start exact and let
-		// AddTable extend incrementally below.
-		s.view.Store(sortedview.New())
-		s.viewStale.Store(false)
-		s.viewRebuilds.Add(1)
-	}
-	for _, t := range tables {
-		if err := s.AddTable(t, nil, nil); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.view.Len(), s.view.MemoryBytes(), s.stats.builds.Load(), s.stats.rebuilds.Load()
 }
 
 // ---------------------------------------------------------------------------
@@ -361,24 +316,23 @@ func (s *Store) Checkpoint(fs vfs.FS, name string) error {
 
 // Recover rebuilds the store from the manifest's table list, using the
 // checkpoint at ckptName when it matches. openTable maps a table meta to an
-// opened reader. disableView skips sorted-view support entirely; otherwise
-// the memory-only view is marked stale and rebuilt lazily on the first
-// scan, so recovery reads no table bytes beyond what the hash index needs.
+// opened reader. With the view enabled and tables present the view is left
+// unbuilt (see Store.view), so recovery reads no table bytes beyond what
+// the hash index needs.
 func Recover(
 	fs vfs.FS,
 	nBuckets int,
 	metas []manifest.TableMeta,
 	ckptName string,
-	disableView bool,
+	disableIndex, disableView bool,
 	openTable func(manifest.TableMeta) (*sstable.Reader, error),
 ) (*Store, error) {
-	s := New(nBuckets)
-	s.DisableView = disableView
+	s := New(nBuckets, disableIndex, disableView)
 	if len(metas) > 0 {
-		s.MarkViewStale()
+		s.view = nil
 	}
 	covered := 0
-	if ckptName != "" && fs.Exists(ckptName) {
+	if !disableIndex && ckptName != "" && fs.Exists(ckptName) {
 		idx, n, err := loadCheckpoint(fs, ckptName, metas)
 		if err == nil {
 			s.index = idx
@@ -394,13 +348,12 @@ func Recover(
 		}
 		t := &Table{Meta: meta, Reader: rdr}
 		if i < covered {
-			// Index already has this table's entries; the stale view picks
-			// the table up at its lazy rebuild.
+			// The index already has this table's entries.
 			s.tables = append(s.tables, t)
 			s.size += meta.Size
 			continue
 		}
-		if err := s.AddTable(t, nil, nil); err != nil {
+		if s, err = s.WithTable(t, nil, nil); err != nil {
 			return nil, err
 		}
 	}

@@ -11,6 +11,7 @@ import (
 
 	"unikv/internal/manifest"
 	"unikv/internal/record"
+	"unikv/internal/sortedview"
 	"unikv/internal/sstable"
 	"unikv/internal/vfs"
 )
@@ -55,10 +56,48 @@ func buildTable(t *testing.T, fs vfs.FS, fileNum uint64, kvs map[string]string, 
 	return &Table{Meta: meta, Reader: rdr}, rawKeys
 }
 
+// holder plays the partition's part in these tests: it names the current
+// Store and replaces it with each successor, so the tests read like the
+// sequence of flushes and merges they model.
+type holder struct{ *Store }
+
+func newHolder(nBuckets int, disableView bool) *holder {
+	return &holder{New(nBuckets, false, disableView)}
+}
+
+func (h *holder) AddTable(t *Table, keys [][]byte, entries []sortedview.Entry) error {
+	next, err := h.WithTable(t, keys, entries)
+	if err == nil {
+		h.Store = next
+	}
+	return err
+}
+
+func (h *holder) ReplaceAll(tables ...*Table) error {
+	next, err := h.Rebuild(tables)
+	if err == nil {
+		h.Store = next
+	}
+	return err
+}
+
+// ScanView is the scan path's view lookup: an unbuilt view is built and
+// installed first.
+func (h *holder) ScanView() *sortedview.View {
+	if h.NeedsView() {
+		v, err := h.BuildView()
+		if err != nil {
+			return nil
+		}
+		h.Store = h.WithView(v)
+	}
+	return h.View()
+}
+
 func TestGetAcrossTables(t *testing.T) {
 	fs := vfs.NewMem()
 	fs.MkdirAll("db")
-	s := New(1024)
+	s := newHolder(1024, false)
 
 	t1, k1 := buildTable(t, fs, 1, map[string]string{"a": "a1", "b": "b1", "c": "c1"}, 1)
 	t2, k2 := buildTable(t, fs, 2, map[string]string{"b": "b2", "d": "d2"}, 10)
@@ -88,10 +127,79 @@ func TestGetAcrossTables(t *testing.T) {
 	}
 }
 
+// TestPredecessorIgnoresLaterFlush pins the rule a partition version relies
+// on: WithTable inserts the new table's keys into the hash index its
+// predecessor shares, and the predecessor — which a reader may still hold —
+// keeps answering from its own tables because it skips local IDs beyond
+// them; Rebuild starts a fresh index and leaves the old chain alone.
+func TestPredecessorIgnoresLaterFlush(t *testing.T) {
+	fs := vfs.NewMem()
+	fs.MkdirAll("db")
+	get := func(s *Store, k string) string {
+		t.Helper()
+		rec, ok, err := s.Get([]byte(k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			return ""
+		}
+		return string(rec.Value)
+	}
+	s0 := New(256, false, false)
+	t1, k1 := buildTable(t, fs, 1, map[string]string{"a": "a1", "b": "b1"}, 1)
+	t2, k2 := buildTable(t, fs, 2, map[string]string{"b": "b2", "c": "c2"}, 10)
+	s1, err := s0.WithTable(t1, k1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2, err := s1.WithTable(t2, k2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s1.Index() != s2.Index() {
+		t.Fatal("a flush is expected to share its predecessor's index")
+	}
+	for _, c := range []struct {
+		s    *Store
+		name string
+		want [3]string // a, b, c
+	}{
+		{s0, "empty", [3]string{"", "", ""}},
+		{s1, "one table", [3]string{"a1", "b1", ""}},
+		{s2, "two tables", [3]string{"a1", "b2", "c2"}},
+	} {
+		for i, k := range []string{"a", "b", "c"} {
+			if got := get(c.s, k); got != c.want[i] {
+				t.Errorf("%s store: Get(%s) = %q, want %q", c.name, k, got, c.want[i])
+			}
+		}
+	}
+	if s1.NumTables() != 1 || s1.SizeBytes() != t1.Meta.Size || s1.View().Len() != 2 {
+		t.Fatalf("predecessor changed: tables=%d size=%d view=%d", s1.NumTables(), s1.SizeBytes(), s1.View().Len())
+	}
+
+	// A merge that drops t1: the successor answers from t2 alone through a
+	// fresh index, and the store it replaced is untouched.
+	s3, err := s2.Rebuild([]*Table{t2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s3.Index() == s2.Index() {
+		t.Fatal("Rebuild must not reuse the index")
+	}
+	if a, b := get(s3, "a"), get(s3, "b"); a != "" || b != "b2" {
+		t.Fatalf("rebuilt store: a=%q b=%q", a, b)
+	}
+	if a, b := get(s2, "a"), get(s2, "b"); a != "a1" || b != "b2" {
+		t.Fatalf("replaced store changed: a=%q b=%q", a, b)
+	}
+}
+
 func TestNewestTableWins(t *testing.T) {
 	fs := vfs.NewMem()
 	fs.MkdirAll("db")
-	s := New(256)
+	s := newHolder(256, false)
 	// Same key overwritten across 10 flushes.
 	for i := 0; i < 10; i++ {
 		tab, keys := buildTable(t, fs, uint64(i+1),
@@ -109,7 +217,7 @@ func TestNewestTableWins(t *testing.T) {
 func TestRecoveryNoCheckpoint(t *testing.T) {
 	fs := vfs.NewMem()
 	fs.MkdirAll("db")
-	s := New(256)
+	s := newHolder(256, false)
 	var metas []manifest.TableMeta
 	for i := 0; i < 3; i++ {
 		tab, keys := buildTable(t, fs, uint64(i+1),
@@ -125,7 +233,8 @@ func TestRecoveryNoCheckpoint(t *testing.T) {
 		}
 		return sstable.Open(f)
 	}
-	r, err := Recover(fs, 256, metas, "", false, open)
+	rs, err := Recover(fs, 256, metas, "", false, false, open)
+	r := &holder{rs}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +252,7 @@ func TestRecoveryNoCheckpoint(t *testing.T) {
 func TestRecoveryWithCheckpoint(t *testing.T) {
 	fs := vfs.NewMem()
 	fs.MkdirAll("db")
-	s := New(256)
+	s := newHolder(256, false)
 	var metas []manifest.TableMeta
 	for i := 0; i < 2; i++ {
 		tab, keys := buildTable(t, fs, uint64(i+1),
@@ -166,7 +275,8 @@ func TestRecoveryWithCheckpoint(t *testing.T) {
 		}
 		return sstable.Open(f)
 	}
-	r, err := Recover(fs, 256, metas, "db/hashidx.ckpt", false, open)
+	rs, err := Recover(fs, 256, metas, "db/hashidx.ckpt", false, false, open)
+	r := &holder{rs}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +294,7 @@ func TestRecoveryWithCheckpoint(t *testing.T) {
 func TestRecoveryStaleCheckpointIgnored(t *testing.T) {
 	fs := vfs.NewMem()
 	fs.MkdirAll("db")
-	s := New(256)
+	s := newHolder(256, false)
 	tab, keys := buildTable(t, fs, 1, map[string]string{"old": "x"}, 1)
 	s.AddTable(tab, keys, nil)
 	s.Checkpoint(fs, "db/hashidx.ckpt")
@@ -200,7 +310,8 @@ func TestRecoveryStaleCheckpointIgnored(t *testing.T) {
 		}
 		return sstable.Open(f)
 	}
-	r, err := Recover(fs, 256, metas, "db/hashidx.ckpt", false, open)
+	rs, err := Recover(fs, 256, metas, "db/hashidx.ckpt", false, false, open)
+	r := &holder{rs}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,10 +326,10 @@ func TestRecoveryStaleCheckpointIgnored(t *testing.T) {
 func TestResetAndReplaceAll(t *testing.T) {
 	fs := vfs.NewMem()
 	fs.MkdirAll("db")
-	s := New(256)
+	s := newHolder(256, false)
 	tab, keys := buildTable(t, fs, 1, map[string]string{"a": "1", "b": "2"}, 1)
 	s.AddTable(tab, keys, nil)
-	s.Reset()
+	s.ReplaceAll()
 	if s.NumTables() != 0 || s.SizeBytes() != 0 || s.Index().Count() != 0 {
 		t.Fatal("Reset left state behind")
 	}
@@ -241,11 +352,11 @@ func TestResetAndReplaceAll(t *testing.T) {
 }
 
 // TestViewTracksTableSet verifies the sorted view stays in lockstep with
-// AddTable / ReplaceTables / Reset, and that DisableView keeps it off.
+// WithTable / Rebuild, and that a view-less store keeps it off.
 func TestViewTracksTableSet(t *testing.T) {
 	fs := vfs.NewMem()
 	fs.MkdirAll("db")
-	s := New(256)
+	s := newHolder(256, false)
 
 	t1, k1 := buildTable(t, fs, 1, map[string]string{"a": "a1", "b": "b1"}, 1)
 	t2, k2 := buildTable(t, fs, 2, map[string]string{"b": "b2", "c": "c2"}, 10)
@@ -300,14 +411,13 @@ func TestViewTracksTableSet(t *testing.T) {
 		t.Fatal("ReplaceAll should count one rebuild")
 	}
 
-	s.Reset()
+	s.ReplaceAll()
 	if v := s.ScanView(); v.Len() != 0 || v.NumTables() != 0 {
 		t.Fatal("Reset left view entries")
 	}
 
 	// Disabled store never materializes a view.
-	d := New(256)
-	d.DisableView = true
+	d := newHolder(256, true)
 	t4, k4 := buildTable(t, fs, 4, map[string]string{"x": "1"}, 30)
 	if err := d.AddTable(t4, k4, nil); err != nil {
 		t.Fatal(err)
@@ -327,7 +437,7 @@ func TestViewTracksTableSet(t *testing.T) {
 func TestViewLazyRebuildAfterRecover(t *testing.T) {
 	fs := vfs.NewMem()
 	fs.MkdirAll("db")
-	s := New(256)
+	s := newHolder(256, false)
 	var metas []manifest.TableMeta
 	for i := 0; i < 3; i++ {
 		tab, keys := buildTable(t, fs, uint64(i+1),
@@ -342,7 +452,8 @@ func TestViewLazyRebuildAfterRecover(t *testing.T) {
 		}
 		return sstable.Open(f)
 	}
-	r, err := Recover(fs, 256, metas, "", false, open)
+	rs, err := Recover(fs, 256, metas, "", false, false, open)
+	r := &holder{rs}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +499,7 @@ func TestQuickModel(t *testing.T) {
 		rnd := rand.New(rand.NewSource(seed))
 		fs := vfs.NewMem()
 		fs.MkdirAll("db")
-		s := New(512)
+		s := newHolder(512, false)
 		model := map[string]string{}
 		seq := uint64(1)
 		for flush := 0; flush < 8; flush++ {
@@ -453,7 +564,7 @@ const goldenCheckpointSum = "944f7f5a4e705dc52e53755952e33a9ba1c43cec060e58acf40
 func TestCheckpointGoldenBytes(t *testing.T) {
 	fs := vfs.NewMem()
 	fs.MkdirAll("db")
-	s := New(64)
+	s := newHolder(64, false)
 	for i := 0; i < 3; i++ {
 		kvs := map[string]string{}
 		for j := 0; j < 200; j++ {

@@ -769,6 +769,14 @@ func (m *Manager) Close() error {
 	return first
 }
 
+// Exclusive runs fn with the manager's mutex held. Tests use it to show
+// that a path never takes the mutex: the path completes inside fn.
+func (m *Manager) Exclusive(fn func()) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	fn()
+}
+
 // SizeOf returns the byte size of log n (0 if unknown).
 func (m *Manager) SizeOf(n uint32) int64 {
 	m.mu.Lock()
