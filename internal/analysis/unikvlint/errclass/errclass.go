@@ -10,9 +10,13 @@
 // visible to errors.Is/As.
 //
 // Reachability is computed over the package call graph
-// (internal/analysis/callgraph) from every function named runWithRetry —
-// the whole job tree (run, backgroundFlush/Merge/GC, splitPartition, their
-// helpers) is on the path, at any depth. The check is intra-package like
+// (internal/analysis/callgraph) from every function named runWithRetry.
+// The engine has exactly one, scheduler.runWithRetry: the pool's workers
+// and the scrub driver on a store without workers both go through it, and
+// it calls the same scheduler.run a caller-run job enters — so the whole
+// job tree (run, flushJob/merge/scanMerge/gc, splitPartition,
+// scrubPartitionTables, their helpers) is on the path, at any depth,
+// whichever executor runs it. The check is intra-package like
 // the rest of the framework: errors constructed in callee PACKAGES
 // (sstable, vlog, ...) are out of reach, which is fine — those packages
 // export the sentinels Classify already recognizes.

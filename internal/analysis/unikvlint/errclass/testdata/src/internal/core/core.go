@@ -58,13 +58,13 @@ func (s *sched) runWithRetry() error {
 	}
 }
 
-// run → backgroundGC → rewriteLog: the construction sites live three call
+// run → gc → rewriteLog: the construction sites live three call
 // edges below the retry loop; Reachable makes the depth irrelevant.
 func (s *sched) run() error {
-	return s.backgroundGC()
+	return s.gc()
 }
 
-func (s *sched) backgroundGC() error {
+func (s *sched) gc() error {
 	if bad() {
 		return s.flakyProbe()
 	}

@@ -115,7 +115,8 @@ func (db *DB) ApplyBatch(b *Batch) error {
 		for i := range mine {
 			mine[i].Seq = db.seq.Add(1)
 		}
-		wantSplit, err := p.putBatch(mine)
+		err := p.putBatch(mine)
+		froze := p.cur.Load() != v
 		p.mu.Unlock()
 		// Hot-ring staleness protocol: every written key is invalidated
 		// after the batch applied, before it is acknowledged (also on
@@ -123,13 +124,8 @@ func (db *DB) ApplyBatch(b *Batch) error {
 		for i := range mine {
 			db.hot.Invalidate(mine[i].Key)
 		}
-		if err != nil {
-			return classified(err)
-		}
-		if wantSplit {
-			if err := db.splitPartition(p); err != nil {
-				return classified(err)
-			}
+		if err := db.written(p, froze, err); err != nil {
+			return err
 		}
 		pending = rest
 	}

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"unikv/internal/vfs"
 )
@@ -242,9 +243,9 @@ func copyFS(t *testing.T, src, dst vfs.FS) {
 	walk("db")
 }
 
-// crashCase drives an inline-mode store, deterministically, to the put
-// that runs one maintenance cycle, so a fault can be armed at every file
-// system write inside that single put.
+// crashCase drives a store with one writer, deterministically (a pool
+// settles between puts), to the put that runs one maintenance cycle, so a
+// fault can be armed at every file system write that single put causes.
 type crashCase struct {
 	name    string
 	opts    func(vfs.FS) Options
@@ -269,6 +270,7 @@ func (c crashCase) replay(t *testing.T, fs vfs.FS, n int) *DB {
 		if err := crashPut(db, i); err != nil {
 			t.Fatalf("fault-free put %d: %v", i, err)
 		}
+		settle(db)
 	}
 	return db
 }
@@ -276,13 +278,23 @@ func (c crashCase) replay(t *testing.T, fs vfs.FS, n int) *DB {
 // TestCrashAtEveryWriteIndex arms a sticky fault at EVERY mutating file
 // system operation of one flush, one merge (tables plus the batched value
 // log append) and one GC, crashes there, reopens, and checks that every
-// acknowledged put survived and the in-flight one is whole or absent.
+// acknowledged put survived and the in-flight one is whole or absent. It
+// does so on both executors: the job bodies are the same, but a worker
+// commits behind the put's acknowledgement and retries before it gives up.
 func TestCrashAtEveryWriteIndex(t *testing.T) {
+	for _, workers := range executors {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) { crashAtEveryWriteIndex(t, workers) })
+	}
+}
+
+func crashAtEveryWriteIndex(t *testing.T, workers int) {
 	syncSmall := func(fs vfs.FS) Options {
 		o := smallOpts(fs)
 		o.SyncWrites = true
 		o.DisablePartitioning = true
 		o.GCRatio = 0.2
+		o.BackgroundWorkers = workers
+		o.RetryBaseDelay, o.RetryMaxDelay = time.Millisecond, time.Millisecond
 		return o
 	}
 	cases := []crashCase{
@@ -303,6 +315,7 @@ func TestCrashAtEveryWriteIndex(t *testing.T) {
 				if err := crashPut(dry, i); err != nil {
 					t.Fatal(err)
 				}
+				settle(dry)
 				if c.counter(dry) > before {
 					if seen++; seen == 2 {
 						trigger = i
@@ -323,6 +336,7 @@ func TestCrashAtEveryWriteIndex(t *testing.T) {
 				if err := crashPut(db, trigger); err != nil {
 					t.Fatal(err)
 				}
+				settle(db)
 				n := ffs.MatchedOps()
 				ffs.Disarm()
 				db.Close()
@@ -342,7 +356,9 @@ func TestCrashAtEveryWriteIndex(t *testing.T) {
 				db := c.replay(t, ffs, trigger)
 				ffs.ArmPlan(vfs.FailPlan{Skip: idx, Fail: -1})
 				putErr := crashPut(db, trigger)
-				ffs.Disarm() // abandon db: the crash
+				settle(db)
+				park(db) // abandon db: the crash
+				ffs.Disarm()
 
 				db2, err := Open("db", smallOpts(inner))
 				if err != nil {
@@ -493,10 +509,7 @@ func TestTornWALWriteThenKeepWriting(t *testing.T) {
 				t.Fatal("a single torn WAL write degraded the store")
 			}
 			// Crash: reopen the bytes that reached the file system.
-			db.closed.Store(true)
-			if db.sched != nil {
-				db.sched.close()
-			}
+			park(db)
 			db2, err := Open("db", smallOpts(inner))
 			if err != nil {
 				t.Fatal(err)

@@ -63,11 +63,18 @@ func TestCrashDuringLoad(t *testing.T) {
 // verifies the redo protocol: old state intact, orphans swept, every key
 // readable.
 func TestCrashDuringGC(t *testing.T) {
+	for _, workers := range executors {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) { crashDuringGC(t, workers) })
+	}
+}
+
+func crashDuringGC(t *testing.T, workers int) {
 	inner := vfs.NewMem()
 	ffs := vfs.NewFail(inner)
 	opts := smallOpts(ffs)
 	opts.GCRatio = 0.2
 	opts.DisablePartitioning = true
+	opts.BackgroundWorkers = workers
 	db, err := Open("db", opts)
 	if err != nil {
 		t.Fatal(err)
@@ -78,6 +85,7 @@ func TestCrashDuringGC(t *testing.T) {
 	for round := 0; round < 10; round++ {
 		for i := 0; i < 100; i++ {
 			db.Put(key(i), val(i*7+round))
+			settle(db)
 			latest[i] = i*7 + round
 		}
 	}
@@ -85,7 +93,9 @@ func TestCrashDuringGC(t *testing.T) {
 	// Keep writing until the injected failure surfaces.
 	for i := 0; i < 10000 && !ffs.Failed(); i++ {
 		k := i % 100
-		if err := db.Put(key(k), val(k*7+100+i)); err != nil {
+		err := db.Put(key(k), val(k*7+100+i))
+		settle(db)
+		if err != nil {
 			break
 		}
 		latest[k] = k*7 + 100 + i
@@ -93,6 +103,7 @@ func TestCrashDuringGC(t *testing.T) {
 	if !ffs.Failed() {
 		t.Skip("failure point not reached (layout changed); test vacuous")
 	}
+	park(db)
 	ffs.Disarm()
 
 	db2, err := Open("db", smallOpts(inner))
@@ -350,72 +361,81 @@ func TestRecoveryUsesHashCheckpoint(t *testing.T) {
 func TestCrashDuringSplit(t *testing.T) {
 	// Sweep budgets to land the failure at different points inside the
 	// split (pass-1 count, table writes, log writes, manifest commit).
-	for _, budget := range []int64{3, 8, 15, 25, 40, 70} {
-		budget := budget
-		t.Run(fmt.Sprintf("budget=%d", budget), func(t *testing.T) {
-			inner := vfs.NewMem()
-			ffs := vfs.NewFail(inner)
-			opts := smallOpts(ffs)
-			opts.SyncWrites = true
-			db, err := Open("db", opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Load until just under the split point, then arm and push over.
-			acked := 0
-			target := 0
-			for i := 0; ; i++ {
-				if err := db.Put(key(i), val(i)); err != nil {
-					t.Fatalf("pre-split put %d: %v", i, err)
-				}
-				acked = i + 1
-				if liveGauges(db.partitions()[0]).size >= opts.PartitionSizeLimit*8/10 {
-					target = i + 400
-					break
-				}
-				if i > 100000 {
-					t.Fatal("never approached the split point")
-				}
-			}
-			ffs.Arm(budget)
-			for i := acked; i < target; i++ {
-				if err := db.Put(key(i), val(i)); err != nil {
-					break
-				}
-				acked = i + 1
-			}
-			ffs.Disarm()
+	for _, workers := range executors {
+		for _, budget := range []int64{3, 8, 15, 25, 40, 70} {
+			workers, budget := workers, budget
+			t.Run(fmt.Sprintf("workers=%d/budget=%d", workers, budget), func(t *testing.T) { crashDuringSplit(t, workers, budget) })
+		}
+	}
+}
 
-			db2, err := Open("db", smallOpts(inner))
-			if err != nil {
-				t.Fatalf("reopen: %v", err)
-			}
-			defer db2.Close()
-			for i := 0; i < acked; i++ {
-				got, err := db2.Get(key(i))
-				if err != nil || !bytes.Equal(got, val(i)) {
-					t.Fatalf("key %d of %d lost (budget=%d): %v", i, acked, budget, err)
-				}
-			}
-			// Routing invariants.
-			parts := db2.partitions()
-			for i := 1; i < len(parts); i++ {
-				if !bytes.Equal(parts[i-1].cur.Load().upper, parts[i].lower) {
-					t.Fatalf("boundary mismatch after crash recovery")
-				}
-			}
-			// Still writable; scans work.
-			if err := db2.Put([]byte("post"), []byte("ok")); err != nil {
-				t.Fatal(err)
-			}
-			kvs, err := db2.Scan(key(0), nil, acked+10)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(kvs) < acked {
-				t.Fatalf("scan found %d < acked %d", len(kvs), acked)
-			}
-		})
+func crashDuringSplit(t *testing.T, workers int, budget int64) {
+	inner := vfs.NewMem()
+	ffs := vfs.NewFail(inner)
+	opts := smallOpts(ffs)
+	opts.SyncWrites = true
+	opts.BackgroundWorkers = workers
+	db, err := Open("db", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Load until just under the split point, then arm and push over.
+	acked := 0
+	target := 0
+	for i := 0; ; i++ {
+		if err := db.Put(key(i), val(i)); err != nil {
+			t.Fatalf("pre-split put %d: %v", i, err)
+		}
+		settle(db)
+		acked = i + 1
+		if liveGauges(db.partitions()[0]).size >= opts.PartitionSizeLimit*8/10 {
+			target = i + 400
+			break
+		}
+		if i > 100000 {
+			t.Fatal("never approached the split point")
+		}
+	}
+	ffs.Arm(budget)
+	for i := acked; i < target; i++ {
+		err := db.Put(key(i), val(i))
+		settle(db)
+		if err != nil {
+			break
+		}
+		acked = i + 1
+	}
+	park(db)
+	ffs.Disarm()
+
+	db2, err := Open("db", smallOpts(inner))
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer db2.Close()
+	for i := 0; i < acked; i++ {
+		got, err := db2.Get(key(i))
+		if err != nil || !bytes.Equal(got, val(i)) {
+			t.Fatalf("key %d of %d lost (budget=%d): %v", i, acked, budget, err)
+		}
+	}
+	// Routing invariants.
+	parts := db2.partitions()
+	for i := 1; i < len(parts); i++ {
+		if !bytes.Equal(parts[i-1].cur.Load().upper, parts[i].lower) {
+			t.Fatalf("boundary mismatch after crash recovery")
+		}
+	}
+	// Still writable; scans work.
+	if err := db2.Put([]byte("post"), []byte("ok")); err != nil {
+		t.Fatal(err)
+	}
+	kvs, err := db2.Scan(key(0), nil, acked+10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(kvs) < acked {
+		t.Fatalf("scan found %d < acked %d", len(kvs), acked)
 	}
 }
 

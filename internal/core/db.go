@@ -75,8 +75,7 @@ type DB struct {
 	// snapMu -> maintMu -> flushMu -> router.mu -> partition.mu
 	//   -> logRefs.mu -> hotring.writerMu
 	// (snapMu is the snapshot-registry lock below; maintMu/flushMu exist
-	// per partition and only matter with BackgroundWorkers > 0; see
-	// scheduler.go.)
+	// per partition and order maintenance jobs; see scheduler.go.)
 	router struct {
 		sync.RWMutex
 		parts []*partition
@@ -114,7 +113,8 @@ type DB struct {
 	stats  Stats
 	closed atomic.Bool
 
-	// sched is the background maintenance pool (nil in inline mode).
+	// sched executes maintenance jobs: on BackgroundWorkers workers, or
+	// with none on the goroutine that submits them.
 	sched *scheduler
 	// scrub is the opt-in background integrity scrub driver (nil unless
 	// ScrubInterval > 0); see scrub.go.
@@ -130,9 +130,10 @@ type DB struct {
 	// put. Tests hold the write path to that.
 	triggerEvals atomic.Int64
 
-	// Test hooks (nil in production). testHookJobStart fires as a worker
-	// picks up a job; testHookMergeBuild fires inside a background merge
-	// after the version is pinned, before the build; testHookPublish fires
+	// Test hooks (nil in production). testHookJobStart fires as a job
+	// starts; testHookMergeBuild fires inside a merge after the version is
+	// pinned, before the build, with no lock of p.mu's rank held;
+	// testHookPublish fires
 	// as a version becomes current, with what publish requires still held.
 	testHookJobStart   func(*partition, jobKind)
 	testHookMergeBuild func(*partition)
@@ -344,6 +345,7 @@ func Open(dir string, opts Options) (*DB, error) {
 	}
 	db.vl = vl
 	db.pool = newFetchPool(opts.ScanWorkers)
+	db.sched = newScheduler(db, opts.BackgroundWorkers)
 
 	if len(state.Partitions) == 0 {
 		if err := db.bootstrap(); err != nil {
@@ -359,9 +361,6 @@ func Open(dir string, opts Options) (*DB, error) {
 	db.nextPart.Store(man.State().NextPartID)
 	if !opts.DisableOrphanCleanup {
 		db.sweepOrphans()
-	}
-	if opts.BackgroundWorkers > 0 {
-		db.sched = newScheduler(db, opts.BackgroundWorkers)
 	}
 	if opts.ScrubInterval > 0 {
 		db.scrub = newScrubber(db)
@@ -429,14 +428,12 @@ func (db *DB) recover(state *manifest.State) error {
 	}
 	// Flush recovered memtables so recovery converges to a clean WAL.
 	for _, p := range parts {
-		p.mu.Lock()
-		var err error
-		if !p.cur.Load().mem.Empty() {
-			err = p.flushLocked()
-		} else if !db.opts.DisableWAL && p.wal == nil {
-			err = p.rotateWALLocked()
+		err := p.flushAll()
+		if err == nil && p.wal == nil && !db.opts.DisableWAL {
+			p.mu.Lock()
+			err = p.rotateWALLocked() // nothing to flush: just open a log
+			p.mu.Unlock()
 		}
-		p.mu.Unlock()
 		if err != nil {
 			return err
 		}
@@ -487,8 +484,8 @@ func (db *DB) recoverPartition(meta *manifest.PartitionMeta, upper []byte) (*par
 	v.srt = sorted.New(run)
 
 	// WAL replay. The manifest records the oldest WAL still holding
-	// unflushed data; background mode freezes memtables onto per-memtable
-	// WALs without a manifest edit, so any later-numbered .wal file in the
+	// unflushed data; a full memtable is frozen onto its own WAL
+	// without a manifest edit, so any later-numbered .wal file in the
 	// directory is unflushed frozen data from before the crash. File numbers
 	// are monotonic, so replaying ascending from meta.WALNum reconstructs
 	// write order.
@@ -547,31 +544,22 @@ func (db *DB) Close() error {
 		return nil
 	}
 	var first error
-	// Stop the scrub driver before the pool: its rate-limit waits abort
-	// immediately on the stop signal, so in-flight scrub jobs (on workers
-	// or inline) drain fast instead of pacing through close.
+	// Stop the maintenance executor first: running jobs finish — the stop
+	// signal aborts retry backoffs and the scrub's rate-limit waits, so they
+	// finish fast — queued ones are dropped (the flush below covers them),
+	// stalled writers wake and observe closed. Then the scrub driver.
+	db.sched.close()
 	if db.scrub != nil {
-		db.scrub.close()
-	}
-	// Stop the maintenance pool first: running jobs finish, queued ones are
-	// dropped (the inline drain below covers them), stalled writers wake
-	// and observe closed.
-	if db.sched != nil {
-		db.sched.close()
-		for _, p := range db.partitions() {
-			p.wakeStalled()
-		}
+		db.scrub.wg.Wait()
 	}
 	for _, p := range db.partitions() {
-		p.mu.Lock()
+		p.wakeStalled()
 		if db.degradedErr() == nil {
-			if err := p.drainImmLocked(); err != nil && first == nil {
-				first = err
-			}
-			if err := p.flushLocked(); err != nil && first == nil {
+			if err := p.flushAll(); err != nil && first == nil {
 				first = err
 			}
 		}
+		p.mu.Lock()
 		if p.wal != nil {
 			if err := p.wal.Sync(); err != nil && first == nil {
 				first = err
@@ -709,7 +697,7 @@ func (db *DB) sweepOrphans() {
 		// The live partition may have rotated its WAL/checkpoint since the
 		// state snapshot; protect the current ones too.
 		if p := db.findPartition(meta.ID); p != nil {
-			p.mu.RLock()
+			p.mu.Lock()
 			if p.walNum != 0 {
 				ref[filepath.Base(walName(pdir, p.walNum))] = true
 			}
@@ -721,7 +709,7 @@ func (db *DB) sweepOrphans() {
 			if p.hashCkpt != 0 {
 				ref[filepath.Base(ckptName(pdir, p.hashCkpt))] = true
 			}
-			p.mu.RUnlock()
+			p.mu.Unlock()
 		}
 		for _, name := range names {
 			if !ref[name] && (strings.HasSuffix(name, ".sst") || strings.HasSuffix(name, ".wal") || strings.HasSuffix(name, ".ckpt")) {
@@ -813,9 +801,7 @@ func (db *DB) Metrics() StatsSnapshot {
 	s.ScrubbedLogs = db.stats.ScrubLogs.Load()
 	s.ScrubCorruptions = db.stats.ScrubCorruptions.Load()
 	s.QuarantinedPartitions = db.quarantinedCount()
-	if db.sched != nil {
-		s.PendingJobs = db.sched.pendingJobs()
-	}
+	s.PendingJobs = db.sched.pendingJobs()
 	for _, p := range db.partitions() {
 		v := p.acquire()
 		s.Partitions++

@@ -156,8 +156,7 @@ func runSweepCampaign(t *testing.T, inner vfs.FS, plan vfs.FailPlan) (*vfs.FailF
 		if errors.Is(out.stopErr, ErrDegraded) && !db.Metrics().Degraded {
 			t.Errorf("write failed with ErrDegraded but metrics do not report degraded mode")
 		}
-		db.closed.Store(true)
-		db.sched.close()
+		park(db)
 	}
 	ffs.Disarm()
 	return ffs, out
@@ -315,8 +314,7 @@ func runSnapshotFaultCampaign(t *testing.T, plan vfs.FailPlan) *vfs.FailFS {
 		t.Fatalf("snapshot close: %v", err)
 	}
 	// Park crash-style: a sticky fault may have left the instance degraded.
-	db.closed.Store(true)
-	db.sched.close()
+	park(db)
 	return ffs
 }
 

@@ -16,31 +16,12 @@ func (v *version) needsGC() bool {
 		float64(v.p.garbageBytes.Load()) >= opts.GCRatio*float64(v.logBytes)
 }
 
-// maybeGCLocked runs value-log GC if the trigger holds (inline mode, at the
-// partition's merge points). Requires p.mu held for writing.
-func (p *partition) maybeGCLocked() error {
-	if v := p.cur.Load(); v.needsGC() {
-		return p.gcTables(v, true)
-	}
-	return nil
-}
-
-// backgroundGC is the GC job: it re-checks the trigger, then runs the
-// value rewrite without the partition lock (the SortedStore and log set
-// are stable under maintMu; concurrent reads resolve pointers against the
-// old logs, which live as long as a version naming them).
-func (p *partition) backgroundGC() error {
-	v := p.acquire()
-	defer v.release()
-	if !v.needsGC() {
-		return nil
-	}
-	return p.gcTables(v, false)
-}
-
-// gcTables rewrites the partition's live values out of its collectable
-// logs into a fresh dedicated log and rewrites the SortedStore run with
-// updated pointers. Crash consistency follows the paper's protocol:
+// gc is the GC job: it rewrites the live values of pinned v out of the
+// partition's collectable logs into a fresh dedicated log and rewrites the
+// SortedStore run with updated pointers, with no partition lock until the
+// commit (concurrent reads resolve pointers against the old logs, which live
+// as long as a version naming them). Crash consistency follows the paper's
+// protocol:
 //
 //  1. identify valid KV pairs (scan the SortedStore's keys+pointers),
 //  2. read the live values and write them to a new log file,
@@ -52,11 +33,9 @@ func (p *partition) backgroundGC() error {
 // A crash before step 4 leaves the old state intact (the GC simply redoes);
 // the orphaned new files are swept at the next open.
 //
-// locked means the caller holds p.mu for writing and v is current;
-// otherwise v is pinned and only the commit takes the lock. v's SortedStore
-// and log set are the partition's until then: only structural jobs change
-// them and those hold maintMu.
-func (p *partition) gcTables(v *version, locked bool) error {
+// v's SortedStore and log set are the partition's until the commit: only
+// structural jobs change them and those hold maintMu, as the caller does.
+func (p *partition) gc(v *version) error {
 	db := p.db
 
 	// Collectable logs: everything the partition references except the
@@ -140,10 +119,8 @@ func (p *partition) gcTables(v *version, locked bool) error {
 		return err
 	}
 
-	if !locked {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	next := p.cur.Load().successor()
 	next.srt, next.logs = sorted.New(tables), logs
 	if err := db.man.Apply(

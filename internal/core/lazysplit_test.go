@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"unikv/internal/vfs"
@@ -63,9 +64,11 @@ func TestLazyValueSplitLifecycle(t *testing.T) {
 	db.CompactAll()
 	// Force GC in every partition that still has garbage.
 	for _, p := range db.partitions() {
-		p.mu.Lock()
-		err := p.gcTables(p.cur.Load(), true)
-		p.mu.Unlock()
+		p.maintMu.Lock()
+		v := p.acquire()
+		err := p.gc(v)
+		v.release()
+		p.maintMu.Unlock()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,5 +199,91 @@ func TestSplitDuringConcurrentReads(t *testing.T) {
 	}
 	if db.Metrics().Splits == 0 {
 		t.Fatal("no splits under concurrency — test vacuous")
+	}
+}
+
+// TestSplitReadFaultNeverTruncates fails, once, every table read a split
+// issues. A merge iterator that hits a read error stops like one that ran
+// out of input, so a split that does not ask its stream for the error takes
+// the fault for the end of the data and commits what it has seen so far —
+// at the commit before this test, one failed read in the second pass lost up
+// to two thirds of the keys, silently. Whatever the read, the split either
+// fails and leaves one partition, or succeeds and leaves two; every key is
+// readable either way, before and after a reopen. The cache is off so that
+// each block read reaches the file system.
+func TestSplitReadFaultNeverTruncates(t *testing.T) {
+	const n = 3000
+	seedOpts := func(fs vfs.FS) Options {
+		opts := smallOpts(fs)
+		opts.CacheBytes = CacheOff
+		opts.PartitionSizeLimit = 1 << 40 // the test splits by hand
+		return opts
+	}
+	seed := vfs.NewMem()
+	db, err := Open("db", seedOpts(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if err := db.Put(key(i), val(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	checkAll := func(t *testing.T, db *DB, when string) {
+		t.Helper()
+		lost := 0
+		for i := 0; i < n; i++ {
+			if got, err := db.Get(key(i)); err != nil || !bytes.Equal(got, val(i)) {
+				lost++
+			}
+		}
+		if lost > 0 {
+			t.Fatalf("%s: %d of %d keys gone", when, lost, n)
+		}
+	}
+	// split runs one forced split with the k-th table read failing and
+	// returns how many table reads it issued.
+	split := func(t *testing.T, k int64) int64 {
+		inner := vfs.NewMem()
+		copyFS(t, seed, inner)
+		ffs := vfs.NewFail(inner)
+		db, err := Open("db", seedOpts(ffs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		db.opts.PartitionSizeLimit = 1
+		ffs.ArmPlan(vfs.FailPlan{Skip: k, Fail: 1, Kinds: vfs.OpReadAt, Pattern: "*.sst"})
+		err = db.splitPartition(db.partitions()[0])
+		reads := ffs.MatchedOps()
+		ffs.Disarm()
+		db.opts.PartitionSizeLimit = 1 << 40
+		if parts := len(db.partitions()); (err != nil && parts != 1) || (err == nil && parts != 2) {
+			t.Fatalf("split returned %v and left %d partitions", err, parts)
+		}
+		checkAll(t, db, "after the split")
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if db, err = Open("db", seedOpts(inner)); err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		checkAll(t, db, "after a reopen")
+		return reads
+	}
+	reads := split(t, 1<<40) // no fault: count the reads
+	if reads < 50 {
+		t.Fatalf("a split of %d keys read tables only %d times", n, reads)
+	}
+	step := int64(1)
+	if testing.Short() {
+		step = 7
+	}
+	for k := int64(0); k < reads; k += step {
+		k := k
+		t.Run(fmt.Sprintf("read=%d", k), func(t *testing.T) { split(t, k) })
 	}
 }

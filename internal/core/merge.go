@@ -200,35 +200,14 @@ func (s *separator) flush() error {
 // ---------------------------------------------------------------------------
 // Unsorted → Sorted merge with partial KV separation.
 
-// mergeLocked drains the UnsortedStore into the SortedStore. Requires
-// p.mu held for writing (inline mode and CompactAll).
-func (p *partition) mergeLocked() error {
-	v := p.cur.Load()
-	m, err := p.buildMerge(v)
-	if m == nil {
-		return err
-	}
-	defer m.close()
-	uns, err := p.rebuildUnsorted(len(v.uns.Tables()), nil)
-	if err != nil {
-		return err
-	}
-	return p.commitMergeLocked(v, m, uns)
-}
-
-// backgroundMerge is the merge job: it pins the current version — its
-// unsorted tables stay a stable prefix while concurrent flushes land behind
-// them — re-checks the trigger, runs the heavy merge without the partition
-// lock and takes it only to commit. The SortedStore cannot change meanwhile:
-// structural jobs are serialized by maintMu, and flushes only append.
-func (p *partition) backgroundMerge() error {
-	v := p.acquire()
-	defer v.release()
-	if v.unsBytes < p.db.opts.UnsortedLimit {
-		return nil
-	}
+// merge is the merge job: it drains pinned v's unsorted tables — a stable
+// prefix of the UnsortedStore while concurrent flushes land behind them —
+// into the SortedStore, with no partition lock until the commit. The
+// SortedStore cannot change meanwhile: structural jobs are serialized by
+// maintMu, which the caller holds, and flushes only append.
+func (p *partition) merge(v *version) error {
 	if h := p.db.testHookMergeBuild; h != nil {
-		h(p) // test-only gate: hold the merge "mid-build", no locks held
+		h(p) // test-only gate: hold the merge "mid-build", no partition lock held
 	}
 	m, err := p.buildMerge(v)
 	if m == nil {
@@ -280,14 +259,7 @@ func (p *partition) buildMerge(v *version) (*mergeBuild, error) {
 
 func (m *mergeBuild) run(v *version) (err error) {
 	p, db := m.p, m.p.db
-	snap := v.uns.Tables()
-	iters := make([]recIter, 0, len(snap)+1)
-	for _, t := range snap {
-		iters = append(iters, t.Reader.NewMaintIterator())
-	}
-	iters = append(iters, v.srt.NewMaintIterator())
-	mi := newMergeIter(iters)
-
+	mi := v.newFullMergeIter()
 	sep := p.newSeparator(m.w)
 	m.logs = sep.logs
 	var lastKey []byte
@@ -311,7 +283,7 @@ func (m *mergeBuild) run(v *version) (err error) {
 	if err := sep.flush(); err != nil {
 		return err
 	}
-	if err := itersErr(iters); err != nil {
+	if err := mi.Err(); err != nil {
 		return err
 	}
 	if m.tables, err = m.w.finish(); err != nil {
@@ -326,8 +298,7 @@ func (m *mergeBuild) run(v *version) (err error) {
 }
 
 // commitMergeLocked installs a merge of v's tables: uns holds the tables
-// flushed behind them, which stay in the UnsortedStore. Requires p.mu held
-// for writing.
+// flushed behind them, which stay in the UnsortedStore. Requires p.mu held.
 func (p *partition) commitMergeLocked(v *version, m *mergeBuild, uns *unsorted.Store) error {
 	db := p.db
 	// Log set: keep everything previously referenced (their pointers were
@@ -356,47 +327,28 @@ func (p *partition) commitMergeLocked(v *version, m *mergeBuild, uns *unsorted.S
 	return nil
 }
 
-// replaceUnsorted commits a background merge or scan merge of the first
-// merged unsorted tables: it rebuilds the UnsortedStore — reading tables —
-// in front of the partition lock and runs commit under it, holding flushMu
+// replaceUnsorted commits a merge or scan merge of the first merged
+// unsorted tables. It builds the UnsortedStore the commit installs — head
+// (nil when the merged tables drain into the SortedStore) followed by
+// whatever was flushed behind them, under a fresh hash index and view (local
+// IDs are positional) — which reads those tables and so happens in front of
+// the partition lock; commit then runs under it, in memory. flushMu is held
 // across both so that no flush lands a table the new store would miss.
 func (p *partition) replaceUnsorted(merged int, head *unsorted.Table, commit func(*unsorted.Store) error) error {
 	p.flushMu.Lock()
 	defer p.flushMu.Unlock()
-	uns, err := p.rebuildUnsorted(merged, head)
+	cur := p.cur.Load().uns // maintMu plus flushMu pin its table list
+	var tables []*unsorted.Table
+	if head != nil {
+		tables = append(tables, head)
+	}
+	uns, err := cur.Rebuild(append(tables, cur.Tables()[merged:]...))
 	if err != nil {
 		return err
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return commit(uns)
-}
-
-// rebuildUnsorted builds the UnsortedStore a merge or scan merge installs:
-// head (nil when the merged tables drain into the SortedStore) followed by
-// whatever was flushed behind the first merged tables, under a fresh hash
-// index and view (local IDs are positional). It reads those tables, which
-// is why the background jobs call it in front of the partition lock (see
-// replaceUnsorted) and commit in memory.
-func (p *partition) rebuildUnsorted(merged int, head *unsorted.Table) (*unsorted.Store, error) {
-	uns := p.cur.Load().uns // maintMu plus flushMu (or p.mu) pin its table list
-	var tables []*unsorted.Table
-	if head != nil {
-		tables = append(tables, head)
-	}
-	return uns.Rebuild(append(tables, uns.Tables()[merged:]...))
-}
-
-// itersErr returns the first error a merge's input iterators ran into.
-func itersErr(iters []recIter) error {
-	for _, it := range iters {
-		if e, ok := it.(interface{ Err() error }); ok {
-			if err := e.Err(); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // unsortedMetas extracts manifest metadata from unsorted tables (nil for
@@ -431,30 +383,10 @@ func (p *partition) accountGarbage(rec record.Record) {
 // Values stay inline (hot tier keeps KV together) and tombstones are kept
 // (they still shadow the SortedStore).
 
-func (p *partition) scanMergeLocked() error {
-	v := p.cur.Load()
-	tbl, err := p.buildScanMerge(v)
-	if tbl == nil {
-		return err
-	}
-	defer tbl.Reader.Close()
-	uns, err := p.rebuildUnsorted(len(v.uns.Tables()), tbl)
-	if err != nil {
-		return err
-	}
-	return p.commitScanMergeLocked(v, uns)
-}
-
-// backgroundScanMerge is the scan-merge job (version pinned as in
-// backgroundMerge). The merged table takes the oldest position and
-// later-flushed tables keep shadowing it, preserving newest-first probe
-// order.
-func (p *partition) backgroundScanMerge() error {
-	v := p.acquire()
-	defer v.release()
-	if p.db.opts.DisableScanMerge || v.unsTables < p.db.opts.ScanMergeLimit {
-		return nil
-	}
+// scanMerge is the scan-merge job, over pinned v as in merge. The merged
+// table takes the oldest position and later-flushed tables keep shadowing
+// it, preserving newest-first probe order.
+func (p *partition) scanMerge(v *version) error {
 	tbl, err := p.buildScanMerge(v)
 	if tbl == nil {
 		return err
@@ -495,7 +427,7 @@ func (p *partition) buildScanMerge(v *version) (*unsorted.Table, error) {
 		lastKey = rec.Key // aliases an immutable block
 		b.Add(rec)
 	}
-	if err := itersErr(iters); err != nil {
+	if err := m.Err(); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -520,7 +452,7 @@ func (p *partition) buildScanMerge(v *version) (*unsorted.Table, error) {
 }
 
 // commitScanMergeLocked installs uns, the merged table plus whatever was
-// flushed behind v's tables. Requires p.mu held for writing.
+// flushed behind v's tables. Requires p.mu held.
 func (p *partition) commitScanMergeLocked(v *version, uns *unsorted.Store) error {
 	db := p.db
 	if err := db.man.Apply(

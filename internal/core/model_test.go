@@ -14,19 +14,28 @@ import (
 // TestQuickModel drives the engine with random op sequences (put, delete,
 // get, scan, reopen) and checks every observation against a model map.
 // This is the main end-to-end property test: it routinely crosses flush,
-// scan-merge, merge, GC, and split boundaries because of the tiny limits.
+// scan-merge, merge, GC, and split boundaries because of the tiny limits —
+// run by the writer itself, and behind its back by a worker.
 func TestQuickModel(t *testing.T) {
+	for _, workers := range executors {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) { quickModel(t, workers) })
+	}
+}
+
+func quickModel(t *testing.T, workers int) {
 	f := func(seed int64) bool {
 		rnd := rand.New(rand.NewSource(seed))
 		fs := vfs.NewMem()
 		opts := smallOpts(fs)
 		opts.GCRatio = 0.25
+		opts.BackgroundWorkers = workers
 		db, err := Open("db", opts)
 		if err != nil {
 			return false
 		}
 		defer func() { db.Close() }()
-		watchGauges(t, db, true) // inline, one goroutine: exact at every publish
+		exact := workers == 0 // one goroutine publishes everything: exact at every publish
+		watchGauges(t, db, exact)
 		model := map[string]string{}
 		keyOf := func() string { return fmt.Sprintf("key-%04d", rnd.Intn(400)) }
 
@@ -99,7 +108,7 @@ func TestQuickModel(t *testing.T) {
 						t.Logf("reopen: %v", err)
 						return false
 					}
-					watchGauges(t, db, true)
+					watchGauges(t, db, exact)
 				}
 			}
 		}

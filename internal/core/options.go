@@ -59,14 +59,18 @@ type Options struct {
 	SyncWrites bool
 	// DisableWAL skips the write-ahead log entirely.
 	DisableWAL bool
-	// BackgroundWorkers sizes the maintenance worker pool. 0 (the default)
-	// keeps the original inline scheduling: flush/merge/GC/split run
-	// synchronously in the writer under the partition lock, which is
-	// deterministic and what the crash-injection tests arm against. Any
-	// positive value moves maintenance onto that many background workers:
-	// a full memtable is frozen onto an immutable queue (still readable)
-	// and writers only slow down or stall when maintenance falls behind
-	// (see SlowdownImmutables/StallImmutables).
+	// BackgroundWorkers sizes the maintenance worker pool. Every maintenance
+	// step is a job — pin the partition's version, build new files with no
+	// partition lock held, commit under it — and this picks who runs the
+	// jobs. 0 (the default): the writer that fills a memtable freezes it and
+	// runs its flush, and the merge, GC or split behind it, before its Put
+	// returns; with one writer that is deterministic, which is what the
+	// crash-injection tests and the single-writer ledger rows rely on, and a
+	// job's error is that Put's. Any positive value moves the jobs onto that
+	// many background workers: a frozen memtable waits on an immutable queue
+	// (still readable), errors are retried and escalate to degraded mode, and
+	// writers only slow down or stall when maintenance falls behind (see
+	// SlowdownImmutables/StallImmutables).
 	BackgroundWorkers int
 	// SlowdownImmutables starts soft write throttling (a 1 ms sleep per
 	// write) once a partition has this many frozen memtables waiting for

@@ -19,18 +19,21 @@ import (
 
 // partition is one range partition: a WAL and the published version naming
 // its memtables, UnsortedStore, SortedStore and value logs (see version.go).
-// mu serializes what changes the partition — the WAL, memtable insertion,
-// sequence assignment, installing a version; reads take no partition lock.
+// mu serializes what changes the partition: the WAL (append, sync, rotation),
+// memtable insertion, sequence assignment, immWALs, the hash-checkpoint
+// pointer, and installing a version with the manifest batch that commits it.
+// Nobody reads or writes a table while holding it, and reads take no
+// partition lock at all.
 type partition struct {
 	db    *DB
 	id    uint32
 	dir   string
 	lower []byte // inclusive; nil/empty = -inf; fixed at creation
 
-	// maintMu serializes structural background jobs (merge/scan-merge/
-	// GC/split) on this partition; flushMu serializes flushes (a flush
-	// may run concurrently with a structural job, but not with a split,
-	// a user-driven Flush draining the immutable queue, or the moment a
+	// maintMu serializes structural jobs (merge/scan-merge/GC/split) on
+	// this partition; flushMu serializes flushes (a flush may run
+	// concurrently with a structural job, but not with a split, a
+	// user-driven Flush draining the immutable queue, or the moment a
 	// structural job rebuilds the UnsortedStore for its commit). Both are
 	// acquired before mu; see scheduler.go for the full lock order.
 	maintMu sync.Mutex
@@ -39,7 +42,7 @@ type partition struct {
 	// cur is the current version, stored only by publish.
 	cur atomic.Pointer[version]
 
-	mu       sync.RWMutex
+	mu       sync.Mutex
 	immWALs  []uint64 // WAL file per frozen memtable of cur.imm (0 = none)
 	wal      *wal.Writer
 	walNum   uint64
@@ -150,55 +153,49 @@ func (p *partition) replayWAL(num uint64, mem *memtable.Memtable) error {
 
 // ensureWALLocked lazily recreates the WAL after a failed rotation left
 // p.wal nil (a transient fault in newWALLocked aborts the rotating write
-// or flush, but the partition must not silently accept un-logged writes
+// or freeze, but the partition must not silently accept un-logged writes
 // afterwards: a later crash would lose them even though they were acked).
 // File numbers are monotonic, so the replacement WAL replays after the
-// closed one and write order is preserved. It also retires a torn WAL.
+// closed one and write order is preserved.
+//
+// It also moves the partition off a WAL whose last write left partial bytes
+// in the file. Replay stops at the tear, so nothing more may be logged there
+// — but everything acknowledged sits before it, which makes the file a valid
+// log of exactly the live memtable. So the memtable is frozen with it and
+// the write goes on into a fresh memtable on a fresh WAL; one WAL per
+// memtable still holds. Until this succeeds the partition rejects writes.
 func (p *partition) ensureWALLocked() error {
 	switch {
 	case p.db.opts.DisableWAL:
 		return nil
 	case p.wal == nil:
 		return p.newWALLocked()
-	case p.wal.Torn():
-		return p.retireTornWALLocked()
-	}
-	return nil
-}
-
-// retireTornWALLocked moves the partition off a WAL whose last write left
-// partial bytes in the file. Replay stops at the tear, so nothing more may
-// be logged there — but everything acknowledged sits before it, which
-// makes the file a valid log of exactly the live memtable. So the memtable
-// leaves with it (flushed inline, or frozen for the flush worker) and the
-// next write starts a fresh memtable on a fresh WAL; one WAL per memtable
-// still holds. Until this succeeds the partition rejects writes.
-func (p *partition) retireTornWALLocked() error {
-	switch {
+	case !p.wal.Torn():
+		return nil
 	case p.cur.Load().mem.Empty():
 		return p.rotateWALLocked()
-	case p.db.sched != nil:
-		return p.freezeMemLocked()
 	}
-	return p.flushLocked()
+	return p.freezeMemLocked()
 }
 
 // maxRetainedWALBuf bounds the encoding scratch a partition keeps between
 // writes, so one huge batch does not pin its size.
 const maxRetainedWALBuf = 1 << 20
 
-// put applies one record. It returns true when the partition wants a split
-// (checked by DB.Put, which owns the router lock ordering).
-func (p *partition) put(rec record.Record) (wantSplit bool, err error) {
+// put applies one record.
+func (p *partition) put(rec record.Record) error {
 	return p.putBatch([]record.Record{rec})
 }
 
 // putBatch applies several records with one WAL record — they become
-// durable atomically within this partition. The records may borrow caller
-// memory: the WAL gets their encoding and the memtable copies them.
-func (p *partition) putBatch(recs []record.Record) (wantSplit bool, err error) {
+// durable atomically within this partition — and freezes the memtable if
+// that filled it; the caller, which holds p.mu, sees the version move and
+// has the flush submitted once it let go (DB.written). The records may
+// borrow caller memory: the WAL gets their encoding and the memtable copies
+// them.
+func (p *partition) putBatch(recs []record.Record) error {
 	if err := p.ensureWALLocked(); err != nil {
-		return false, err
+		return err
 	}
 	if p.wal != nil {
 		buf := p.walBuf[:0]
@@ -209,11 +206,11 @@ func (p *partition) putBatch(recs []record.Record) (wantSplit bool, err error) {
 			p.walBuf = buf
 		}
 		if err := p.wal.AddRecord(buf); err != nil {
-			return false, err // a torn WAL is retired by the next write's ensureWALLocked
+			return err // a torn WAL is retired by the next write's ensureWALLocked
 		}
 		if p.db.opts.SyncWrites {
 			if err := p.wal.Sync(); err != nil {
-				return false, err
+				return err
 			}
 		}
 	}
@@ -221,81 +218,48 @@ func (p *partition) putBatch(recs []record.Record) (wantSplit bool, err error) {
 	for _, rec := range recs {
 		mem.Put(rec)
 	}
-	return p.afterWriteLocked()
-}
-
-// afterWriteLocked runs the scheduling that follows a write, once the
-// memtable is full. Inline mode (no scheduler): flush, then merge at
-// UnsortedLimit (then maybe GC, then report a split wish) or a size-based
-// scan merge at ScanMergeLimit — all synchronously, under the lock.
-// Background mode: freeze the memtable onto the immutable queue and hand
-// everything else to the worker pool. Each step publishes a version, and
-// the triggers are read off the version it published.
-func (p *partition) afterWriteLocked() (wantSplit bool, err error) {
-	opts := &p.db.opts
-	if p.cur.Load().mem.Size() < opts.MemtableSize {
-		return false, nil
+	if mem.Size() < p.db.opts.MemtableSize {
+		return nil
 	}
-	if p.db.sched != nil {
-		return false, p.freezeMemLocked()
-	}
-	if err := p.flushLocked(); err != nil {
-		return false, err
-	}
-	v := p.cur.Load()
-	if v.unsBytes >= opts.UnsortedLimit {
-		if err := p.mergeLocked(); err != nil {
-			return false, err
-		}
-		if err := p.maybeGCLocked(); err != nil {
-			return false, err
-		}
-		return p.cur.Load().size >= opts.PartitionSizeLimit && !opts.DisablePartitioning, nil
-	}
-	if !opts.DisableScanMerge && v.unsTables >= opts.ScanMergeLimit {
-		return false, p.scanMergeLocked()
-	}
-	return false, nil
+	return p.freezeMemLocked()
 }
 
 // freezeMemLocked moves the live memtable (and its WAL) onto the immutable
-// queue, installs a fresh memtable + WAL, and — background mode's trigger
-// point on the write path — has the scheduler look at the version this
-// published, which queues the flush. No manifest edit happens here: file
-// numbers are allocated monotonically, so recovery replays the committed
-// WAL plus every later-numbered WAL file in the directory, and each flush
-// commit advances the manifest pointer to the oldest WAL still holding
-// unflushed data.
+// queue and installs a fresh memtable + WAL; flushing it is a job, which
+// whoever holds p.mu submits after letting go. No manifest edit happens
+// here: file numbers are allocated monotonically, so recovery replays the
+// committed WAL plus every later-numbered WAL file in the directory, and
+// each flush commit advances the manifest pointer to the oldest WAL still
+// holding unflushed data.
 func (p *partition) freezeMemLocked() error {
 	v := p.cur.Load()
 	if v.mem.Empty() {
 		return nil
 	}
-	frozenWAL := p.walNum
+	frozenWAL := p.walNum // logs exactly v.mem; open only if this handle wrote it
 	if p.wal != nil {
 		if err := p.wal.Sync(); err != nil {
 			return err
 		}
 		p.wal.Close()
 		p.wal = nil
-		if err := p.newWALLocked(); err != nil {
-			return err
-		}
-	} else {
-		frozenWAL = 0
+	}
+	if p.db.opts.DisableWAL {
+		p.walNum = 0
+	} else if err := p.newWALLocked(); err != nil {
+		return err
 	}
 	next := v.successor()
 	next.imm = append(v.imm[:len(v.imm):len(v.imm)], v.mem)
 	next.mem = newMemtable()
 	p.immWALs = append(p.immWALs, frozenWAL)
 	p.publish(next)
-	p.db.checkMaintenance(p)
 	return nil
 }
 
 // buildTable writes mem's live records into a new table file and opens a
-// reader over it. It only touches fresh files and the given (frozen or
-// caller-locked) memtable, so background flushes run it without p.mu.
+// reader over it. It only touches fresh files and the given frozen
+// memtable, so it needs no lock.
 // Alongside the table it returns the key list for the hash index and, when
 // the sorted view is enabled, the view entries collected in the same pass
 // (Builder.NextPosition yields each record's cursor before it is written),
@@ -353,14 +317,58 @@ func (p *partition) buildTable(mem *memtable.Memtable) (*unsorted.Table, [][]byt
 	return &unsorted.Table{Meta: meta, Reader: rdr}, keys, entries, nil
 }
 
-// flushLocked writes the live memtable to a new UnsortedStore table,
-// commits it, rotates the WAL, and checkpoints the hash index on schedule.
-func (p *partition) flushLocked() error {
-	v := p.cur.Load()
-	if v.mem.Empty() {
-		return nil
+// flushAll freezes the live memtable and flushes the whole immutable queue,
+// oldest first: what Flush, CompactAll, Close and recovery mean by "flush".
+func (p *partition) flushAll() error {
+	p.flushMu.Lock()
+	defer p.flushMu.Unlock()
+	p.mu.Lock()
+	err := p.freezeMemLocked()
+	p.mu.Unlock()
+	if err != nil {
+		return err
 	}
-	tbl, keys, entries, err := p.buildTable(v.mem)
+	return p.drainImm()
+}
+
+// drainImm flushes every frozen memtable. Requires flushMu.
+func (p *partition) drainImm() error {
+	for {
+		if more, err := p.flushNext(); !more || err != nil {
+			return err
+		}
+	}
+}
+
+// flushJob flushes the oldest frozen memtable, if there is one.
+func (p *partition) flushJob() error {
+	p.flushMu.Lock()
+	defer p.flushMu.Unlock()
+	_, err := p.flushNext()
+	return err
+}
+
+// flushNext pins the current version and flushes its oldest frozen memtable;
+// false means the queue was empty. Requires flushMu.
+func (p *partition) flushNext() (bool, error) {
+	v := p.acquire()
+	defer v.release()
+	if len(v.imm) == 0 {
+		return false, nil
+	}
+	return true, p.flushOldest(v)
+}
+
+// flushOldest is the body of a flush: it writes pinned v's oldest frozen
+// memtable to a new UnsortedStore table, extends the store and syncs the
+// directory entry with no partition lock held — readers keep hitting the
+// frozen memtable meanwhile — and takes the lock to commit: one manifest
+// batch adds the table and advances the WAL pointer to the oldest WAL still
+// holding unflushed data, the memtable leaves the queue and its WAL the
+// disk, and the hash index is checkpointed on schedule (the paper: every
+// UnsortedLimit/2 worth of flushed tables). Requires flushMu.
+func (p *partition) flushOldest(v *version) error {
+	tbl, keys, entries, err := p.buildTable(v.imm[0])
 	if err != nil {
 		return err
 	}
@@ -369,46 +377,39 @@ func (p *partition) flushLocked() error {
 	if err != nil {
 		return err
 	}
-
-	// Rotate the WAL under the same commit so replay never duplicates the
-	// flushed data.
-	oldWAL := p.walNum
-	var setWAL []manifest.Edit
-	if p.wal != nil {
-		p.wal.Sync()
-		p.wal.Close()
-		p.wal = nil
-	}
-	if !p.db.opts.DisableWAL {
-		if err := p.newWALLocked(); err != nil {
-			return err
-		}
-		setWAL = append(setWAL, manifest.SetWAL(p.id, p.walNum))
-	}
 	// Make the new table's directory entry durable before the manifest
 	// commit references it.
 	if err := p.db.fs.SyncDir(p.dir); err != nil {
 		return err
 	}
-	next := v.successor()
-	next.mem, next.uns = newMemtable(), uns
-	return p.commitFlushLocked(next, tbl, setWAL, oldWAL)
-}
-
-// commitFlushLocked commits a flushed table — one manifest batch adds it
-// and moves the WAL pointer — then publishes next, removes the WAL the
-// table made redundant and checkpoints the hash index on schedule (the
-// paper: every UnsortedLimit/2 worth of flushed tables). Requires p.mu held
-// for writing and the table's directory entry synced.
-func (p *partition) commitFlushLocked(next *version, tbl *unsorted.Table, setWAL []manifest.Edit, oldWAL uint64) error {
-	edits := append([]manifest.Edit{
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	cur := p.cur.Load()
+	if cur.uns != v.uns {
+		// A structural job, or the first scan's view, replaced the store
+		// while the table was built: extend the current one. In memory.
+		if uns, err = cur.uns.WithTable(tbl, keys, entries); err != nil {
+			return err
+		}
+	}
+	edits := []manifest.Edit{
 		manifest.AddUnsorted(p.id, tbl.Meta),
 		manifest.LastSeq(p.db.seq.Load()),
-	}, setWAL...)
+	}
+	nextWAL := p.walNum
+	if len(p.immWALs) > 1 {
+		nextWAL = p.immWALs[1]
+	}
+	if nextWAL != 0 {
+		edits = append(edits, manifest.SetWAL(p.id, nextWAL))
+	}
 	if err := p.db.man.Apply(append(edits, p.db.nextFileEdit())...); err != nil {
 		return err
 	}
-	p.immWALs = p.immWALs[len(p.immWALs)-len(next.imm):] // a flushed memtable's WAL leaves with it
+	next := cur.successor()
+	next.imm, next.uns = cur.imm[1:], uns
+	oldWAL := p.immWALs[0]
+	p.immWALs = p.immWALs[1:]
 	p.publish(next)
 	if oldWAL != 0 {
 		p.db.fs.Remove(walName(p.dir, oldWAL))
@@ -419,74 +420,6 @@ func (p *partition) commitFlushLocked(next *version, tbl *unsorted.Table, setWAL
 		return nil
 	}
 	return p.checkpointHashLocked()
-}
-
-// backgroundFlush is the flush job.
-func (p *partition) backgroundFlush() error {
-	p.flushMu.Lock()
-	defer p.flushMu.Unlock()
-	v := p.acquire()
-	defer v.release()
-	if len(v.imm) == 0 {
-		return nil
-	}
-	return p.flushImm(v, false)
-}
-
-// drainImmLocked flushes every frozen memtable, oldest first. Requires
-// p.mu; callers racing the worker pool (Flush, CompactAll, split) must
-// also hold flushMu so no flush job is mid-build.
-func (p *partition) drainImmLocked() error {
-	for v := p.cur.Load(); len(v.imm) > 0; v = p.cur.Load() {
-		if err := p.flushImm(v, true); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// flushImm flushes v's oldest frozen memtable: it builds the table, extends
-// the UnsortedStore and syncs the directory entry — without the partition
-// lock unless the caller already holds it (locked); readers keep hitting
-// the frozen memtable meanwhile — and takes the lock only to commit: the
-// manifest's WAL pointer advances to the oldest WAL still holding unflushed
-// data and the memtable leaves the queue.
-func (p *partition) flushImm(v *version, locked bool) error {
-	tbl, keys, entries, err := p.buildTable(v.imm[0])
-	if err != nil {
-		return err
-	}
-	defer tbl.Reader.Close()
-	uns, err := v.uns.WithTable(tbl, keys, entries)
-	if err != nil {
-		return err
-	}
-	if err := p.db.fs.SyncDir(p.dir); err != nil {
-		return err
-	}
-	if !locked {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-	}
-	cur := p.cur.Load()
-	if cur.uns != v.uns {
-		// A structural job, or the first scan's view, replaced the store
-		// while the table was built: extend the current one. In memory.
-		if uns, err = cur.uns.WithTable(tbl, keys, entries); err != nil {
-			return err
-		}
-	}
-	var setWAL []manifest.Edit
-	nextWAL := p.walNum
-	if len(p.immWALs) > 1 {
-		nextWAL = p.immWALs[1]
-	}
-	if nextWAL != 0 {
-		setWAL = append(setWAL, manifest.SetWAL(p.id, nextWAL))
-	}
-	next := cur.successor()
-	next.imm, next.uns = cur.imm[1:], uns
-	return p.commitFlushLocked(next, tbl, setWAL, p.immWALs[0])
 }
 
 // checkpointHashLocked persists the hash index and commits the pointer.

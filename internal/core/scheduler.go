@@ -7,40 +7,56 @@ import (
 	"time"
 )
 
-// Background maintenance scheduling (BackgroundWorkers > 0).
+// Maintenance scheduling.
 //
-// In background mode a write only appends to the WAL and the memtable; a
-// full memtable is frozen onto the partition's immutable queue (still
-// served by Get/Scan) and every other maintenance step — flush, merge,
-// scan merge, GC, split — becomes a job executed by a fixed worker pool.
-// Jobs are deduplicated per (partition, kind): at most one instance of a
-// kind is queued or running for a partition at a time, and each completed
-// job re-evaluates the partition's triggers, so chains like
-// flush → merge → GC → split still happen, just off the foreground path.
+// A write only appends to the WAL and the memtable; a full memtable is
+// frozen onto the partition's immutable queue (still served by Get/Scan) and
+// every maintenance step — flush, merge, scan merge, GC, split — is a job:
+// pin the partition's version, build new files with no partition lock held,
+// take partition.mu for the manifest commit and the publish. The scheduler
+// is the job executor, and the executor is all that BackgroundWorkers
+// selects:
+//
+//   - With workers, a submitted job is queued for a fixed pool. Jobs are
+//     deduplicated per (partition, kind) — at most one instance of a kind is
+//     queued or running for a partition at a time — and each finished job
+//     has every trigger looked at again, so chains like
+//     flush → merge → GC → split still happen, just off the foreground path.
+//     Writers are throttled when the pool falls behind, and a job error is
+//     the pool's to handle (below).
+//   - With none, a submitted job runs on the goroutine that submitted it —
+//     through the same run entry — before submit returns, followed depth
+//     first by what its commit armed (callerRuns). The writer that fills a
+//     memtable pays for its flush and whatever hangs off it, so there is
+//     nothing to throttle against, and a job error goes to that writer.
 //
 // Structural jobs (merge/scan-merge/GC/split) are serialized per partition
 // by partition.maintMu because they replace table sets the others read;
 // flushes take only partition.flushMu, so a flush commits concurrently
-// with a long merge build. Lock order with the pool:
+// with a long merge build. Lock order:
 //
 //	snapMu -> maintMu -> flushMu -> router.mu -> partition.mu
 //	  -> logRefs.mu -> hotring.writerMu
 //
-// A job error is classified (see errors.go) before it can do damage: a
-// transient error is retried with bounded exponential backoff + jitter
-// (the job's dedup flag stays set, so the retries own the slot). A
+// A pooled job's error is classified (see errors.go) before it can do
+// damage: a transient error is retried with bounded exponential backoff +
+// jitter (the job's dedup flag stays set, so the retries own the slot). A
 // terminal failure escalates through jobFailed: corruption inside one
 // partition's files quarantines just that partition (see quarantine.go),
 // while manifest-level corruption and non-corruption terminal failures
 // trip the DB into degraded read-only mode — writes return a
 // DegradedError, reads keep working, no further jobs run. Retrying a job
 // from scratch is safe because every job mutates durable and in-memory
-// state only at its single manifest-Apply commit point.
+// state only at its single manifest-Apply commit point. A caller-run job
+// has a better sink: its classified error is returned by the Put or Flush
+// that ran it, which may simply try again.
 //
-// jobScrub is the odd one out: enqueued by the scrub pass driver
+// jobScrub is the odd one out: submitted by the scrub pass driver
 // (scrub.go) on a timer rather than by a write-side trigger, it only
 // reads — verifying the tables of a pinned version — so it runs without
-// maintMu and can overlap a merge on the same partition.
+// maintMu and can overlap a merge on the same partition. The driver has no
+// caller to hand an error to, so its jobs get the pool's error handling on
+// either executor (see submit).
 
 type jobKind uint8
 
@@ -52,6 +68,14 @@ const (
 	jobSplit
 	jobScrub
 	numJobKinds
+)
+
+// Two things besides a job's commit publish a version maintenance can hang
+// off. They index a schedule next to the kinds.
+const (
+	memFrozen   = numJobKinds + iota // a write froze a full memtable
+	userFlushed                      // Flush or CompactAll committed for its caller
+	numEvents
 )
 
 func (k jobKind) String() string {
@@ -72,14 +96,53 @@ func (k jobKind) String() string {
 	return "unknown"
 }
 
+// everyTrigger is what the pool looks at behind every event: any commit can
+// arm any trigger, and finding out costs no writer anything.
+var everyTrigger = []jobKind{jobFlush, jobMerge, jobScanMerge, jobGC, jobSplit}
+
+// callerRuns is the schedule of the executor without workers: behind the
+// indexed event the submitting goroutine looks at these triggers, in this
+// order, each against the version current by then, and runs what is due
+// before it looks at the next. It looks at GC and split only behind a merge
+// and at nothing behind a user's Flush or CompactAll. That is narrower than
+// the pool's, on purpose: it is the schedule every single-writer dataset and
+// ledger row was built under, and widening it moves all of them (see
+// DESIGN.md §5). The flush behind a flush drains a queue an earlier failed
+// flush left standing.
+var callerRuns = [numEvents][]jobKind{
+	memFrozen: {jobFlush},
+	jobFlush:  {jobFlush, jobMerge, jobScanMerge},
+	jobMerge:  {jobGC, jobSplit},
+}
+
+// due reports whether v's gauges call for a job of kind k.
+func (v *version) due(k jobKind) bool {
+	opts := &v.p.db.opts
+	switch k {
+	case jobFlush:
+		return v.nImm > 0
+	case jobMerge:
+		return v.unsBytes >= opts.UnsortedLimit
+	case jobScanMerge:
+		return !opts.DisableScanMerge && v.unsTables >= opts.ScanMergeLimit
+	case jobGC:
+		return v.needsGC()
+	case jobSplit:
+		return !opts.DisablePartitioning && v.size >= opts.PartitionSizeLimit
+	}
+	return false
+}
+
 type task struct {
 	p    *partition
 	kind jobKind
 }
 
-// scheduler owns the worker pool and the deduplicated job queue.
+// scheduler executes maintenance jobs: on its worker pool, or with no
+// workers on the goroutine that submits them.
 type scheduler struct {
-	db *DB
+	db      *DB
+	workers int
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -89,13 +152,14 @@ type scheduler struct {
 	// what its commit armed, so that pendingJobs reads zero only at rest.
 	settling int
 	closing  bool
-	stopCh   chan struct{} // closed by close(); interrupts retry backoff
+	stopCh   chan struct{} // closed by close(); interrupts retry backoff and scrub pacing
 	wg       sync.WaitGroup
 }
 
 func newScheduler(db *DB, workers int) *scheduler {
 	s := &scheduler{
 		db:      db,
+		workers: workers,
 		pending: make(map[uint32]*[numJobKinds]bool),
 		stopCh:  make(chan struct{}),
 	}
@@ -107,13 +171,31 @@ func newScheduler(db *DB, workers int) *scheduler {
 	return s
 }
 
-// enqueue schedules kind for p unless the same job is already queued or
-// running there.
-func (s *scheduler) enqueue(p *partition, kind jobKind) {
+// submit asks for a job of kind on p. The pool queues it, unless the same
+// job is already queued or running there, and submit returns nil at once.
+// Without workers the job runs here, and then whatever its commit armed
+// (callerRuns); the first error ends the chain and is the caller's.
+func (s *scheduler) submit(p *partition, kind jobKind) error {
+	t := task{p: p, kind: kind}
 	s.mu.Lock()
 	if s.closing {
 		s.mu.Unlock()
-		return
+		return nil
+	}
+	if s.workers == 0 {
+		s.wg.Add(1) // close waits for caller-run jobs as it does for workers
+		s.mu.Unlock()
+		defer s.wg.Done()
+		if kind == jobScrub {
+			// The scrub driver has no caller to hand an error to: its jobs
+			// get the pool's retries and escalation on this executor too.
+			s.jobDone(t, s.runWithRetry(t))
+			return nil
+		}
+		if err := s.run(t); err != nil {
+			return err
+		}
+		return s.db.checkMaintenance(p, kind)
 	}
 	flags := s.pending[p.id]
 	if flags == nil {
@@ -122,15 +204,17 @@ func (s *scheduler) enqueue(p *partition, kind jobKind) {
 	}
 	if flags[kind] {
 		s.mu.Unlock()
-		return
+		return nil
 	}
 	flags[kind] = true
-	s.queue = append(s.queue, task{p: p, kind: kind})
+	s.queue = append(s.queue, t)
 	s.mu.Unlock()
 	s.cond.Signal()
+	return nil
 }
 
-// pendingJobs counts jobs queued or running (the StatsSnapshot gauge).
+// pendingJobs counts jobs queued or running on the pool (the StatsSnapshot
+// gauge).
 func (s *scheduler) pendingJobs() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -146,7 +230,7 @@ func (s *scheduler) pendingJobs() int {
 }
 
 // close stops accepting jobs and waits for running ones; queued jobs are
-// dropped (Close drains partitions inline afterwards).
+// dropped (Close drains the partitions afterwards).
 func (s *scheduler) close() {
 	s.mu.Lock()
 	s.closing = true
@@ -185,32 +269,33 @@ func (s *scheduler) worker() {
 	}
 }
 
-// jobDone follows up on a finished job: it wakes throttled writers (and
-// lets them observe a failure), escalates a terminal error, and otherwise
-// looks at what the job's commit may have armed (flush fills the
-// UnsortedStore, merge creates garbage, GC shrinks toward a split decision;
-// a split changes the partition set, so all are re-checked).
+// jobDone follows up on a job nobody waited for: it wakes throttled
+// writers (and lets them observe a failure), escalates a terminal error,
+// and otherwise looks at what the job's commit may have armed (flush fills
+// the UnsortedStore, merge creates garbage, GC shrinks toward a split
+// decision; a split changes the partition set, so all are re-checked).
 func (s *scheduler) jobDone(t task, err error) {
 	t.p.wakeStalled()
 	if err != nil {
 		s.db.jobFailed(t, err)
 		return
 	}
-	s.db.afterCommit(t.p, t.kind == jobSplit)
+	s.db.afterCommit(t.p, t.kind)
 }
 
-// afterCommit looks at the triggers a commit on p may have armed. A commit
-// that took p into or out of a shared value log armed more than p's: the
-// log's other owners get their gauges refreshed and their triggers looked at
-// too, so that what runs next does not depend on which of them happened to
-// publish last. all re-checks every partition.
-func (db *DB) afterCommit(p *partition, all bool) {
-	if db.sched == nil {
+// afterCommit is what the pool does behind a commit on p, beyond looking at
+// p's triggers: a commit that took p into or out of a shared value log armed
+// more than p's, so the log's other owners get their gauges refreshed and
+// their triggers looked at too, and what runs next does not depend on which
+// of them happened to publish last. A split re-checks every partition. The
+// caller-run schedule has no such step.
+func (db *DB) afterCommit(p *partition, after jobKind) {
+	if db.sched.workers == 0 {
 		return
 	}
 	for _, q := range db.partitions() {
-		if q.refreshShares() || q == p || all {
-			db.checkMaintenance(q)
+		if q.refreshShares() || q == p || after == jobSplit {
+			db.checkMaintenance(q, after)
 		}
 	}
 }
@@ -240,7 +325,7 @@ func (s *scheduler) runWithRetry(t task) error {
 		d := delay/2 + time.Duration(rand.Int63n(int64(delay/2)+1))
 		select {
 		case <-s.stopCh:
-			return nil // closing: Close drains inline; do not degrade
+			return nil // closing: Close drains the partitions; do not degrade
 		case <-time.After(d):
 		}
 		if delay *= 2; delay > db.opts.RetryMaxDelay {
@@ -249,73 +334,75 @@ func (s *scheduler) runWithRetry(t task) error {
 	}
 }
 
-// run executes one job, re-checking its trigger (state may have moved
-// since it was queued).
+// maintainable reports whether maintenance may run on p. A quarantined
+// partition holds still until repair: maintenance over corrupt inputs would
+// launder the damage into fresh files.
+func (db *DB) maintainable(p *partition) bool {
+	return !db.closed.Load() && db.degradedErr() == nil && p.quarantine.Load() == nil
+}
+
+// run is the one entry every job goes through, on either executor. For a
+// structural job it takes maintMu, pins the version the job builds from and
+// re-checks the trigger against it (state may have moved since the job was
+// submitted).
 func (s *scheduler) run(t task) error {
-	db := s.db
-	if db.closed.Load() || db.degradedErr() != nil {
-		return nil
-	}
-	p := t.p
-	if p.quarantine.Load() != nil {
-		// Maintenance over corrupt inputs would launder the damage into
-		// fresh files; quarantined partitions hold still until repair.
+	db, p := s.db, t.p
+	if !db.maintainable(p) {
 		return nil
 	}
 	if h := db.testHookJobStart; h != nil {
 		h(p, t.kind)
 	}
-	if t.kind == jobFlush {
-		return p.backgroundFlush()
-	}
-	if t.kind == jobScrub {
+	switch t.kind {
+	case jobFlush:
+		return p.flushJob() // takes flushMu only: a flush commits beside a long merge build
+	case jobScrub:
 		// Read-only: verifies a pinned version, never mutates, and so
 		// deliberately skips maintMu — a scrub must not delay a merge.
 		return db.scrubPartitionTables(p)
-	}
-	if t.kind == jobSplit {
+	case jobSplit:
 		return db.splitPartition(p) // takes maintMu and flushMu itself
 	}
 	p.maintMu.Lock()
 	defer p.maintMu.Unlock()
+	v := p.acquire()
+	defer v.release()
+	if !v.due(t.kind) {
+		return nil
+	}
 	switch t.kind {
 	case jobMerge:
-		return p.backgroundMerge()
+		return p.merge(v)
 	case jobScanMerge:
-		return p.backgroundScanMerge()
-	case jobGC:
-		return p.backgroundGC()
+		return p.scanMerge(v)
 	}
-	return nil
+	return p.gc(v)
 }
 
-// checkMaintenance enqueues what p's current version calls for. The
-// triggers are functions of the version, so they are evaluated where one is
-// published: when a write freezes a memtable and after every completed job
-// — never per put.
-func (db *DB) checkMaintenance(p *partition) {
-	if db.sched == nil || db.closed.Load() || db.degradedErr() != nil {
-		return
+// checkMaintenance submits what p's current version calls for among the
+// triggers the executor looks at behind event after. The triggers are
+// functions of the version, so they are evaluated where one is published:
+// when a write freezes a memtable and behind a commit — never per put. The
+// error is a caller-run job's.
+func (db *DB) checkMaintenance(p *partition, after jobKind) error {
+	kinds := everyTrigger
+	if db.sched.workers == 0 {
+		kinds = callerRuns[after]
 	}
-	if p.quarantine.Load() != nil {
-		return
+	if len(kinds) == 0 || !db.maintainable(p) {
+		return nil
 	}
 	db.triggerEvals.Add(1)
-	v := p.cur.Load()
-	if v.nImm > 0 {
-		db.sched.enqueue(p, jobFlush)
+	for _, k := range kinds {
+		v := p.cur.Load()
+		if !v.due(k) || (k == jobScanMerge && v.due(jobMerge)) {
+			continue // a merge takes the tables a scan merge would compact
+		}
+		if err := db.sched.submit(p, k); err != nil {
+			return err
+		}
 	}
-	if v.unsBytes >= db.opts.UnsortedLimit {
-		db.sched.enqueue(p, jobMerge)
-	} else if !db.opts.DisableScanMerge && v.unsTables >= db.opts.ScanMergeLimit {
-		db.sched.enqueue(p, jobScanMerge)
-	}
-	if v.needsGC() {
-		db.sched.enqueue(p, jobGC)
-	}
-	if !db.opts.DisablePartitioning && v.size >= db.opts.PartitionSizeLimit {
-		db.sched.enqueue(p, jobSplit)
-	}
+	return nil
 }
 
 // setDegraded records a terminal background failure, entering degraded
@@ -371,8 +458,8 @@ const (
 // throttle applies write backpressure for p. Returns the failure/closed
 // error a stalled writer should surface instead of waiting forever.
 func (db *DB) throttle(p *partition) error {
-	if db.sched == nil {
-		return nil
+	if db.sched.workers == 0 {
+		return nil // the writer runs the maintenance it causes: there is nobody to wait for
 	}
 	stalled := false
 	for {

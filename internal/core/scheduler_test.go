@@ -230,8 +230,7 @@ func TestBackgroundCrash(t *testing.T) {
 			// Abandon the handle (no Close: simulate the crash) — but park
 			// its workers first, while the FS is still armed, so no job of
 			// the dead instance mutates the disk after "power-off".
-			db.closed.Store(true)
-			db.sched.close()
+			park(db)
 			ffs.Disarm()
 
 			db2, err := Open("db", smallOpts(inner))

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -26,12 +25,13 @@ import (
 // reference, so GC cannot delete the file mid-walk. The scrub never takes
 // maintMu and never mutates — it can overlap any maintenance job.
 //
-// Scheduling: with a worker pool, each partition's table scrub is a
-// jobScrub task (deduplicated like any other kind, visible in
-// PendingJobs); in inline mode the driver goroutine runs them itself
-// through its own runWithRetry. Value logs are shared across partitions,
-// so the driver scrubs the union of referenced logs once per pass rather
-// than once per owner.
+// Scheduling: each partition's table scrub is a jobScrub task submitted to
+// the scheduler — queued for the worker pool (deduplicated like any other
+// kind, visible in PendingJobs), or run on the driver goroutine when there
+// are no workers, under the same retry and escalation either way. Value
+// logs are shared across partitions, so the driver scrubs the union of
+// referenced logs once per pass rather than once per owner. The driver and
+// every rate-limit wait stop on the scheduler's stop signal.
 
 // errScrubStop aborts an in-flight scrub when the DB is closing. It is
 // filtered out before errors escalate (a close is not a failure).
@@ -39,8 +39,8 @@ var errScrubStop = errors.New("unikv: scrub interrupted by close")
 
 type scrubber struct {
 	db     *DB
-	stopCh chan struct{}
-	wg     sync.WaitGroup
+	stopCh <-chan struct{} // the scheduler's: closed first thing by DB.Close
+	wg     sync.WaitGroup  // the driver; DB.Close waits on it
 
 	// Rate limiter: reads reserve their byte cost in a virtual timeline;
 	// next is when the bucket allows the following read. Shared by every
@@ -50,16 +50,10 @@ type scrubber struct {
 }
 
 func newScrubber(db *DB) *scrubber {
-	s := &scrubber{db: db, stopCh: make(chan struct{})}
+	s := &scrubber{db: db, stopCh: db.sched.stopCh}
 	s.wg.Add(1)
 	go s.loop()
 	return s
-}
-
-// close stops the driver and unblocks every in-flight rate-limit wait.
-func (s *scrubber) close() {
-	close(s.stopCh)
-	s.wg.Wait()
 }
 
 func (s *scrubber) loop() {
@@ -88,46 +82,9 @@ func (s *scrubber) pass() {
 		if p.quarantine.Load() != nil {
 			continue
 		}
-		if db.sched != nil {
-			db.sched.enqueue(p, jobScrub)
-		} else {
-			s.runWithRetry(p)
-		}
+		db.sched.submit(p, jobScrub) // the error sink is the scheduler's jobFailed
 	}
 	s.scrubLogs()
-}
-
-// runWithRetry executes one partition's table scrub inline (no worker
-// pool), retrying transient failures with the scheduler's backoff policy
-// and escalating terminal failures through jobFailed — exactly what a
-// jobScrub task gets from the pool. The name is load-bearing: the
-// errclass checker roots its reachability walk at functions named
-// runWithRetry, so every error constructed on the scrub path is checked
-// for an explicit class.
-func (s *scrubber) runWithRetry(p *partition) {
-	db := s.db
-	delay := db.opts.RetryBaseDelay
-	for attempt := 0; ; attempt++ {
-		err := db.scrubPartitionTables(p)
-		if err == nil {
-			return
-		}
-		if Classify(err) != ClassTransient || attempt >= db.opts.JobRetries {
-			db.stats.BackgroundErrors.Add(1)
-			db.jobFailed(task{p: p, kind: jobScrub}, err)
-			return
-		}
-		db.stats.BackgroundRetries.Add(1)
-		d := delay/2 + time.Duration(rand.Int63n(int64(delay/2)+1))
-		select {
-		case <-s.stopCh:
-			return
-		case <-time.After(d):
-		}
-		if delay *= 2; delay > db.opts.RetryMaxDelay {
-			delay = db.opts.RetryMaxDelay
-		}
-	}
 }
 
 // scrubTable names one table during a scrub.
@@ -150,9 +107,9 @@ func tablesOf(v *version) []scrubTable {
 }
 
 // scrubPartitionTables checksum-verifies every table of p block by block,
-// pacing reads through the rate limiter. It is the jobScrub body: called
-// from the scheduler's run (under its runWithRetry) or from the inline
-// driver's. A close mid-scrub returns nil — stopping is not a failure.
+// pacing reads through the rate limiter. It is the jobScrub body, called
+// from the scheduler's run under its runWithRetry. A close mid-scrub
+// returns nil — stopping is not a failure.
 func (db *DB) scrubPartitionTables(p *partition) error {
 	s := db.scrub
 	if s == nil {

@@ -75,6 +75,14 @@ func probeWrites(t *testing.T, db *DB, n int) (quarantined, accepted int) {
 // partition must quarantine (its writes fail scoped), every other
 // partition keeps accepting reads AND writes, and the DB never degrades.
 func TestScrubDetectsCorruptTableQuarantinesOnePartition(t *testing.T) {
+	// On a store without workers the scrub driver runs the table scrub
+	// itself, through the same retry and escalation as a worker.
+	for _, workers := range executors {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) { scrubQuarantinesOnePartition(t, workers) })
+	}
+}
+
+func scrubQuarantinesOnePartition(t *testing.T, workers int) {
 	leakCheck(t)
 	fs := vfs.NewMem()
 	n := bigSeed(t, fs)
@@ -82,7 +90,9 @@ func TestScrubDetectsCorruptTableQuarantinesOnePartition(t *testing.T) {
 	name := firstFile(t, fs, pdir, "*.sst")
 	flipByte(t, fs, name, 20)
 
-	db, err := Open("db", scrubOpts(fs))
+	opts := scrubOpts(fs)
+	opts.BackgroundWorkers = workers
+	db, err := Open("db", opts)
 	if err != nil {
 		t.Fatal(err)
 	}

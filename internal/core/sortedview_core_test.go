@@ -20,10 +20,19 @@ import (
 // Mid-trace the test pins snapshots on both DBs: each snapshot's full dump
 // is captured at pin time, the trace keeps storming (flushes, merges,
 // splits, GC), and at trace end every snapshot must replay byte-identically
-// — on the view path and the per-table fallback path alike.
+// — on the view path and the per-table fallback path alike. The trace runs
+// on both executors: with a worker the view is extended, rebuilt and reset
+// behind the writer's back, at points the trace does not choose.
 func TestSortedViewEquivalence(t *testing.T) {
+	for _, workers := range executors {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) { sortedViewEquivalence(t, workers) })
+	}
+}
+
+func sortedViewEquivalence(t *testing.T, workers int) {
 	onOpts := smallOpts(vfs.NewMem())
 	onOpts.PartitionSizeLimit = 16 << 10 // low enough that the trace splits
+	onOpts.BackgroundWorkers = workers
 	on, err := Open("on", onOpts)
 	if err != nil {
 		t.Fatal(err)
@@ -32,6 +41,7 @@ func TestSortedViewEquivalence(t *testing.T) {
 	offOpts := smallOpts(vfs.NewMem())
 	offOpts.PartitionSizeLimit = 16 << 10
 	offOpts.SortedViewOff = true
+	offOpts.BackgroundWorkers = workers
 	off, err := Open("off", offOpts)
 	if err != nil {
 		t.Fatal(err)

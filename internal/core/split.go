@@ -32,23 +32,20 @@ func (db *DB) splitPartition(parent *partition) error {
 	parent.flushMu.Lock()
 	defer parent.flushMu.Unlock()
 
-	// Step 1: flush buffered writes so the merge stream sees everything
-	// (frozen memtables may still be queued), and turn writers away until
-	// the split is over. From here on only a scan's first view can publish.
+	// Step 1: turn writers away until the split is over and flush what they
+	// buffered, so the merge stream sees everything (frozen memtables may
+	// still be queued). splitting is set under the lock that freezes, so no
+	// write slips in between the flush and the merge; from here on only a
+	// scan's first view, or another partition's share of a log, can publish.
 	parent.mu.Lock()
-	var err error
 	if parent.cur.Load().size < db.opts.PartitionSizeLimit {
 		parent.mu.Unlock()
 		return nil // another trigger split it already
 	}
-	if err = parent.drainImmLocked(); err == nil {
-		err = parent.flushLocked()
-	}
-	if err != nil {
+	if err := parent.freezeMemLocked(); err != nil {
 		parent.mu.Unlock()
 		return err
 	}
-	v := parent.cur.Load()
 	done := make(chan struct{})
 	parent.splitting = done
 	parent.mu.Unlock()
@@ -58,6 +55,11 @@ func (db *DB) splitPartition(parent *partition) error {
 		parent.mu.Unlock()
 		close(done)
 	}()
+	if err := parent.drainImm(); err != nil {
+		return err
+	}
+	v := parent.acquire()
+	defer v.release()
 
 	// Pass 1: count output records to locate the median.
 	total, err := v.countMerged()
@@ -129,6 +131,9 @@ func (db *DB) splitPartition(parent *partition) error {
 		if err := w.add(rec); err != nil {
 			return err
 		}
+	}
+	if err := m.Err(); err != nil {
+		return err // a read fault must not pass for the end of the stream
 	}
 	leftTables, err := leftW.finish()
 	if err != nil {
@@ -281,5 +286,5 @@ func (v *version) countMerged() (int, error) {
 		}
 		n++
 	}
-	return n, nil
+	return n, m.Err()
 }

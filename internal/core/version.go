@@ -113,8 +113,8 @@ func (v *version) closeTables() {
 // publish makes next the partition's current version: it takes next's hold
 // on its files, fills in the gauges, stores the pointer and drops the
 // partition's reference on the version it replaces. This is the only place
-// partition.cur is stored. Requires p.mu held for writing, except while the
-// partition is still private to its creator (open, split).
+// partition.cur is stored. Requires p.mu held, except while the partition
+// is still private to its creator (open, split).
 func (p *partition) publish(next *version) {
 	for _, t := range next.uns.Tables() {
 		t.Reader.Ref()

@@ -129,7 +129,7 @@ func checkLogAccounting(t testing.TB, db *DB) {
 	// that moves a shared log's owner count refreshes the other owners.
 	for _, p := range parts {
 		v := p.cur.Load()
-		if want := scratchGauges(v, scan).logBytes; db.sched != nil && v.logBytes != want {
+		if want := scratchGauges(v, scan).logBytes; db.sched.workers > 0 && v.logBytes != want {
 			t.Errorf("partition %d idles with logBytes %d, its logs and their owners say %d", p.id, v.logBytes, want)
 		}
 	}
@@ -308,7 +308,7 @@ func TestVersionSharesFollowOtherPartitions(t *testing.T) {
 
 	p.maintMu.Lock()
 	v := p.acquire()
-	err = p.gcTables(v, false)
+	err = p.gc(v)
 	v.release()
 	p.maintMu.Unlock()
 	if err != nil {
@@ -318,7 +318,7 @@ func TestVersionSharesFollowOtherPartitions(t *testing.T) {
 		t.Fatal("q published on its own")
 	}
 	evals := db.triggerEvals.Load()
-	db.afterCommit(p, false) // what the worker does when the GC job returns
+	db.afterCommit(p, jobGC) // what the worker does when the GC job returns
 
 	after := q.cur.Load()
 	if got, want := after.gauges(), liveGauges(q); got != want || got.logBytes <= before.logBytes {
@@ -332,10 +332,20 @@ func TestVersionSharesFollowOtherPartitions(t *testing.T) {
 	checkFileSet(t, db)
 }
 
-// probeFS reports every table read and directory sync to a callback.
+// probeFS reports every table read, table write and directory sync to a
+// callback.
 type probeFS struct {
 	vfs.FS
 	onIO func(op, name string)
+}
+
+func (fs *probeFS) Create(name string) (vfs.File, error) {
+	if !strings.HasSuffix(name, ".sst") {
+		return fs.FS.Create(name)
+	}
+	fs.onIO("Create", name)
+	f, err := fs.FS.Create(name)
+	return &probeFile{File: f, fs: fs, name: name}, err
 }
 
 func (fs *probeFS) Open(name string) (vfs.File, error) {
@@ -362,65 +372,91 @@ func (f *probeFile) ReadAt(p []byte, off int64) (int, error) {
 	return f.File.ReadAt(p, off)
 }
 
-// TestVersionCommitsDoNoIOUnderLock holds the background merge, scan merge
-// and GC to their commit contract: under the partition write lock they
-// apply the manifest edit and publish — no table read, no directory sync.
-// (At the parent commit a scan-merge commit re-read the whole merged table
-// there, to rebuild the hash index and the view.) One worker runs one job
-// at a time and the writer pauses while jobs run, so whoever holds the
-// partition lock during a structural job is that job.
+func (f *probeFile) Write(p []byte) (int, error) {
+	f.fs.onIO("Write", f.name)
+	return f.File.Write(p)
+}
+
+// TestVersionCommitsDoNoIOUnderLock holds every maintenance job, on either
+// executor, to the one job shape: no table is created, written or read with
+// a partition lock held — flush, merge, scan merge, GC and split build in
+// front of it — and a structural job's commit under it is the manifest edit
+// and the publish, without a directory sync. (Before the inline twins were
+// deleted a zero-worker store did all of a job under the lock.) The writer
+// pauses while pooled jobs run and a pooled job parks before it starts while
+// the writer runs, so whoever holds a partition lock when a table I/O
+// happens is the goroutine doing the I/O.
 func TestVersionCommitsDoNoIOUnderLock(t *testing.T) {
-	var (
-		gate    sync.RWMutex // jobs hold it shared; the writer holds it to write
-		current atomic.Pointer[partition]
-		checked atomic.Int64
-	)
-	fs := &probeFS{FS: vfs.NewMem()}
-	fs.onIO = func(op, name string) {
-		p := current.Load()
-		if p == nil {
-			return
-		}
-		checked.Add(1)
-		if !p.mu.TryRLock() {
-			t.Errorf("%s %s with partition %d's write lock held by its structural job", op, name, p.id)
-			return
-		}
-		p.mu.RUnlock()
-	}
-	opts := bgOpts(fs)
-	opts.BackgroundWorkers = 1
-	opts.DisablePartitioning = true // a split begins with a flush under the lock, directory sync included
-	db, err := Open("db", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	gate.Lock()
-	db.testHookJobStart = func(p *partition, kind jobKind) {
-		// The previous job is over: with one worker the next starts only then.
-		current.Store(nil)
-		gate.RLock()
-		defer gate.RUnlock()
-		if kind == jobMerge || kind == jobScanMerge || kind == jobGC {
-			current.Store(p)
-		}
-	}
-	for round := 0; round < 60; round++ {
-		for i := 0; i < 60; i++ {
-			if err := db.Put(key((round*60+i)%900), val(round)); err != nil {
+	for _, workers := range []int{0, 1} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			var (
+				gate       sync.RWMutex // jobs hold it shared; the writer holds it to write
+				structural atomic.Pointer[partition]
+				parts      sync.Map // every partition that ever published
+				checked    atomic.Int64
+			)
+			fs := &probeFS{FS: vfs.NewMem()}
+			fs.onIO = func(op, name string) {
+				if op == "SyncDir" {
+					// Outside a structural job the WAL rotation and the hash
+					// checkpoint sync the directory under the lock.
+					if p := structural.Load(); p != nil && !p.mu.TryLock() {
+						t.Errorf("SyncDir %s with partition %d's lock held by its structural job", name, p.id)
+					} else if p != nil {
+						p.mu.Unlock()
+					}
+					return
+				}
+				checked.Add(1)
+				parts.Range(func(k, _ any) bool {
+					p := k.(*partition)
+					if !p.mu.TryLock() {
+						t.Errorf("%s %s with partition %d's lock held", op, name, p.id)
+						return true
+					}
+					p.mu.Unlock()
+					return true
+				})
+			}
+			opts := bgOpts(fs)
+			opts.BackgroundWorkers = workers
+			db, err := Open("db", opts)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		gate.Unlock()
-		waitIdle(t, db)
-		gate.Lock()
-		current.Store(nil)
-	}
-	gate.Unlock()
-	m := db.Metrics()
-	if m.Merges == 0 || m.ScanMerges == 0 || m.GCs == 0 || checked.Load() == 0 {
-		t.Fatalf("nothing to check: merges=%d scan-merges=%d gcs=%d, %d I/Os seen", m.Merges, m.ScanMerges, m.GCs, checked.Load())
+			defer db.Close()
+			db.testHookPublish = func(v *version) { parts.Store(v.p, true) }
+			gate.Lock()
+			db.testHookJobStart = func(p *partition, kind jobKind) {
+				// The previous job is over: with one worker the next starts only then.
+				structural.Store(nil)
+				if workers == 0 {
+					return // the writer runs the job: the gate is its own
+				}
+				gate.RLock()
+				defer gate.RUnlock()
+				if kind == jobMerge || kind == jobScanMerge || kind == jobGC {
+					structural.Store(p)
+				}
+			}
+			for round := 0; round < 80; round++ {
+				for i := 0; i < 60; i++ {
+					if err := db.Put(key((round*60+i)%1800), val(round)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				gate.Unlock()
+				waitIdle(t, db)
+				gate.Lock()
+				structural.Store(nil)
+			}
+			gate.Unlock()
+			m := db.Metrics()
+			if m.Merges == 0 || m.ScanMerges == 0 || m.GCs == 0 || m.Splits == 0 || checked.Load() == 0 {
+				t.Fatalf("nothing to check: merges=%d scan-merges=%d gcs=%d splits=%d, %d I/Os seen",
+					m.Merges, m.ScanMerges, m.GCs, m.Splits, checked.Load())
+			}
+		})
 	}
 }
 

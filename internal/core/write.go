@@ -27,7 +27,7 @@ func (db *DB) Delete(key []byte) error {
 }
 
 // apply routes one write to its partition, retrying if a concurrent split
-// moves the boundary, and runs the split the partition requests.
+// moves the boundary.
 func (db *DB) apply(key, value []byte, kind record.Kind) error {
 	if db.closed.Load() {
 		return ErrClosed
@@ -53,7 +53,8 @@ func (db *DB) apply(key, value []byte, kind record.Kind) error {
 			<-done
 			continue
 		}
-		if !p.cur.Load().covers(key) {
+		v := p.cur.Load()
+		if !v.covers(key) {
 			p.mu.Unlock()
 			continue
 		}
@@ -64,63 +65,73 @@ func (db *DB) apply(key, value []byte, kind record.Kind) error {
 			return err
 		}
 		// Sequence under the partition lock: a snapshot pins by loading
-		// db.seq while holding every partition's read lock, so any write
+		// db.seq while holding every partition's lock, so any write
 		// sequenced before the pin is already in its memtable and any write
 		// sequenced after carries a larger seq. Assigning before the lock
 		// would let a pinned snapshot admit an in-flight write it can later
 		// observe appearing in the shared memtable.
 		rec.Seq = db.seq.Add(1)
-		wantSplit, err := p.put(rec)
+		err := p.put(rec)
+		froze := p.cur.Load() != v
 		p.mu.Unlock()
 		// Invalidate after the write applied, before it is acknowledged —
 		// the hot ring's staleness protocol (also on error: the write may
 		// have partially applied, and dropping a hot entry is always safe).
 		db.hot.Invalidate(key)
-		if err != nil {
-			return classified(err)
-		}
-		if wantSplit {
-			return classified(db.splitPartition(p))
-		}
-		return nil
+		return db.written(p, froze, err)
 	}
 	return classified(ErrRouterInconsistent)
 }
 
+// written ends a write to p that returned err, after p.mu is released. A
+// write publishes a version only by freezing a memtable (froze: the version
+// moved under the writer's lock), and that is where the write path hands
+// over to maintenance: the pool gets a flush queued, a store without workers
+// runs the flush — and what hangs off it — here, and its error is this
+// write's. The write's own error comes first.
+func (db *DB) written(p *partition, froze bool, err error) error {
+	if froze {
+		if merr := db.checkMaintenance(p, memFrozen); err == nil {
+			err = merr
+		}
+	}
+	return classified(err)
+}
+
 // Flush forces the partition memtables to disk (tests, benchmarks, and
-// clean shutdown sequencing). flushMu excludes concurrent background flush
-// jobs while the immutable queue is drained.
+// clean shutdown sequencing).
 func (db *DB) Flush() error {
-	if db.closed.Load() {
-		return ErrClosed
-	}
-	if err := db.degradedErr(); err != nil {
-		return err
-	}
-	for _, p := range db.partitions() {
-		if p.quarantine.Load() != nil {
-			continue // quarantined partitions hold still until repair
+	return db.flushEach(func(p *partition) error {
+		if err := p.flushAll(); err != nil {
+			return err
 		}
-		p.flushMu.Lock()
-		p.mu.Lock()
-		err := p.drainImmLocked()
-		if err == nil {
-			err = p.flushLocked()
-		}
-		p.mu.Unlock()
-		p.flushMu.Unlock()
-		if err != nil {
-			return classified(err)
-		}
-		db.checkMaintenance(p) // the versions this published may arm a trigger
-	}
-	return nil
+		return db.checkMaintenance(p, userFlushed) // the versions this published may arm a trigger
+	})
 }
 
 // CompactAll drains every partition's UnsortedStore into its SortedStore
 // (benchmarks use it to measure steady-state reads). maintMu excludes
-// concurrent structural jobs, flushMu concurrent flush jobs.
+// concurrent structural jobs.
 func (db *DB) CompactAll() error {
+	return db.flushEach(func(p *partition) error {
+		p.maintMu.Lock()
+		err := p.flushAll()
+		if err == nil {
+			v := p.acquire()
+			err = p.merge(v)
+			v.release()
+		}
+		p.maintMu.Unlock()
+		if err == nil {
+			db.afterCommit(p, userFlushed)
+		}
+		return err
+	})
+}
+
+// flushEach runs a user-driven maintenance step on every partition that
+// takes one; quarantined partitions hold still until repair.
+func (db *DB) flushEach(step func(*partition) error) error {
 	if db.closed.Load() {
 		return ErrClosed
 	}
@@ -129,25 +140,11 @@ func (db *DB) CompactAll() error {
 	}
 	for _, p := range db.partitions() {
 		if p.quarantine.Load() != nil {
-			continue // merging corrupt inputs would launder the damage
+			continue
 		}
-		p.maintMu.Lock()
-		p.flushMu.Lock()
-		p.mu.Lock()
-		err := p.drainImmLocked()
-		if err == nil {
-			err = p.flushLocked()
-		}
-		if err == nil {
-			err = p.mergeLocked()
-		}
-		p.mu.Unlock()
-		p.flushMu.Unlock()
-		p.maintMu.Unlock()
-		if err != nil {
+		if err := step(p); err != nil {
 			return classified(err)
 		}
-		db.afterCommit(p, false)
 	}
 	return nil
 }

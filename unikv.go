@@ -159,9 +159,11 @@ type Options struct {
 	// BackgroundWorkers moves maintenance (memtable flush, merge, GC,
 	// partition split) onto this many background workers: a full memtable
 	// is frozen onto an immutable queue — still served by reads — and the
-	// writer returns immediately instead of doing the work inline. Writers
-	// only slow down or stall when maintenance falls behind. 0 (the
-	// default) keeps maintenance inline in the writing goroutine.
+	// writer returns immediately instead of running the jobs itself.
+	// Writers only slow down or stall when maintenance falls behind. 0 (the
+	// default) runs the same jobs on the writing goroutine, before the Put
+	// that filled the memtable returns: deterministic with one writer, and
+	// other readers and writers are not locked out while a job builds.
 	BackgroundWorkers int
 	// CacheBytes bounds the in-memory read cache shared by all partitions,
 	// holding hot SSTable data blocks and hot value-log entries. The cache
