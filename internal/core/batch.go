@@ -13,7 +13,7 @@ import (
 // design — the paper's partitions are fully independent).
 type Batch struct {
 	ops []record.Record
-	mem arena.Bytes // owns the queued keys and values until Reset
+	mem arena.Bytes // owns the copied keys and values until Reset
 }
 
 // NewBatch returns an empty batch.
@@ -31,14 +31,29 @@ func (b *Batch) Delete(key []byte) {
 	b.ops = append(b.ops, record.Record{Key: b.mem.Copy(key), Kind: record.KindDelete})
 }
 
+// PutBorrowed queues an insert/overwrite without copying: the batch holds
+// the caller's key and value, which must stay untouched until the Apply
+// that commits them (this batch's, or one it was Appended to) has
+// returned. A reused batch filled this way allocates nothing — it is what
+// lets a network put cost what DB.Put costs.
+func (b *Batch) PutBorrowed(key, value []byte) {
+	b.ops = append(b.ops, record.Record{Key: key, Kind: record.KindSet, Value: value})
+}
+
+// DeleteBorrowed queues a tombstone under PutBorrowed's contract.
+func (b *Batch) DeleteBorrowed(key []byte) {
+	b.ops = append(b.ops, record.Record{Key: key, Kind: record.KindDelete})
+}
+
 // Len returns the number of queued operations.
 func (b *Batch) Len() int { return len(b.ops) }
 
 // Append queues every operation of o at the end of b, preserving order.
-// o is unchanged; the operations' key/value buffers are shared, which is
-// safe because Put/Delete copy on entry. This is the group-commit
-// primitive: a coalescer merges many callers' batches into one and pays a
-// single commit (one WAL record and fsync per partition) for all of them.
+// o's operations are not changed; their key/value buffers are shared (o's
+// arena, or the memory o borrowed), so o must not be Reset before b is
+// applied. This is the group-commit primitive: a coalescer merges many
+// callers' batches into one and pays a single commit (one WAL record and
+// fsync per partition) for all of them.
 func (b *Batch) Append(o *Batch) { b.ops = append(b.ops, o.ops...) }
 
 // Reset empties the batch for reuse. The arena is dropped, not rewound:
@@ -98,13 +113,17 @@ func (db *DB) ApplyBatch(b *Batch) error {
 		}
 		retries = 0 // progress on a partition resets the budget
 		// Split pending into this partition's ops (order preserved) and
-		// the rest.
-		var mine, rest []record.Record
-		for _, op := range pending {
-			if v.covers(op.Key) {
-				mine = append(mine, op)
-			} else {
-				rest = append(rest, op)
+		// the rest. A batch that stays inside one partition — every lone
+		// put off the wire — is sequenced and applied where it lies.
+		mine, rest := pending, []record.Record(nil)
+		if i := firstOutside(v, pending); i < len(pending) {
+			mine = append([]record.Record(nil), pending[:i]...)
+			for _, op := range pending[i:] {
+				if v.covers(op.Key) {
+					mine = append(mine, op)
+				} else {
+					rest = append(rest, op)
+				}
 			}
 		}
 		// Sequence this partition's chunk under its lock (see apply: a
@@ -130,4 +149,15 @@ func (db *DB) ApplyBatch(b *Batch) error {
 		pending = rest
 	}
 	return nil
+}
+
+// firstOutside returns the index of the first op whose key v does not
+// cover, or len(ops).
+func firstOutside(v *version, ops []record.Record) int {
+	for i := range ops {
+		if !v.covers(ops[i].Key) {
+			return i
+		}
+	}
+	return len(ops)
 }

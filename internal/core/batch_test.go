@@ -89,6 +89,63 @@ func TestBatchAcrossPartitions(t *testing.T) {
 	}
 }
 
+// TestBatchBorrowed: a reused batch whose operations borrow the caller's
+// buffers, merged into a group batch the way the server's commit leader
+// does. Whether a batch stays inside one partition (applied where it
+// lies) or straddles several (sorted into per-partition slices), order
+// within a key holds, and once Apply has returned the engine keeps
+// nothing of the borrowed bytes.
+func TestBatchBorrowed(t *testing.T) {
+	db := openSmall(t, vfs.NewMem())
+	defer db.Close()
+	for i := 0; i < 2000; i++ {
+		db.Put(key(i), val(i))
+	}
+	if db.Metrics().Partitions < 2 {
+		t.Skip("no split at this scale")
+	}
+	b, group := NewBatch(), NewBatch()
+	for round := 0; round < 3; round++ {
+		for _, stride := range []int{1, 50} { // neighbours: one partition; 50 apart: all of them
+			b.Reset()
+			group.Reset()
+			var bufs [][]byte
+			borrow := func(s string) []byte {
+				bufs = append(bufs, []byte(s))
+				return bufs[len(bufs)-1]
+			}
+			for i := 0; i < 30; i++ {
+				k := string(key(i * stride))
+				b.PutBorrowed(borrow(k), borrow("stale"))
+				if i%7 == 3 {
+					b.DeleteBorrowed(borrow(k))
+				} else {
+					b.PutBorrowed(borrow(k), borrow(fmt.Sprintf("r%d-s%d-%d", round, stride, i)))
+				}
+			}
+			group.Append(b)
+			if err := db.ApplyBatch(group); err != nil {
+				t.Fatal(err)
+			}
+			for _, buf := range bufs {
+				for j := range buf {
+					buf[j] = 0xee
+				}
+			}
+			for i := 0; i < 30; i++ {
+				got, err := db.Get(key(i * stride))
+				if i%7 == 3 {
+					if err != ErrNotFound {
+						t.Fatalf("round %d stride %d key %d: %q, %v; want deleted", round, stride, i, got, err)
+					}
+				} else if want := fmt.Sprintf("r%d-s%d-%d", round, stride, i); err != nil || string(got) != want {
+					t.Fatalf("round %d stride %d key %d: %q, %v; want %q", round, stride, i, got, err, want)
+				}
+			}
+		}
+	}
+}
+
 func TestBatchDurableAfterCrash(t *testing.T) {
 	inner := vfs.NewMem()
 	opts := smallOpts(inner)

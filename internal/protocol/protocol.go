@@ -368,14 +368,19 @@ func AppendError(dst []byte, id uint32, st Status, msg string) []byte {
 // peer closes cleanly between frames; a partial frame yields
 // io.ErrUnexpectedEOF.
 func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	// The length word is read into buf itself: a local array would escape
+	// through the io.Reader interface and cost a heap object per frame.
+	if cap(buf) < 4 {
+		buf = make([]byte, 0, 512)
+	}
+	hdr := buf[:4]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		if errors.Is(err, io.ErrUnexpectedEOF) {
 			return buf, io.ErrUnexpectedEOF
 		}
 		return buf, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := binary.LittleEndian.Uint32(hdr)
 	if n > MaxFrameSize {
 		return buf, ErrFrameTooLarge
 	}

@@ -2,192 +2,221 @@ package server
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"io"
 	"net"
+	"os"
 	"time"
 
 	"unikv"
 	"unikv/internal/protocol"
 )
 
-// pending is one decoded request awaiting its response, queued in request
-// order. Either resp is a ready frame (read ops, errors) or res will
-// deliver the group-commit result (write ops) for the writer to encode.
-type pending struct {
-	id   uint32
-	resp []byte // pooled; consumed by the writer
-	res  *commitResult
+// conn is one connection and what its goroutine reuses between requests.
+type conn struct {
+	s   *Server
+	nc  net.Conn
+	br  *bufio.Reader
+	bw  *bufio.Writer
+	buf []byte   // body of the frame being served
+	w   writer   // commit-queue entry; w.batch borrows from buf and br
+	ids []uint32 // request ids answered by the commit in flight
 }
 
-// countingConn tallies wire bytes in both directions.
-type countingConn struct {
-	net.Conn
-	s *Server
-}
-
-func (c *countingConn) Read(p []byte) (int, error) {
-	n, err := c.Conn.Read(p)
+// Read and Write are the socket's, tallying wire bytes for Metrics; br
+// and bw sit on top of them.
+func (c *conn) Read(p []byte) (int, error) {
+	n, err := c.nc.Read(p)
 	c.s.bytesIn.Add(int64(n))
 	return n, err
 }
 
-func (c *countingConn) Write(p []byte) (int, error) {
-	n, err := c.Conn.Write(p)
+func (c *conn) Write(p []byte) (int, error) {
+	n, err := c.nc.Write(p)
 	c.s.bytesOut.Add(int64(n))
 	return n, err
 }
 
-// handleConn runs the reader loop for one connection and a paired writer
-// goroutine, giving the client full request pipelining: the reader keeps
-// decoding and dispatching while earlier responses are still being
-// committed or written.
+// handleConn serves one connection on the calling goroutine, then
+// unregisters it.
 func (s *Server) handleConn(nc net.Conn) {
-	cc := &countingConn{Conn: nc, s: s}
-	defer func() {
-		nc.Close()
-		s.mu.Lock()
-		delete(s.conns, nc)
-		s.mu.Unlock()
-		s.connsActive.Add(-1)
-	}()
+	defer s.wg.Done()
+	c := &conn{s: s, nc: nc, w: writer{batch: unikv.NewBatch(), wake: make(chan struct{}, 1)}}
+	c.br = bufio.NewReaderSize(c, 32<<10)
+	c.bw = bufio.NewWriterSize(c, 32<<10)
+	err := c.serve()
+	// Not worth a line: a clean close, shutdown, a deadline (idle or write).
+	if err != nil && err != io.EOF && !s.closing.Load() && !errors.Is(err, os.ErrDeadlineExceeded) {
+		s.opts.Logf("server: %s: %v", nc.RemoteAddr(), err)
+	}
+	nc.Close()
+	s.mu.Lock()
+	delete(s.conns, nc)
+	s.mu.Unlock()
+	s.connsActive.Add(-1)
+}
 
-	pendings := make(chan *pending, s.opts.PipelineDepth)
-	writerDone := make(chan struct{})
-	go func() {
-		defer close(writerDone)
-		s.connWriter(cc, pendings)
-	}()
-	defer func() { <-writerDone }()
-	defer close(pendings)
-
-	br := bufio.NewReaderSize(cc, 32<<10)
-	readBuf := s.getBuf()
-	defer func() { s.putBuf(readBuf) }()
-
-	// lastWrite is the connection's most recent pending write. Reads
-	// barrier on it before executing, preserving program order on a
-	// pipelined connection (read-your-writes): the commit loop is FIFO,
-	// so the newest write completing implies all older ones have.
-	var lastWrite *commitResult
-
+// serve is the connection's request loop, run to completion: a frame is
+// read, executed (a read) or committed (a write), and its response appended
+// to the write buffer before the next frame is looked at — so responses are
+// in request order and a GET sees the PUT sent before it, with nothing to
+// enforce either. The write buffer is flushed exactly when the read buffer
+// holds no further complete frame: a lone request is answered at once, a
+// pipelined burst with one write. Nothing is decoded ahead of what has been
+// answered, so a client that stops reading is held back by its TCP window.
+func (c *conn) serve() error {
+	s := c.s
 	for {
-		if s.opts.IdleTimeout > 0 {
-			nc.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
+		if c.buffered(0) == nil {
+			if err := c.bw.Flush(); err != nil {
+				return err
+			}
+			if s.opts.IdleTimeout > 0 {
+				c.nc.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
+			}
+		}
+		// Close sets a past read deadline on every connection, so a reader
+		// parked in ReadFrame fails with a timeout; one that is busy finds
+		// the flag here once its current request is answered.
+		if s.closing.Load() {
+			return c.bw.Flush()
 		}
 		var err error
-		readBuf, err = s.readFrame(br, readBuf)
-		if err != nil {
-			if err != io.EOF && !s.closing.Load() && !isTimeout(err) {
-				s.opts.Logf("server: %s: read: %v", nc.RemoteAddr(), err)
-			}
-			return
-		}
-		req, err := protocol.DecodeRequest(readBuf)
-		if err != nil {
-			// The frame boundary is intact, so the stream is not
-			// desynchronized; answer BadRequest and keep serving.
-			s.requests.Add(1)
-			s.inFlight.Add(1)
-			s.respErrors.Add(1)
-			pendings <- &pending{resp: protocol.AppendError(s.getBuf(), req.ID, protocol.StatusBadRequest, err.Error())}
-			continue
+		if c.buf, err = protocol.ReadFrame(c.br, c.buf[:0]); err != nil {
+			return err
 		}
 		s.requests.Add(1)
 		s.inFlight.Add(1)
-		pendings <- s.dispatch(req, &lastWrite)
+		req, err := protocol.DecodeRequest(c.buf)
+		switch {
+		case err != nil:
+			// The frame boundary is intact, so the stream is not
+			// desynchronized; answer BadRequest and keep serving.
+			s.respErrors.Add(1)
+			err = c.respond(protocol.AppendError(c.bw.AvailableBuffer(), req.ID, protocol.StatusBadRequest, err.Error()))
+		case isWrite(req.Op):
+			err = c.write(&req)
+		default:
+			err = c.respond(c.read(c.bw.AvailableBuffer(), &req))
+		}
+		if err != nil {
+			return err
+		}
 	}
 }
 
-// readFrame reads one frame, waking promptly when Close deadlines the
-// connection mid-idle.
-func (s *Server) readFrame(br *bufio.Reader, buf []byte) ([]byte, error) {
-	// Close sets a past read deadline on every connection; a reader
-	// parked here then fails with a timeout and exits via its caller.
-	if s.closing.Load() {
-		return buf, net.ErrClosed
+// buffered returns the body of the frame that starts off bytes into the
+// read buffer's unread data if the buffer already holds all of it, else
+// nil. The body aliases the read buffer until the next read through c.br.
+func (c *conn) buffered(off int) []byte {
+	win, _ := c.br.Peek(c.br.Buffered())
+	if len(win) < off+4 {
+		return nil
 	}
-	return protocol.ReadFrame(br, buf)
+	n := binary.LittleEndian.Uint32(win[off:])
+	if body := win[off+4:]; uint64(n) <= uint64(len(body)) {
+		return body[:n]
+	}
+	return nil
 }
 
-func isTimeout(err error) bool {
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
+// respond queues one response frame, normally encoded in the write
+// buffer's own spare room (AvailableBuffer) and so not copied.
+func (c *conn) respond(frame []byte) error {
+	if c.s.opts.WriteTimeout > 0 {
+		c.nc.SetWriteDeadline(time.Now().Add(c.s.opts.WriteTimeout))
+	}
+	_, err := c.bw.Write(frame)
+	c.s.inFlight.Add(-1)
+	return err
 }
 
-// dispatch executes a read request inline or hands a write request to the
-// group-commit loop, returning the queue entry for the writer. lastWrite
-// tracks this connection's newest pending write for the read barrier.
-func (s *Server) dispatch(req protocol.Request, lastWrite **commitResult) *pending {
-	p := &pending{id: req.ID}
+func isWrite(op protocol.Op) bool {
+	return op == protocol.OpPut || op == protocol.OpDelete || op == protocol.OpBatch
+}
+
+// read executes a read request and appends its response frame to dst.
+func (c *conn) read(dst []byte, req *protocol.Request) []byte {
+	s := c.s
 	switch req.Op {
-	case protocol.OpPing:
-		p.resp = protocol.AppendOKEmpty(s.getBuf(), req.ID)
-
 	case protocol.OpStats:
-		s.readBarrier(lastWrite)
-		p.resp = protocol.AppendOKValue(s.getBuf(), req.ID, s.statsJSON())
-
+		return protocol.AppendOKValue(dst, req.ID, s.statsJSON())
 	case protocol.OpGet:
-		s.readBarrier(lastWrite)
 		v, err := s.db.Get(req.Key)
 		if err != nil {
-			p.resp = s.appendStatus(s.getBuf(), req.ID, err)
-		} else {
-			p.resp = protocol.AppendOKValue(s.getBuf(), req.ID, v)
+			return s.appendStatus(dst, req.ID, err)
 		}
-
+		return protocol.AppendOKValue(dst, req.ID, v)
 	case protocol.OpScan:
-		s.readBarrier(lastWrite)
 		end := req.End
 		if req.NoEnd {
 			end = nil
 		}
 		kvs, err := s.db.Scan(req.Start, end, req.Limit)
 		if err != nil {
-			p.resp = s.appendStatus(s.getBuf(), req.ID, err)
-		} else {
-			pairs := make([]protocol.KV, len(kvs))
-			for i, kv := range kvs {
-				pairs[i] = protocol.KV{Key: kv.Key, Value: kv.Value}
-			}
-			p.resp = protocol.AppendOKPairs(s.getBuf(), req.ID, pairs)
+			return s.appendStatus(dst, req.ID, err)
 		}
+		pairs := make([]protocol.KV, len(kvs))
+		for i, kv := range kvs {
+			pairs[i] = protocol.KV{Key: kv.Key, Value: kv.Value}
+		}
+		return protocol.AppendOKPairs(dst, req.ID, pairs)
+	default: // PING
+		return protocol.AppendOKEmpty(dst, req.ID)
+	}
+}
 
-	case protocol.OpPut, protocol.OpDelete, protocol.OpBatch:
+// write commits a write request — and with it every write frame that
+// follows it complete in the read buffer, so a pipelined burst of writes
+// is one commit — then answers each with that commit's status. The batch
+// borrows keys and values where they lie (req's in c.buf, the followers'
+// in the read buffer, left unconsumed until the commit has returned): the
+// engine's WAL and memtable copies are the only ones made.
+func (c *conn) write(req *protocol.Request) error {
+	s := c.s
+	b := c.w.batch
+	b.Reset()
+	c.ids = c.ids[:0]
+	held := 0
+	for {
 		s.writeRequests.Add(1)
-		// Batch.Put/Delete copy key and value out of the read buffer, so
-		// the reader is free to reuse it for the next pipelined frame
-		// while this one waits for its group commit.
-		b := unikv.NewBatch()
+		c.ids = append(c.ids, req.ID)
 		switch req.Op {
 		case protocol.OpPut:
-			b.Put(req.Key, req.Value)
+			b.PutBorrowed(req.Key, req.Value)
 		case protocol.OpDelete:
-			b.Delete(req.Key)
+			b.DeleteBorrowed(req.Key)
 		default:
 			for _, op := range req.Ops {
 				if op.Kind == protocol.BatchDelete {
-					b.Delete(op.Key)
+					b.DeleteBorrowed(op.Key)
 				} else {
-					b.Put(op.Key, op.Value)
+					b.PutBorrowed(op.Key, op.Value)
 				}
 			}
 		}
-		p.res = &commitResult{done: make(chan struct{})}
-		*lastWrite = p.res
-		s.commitCh <- &commitReq{b: b, res: p.res}
+		body := c.buffered(held)
+		if body == nil || b.Len() >= s.opts.MaxGroupOps {
+			break
+		}
+		next, err := protocol.DecodeRequest(body)
+		if err != nil || !isWrite(next.Op) {
+			break // the request loop's to answer
+		}
+		s.requests.Add(1)
+		s.inFlight.Add(1)
+		held += 4 + len(body)
+		*req = next
 	}
-	return p
-}
-
-// readBarrier waits for the connection's pending writes to commit before
-// a read executes, so a pipelined GET observes the PUT sent before it.
-func (s *Server) readBarrier(lastWrite **commitResult) {
-	if *lastWrite != nil {
-		(*lastWrite).wait()
-		*lastWrite = nil
+	err := s.commit(&c.w)
+	c.br.Discard(held)
+	for _, id := range c.ids {
+		if err := c.respond(s.appendStatus(c.bw.AvailableBuffer(), id, err)); err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
 // appendStatus encodes an error result, counting it.
@@ -224,36 +253,5 @@ func statusOf(err error) protocol.Status {
 		return protocol.StatusClosed
 	default:
 		return protocol.StatusInternal
-	}
-}
-
-// connWriter writes responses in request order, buffering while the
-// pipeline is busy and flushing the moment it goes idle. After a write
-// failure it keeps draining the queue (so the reader and the commit loop
-// never block on a dead connection) without writing.
-func (s *Server) connWriter(cc *countingConn, pendings <-chan *pending) {
-	bw := bufio.NewWriterSize(cc, 32<<10)
-	dead := false
-	for p := range pendings {
-		if p.res != nil {
-			p.resp = s.appendStatus(s.getBuf(), p.id, p.res.wait())
-		}
-		if !dead {
-			if s.opts.WriteTimeout > 0 {
-				cc.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
-			}
-			if _, err := bw.Write(p.resp); err != nil {
-				dead = true
-			} else if len(pendings) == 0 {
-				if err := bw.Flush(); err != nil {
-					dead = true
-				}
-			}
-		}
-		s.putBuf(p.resp)
-		s.inFlight.Add(-1)
-	}
-	if !dead {
-		bw.Flush()
 	}
 }

@@ -2,20 +2,22 @@
 // the internal/protocol wire format and serves a *unikv.DB to many
 // concurrent clients.
 //
-// Each accepted connection gets one goroutine pair (reader + writer)
-// connected by an ordered response queue, so a client may pipeline
-// requests: the reader decodes and dispatches frame after frame without
-// waiting for earlier responses to be written. Read operations execute in
-// the reader goroutine; write operations (PUT, DELETE, BATCH) are handed
-// to a shared group-commit loop that coalesces everything currently
-// queued — across all connections — into a single DB.Apply, amortizing
-// WAL appends and fsyncs under concurrency exactly where a skewed
-// write-heavy workload needs it.
+// Each accepted connection is served by one goroutine, run to completion:
+// it reads a frame, executes it, appends the response to the connection's
+// write buffer and flushes when the client has nothing more queued, so
+// responses are in request order and a pipelined burst costs one write.
+// Reads execute inline. A write (PUT, DELETE, BATCH) is committed by the
+// connection's own goroutine through a leader/follower group commit:
+// writers from all connections queue up, the one at the head applies
+// everything queued behind it with a single DB.Apply and hands the others
+// their result — amortizing WAL appends and fsyncs under concurrency, while
+// a lone writer pays no hand-off. The only goroutines are the accept loop
+// and one per connection.
 //
 // The server enforces a connection limit, optional idle/write deadlines,
 // a frame size cap (protocol.MaxFrameSize), and shuts down gracefully:
-// Close stops accepting, wakes idle readers, lets every in-flight request
-// finish and flush its response, then drains the commit loop.
+// Close stops accepting, wakes idle connections, and lets every other
+// finish, answer and flush the request it is serving.
 package server
 
 import (
@@ -44,9 +46,6 @@ type Options struct {
 	// MaxGroupOps caps operations coalesced into one group commit.
 	// Default 4096.
 	MaxGroupOps int
-	// PipelineDepth is the per-connection bound on decoded-but-unanswered
-	// requests; the reader stalls beyond it (backpressure). Default 64.
-	PipelineDepth int
 	// Logf receives connection-level error lines. nil discards them.
 	Logf func(format string, args ...any)
 }
@@ -57,9 +56,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxGroupOps <= 0 {
 		o.MaxGroupOps = 4096
-	}
-	if o.PipelineDepth <= 0 {
-		o.PipelineDepth = 64
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
@@ -90,7 +86,7 @@ type Metrics struct {
 
 	// Group commit. GroupCommits < WriteRequests means coalescing is
 	// happening: several concurrent write requests shared one DB.Apply.
-	GroupCommits int64 // DB.Apply calls issued by the commit loop
+	GroupCommits int64 // DB.Apply calls issued by commit leaders
 	GroupedOps   int64 // engine operations across those calls
 	MaxGroupOps  int64 // largest single group commit observed
 }
@@ -112,8 +108,9 @@ type Server struct {
 	mu    sync.Mutex
 	conns map[net.Conn]struct{}
 
-	commitCh chan *commitReq
-	commitWG sync.WaitGroup
+	commitMu sync.Mutex
+	queue    []*writer    // waiting to commit; the head leads (commit.go)
+	merged   *unikv.Batch // the leader's scratch
 
 	// Counters behind Metrics.
 	connsActive   atomic.Int64
@@ -128,25 +125,16 @@ type Server struct {
 	groupCommits  atomic.Int64
 	groupedOps    atomic.Int64
 	maxGroup      atomic.Int64
-
-	bufPool sync.Pool // *[]byte read/response buffers
 }
 
 // New wraps db in a server. Call Serve to start accepting.
 func New(db *unikv.DB, opts Options) *Server {
-	s := &Server{
-		db:       db,
-		opts:     opts.withDefaults(),
-		conns:    make(map[net.Conn]struct{}),
-		commitCh: make(chan *commitReq, 1024),
+	return &Server{
+		db:     db,
+		opts:   opts.withDefaults(),
+		conns:  make(map[net.Conn]struct{}),
+		merged: unikv.NewBatch(),
 	}
-	s.bufPool.New = func() any {
-		b := make([]byte, 0, 4096)
-		return &b
-	}
-	s.commitWG.Add(1)
-	go s.commitLoop()
-	return s
 }
 
 // Serve accepts connections on ln until Close. It returns nil after a
@@ -193,10 +181,7 @@ func (s *Server) Serve(ln net.Listener) error {
 		}
 		s.mu.Unlock()
 		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.handleConn(c)
-		}()
+		go s.handleConn(c)
 	}
 }
 
@@ -220,9 +205,10 @@ func (s *Server) Addr() net.Addr {
 }
 
 // Close drains and stops the server: it stops accepting, wakes every
-// reader blocked on an idle connection, answers all requests already
-// decoded (writes acknowledged before Close returns are durable per the
-// DB's WAL policy), then shuts the group-commit loop. The DB stays open.
+// connection waiting for a request, and returns once each has answered
+// the request it was serving — a write is acknowledged only after its
+// commit returned, leader or follower, so every acknowledged write is
+// durable per the DB's WAL policy. The DB stays open.
 func (s *Server) Close() error {
 	if s.closing.Swap(true) {
 		return nil // already closed
@@ -241,9 +227,6 @@ func (s *Server) Close() error {
 	}
 	s.mu.Unlock()
 	s.wg.Wait()
-	// All handlers have exited, so nothing can submit to commitCh.
-	close(s.commitCh)
-	s.commitWG.Wait()
 	return nil
 }
 
@@ -273,16 +256,4 @@ func (s *Server) statsJSON() []byte {
 		b = []byte(fmt.Sprintf(`{"error":%q}`, err))
 	}
 	return b
-}
-
-// getBuf borrows a byte buffer from the pool.
-func (s *Server) getBuf() []byte { return (*s.bufPool.Get().(*[]byte))[:0] }
-
-// putBuf returns a buffer. Oversized buffers are dropped so one huge
-// frame doesn't pin its allocation forever.
-func (s *Server) putBuf(b []byte) {
-	if cap(b) > 1<<20 {
-		return
-	}
-	s.bufPool.Put(&b)
 }

@@ -3,9 +3,14 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"net/http/httptest"
+	"runtime"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -283,4 +288,240 @@ func TestCloseIdempotent(t *testing.T) {
 		c.Close()
 		t.Fatal("dial after Close should fail")
 	}
+}
+
+// TestProgramOrderInOneWrite: writes and reads of one key arriving in a
+// single segment are executed in the order sent — each GET sees exactly
+// the writes before it — and answered in that order.
+func TestProgramOrderInOneWrite(t *testing.T) {
+	_, _, addr := startServer(t, nil, Options{})
+	c := dialRaw(t, addr)
+	k := []byte("k")
+	var wire []byte
+	wire = protocol.AppendPut(wire, 1, k, []byte("v1"))
+	wire = protocol.AppendPut(wire, 2, k, []byte("v2"))
+	wire = protocol.AppendGet(wire, 3, k)
+	wire = protocol.AppendDelete(wire, 4, k)
+	wire = protocol.AppendGet(wire, 5, k)
+	wire = protocol.AppendPut(wire, 6, k, []byte("v3"))
+	wire = protocol.AppendGet(wire, 7, k)
+	if _, err := c.Write(wire); err != nil {
+		t.Fatal(err)
+	}
+	want := []struct {
+		op     protocol.Op
+		status protocol.Status
+		value  string
+	}{
+		{protocol.OpPut, protocol.StatusOK, ""},
+		{protocol.OpPut, protocol.StatusOK, ""},
+		{protocol.OpGet, protocol.StatusOK, "v2"},
+		{protocol.OpDelete, protocol.StatusOK, ""},
+		{protocol.OpGet, protocol.StatusNotFound, ""},
+		{protocol.OpPut, protocol.StatusOK, ""},
+		{protocol.OpGet, protocol.StatusOK, "v3"},
+	}
+	for i, w := range want {
+		resp := readResp(t, c, w.op)
+		if resp.ID != uint32(i+1) || resp.Status != w.status || string(resp.Value) != w.value {
+			t.Fatalf("response %d: %+v, want id %d %s %q", i, resp, i+1, w.status, w.value)
+		}
+	}
+}
+
+// TestPipelinedPutsShareCommits: a burst of PUTs on one connection is
+// answered in order, and the frames that arrived together were committed
+// together — fewer DB.Apply calls than requests, no op lost.
+func TestPipelinedPutsShareCommits(t *testing.T) {
+	s, db, addr := startServer(t, nil, Options{})
+	c := dialRaw(t, addr)
+	const n = 64
+	var wire []byte
+	for i := 0; i < n; i++ {
+		wire = protocol.AppendPut(wire, uint32(i), key(i), val(i))
+	}
+	if _, err := c.Write(wire); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if resp := readResp(t, c, protocol.OpPut); resp.Status != protocol.StatusOK || resp.ID != uint32(i) {
+			t.Fatalf("put %d: %+v", i, resp)
+		}
+	}
+	m := s.Metrics()
+	if m.WriteRequests != n || m.GroupedOps != n || m.GroupCommits >= n {
+		t.Fatalf("%d write requests, %d ops in %d group commits; want %d, %d, < %d",
+			m.WriteRequests, m.GroupedOps, m.GroupCommits, n, n, n)
+	}
+	for i := 0; i < n; i++ {
+		if v, err := db.Get(key(i)); err != nil || !bytes.Equal(v, val(i)) {
+			t.Fatalf("key %d after the burst: %q, %v", i, v, err)
+		}
+	}
+}
+
+// TestSlowReaderHeldByTCP: a client pipelines far more GETs than the
+// socket buffers can hold answers for and reads nothing for a while. The
+// server must neither run ahead of it — at no time is more than one
+// request decoded and unanswered — nor lose or reorder anything once the
+// client drains.
+func TestSlowReaderHeldByTCP(t *testing.T) {
+	s, db, addr := startServer(t, nil, Options{})
+	big := bytes.Repeat([]byte{'x'}, 1024)
+	if err := db.Put([]byte("big"), big); err != nil {
+		t.Fatal(err)
+	}
+	c := dialRaw(t, addr)
+	const n = 5000
+	var wire []byte
+	for i := 0; i < n; i++ {
+		wire = protocol.AppendGet(wire, uint32(i), []byte("big"))
+	}
+
+	var maxInFlight atomic.Int64
+	stop := make(chan struct{})
+	var sampler sync.WaitGroup
+	sampler.Add(1)
+	go func() {
+		defer sampler.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if v := s.Metrics().InFlight; v > maxInFlight.Load() {
+				maxInFlight.Store(v)
+			}
+			runtime.Gosched()
+		}
+	}()
+	sent := make(chan error, 1)
+	go func() { // the server may stop reading before everything is sent
+		_, err := c.Write(wire)
+		sent <- err
+	}()
+
+	time.Sleep(200 * time.Millisecond)
+	for i := 0; i < n; i++ {
+		resp := readResp(t, c, protocol.OpGet)
+		if resp.Status != protocol.StatusOK || resp.ID != uint32(i) || !bytes.Equal(resp.Value, big) {
+			t.Fatalf("get %d: status %s id %d, %d value bytes", i, resp.Status, resp.ID, len(resp.Value))
+		}
+	}
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+	close(stop)
+	sampler.Wait()
+	if got := maxInFlight.Load(); got > 1 {
+		t.Fatalf("InFlight reached %d on one connection; the server decoded ahead of its answers", got)
+	}
+}
+
+// serverGoroutines counts the goroutines running this package's server
+// code (the accept loop and the connection handlers).
+func serverGoroutines() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	n := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "internal/server.(*Server).") || strings.Contains(g, "internal/server.(*conn).") {
+			n++
+		}
+	}
+	return n
+}
+
+// TestOneGoroutinePerConnection: N idle connections cost exactly N
+// goroutines beyond the accept loop, before and after they have served
+// reads and writes.
+func TestOneGoroutinePerConnection(t *testing.T) {
+	_, _, addr := startServer(t, nil, Options{})
+	const n = 8
+	conns := make([]net.Conn, n)
+	for i := range conns {
+		conns[i] = dialRaw(t, addr)
+	}
+	roundTrips := func(frame func(id uint32, i int) []byte, op protocol.Op) {
+		for i, c := range conns {
+			if _, err := c.Write(frame(uint32(i), i)); err != nil {
+				t.Fatal(err)
+			}
+			if resp := readResp(t, c, op); resp.Status != protocol.StatusOK {
+				t.Fatalf("%s on conn %d: %+v", op, i, resp)
+			}
+		}
+	}
+	// A round trip per connection proves its handler is running.
+	roundTrips(func(id uint32, _ int) []byte { return protocol.AppendPing(nil, id) }, protocol.OpPing)
+	if got := serverGoroutines(); got != n+1 {
+		t.Fatalf("%d server goroutines with %d idle connections, want %d", got, n, n+1)
+	}
+	roundTrips(func(id uint32, i int) []byte { return protocol.AppendPut(nil, id, key(i), val(i)) }, protocol.OpPut)
+	roundTrips(func(id uint32, i int) []byte { return protocol.AppendGet(nil, id, key(i)) }, protocol.OpGet)
+	if got := serverGoroutines(); got != n+1 {
+		t.Fatalf("%d server goroutines after traffic, want %d", got, n+1)
+	}
+}
+
+// TestCloseDuringGroupCommit: Close arrives while leaders are inside a
+// synced Apply and followers are waiting on them. Whatever was
+// acknowledged — to a leader or a follower — must be in the engine, and
+// Close returns with nothing in flight.
+func TestCloseDuringGroupCommit(t *testing.T) {
+	// Real files: the WAL fsync is the window in which followers queue.
+	s, db, addr := startServer(t, &unikv.Options{SyncWrites: true}, Options{})
+	const writers = 8
+	acked := make([]int, writers) // puts acknowledged OK, per writer
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		c := dialRaw(t, addr)
+		wg.Add(1)
+		go func(g int, c net.Conn) {
+			defer wg.Done()
+			var frame, body []byte
+			for i := 0; ; i++ {
+				frame = protocol.AppendPut(frame[:0], uint32(i), []byte(fmt.Sprintf("close:%d:%06d", g, i)), []byte("v"))
+				if _, err := c.Write(frame); err != nil {
+					return
+				}
+				var err error
+				if body, err = protocol.ReadFrame(c, body); err != nil {
+					return // the server let the connection go
+				}
+				if resp, err := protocol.DecodeResponse(protocol.OpPut, body); err != nil || resp.Status != protocol.StatusOK {
+					t.Errorf("writer %d put %d: %+v, %v", g, i, resp, err)
+					return
+				}
+				acked[g] = i + 1
+			}
+		}(g, c)
+	}
+	time.Sleep(50 * time.Millisecond)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+
+	m := s.Metrics()
+	if m.InFlight != 0 {
+		t.Fatalf("InFlight = %d after Close", m.InFlight)
+	}
+	if m.MaxGroupOps < 2 {
+		t.Fatalf("MaxGroupOps = %d: no commit ever had a follower, the test proved nothing", m.MaxGroupOps)
+	}
+	total := 0
+	for g, n := range acked {
+		for i := 0; i < n; i++ {
+			if _, err := db.Get([]byte(fmt.Sprintf("close:%d:%06d", g, i))); err != nil {
+				t.Fatalf("acknowledged write close:%d:%06d lost: %v", g, i, err)
+			}
+		}
+		total += n
+	}
+	if total == 0 {
+		t.Fatal("nothing was acknowledged before Close")
+	}
+	t.Logf("%d acknowledged writes intact, %d group commits, largest %d", total, m.GroupCommits, m.MaxGroupOps)
 }

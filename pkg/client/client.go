@@ -25,6 +25,7 @@
 package client
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -103,7 +104,8 @@ type Client struct {
 // wireConn is one protocol connection; owned by a single request at a time.
 type wireConn struct {
 	nc     net.Conn
-	buf    []byte // frame scratch, reused across requests
+	br     *bufio.Reader // a response's header and body arrive in one read
+	buf    []byte        // frame scratch, reused across requests
 	nextID uint32
 }
 
@@ -144,7 +146,7 @@ func (c *Client) acquire() (*wireConn, error) {
 			<-c.sem
 			return nil, err
 		}
-		return &wireConn{nc: nc}, nil
+		return &wireConn{nc: nc, br: bufio.NewReader(nc)}, nil
 	}
 }
 
@@ -196,7 +198,7 @@ func (c *Client) exchange(w *wireConn, op protocol.Op, id uint32) (protocol.Resp
 		return protocol.Response{}, fmt.Errorf("client: write %s: %w", op, err)
 	}
 	var err error
-	w.buf, err = protocol.ReadFrame(w.nc, w.buf[:0])
+	w.buf, err = protocol.ReadFrame(w.br, w.buf[:0])
 	if err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF // mid-request close is never clean

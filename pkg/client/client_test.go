@@ -19,10 +19,16 @@ import (
 // startServer serves a fresh DB on loopback and returns the pieces.
 func startServer(t *testing.T, dbOpts *unikv.Options, srvOpts server.Options) (*server.Server, *unikv.DB, string) {
 	t.Helper()
+	return startServerAt(t, t.TempDir(), dbOpts, srvOpts)
+}
+
+// startServerAt is startServer over the store in dir.
+func startServerAt(t *testing.T, dir string, dbOpts *unikv.Options, srvOpts server.Options) (*server.Server, *unikv.DB, string) {
+	t.Helper()
 	if dbOpts == nil {
 		dbOpts = &unikv.Options{FS: vfs.NewMem()}
 	}
-	db, err := unikv.Open(t.TempDir(), dbOpts)
+	db, err := unikv.Open(dir, dbOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,6 +278,80 @@ func TestGroupCommitCoalescing(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestGroupCommitIsolatesBadRequest: a connection whose every PUT is
+// rejected (a 128 KiB key) shares group commits with connections writing
+// valid keys on a SyncWrites store. The bad request must fail alone — no
+// valid put may be answered with its error, or be left unapplied — and the
+// bad client must get TOO_LARGE every time.
+func TestGroupCommitIsolatesBadRequest(t *testing.T) {
+	s, db, addr := startServer(t, &unikv.Options{SyncWrites: true}, server.Options{})
+
+	const goodClients, putsPerClient = 4, 300
+	var done atomic.Bool
+	var badPuts atomic.Int64
+	var bad sync.WaitGroup
+	bad.Add(1)
+	go func() {
+		defer bad.Done()
+		c, err := Dial(addr, &Options{PoolSize: 1})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer c.Close()
+		huge := make([]byte, 128<<10)
+		for !done.Load() {
+			badPuts.Add(1)
+			if err := c.Put(huge, []byte("v")); !errors.Is(err, unikv.ErrKeyTooLarge) {
+				t.Errorf("oversized put: %v, want ErrKeyTooLarge", err)
+				return
+			}
+		}
+	}()
+
+	var failed atomic.Int64
+	var good sync.WaitGroup
+	for g := 0; g < goodClients; g++ {
+		good.Add(1)
+		go func(g int) {
+			defer good.Done()
+			c, err := Dial(addr, &Options{PoolSize: 1})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer c.Close()
+			for i := 0; i < putsPerClient; i++ {
+				if err := c.Put([]byte(fmt.Sprintf("iso:%d:%04d", g, i)), []byte("v")); err != nil {
+					if failed.Add(1) == 1 {
+						t.Errorf("valid put iso:%d:%04d: %v", g, i, err)
+					}
+				}
+			}
+		}(g)
+	}
+	good.Wait()
+	done.Store(true)
+	bad.Wait()
+
+	if n := failed.Load(); n != 0 {
+		t.Fatalf("%d of %d valid puts failed beside a connection sending oversized keys", n, goodClients*putsPerClient)
+	}
+	for g := 0; g < goodClients; g++ {
+		for i := 0; i < putsPerClient; i++ {
+			if _, err := db.Get([]byte(fmt.Sprintf("iso:%d:%04d", g, i))); err != nil {
+				t.Fatalf("acknowledged iso:%d:%04d not applied: %v", g, i, err)
+			}
+		}
+	}
+	m := s.Metrics()
+	if m.MaxGroupOps < 2 {
+		t.Fatalf("MaxGroupOps = %d: no commit was ever shared, the test proved nothing", m.MaxGroupOps)
+	}
+	t.Logf("%d valid puts beside %d rejected ones, %d group commits (largest %d)",
+		goodClients*putsPerClient, badPuts.Load(), m.GroupCommits, m.MaxGroupOps)
 }
 
 // TestConcurrentSoak hammers the server with mixed GET/PUT/DELETE/SCAN/

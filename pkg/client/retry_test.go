@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"net"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -295,4 +298,127 @@ func TestQuarantinedEndToEnd(t *testing.T) {
 		t.Fatalf("file-scoped corruption degraded the whole DB: %q", m.Engine.DegradedCause)
 	}
 	ffs.DisarmCorrupt()
+}
+
+// TestGroupCommitIsolatesQuarantine: one partition of a multi-partition
+// store is quarantined (a corrupt table block, found by a foreground
+// read). Connections writing into healthy partitions share group commits
+// with a connection writing into the quarantined range: the healthy writes
+// must all succeed, and the other must always get QUARANTINED — the
+// partition's error is its own, not its commit group's.
+func TestGroupCommitIsolatesQuarantine(t *testing.T) {
+	small := func() *unikv.Options { // TestQuarantinedEndToEnd's store, on real files, splitting early
+		return &unikv.Options{
+			MemtableSize:       2 << 10,
+			UnsortedLimit:      8 << 10,
+			MaxLogSize:         8 << 10,
+			PartitionSizeLimit: 64 << 10,
+			BackgroundWorkers:  2,
+			JobRetries:         1,
+			RetryBaseDelay:     time.Millisecond,
+			RetryMaxDelay:      2 * time.Millisecond,
+		}
+	}
+	// Seed embedded, settle everything into tables, and damage one block.
+	dir := t.TempDir()
+	db, err := unikv.Open(dir, small())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 2000
+	for i := 0; i < n; i++ {
+		if err := db.Put(key(i), bytes.Repeat([]byte("v"), 100)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if p := db.Metrics().Partitions; p < 2 {
+		t.Fatalf("seed produced %d partitions, need >= 2", p)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tables, err := filepath.Glob(filepath.Join(dir, "p*", "*.sst"))
+	if err != nil || len(tables) == 0 {
+		t.Fatalf("no table files under %s: %v", dir, err)
+	}
+	data, err := os.ReadFile(tables[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[20] ^= 0xff
+	if err := os.WriteFile(tables[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// SyncWrites on real files: the fsync is the window commits share.
+	opts := small()
+	opts.SyncWrites = true
+	s, _, addr := startServerAt(t, dir, opts, server.Options{})
+	c := dialClient(t, addr, nil)
+	for i := 0; i < n; i++ {
+		c.Get(key(i)) // one of these reads the bad block
+	}
+	m, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Engine.QuarantinedPartitions != 1 || m.Engine.Degraded {
+		t.Fatalf("want exactly one quarantined partition, got %d of %d (degraded=%v)",
+			m.Engine.QuarantinedPartitions, m.Engine.Partitions, m.Engine.Degraded)
+	}
+	// A lone put shares no commit, so its status is its partition's.
+	var sick, healthy [][]byte
+	for i := 0; i < n; i++ {
+		switch err := c.Put(key(i), []byte("probe")); {
+		case err == nil:
+			healthy = append(healthy, key(i))
+		case errors.Is(err, unikv.ErrPartitionQuarantined):
+			sick = append(sick, key(i))
+		default:
+			t.Fatalf("probe put %d: %v", i, err)
+		}
+	}
+	if len(sick) == 0 || len(healthy) == 0 {
+		t.Fatalf("probe found %d quarantined and %d healthy keys, need both", len(sick), len(healthy))
+	}
+
+	var done atomic.Bool
+	var bad sync.WaitGroup
+	bad.Add(1)
+	go func(c *Client) {
+		defer bad.Done()
+		for i := 0; !done.Load(); i++ {
+			if err := c.Put(sick[i%len(sick)], []byte("w")); !errors.Is(err, unikv.ErrPartitionQuarantined) {
+				t.Errorf("put into the quarantined range: %v, want ErrPartitionQuarantined", err)
+				return
+			}
+		}
+	}(dialClient(t, addr, &Options{PoolSize: 1}))
+	const goodClients, putsPerClient = 4, 300
+	var failed atomic.Int64
+	var good sync.WaitGroup
+	for g := 0; g < goodClients; g++ {
+		good.Add(1)
+		go func(g int, c *Client) {
+			defer good.Done()
+			for i := 0; i < putsPerClient; i++ {
+				k := healthy[(g*putsPerClient+i)%len(healthy)]
+				if err := c.Put(k, []byte("w")); err != nil && failed.Add(1) == 1 {
+					t.Errorf("put into a healthy partition: %v", err)
+				}
+			}
+		}(g, dialClient(t, addr, &Options{PoolSize: 1}))
+	}
+	good.Wait()
+	done.Store(true)
+	bad.Wait()
+	if f := failed.Load(); f != 0 {
+		t.Fatalf("%d of %d writes to healthy partitions failed beside a quarantined one", f, goodClients*putsPerClient)
+	}
+	if got := s.Metrics().MaxGroupOps; got < 2 {
+		t.Fatalf("MaxGroupOps = %d: no commit was ever shared, the test proved nothing", got)
+	}
 }
