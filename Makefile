@@ -33,9 +33,10 @@ $(BIN)/unikvlint: FORCE
 # One iteration per benchmark: compiles and runs them without measuring.
 # The substrate packages carry the per-layer microbenchmarks (ns/op and
 # allocs/op of vfs, wal, memtable, sstable, vlog, the hash-index checkpoint,
-# the core put/scan paths, protocol encode/decode and a server round trip).
+# the core put/scan paths, protocol encode/decode, a server round trip, and
+# the read path's cache, hot ring, hash probe and boundary search).
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/bench/ ./internal/vfs/ ./internal/wal/ ./internal/memtable/ ./internal/sstable/ ./internal/vlog/ ./internal/hashindex/ ./internal/core/ ./internal/protocol/ ./internal/server/
+	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/bench/ ./internal/vfs/ ./internal/wal/ ./internal/memtable/ ./internal/sstable/ ./internal/vlog/ ./internal/hashindex/ ./internal/core/ ./internal/protocol/ ./internal/server/ ./internal/cache/ ./internal/hotring/ ./internal/sorted/ ./internal/unsorted/
 
 # The perf ledger (perf/README.md, BENCHMARK.json): every workload, timed
 # and traced. perf/ is a Go module of its own, so `go test ./...` at the

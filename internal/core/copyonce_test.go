@@ -536,7 +536,7 @@ func TestMaintenanceLeavesCacheResidentsAlone(t *testing.T) {
 	fs := vfs.NewMem()
 	opts := smallOpts(fs)
 	opts.BlockSize = 512
-	opts.CacheBytes = 32 << 10 // 2 KiB shards: one merge's input overflows every one
+	opts.CacheBytes = 48 << 10 // 3 KiB shards: the hot set fits, one merge's input overflows every one
 	opts.HotRingEntries = HotRingOff
 	opts.DisableScanMerge = true
 	opts.PartitionSizeLimit = 1 << 30
@@ -561,11 +561,24 @@ func TestMaintenanceLeavesCacheResidentsAlone(t *testing.T) {
 			}
 		}
 	}
-	hot() // admits the values that find room (cold admission never evicts)
-	m0 := db.Metrics()
-	hot()
+	// The first pass fills the blocks and admits the values (cold admission
+	// never evicts). The resident set is exact once a pass changes nothing:
+	// as many hits as the pass before, no entry added or evicted. (In shards
+	// too small for the hot set its blocks evict some of its values within
+	// every pass, and "hit in a pass" undercounts "resident after it".)
+	var resident int64
 	before := db.Metrics()
-	resident := before.CacheValueHits - m0.CacheValueHits
+	for pass, settled := 0, false; !settled; pass++ {
+		if pass == 10 {
+			t.Fatalf("the hot set did not settle in %d passes", pass)
+		}
+		hot()
+		m := db.Metrics()
+		hits := m.CacheValueHits - before.CacheValueHits
+		settled = pass > 0 && hits == resident &&
+			m.CacheEntries == before.CacheEntries && m.CacheEvictions == before.CacheEvictions
+		resident, before = hits, m
+	}
 	if resident < 10 {
 		t.Fatalf("only %d of 20 hot values became cache residents", resident)
 	}
@@ -585,5 +598,58 @@ func TestMaintenanceLeavesCacheResidentsAlone(t *testing.T) {
 	after := db.Metrics()
 	if hits := after.CacheValueHits - mid.CacheValueHits; hits != resident {
 		t.Fatalf("%d of %d resident hot values survived the merges in the cache", hits, resident)
+	}
+}
+
+// TestColdGetAllocatesOnlyItsValue: a get that goes all the way down — ring
+// miss, memtable miss, hash-index miss, SortedStore block resident in the
+// cache, value read from its log — into a cache too full to admit the value
+// allocates once: the buffer it returns.
+func TestColdGetAllocatesOnlyItsValue(t *testing.T) {
+	const keys = 1000
+	fs := vfs.NewMem()
+	opts := smallOpts(fs)
+	opts.CacheBytes = 256 << 10 // a quarter of the values
+	opts.PartitionSizeLimit = 1 << 30
+	db, err := Open("db", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	var ks, want [keys][]byte
+	for i := range want {
+		ks[i], want[i] = key(i), bytes.Repeat(val(i), 20) // ~1 KiB
+		if err := db.Put(ks[i], want[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.CompactAll(); err != nil {
+		t.Fatal(err)
+	}
+	// Reading the even keys makes every block resident (a block add
+	// evicts) and fills what room is left with their values (a cold add
+	// does not). The odd keys are then each read for the first time, so the
+	// ring has no reason to call one warm.
+	for i := 0; i < keys; i += 2 {
+		if _, err := db.Get(ks[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := db.Metrics()
+	next := 1
+	allocs := testing.AllocsPerRun(keys/2-1, func() {
+		if got, err := db.Get(ks[next]); err != nil || !bytes.Equal(got, want[next]) {
+			t.Fatalf("key %d: %v", next, err)
+		}
+		next += 2
+	})
+	after := db.Metrics()
+	if after.CacheBlockMisses != before.CacheBlockMisses || after.CacheValueHits != before.CacheValueHits ||
+		after.CacheEntries != before.CacheEntries || after.CacheEvictions != before.CacheEvictions ||
+		after.HotRingHits != before.HotRingHits {
+		t.Fatalf("not the path under test:\nbefore %+v\nafter  %+v", before, after)
+	}
+	if allocs != 1 && !raceEnabled {
+		t.Fatalf("a cold get allocates %v times, want 1 (the returned value)", allocs)
 	}
 }

@@ -41,6 +41,9 @@ type partition struct {
 
 	// cur is the current version, stored only by publish.
 	cur atomic.Pointer[version]
+	// viewBuilding is held by the scan building the sorted view recovery
+	// left unbuilt (see scanView).
+	viewBuilding atomic.Bool
 
 	mu       sync.Mutex
 	immWALs  []uint64 // WAL file per frozen memtable of cur.imm (0 = none)

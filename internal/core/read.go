@@ -177,11 +177,17 @@ func (db *DB) Scan(start, end []byte, limit int) ([]KV, error) {
 // build it for. Recovery reads no table for the view's sake, so the first
 // scan of the partition builds it — for the version it holds, off the lock —
 // and publishes a successor that carries it, unless the store moved on
-// meanwhile. A failed build leaves the next scan to retry.
+// meanwhile. One scan builds at a time: a scan that finds the build taken
+// merges per table beside it instead of reading every table a second time.
+// A failed build leaves the next scan to retry.
 func (v *version) scanView() *sortedview.View {
 	p := v.p
-	if !v.uns.NeedsView() || p.cur.Load().uns != v.uns {
+	if !v.uns.NeedsView() || p.cur.Load().uns != v.uns || !p.viewBuilding.CompareAndSwap(false, true) {
 		return v.uns.View()
+	}
+	defer p.viewBuilding.Store(false)
+	if p.cur.Load().uns != v.uns {
+		return nil // built and published between the look and the claim
 	}
 	view, err := v.uns.BuildView()
 	if err != nil {

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"unikv/internal/vfs"
@@ -282,5 +284,83 @@ func TestSortedViewSurvivesRecovery(t *testing.T) {
 	m := db.Metrics()
 	if m.UnsortedTables > 0 && m.SortedViewRebuilds == 0 {
 		t.Fatalf("first scan did not lazily rebuild the view: %+v", m)
+	}
+}
+
+// TestFirstScansBuildTheViewOnce: recovery leaves the view unbuilt, and of
+// the scans that find it so only one reads every table to build it — the
+// others merge per table beside it. Eight first scans start together with
+// the cache off, so every block touched is a table read; the first read is
+// held until seven scans are through, which leaves the builder (or a scan
+// beside it) mid-flight while the rest decide.
+func TestFirstScansBuildTheViewOnce(t *testing.T) {
+	mem := vfs.NewMem()
+	opts := smallOpts(mem)
+	opts.MemtableSize = 16 << 10
+	opts.UnsortedLimit = 1 << 20
+	opts.PartitionSizeLimit = 1 << 30
+	opts.BlockSize = 256
+	opts.DisableScanMerge = true
+	opts.CacheBytes = CacheOff
+	db, err := Open("db", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2000; i++ {
+		if err := db.Put(key(i), val(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	const scans = 8
+	var reads, finished atomic.Int64
+	var counting, held atomic.Bool
+	release := make(chan struct{})
+	opts.FS = &probeFS{FS: mem, onIO: func(op, _ string) {
+		if op != "ReadAt" || !counting.Load() {
+			return
+		}
+		reads.Add(1)
+		if held.CompareAndSwap(false, true) {
+			<-release
+		}
+	}}
+	if db, err = Open("db", opts); err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	var buildReads int64
+	for _, p := range db.partitions() {
+		for _, tab := range p.cur.Load().uns.Tables() {
+			buildReads += int64(tab.Reader.NumBlocks())
+		}
+	}
+	if buildReads < 200 {
+		t.Fatalf("the unsorted tables hold %d blocks: too few to tell a build from a scan", buildReads)
+	}
+	counting.Store(true)
+	var wg sync.WaitGroup
+	for g := 0; g < scans; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			kvs, err := db.Scan(key(g*100), nil, 5)
+			if err != nil || len(kvs) != 5 || !bytes.Equal(kvs[0].Key, key(g*100)) {
+				t.Errorf("scan %d: %d pairs, %v", g, len(kvs), err)
+			}
+			if finished.Add(1) == scans-1 {
+				close(release)
+			}
+		}(g)
+	}
+	wg.Wait()
+	if m := db.Metrics(); m.SortedViewEntries == 0 {
+		t.Fatal("no scan built the view")
+	}
+	if n := reads.Load(); n < buildReads || n >= 2*buildReads {
+		t.Fatalf("%d first scans read %d table blocks; one build reads %d", scans, n, buildReads)
 	}
 }

@@ -222,3 +222,59 @@ func TestRaceNoStaleHit(t *testing.T) {
 		}
 	}
 }
+
+// benchRing is a default-sized ring with the keys that won a slot resident
+// (1 KiB values, the ledger's size) beside as many that never asked for one.
+func benchRing(b *testing.B) (r *Ring, resident, absent [][]byte) {
+	r = New(Config{SampleEvery: 1})
+	for i := 0; i < 1024; i++ {
+		k := []byte(fmt.Sprintf("user%020d", i))
+		r.BeginMiss(k)
+		r.Install(r.BeginMiss(k), k, make([]byte, 1024))
+		absent = append(absent, []byte(fmt.Sprintf("miss%020d", i)))
+	}
+	for i := 0; i < 1024; i++ { // a later key can have taken an earlier one's slot
+		k := []byte(fmt.Sprintf("user%020d", i))
+		if _, ok := r.Get(k); ok {
+			resident = append(resident, k)
+		}
+	}
+	if len(resident) < 512 {
+		b.Fatalf("only %d keys resident", len(resident))
+	}
+	return r, resident, absent
+}
+
+func BenchmarkGetHit(b *testing.B) {
+	r, resident, _ := benchRing(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := r.Get(resident[i%len(resident)]); !ok {
+			b.Fatal("miss")
+		}
+	}
+}
+
+func BenchmarkGetMiss(b *testing.B) {
+	r, _, absent := benchRing(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := r.Get(absent[i%len(absent)]); ok {
+			b.Fatal("hit")
+		}
+	}
+}
+
+// BenchmarkBeginMiss is what every get that misses the ring pays on top of
+// the probe: the version fence, and every eighth time the sampled count.
+func BenchmarkBeginMiss(b *testing.B) {
+	_, _, absent := benchRing(b)
+	r := New(Config{})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.BeginMiss(absent[i%len(absent)])
+	}
+}

@@ -12,7 +12,7 @@ import (
 
 // buildRun writes keys (already sorted) into tables of at most perTable
 // records each and installs them in a Store.
-func buildRun(t *testing.T, fs vfs.FS, keys []string, perTable int) *Store {
+func buildRun(t testing.TB, fs vfs.FS, keys []string, perTable int) *Store {
 	t.Helper()
 	var tables []*Table
 	fileNum := uint64(1)
@@ -196,6 +196,43 @@ func TestSingleTableRun(t *testing.T) {
 	for _, k := range keys {
 		if _, ok, _ := s.Get([]byte(k)); !ok {
 			t.Fatalf("%s missing", k)
+		}
+	}
+}
+
+// benchRun is a run of 16 tables of 4096 pointer records, the shape of a
+// partition's SortedStore in the ledger's dataset.
+func benchRun(b *testing.B) (*Store, []string) {
+	keys := seqKeys(16 * 4096)
+	fs := vfs.NewMem()
+	fs.MkdirAll("db")
+	return buildRun(b, fs, keys, 4096), keys
+}
+
+// BenchmarkGetHit: the boundary search, the index search, one block read
+// (no cache is attached) and the search inside it.
+func BenchmarkGetHit(b *testing.B) {
+	s, keys := benchRun(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := keys[i*7919%len(keys)]
+		if _, ok, err := s.Get([]byte(k)); !ok || err != nil {
+			b.Fatalf("%s: %v %v", k, ok, err)
+		}
+	}
+}
+
+// BenchmarkGetAbsent: a key that sorts between two resident ones costs what
+// a hit does; only a key outside every table stops at the boundary search.
+func BenchmarkGetAbsent(b *testing.B) {
+	s, keys := benchRun(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := keys[i*7919%len(keys)] + "x"
+		if _, ok, err := s.Get([]byte(k)); ok || err != nil {
+			b.Fatalf("%s: %v %v", k, ok, err)
 		}
 	}
 }

@@ -29,11 +29,9 @@ type Reader struct {
 	index  []blockHandle
 	filter []byte
 
-	// cache, when attached via SetCache, holds verified data blocks under
-	// (cacheID, blockIdx); cacheID is the table's file number, which the
-	// engine never reuses.
-	cache   *cache.Cache
-	cacheID uint64
+	// cache, when attached via SetCache, holds this table's verified data
+	// blocks: one slot per block of the index, owned by this reader.
+	cache *cache.Table
 
 	count    int
 	minSeq   uint64
@@ -59,12 +57,11 @@ type Reader struct {
 	retire func()
 }
 
-// SetCache attaches the shared block cache, keying this table's blocks by
-// id (its file number). Call before the reader is shared between
-// goroutines. A nil cache leaves the reader uncached.
+// SetCache attaches the shared block cache, which accounts this table's
+// blocks under id (its file number). Call once, before the reader is shared
+// between goroutines. A nil cache leaves the reader uncached.
 func (r *Reader) SetCache(c *cache.Cache, id uint64) {
-	r.cache = c
-	r.cacheID = id
+	r.cache = c.NewTable(id, len(r.index))
 }
 
 // Open loads the footer, meta, and index of the table in f.
@@ -187,8 +184,7 @@ func (r *Reader) readChecked(off uint64, length uint32) ([]byte, error) {
 // must treat them as immutable (records parsed from a block are copied
 // before they leave the engine).
 func (r *Reader) readBlock(i int, fill bool) ([]byte, error) {
-	ck := cache.Key{Pool: cache.PoolBlock, ID: r.cacheID, Off: uint64(i)}
-	if b, ok := r.cache.Get(ck); ok {
+	if b, ok := r.cache.Get(i); ok {
 		return b, nil
 	}
 	h := r.index[i]
@@ -198,7 +194,7 @@ func (r *Reader) readBlock(i int, fill bool) ([]byte, error) {
 		return nil, err
 	}
 	if fill {
-		r.cache.Add(ck, b)
+		r.cache.Add(i, b)
 	}
 	return b, nil
 }
@@ -326,11 +322,11 @@ func (r *Reader) blockFor(key []byte) int {
 	return lo
 }
 
-// Get returns the newest record for key in this table.
+// Get returns the newest record for key in this table. A key outside
+// [Smallest, Largest] is absent like any other: past the end without a block
+// read, before the start after one of block 0 — a caller that probes tables
+// it did not choose by key checks the range first.
 func (r *Reader) Get(key []byte) (record.Record, bool, error) {
-	if codec.Compare(key, r.smallest) < 0 || codec.Compare(key, r.largest) > 0 {
-		return record.Record{}, false, nil
-	}
 	if len(r.filter) > 0 && !bloomMayContain(r.filter, key) {
 		return record.Record{}, false, nil
 	}
@@ -414,9 +410,7 @@ func (r *Reader) Close() error {
 	if r.refs.Add(-1) > 0 {
 		return nil
 	}
-	if r.cache != nil {
-		r.cache.EvictTable(r.cacheID)
-	}
+	r.cache.Close()
 	err := r.f.Close()
 	if r.retire != nil {
 		r.retire()

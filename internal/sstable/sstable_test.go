@@ -627,6 +627,60 @@ func TestMaintIteratorLeavesCacheAlone(t *testing.T) {
 	}
 }
 
+// TestCachedGetAllocatesNothing: a point lookup whose block is resident
+// costs no allocation and no file read — the record it returns aliases the
+// cached block.
+func TestCachedGetAllocatesNothing(t *testing.T) {
+	fs := vfs.NewMem()
+	recs := sortedRecords(2000, 100)
+	r := buildTable(t, fs, "t.sst", BuilderOptions{}, recs)
+	defer r.Close()
+	c := cache.New(8<<20, 0)
+	r.SetCache(c, 1)
+	key := recs[1234].Key
+	if _, ok, err := r.Get(key); !ok || err != nil {
+		t.Fatalf("get: %v %v", ok, err)
+	}
+	reads := r.BlockReads.Load()
+	allocs := testing.AllocsPerRun(100, func() {
+		if rec, ok, err := r.Get(key); !ok || err != nil || !bytes.Equal(rec.Key, key) {
+			t.Fatalf("cached get: %v %v", ok, err)
+		}
+	})
+	if allocs != 0 || r.BlockReads.Load() != reads {
+		t.Fatalf("a cached get allocates %v times and read %d blocks", allocs, r.BlockReads.Load()-reads)
+	}
+	if s := c.Snapshot(); s.BlockHits != 101 || s.BlockMisses != 1 {
+		t.Fatalf("cache counters %+v", s)
+	}
+}
+
+// TestGetOutsideRange pins what Get costs a caller that skips the range
+// check: a key past Largest is absent without a block read, a key before
+// Smallest is absent after reading — and caching — block 0.
+func TestGetOutsideRange(t *testing.T) {
+	fs := vfs.NewMem()
+	r := buildTable(t, fs, "t.sst", BuilderOptions{}, sortedRecords(2000, 100))
+	defer r.Close()
+	c := cache.New(8<<20, 0)
+	r.SetCache(c, 1)
+	for _, tc := range []struct {
+		key   string
+		reads int64
+	}{{"key-999999", 0}, {"zzz", 0}, {"key-", 1}, {"a", 0}} { // "a" finds block 0 resident
+		before := r.BlockReads.Load()
+		if _, ok, err := r.Get([]byte(tc.key)); ok || err != nil {
+			t.Fatalf("get %q outside [%q, %q]: found=%v err=%v", tc.key, r.Smallest(), r.Largest(), ok, err)
+		}
+		if n := r.BlockReads.Load() - before; n != tc.reads {
+			t.Fatalf("get %q read %d blocks, want %d", tc.key, n, tc.reads)
+		}
+	}
+	if s := c.Snapshot(); s.Entries != 1 || s.BlockMisses != 1 || s.BlockHits != 1 {
+		t.Fatalf("cache after four out-of-range gets: %+v", s)
+	}
+}
+
 // benchRecords is the benchmarks' table: 4 MiB of 1 KiB records, the
 // shape of one flushed memtable.
 func benchRecords() []record.Record {

@@ -220,7 +220,7 @@ func (s *Store) Get(key []byte) (record.Record, bool, error) {
 		if err != nil {
 			return record.Record{}, false, err
 		}
-		if hit && codec.Compare(rec.Key, key) == 0 {
+		if hit {
 			return rec, true, nil
 		}
 	}
@@ -230,7 +230,11 @@ func (s *Store) Get(key []byte) (record.Record, bool, error) {
 // probeAll looks key up in every table, newest first.
 func (s *Store) probeAll(key []byte) (record.Record, bool, error) {
 	for i := len(s.tables) - 1; i >= 0; i-- {
-		rec, hit, err := s.tables[i].Reader.Get(key)
+		r := s.tables[i].Reader
+		if codec.Compare(key, r.Smallest()) < 0 || codec.Compare(key, r.Largest()) > 0 {
+			continue // Reader.Get would read block 0 to say so
+		}
+		rec, hit, err := r.Get(key)
 		if err != nil {
 			return record.Record{}, false, err
 		}

@@ -17,7 +17,7 @@ import (
 )
 
 // buildTable writes kvs (map key→value) as a sorted table and returns it.
-func buildTable(t *testing.T, fs vfs.FS, fileNum uint64, kvs map[string]string, seqBase uint64) (*Table, [][]byte) {
+func buildTable(t testing.TB, fs vfs.FS, fileNum uint64, kvs map[string]string, seqBase uint64) (*Table, [][]byte) {
 	t.Helper()
 	keys := make([]string, 0, len(kvs))
 	for k := range kvs {
@@ -584,5 +584,57 @@ func TestCheckpointGoldenBytes(t *testing.T) {
 	}
 	if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != goldenCheckpointSum {
 		t.Fatalf("checkpoint hashes to %s, want %s", got, goldenCheckpointSum)
+	}
+}
+
+// benchStore is 8 flushed tables of 2048 keys behind the hash index, the
+// shape of a partition's UnsortedStore in the ledger's dataset.
+func benchStore(b *testing.B) (*Store, [][]byte) {
+	fs := vfs.NewMem()
+	fs.MkdirAll("db")
+	s := newHolder(1<<16, true)
+	var all [][]byte
+	for t := 0; t < 8; t++ {
+		kvs := map[string]string{}
+		for i := 0; i < 2048; i++ {
+			kvs[fmt.Sprintf("user%020d", (i*8+t)*7919%1000003)] = "value"
+		}
+		tab, keys := buildTable(b, fs, uint64(t+1), kvs, uint64(t*2048+1))
+		if err := s.AddTable(tab, keys, nil); err != nil {
+			b.Fatal(err)
+		}
+		all = append(all, keys...)
+	}
+	return s.Store, all
+}
+
+// BenchmarkGetHit: the hash probe, then one table's index search, block
+// read (no cache is attached) and in-block search.
+func BenchmarkGetHit(b *testing.B) {
+	s, keys := benchStore(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := keys[i*7919%len(keys)]
+		if _, ok, err := s.Get(k); !ok || err != nil {
+			b.Fatalf("%s: %v %v", k, ok, err)
+		}
+	}
+}
+
+// BenchmarkGetAbsent: the hash probe alone — what every get that ends in the
+// SortedStore pays on its way past.
+func BenchmarkGetAbsent(b *testing.B) {
+	s, _ := benchStore(b)
+	absent := make([][]byte, 1024)
+	for i := range absent {
+		absent[i] = []byte(fmt.Sprintf("miss%020d", i))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok, err := s.Get(absent[i%len(absent)]); ok || err != nil {
+			b.Fatalf("%v %v", ok, err)
+		}
 	}
 }

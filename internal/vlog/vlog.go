@@ -509,6 +509,8 @@ func (m *Manager) Read(ptr record.ValuePtr) ([]byte, error) {
 // AddCold, which only fills free space. The engine derives warm from the
 // hot ring's frequency signal — a key it has sampled at least twice — so
 // scattered reads over a cold tail cannot evict the resident hot set.
+// AddCold is handed the very buffer the caller gets and copies it only if
+// it admits it, so a cold read of a full cache costs no second buffer.
 func (m *Manager) ReadHinted(ptr record.ValuePtr, warm bool) ([]byte, error) {
 	ck := cache.Key{Pool: cache.PoolValue, ID: uint64(ptr.LogNum), Off: uint64(ptr.Offset)}
 	if b, ok := m.opts.Cache.Get(ck); ok && uint32(len(b)) == ptr.Length {
@@ -523,7 +525,7 @@ func (m *Manager) ReadHinted(ptr record.ValuePtr, warm bool) ([]byte, error) {
 	if warm {
 		m.opts.Cache.Add(ck, append([]byte(nil), val...))
 	} else {
-		m.opts.Cache.AddCold(ck, append([]byte(nil), val...))
+		m.opts.Cache.AddCold(ck, val)
 	}
 	return val, nil
 }
