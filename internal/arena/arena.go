@@ -1,7 +1,7 @@
 // Package arena provides the bump allocator behind every "copy these bytes
 // once into memory that lives and dies as a unit" site in the engine: the
 // memtable's key/value slabs, a flushed table's view keys, a write batch's
-// staged operations, a scan's result buffers. One allocation serves many
+// staged operations. One allocation serves many
 // small copies; nothing is ever freed individually — dropping the owner
 // drops every chunk.
 package arena

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"math/rand"
 	"sort"
 	"testing"
@@ -12,10 +13,13 @@ import (
 )
 
 // TestQuickModel drives the engine with random op sequences (put, delete,
-// get, scan, reopen) and checks every observation against a model map.
-// This is the main end-to-end property test: it routinely crosses flush,
-// scan-merge, merge, GC, and split boundaries because of the tiny limits —
-// run by the writer itself, and behind its back by a worker.
+// get, start- and end-bounded scans, snapshot open / scan / close, reopen)
+// and checks every observation against a model map. Scan results are kept
+// across later ops and re-verified byte for byte after every op, so memory a
+// result still points into must not be recycled. This is the main
+// end-to-end property test: it routinely crosses flush, scan-merge, merge,
+// GC, and split boundaries because of the tiny limits — run by the writer
+// itself, and behind its back by a worker.
 func TestQuickModel(t *testing.T) {
 	for _, workers := range executors {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) { quickModel(t, workers) })
@@ -38,6 +42,48 @@ func quickModel(t *testing.T, workers int) {
 		watchGauges(t, db, exact)
 		model := map[string]string{}
 		keyOf := func() string { return fmt.Sprintf("key-%04d", rnd.Intn(400)) }
+		// checkScan compares a scan result against model's pairs in
+		// [start, end) (end "" is unbounded), at most n of them.
+		checkScan := func(what string, kvs []KV, model map[string]string, start, end string, n int) bool {
+			var wantKeys []string
+			for k := range model {
+				if k >= start && (end == "" || k < end) {
+					wantKeys = append(wantKeys, k)
+				}
+			}
+			sort.Strings(wantKeys)
+			if len(wantKeys) > n {
+				wantKeys = wantKeys[:n]
+			}
+			if len(kvs) != len(wantKeys) {
+				t.Logf("%s(%s,%s,%d): got %d want %d", what, start, end, n, len(kvs), len(wantKeys))
+				return false
+			}
+			for i, kv := range kvs {
+				if string(kv.Key) != wantKeys[i] || string(kv.Value) != model[wantKeys[i]] {
+					t.Logf("%s[%d]: %q=%q want %q=%q", what, i, kv.Key, kv.Value, wantKeys[i], model[wantKeys[i]])
+					return false
+				}
+			}
+			return true
+		}
+		randomScan := func() (start, end string, n int) {
+			start, n = keyOf(), rnd.Intn(30)+1
+			if rnd.Intn(2) == 0 {
+				end = keyOf()
+			}
+			return start, end, n
+		}
+		// kept holds earlier scan results the test still owns, with copies.
+		type keptScan struct{ got, want []KV }
+		var kept []keptScan
+		var snap *Snapshot
+		var snapModel map[string]string
+		defer func() {
+			if snap != nil {
+				snap.Close()
+			}
+		}()
 
 		for op := 0; op < 3000; op++ {
 			switch rnd.Intn(10) {
@@ -68,37 +114,33 @@ func quickModel(t *testing.T, workers int) {
 					t.Logf("get missing %s: %v", k, err)
 					return false
 				}
-			case 8: // scan
-				start := keyOf()
-				n := rnd.Intn(30) + 1
-				kvs, err := db.Scan([]byte(start), nil, n)
+			case 8: // scan, keeping some results for later re-verification
+				start, end, n := randomScan()
+				var endKey []byte
+				if end != "" {
+					endKey = []byte(end)
+				}
+				kvs, err := db.Scan([]byte(start), endKey, n)
 				if err != nil {
 					t.Logf("scan: %v", err)
 					return false
 				}
-				var wantKeys []string
-				for k := range model {
-					if k >= start {
-						wantKeys = append(wantKeys, k)
-					}
-				}
-				sort.Strings(wantKeys)
-				if len(wantKeys) > n {
-					wantKeys = wantKeys[:n]
-				}
-				if len(kvs) != len(wantKeys) {
-					t.Logf("scan(%s,%d): got %d want %d", start, n, len(kvs), len(wantKeys))
+				if !checkScan("scan", kvs, model, start, end, n) {
 					return false
 				}
-				for i, kv := range kvs {
-					if string(kv.Key) != wantKeys[i] || string(kv.Value) != model[wantKeys[i]] {
-						t.Logf("scan[%d]: %q=%q want %q=%q", i, kv.Key, kv.Value,
-							wantKeys[i], model[wantKeys[i]])
-						return false
+				if rnd.Intn(3) == 0 {
+					if len(kept) == 8 {
+						kept = kept[1:]
 					}
+					kept = append(kept, keptScan{got: kvs, want: cloneKVs(kvs)})
 				}
-			case 9: // occasionally reopen
-				if op%500 == 499 {
+			case 9: // snapshot open / scan / close; occasionally reopen
+				switch {
+				case op%500 == 499:
+					if snap != nil {
+						snap.Close()
+						snap = nil
+					}
 					if err := db.Close(); err != nil {
 						t.Logf("close: %v", err)
 						return false
@@ -109,6 +151,33 @@ func quickModel(t *testing.T, workers int) {
 						return false
 					}
 					watchGauges(t, db, exact)
+				case snap == nil:
+					if snap, err = db.NewSnapshot(); err != nil {
+						t.Logf("snapshot: %v", err)
+						return false
+					}
+					snapModel = maps.Clone(model)
+				default:
+					start, end, n := randomScan()
+					var endKey []byte
+					if end != "" {
+						endKey = []byte(end)
+					}
+					kvs, err := snap.Scan([]byte(start), endKey, n)
+					if err != nil || !checkScan("snapshot scan", kvs, snapModel, start, end, n) {
+						t.Logf("snapshot scan: %v", err)
+						return false
+					}
+					if rnd.Intn(2) == 0 {
+						snap.Close()
+						snap = nil
+					}
+				}
+			}
+			for i, k := range kept {
+				if !equalKVs(k.got, k.want) {
+					t.Logf("op %d: kept scan result %d changed", op, i)
+					return false
 				}
 			}
 		}

@@ -5,11 +5,14 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 
-	"unikv/internal/arena"
 	"unikv/internal/codec"
+	"unikv/internal/memtable"
 	"unikv/internal/record"
+	"unikv/internal/sorted"
 	"unikv/internal/sortedview"
+	"unikv/internal/sstable"
 	"unikv/internal/vlog"
 )
 
@@ -113,12 +116,11 @@ func (v *version) resolve(rec record.Record, warm bool) ([]byte, error) {
 	return nil, codec.ErrCorrupt
 }
 
-// KV is one scan result. The pairs of one Scan result belong to the
-// caller, to keep or mutate: the engine holds no reference to them. Keys
-// and values of the same result may share backing arrays — each slice's
-// capacity ends where it does, so appending to one reallocates instead of
-// running into a neighbour — which means keeping one pair alive can keep
-// the memory of others (at most about twice the bytes the scan returned).
+// KV is one scan result, the caller's to keep or mutate: the engine holds
+// no reference to it. The pairs one partition returns share one byte
+// region — each slice's capacity ends where it does, so appending to one
+// reallocates instead of running into a neighbour — so keeping one pair
+// keeps at most about twice the bytes that partition returned alive.
 type KV struct {
 	Key   []byte
 	Value []byte
@@ -141,7 +143,8 @@ func (db *DB) Scan(start, end []byte, limit int) ([]KV, error) {
 		return nil, ErrClosed
 	}
 	db.stats.Scans.Add(1)
-	sc := newScanner(db, end, limit)
+	sc := getScanner(db, end, limit)
+	defer sc.release()
 	cursor := start
 	retries := 0
 	for {
@@ -203,16 +206,37 @@ func (v *version) scanView() *sortedview.View {
 	return view
 }
 
-// scanner accumulates one Scan call's result across partitions and owns
-// every buffer the result points into.
+// scanner accumulates one Scan call's result across partitions. It hands
+// the caller the result slice and one byte region per partition (fill); the
+// rest — iterators, fetch and unit lists, scratch — is pooled (scanners).
 type scanner struct {
 	db    *DB
 	end   []byte
 	limit int // > 0
 	out   []KV
-	// mem holds the result's keys and inline values.
-	mem     arena.Bytes
+
+	// The current partition's keys and inline values, back to back until
+	// fill moves them into its region; till then its pairs alias buf.
+	buf     []byte
 	fetches []pendingFetch // the current partition's pointer records
+	units   []readUnit
+	region  []byte // the current partition's, while fill reads into it
+
+	// Parallel fill: each pool job claims a chunk, reading sparse runs into
+	// spans[chunk].
+	spans   [][]byte
+	errs    []error
+	claimed atomic.Int32
+	wg      sync.WaitGroup
+	job     func()
+
+	// Iterators, reset onto each partition's version in turn.
+	memIts []memtable.Iterator
+	tabIts []sstable.Iterator
+	viewIt sortedview.Iter
+	srtIt  sorted.Iterator
+	iters  []recIter
+	merge  mergeIter
 }
 
 // pendingFetch is one scan result awaiting its value-log dereference.
@@ -221,26 +245,54 @@ type pendingFetch struct {
 	ptr record.ValuePtr
 }
 
+// byLogPos orders fetches by (log, offset), packed into one comparison.
+func byLogPos(a, b pendingFetch) int {
+	return cmp.Compare(uint64(a.ptr.LogNum)<<32|uint64(a.ptr.Offset), uint64(b.ptr.LogNum)<<32|uint64(b.ptr.Offset))
+}
+
 const (
 	// scanPresize caps how many result slots a scan reserves up front: the
 	// limit is the caller's bound, not a promise the range holds that many.
 	scanPresize = 512
-	// scanArenaChunk is the arena's allocation unit — and so the most a
-	// caller pins by keeping a single key of a result. A slice over a
-	// quarter of it gets its own allocation.
-	scanArenaChunk = 4 << 10
+	// scanKeepMax bounds the scratch a pooled scanner keeps (bytes, a list
+	// entry counted as 32): a scanner a large scan grew past it is dropped.
+	scanKeepMax = 4 << 20
 )
 
-func newScanner(db *DB, end []byte, limit int) *scanner {
-	sc := &scanner{db: db, end: end, limit: limit, mem: arena.New(scanArenaChunk, scanArenaChunk)}
+// scanners recycles scanners; a pooled one references nothing (release).
+var scanners = sync.Pool{New: func() any { return new(scanner) }}
+
+func getScanner(db *DB, end []byte, limit int) *scanner {
+	sc := scanners.Get().(*scanner)
+	if sc.job == nil {
+		sc.job = sc.readChunk
+	}
+	sc.db, sc.end, sc.limit = db, end, limit
 	if limit <= 0 {
 		sc.limit = math.MaxInt // the scan still terminates at end or the key space's
 	} else {
-		n := min(limit, scanPresize)
-		sc.out = make([]KV, 0, n)
-		sc.fetches = make([]pendingFetch, 0, n)
+		sc.out = make([]KV, 0, min(limit, scanPresize))
 	}
 	return sc
+}
+
+// release drops the scanner's references to the engine and the result,
+// which the caller has taken, and pools it unless it outgrew scanKeepMax.
+func (sc *scanner) release() {
+	clear(sc.memIts[:cap(sc.memIts)])
+	clear(sc.tabIts[:cap(sc.tabIts)])
+	clear(sc.iters[:cap(sc.iters)])
+	(*sortedview.View)(nil).ResetIterator(&sc.viewIt)
+	sc.srtIt.Reset(nil)
+	sc.merge.Reset(nil)
+	sc.db, sc.end, sc.out = nil, nil, nil
+	kept := cap(sc.buf) + 32*(cap(sc.fetches)+cap(sc.units))
+	for _, s := range sc.spans[:cap(sc.spans)] {
+		kept += cap(s)
+	}
+	if kept <= scanKeepMax {
+		scanners.Put(sc)
+	}
 }
 
 // done reports whether the scan is complete after a partition whose upper
@@ -250,31 +302,48 @@ func (sc *scanner) done(next []byte) bool {
 		(sc.end != nil && codec.Compare(next, sc.end) >= 0)
 }
 
+// mergeOver resets the iterators onto v's tiers — memtable, frozen
+// memtables newest first, the sorted view (or one iterator per unsorted
+// table without one), the sorted run — and returns their merge.
+func (sc *scanner) mergeOver(v *version) *mergeIter {
+	sc.memIts = slices.Grow(sc.memIts[:0], 1+len(v.imm))[:1+len(v.imm)]
+	sc.memIts[0].Reset(v.mem)
+	for i, m := range v.imm {
+		sc.memIts[len(v.imm)-i].Reset(m)
+	}
+	sc.iters = sc.iters[:0]
+	for i := range sc.memIts {
+		sc.iters = append(sc.iters, &sc.memIts[i])
+	}
+	if view := v.scanView(); view != nil {
+		view.ResetIterator(&sc.viewIt)
+		sc.iters = append(sc.iters, &sc.viewIt)
+	} else {
+		tables := v.uns.Tables()
+		sc.tabIts = slices.Grow(sc.tabIts[:0], len(tables))[:len(tables)]
+		for i, tb := range tables {
+			sc.tabIts[i].Reset(tb.Reader)
+			sc.iters = append(sc.iters, &sc.tabIts[i])
+		}
+	}
+	sc.srtIt.Reset(v.srt)
+	sc.iters = append(sc.iters, &sc.srtIt)
+	sc.merge.Reset(sc.iters)
+	return &sc.merge
+}
+
 // scan merges the iterators of v, which the caller holds, from start and
 // appends the pairs visible at seq (the newest version of each key
 // sequenced at or below it; live scans pass the maximum) until the scan's
-// end or limit, then fills in the pointed-to values — v's hold on its logs
-// keeps them in place.
+// end or limit, then fills in their bytes — v's hold on its logs keeps the
+// pointed-to values in place.
 func (sc *scanner) scan(v *version, start []byte, seq uint64) error {
-	iters := make([]recIter, 0, len(v.imm)+v.unsTables+2)
-	iters = append(iters, v.mem.NewIterator())
-	for i := len(v.imm) - 1; i >= 0; i-- {
-		iters = append(iters, v.imm[i].NewIterator())
-	}
-	if view := v.scanView(); view != nil {
-		iters = append(iters, view.NewIterator())
-	} else {
-		for _, tb := range v.uns.Tables() {
-			iters = append(iters, tb.Reader.NewIterator())
-		}
-	}
-	iters = append(iters, v.srt.NewIterator())
-	m := newMergeIter(iters)
-
-	sc.fetches = sc.fetches[:0]
-	// lastKey is the key most recently decided: it aliases the pair just
-	// appended, or tombstone, the copy of a deleted key.
-	var lastKey, tombstone []byte
+	m := sc.mergeOver(v)
+	base := len(sc.out)
+	sc.buf, sc.fetches = sc.buf[:0], sc.fetches[:0]
+	// lastKey is the key most recently decided. It aliases the record, whose
+	// bytes v keeps in place.
+	var lastKey []byte
 	haveLast := false
 	for ok := m.Seek(start); ok; ok = m.Next() {
 		rec := m.Record()
@@ -287,109 +356,120 @@ func (sc *scanner) scan(v *version, start []byte, seq uint64) error {
 		if haveLast && codec.Compare(rec.Key, lastKey) == 0 {
 			continue
 		}
-		haveLast = true
+		lastKey, haveLast = rec.Key, true
+		val := rec.Value
 		switch rec.Kind {
 		case record.KindDelete:
-			tombstone = append(tombstone[:0], rec.Key...)
-			lastKey = tombstone
 			continue
-		case record.KindSet:
-			sc.out = append(sc.out, KV{Key: sc.mem.Copy(rec.Key), Value: sc.mem.Copy(rec.Value)})
+		case record.KindSet: // the value is inline
 		case record.KindSetPtr:
 			ptr, err := record.DecodePtr(rec.Value)
 			if err != nil {
 				return err
 			}
 			sc.fetches = append(sc.fetches, pendingFetch{idx: len(sc.out), ptr: ptr})
-			sc.out = append(sc.out, KV{Key: sc.mem.Copy(rec.Key)})
+			val = nil
 		default:
 			return codec.ErrCorrupt
 		}
+		k := len(sc.buf)
+		sc.buf = append(append(sc.buf, rec.Key...), val...)
+		sc.out = append(sc.out, KV{Key: sc.buf[k : k+len(rec.Key)], Value: sc.buf[k+len(rec.Key):]})
 		if len(sc.out) >= sc.limit {
 			break
 		}
-		lastKey = sc.out[len(sc.out)-1].Key
 	}
 	if err := m.Err(); err != nil {
 		return err
 	}
-	return sc.fill()
+	return sc.fill(sc.out[base:])
 }
 
-// Tuning for the scan readahead (spanRuns).
+// Tuning for the scan readahead (plan).
 const (
 	// prefetchRunGap is the largest hole between two consecutive values
 	// (sorted by offset, same log) that still extends a contiguous run —
 	// roughly four data blocks of dead or foreign bytes are cheaper to read
 	// through than to split the span over.
 	prefetchRunGap = 16 << 10
-	// prefetchMaxSpan caps one run's span so a single read cannot allocate
-	// an unbounded buffer.
+	// prefetchMaxSpan caps one run's span, and so the scratch a sparse run
+	// is read into.
 	prefetchMaxSpan = 1 << 20
-	// prefetchMinRun is the smallest pointer count worth a span (a
-	// singleton reads exactly its own bytes either way).
-	prefetchMinRun = 2
 	// fetchChunk is how many read units one fetch-pool job takes, and the
 	// unit count up to which a scan reads inline — dispatch would cost
 	// more than it saves.
 	fetchChunk = 16
 )
 
-// fill dereferences the pending pointers into sc.out.
+// readUnit is one read of fetches[from:to], whose frames span log bytes
+// [lo, hi): straight into the region at at, values aliasing it, or when
+// sparse (values under half the span) into scratch, values copied to at.
+type readUnit struct {
+	from, to int
+	lo, hi   int64
+	at       int
+	sparse   bool
+}
+
+// fill moves the staged keys and inline values of pairs, the partition's,
+// into one region sized for every byte the partition returns, then reads
+// the pointed-to values into the rest of it.
 //
 // Readahead (paper: readahead from the first key's value, made adaptive):
 // the pointers are sorted by log and offset and cut into read units —
-// maximal contiguous runs, each read once as a span the values then alias,
-// and leftover single pointers, each a per-value read. So a scan whose
-// values are key-ordered in several logs (fresh merges interleaved with GC
-// rewrites) gets one read per dense stretch while scattered singletons
-// read exactly their own bytes. Scan traffic bypasses the value cache so
-// one large range query cannot evict the point-read hot set.
-//
-// Units go to the fixed worker pool in chunks (paper: a fixed number of
-// value addresses is inserted into the worker queue and sleeping threads
-// fetch them in parallel).
-func (sc *scanner) fill() error {
-	if len(sc.fetches) == 0 {
-		return nil
+// maximal contiguous runs and leftover single frames, each read once as a
+// span — that bypass the value cache, so a range query cannot evict the
+// point-read hot set. Units go to the fixed worker pool in chunks (paper: a
+// fixed number of value addresses is inserted into the worker queue and
+// sleeping threads fetch them in parallel).
+func (sc *scanner) fill(pairs []KV) error {
+	sc.region = make([]byte, sc.plan(len(sc.buf)))
+	copy(sc.region, sc.buf)
+	at := 0
+	for i := range pairs {
+		v := at + len(pairs[i].Key)
+		end := v + len(pairs[i].Value)
+		pairs[i] = KV{Key: sc.region[at:v:v], Value: sc.region[v:end:end]}
+		at = end
 	}
-	var units [][]pendingFetch
-	if sc.db.opts.DisableScanPrefetch {
-		units = make([][]pendingFetch, len(sc.fetches))
-		for i := range units {
-			units[i] = sc.fetches[i : i+1]
-		}
-	} else {
-		slices.SortFunc(sc.fetches, func(a, b pendingFetch) int {
-			if c := cmp.Compare(a.ptr.LogNum, b.ptr.LogNum); c != 0 {
-				return c
+	err := sc.read()
+	sc.region = nil
+	return err
+}
+
+// plan cuts the pending fetches into read units, placing them in the region
+// after its first n bytes, and returns the region's size. A run grows while
+// the next frame is in the same log, starts within prefetchRunGap of the
+// run's end, and keeps the span under prefetchMaxSpan; DisableScanPrefetch
+// makes every frame its own unit.
+func (sc *scanner) plan(n int) int {
+	f := sc.fetches
+	runs := !sc.db.opts.DisableScanPrefetch
+	if runs && !slices.IsSortedFunc(f, byLogPos) {
+		slices.SortFunc(f, byLogPos)
+	}
+	sc.units = sc.units[:0]
+	for from := 0; from < len(f); {
+		u := readUnit{from: from, to: from + 1, at: n}
+		u.lo, u.hi = frameExtent(f[from].ptr)
+		values := int64(f[from].ptr.Length)
+		for ; runs && u.to < len(f); u.to++ {
+			off, end := frameExtent(f[u.to].ptr)
+			if f[u.to].ptr.LogNum != f[from].ptr.LogNum || off-u.hi > prefetchRunGap || end-u.lo > prefetchMaxSpan {
+				break
 			}
-			return cmp.Compare(a.ptr.Offset, b.ptr.Offset)
-		})
-		units = spanRuns(sc.fetches)
-	}
-	if sc.db.opts.DisableScanParallel || len(units) <= fetchChunk {
-		return sc.readUnits(units)
-	}
-	nChunks := (len(units) + fetchChunk - 1) / fetchChunk
-	var wg sync.WaitGroup
-	errs := make([]error, nChunks)
-	wg.Add(nChunks)
-	for c := 0; c < nChunks; c++ {
-		c := c
-		chunk := units[c*fetchChunk : min((c+1)*fetchChunk, len(units))]
-		sc.db.pool.run(func() {
-			defer wg.Done()
-			errs[c] = sc.readUnits(chunk)
-		})
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+			u.hi = max(u.hi, end)
+			values += int64(f[u.to].ptr.Length)
 		}
+		size := u.hi - u.lo
+		if u.sparse = 2*values < size; u.sparse {
+			size = values
+		}
+		n += int(size)
+		sc.units = append(sc.units, u)
+		from = u.to
 	}
-	return nil
+	return n
 }
 
 // frameExtent returns the log byte range [off, end) of ptr's frame.
@@ -398,90 +478,78 @@ func frameExtent(ptr record.ValuePtr) (off, end int64) {
 	return off, off + vlog.HeaderLen + int64(ptr.Length)
 }
 
-// spanRuns cuts fetches, sorted by (log, offset), into maximal runs: the
-// next frame extends the run while it is in the same log, starts within
-// prefetchRunGap of the run's end, and keeps the span under
-// prefetchMaxSpan.
-func spanRuns(fetches []pendingFetch) [][]pendingFetch {
-	var runs [][]pendingFetch
-	lo := 0
-	start, hi := frameExtent(fetches[0].ptr)
-	for i := 1; i < len(fetches); i++ {
-		off, end := frameExtent(fetches[i].ptr)
-		if fetches[i].ptr.LogNum == fetches[lo].ptr.LogNum &&
-			off-hi <= prefetchRunGap && end-start <= prefetchMaxSpan {
-			hi = max(hi, end)
-			continue
-		}
-		runs = append(runs, fetches[lo:i])
-		lo, start, hi = i, off, end
+// read reads every unit, fetchChunk to a chunk: inline when there is one
+// chunk or DisableScanParallel is set, else a fetch-pool job per chunk.
+func (sc *scanner) read() error {
+	chunks := (len(sc.units) + fetchChunk - 1) / fetchChunk
+	sc.spans = slices.Grow(sc.spans[:0], chunks)[:chunks]
+	if sc.db.opts.DisableScanParallel || chunks <= 1 {
+		return sc.readUnits(sc.units, 0)
 	}
-	return append(runs, fetches[lo:])
+	sc.errs = slices.Grow(sc.errs[:0], chunks)[:chunks]
+	sc.claimed.Store(0)
+	sc.wg.Add(chunks)
+	for range chunks {
+		sc.db.pool.run(sc.job)
+	}
+	sc.wg.Wait()
+	var first error
+	for _, err := range sc.errs {
+		first = cmp.Or(first, err)
+	}
+	clear(sc.errs)
+	return first
 }
 
-func (sc *scanner) readUnits(units [][]pendingFetch) error {
+// readChunk is a fetch-pool job: it reads the next unclaimed chunk.
+func (sc *scanner) readChunk() {
+	defer sc.wg.Done()
+	c := int(sc.claimed.Add(1)) - 1
+	sc.errs[c] = sc.readUnits(sc.units[c*fetchChunk:min((c+1)*fetchChunk, len(sc.units))], c)
+}
+
+// readUnits reads units as chunk c and fills in their values. A sparse run
+// is read into spans[c] and its values copied to the region, so that a
+// caller who keeps a value never pins much more than the scan returned. A
+// frame that does not verify inside its span (a short read at the log tail,
+// a flipped byte) takes the per-value ReadUncached, whose error is the
+// scan's.
+func (sc *scanner) readUnits(units []readUnit, c int) error {
+	vl := sc.db.vl
 	for _, u := range units {
-		if err := sc.readUnit(u); err != nil {
+		run := sc.fetches[u.from:u.to]
+		n := int(u.hi - u.lo)
+		dst := sc.region[u.at:]
+		if u.sparse {
+			sc.spans[c] = slices.Grow(sc.spans[c][:0], n)
+			dst = sc.spans[c]
+		}
+		span, err := vl.ReadSpan(run[0].ptr.LogNum, u.lo, dst[:n:n])
+		if err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// readUnit fills in the values of one read unit. A run is read once and
-// its values alias the span buffer, unless under half the span is values:
-// then they are copied into one right-sized buffer, so that a caller who
-// keeps a value never pins much more than the scan returned. A frame that
-// does not verify inside the span (a short read at the log tail, a flipped
-// byte) takes the per-value read, whose error is the scan's.
-func (sc *scanner) readUnit(run []pendingFetch) error {
-	vl := sc.db.vl
-	if len(run) < prefetchMinRun {
+		if len(run) > 1 {
+			sc.db.stats.ScanPrefetchIssued.Add(1)
+		}
+		at, verified := u.at, false
 		for _, f := range run {
-			val, err := vl.ReadUncached(f.ptr)
+			val, err := vlog.SpanValue(span, u.lo, f.ptr)
 			if err != nil {
-				return err
+				if val, err = vl.ReadUncached(f.ptr); err != nil {
+					return err
+				}
+			} else {
+				verified = true
+				if u.sparse {
+					end := at + copy(sc.region[at:], val)
+					val, at = sc.region[at:end:end], end
+				}
 			}
 			sc.out[f.idx].Value = val
 		}
-		return nil
-	}
-	lo, hi := frameExtent(run[0].ptr)
-	var values int64
-	for _, f := range run {
-		_, end := frameExtent(f.ptr)
-		hi = max(hi, end)
-		values += int64(f.ptr.Length)
-	}
-	span, err := vl.ReadSpan(run[0].ptr.LogNum, lo, hi-lo)
-	if err != nil {
-		return err
-	}
-	sc.db.stats.ScanPrefetchIssued.Add(1)
-	sparse := 2*values < hi-lo
-	var dense []byte // the copy target of a sparse run
-	if sparse {
-		dense = make([]byte, 0, values)
-	}
-	verified := false
-	for _, f := range run {
-		val, err := vlog.SpanValue(span, lo, f.ptr)
-		if err != nil {
-			if val, err = vl.ReadUncached(f.ptr); err != nil {
-				return err
-			}
-		} else {
-			verified = true
-			if sparse {
-				n := len(dense)
-				dense = append(dense, val...)
-				val = dense[n:len(dense):len(dense)]
-			}
+		if len(run) > 1 && !verified {
+			sc.db.stats.ScanPrefetchWasted.Add(1)
 		}
-		sc.out[f.idx].Value = val
-	}
-	if !verified {
-		sc.db.stats.ScanPrefetchWasted.Add(1)
 	}
 	return nil
 }

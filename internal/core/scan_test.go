@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
+	"slices"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -94,8 +98,8 @@ func TestScanResultOwnership(t *testing.T) {
 
 // TestScanRetentionBound scans values that sit ~16 KiB apart in one log —
 // close enough to be read as one span, far too sparse to alias it — and
-// checks what the result keeps alive: at most twice the bytes returned
-// plus one arena chunk, not the spans read.
+// checks what the result keeps alive: at most twice the bytes returned,
+// not the spans read.
 func TestScanRetentionBound(t *testing.T) {
 	const (
 		wanted  = 64
@@ -154,7 +158,7 @@ func TestScanRetentionBound(t *testing.T) {
 		t.Fatal("no span was read: the values are not laid out as the test intends")
 	}
 	const slack = 32 << 10 // the result slice itself, size-class rounding, runtime noise
-	if bound := int64(2*wanted*valLen + scanArenaChunk + slack); retained > bound {
+	if bound := int64(2*wanted*valLen + slack); retained > bound {
 		t.Fatalf("a result of %d value bytes keeps %d bytes alive, bound %d", wanted*valLen, retained, bound)
 	}
 }
@@ -325,6 +329,240 @@ func TestSnapshotScanMatchesLiveScan(t *testing.T) {
 	}
 }
 
+// scanAllocDB loads 2000 keys compacted behind value pointers, overwrites
+// every fifth one into the memtable and the UnsortedStore (inline values)
+// and returns the store with the index of the first key of its second
+// partition.
+func scanAllocDB(t *testing.T, tweak func(*Options)) (*DB, int) {
+	t.Helper()
+	opts := smallOpts(vfs.NewMem())
+	tweak(&opts)
+	db, err := Open("db", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	const n = 2000
+	for i := 0; i < n; i++ {
+		if err := db.Put(key(i), val(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.CompactAll(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i += 5 {
+		if err := db.Put(key(i), val(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db.router.RLock()
+	parts := db.router.parts
+	db.router.RUnlock()
+	if len(parts) < 2 {
+		t.Fatalf("%d partitions, want at least 2", len(parts))
+	}
+	b := sort.Search(n, func(i int) bool { return bytes.Compare(key(i), parts[1].lower) >= 0 })
+	if b < 60 || b >= n-60 {
+		t.Fatalf("second partition starts at key %d: too close to an end", b)
+	}
+	return db, b
+}
+
+// TestScanAllocations: a warm scan over cache-resident blocks allocates its
+// result slice and one region per partition it visits — nothing else, with
+// readahead and the fetch pool on or off. 40 pointers per partition are
+// over two fetch-pool chunks once DisableScanPrefetch makes each its own
+// unit, so the parallel fill is counted too.
+func TestScanAllocations(t *testing.T) {
+	variants := map[string]func(*Options){
+		"default":     func(*Options) {},
+		"no-prefetch": func(o *Options) { o.DisableScanPrefetch = true },
+		"no-parallel": func(o *Options) { o.DisableScanParallel = true },
+	}
+	for name, tweak := range variants {
+		t.Run(name, func(t *testing.T) {
+			db, b := scanAllocDB(t, tweak)
+			for _, c := range []struct{ from, parts int }{{b - 50, 1}, {b - 25, 2}} {
+				start, want := key(c.from), make([]KV, 50)
+				for j := range want {
+					want[j] = KV{Key: key(c.from + j), Value: val(c.from + j)}
+				}
+				scan := func() {
+					kvs, err := db.Scan(start, nil, 50)
+					if err != nil || !equalKVs(kvs, want) {
+						t.Fatalf("scan from key %d: %d pairs, %v", c.from, len(kvs), err)
+					}
+				}
+				allocs := testing.AllocsPerRun(50, scan)
+				if raceEnabled {
+					continue // the race detector's instrumentation allocates
+				}
+				if want := float64(1 + c.parts); allocs != want {
+					t.Errorf("a warm scan over %d partition(s) allocates %v objects, want %v", c.parts, allocs, want)
+				}
+			}
+		})
+	}
+}
+
+// TestScanResultsSurvivePooledReuse: two goroutines scan over and over —
+// live and snapshot scans, over one or two partitions, with pointers read
+// in spans and in the fetch pool — reusing the pooled scanners' scratch,
+// iterators and lists, while a third keeps every result it was handed and
+// re-checks all of them byte for byte after each scan of its own. Under
+// -race a result that aliased pooled memory shows as a race or a change.
+func TestScanResultsSurvivePooledReuse(t *testing.T) {
+	db, b := scanAllocDB(t, func(*Options) {})
+	snap, err := db.NewSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+	type query struct {
+		start, end []byte
+		limit      int
+	}
+	queries := []query{{key(0), nil, 30}, {key(b - 25), nil, 50}, {key(b - 300), key(b + 300), 0}, {key(b + 5), key(b + 7), 10}}
+	want := make([][]KV, len(queries))
+	for i, q := range queries {
+		kvs, err := db.Scan(q.start, q.end, q.limit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = cloneKVs(kvs)
+	}
+	const rounds = 60
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				i := (r + g) % len(queries)
+				q := queries[i]
+				scan := db.Scan
+				if r%3 == 0 {
+					scan = snap.Scan
+				}
+				got, err := scan(q.start, q.end, q.limit)
+				if err != nil || !equalKVs(got, want[i]) {
+					t.Errorf("scanner %d round %d: query %d returned a wrong result (%v)", g, r, i, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var kept [][]KV
+		var keptWant [][]KV
+		for r := 0; r < rounds; r++ {
+			i := r % len(queries)
+			got, err := db.Scan(queries[i].start, queries[i].end, queries[i].limit)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			kept, keptWant = append(kept, got), append(keptWant, want[i])
+			for j := range kept {
+				if !equalKVs(kept[j], keptWant[j]) {
+					t.Errorf("round %d: the result kept from round %d changed under later scans", r, j)
+					return
+				}
+			}
+		}
+	}()
+	wg.Wait()
+}
+
+// refsOut appends to out the path of every reference v holds — a non-nil
+// pointer, interface, map, channel or function, or a byte slice — unless
+// ownScratch says the scanner owns what it points at. Slices of other
+// element types are walked to their capacity, so an element a shorter
+// reslice hides still counts.
+func refsOut(v reflect.Value, path string, ownScratch func(string) bool, out *[]string) {
+	switch v.Kind() {
+	case reflect.Pointer, reflect.Interface, reflect.Map, reflect.Chan, reflect.Func, reflect.UnsafePointer:
+		if !v.IsNil() && !ownScratch(path) {
+			*out = append(*out, path)
+		}
+	case reflect.Slice:
+		switch {
+		case v.IsNil():
+		case v.Type().Elem().Kind() == reflect.Uint8:
+			if !ownScratch(path) {
+				*out = append(*out, path)
+			}
+		default:
+			full := v.Slice(0, v.Cap())
+			for i := 0; i < full.Len(); i++ {
+				refsOut(full.Index(i), fmt.Sprintf("%s[%d]", path, i), ownScratch, out)
+			}
+		}
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			refsOut(v.Index(i), fmt.Sprintf("%s[%d]", path, i), ownScratch, out)
+		}
+	case reflect.Struct:
+		if v.Type() == reflect.TypeOf(sync.WaitGroup{}) {
+			return
+		}
+		for i := 0; i < v.NumField(); i++ {
+			refsOut(v.Field(i), path+"."+v.Type().Field(i).Name, ownScratch, out)
+		}
+	}
+}
+
+// TestReleasedScannerHoldsNothing: a scanner that has just scanned every
+// tier — memtable, sorted view or per-table iterators, sorted run, value
+// spans — references the store through its partition versions, iterators
+// and result; released, it references nothing but its own byte scratch and
+// pool job, so a pooled scanner keeps no version, table, block or result
+// alive.
+func TestReleasedScannerHoldsNothing(t *testing.T) {
+	ownScratch := func(path string) bool {
+		return path == ".buf" || path == ".job" || strings.HasPrefix(path, ".spans[")
+	}
+	for _, viewOff := range []bool{false, true} {
+		t.Run(fmt.Sprintf("SortedViewOff=%v", viewOff), func(t *testing.T) {
+			db, _ := scanAllocDB(t, func(o *Options) { o.SortedViewOff = viewOff })
+			snap, err := db.NewSnapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer snap.Close()
+			sc := getScanner(db, nil, 0)
+			for _, v := range snap.parts {
+				if err := sc.scan(v, v.p.lower, snap.seq); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if len(sc.out) != 2000 {
+				t.Fatalf("scanned %d pairs, want 2000", len(sc.out))
+			}
+			var held []string
+			refsOut(reflect.ValueOf(sc).Elem(), "", ownScratch, &held)
+			tier := ".viewIt.v" // the unsorted tier's iterator
+			if viewOff {
+				tier = ".tabIts[0].r"
+			}
+			for _, want := range []string{".db", ".out[0].Key", ".memIts[0].m", tier, ".srtIt.s", ".merge.iters[0]"} {
+				if !slices.Contains(held, want) {
+					t.Fatalf("a scanner in use holds no %s: the walk misses references", want)
+				}
+			}
+			sc.release()
+			held = held[:0]
+			refsOut(reflect.ValueOf(sc).Elem(), "", ownScratch, &held)
+			if len(held) > 0 {
+				t.Fatalf("a released scanner still references %v", held)
+			}
+		})
+	}
+}
+
 // benchScanDB is a store with both tiers populated, 1 KiB values: 3000
 // keys compacted behind pointers, 1000 more in the memtable and the
 // UnsortedStore.
@@ -359,12 +597,14 @@ func benchScanDB(b *testing.B) *DB {
 
 var benchKVs []KV
 
+// benchScan scans limit pairs from a start key that moves over the store,
+// far enough from its end to find them.
 func benchScan(b *testing.B, scan func(start, end []byte, limit int) ([]KV, error)) {
-	for _, limit := range []int{10, 100} {
+	for _, limit := range []int{10, 100, 1000} {
 		b.Run(fmt.Sprint(limit), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				kvs, err := scan(key(i*97%5000), nil, limit)
+				kvs, err := scan(key(i*97%(5000-limit)), nil, limit)
 				if err != nil || len(kvs) != limit {
 					b.Fatalf("%d pairs, %v", len(kvs), err)
 				}
@@ -376,6 +616,23 @@ func benchScan(b *testing.B, scan func(start, end []byte, limit int) ([]KV, erro
 
 func BenchmarkScan(b *testing.B) {
 	benchScan(b, benchScanDB(b).Scan)
+}
+
+// BenchmarkScanParallel is BenchmarkScan/100 from every P at once, so
+// scanners go to and come from the pool concurrently.
+func BenchmarkScanParallel(b *testing.B) {
+	db := benchScanDB(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for i := 0; pb.Next(); i++ {
+			kvs, err := db.Scan(key(i*97%4900), nil, 100)
+			if err != nil || len(kvs) != 100 {
+				b.Errorf("%d pairs, %v", len(kvs), err)
+				return
+			}
+		}
+	})
 }
 
 func BenchmarkSnapshotScan(b *testing.B) {

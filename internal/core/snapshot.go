@@ -128,13 +128,15 @@ func (s *Snapshot) Get(key []byte) ([]byte, error) {
 
 // Scan returns up to limit pairs with start <= key < end as of the pinned
 // sequence, in key order (same bounds semantics, readahead and result
-// ownership as DB.Scan).
+// ownership as DB.Scan: the pairs one partition returns share one region,
+// see KV).
 func (s *Snapshot) Scan(start, end []byte, limit int) ([]KV, error) {
 	if s.closed.Load() {
 		return nil, ErrSnapshotClosed
 	}
 	s.db.stats.SnapshotScans.Add(1)
-	sc := newScanner(s.db, end, limit)
+	sc := getScanner(s.db, end, limit)
+	defer sc.release()
 	cursor := start
 	for _, v := range s.parts[s.partIdxFor(start):] {
 		if err := sc.scan(v, cursor, s.seq); err != nil {

@@ -718,10 +718,13 @@ func TestVersionReaderStorm(t *testing.T) {
 			get(func(k []byte) ([]byte, error) { return v.get(k, math.MaxUint64, true) }, to, lo[to])
 			to++
 		}
-		sc := newScanner(db, stormKey(to), 0)
-		if err := sc.scan(v, stormKey(0), math.MaxUint64); err != nil {
+		sc := getScanner(db, stormKey(to), 0)
+		err := sc.scan(v, stormKey(0), math.MaxUint64)
+		out := sc.out
+		sc.release()
+		if err != nil {
 			fail(fmt.Errorf("scan of a held version: %w", err))
-		} else if err := ref.checkScan(0, to, lo[:to], sc.out); err != nil {
+		} else if err := ref.checkScan(0, to, lo[:to], out); err != nil {
 			fail(fmt.Errorf("held version: %w", err))
 		}
 	}()
@@ -790,7 +793,8 @@ func TestVersionSplitKeepsParentReadable(t *testing.T) {
 	if moved == 0 {
 		t.Fatal("no key the held version has seen moved to the child")
 	}
-	sc := newScanner(db, nil, seen)
+	sc := getScanner(db, nil, seen)
+	defer sc.release()
 	if err := sc.scan(v, key(0), math.MaxUint64); err != nil || len(sc.out) != seen {
 		t.Fatalf("scan through the pre-split version: %d pairs, %v", len(sc.out), err)
 	}

@@ -226,6 +226,9 @@ func (m *Memtable) NewIterator() *Iterator {
 	return &Iterator{m: m}
 }
 
+// Reset repositions the iterator before the first record of m.
+func (it *Iterator) Reset(m *Memtable) { *it = Iterator{m: m} }
+
 // First moves to the first record and reports validity.
 func (it *Iterator) First() bool {
 	it.m.mu.RLock()

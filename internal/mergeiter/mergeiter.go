@@ -5,28 +5,47 @@
 package mergeiter
 
 import (
+	"slices"
+
 	"unikv/internal/codec"
 	"unikv/internal/record"
 )
 
-// RecIter is the common shape of memtable, sstable, and run iterators.
+// RecIter is the common shape of memtable, sstable, and run iterators. A
+// positioning call reports whether the iterator is on a record.
 type RecIter interface {
 	First() bool
 	Seek(target []byte) bool
 	Next() bool
-	Valid() bool
 	Record() record.Record
 }
 
-// Iter merges several RecIters. With the handful of inputs typical here a
-// linear selection per step beats heap bookkeeping.
+// Iter merges several RecIters. It keeps each live input's current record,
+// so a step compares cached keys and asks only the input it advanced for
+// its next record. With the handful of inputs typical here a linear
+// selection per step beats heap bookkeeping.
 type Iter struct {
 	iters []RecIter
+	heads []head // heads[i] is iters[i]'s current record
 	cur   int
 }
 
+// head is one input's cached position: its current record, if it has one.
+type head struct {
+	rec record.Record
+	ok  bool
+}
+
 // New builds a merging iterator over iters.
-func New(iters []RecIter) *Iter { return &Iter{iters: iters, cur: -1} }
+func New(iters []RecIter) *Iter { return &Iter{iters: iters, heads: make([]head, len(iters)), cur: -1} }
+
+// Reset makes m a merge over iters, unpositioned, reusing m's per-input
+// state. Reset(nil) leaves m referencing no input and no record.
+func (m *Iter) Reset(iters []RecIter) {
+	clear(m.heads)
+	m.iters, m.cur = iters, -1
+	m.heads = slices.Grow(m.heads[:0], len(iters))[:len(iters)]
+}
 
 // Less orders (ka, sa) before (kb, sb) in merge order: key ascending,
 // sequence descending.
@@ -37,19 +56,21 @@ func Less(ka []byte, sa uint64, kb []byte, sb uint64) bool {
 	return sa > sb
 }
 
+// load caches input i's record after a positioning call that returned ok.
+func (m *Iter) load(i int, ok bool) {
+	m.heads[i] = head{ok: ok}
+	if ok {
+		m.heads[i].rec = m.iters[i].Record()
+	}
+}
+
 func (m *Iter) pick() bool {
 	m.cur = -1
-	for i, it := range m.iters {
-		if !it.Valid() {
-			continue
-		}
-		if m.cur < 0 {
-			m.cur = i
-			continue
-		}
-		a, b := it.Record(), m.iters[m.cur].Record()
-		if Less(a.Key, a.Seq, b.Key, b.Seq) {
-			m.cur = i
+	var best *record.Record
+	for i := range m.heads {
+		h := &m.heads[i]
+		if h.ok && (best == nil || Less(h.rec.Key, h.rec.Seq, best.Key, best.Seq)) {
+			m.cur, best = i, &h.rec
 		}
 	}
 	return m.cur >= 0
@@ -57,16 +78,16 @@ func (m *Iter) pick() bool {
 
 // First positions at the globally smallest record.
 func (m *Iter) First() bool {
-	for _, it := range m.iters {
-		it.First()
+	for i, it := range m.iters {
+		m.load(i, it.First())
 	}
 	return m.pick()
 }
 
 // Seek positions at the first record with key >= target.
 func (m *Iter) Seek(target []byte) bool {
-	for _, it := range m.iters {
-		it.Seek(target)
+	for i, it := range m.iters {
+		m.load(i, it.Seek(target))
 	}
 	return m.pick()
 }
@@ -74,7 +95,7 @@ func (m *Iter) Seek(target []byte) bool {
 // Next advances to the following record.
 func (m *Iter) Next() bool {
 	if m.cur >= 0 {
-		m.iters[m.cur].Next()
+		m.load(m.cur, m.iters[m.cur].Next())
 	}
 	return m.pick()
 }
@@ -83,7 +104,7 @@ func (m *Iter) Next() bool {
 func (m *Iter) Valid() bool { return m.cur >= 0 }
 
 // Record returns the current record.
-func (m *Iter) Record() record.Record { return m.iters[m.cur].Record() }
+func (m *Iter) Record() record.Record { return m.heads[m.cur].rec }
 
 // Err returns the first error any input iterator reported (inputs that
 // don't expose Err are assumed infallible).

@@ -28,6 +28,71 @@ func (s *sliceIter) Seek(t []byte) bool {
 }
 func (s *sliceIter) Record() record.Record { return s.recs[s.pos] }
 
+// linearIter is the merge as it was before it cached each input's record:
+// every step asks every input whether it is valid and for its record. It is
+// the reference the cached-record merge must match, record for record.
+type linearIter struct {
+	iters []*sliceIter
+	cur   int
+}
+
+func (m *linearIter) pick() bool {
+	m.cur = -1
+	for i, it := range m.iters {
+		if !it.Valid() {
+			continue
+		}
+		if m.cur < 0 {
+			m.cur = i
+			continue
+		}
+		a, b := it.Record(), m.iters[m.cur].Record()
+		if Less(a.Key, a.Seq, b.Key, b.Seq) {
+			m.cur = i
+		}
+	}
+	return m.cur >= 0
+}
+
+func (m *linearIter) First() bool {
+	for _, it := range m.iters {
+		it.First()
+	}
+	return m.pick()
+}
+
+func (m *linearIter) Seek(target []byte) bool {
+	for _, it := range m.iters {
+		it.Seek(target)
+	}
+	return m.pick()
+}
+
+func (m *linearIter) Next() bool {
+	if m.cur >= 0 {
+		m.iters[m.cur].Next()
+	}
+	return m.pick()
+}
+
+func (m *linearIter) Record() record.Record { return m.iters[m.cur].Record() }
+
+// sameStream walks m and the linear reference in lockstep from their first
+// positioning call and fails at the first record they disagree on.
+func sameStream(t *testing.T, what string, m *Iter, mOK bool, ref *linearIter, refOK bool) {
+	t.Helper()
+	for i := 0; mOK || refOK; i++ {
+		if mOK != refOK {
+			t.Fatalf("%s: record %d: merge valid=%v, linear reference valid=%v", what, i, mOK, refOK)
+		}
+		a, b := m.Record(), ref.Record()
+		if !bytes.Equal(a.Key, b.Key) || a.Seq != b.Seq || a.Kind != b.Kind || !bytes.Equal(a.Value, b.Value) {
+			t.Fatalf("%s: record %d: merge %s@%d/%d, linear reference %s@%d/%d", what, i, a.Key, a.Seq, a.Kind, b.Key, b.Seq, b.Kind)
+		}
+		mOK, refOK = m.Next(), ref.Next()
+	}
+}
+
 func mk(key string, seq uint64) record.Record {
 	return record.Record{Key: []byte(key), Seq: seq, Kind: record.KindSet,
 		Value: []byte(fmt.Sprintf("%s@%d", key, seq))}
@@ -327,6 +392,27 @@ func FuzzMergeRandomOverlap(f *testing.F) {
 			return Less(all[a].Key, all[a].Seq, all[b].Key, all[b].Seq)
 		})
 
+		// The cached-record merge against the linear pick it replaced, over
+		// inputs of their own: the full stream, a Seek from every key of the
+		// space (and past it), and the same after a Reset onto fresh inputs.
+		refIters := make([]*sliceIter, len(iters))
+		for i, it := range iters {
+			refIters[i] = &sliceIter{recs: it.(*sliceIter).recs}
+		}
+		ref := &linearIter{iters: refIters}
+		cached := New(iters)
+		sameStream(t, "first", cached, cached.First(), ref, ref.First())
+		for k := 0; k <= int(keySpace); k++ {
+			target := []byte(fmt.Sprintf("key-%03d", k))
+			sameStream(t, fmt.Sprintf("seek(%s)", target), cached, cached.Seek(target), ref, ref.Seek(target))
+		}
+		fresh := make([]RecIter, len(iters))
+		for i, it := range iters {
+			fresh[i] = &sliceIter{recs: it.(*sliceIter).recs}
+		}
+		cached.Reset(fresh)
+		sameStream(t, "first after Reset", cached, cached.First(), ref, ref.First())
+
 		m := New(iters)
 		i := 0
 		for ok := m.First(); ok; ok = m.Next() {
@@ -384,4 +470,59 @@ func FuzzMergeRandomOverlap(f *testing.F) {
 			t.Fatalf("dedup yielded %d keys, want %d", n, len(newest))
 		}
 	})
+}
+
+// benchRuns deals n records round-robin into k sorted runs, so consecutive
+// keys sit in different runs and every merge step advances another input.
+func benchRuns(k, n int) []RecIter {
+	runs := make([][]record.Record, k)
+	for j := 0; j < n; j++ {
+		runs[j%k] = append(runs[j%k], mk(fmt.Sprintf("key-%08d", j), uint64(j+1)))
+	}
+	iters := make([]RecIter, k)
+	for i, r := range runs {
+		iters[i] = &sliceIter{recs: r}
+	}
+	return iters
+}
+
+var benchRec record.Record
+
+// BenchmarkNext is one merge step (ns/op per record) over k in-memory runs,
+// restarting at the first record when the merge runs out.
+func BenchmarkNext(b *testing.B) {
+	for _, k := range []int{2, 4, 8} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			m := New(benchRuns(k, 4096))
+			b.ReportAllocs()
+			b.ResetTimer()
+			ok := m.First()
+			for i := 0; i < b.N; i++ {
+				if !ok {
+					ok = m.First()
+				}
+				benchRec = m.Record()
+				ok = m.Next()
+			}
+		})
+	}
+}
+
+// BenchmarkSeek positions an 8-run merge at a random key, as a scan starts.
+func BenchmarkSeek(b *testing.B) {
+	const n = 4096
+	m := New(benchRuns(8, n))
+	rnd := rand.New(rand.NewSource(1))
+	targets := make([][]byte, 1024)
+	for i := range targets {
+		targets[i] = []byte(fmt.Sprintf("key-%08d", rnd.Intn(n)))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !m.Seek(targets[i%len(targets)]) {
+			b.Fatal("seek to a present key ran out")
+		}
+		benchRec = m.Record()
+	}
 }

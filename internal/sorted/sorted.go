@@ -84,7 +84,8 @@ type Iterator struct {
 	s     *Store
 	maint bool // per-table iterators are maintenance iterators
 	ti    int
-	it    *sstable.Iterator
+	it    *sstable.Iterator // &tab while on a table, else nil
+	tab   sstable.Iterator  // the current table's iterator, reused per table
 	err   error
 }
 
@@ -100,12 +101,18 @@ func (s *Store) NewMaintIterator() *Iterator {
 	return &Iterator{s: s, ti: -1, maint: true}
 }
 
-// tableIter opens the per-table iterator for table i.
+// Reset repositions the iterator before the first record of s, keeping its
+// mode. Reset(nil) leaves it referencing no store, table or block.
+func (it *Iterator) Reset(s *Store) { *it = Iterator{s: s, ti: -1, maint: it.maint} }
+
+// tableIter positions the table iterator before table i's first record.
 func (it *Iterator) tableIter(i int) *sstable.Iterator {
 	if it.maint {
-		return it.s.tables[i].Reader.NewMaintIterator()
+		it.tab = *it.s.tables[i].Reader.NewMaintIterator()
+	} else {
+		it.tab = *it.s.tables[i].Reader.NewIterator()
 	}
-	return it.s.tables[i].Reader.NewIterator()
+	return &it.tab
 }
 
 // Valid reports whether the iterator is on a record.

@@ -30,6 +30,7 @@
 package sortedview
 
 import (
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -198,17 +199,27 @@ type Iter struct {
 	valid bool
 	err   error
 
-	blocks    []sstable.Block // per-table cached parsed block
-	blockIdxs []int32         // which block each cache slot holds (-1 none)
+	blocks    []sstable.Block // per-table cached parsed block, if Valid
+	blockIdxs []int32         // which block each valid cache slot holds
 }
 
 // NewIterator returns an iterator positioned before the first entry.
 func (v *View) NewIterator() *Iter {
-	idxs := make([]int32, len(v.tables))
-	for i := range idxs {
-		idxs[i] = -1
+	it := new(Iter)
+	v.ResetIterator(it)
+	return it
+}
+
+// ResetIterator makes it an iterator over v positioned before the first
+// entry, reusing its per-table slices. A nil v leaves it referencing no
+// view, table or block.
+func (v *View) ResetIterator(it *Iter) {
+	n := 0
+	if v != nil {
+		n = len(v.tables)
 	}
-	return &Iter{v: v, i: -1, blocks: make([]sstable.Block, len(v.tables)), blockIdxs: idxs}
+	clear(it.blocks)
+	*it = Iter{v: v, i: -1, blocks: slices.Grow(it.blocks[:0], n)[:n], blockIdxs: slices.Grow(it.blockIdxs[:0], n)[:n]}
 }
 
 // Err returns the first error encountered materializing a record.
@@ -254,7 +265,7 @@ func (it *Iter) goTo(i int) bool {
 		it.valid = true
 		return true
 	}
-	if it.blockIdxs[e.Table] != e.Block {
+	if !it.blocks[e.Table].Valid() || it.blockIdxs[e.Table] != e.Block {
 		b, err := it.v.tables[e.Table].LoadBlock(int(e.Block))
 		if err != nil {
 			it.err = err

@@ -7,13 +7,14 @@ import (
 	"sort"
 	"testing"
 
+	"unikv/internal/cache"
 	"unikv/internal/mergeiter"
 	"unikv/internal/record"
 	"unikv/internal/sstable"
 	"unikv/internal/vfs"
 )
 
-func buildTable(t *testing.T, fs vfs.FS, name string, recs []record.Record) *sstable.Reader {
+func buildTable(t testing.TB, fs vfs.FS, name string, recs []record.Record) *sstable.Reader {
 	t.Helper()
 	f, err := fs.Create(name)
 	if err != nil {
@@ -49,7 +50,7 @@ func sortRecs(recs []record.Record) {
 
 // buildView flushes each batch as one table and merges it into the view
 // incrementally, mirroring the flush path.
-func buildView(t *testing.T, batches [][]record.Record) (*View, []record.Record) {
+func buildView(t testing.TB, batches [][]record.Record) (*View, []record.Record) {
 	t.Helper()
 	fs := vfs.NewMem()
 	v := New()
@@ -342,3 +343,118 @@ func TestAgainstMergeIter(t *testing.T) {
 		}
 	}
 }
+
+// setRec is a live record whose value names its key and sequence.
+func setRec(key string, seq uint64) record.Record {
+	return record.Record{Key: []byte(key), Seq: seq, Kind: record.KindSet, Value: []byte(fmt.Sprintf("%s@%d", key, seq))}
+}
+
+// TestResetIterator: one iterator reset across views of different table
+// counts reads each exactly as a fresh one does, and a reset onto no view
+// leaves it referencing no view, table or block.
+func TestResetIterator(t *testing.T) {
+	rnd := rand.New(rand.NewSource(5))
+	views := make([]*View, 0, 3)
+	wants := make([][]record.Record, 0, 3)
+	for _, tables := range []int{4, 1, 3} {
+		var batches [][]record.Record
+		seq := uint64(1)
+		for i := 0; i < tables; i++ {
+			var recs []record.Record
+			for j := 0; j < 30; j++ {
+				recs = append(recs, setRec(fmt.Sprintf("k%03d", rnd.Intn(80)), seq))
+				seq++
+			}
+			batches = append(batches, recs)
+		}
+		v, want := buildView(t, batches)
+		views, wants = append(views, v), append(wants, want)
+	}
+	it := new(Iter)
+	for round := 0; round < 2; round++ {
+		for i, v := range views {
+			v.ResetIterator(it)
+			n := 0
+			for ok := it.First(); ok; ok = it.Next() {
+				if got, w := it.Record(), wants[i][n]; !bytes.Equal(got.Key, w.Key) || got.Seq != w.Seq || !bytes.Equal(got.Value, w.Value) {
+					t.Fatalf("view %d record %d: %s@%d want %s@%d", i, n, got.Key, got.Seq, w.Key, w.Seq)
+				}
+				n++
+			}
+			if n != len(wants[i]) || it.Err() != nil {
+				t.Fatalf("view %d: %d of %d records, %v", i, n, len(wants[i]), it.Err())
+			}
+		}
+	}
+	(*View)(nil).ResetIterator(it)
+	if it.v != nil || it.rec.Key != nil || it.rec.Value != nil {
+		t.Fatal("an iterator reset onto no view still references the last one")
+	}
+	for i, b := range it.blocks[:cap(it.blocks)] {
+		if b.Valid() {
+			t.Fatalf("an iterator reset onto no view still holds table %d's block", i)
+		}
+	}
+}
+
+// benchView is a view over four overlapping tables of 1024 records each.
+func benchView(b *testing.B) (*View, []record.Record) {
+	rnd := rand.New(rand.NewSource(9))
+	batches := make([][]record.Record, 4)
+	seq := uint64(1)
+	for i := range batches {
+		for j := 0; j < 1024; j++ {
+			batches[i] = append(batches[i], setRec(fmt.Sprintf("key-%06d", rnd.Intn(8192)), seq))
+			seq++
+		}
+	}
+	return buildView(b, batches)
+}
+
+// BenchmarkSeekNext is a short scan's walk of the view over cache-resident
+// blocks: reset an iterator onto it, Seek to a random key, take 16 records.
+func BenchmarkSeekNext(b *testing.B) {
+	v, all := benchView(b)
+	c := cache.New(8<<20, 0)
+	for i, r := range v.tables {
+		r.SetCache(c, uint64(i+1))
+	}
+	it := v.NewIterator()
+	for ok := it.First(); ok; ok = it.Next() { // fills the cache
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v.ResetIterator(it)
+		ok := it.Seek(all[i*7919%len(all)].Key)
+		for n := 0; ok && n < 16; n++ {
+			ok = it.Next()
+		}
+		if it.Err() != nil {
+			b.Fatal(it.Err())
+		}
+	}
+}
+
+// BenchmarkWithTable is a flush's view extension: merging a 1024-entry
+// table into a view of four.
+func BenchmarkWithTable(b *testing.B) {
+	v, _ := benchView(b)
+	recs := make([]record.Record, 1024)
+	for j := range recs {
+		recs[j] = setRec(fmt.Sprintf("key-%06d", j*8), uint64(1<<20+j))
+	}
+	sortRecs(recs)
+	r := buildTable(b, vfs.NewMem(), "extra.sst", recs)
+	entries, err := Collect(r)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchViewSink = v.WithTable(r, entries)
+	}
+}
+
+var benchViewSink *View

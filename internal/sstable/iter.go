@@ -31,6 +31,10 @@ func (r *Reader) NewMaintIterator() *Iterator {
 	return &Iterator{r: r, blockIdx: -1, noFill: true}
 }
 
+// Reset repositions the iterator before the first record of r, keeping its
+// mode (NewIterator or NewMaintIterator) and dropping its block.
+func (it *Iterator) Reset(r *Reader) { *it = Iterator{r: r, blockIdx: -1, noFill: it.noFill} }
+
 // Err returns the first I/O or corruption error encountered.
 func (it *Iterator) Err() error { return it.err }
 

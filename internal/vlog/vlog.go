@@ -13,7 +13,7 @@
 //
 // The manager holds no read-side state beyond the value cache: a scan's
 // readahead (paper: posix_fadvise(WILLNEED) before dereferencing pointers)
-// is ReadSpan into a buffer the scan owns, decoded in place by SpanValue.
+// is ReadSpan into memory the scan owns, decoded in place by SpanValue.
 package vlog
 
 import (
@@ -586,22 +586,21 @@ func decodeValue(buf []byte, wantLen uint32) ([]byte, error) {
 	return val, nil
 }
 
-// ReadSpan reads log n's byte range [off, off+length) into a fresh buffer
-// the caller owns — the scan readahead: one read covers a run of values,
-// which SpanValue then decodes in place. A short read at the log tail
-// returns the bytes that exist; SpanValue rejects pointers reaching past
-// them.
-func (m *Manager) ReadSpan(n uint32, off, length int64) ([]byte, error) {
+// ReadSpan reads log n's bytes from offset off on into dst and returns the
+// part of dst it filled — the scan readahead: one read covers a run of
+// values, which SpanValue then decodes in place, in memory the caller owns.
+// A short read at the log tail returns the bytes that exist; SpanValue
+// rejects pointers reaching past them.
+func (m *Manager) ReadSpan(n uint32, off int64, dst []byte) ([]byte, error) {
 	f, err := m.reader(n)
 	if err != nil {
 		return nil, err
 	}
-	buf := make([]byte, length)
-	rd, err := f.ReadAt(buf, off)
+	rd, err := f.ReadAt(dst, off)
 	if err != nil && err != io.EOF {
 		return nil, err
 	}
-	return buf[:rd], nil
+	return dst[:rd], nil
 }
 
 // SpanValue returns the value ptr addresses inside span — the bytes of

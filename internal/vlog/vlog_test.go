@@ -229,7 +229,7 @@ func TestReadSpan(t *testing.T) {
 	ptrs, vals, lo, hi := spanOver(t, m, 20)
 
 	readsBefore := fs.Counters().ReadOps.Load()
-	span, err := m.ReadSpan(ptrs[0].LogNum, lo, hi-lo)
+	span, err := m.ReadSpan(ptrs[0].LogNum, lo, make([]byte, hi-lo))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestReadSpanShortAtTail(t *testing.T) {
 	m = newMgr(t, fs, Options{})
 	defer m.Close()
 
-	span, err := m.ReadSpan(ptrs[0].LogNum, lo, hi-lo)
+	span, err := m.ReadSpan(ptrs[0].LogNum, lo, make([]byte, hi-lo))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestSpanValueFlippedByte(t *testing.T) {
 	m = newMgr(t, fs, Options{})
 	defer m.Close()
 
-	span, err := m.ReadSpan(ptrs[0].LogNum, lo, hi-lo)
+	span, err := m.ReadSpan(ptrs[0].LogNum, lo, make([]byte, hi-lo))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +343,7 @@ func TestSpanValueBounds(t *testing.T) {
 	// A span over the middle two frames, cut 10 bytes short of the third's end.
 	lo := int64(ptrs[1].Offset)
 	length := int64(ptrs[3].Offset) - lo - 10
-	span, err := m.ReadSpan(ptrs[0].LogNum, lo, length)
+	span, err := m.ReadSpan(ptrs[0].LogNum, lo, make([]byte, length))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -708,14 +708,16 @@ func BenchmarkReadPoint(b *testing.B) {
 }
 
 // BenchmarkReadSpan64 is a scan's readahead: one span over 64 consecutive
-// 1 KiB values, each verified and sub-sliced in place.
+// 1 KiB values read into one reused buffer, each verified and sub-sliced
+// in place.
 func BenchmarkReadSpan64(b *testing.B) {
 	m, ptrs, lo, hi := benchLog(b, 64)
+	buf := make([]byte, hi-lo)
 	b.ReportAllocs()
 	b.SetBytes(64 * 1024)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		span, err := m.ReadSpan(ptrs[0].LogNum, lo, hi-lo)
+		span, err := m.ReadSpan(ptrs[0].LogNum, lo, buf)
 		if err != nil {
 			b.Fatal(err)
 		}

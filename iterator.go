@@ -75,8 +75,9 @@ func (it *Iterator) Next() bool {
 // Key returns the current pair's key. Valid after Next returned true. The
 // slice is the caller's to keep or mutate — the iterator never reads a
 // returned key again (it resumes from its own copy) — but it shares a
-// backing array with other pairs of the current page (see KV), so
-// keeping it keeps part of the page alive.
+// backing array with the other pairs its partition contributed to the
+// current page (see KV), so keeping it keeps at most about twice those
+// pairs' bytes alive.
 func (it *Iterator) Key() []byte { return it.page[it.idx].Key }
 
 // Value returns the current pair's value. Valid after Next returned true;

@@ -112,10 +112,10 @@ const CacheOff = core.CacheOff
 const HotRingOff = core.HotRingOff
 
 // KV is one key-value pair returned by Scan. The pairs of one Scan result
-// are the caller's to keep or mutate. Their keys and values may share
-// backing arrays; each slice's capacity ends where it does, so appending
+// are the caller's to keep or mutate. The pairs one partition returns share
+// one backing array; each slice's capacity ends where it does, so appending
 // to one reallocates instead of running into a neighbour, and keeping one
-// pair alive keeps at most about twice the bytes the scan returned.
+// pair alive keeps at most about twice the bytes that partition returned.
 type KV = core.KV
 
 // Metrics is a snapshot of engine statistics.
@@ -367,7 +367,7 @@ func (s *Snapshot) Get(key []byte) ([]byte, error) { return s.s.Get(key) }
 
 // Scan returns up to limit pairs with start <= key < end as of the pinned
 // point, in key order (same bounds semantics and result ownership as
-// DB.Scan).
+// DB.Scan: the pairs one partition returns share one backing array, see KV).
 func (s *Snapshot) Scan(start, end []byte, limit int) ([]KV, error) {
 	return s.s.Scan(start, end, limit)
 }
