@@ -310,7 +310,7 @@ func verifyOffline(dir string) {
 			bad++
 			return
 		}
-		if err := rdr.VerifyChecksums(); err != nil {
+		if _, err := rdr.VerifyChecksums(nil); err != nil {
 			fmt.Printf("BAD  %s: %v\n", name, err)
 			bad++
 		} else {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
-	"slices"
 
 	"unikv/internal/manifest"
 	"unikv/internal/memtable"
@@ -85,6 +84,7 @@ func (db *DB) BackupAt(s *Snapshot, destDir string) error {
 	// (removal is deferred until the last version naming them is released).
 	maxPart := uint32(0)
 	var edits []manifest.Edit
+	empty := s.parts[0].p.emptyVersion(nil) // no files; edits reads only next's id
 	for _, v := range s.parts {
 		id := v.p.id
 		if id >= maxPart {
@@ -95,10 +95,9 @@ func (db *DB) BackupAt(s *Snapshot, destDir string) error {
 		if err := db.fs.MkdirAll(dstDir); err != nil {
 			return err
 		}
-		uns, srt := unsortedMetas(v.uns.Tables()), tableMetas(v.srt.Tables())
-		for _, tm := range append(slices.Clone(uns), srt...) {
-			if err := db.linkOrCopy(tableName(srcDir, tm.FileNum), tableName(dstDir, tm.FileNum)); err != nil {
-				return fmt.Errorf("unikv: backup partition %d table %d: %w", id, tm.FileNum, err)
+		for _, t := range tablesOf(v) {
+			if err := db.linkOrCopy(tableName(srcDir, t.num), tableName(dstDir, t.num)); err != nil {
+				return fmt.Errorf("unikv: backup partition %d table %d: %w", id, t.num, err)
 			}
 		}
 		walNum, err := db.cutWAL(v, s.seq, dstDir)
@@ -108,17 +107,14 @@ func (db *DB) BackupAt(s *Snapshot, destDir string) error {
 		if err := db.fs.SyncDir(dstDir); err != nil {
 			return err
 		}
-		edits = append(edits,
-			manifest.AddPartition(id, v.p.lower),
-			manifest.SetUnsorted(id, uns),
-			manifest.SetSorted(id, srt),
-			manifest.SetLogs(id, v.logs),
-		)
+		// The partition's files as edits from an empty one. HashCkpt stays
+		// 0: the destination rebuilds its hash index from the copied tables
+		// at open, so no checkpoint file is carried over.
+		edits = append(edits, manifest.AddPartition(id, v.p.lower))
+		edits = append(edits, empty.edits(v)...)
 		if walNum != 0 {
 			edits = append(edits, manifest.SetWAL(id, walNum))
 		}
-		// HashCkpt stays 0: the destination rebuilds its hash index from
-		// the copied tables at open, so no checkpoint file is carried over.
 	}
 	if err := db.fs.SyncDir(destDir); err != nil {
 		return err

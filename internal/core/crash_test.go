@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"path/filepath"
+	"slices"
 	"testing"
+	"time"
 
 	"unikv/internal/vfs"
+	"unikv/internal/vlog"
 )
 
 // TestCrashDuringLoad kills the engine at many different write-op counts
@@ -482,5 +486,115 @@ func TestVerifyIntegrity(t *testing.T) {
 	db3.Close()
 	if err := db3.VerifyIntegrity(); err != ErrClosed {
 		t.Fatalf("%v", err)
+	}
+}
+
+// TestVerifyIntegrityBesideGC runs VerifyIntegrityReport in a loop beside a
+// pooled writer whose GCs retire value logs all the time. A clean store must
+// verify clean: a log a GC removes is not corruption. The log walk used to
+// take the log numbers from a version, release it and only then hold each
+// log, so a GC in between made the walk report "file does not exist".
+func TestVerifyIntegrityBesideGC(t *testing.T) {
+	opts := bgOpts(vfs.NewMem())
+	opts.BackgroundWorkers = 1
+	opts.GCRatio = 0.05
+	opts.MaxLogSize = 16 << 10
+	db, err := Open("db", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	stop := make(chan struct{})
+	writer := make(chan error, 1)
+	go func() {
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				writer <- nil
+				return
+			default:
+			}
+			if err := db.Put(key(i%400), val(i)); err != nil {
+				writer <- err
+				return
+			}
+		}
+	}()
+	runs := 0
+	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); runs++ {
+		reports, err := db.VerifyIntegrityReport()
+		if err != nil || len(reports) > 0 {
+			close(stop)
+			t.Fatalf("run %d on a clean store: %v %v", runs, err, reports)
+		}
+	}
+	close(stop)
+	if err := <-writer; err != nil {
+		t.Fatal(err)
+	}
+	if gcs := db.Metrics().GCs; gcs == 0 {
+		t.Fatalf("no GC ran beside %d verifications", runs)
+	}
+	t.Logf("%d verifications beside %d GCs", runs, db.Metrics().GCs)
+}
+
+// TestVerifyLogsHoldsOnlyTheWalkedLog: the log walk behind VerifyIntegrity
+// and the scrub — which the scrub paces, so one pass can take minutes —
+// holds no log it has not reached. A GC that retires the logs ahead of the
+// walk removes them at once, and the walk skips them rather than verifying
+// dead files or reporting them missing.
+func TestVerifyLogsHoldsOnlyTheWalkedLog(t *testing.T) {
+	opts := smallOpts(vfs.NewMem())
+	opts.DisablePartitioning = true
+	db, err := Open("db", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for i := 0; i < 600; i++ {
+		if err := db.Put(key(i), val(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.CompactAll(); err != nil {
+		t.Fatal(err)
+	}
+	p := db.partitions()[0]
+	start := slices.Clone(p.cur.Load().logs)
+	if len(start) < 3 {
+		t.Fatalf("the partition names %d value logs, want at least 3", len(start))
+	}
+	var walked []uint32
+	db.verifyLogs(nil, func(n uint32, _ []uint32, _ int64, err error) bool {
+		if err != nil {
+			t.Errorf("value log %d: %v", n, err)
+		}
+		walked = append(walked, n)
+		checkLogAccounting(t, db) // holders are exactly the current versions
+		if len(walked) > 1 {
+			return true
+		}
+		p.maintMu.Lock()
+		v := p.acquire()
+		err = p.gc(v)
+		v.release()
+		p.maintMu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range start[1:] {
+			if !p.cur.Load().hasLog(m) && db.fs.Exists(filepath.Join(db.vlogDir(), vlog.LogName(m))) {
+				t.Errorf("value log %d outlived its retirement while the walk was on log %d", m, n)
+			}
+		}
+		return true
+	})
+	for _, n := range walked[1:] {
+		if !p.cur.Load().hasLog(n) {
+			t.Errorf("the walk verified value log %d after a GC retired it", n)
+		}
+	}
+	if len(walked) == len(start) {
+		t.Errorf("the walk went through all %d logs; the GC retired none ahead of it", len(start))
 	}
 }

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"slices"
-	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -285,6 +285,25 @@ func ckptName(dir string, num uint64) string {
 
 func (db *DB) vlogDir() string { return filepath.Join(db.dir, "vlog") }
 
+// parseFileName inverts tableName, walName and ckptName: a partition file's
+// number and extension, ok false for any other name.
+func parseFileName(name string) (num uint64, ext string, ok bool) {
+	ext = filepath.Ext(name)
+	digits := strings.TrimSuffix(name, ext)
+	n, err := strconv.ParseUint(digits, 10, 64)
+	if err != nil || fmt.Sprintf("%08d", n) != digits || (ext != ".sst" && ext != ".wal" && ext != ".ckpt") {
+		return 0, "", false
+	}
+	return n, ext, true
+}
+
+// parsePartDir inverts partDir: the partition ID of a directory name.
+func parsePartDir(name string) (uint32, bool) {
+	digits, ok := strings.CutPrefix(name, "p")
+	n, err := strconv.ParseUint(digits, 10, 32)
+	return uint32(n), ok && err == nil && strconv.FormatUint(n, 10) == digits
+}
+
 // allocFileNum returns a fresh file number. The new high-water mark is
 // persisted with the next manifest batch (nextFileEdit).
 func (db *DB) allocFileNum() uint64 {
@@ -488,13 +507,18 @@ func (db *DB) recoverPartition(meta *manifest.PartitionMeta, upper []byte) (*par
 	// without a manifest edit, so any later-numbered .wal file in the
 	// directory is unflushed frozen data from before the crash. File numbers
 	// are monotonic, so replaying ascending from meta.WALNum reconstructs
-	// write order.
+	// write order — as long as no number is handed out twice: a freeze
+	// allocates its WAL's number without a manifest batch, so the recorded
+	// counter may lag behind these files, and is moved past each one.
 	if meta.WALNum != 0 {
-		for _, num := range db.walNumsFrom(pdir, meta.WALNum) {
-			if err := p.replayWAL(num, v.mem); err != nil {
+		for _, num := range walNumsFrom(db.fs, pdir, meta.WALNum) {
+			if err := replayWAL(db.fs, walName(pdir, num), v.mem); err != nil {
 				return nil, err
 			}
 			p.walNum = num // flushed or rotated by recover()
+			if num >= db.nextFile.Load() {
+				db.nextFile.Store(num + 1)
+			}
 		}
 	}
 	p.publish(v)
@@ -504,25 +528,21 @@ func (db *DB) recoverPartition(meta *manifest.PartitionMeta, upper []byte) (*par
 
 // walNumsFrom lists the .wal file numbers in pdir that are >= from, in
 // ascending order.
-func (db *DB) walNumsFrom(pdir string, from uint64) []uint64 {
-	names, err := db.fs.List(pdir)
+func walNumsFrom(fs vfs.FS, pdir string, from uint64) []uint64 {
+	names, err := fs.List(pdir)
 	if err != nil {
-		if db.fs.Exists(walName(pdir, from)) {
+		if fs.Exists(walName(pdir, from)) {
 			return []uint64{from}
 		}
 		return nil
 	}
 	var nums []uint64
 	for _, name := range names {
-		var n uint64
-		if _, err := fmt.Sscanf(name, "%d.wal", &n); err != nil || !strings.HasSuffix(name, ".wal") {
-			continue
-		}
-		if n >= from {
+		if n, ext, ok := parseFileName(name); ok && ext == ".wal" && n >= from {
 			nums = append(nums, n)
 		}
 	}
-	sort.Slice(nums, func(i, j int) bool { return nums[i] < nums[j] })
+	slices.Sort(nums)
 	return nums
 }
 
@@ -687,7 +707,7 @@ func (db *DB) sweepOrphans() {
 		// manifest edit), so protect the whole suffix, not just the
 		// recorded number.
 		if meta.WALNum != 0 {
-			for _, n := range db.walNumsFrom(pdir, meta.WALNum) {
+			for _, n := range walNumsFrom(db.fs, pdir, meta.WALNum) {
 				ref[filepath.Base(walName(pdir, n))] = true
 			}
 		}
@@ -712,7 +732,7 @@ func (db *DB) sweepOrphans() {
 			p.mu.Unlock()
 		}
 		for _, name := range names {
-			if !ref[name] && (strings.HasSuffix(name, ".sst") || strings.HasSuffix(name, ".wal") || strings.HasSuffix(name, ".ckpt")) {
+			if _, _, ok := parseFileName(name); ok && !ref[name] {
 				db.fs.Remove(filepath.Join(pdir, name))
 			}
 		}
@@ -720,14 +740,8 @@ func (db *DB) sweepOrphans() {
 	// Unknown partition directories.
 	if names, err := db.fs.List(db.dir); err == nil {
 		for _, name := range names {
-			if !strings.HasPrefix(name, "p") {
-				continue
-			}
-			var id uint32
-			if _, err := fmt.Sscanf(name, "p%d", &id); err != nil {
-				continue
-			}
-			if _, ok := state.Partitions[id]; ok {
+			id, ok := parsePartDir(name)
+			if _, known := state.Partitions[id]; !ok || known {
 				continue
 			}
 			pdir := filepath.Join(db.dir, name)

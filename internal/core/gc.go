@@ -123,18 +123,9 @@ func (p *partition) gc(v *version) error {
 	defer p.mu.Unlock()
 	next := p.cur.Load().successor()
 	next.srt, next.logs = sorted.New(tables), logs
-	if err := db.man.Apply(
-		manifest.SetSorted(p.id, tableMetas(tables)),
-		manifest.SetLogs(p.id, logs),
-		manifest.LastSeq(db.seq.Load()),
-		db.nextFileEdit(),
-	); err != nil {
+	if err := p.commit(next, manifest.LastSeq(db.seq.Load()), db.nextFileEdit()); err != nil {
 		return err
 	}
-	for _, t := range v.srt.Tables() {
-		db.markObsolete(p.dir, t.Meta.FileNum, t.Reader)
-	}
-	p.publish(next)
 	p.garbageBytes.Store(0)
 	db.stats.GCs.Add(1)
 	db.stats.GCBytesRewritten.Add(rewritten)

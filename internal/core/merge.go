@@ -95,15 +95,6 @@ func (w *tableWriter) close() {
 	}
 }
 
-// metas extracts the manifest metadata of the written tables.
-func tableMetas(tables []*sorted.Table) []manifest.TableMeta {
-	out := make([]manifest.TableMeta, len(tables))
-	for i, t := range tables {
-		out[i] = t.Meta
-	}
-	return out
-}
-
 // ---------------------------------------------------------------------------
 // Partial KV separation into the shared active log.
 
@@ -214,9 +205,16 @@ func (p *partition) merge(v *version) error {
 		return err
 	}
 	defer m.close()
-	return p.replaceUnsorted(len(v.uns.Tables()), nil, func(uns *unsorted.Store) error {
-		return p.commitMergeLocked(v, m, uns)
+	// Log set: keep everything previously referenced (their pointers were
+	// carried through) plus the logs the new values landed in.
+	err = p.replaceUnsorted(len(v.uns.Tables()), nil, func(next *version) []manifest.Edit {
+		next.srt, next.logs = sorted.New(m.tables), mergeLogs(next.logs, m.logs)
+		return []manifest.Edit{manifest.LastSeq(p.db.seq.Load()), p.db.nextFileEdit()}
 	})
+	if err == nil {
+		p.db.stats.Merges.Add(1)
+	}
+	return err
 }
 
 // mergeBuild is a merge between its build and its commit: the new sorted
@@ -297,44 +295,16 @@ func (m *mergeBuild) run(v *version) (err error) {
 	return db.fs.SyncDir(p.dir)
 }
 
-// commitMergeLocked installs a merge of v's tables: uns holds the tables
-// flushed behind them, which stay in the UnsortedStore. Requires p.mu held.
-func (p *partition) commitMergeLocked(v *version, m *mergeBuild, uns *unsorted.Store) error {
-	db := p.db
-	// Log set: keep everything previously referenced (their pointers were
-	// carried through) plus the logs the new values landed in.
-	next := p.cur.Load().successor()
-	next.uns, next.srt, next.logs = uns, sorted.New(m.tables), mergeLogs(next.logs, m.logs)
-	if err := db.man.Apply(
-		manifest.SetUnsorted(p.id, unsortedMetas(uns.Tables())),
-		manifest.SetSorted(p.id, tableMetas(m.tables)),
-		manifest.SetLogs(p.id, next.logs),
-		manifest.SetHashCkpt(p.id, 0),
-		manifest.LastSeq(db.seq.Load()),
-		db.nextFileEdit(),
-	); err != nil {
-		return err
-	}
-	for _, t := range v.uns.Tables() {
-		db.markObsolete(p.dir, t.Meta.FileNum, t.Reader)
-	}
-	for _, t := range v.srt.Tables() {
-		db.markObsolete(p.dir, t.Meta.FileNum, t.Reader)
-	}
-	p.publish(next)
-	p.dropHashCkptLocked()
-	db.stats.Merges.Add(1)
-	return nil
-}
-
 // replaceUnsorted commits a merge or scan merge of the first merged
 // unsorted tables. It builds the UnsortedStore the commit installs — head
 // (nil when the merged tables drain into the SortedStore) followed by
 // whatever was flushed behind them, under a fresh hash index and view (local
 // IDs are positional) — which reads those tables and so happens in front of
-// the partition lock; commit then runs under it, in memory. flushMu is held
-// across both so that no flush lands a table the new store would miss.
-func (p *partition) replaceUnsorted(merged int, head *unsorted.Table, commit func(*unsorted.Store) error) error {
+// the partition lock. Under it, change completes the successor carrying that
+// store, in memory, and returns the edits the commit logs beside the derived
+// ones. flushMu is held across both so that no flush lands a table the new
+// store would miss.
+func (p *partition) replaceUnsorted(merged int, head *unsorted.Table, change func(next *version) []manifest.Edit) error {
 	p.flushMu.Lock()
 	defer p.flushMu.Unlock()
 	cur := p.cur.Load().uns // maintMu plus flushMu pin its table list
@@ -348,20 +318,9 @@ func (p *partition) replaceUnsorted(merged int, head *unsorted.Table, commit fun
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return commit(uns)
-}
-
-// unsortedMetas extracts manifest metadata from unsorted tables (nil for
-// an empty set, matching the manifest's "no tables" encoding).
-func unsortedMetas(tables []*unsorted.Table) []manifest.TableMeta {
-	if len(tables) == 0 {
-		return nil
-	}
-	out := make([]manifest.TableMeta, len(tables))
-	for i, t := range tables {
-		out[i] = t.Meta
-	}
-	return out
+	next := p.cur.Load().successor()
+	next.uns = uns
+	return p.commit(next, change(next)...)
 }
 
 // accountGarbage records that rec's value (if log-resident) became dead.
@@ -392,9 +351,13 @@ func (p *partition) scanMerge(v *version) error {
 		return err
 	}
 	defer tbl.Reader.Close()
-	return p.replaceUnsorted(len(v.uns.Tables()), tbl, func(uns *unsorted.Store) error {
-		return p.commitScanMergeLocked(v, uns)
+	err = p.replaceUnsorted(len(v.uns.Tables()), tbl, func(*version) []manifest.Edit {
+		return []manifest.Edit{p.db.nextFileEdit()}
 	})
+	if err == nil {
+		p.db.stats.ScanMerges.Add(1)
+	}
+	return err
 }
 
 // buildScanMerge compacts v's unsorted tables into a single table that
@@ -449,26 +412,4 @@ func (p *partition) buildScanMerge(v *version) (*unsorted.Table, error) {
 		return nil, err
 	}
 	return &unsorted.Table{Meta: meta, Reader: rdr}, nil
-}
-
-// commitScanMergeLocked installs uns, the merged table plus whatever was
-// flushed behind v's tables. Requires p.mu held.
-func (p *partition) commitScanMergeLocked(v *version, uns *unsorted.Store) error {
-	db := p.db
-	if err := db.man.Apply(
-		manifest.SetUnsorted(p.id, unsortedMetas(uns.Tables())),
-		manifest.SetHashCkpt(p.id, 0),
-		db.nextFileEdit(),
-	); err != nil {
-		return err
-	}
-	for _, t := range v.uns.Tables() {
-		db.markObsolete(p.dir, t.Meta.FileNum, t.Reader)
-	}
-	next := p.cur.Load().successor()
-	next.uns = uns
-	p.publish(next)
-	p.dropHashCkptLocked()
-	db.stats.ScanMerges.Add(1)
-	return nil
 }

@@ -13,13 +13,15 @@ import (
 )
 
 // TestQuickModel drives the engine with random op sequences (put, delete,
-// get, start- and end-bounded scans, snapshot open / scan / close, reopen)
-// and checks every observation against a model map. Scan results are kept
-// across later ops and re-verified byte for byte after every op, so memory a
-// result still points into must not be recycled. This is the main
-// end-to-end property test: it routinely crosses flush, scan-merge, merge,
-// GC, and split boundaries because of the tiny limits — run by the writer
-// itself, and behind its back by a worker.
+// get, start- and end-bounded scans, snapshot open / scan / close) plus a
+// backup and a reopen every 500 ops — every other reopen after a Repair of
+// the closed directory — and checks every observation against a model map.
+// Scan results are kept across later ops and re-verified byte for byte after
+// every op, so memory a result still points into must not be recycled, and
+// after every op the manifest must describe exactly the current versions.
+// This is the main end-to-end property test: it routinely crosses flush,
+// scan-merge, merge, GC, and split boundaries because of the tiny limits —
+// run by the writer itself, and behind its back by a worker.
 func TestQuickModel(t *testing.T) {
 	for _, workers := range executors {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) { quickModel(t, workers) })
@@ -32,6 +34,7 @@ func quickModel(t *testing.T, workers int) {
 		fs := vfs.NewMem()
 		opts := smallOpts(fs)
 		opts.GCRatio = 0.25
+		opts.PartitionSizeLimit = 16 << 10
 		opts.BackgroundWorkers = workers
 		db, err := Open("db", opts)
 		if err != nil {
@@ -85,95 +88,148 @@ func quickModel(t *testing.T, workers int) {
 			}
 		}()
 
-		for op := 0; op < 3000; op++ {
-			switch rnd.Intn(10) {
-			case 0, 1, 2, 3, 4: // put
-				k, v := keyOf(), fmt.Sprintf("val-%d-%d", op, rnd.Int63())
-				if err := db.Put([]byte(k), []byte(v)); err != nil {
-					t.Logf("put: %v", err)
-					return false
-				}
-				model[k] = v
-			case 5: // delete
-				k := keyOf()
-				if err := db.Delete([]byte(k)); err != nil {
-					t.Logf("delete: %v", err)
-					return false
-				}
-				delete(model, k)
-			case 6, 7: // get
-				k := keyOf()
+		// checkStore compares a whole store — every key the ops pick from, and
+		// a full scan — with model.
+		checkStore := func(what string, db *DB, model map[string]string) bool {
+			for i := 0; i < 400; i++ {
+				k := fmt.Sprintf("key-%04d", i)
 				got, err := db.Get([]byte(k))
-				want, ok := model[k]
-				if ok {
-					if err != nil || string(got) != want {
-						t.Logf("get %s: %q %v want %q", k, got, err, want)
-						return false
-					}
-				} else if err != ErrNotFound {
-					t.Logf("get missing %s: %v", k, err)
+				if want, ok := model[k]; ok && (err != nil || string(got) != want) || !ok && err != ErrNotFound {
+					t.Logf("%s: get %s: %q %v want %q", what, k, got, err, want)
 					return false
 				}
-			case 8: // scan, keeping some results for later re-verification
-				start, end, n := randomScan()
-				var endKey []byte
-				if end != "" {
-					endKey = []byte(end)
+			}
+			kvs, err := db.Scan(nil, nil, 0)
+			if err != nil {
+				t.Logf("%s: scan: %v", what, err)
+				return false
+			}
+			return checkScan(what+" scan", kvs, model, "", "", len(model))
+		}
+
+		for op := 0; op < 3000; op++ {
+			switch {
+			case op%500 == 249: // backup, then open it beside the store
+				dir := fmt.Sprintf("backup-%d", op)
+				if err := db.Backup(dir); err != nil {
+					t.Logf("backup: %v", err)
+					return false
 				}
-				kvs, err := db.Scan([]byte(start), endKey, n)
+				bk, err := Open(dir, opts)
 				if err != nil {
-					t.Logf("scan: %v", err)
+					t.Logf("open backup: %v", err)
 					return false
 				}
-				if !checkScan("scan", kvs, model, start, end, n) {
+				ok := checkStore("backup", bk, model)
+				if err := bk.VerifyIntegrity(); err != nil {
+					t.Logf("backup: verify: %v", err)
+					ok = false
+				}
+				checkManifestMatchesVersions(t, bk)
+				if err := bk.Close(); err != nil || !ok {
+					t.Logf("backup: close: %v", err)
 					return false
 				}
-				if rnd.Intn(3) == 0 {
-					if len(kept) == 8 {
-						kept = kept[1:]
-					}
-					kept = append(kept, keptScan{got: kvs, want: cloneKVs(kvs)})
+			case op%500 == 499: // reopen, every other time after a repair
+				if snap != nil {
+					snap.Close()
+					snap = nil
 				}
-			case 9: // snapshot open / scan / close; occasionally reopen
-				switch {
-				case op%500 == 499:
-					if snap != nil {
-						snap.Close()
-						snap = nil
-					}
-					if err := db.Close(); err != nil {
-						t.Logf("close: %v", err)
+				if err := db.Close(); err != nil {
+					t.Logf("close: %v", err)
+					return false
+				}
+				if op%1000 == 999 {
+					report, err := Repair("db", opts)
+					if err != nil || report.String() != "repair: no damage found\n" {
+						t.Logf("repair after a clean close: %v\n%s", err, report)
 						return false
 					}
-					db, err = Open("db", opts)
-					if err != nil {
-						t.Logf("reopen: %v", err)
+				}
+				if db, err = Open("db", opts); err != nil {
+					t.Logf("reopen: %v", err)
+					return false
+				}
+				watchGauges(t, db, exact)
+				if !checkStore("reopened", db, model) {
+					return false
+				}
+			default:
+				switch rnd.Intn(10) {
+				case 0, 1, 2, 3, 4: // put
+					k, v := keyOf(), fmt.Sprintf("val-%d-%d", op, rnd.Int63())
+					if err := db.Put([]byte(k), []byte(v)); err != nil {
+						t.Logf("put: %v", err)
 						return false
 					}
-					watchGauges(t, db, exact)
-				case snap == nil:
-					if snap, err = db.NewSnapshot(); err != nil {
-						t.Logf("snapshot: %v", err)
+					model[k] = v
+				case 5: // delete
+					k := keyOf()
+					if err := db.Delete([]byte(k)); err != nil {
+						t.Logf("delete: %v", err)
 						return false
 					}
-					snapModel = maps.Clone(model)
-				default:
+					delete(model, k)
+				case 6, 7: // get
+					k := keyOf()
+					got, err := db.Get([]byte(k))
+					want, ok := model[k]
+					if ok {
+						if err != nil || string(got) != want {
+							t.Logf("get %s: %q %v want %q", k, got, err, want)
+							return false
+						}
+					} else if err != ErrNotFound {
+						t.Logf("get missing %s: %v", k, err)
+						return false
+					}
+				case 8: // scan, keeping some results for later re-verification
 					start, end, n := randomScan()
 					var endKey []byte
 					if end != "" {
 						endKey = []byte(end)
 					}
-					kvs, err := snap.Scan([]byte(start), endKey, n)
-					if err != nil || !checkScan("snapshot scan", kvs, snapModel, start, end, n) {
-						t.Logf("snapshot scan: %v", err)
+					kvs, err := db.Scan([]byte(start), endKey, n)
+					if err != nil {
+						t.Logf("scan: %v", err)
 						return false
 					}
-					if rnd.Intn(2) == 0 {
-						snap.Close()
-						snap = nil
+					if !checkScan("scan", kvs, model, start, end, n) {
+						return false
+					}
+					if rnd.Intn(3) == 0 {
+						if len(kept) == 8 {
+							kept = kept[1:]
+						}
+						kept = append(kept, keptScan{got: kvs, want: cloneKVs(kvs)})
+					}
+				case 9: // snapshot open / scan / close
+					switch {
+					case snap == nil:
+						if snap, err = db.NewSnapshot(); err != nil {
+							t.Logf("snapshot: %v", err)
+							return false
+						}
+						snapModel = maps.Clone(model)
+					default:
+						start, end, n := randomScan()
+						var endKey []byte
+						if end != "" {
+							endKey = []byte(end)
+						}
+						kvs, err := snap.Scan([]byte(start), endKey, n)
+						if err != nil || !checkScan("snapshot scan", kvs, snapModel, start, end, n) {
+							t.Logf("snapshot scan: %v", err)
+							return false
+						}
+						if rnd.Intn(2) == 0 {
+							snap.Close()
+							snap = nil
+						}
 					}
 				}
 			}
+			checkManifestMatchesVersions(t, db)
 			for i, k := range kept {
 				if !equalKVs(k.got, k.want) {
 					t.Logf("op %d: kept scan result %d changed", op, i)
@@ -181,20 +237,7 @@ func quickModel(t *testing.T, workers int) {
 				}
 			}
 		}
-		// Final full verification.
-		for k, v := range model {
-			got, err := db.Get([]byte(k))
-			if err != nil || string(got) != v {
-				t.Logf("final get %s: %q %v want %q", k, got, err, v)
-				return false
-			}
-		}
-		kvs, err := db.Scan([]byte(""), nil, 0)
-		if err != nil || len(kvs) != len(model) {
-			t.Logf("final scan: %d vs model %d (%v)", len(kvs), len(model), err)
-			return false
-		}
-		return true
+		return checkStore("final", db, model)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 6}); err != nil {
 		t.Fatal(err)

@@ -14,6 +14,7 @@ import (
 	"unikv/internal/sortedview"
 	"unikv/internal/sstable"
 	"unikv/internal/unsorted"
+	"unikv/internal/vfs"
 	"unikv/internal/wal"
 )
 
@@ -125,9 +126,10 @@ func (p *partition) rotateWALLocked() error {
 	return nil
 }
 
-// replayWAL loads WAL file num into mem.
-func (p *partition) replayWAL(num uint64, mem *memtable.Memtable) error {
-	f, err := p.db.fs.Open(walName(p.dir, num))
+// replayWAL loads the WAL file name into mem. A torn tail ends the replay
+// without an error; what was read before an error stays in mem.
+func replayWAL(fs vfs.FS, name string, mem *memtable.Memtable) error {
+	f, err := fs.Open(name)
 	if err != nil {
 		return err
 	}
@@ -395,25 +397,21 @@ func (p *partition) flushOldest(v *version) error {
 			return err
 		}
 	}
-	edits := []manifest.Edit{
-		manifest.AddUnsorted(p.id, tbl.Meta),
-		manifest.LastSeq(p.db.seq.Load()),
-	}
+	next := cur.successor()
+	next.imm, next.uns = cur.imm[1:], uns
 	nextWAL := p.walNum
 	if len(p.immWALs) > 1 {
 		nextWAL = p.immWALs[1]
 	}
-	if nextWAL != 0 {
-		edits = append(edits, manifest.SetWAL(p.id, nextWAL))
+	extra := []manifest.Edit{manifest.LastSeq(p.db.seq.Load()), p.db.nextFileEdit(), manifest.SetWAL(p.id, nextWAL)}
+	if nextWAL == 0 {
+		extra = extra[:2]
 	}
-	if err := p.db.man.Apply(append(edits, p.db.nextFileEdit())...); err != nil {
+	if err := p.commit(next, extra...); err != nil {
 		return err
 	}
-	next := cur.successor()
-	next.imm, next.uns = cur.imm[1:], uns
 	oldWAL := p.immWALs[0]
 	p.immWALs = p.immWALs[1:]
-	p.publish(next)
 	if oldWAL != 0 {
 		p.db.fs.Remove(walName(p.dir, oldWAL))
 	}
@@ -447,26 +445,6 @@ func (p *partition) checkpointHashLocked() error {
 		p.db.fs.Remove(ckptName(p.dir, old))
 	}
 	return nil
-}
-
-// dropHashCkptLocked forgets the hash checkpoint a commit that replaced the
-// UnsortedStore's tables (and set the manifest's pointer to 0) made stale.
-func (p *partition) dropHashCkptLocked() {
-	if p.hashCkpt != 0 {
-		p.db.fs.Remove(ckptName(p.dir, p.hashCkpt))
-	}
-	p.hashCkpt = 0
-	p.flushesSinceCkpt = 0
-}
-
-// markObsolete arranges for a table the current commit replaced to be
-// deleted when its last holder — the version being replaced, or an older
-// one a reader or snapshot still pins — lets go of it. Call it before the
-// publish that drops the table. Removal is best effort; the orphan sweep
-// covers failures.
-func (db *DB) markObsolete(dir string, num uint64, r *sstable.Reader) {
-	fs, name := db.fs, tableName(dir, num)
-	r.SetRetire(func() { fs.Remove(name) })
 }
 
 // tableMeta is the manifest entry of table num, just built with props.

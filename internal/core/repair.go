@@ -4,9 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 
 	"unikv/internal/manifest"
@@ -14,7 +13,6 @@ import (
 	"unikv/internal/sstable"
 	"unikv/internal/vfs"
 	"unikv/internal/vlog"
-	"unikv/internal/wal"
 )
 
 // Offline repair (the RocksDB RepairDB idea adapted to UniKV's layout).
@@ -52,7 +50,7 @@ type DroppedFile struct {
 	Path      string // original path, before the move into lost/
 	Smallest  []byte // affected key range, when known (tables)
 	Largest   []byte
-	Reason string // why the file was dropped ("checksum mismatch", ...)
+	Reason    string // why the file was dropped ("checksum mismatch", ...)
 }
 
 // LogTruncation records one value log whose torn tail was cut back to the
@@ -203,65 +201,41 @@ func (r *repairer) loadState() error {
 	if err == nil {
 		r.state = man.State()
 		man.Close()
-		// The manifest rides the self-healing WAL format, so a corrupt
-		// early record silently truncates replay instead of failing — in
-		// the worst case to an empty state that would make Open bootstrap
-		// a fresh DB on top of the surviving tables. Tables on disk with
-		// no partition in the state is that signature: fall back to the
-		// directory rebuild rather than trust the hollow manifest.
-		if len(r.state.Partitions) == 0 && r.dirHasTables() {
-			r.report.ManifestRebuilt = true
-			return r.rebuildState()
+		r.nextFile, r.maxSeq = r.state.NextFileNum, r.state.LastSeq
+		if len(r.state.Partitions) > 0 {
+			return nil
 		}
-		r.nextFile = r.state.NextFileNum
-		r.maxSeq = r.state.LastSeq
-		return nil
-	}
-	if Classify(err) != ClassCorruption {
+	} else if Classify(err) != ClassCorruption {
 		return err
 	}
-	r.report.ManifestRebuilt = true
-	return r.rebuildState()
-}
-
-// dirHasTables reports whether any partition directory holds a table.
-func (r *repairer) dirHasTables() bool {
-	names, err := r.fs.List(r.dir)
-	if err != nil {
-		return false
+	// The manifest rides the self-healing WAL format, so a corrupt early
+	// record silently truncates replay instead of failing — in the worst
+	// case to an empty state that would make Open bootstrap a fresh DB on
+	// top of the surviving tables. Tables on disk with no partition in the
+	// state is that signature: fall back to the directory rebuild rather
+	// than trust the hollow manifest.
+	state, tables, err := r.rebuildState()
+	if err != nil || r.state != nil && !tables {
+		return err
 	}
-	for _, name := range names {
-		var pid uint32
-		if _, err := fmt.Sscanf(name, "p%d", &pid); err != nil || fmt.Sprintf("p%d", pid) != name {
-			continue
-		}
-		entries, err := r.fs.List(filepath.Join(r.dir, name))
-		if err != nil {
-			continue
-		}
-		for _, e := range entries {
-			var n uint64
-			if parseNumbered(e, ".sst", &n) {
-				return true
-			}
-		}
-	}
-	return false
+	r.state, r.nextFile, r.maxSeq, r.report.ManifestRebuilt = state, 0, 0, true
+	return nil
 }
 
 // rebuildState reconstructs a State from the directory shape: every p*
 // directory becomes a partition holding all of its tables as unsorted
-// (ordered by file number, approximating flush order). Lower bounds are
-// assigned in a later pass, once table key ranges are known.
-func (r *repairer) rebuildState() error {
-	r.state = manifest.NewState()
+// (ordered by file number, approximating flush order), and tables reports
+// whether there were any. Lower bounds are assigned in a later pass, once
+// table key ranges are known.
+func (r *repairer) rebuildState() (state *manifest.State, tables bool, err error) {
+	state = manifest.NewState()
 	names, err := r.fs.List(r.dir)
 	if err != nil {
-		return err
+		return nil, false, err
 	}
 	for _, name := range names {
-		var pid uint32
-		if _, err := fmt.Sscanf(name, "p%d", &pid); err != nil || fmt.Sprintf("p%d", pid) != name {
+		pid, ok := parsePartDir(name)
+		if !ok {
 			continue
 		}
 		pdir := filepath.Join(r.dir, name)
@@ -270,46 +244,28 @@ func (r *repairer) rebuildState() error {
 			continue // not a directory
 		}
 		meta := &manifest.PartitionMeta{ID: pid}
-		var tables []uint64
-		var minWAL uint64
+		var nums []uint64
 		for _, e := range entries {
-			var n uint64
-			switch {
-			case parseNumbered(e, ".sst", &n):
-				tables = append(tables, n)
-			case parseNumbered(e, ".wal", &n):
-				if minWAL == 0 || n < minWAL {
-					minWAL = n
+			switch n, ext, _ := parseFileName(e); ext {
+			case ".sst":
+				nums = append(nums, n)
+			case ".wal":
+				if meta.WALNum == 0 || n < meta.WALNum {
+					meta.WALNum = n
 				}
 			}
 		}
-		sort.Slice(tables, func(i, j int) bool { return tables[i] < tables[j] })
-		for _, n := range tables {
-			meta.Unsorted = append(meta.Unsorted, manifest.TableMeta{FileNum: n})
+		slices.Sort(nums)
+		for _, n := range nums {
+			meta.Unsorted = append(meta.Unsorted, tableMeta(n, sstable.Props{})) // read back by repairTable
 		}
-		meta.WALNum = minWAL
-		r.state.Partitions[pid] = meta
-		if pid >= r.state.NextPartID {
-			r.state.NextPartID = pid + 1
+		tables = tables || len(nums) > 0
+		state.Partitions[pid] = meta
+		if pid >= state.NextPartID {
+			state.NextPartID = pid + 1
 		}
 	}
-	return nil
-}
-
-// parseNumbered matches names of the form "%08d<ext>" exactly.
-func parseNumbered(name, ext string, out *uint64) bool {
-	if !strings.HasSuffix(name, ext) {
-		return false
-	}
-	var n uint64
-	if _, err := fmt.Sscanf(name, "%d"+ext, &n); err != nil {
-		return false
-	}
-	if fmt.Sprintf("%08d%s", n, ext) != name {
-		return false
-	}
-	*out = n
-	return true
+	return state, tables, nil
 }
 
 // repairLogs scans every value log and truncates torn tails at the last
@@ -389,13 +345,7 @@ func (r *repairer) repairPartitions() error {
 	var bounds []bound
 	for _, meta := range r.state.SortedPartitions() {
 		pdir := filepath.Join(r.dir, fmt.Sprintf("p%d", meta.ID))
-		known := make(map[uint64]bool, len(meta.Unsorted)+len(meta.Sorted))
-		for _, t := range meta.Unsorted {
-			known[t.FileNum] = true
-		}
-		for _, t := range meta.Sorted {
-			known[t.FileNum] = true
-		}
+		known := map[uint64]bool{} // tables kept; any other on disk is an orphan
 		logs := make(map[uint32]bool)
 		var minKey []byte
 		haveMin := false
@@ -439,16 +389,13 @@ func (r *repairer) repairPartitions() error {
 		entries, err := r.fs.List(pdir)
 		if err == nil {
 			for _, e := range entries {
-				var n uint64
-				switch {
-				case parseNumbered(e, ".sst", &n):
-					if !known[n] {
-						if err := r.toLost(filepath.Join(pdir, e)); err != nil {
-							return err
-						}
-						r.report.OrphansMoved = append(r.report.OrphansMoved, filepath.Join(pdir, e))
+				switch n, ext, _ := parseFileName(e); {
+				case ext == ".sst" && !known[n]:
+					if err := r.toLost(filepath.Join(pdir, e)); err != nil {
+						return err
 					}
-				case parseNumbered(e, ".ckpt", &n):
+					r.report.OrphansMoved = append(r.report.OrphansMoved, filepath.Join(pdir, e))
+				case ext == ".ckpt":
 					r.fs.Remove(filepath.Join(pdir, e))
 				}
 			}
@@ -458,10 +405,17 @@ func (r *repairer) repairPartitions() error {
 		for n := range logs {
 			meta.Logs = append(meta.Logs, n)
 		}
-		sort.Slice(meta.Logs, func(i, j int) bool { return meta.Logs[i] < meta.Logs[j] })
-		if rebuilt && !haveMin {
-			if k, ok := r.walMinKey(pdir, meta.WALNum); ok {
-				minKey, haveMin = k, true
+		slices.Sort(meta.Logs)
+		if rebuilt && !haveMin && meta.WALNum != 0 {
+			// No table survived to bound the partition: its WALs' smallest
+			// key does, replayed as recovery will (best effort — whatever
+			// replays before a read error counts).
+			mem := newMemtable()
+			for _, n := range walNumsFrom(r.fs, pdir, meta.WALNum) {
+				_ = replayWAL(r.fs, walName(pdir, n), mem)
+			}
+			if it := mem.NewIterator(); it.First() {
+				minKey, haveMin = slices.Clone(it.Record().Key), true
 			}
 		}
 		bounds = append(bounds, bound{meta: meta, min: minKey, ok: haveMin})
@@ -479,7 +433,7 @@ func (r *repairer) repairPartitions() error {
 				delete(r.state.Partitions, b.meta.ID)
 			}
 		}
-		sort.Slice(kept, func(i, j int) bool { return bytes.Compare(kept[i].min, kept[j].min) < 0 })
+		slices.SortFunc(kept, func(a, b bound) int { return bytes.Compare(a.min, b.min) })
 		for i, b := range kept {
 			if i == 0 {
 				b.meta.Lower = nil
@@ -497,7 +451,7 @@ func (r *repairer) repairPartitions() error {
 // is rebuilt from the file itself (the manifest copy may be stale or,
 // after a manifest rebuild, absent). Referenced logs accumulate in logs.
 func (r *repairer) repairTable(pid uint32, pdir string, tm manifest.TableMeta, logs map[uint32]bool) (manifest.TableMeta, bool, error) {
-	path := filepath.Join(pdir, fmt.Sprintf("%08d.sst", tm.FileNum))
+	path := tableName(pdir, tm.FileNum)
 	drop := func(reason string) (manifest.TableMeta, bool, error) {
 		if r.fs.Exists(path) {
 			if err := r.toLost(path); err != nil {
@@ -526,7 +480,7 @@ func (r *repairer) repairTable(pid uint32, pdir string, tm manifest.TableMeta, l
 		return tm, false, err
 	}
 	defer rdr.Close()
-	if err := rdr.VerifyChecksums(); err != nil {
+	if _, err := rdr.VerifyChecksums(nil); err != nil {
 		if Classify(err) == ClassCorruption {
 			return drop(fmt.Sprintf("corrupt: %v", err))
 		}
@@ -557,15 +511,10 @@ func (r *repairer) repairTable(pid uint32, pdir string, tm manifest.TableMeta, l
 		return tm, false, err
 	}
 	if dangling == 0 {
-		return manifest.TableMeta{
-			FileNum:  tm.FileNum,
-			Size:     rdr.Size(),
-			Count:    rdr.Count(),
-			Smallest: append([]byte(nil), rdr.Smallest()...),
-			Largest:  append([]byte(nil), rdr.Largest()...),
-			MinSeq:   rdr.MinSeq(),
-			MaxSeq:   rdr.MaxSeq(),
-		}, true, nil
+		return tableMeta(tm.FileNum, sstable.Props{
+			Count: rdr.Count(), MinSeq: rdr.MinSeq(), MaxSeq: rdr.MaxSeq(),
+			Smallest: rdr.Smallest(), Largest: rdr.Largest(), Size: rdr.Size(),
+		}), true, nil
 	}
 	r.report.PointersDropped += dangling
 	if len(keep) == 0 {
@@ -574,8 +523,7 @@ func (r *repairer) repairTable(pid uint32, pdir string, tm manifest.TableMeta, l
 	// Rewrite without the dangling records, then retire the original to
 	// lost/ so the dropped pointers stay inspectable.
 	num := r.allocFileNum()
-	newPath := filepath.Join(pdir, fmt.Sprintf("%08d.sst", num))
-	nf, err := r.fs.Create(newPath)
+	nf, err := r.fs.Create(tableName(pdir, num))
 	if err != nil {
 		return tm, false, err
 	}
@@ -605,15 +553,7 @@ func (r *repairer) repairTable(pid uint32, pdir string, tm manifest.TableMeta, l
 		Largest:   tm.Largest,
 		Reason:    fmt.Sprintf("%d record(s) pointed into lost log bytes; survivors rewritten to %08d.sst", dangling, num),
 	})
-	return manifest.TableMeta{
-		FileNum:  num,
-		Size:     props.Size,
-		Count:    props.Count,
-		Smallest: append([]byte(nil), props.Smallest...),
-		Largest:  append([]byte(nil), props.Largest...),
-		MinSeq:   props.MinSeq,
-		MaxSeq:   props.MaxSeq,
-	}, true, nil
+	return tableMeta(num, props), true, nil
 }
 
 // allocFileNum hands out file numbers above everything observed so far.
@@ -624,55 +564,6 @@ func (r *repairer) allocFileNum() uint64 {
 	n := r.nextFile
 	r.nextFile++
 	return n
-}
-
-// walMinKey scans the partition's WAL files for the smallest key, using
-// the same self-healing read loop as recovery (a torn tail ends the scan,
-// it does not fail it). Used only when the manifest was rebuilt and a
-// partition has no surviving tables to derive a lower bound from.
-func (r *repairer) walMinKey(pdir string, from uint64) ([]byte, bool) {
-	if from == 0 {
-		return nil, false
-	}
-	entries, err := r.fs.List(pdir)
-	if err != nil {
-		return nil, false
-	}
-	var minKey []byte
-	found := false
-	for _, e := range entries {
-		var num uint64
-		if !parseNumbered(e, ".wal", &num) || num < from {
-			continue
-		}
-		f, err := r.fs.Open(filepath.Join(pdir, e))
-		if err != nil {
-			continue
-		}
-		rd := wal.NewReader(f)
-		for {
-			data, err := rd.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				break
-			}
-			for len(data) > 0 {
-				var rec record.Record
-				rec, data, err = record.Decode(data)
-				if err != nil {
-					break
-				}
-				if !found || bytes.Compare(rec.Key, minKey) < 0 {
-					minKey = append([]byte(nil), rec.Key...)
-					found = true
-				}
-			}
-		}
-		f.Close()
-	}
-	return minKey, found
 }
 
 // finish bumps the allocator counters past everything observed and writes
@@ -710,4 +601,3 @@ func (r *repairer) finish() error {
 	}
 	return manifest.Rewrite(r.fs, r.dir, r.state)
 }
-

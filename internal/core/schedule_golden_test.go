@@ -72,6 +72,7 @@ func runScheduleGolden(t *testing.T) scheduleGolden {
 		v := p.cur.Load()
 		g.Parts += fmt.Sprintf(" %d/%d/%d", v.uns.NumTables(), v.srt.NumTables(), len(v.logs))
 	}
+	checkManifestMatchesVersions(t, db)
 	return g
 }
 

@@ -82,6 +82,7 @@ func TestBackgroundBasic(t *testing.T) {
 		}
 	}
 	check(db)
+	checkManifestMatchesVersions(t, db)
 	m := db.Metrics()
 	if m.Flushes == 0 || m.Merges == 0 {
 		t.Fatalf("background maintenance never ran: %+v", m)
@@ -100,6 +101,7 @@ func TestBackgroundBasic(t *testing.T) {
 	}
 	defer db2.Close()
 	check(db2)
+	checkManifestMatchesVersions(t, db2)
 }
 
 // TestBackgroundReopenWithFrozenMemtables closes while frozen memtables
@@ -196,6 +198,75 @@ func TestBackgroundAbandonedHandle(t *testing.T) {
 			t.Fatalf("key %d after abandoned handle: %q, %v", i, got, err)
 		}
 	}
+}
+
+// TestBackgroundReopenTwiceAfterAbandonedHandle abandons a handle whose
+// parked flushes left frozen memtables on WALs numbered above the
+// manifest's file counter, reopens, overwrites and deletes keys, flushes,
+// and abandons again. The recovery of the first reopen must allocate above
+// the WALs it replayed: when it reused their numbers, the new WAL overwrote
+// one of them, the stale ones outlived the next flush's WAL pointer, and
+// the second reopen replayed them over the newer values.
+func TestBackgroundReopenTwiceAfterAbandonedHandle(t *testing.T) {
+	fs := vfs.NewMem()
+	opts := bgOpts(fs)
+	opts.BackgroundWorkers = 1
+	opts.SlowdownImmutables = 500
+	opts.StallImmutables = 600
+	opts.SyncWrites = true
+	db, err := Open("db", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	block := make(chan struct{}) // the worker stays parked: it belongs to the dead handle
+	db.testHookJobStart = func(p *partition, k jobKind) { <-block }
+	const n = 300
+	for i := 0; i < n; i++ {
+		if err := db.Put(key(i), val(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := db.Metrics().ImmutableMemtables; got < 2 {
+		t.Fatalf("%d frozen memtables; the test needs several WALs", got)
+	}
+	fs.(vfs.LockDropper).DropLocks()
+
+	model := map[int][]byte{}
+	for i := 0; i < n; i++ {
+		model[i] = val(i)
+	}
+	db2, err := Open("db", smallOpts(fs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i += 8 {
+		if i%16 == 0 {
+			model[i], err = nil, db2.Delete(key(i))
+		} else {
+			model[i], err = val(i+n), db2.Put(key(i), val(i+n))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db2.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	park(db2)
+	fs.(vfs.LockDropper).DropLocks()
+
+	db3, err := Open("db", smallOpts(fs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db3.Close()
+	for i := 0; i < n; i++ {
+		got, err := db3.Get(key(i))
+		if model[i] == nil && err != ErrNotFound || model[i] != nil && (err != nil || !bytes.Equal(got, model[i])) {
+			t.Errorf("key %d after the second reopen: %.20q, %v; want %.20q", i, got, err, model[i])
+		}
+	}
+	checkFileSet(t, db3)
 }
 
 // TestBackgroundCrash randomizes a FailFS budget over a synced background

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"time"
-
-	"unikv/internal/sstable"
 )
 
 // Background integrity scrub (Options.ScrubInterval > 0). UniKV has no
@@ -21,9 +19,11 @@ import (
 //
 // Concurrency contract: a table scrub pins the partition's current version,
 // which holds its readers, so a concurrent merge replacing a table closes
-// nothing out from under the verify; a log scrub holds a logRefs
-// reference, so GC cannot delete the file mid-walk. The scrub never takes
-// maintMu and never mutates — it can overlap any maintenance job.
+// nothing out from under the verify; a log scrub holds each log from inside
+// a pinned version naming it (verifyLogs), so GC cannot delete the file
+// during the walk. The scrub walks the same two paths as VerifyIntegrity
+// (sstable.Reader.VerifyChecksums, verifyLogs), never takes maintMu and never
+// mutates — it can overlap any maintenance job.
 //
 // Scheduling: each partition's table scrub is a jobScrub task submitted to
 // the scheduler — queued for the worker pool (deduplicated like any other
@@ -87,25 +87,6 @@ func (s *scrubber) pass() {
 	s.scrubLogs()
 }
 
-// scrubTable names one table during a scrub.
-type scrubTable struct {
-	tier string
-	num  uint64
-	r    *sstable.Reader
-}
-
-// tablesOf lists v's tables, unsorted then sorted, for a verification pass.
-func tablesOf(v *version) []scrubTable {
-	var tables []scrubTable
-	for _, t := range v.uns.Tables() {
-		tables = append(tables, scrubTable{tier: "unsorted", num: t.Meta.FileNum, r: t.Reader})
-	}
-	for _, t := range v.srt.Tables() {
-		tables = append(tables, scrubTable{tier: "sorted", num: t.Meta.FileNum, r: t.Reader})
-	}
-	return tables
-}
-
 // scrubPartitionTables checksum-verifies every table of p block by block,
 // pacing reads through the rate limiter. It is the jobScrub body, called
 // from the scheduler's run under its runWithRetry. A close mid-scrub
@@ -119,60 +100,31 @@ func (db *DB) scrubPartitionTables(p *partition) error {
 	// concurrent merge/GC replaces the table before the verify reaches it.
 	v := p.acquire()
 	defer v.release()
-	tables := tablesOf(v)
-	for _, t := range tables {
-		for i := 0; i < t.r.NumBlocks(); i++ {
-			n, err := t.r.VerifyBlock(i)
-			if err != nil {
-				db.stats.ScrubCorruptions.Add(1)
-				return fmt.Errorf("scrub partition %d %s table %d: %w", p.id, t.tier, t.num, err)
-			}
-			db.stats.ScrubBytes.Add(n)
-			if err := s.pace(n); err != nil {
+	for _, t := range tablesOf(v) {
+		if _, err := t.r.VerifyChecksums(s.charge); err != nil {
+			if errors.Is(err, errScrubStop) {
 				return nil // closing
 			}
+			db.stats.ScrubCorruptions.Add(1)
+			return fmt.Errorf("scrub partition %d %s table %d: %w", p.id, t.tier, t.num, err)
 		}
 		db.stats.ScrubTables.Add(1)
 	}
 	return nil
 }
 
-// scrubLogs verifies every value log referenced by any partition,
-// including the active log's sealed prefix (the reconciled frame boundary
-// is immutable, so the walk cannot race appends). Corruption quarantines
-// every partition holding pointers into the bad log; a transient read
-// error just skips the log until the next pass.
+// scrubLogs verifies every value log referenced by any partition (see
+// verifyLogs). Corruption quarantines every partition holding pointers
+// into the bad log; a transient read error just skips the log until the
+// next pass.
 func (s *scrubber) scrubLogs() {
 	db := s.db
-	logs := map[uint32]bool{}
-	for _, p := range db.partitions() {
-		for _, n := range p.cur.Load().logs {
-			logs[n] = true
-		}
-	}
-	activeNum, activeOff, hasActive := db.vl.ActiveBound()
-	for n := range logs {
-		if db.closed.Load() {
-			return
-		}
-		// Hold a log reference across the walk so GC cannot delete the file
-		// mid-read; owners hold the baseline references, so releasing only
-		// removes the log if every owner moved on while we scanned.
-		db.retainLogs([]uint32{n})
-		limit := int64(-1)
-		if hasActive && n == activeNum {
-			limit = activeOff
-		}
-		_, off, err := db.vl.VerifyLogPrefix(n, limit, func(frameBytes int64) error {
-			db.stats.ScrubBytes.Add(frameBytes)
-			return s.pace(frameBytes)
-		})
-		db.releaseLogs([]uint32{n})
+	db.verifyLogs(s.charge, func(n uint32, _ []uint32, off int64, err error) bool {
 		switch {
 		case err == nil:
 			db.stats.ScrubLogs.Add(1)
 		case errors.Is(err, errScrubStop):
-			return
+			return false
 		case Classify(err) == ClassCorruption:
 			db.stats.ScrubCorruptions.Add(1)
 			lerr := logCorruptionError{log: n, err: err}
@@ -180,7 +132,14 @@ func (s *scrubber) scrubLogs() {
 		default:
 			// Transient read failure: leave the log for the next pass.
 		}
-	}
+		return !db.closed.Load()
+	})
+}
+
+// charge counts n verified bytes and paces them.
+func (s *scrubber) charge(n int64) error {
+	s.db.stats.ScrubBytes.Add(n)
+	return s.pace(n)
 }
 
 // pace charges n bytes against the scrub rate limit, sleeping as needed.

@@ -172,28 +172,21 @@ func (db *DB) splitPartition(parent *partition) error {
 		return err
 	}
 
-	// Child WAL.
-	var childEdits []manifest.Edit
+	// The child's first version, and its edits from the empty one.
+	child.lower = boundary
+	empty := child.emptyVersion(v.upper)
+	right := empty.successor()
+	right.srt, right.logs = sorted.New(rightTables), rightLogs
+	edits := append([]manifest.Edit{
+		manifest.AddPartition(childID, boundary),
+		manifest.NextPart(db.nextPart.Load()),
+	}, empty.edits(right)...)
 	if !db.opts.DisableWAL {
 		if err := child.newWALLocked(); err != nil {
 			return err
 		}
-		childEdits = append(childEdits, manifest.SetWAL(childID, child.walNum))
+		edits = append(edits, manifest.SetWAL(childID, child.walNum))
 	}
-
-	edits := []manifest.Edit{
-		manifest.AddPartition(childID, boundary),
-		manifest.NextPart(db.nextPart.Load()),
-		manifest.SetUnsorted(parent.id, nil),
-		manifest.SetSorted(parent.id, tableMetas(leftTables)),
-		manifest.SetHashCkpt(parent.id, 0),
-		manifest.SetLogs(parent.id, leftLogs),
-		manifest.SetSorted(childID, tableMetas(rightTables)),
-		manifest.SetLogs(childID, rightLogs),
-		manifest.LastSeq(db.seq.Load()),
-		db.nextFileEdit(),
-	}
-	edits = append(edits, childEdits...)
 	// Both children's new tables must be findable after a crash before the
 	// manifest references them (the vlog and WAL directory entries were
 	// synced by DedicatedLog.Finish and newWALLocked above).
@@ -204,34 +197,26 @@ func (db *DB) splitPartition(parent *partition) error {
 		return err
 	}
 
-	// Commit: the manifest edit, the two versions and the router entry.
+	// Commit: one manifest batch, the two versions and the router entry. The
+	// parent's next version ends at the boundary, the child's first one
+	// starts there. The replaced tables are deleted once the last version
+	// naming them — the parent's old one, or an older one a reader or
+	// snapshot pins — is released: a split invalidates nothing a pinned
+	// reader can still reach. The child is installed first, so that the
+	// parent's version counts its share of the logs they now share.
 	db.router.Lock()
 	defer db.router.Unlock()
 	parent.mu.Lock()
 	defer parent.mu.Unlock()
-	if err := db.man.Apply(edits...); err != nil {
+	cur := parent.cur.Load()
+	left := cur.successor()
+	left.upper, left.uns, left.srt, left.logs = boundary, leftUns, sorted.New(leftTables), leftLogs
+	edits = append(edits, cur.edits(left)...)
+	if err := db.man.Apply(append(edits, manifest.LastSeq(db.seq.Load()), db.nextFileEdit())...); err != nil {
 		return err
 	}
-
-	// Install the in-memory split: the parent's next version ends at the
-	// boundary, the child's first one starts there. The replaced tables are
-	// deleted once the last version naming them — the parent's old one, or
-	// an older one a reader or snapshot pins — is released: a split
-	// invalidates nothing a pinned reader can still reach.
-	for _, t := range v.uns.Tables() {
-		db.markObsolete(parent.dir, t.Meta.FileNum, t.Reader)
-	}
-	for _, t := range v.srt.Tables() {
-		db.markObsolete(parent.dir, t.Meta.FileNum, t.Reader)
-	}
-	child.lower = boundary
-	right := child.emptyVersion(v.upper)
-	right.srt, right.logs = sorted.New(rightTables), rightLogs
-	child.publish(right)
-	left := parent.cur.Load().successor()
-	left.upper, left.uns, left.srt, left.logs = boundary, leftUns, sorted.New(leftTables), leftLogs
-	parent.publish(left)
-	parent.dropHashCkptLocked()
+	child.install(right)
+	parent.install(left)
 	parent.garbageBytes.Store(parent.garbageBytes.Load() / 2)
 	child.garbageBytes.Store(parent.garbageBytes.Load())
 

@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"path/filepath"
-	"sort"
+	"slices"
 
 	"unikv/internal/vlog"
 )
@@ -66,47 +66,32 @@ func (db *DB) VerifyIntegrity() error {
 // result means every file verified clean. The error return is reserved
 // for ErrClosed; corruption never surfaces there.
 //
-// Each table is read through a pinned version of its partition and each
-// value log is held via the DB's log references while it is walked, so a
-// concurrent merge or GC can replace files without racing the verification.
+// Tables are walked through a pinned version of their partition and value
+// logs as verifyLogs holds them, so a concurrent merge or GC can replace
+// files without racing the verification.
 func (db *DB) VerifyIntegrityReport() ([]CorruptionReport, error) {
 	if db.closed.Load() {
 		return nil, ErrClosed
 	}
 	var reports []CorruptionReport
-	logOwners := map[uint32][]uint32{}
 	for _, p := range db.partitions() {
 		v := p.acquire()
 		for _, t := range tablesOf(v) {
-			if r, bad := verifyTable(p, t); bad {
-				reports = append(reports, r)
+			if i, err := t.r.VerifyChecksums(nil); err != nil {
+				reports = append(reports, CorruptionReport{
+					Partition:  p.id,
+					Partitions: []uint32{p.id},
+					File:       tableName(p.dir, t.num),
+					Block:      i,
+					Offset:     -1,
+					Err:        fmt.Errorf("partition %d %s table %d: %w", p.id, t.tier, t.num, err),
+				})
 			}
-		}
-		for _, n := range v.logs {
-			logOwners[n] = append(logOwners[n], p.id)
 		}
 		v.release()
 	}
-	nums := make([]uint32, 0, len(logOwners))
-	for n := range logOwners {
-		nums = append(nums, n)
-	}
-	sort.Slice(nums, func(i, j int) bool { return nums[i] < nums[j] })
-	activeNum, activeOff, hasActive := db.vl.ActiveBound()
-	for _, n := range nums {
-		// Pin the log across the walk so GC cannot remove it mid-read; the
-		// owning partitions hold the baseline references, so this release
-		// deletes nothing unless every owner moved on while we scanned.
-		db.retainLogs([]uint32{n})
-		limit := int64(-1)
-		if hasActive && n == activeNum {
-			limit = activeOff
-		}
-		_, off, err := db.vl.VerifyLogPrefix(n, limit, nil)
-		db.releaseLogs([]uint32{n})
+	db.verifyLogs(nil, func(n uint32, owners []uint32, off int64, err error) bool {
 		if err != nil {
-			owners := logOwners[n]
-			sort.Slice(owners, func(i, j int) bool { return owners[i] < owners[j] })
 			reports = append(reports, CorruptionReport{
 				Partition:  owners[0],
 				Partitions: owners,
@@ -116,24 +101,56 @@ func (db *DB) VerifyIntegrityReport() ([]CorruptionReport, error) {
 				Err:        fmt.Errorf("value log %d: %w", n, err),
 			})
 		}
-	}
+		return true
+	})
 	return reports, nil
 }
 
-// verifyTable checksums every block of one table of a pinned version of p,
-// reporting the first bad block.
-func verifyTable(p *partition, t scrubTable) (CorruptionReport, bool) {
-	for i := 0; i < t.r.NumBlocks(); i++ {
-		if _, err := t.r.VerifyBlock(i); err != nil {
-			return CorruptionReport{
-				Partition:  p.id,
-				Partitions: []uint32{p.id},
-				File:       tableName(p.dir, t.num),
-				Block:      i,
-				Offset:     -1,
-				Err:        fmt.Errorf("partition %d %s table %d: %w", p.id, t.tier, t.num, err),
-			}, true
+// verifyLogs is the one walk over the value logs, VerifyIntegrity's and
+// the scrub's: every log some partition's current version named when the
+// pass began, once, in ascending order, the active log up to its sealed
+// frame boundary (bytes past it are appends in flight, not damage). A log
+// is held only while the walk is on it: when the walk reaches it, it is
+// retained from inside a pinned version that still names it — so a GC
+// cannot remove the file under the walk — and released after; a log no
+// current version names any more was retired meanwhile and is skipped, for
+// a retired log is not damage. pace is as in sstable.Reader.VerifyChecksums.
+// done gets each walked log with the partitions naming it (ascending), the
+// length of its valid frame prefix and the walk's error; returning false
+// ends the pass.
+func (db *DB) verifyLogs(pace func(int64) error, done func(n uint32, owners []uint32, off int64, err error) bool) {
+	var nums []uint32
+	for _, p := range db.partitions() {
+		v := p.acquire()
+		nums = append(nums, v.logs...)
+		v.release()
+	}
+	slices.Sort(nums)
+	activeNum, activeOff, hasActive := db.vl.ActiveBound()
+	for _, n := range slices.Compact(nums) {
+		var owners []uint32
+		for _, p := range db.partitions() {
+			v := p.acquire()
+			if v.hasLog(n) {
+				if owners == nil {
+					db.retainLogs([]uint32{n})
+				}
+				owners = append(owners, p.id)
+			}
+			v.release()
+		}
+		if owners == nil {
+			continue
+		}
+		limit := int64(-1)
+		if hasActive && n == activeNum {
+			limit = activeOff
+		}
+		_, off, err := db.vl.VerifyLogPrefix(n, limit, pace)
+		db.releaseLogs([]uint32{n})
+		slices.Sort(owners)
+		if !done(n, owners, off, err) {
+			return
 		}
 	}
-	return CorruptionReport{}, false
 }

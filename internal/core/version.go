@@ -5,8 +5,10 @@ import (
 	"sync/atomic"
 
 	"unikv/internal/codec"
+	"unikv/internal/manifest"
 	"unikv/internal/memtable"
 	"unikv/internal/sorted"
+	"unikv/internal/sstable"
 	"unikv/internal/unsorted"
 )
 
@@ -24,8 +26,12 @@ import (
 // the version gives them back when its own count reaches zero — the
 // partition holds one count for the current version, each reader one from
 // acquire to release. So a file leaves the disk with the last version that
-// names it: a commit marks the tables it replaced obsolete, and the reader's
-// last Close removes the file.
+// names it: install marks the tables a commit replaced obsolete, and the
+// reader's last Close removes the file.
+//
+// A commit is a version diff: the job builds the successor, and the manifest
+// batch that makes it durable is derived from the pair (edits), never listed
+// by hand, so a commit cannot publish a state it did not log.
 type version struct {
 	p *partition
 	// upper is the partition's exclusive upper bound (nil = +inf), which
@@ -143,6 +149,119 @@ func (p *partition) publish(next *version) {
 	if old != nil {
 		old.release()
 	}
+}
+
+// edits returns the manifest edits that turn v's files into next's, by
+// three rules: a flush appends exactly one UnsortedStore table
+// (AddUnsorted); any other new UnsortedStore replaces the list and voids the
+// hash checkpoint, which indexes the old one (SetUnsorted, SetHashCkpt 0); a
+// new SortedStore run is logged with the value logs its pointers may reach
+// (SetSorted, SetLogs). The memtables and the bounds are not manifest state.
+// v is next's predecessor, or an empty version for a partition's first
+// edits (a split's child, a backup).
+func (v *version) edits(next *version) []manifest.Edit {
+	id := next.p.id
+	out := make([]manifest.Edit, 0, 4) // room for a flush's commit: one derived edit, three extra
+	switch {
+	case next.uns == v.uns:
+	case v.replacesUnsorted(next):
+		metas := make([]manifest.TableMeta, 0, next.uns.NumTables())
+		for _, t := range next.uns.Tables() {
+			metas = append(metas, t.Meta)
+		}
+		out = append(out, manifest.SetUnsorted(id, metas), manifest.SetHashCkpt(id, 0))
+	default:
+		out = append(out, manifest.AddUnsorted(id, next.uns.Tables()[v.uns.NumTables()].Meta))
+	}
+	if next.srt != v.srt {
+		metas := make([]manifest.TableMeta, 0, next.srt.NumTables())
+		for _, t := range next.srt.Tables() {
+			metas = append(metas, t.Meta)
+		}
+		out = append(out, manifest.SetSorted(id, metas), manifest.SetLogs(id, next.logs))
+	}
+	return out
+}
+
+// replacesUnsorted reports whether next's UnsortedStore replaces v's rather
+// than keeping it or appending one table (a flush) — the change that voids
+// the hash checkpoint, in the manifest (edits) and on disk (install) alike.
+func (v *version) replacesUnsorted(next *version) bool {
+	if next.uns == v.uns {
+		return false
+	}
+	old, uns := v.uns.Tables(), next.uns.Tables()
+	return len(uns) != len(old)+1 || !slices.Equal(old, uns[:len(old)])
+}
+
+// commit makes next the partition's current version durably: one manifest
+// batch holds the edits derived from the current version plus extra — the
+// WAL pointer, the counters, a split's new partition — and install follows.
+// A failed batch changes nothing. Requires p.mu held.
+func (p *partition) commit(next *version, extra ...manifest.Edit) error {
+	if err := p.db.man.Apply(append(p.cur.Load().edits(next), extra...)...); err != nil {
+		return err
+	}
+	p.install(next)
+	return nil
+}
+
+// install publishes next as a committed change: every table the current
+// version names and next does not is marked obsolete, so the reader's last
+// Close — the replaced version's, or that of an older one a reader or
+// snapshot pins — removes the file (best effort; the orphan sweep covers
+// failures), and an UnsortedStore that was replaced rather than extended
+// takes its hash checkpoint along. A partition's first version (a split's
+// child) replaces nothing. Requires p.mu held, or the partition still
+// private to its creator.
+func (p *partition) install(next *version) {
+	cur := p.cur.Load()
+	if cur == nil {
+		p.publish(next)
+		return
+	}
+	retire := func(num uint64, r *sstable.Reader) {
+		fs, name := p.db.fs, tableName(p.dir, num)
+		r.SetRetire(func() { fs.Remove(name) })
+	}
+	for _, t := range cur.uns.Tables() {
+		if !slices.Contains(next.uns.Tables(), t) {
+			retire(t.Meta.FileNum, t.Reader)
+		}
+	}
+	for _, t := range cur.srt.Tables() {
+		if !slices.Contains(next.srt.Tables(), t) {
+			retire(t.Meta.FileNum, t.Reader)
+		}
+	}
+	p.publish(next)
+	if !cur.replacesUnsorted(next) {
+		return
+	}
+	if p.hashCkpt != 0 {
+		p.db.fs.Remove(ckptName(p.dir, p.hashCkpt))
+	}
+	p.hashCkpt = 0
+	p.flushesSinceCkpt = 0
+}
+
+// tableRef names one table of a version, for the walks over all of them.
+type tableRef struct {
+	tier string
+	num  uint64
+	r    *sstable.Reader
+}
+
+// tablesOf lists v's tables, unsorted then sorted.
+func tablesOf(v *version) []tableRef {
+	var tables []tableRef
+	for _, t := range v.uns.Tables() {
+		tables = append(tables, tableRef{tier: "unsorted", num: t.Meta.FileNum, r: t.Reader})
+	}
+	for _, t := range v.srt.Tables() {
+		tables = append(tables, tableRef{tier: "sorted", num: t.Meta.FileNum, r: t.Reader})
+	}
+	return tables
 }
 
 // holdLogs retains every log in next for a version about to be published,

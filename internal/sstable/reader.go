@@ -418,17 +418,25 @@ func (r *Reader) Close() error {
 	return err
 }
 
-// VerifyChecksums reads every data block (plus the already-validated meta
-// and index blocks) and reports the first corruption found. Used by the
-// unikv-ctl verify command; it bypasses the block cache so the bytes on
-// disk — not a cached copy — are what gets checked.
-func (r *Reader) VerifyChecksums() error {
+// VerifyChecksums is the one walk over a table's bytes — the engine's
+// integrity check, its background scrub, Repair and the unikv-ctl verify
+// command all use it. It re-reads every data block (the meta and index
+// blocks were validated at open) bypassing the block cache, so the bytes on
+// disk — not a cached copy — are what gets checked, and charges each
+// block's bytes to pace (nil: unpaced). It returns the index of the first
+// bad block with its error, or -1 and nil. An error of pace's own stops the
+// walk and is returned as is.
+func (r *Reader) VerifyChecksums(pace func(int64) error) (int, error) {
 	for i := range r.index {
-		if _, err := r.VerifyBlock(i); err != nil {
-			return err
+		n, err := r.VerifyBlock(i)
+		if err == nil && pace != nil {
+			err = pace(n)
+		}
+		if err != nil {
+			return i, err
 		}
 	}
-	return nil
+	return -1, nil
 }
 
 // VerifyBlock re-reads data block i from disk, bypassing the block cache,

@@ -3,6 +3,7 @@ package sstable
 import (
 	"bytes"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -453,8 +454,16 @@ func TestRecordAliasingIsStable(t *testing.T) {
 func TestVerifyChecksums(t *testing.T) {
 	fs := vfs.NewMem()
 	r := buildTable(t, fs, "v.sst", BuilderOptions{}, sortedRecords(500, 64))
-	if err := r.VerifyChecksums(); err != nil {
-		t.Fatal(err)
+	var paced, calls int64
+	if i, err := r.VerifyChecksums(func(n int64) error { paced += n; calls++; return nil }); err != nil || i != -1 {
+		t.Fatalf("clean table: block %d, %v", i, err)
+	}
+	if calls != int64(r.NumBlocks()) || paced <= 0 || paced >= r.Size() {
+		t.Fatalf("paced %d bytes in %d calls for %d blocks of a %d-byte table", paced, calls, r.NumBlocks(), r.Size())
+	}
+	stop := errors.New("stop")
+	if i, err := r.VerifyChecksums(func(int64) error { return stop }); i != 0 || err != stop {
+		t.Fatalf("pace error: block %d, %v; want block 0, the pace's own error", i, err)
 	}
 	r.Close()
 
@@ -467,8 +476,8 @@ func TestVerifyChecksums(t *testing.T) {
 		return // corruption hit meta/index: also detected
 	}
 	defer r2.Close()
-	if err := r2.VerifyChecksums(); err == nil {
-		t.Fatal("corruption not detected by VerifyChecksums")
+	if i, err := r2.VerifyChecksums(nil); err == nil || i != 0 {
+		t.Fatalf("corruption in block 0 reported as block %d, %v", i, err)
 	}
 }
 
