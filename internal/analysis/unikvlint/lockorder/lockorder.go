@@ -2,7 +2,7 @@
 // (internal/core/db.go):
 //
 //	snapMu -> maintMu -> flushMu -> router.mu -> partition.mu
-//	  -> logRefs.mu -> hotring.writerMu
+//	  -> liveFiles.mu -> hotring.writerMu
 //
 // Within each function it replays the acquisition sequence in source order
 // and reports any acquisition of a lower-ranked mutex while a higher-ranked
@@ -40,7 +40,7 @@ import (
 	"unikv/internal/analysis/unikvlint/lintutil"
 )
 
-const docOrder = "snapMu -> maintMu -> flushMu -> router.mu -> partition.mu -> logRefs.mu -> hotring.writerMu"
+const docOrder = "snapMu -> maintMu -> flushMu -> router.mu -> partition.mu -> liveFiles.mu -> hotring.writerMu"
 
 var Analyzer = &analysis.Analyzer{
 	Name: "lockorder",
@@ -61,7 +61,7 @@ type mutexRef struct {
 	read  bool   // RLock/RUnlock rather than Lock/Unlock
 }
 
-var rankLabels = [...]string{"snapMu", "maintMu", "flushMu", "router.mu", "partition.mu", "logRefs.mu", "hotring.writerMu"}
+var rankLabels = [...]string{"snapMu", "maintMu", "flushMu", "router.mu", "partition.mu", "liveFiles.mu", "hotring.writerMu"}
 
 // acquireMethods and releaseMethods classify the method name and carry the
 // read/write mode; the two sides pair only when both key and mode match.
@@ -71,10 +71,10 @@ var releaseMethods = map[string]bool{"Unlock": false, "RUnlock": true}
 // classify resolves the receiver of a Lock/Unlock call to a ranked mutex.
 // snapMu (the snapshot registry lock — rank 0: NewSnapshot holds it across
 // the whole capture, which RLocks the router and every partition, and Close
-// takes it before any teardown lock), maintMu, flushMu, router, logRefs,
+// takes it before any teardown lock), maintMu, flushMu, router, liveFiles,
 // and writerMu (the hot ring's per-shard mutator lock — last rank: ring
 // methods are called with core locks held but never acquire one) are
-// identified by field name (router and logRefs embed their mutex, so the
+// identified by field name (router and liveFiles embed their mutex, so the
 // lock method is called on the field itself); partition.mu by a field
 // named mu on a type named partition.
 func classify(info *types.Info, recv ast.Expr) (mutexRef, bool) {
@@ -99,7 +99,7 @@ func classify(info *types.Info, recv ast.Expr) (mutexRef, bool) {
 		rank = 2
 	case "router":
 		rank = 3
-	case "logRefs":
+	case "liveFiles":
 		rank = 5
 	case "writerMu":
 		rank = 6

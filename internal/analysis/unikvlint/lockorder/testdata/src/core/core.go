@@ -1,5 +1,5 @@
 // Fixture: the documented lock hierarchy snapMu -> maintMu -> flushMu
-// -> router.mu -> partition.mu -> logRefs.mu
+// -> router.mu -> partition.mu -> liveFiles.mu
 // -> hotring.writerMu replayed over local stand-ins (classification is by
 // field name, so the mutex types themselves need only Lock/Unlock-shaped
 // methods).
@@ -30,7 +30,7 @@ type DB struct {
 		rwmutex
 		parts []*partition
 	}
-	logRefs struct {
+	liveFiles struct {
 		mutex
 		refs map[uint64]int
 	}
@@ -46,18 +46,18 @@ func (db *DB) correctOrder(p *partition) {
 	defer db.flushMu.Unlock()
 	db.router.RLock()
 	p.mu.Lock()
-	db.logRefs.Lock()
-	db.logRefs.Unlock()
+	db.liveFiles.Lock()
+	db.liveFiles.Unlock()
 	p.mu.Unlock()
 	db.router.RUnlock()
 }
 
-// The PR 2 vlog/GC shape: router looked up while the logRefs table is held.
+// The PR 2 vlog/GC shape: router looked up while the live-file registry is held.
 func (db *DB) gcInversion() {
-	db.logRefs.Lock()
-	db.router.RLock() // want `acquires router\.mu while logRefs\.mu`
+	db.liveFiles.Lock()
+	db.router.RLock() // want `acquires router\.mu while liveFiles\.mu`
 	db.router.RUnlock()
-	db.logRefs.Unlock()
+	db.liveFiles.Unlock()
 }
 
 // Split path grabbing the flush lock after a partition lock.
@@ -97,9 +97,9 @@ func (db *DB) spawn() {
 // ...so inversions inside it are still caught.
 func (db *DB) spawnBad() {
 	go func() {
-		db.logRefs.Lock()
-		defer db.logRefs.Unlock()
-		db.maintMu.Lock() // want `acquires maintMu while logRefs\.mu`
+		db.liveFiles.Lock()
+		defer db.liveFiles.Unlock()
+		db.maintMu.Lock() // want `acquires maintMu while liveFiles\.mu`
 		db.maintMu.Unlock()
 	}()
 }
@@ -224,8 +224,8 @@ func (db *DB) pingLock(n int) {
 }
 
 func (db *DB) pongLock(n int) {
-	db.logRefs.Lock()
-	db.logRefs.Unlock()
+	db.liveFiles.Lock()
+	db.liveFiles.Unlock()
 	if n > 0 {
 		db.pingLock(n - 1)
 	}
@@ -234,7 +234,7 @@ func (db *DB) pongLock(n int) {
 func (db *DB) recursiveInversion(p *partition, sh *ringShard) {
 	sh.writerMu.Lock()
 	defer sh.writerMu.Unlock()
-	db.pongLock(3) // want `call to pongLock acquires logRefs\.mu while hotring\.writerMu is held` `call to pongLock transitively acquires flushMu \(via pingLock\) while hotring\.writerMu is held`
+	db.pongLock(3) // want `call to pongLock acquires liveFiles\.mu while hotring\.writerMu is held` `call to pongLock transitively acquires flushMu \(via pingLock\) while hotring\.writerMu is held`
 }
 
 // ---------------------------------------------------------------------------

@@ -1,15 +1,10 @@
 // Package refpair enforces the refcount-fencing protocol of the storage
 // packages: an acquired reference — a pinned partition version
-// (partition.acquire) or a NewSnapshot handle, DB.retainLogs, a vlog
-// append-window Pin — must reach its matching release (version.release or
-// Snapshot.Close, releaseLogs, Unpin) on every ERROR path. A reference
-// leaked on an error return is never retried and never dropped: the
-// refcount stays above zero forever, which permanently keeps the files the
-// version names — tables and value logs — on disk.
-//
-// Table readers are not in the table: a version takes one reference per
-// reader it names when it is published and gives it back when its own count
-// reaches zero (internal/core/version.go), and nothing else calls Ref.
+// (partition.acquire) or a NewSnapshot handle — must reach its matching
+// release (version.release or Snapshot.Close) on every ERROR path. A
+// reference leaked on an error return is never retried and never dropped:
+// the refcount stays above zero forever, which permanently keeps every file
+// the version names on disk (internal/core/files.go).
 //
 // Success returns are deliberately exempt: the engine's constructors
 // transfer ownership on success (NewSnapshot hands its pins to the
@@ -20,7 +15,7 @@
 // The check is interprocedural via fixed-point summaries over the package
 // call graph (internal/analysis/callgraph): a void helper that acquires
 // (pinAll) makes its caller the holder, and a helper that releases
-// (releaseAll) discharges the caller's obligation — at any call depth. Only
+// (releaseAll) discharges the caller's obligations — at any call depth. Only
 // void helpers hand acquisitions to the caller: a callee that returns a
 // non-error result owns them via the returned handle (the NewSnapshot
 // shape), and a callee that can fail polices its own error paths and
@@ -47,7 +42,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "refpair",
 	Doc: "require every acquired reference (a pinned partition version or " +
-		"NewSnapshot handle, retainLogs, vlog Pin) to be released on all error " +
+		"NewSnapshot handle) to be released on all error " +
 		"paths — a leaked ref keeps the files it fences on disk forever",
 	Run: run,
 }
@@ -59,34 +54,8 @@ type pairKind uint8
 
 const (
 	kindHandle pairKind = iota // acquire / release, NewSnapshot / Close
-	kindLogs                   // retainLogs / releaseLogs
-	kindPin                    // Pin / Unpin
 	numKinds
 )
-
-func (k pairKind) describe(key string) string {
-	switch k {
-	case kindHandle:
-		return "handle " + key
-	case kindLogs:
-		return "log retention (retainLogs)"
-	case kindPin:
-		return "vlog append pin"
-	}
-	return "reference"
-}
-
-func (k pairKind) release() string {
-	switch k {
-	case kindHandle:
-		return "release/Close"
-	case kindLogs:
-		return "releaseLogs"
-	case kindPin:
-		return "Unpin"
-	}
-	return "release"
-}
 
 // evKind enumerates the replayed event stream.
 type evKind uint8
@@ -102,9 +71,7 @@ const (
 type event struct {
 	kind evKind
 	pair pairKind
-	// key pairs acquire with release: the handle variable for kindHandle
-	// ("v", "s"); kindLogs and kindPin pair by kind alone (retain and
-	// release sets differ textually).
+	// key pairs acquire with release: the handle variable ("v", "s").
 	key string
 	pos token.Pos
 	// errObj, on an evAcquire from a (handle, error) constructor, is the
@@ -267,8 +234,8 @@ func replay(pass *analysis.Pass, f *callgraph.Func, events []event, sums map[*ca
 					continue // the constructor's own failure: nothing acquired
 				}
 				pass.Reportf(ev.pos,
-					"error return leaks %s acquired at %s: release it on this path (or defer the %s) — a leaked reference permanently blocks value-log GC",
-					h.pair.describe(h.key), pass.Fset.Position(h.pos), h.pair.release())
+					"error return leaks handle %s acquired at %s: release it on this path (or defer the release/Close) — a leaked reference permanently blocks value-log GC",
+					h.key, pass.Fset.Position(h.pos))
 			}
 		}
 	}
@@ -298,7 +265,7 @@ func collect(pass *analysis.Pass, g *callgraph.Graph, f *callgraph.Func) []event
 				// Constructor shape: handle[, err] := acquire/NewSnapshot call.
 				if len(n.Rhs) == 1 {
 					if call, ok := ast.Unparen(n.Rhs[0]).(*ast.CallExpr); ok {
-						if ev, ok := classifyAcquire(info, call); ok {
+						if ev, ok := classifyAcquire(call); ok {
 							if ev.pair == kindHandle {
 								if id, ok := n.Lhs[0].(*ast.Ident); ok {
 									ev.key = id.Name
@@ -326,13 +293,13 @@ func collect(pass *analysis.Pass, g *callgraph.Graph, f *callgraph.Func) []event
 				}
 				return false
 			case *ast.CallExpr:
-				if ev, ok := classifyAcquire(info, call(n)); ok {
+				if ev, ok := classifyAcquire(call(n)); ok {
 					if !inDefer { // a deferred acquire makes no sense; ignore
 						out = append(out, ev)
 					}
 					return true
 				}
-				if ev, ok := classifyRelease(info, n); ok {
+				if ev, ok := classifyRelease(n); ok {
 					if inDefer {
 						ev.kind = evDeferRelease
 					}
@@ -367,47 +334,20 @@ func objOf(info *types.Info, e ast.Expr) types.Object {
 }
 
 // classifyAcquire recognizes the acquire half of each protocol.
-func classifyAcquire(info *types.Info, c *ast.CallExpr) (event, bool) {
+func classifyAcquire(c *ast.CallExpr) (event, bool) {
 	sel, ok := ast.Unparen(c.Fun).(*ast.SelectorExpr)
-	if !ok {
-		if id, ok := ast.Unparen(c.Fun).(*ast.Ident); ok && id.Name == "retainLogs" {
-			return event{kind: evAcquire, pair: kindLogs, key: "logs", pos: c.Pos()}, true
-		}
-		return event{}, false
-	}
-	recv := info.Types[sel.X].Type
-	switch sel.Sel.Name {
-	case "acquire", "NewSnapshot":
+	if ok && (sel.Sel.Name == "acquire" || sel.Sel.Name == "NewSnapshot") {
 		return event{kind: evAcquire, pair: kindHandle, key: "<unnamed>", pos: c.Pos()}, true
-	case "retainLogs":
-		return event{kind: evAcquire, pair: kindLogs, key: "logs", pos: c.Pos()}, true
-	case "Pin":
-		if recv != nil && lintutil.HasMethod(recv, "Unpin") {
-			return event{kind: evAcquire, pair: kindPin, key: "pin", pos: c.Pos()}, true
-		}
 	}
 	return event{}, false
 }
 
 // classifyRelease recognizes the release half of each protocol.
-func classifyRelease(info *types.Info, c *ast.CallExpr) (event, bool) {
+func classifyRelease(c *ast.CallExpr) (event, bool) {
+	// Pairs by key: releases the handle held in that variable.
 	sel, ok := ast.Unparen(c.Fun).(*ast.SelectorExpr)
-	if !ok {
-		if id, ok := ast.Unparen(c.Fun).(*ast.Ident); ok && id.Name == "releaseLogs" {
-			return event{kind: evRelease, pair: kindLogs, pos: c.Pos()}, true
-		}
-		return event{}, false
-	}
-	switch sel.Sel.Name {
-	case "release", "Close":
-		// Pairs by key: releases the handle held in that variable.
+	if ok && (sel.Sel.Name == "release" || sel.Sel.Name == "Close") {
 		return event{kind: evRelease, pair: kindHandle, key: lintutil.ExprString(sel.X), pos: c.Pos()}, true
-	case "releaseLogs":
-		return event{kind: evRelease, pair: kindLogs, pos: c.Pos()}, true
-	case "Unpin":
-		if recv := info.Types[sel.X].Type; recv != nil && lintutil.HasMethod(recv, "Pin") {
-			return event{kind: evRelease, pair: kindPin, pos: c.Pos()}, true
-		}
 	}
 	return event{}, false
 }

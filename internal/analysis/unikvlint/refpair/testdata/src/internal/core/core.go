@@ -1,7 +1,7 @@
-// Fixture: acquired references (a pinned partition version, retainLogs,
-// vlog Pin, NewSnapshot) must be released on every error path. Stand-ins
-// mirror the engine's shapes: classification is by name, so local types
-// with acquire/release (etc.) behave like the real ones.
+// Fixture: acquired references (a pinned partition version, NewSnapshot)
+// must be released on every error path. Stand-ins mirror the engine's
+// shapes: classification is by name, so local types with acquire/release
+// behave like the real ones.
 package core
 
 import "errors"
@@ -14,27 +14,16 @@ type partition struct{ cur *version }
 
 func (p *partition) acquire() *version { p.cur.refs++; return p.cur }
 
-type Manager struct{ pins int }
-
-func (m *Manager) Pin() uint64     { m.pins++; return 0 }
-func (m *Manager) Unpin(tok uint64) { m.pins-- }
-
 type Snapshot struct{ db *DB }
 
-func (s *Snapshot) Close() error { s.db.releaseLogs(nil); return nil }
+func (s *Snapshot) Close() error { return nil }
 
 type DB struct {
-	vl    *Manager
 	parts []*partition
 	held  []*version
-	logs  map[uint32]int
 }
 
-func (db *DB) retainLogs(nums []uint32)  {}
-func (db *DB) releaseLogs(nums []uint32) {}
-
 func (db *DB) NewSnapshot() (*Snapshot, error) {
-	db.retainLogs(nil)
 	return &Snapshot{db: db}, nil
 }
 
@@ -97,48 +86,6 @@ func (db *DB) pinTransfer(p *partition) error {
 }
 
 // ---------------------------------------------------------------------------
-// retainLogs / releaseLogs pair by kind, not by argument: the engine
-// retains one set and releases another (gcTables).
-
-func (db *DB) retainLeaky(nums []uint32) error {
-	db.retainLogs(nums)
-	if err := db.step(); err != nil {
-		return err // want `error return leaks log retention \(retainLogs\)`
-	}
-	return nil
-}
-
-func (db *DB) retainSwapped(add, drop []uint32) error {
-	db.retainLogs(add)
-	db.releaseLogs(drop)
-	if err := db.step(); err != nil {
-		return err
-	}
-	return nil
-}
-
-// ---------------------------------------------------------------------------
-// The vlog append-window pin (the mergeTables shape).
-
-func (db *DB) mergeClean() error {
-	pin := db.vl.Pin()
-	defer db.vl.Unpin(pin)
-	if err := db.step(); err != nil {
-		return err
-	}
-	return nil
-}
-
-func (db *DB) mergeLeaky() error {
-	pin := db.vl.Pin()
-	if err := db.step(); err != nil {
-		return err // want `error return leaks vlog append pin`
-	}
-	db.vl.Unpin(pin)
-	return nil
-}
-
-// ---------------------------------------------------------------------------
 // Snapshot handles. The error return guarding the constructor itself is
 // exempt — a failed NewSnapshot acquired nothing — but later error returns
 // must Close the handle.
@@ -169,15 +116,20 @@ func (db *DB) backupLeaky() error {
 // ---------------------------------------------------------------------------
 // Interprocedural: a void helper's acquisitions belong to its caller, and a
 // releasing helper discharges them — at any depth via the fixed-point
-// summaries. (NewSnapshot's own retentions do NOT travel: it returns the
-// handle that owns them.)
+// summaries. (NewSnapshot's would NOT travel: it returns the handle that
+// owns them.)
 
 func (db *DB) pinAll() {
-	db.retainLogs(nil)
+	for _, p := range db.parts {
+		db.held = append(db.held, p.acquire())
+	}
 }
 
 func (db *DB) releaseAll() {
-	db.releaseLogs(nil)
+	for _, v := range db.held {
+		v.release()
+	}
+	db.held = nil
 }
 
 // pinAllDeep hides the acquisition one level further down.
@@ -188,7 +140,7 @@ func (db *DB) pinAllDeep() {
 func (db *DB) captureLeaky() error {
 	db.pinAllDeep()
 	if err := db.step(); err != nil {
-		return err // want `error return leaks log retention`
+		return err // want `error return leaks handle via pinAllDeep`
 	}
 	db.releaseAll()
 	return nil
@@ -217,17 +169,18 @@ func (db *DB) captureDeferred() error {
 // A fallible callee keeps its acquisitions to itself: its success return
 // transferred them into shared state, and its own error paths are checked in
 // its own body — the caller's later error returns hold nothing.
-func (db *DB) commitRetain(nums []uint32) error {
-	db.retainLogs(nums)
+func (db *DB) commitPin(p *partition) error {
+	v := p.acquire()
 	if err := db.step(); err != nil {
-		db.releaseLogs(nums)
+		v.release()
 		return err
 	}
+	db.held = append(db.held, v)
 	return nil
 }
 
-func (db *DB) commitCaller() error {
-	if err := db.commitRetain(nil); err != nil {
+func (db *DB) commitCaller(p *partition) error {
+	if err := db.commitPin(p); err != nil {
 		return err
 	}
 	if err := db.step(); err != nil {

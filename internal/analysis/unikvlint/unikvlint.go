@@ -8,9 +8,9 @@
 //   - syncpublish: every Create/Rename reaches a SyncDir publish point
 //     (PR 3 found every publish point in the tree missing one).
 //   - atomiccounter: no mixed atomic/plain access to the same variable.
-//   - refpair: acquired references (Reader.Ref, retainLogs, vlog Pin,
-//     NewSnapshot) are released on every error path — a leaked ref
-//     permanently blocks value-log GC (the PR 8 refcount fences).
+//   - refpair: acquired references (a pinned partition version, a
+//     NewSnapshot handle) are released on every error path — a leaked ref
+//     keeps every file the version names on disk for good.
 //   - errclass: errors constructed on the background-job path carry their
 //     class, so Classify never defaults a corruption to transient-and-retry
 //     (the PR 5 taxonomy, now machine-checked).

@@ -12,7 +12,8 @@ import (
 )
 
 // metaOf is the manifest entry a partition's version and hash checkpoint
-// describe. The WAL pointer is not version state and stays 0.
+// describe. The WAL pointer stays 0: the manifest records the oldest WAL
+// holding unflushed data, the version every WAL of its memtables.
 func metaOf(v *version, hashCkpt uint64) manifest.PartitionMeta {
 	m := manifest.PartitionMeta{ID: v.p.id, Lower: v.p.lower, Logs: v.logs, HashCkpt: hashCkpt}
 	for _, t := range v.uns.Tables() {
@@ -27,7 +28,7 @@ func metaOf(v *version, hashCkpt uint64) manifest.PartitionMeta {
 // checkManifestMatchesVersions holds the invariant every commit keeps: the
 // manifest names exactly the partitions the router does, and each one's
 // entry — unsorted and sorted tables in order, value logs, lower bound,
-// hash checkpoint — is what its current version and p.hashCkpt say. It
+// hash checkpoint — is what its current version says. It
 // takes the router's lock and then each partition's, as a commit does, so
 // it may run beside background jobs.
 func checkManifestMatchesVersions(t testing.TB, db *DB) {
@@ -40,7 +41,8 @@ func checkManifestMatchesVersions(t testing.TB, db *DB) {
 	for _, p := range db.router.parts {
 		p.mu.Lock()
 		meta, ok := db.man.State().Partitions[p.id]
-		want := metaOf(p.cur.Load(), p.hashCkpt)
+		v := p.cur.Load()
+		want := metaOf(v, v.ckpt)
 		p.mu.Unlock()
 		if !ok {
 			t.Fatalf("partition %d is not in the manifest", p.id)

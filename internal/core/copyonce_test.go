@@ -382,6 +382,7 @@ func crashAtEveryWriteIndex(t *testing.T, workers int) {
 				if err := db2.VerifyIntegrity(); err != nil {
 					t.Fatalf("idx %d: %v", idx, err)
 				}
+				checkFileSet(t, db2)
 				if err := db2.Put([]byte("post-crash"), []byte("ok")); err != nil {
 					t.Fatalf("idx %d: write after recovery: %v", idx, err)
 				}
@@ -524,6 +525,54 @@ func TestTornWALWriteThenKeepWriting(t *testing.T) {
 				t.Fatalf("the failed put resurfaced: %v", err)
 			}
 		})
+	}
+}
+
+// TestTornWALRotationKeepsFrozenWAL: a WAL write tears right after a freeze,
+// while the frozen memtable still waits for its flush, so the next write
+// moves the empty live memtable off the torn WAL. The manifest's WAL pointer
+// must stay at the frozen memtable's WAL; when the rotation pointed it at the
+// fresh WAL, a crash before the flush lost every key the frozen memtable
+// held.
+func TestTornWALRotationKeepsFrozenWAL(t *testing.T) {
+	inner := vfs.NewMem()
+	ffs := vfs.NewFail(inner)
+	opts := smallOpts(ffs)
+	opts.SyncWrites = true
+	opts.BackgroundWorkers = 1
+	db, err := Open("db", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	block := make(chan struct{}) // the worker stays parked: it belongs to the dead handle
+	db.testHookJobStart = func(*partition, jobKind) { <-block }
+	n := 0
+	for ; db.Metrics().ImmutableMemtables == 0; n++ {
+		if err := db.Put(key(n), val(n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ffs.ArmPlan(vfs.FailPlan{Fail: 1, Kinds: vfs.OpWrite, Pattern: "*.wal", TornBytes: 5})
+	if err := db.Put([]byte("torn"), []byte("x")); !errors.Is(err, vfs.ErrInjected) {
+		t.Fatalf("torn put: %v", err)
+	}
+	ffs.Disarm()
+	if err := db.Put([]byte("after"), []byte("y")); err != nil {
+		t.Fatal(err)
+	}
+	inner.(vfs.LockDropper).DropLocks()
+	db2, err := Open("db", smallOpts(inner))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	for i := 0; i < n; i++ {
+		if got, err := db2.Get(key(i)); err != nil || !bytes.Equal(got, val(i)) {
+			t.Fatalf("key %d of the frozen memtable: %q, %v", i, got, err)
+		}
+	}
+	if got, err := db2.Get([]byte("after")); err != nil || string(got) != "y" {
+		t.Fatalf("the put after the rotation: %q, %v", got, err)
 	}
 }
 

@@ -64,8 +64,8 @@ func TestCrashDuringLoad(t *testing.T) {
 }
 
 // TestCrashDuringGC arms the failure just before GC work happens and
-// verifies the redo protocol: old state intact, orphans swept, every key
-// readable.
+// verifies the redo protocol: old state intact, orphans swept — the disk
+// holds exactly the files the recovered state names — every key readable.
 func TestCrashDuringGC(t *testing.T) {
 	for _, workers := range executors {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) { crashDuringGC(t, workers) })
@@ -115,6 +115,7 @@ func crashDuringGC(t *testing.T, workers int) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer db2.Close()
+	checkFileSet(t, db2)
 	// Every key must resolve to SOME acked value — in-flight overwrites may
 	// or may not have landed, but the pointer chain must be intact (no
 	// dangling value pointers).
@@ -360,8 +361,9 @@ func TestRecoveryUsesHashCheckpoint(t *testing.T) {
 
 // TestCrashDuringSplit arms the failure budget right before a split is due
 // and verifies the redo/orphan-sweep protocol: after reopening, either the
-// pre-split or post-split state is installed, every acknowledged key is
-// present, and the routing invariants hold.
+// pre-split or post-split state is installed, the disk holds exactly the
+// files it names, every acknowledged key is present, and the routing
+// invariants hold.
 func TestCrashDuringSplit(t *testing.T) {
 	// Sweep budgets to land the failure at different points inside the
 	// split (pass-1 count, table writes, log writes, manifest commit).
@@ -417,6 +419,7 @@ func crashDuringSplit(t *testing.T, workers int, budget int64) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer db2.Close()
+	checkFileSet(t, db2)
 	for i := 0; i < acked; i++ {
 		got, err := db2.Get(key(i))
 		if err != nil || !bytes.Equal(got, val(i)) {

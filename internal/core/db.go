@@ -73,7 +73,7 @@ type DB struct {
 
 	// router orders partitions by lower boundary key. Lock order:
 	// snapMu -> maintMu -> flushMu -> router.mu -> partition.mu
-	//   -> logRefs.mu -> hotring.writerMu
+	//   -> liveFiles.mu -> hotring.writerMu
 	// (snapMu is the snapshot-registry lock below; maintMu/flushMu exist
 	// per partition and order maintenance jobs; see scheduler.go.)
 	router struct {
@@ -95,19 +95,8 @@ type DB struct {
 		nextID uint64
 	}
 
-	// logRefs keeps the value logs' two counts. refs[n] is how many holders
-	// log n has — every live partition version naming it, plus a scrub or
-	// verify walking it — and the file is deleted when it drops to zero.
-	// owners[n] is how many partitions name n in their current version:
-	// the divisor of a partition's share of a log split lazily between
-	// the children of a split (version.logBytes). moved counts the times a
-	// partition joined or left a log another partition owns: each changes
-	// that owner's share without a publish of its own (version.sharesAt).
-	logRefs struct {
-		sync.Mutex
-		refs, owners map[uint32]int
-		moved        uint64
-	}
+	// liveFiles decides every file's lifetime (files.go).
+	liveFiles liveFiles
 
 	pool   *fetchPool
 	stats  Stats
@@ -131,9 +120,8 @@ type DB struct {
 	triggerEvals atomic.Int64
 
 	// Test hooks (nil in production). testHookJobStart fires as a job
-	// starts; testHookMergeBuild fires inside a merge after the version is
-	// pinned, before the build, with no lock of p.mu's rank held;
-	// testHookPublish fires
+	// starts; testHookMergeBuild fires inside a merge between its build and
+	// its commit, with no lock of p.mu's rank held; testHookPublish fires
 	// as a version becomes current, with what publish requires still held.
 	testHookJobStart   func(*partition, jobKind)
 	testHookMergeBuild func(*partition)
@@ -271,30 +259,25 @@ func (db *DB) partDir(id uint32) string {
 	return filepath.Join(db.dir, fmt.Sprintf("p%d", id))
 }
 
-func tableName(dir string, num uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("%08d.sst", num))
-}
+func tableName(dir string, num uint64) string { return partFileName(dir, fileTable, num) }
 
-func walName(dir string, num uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("%08d.wal", num))
-}
+func walName(dir string, num uint64) string { return partFileName(dir, fileWAL, num) }
 
-func ckptName(dir string, num uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("%08d.ckpt", num))
-}
+func ckptName(dir string, num uint64) string { return partFileName(dir, fileCkpt, num) }
 
 func (db *DB) vlogDir() string { return filepath.Join(db.dir, "vlog") }
 
-// parseFileName inverts tableName, walName and ckptName: a partition file's
-// number and extension, ok false for any other name.
-func parseFileName(name string) (num uint64, ext string, ok bool) {
-	ext = filepath.Ext(name)
+// parseFileName inverts partFileName: a partition file's number and kind, ok
+// false for any other name.
+func parseFileName(name string) (num uint64, kind fileKind, ok bool) {
+	ext := filepath.Ext(name)
 	digits := strings.TrimSuffix(name, ext)
 	n, err := strconv.ParseUint(digits, 10, 64)
-	if err != nil || fmt.Sprintf("%08d", n) != digits || (ext != ".sst" && ext != ".wal" && ext != ".ckpt") {
-		return 0, "", false
+	kind = fileKind(slices.Index(fileExts[:], ext))
+	if err != nil || fmt.Sprintf("%08d", n) != digits || kind > fileCkpt {
+		return 0, 0, false
 	}
-	return n, ext, true
+	return n, kind, true
 }
 
 // parsePartDir inverts partDir: the partition ID of a directory name.
@@ -319,8 +302,9 @@ func (db *DB) nextFileEdit() manifest.Edit {
 func Open(dir string, opts Options) (*DB, error) {
 	opts = opts.Sanitize()
 	db := &DB{opts: opts, fs: opts.FS, dir: dir}
-	db.logRefs.refs = make(map[uint32]int)
-	db.logRefs.owners = make(map[uint32]int)
+	db.liveFiles = liveFiles{refs: map[fileID]int{}, readers: map[fileID]*sstable.Reader{},
+		jobs: map[*job]bool{}, current: map[*partition]*version{}, stale: map[*partition]bool{},
+		owners: map[uint32]int64{}}
 	db.snaps.m = make(map[uint64]*Snapshot)
 	if err := db.fs.MkdirAll(dir); err != nil {
 		return nil, err
@@ -396,21 +380,22 @@ func (db *DB) bootstrap() error {
 		return err
 	}
 	p := &partition{db: db, id: pid, dir: pdir}
+	v := p.emptyVersion(nil)
 	edits := []manifest.Edit{
 		manifest.AddPartition(pid, nil),
 		manifest.NextPart(2),
 	}
 	if !db.opts.DisableWAL {
-		if err := p.newWALLocked(); err != nil {
+		if err := p.newWALLocked(v); err != nil {
 			return err
 		}
-		edits = append(edits, manifest.SetWAL(pid, p.walNum))
+		edits = append(edits, manifest.SetWAL(pid, v.wals[0]))
 	}
 	edits = append(edits, db.nextFileEdit())
 	if err := db.man.Apply(edits...); err != nil {
 		return err
 	}
-	p.publish(p.emptyVersion(nil))
+	p.publish(v)
 	db.router.parts = []*partition{p}
 	return nil
 }
@@ -467,17 +452,11 @@ func (db *DB) recoverPartition(meta *manifest.PartitionMeta, upper []byte) (*par
 	if err := db.fs.MkdirAll(pdir); err != nil {
 		return nil, err
 	}
-	p := &partition{
-		db:       db,
-		id:       meta.ID,
-		dir:      pdir,
-		lower:    append([]byte(nil), meta.Lower...),
-		hashCkpt: meta.HashCkpt,
-	}
+	p := &partition{db: db, id: meta.ID, dir: pdir, lower: append([]byte(nil), meta.Lower...)}
 	v := p.emptyVersion(upper)
 	v.logs = slices.Clone(meta.Logs)
 	slices.Sort(v.logs)
-	openTable := func(tm manifest.TableMeta) (*sstable.Reader, error) { return db.openTable(pdir, tm) }
+	v.ckpt = meta.HashCkpt
 
 	// UnsortedStore: checkpoint + replay.
 	ckpt := ""
@@ -486,7 +465,7 @@ func (db *DB) recoverPartition(meta *manifest.PartitionMeta, upper []byte) (*par
 	}
 	var err error
 	v.uns, err = unsorted.Recover(db.fs, db.opts.HashBuckets, meta.Unsorted, ckpt,
-		db.opts.DisableHashIndex, db.opts.SortedViewOff, openTable)
+		db.opts.DisableHashIndex, db.opts.SortedViewOff, p.openTable)
 	if err != nil {
 		return nil, err
 	}
@@ -494,7 +473,7 @@ func (db *DB) recoverPartition(meta *manifest.PartitionMeta, upper []byte) (*par
 	// SortedStore.
 	run := make([]*sorted.Table, 0, len(meta.Sorted))
 	for _, tm := range meta.Sorted {
-		rdr, err := openTable(tm)
+		rdr, err := p.openTable(tm)
 		if err != nil {
 			return nil, err
 		}
@@ -509,20 +488,21 @@ func (db *DB) recoverPartition(meta *manifest.PartitionMeta, upper []byte) (*par
 	// are monotonic, so replaying ascending from meta.WALNum reconstructs
 	// write order — as long as no number is handed out twice: a freeze
 	// allocates its WAL's number without a manifest batch, so the recorded
-	// counter may lag behind these files, and is moved past each one.
+	// counter may lag behind these files, and is moved past each one. The
+	// version names the last; recover() moves the memtable off them at once
+	// and the orphan sweep removes the rest.
 	if meta.WALNum != 0 {
 		for _, num := range walNumsFrom(db.fs, pdir, meta.WALNum) {
 			if err := replayWAL(db.fs, walName(pdir, num), v.mem); err != nil {
 				return nil, err
 			}
-			p.walNum = num // flushed or rotated by recover()
+			v.wals[0] = num
 			if num >= db.nextFile.Load() {
 				db.nextFile.Store(num + 1)
 			}
 		}
 	}
 	p.publish(v)
-	v.closeTables() // the references the readers were opened with
 	return p, nil
 }
 
@@ -538,7 +518,7 @@ func walNumsFrom(fs vfs.FS, pdir string, from uint64) []uint64 {
 	}
 	var nums []uint64
 	for _, name := range names {
-		if n, ext, ok := parseFileName(name); ok && ext == ".wal" && n >= from {
+		if n, kind, ok := parseFileName(name); ok && kind == fileWAL && n >= from {
 			nums = append(nums, n)
 		}
 	}
@@ -587,14 +567,15 @@ func (db *DB) Close() error {
 			p.wal.Close()
 			p.wal = nil
 		}
-		// The last version names no table, which closes every reader once
-		// the reads still in flight let go of theirs. It keeps naming the
-		// logs: those stay on disk.
-		last := p.cur.Load().successor()
-		last.mem, last.uns, last.srt = newMemtable(), unsorted.New(0, true, true), sorted.New(nil)
-		p.publish(last)
 		p.mu.Unlock()
 	}
+	// The versions stay current: nothing leaves the disk, only readers close.
+	db.liveFiles.Lock()
+	for _, r := range db.liveFiles.readers {
+		r.Close()
+	}
+	clear(db.liveFiles.readers)
+	db.liveFiles.Unlock()
 	if db.pool != nil {
 		db.pool.close()
 	}
@@ -655,134 +636,6 @@ func (db *DB) partitions() []*partition {
 	db.router.RLock()
 	defer db.router.RUnlock()
 	return append([]*partition(nil), db.router.parts...)
-}
-
-// releaseLogs drops one hold from each log in nums, removing files whose
-// count reaches zero.
-func (db *DB) releaseLogs(nums []uint32) {
-	db.logRefs.Lock()
-	var dead []uint32
-	for _, n := range nums {
-		db.logRefs.refs[n]--
-		if db.logRefs.refs[n] <= 0 {
-			delete(db.logRefs.refs, n)
-			dead = append(dead, n)
-		}
-	}
-	db.logRefs.Unlock()
-	for _, n := range dead {
-		db.vl.Remove(n) // best effort; orphan sweep handles failures
-	}
-}
-
-// retainLogs adds one hold to each log in nums (see logRefs).
-func (db *DB) retainLogs(nums []uint32) {
-	db.logRefs.Lock()
-	for _, n := range nums {
-		db.logRefs.refs[n]++
-	}
-	db.logRefs.Unlock()
-}
-
-// sweepOrphans deletes files on disk that the recovered state does not
-// reference (outputs of crashed merges/GCs/splits).
-func (db *DB) sweepOrphans() {
-	state := db.man.State()
-	// Partition files.
-	for _, meta := range state.Partitions {
-		pdir := db.partDir(meta.ID)
-		names, err := db.fs.List(pdir)
-		if err != nil {
-			continue
-		}
-		ref := map[string]bool{}
-		for _, t := range meta.Unsorted {
-			ref[filepath.Base(tableName(pdir, t.FileNum))] = true
-		}
-		for _, t := range meta.Sorted {
-			ref[filepath.Base(tableName(pdir, t.FileNum))] = true
-		}
-		// Every .wal numbered >= the manifest's WAL pointer may hold
-		// unflushed data (frozen memtables rotate the WAL without a
-		// manifest edit), so protect the whole suffix, not just the
-		// recorded number.
-		if meta.WALNum != 0 {
-			for _, n := range walNumsFrom(db.fs, pdir, meta.WALNum) {
-				ref[filepath.Base(walName(pdir, n))] = true
-			}
-		}
-		if meta.HashCkpt != 0 {
-			ref[filepath.Base(ckptName(pdir, meta.HashCkpt))] = true
-		}
-		// The live partition may have rotated its WAL/checkpoint since the
-		// state snapshot; protect the current ones too.
-		if p := db.findPartition(meta.ID); p != nil {
-			p.mu.Lock()
-			if p.walNum != 0 {
-				ref[filepath.Base(walName(pdir, p.walNum))] = true
-			}
-			for _, n := range p.immWALs {
-				if n != 0 {
-					ref[filepath.Base(walName(pdir, n))] = true
-				}
-			}
-			if p.hashCkpt != 0 {
-				ref[filepath.Base(ckptName(pdir, p.hashCkpt))] = true
-			}
-			p.mu.Unlock()
-		}
-		for _, name := range names {
-			if _, _, ok := parseFileName(name); ok && !ref[name] {
-				db.fs.Remove(filepath.Join(pdir, name))
-			}
-		}
-	}
-	// Unknown partition directories.
-	if names, err := db.fs.List(db.dir); err == nil {
-		for _, name := range names {
-			id, ok := parsePartDir(name)
-			if _, known := state.Partitions[id]; !ok || known {
-				continue
-			}
-			pdir := filepath.Join(db.dir, name)
-			if inner, err := db.fs.List(pdir); err == nil {
-				for _, f := range inner {
-					db.fs.Remove(filepath.Join(pdir, f))
-				}
-			}
-		}
-	}
-	// Value logs.
-	referenced := map[uint32]bool{}
-	for _, meta := range state.Partitions {
-		for _, l := range meta.Logs {
-			referenced[l] = true
-		}
-	}
-	if names, err := db.fs.List(db.vlogDir()); err == nil {
-		for _, name := range names {
-			n, ok := vlog.ParseLogName(name)
-			if !ok || referenced[n] {
-				continue
-			}
-			if active, isActive := db.vl.ActiveNum(); isActive && n == active {
-				continue
-			}
-			db.vl.Remove(n)
-		}
-	}
-}
-
-// findPartition looks a partition up by ID.
-func (db *DB) findPartition(id uint32) *partition {
-	db.router.RLock()
-	defer db.router.RUnlock()
-	for _, p := range db.router.parts {
-		if p.id == id {
-			return p
-		}
-	}
-	return nil
 }
 
 // Metrics returns a snapshot of engine statistics.

@@ -35,9 +35,10 @@ func park(db *DB) {
 	db.sched.close()
 }
 
-// TestExecutorCallerRunHoldsNoLock holds a zero-worker merge mid-build — on
-// the goroutine of the Put that caused it — and shows what that no longer
-// blocks: a Get, a Scan, a snapshot capture (every partition's lock) and a
+// TestExecutorCallerRunHoldsNoLock holds a zero-worker merge between its
+// build and its commit — on the goroutine of the Put that caused it — and
+// shows what that no longer blocks: a Get, a Scan, a snapshot capture (every
+// partition's lock) and a
 // Put to the same partition all complete while the merge is held. Before
 // the inline twins were deleted the merge ran under the partition lock and
 // the last two waited for it to end.

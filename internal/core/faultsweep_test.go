@@ -318,23 +318,25 @@ func runSnapshotFaultCampaign(t *testing.T, plan vfs.FailPlan) *vfs.FailFS {
 	return ffs
 }
 
+// snapshotSweepNominalOps is the open-snapshot campaign's op-index space the
+// sweep samples, fixed for sweepNominalOps' reason: the real count (about
+// 2 100–2 600 FS ops) moves with worker timing, and with it the subtests.
+const snapshotSweepNominalOps = 2116
+
 // TestFaultSweepOpenSnapshot arms faults at sampled op indices while a
 // snapshot is open (part of `make fault-sweep`): pinned reads must never
 // see corruption, under sticky and transient plans alike.
 func TestFaultSweepOpenSnapshot(t *testing.T) {
 	counter := runSnapshotFaultCampaign(t, vfs.FailPlan{Fail: 0, Kinds: vfs.OpAll})
-	n := counter.MatchedOps()
-	if n < 20 {
-		t.Fatalf("snapshot churn issued only %d FS ops; the sweep space collapsed", n)
+	if n := counter.MatchedOps(); n < snapshotSweepNominalOps/2 {
+		t.Fatalf("snapshot churn issued only %d FS ops, far below the nominal %d; the sweep space collapsed",
+			n, snapshotSweepNominalOps)
 	}
 	samples := int64(8)
 	if testing.Short() {
 		samples = 3
 	}
-	stride := n / samples
-	if stride < 1 {
-		stride = 1
-	}
+	n, stride := int64(snapshotSweepNominalOps), int64(snapshotSweepNominalOps)/samples
 	for idx := int64(0); idx < n; idx += stride {
 		idx := idx
 		t.Run(fmt.Sprintf("sticky/%d", idx), func(t *testing.T) {

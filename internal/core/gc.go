@@ -9,11 +9,17 @@ import (
 // needsGC reports whether v's partition has accumulated enough dead value
 // bytes — GCRatio of its referenced log bytes — to rewrite its logs (the
 // paper's greedy policy: GC the partition with the most garbage; each
-// partition checks itself where it publishes a version).
+// partition checks itself where it publishes a version), and names a log
+// besides the active one — with nothing to collect the pool would find it
+// due again behind its own GC, forever.
 func (v *version) needsGC() bool {
 	opts := &v.p.db.opts
-	return !opts.DisableKVSeparation && v.logBytes > 0 &&
-		float64(v.p.garbageBytes.Load()) >= opts.GCRatio*float64(v.logBytes)
+	if opts.DisableKVSeparation || v.logBytes == 0 ||
+		float64(v.p.garbageBytes.Load()) < opts.GCRatio*float64(v.logBytes) {
+		return false
+	}
+	active, ok := v.p.db.vl.ActiveNum()
+	return len(v.logs) > 1 || !ok || !v.hasLog(active)
 }
 
 // gc is the GC job: it rewrites the live values of pinned v out of the
@@ -30,72 +36,56 @@ func (v *version) needsGC() bool {
 //     old tables and the collected logs go when the last version naming
 //     them does (for a log: in any partition).
 //
-// A crash before step 4 leaves the old state intact (the GC simply redoes);
-// the orphaned new files are swept at the next open.
+// A failure before step 4 leaves the old state intact (the GC simply redoes);
+// its new files go as the job ends or, after a crash, at the next open.
 //
 // v's SortedStore and log set are the partition's until the commit: only
 // structural jobs change them and those hold maintMu, as the caller does.
 func (p *partition) gc(v *version) error {
 	db := p.db
 
-	// Collectable logs: everything the partition references except the
-	// engine-wide active log (still being appended by merges).
-	collect := map[uint32]bool{}
-	activeNum, hasActive := db.vl.ActiveNum()
-	minPinned, hasPinned := db.vl.MinPinned()
+	// Collect every log the partition names but the engine-wide active one,
+	// which merges still append to (a log a merge rotated past stays on the
+	// disk while that merge's job names it).
+	active, hasActive := db.vl.ActiveNum()
 	var logs []uint32 // the log set after the GC
-	for _, n := range v.logs {
-		// A pinned append window means an in-flight merge may be
-		// writing into this or any later log; leave them alone.
-		if (hasActive && n == activeNum) || (hasPinned && n >= minPinned) {
-			logs = append(logs, n)
-		} else {
-			collect[n] = true
-		}
+	if hasActive && v.hasLog(active) {
+		logs = []uint32{active}
 	}
-	if len(collect) == 0 {
+	if len(logs) == len(v.logs) {
 		return nil
 	}
 
+	j := db.beginJob()
+	defer db.endJob(j)
 	d, err := db.vl.NewDedicatedLog(p.id)
 	if err != nil {
 		return err
 	}
-	w := p.newTableWriter(p.dir)
-	defer w.close()
+	w := p.newTableWriter(j)
 	it := v.srt.NewMaintIterator()
 	var rewritten int64
 	var ptrBuf [record.EncodedPtrLen]byte
 	for ok := it.First(); ok; ok = it.Next() {
 		rec := it.Record()
-		if rec.Kind != record.KindSetPtr {
-			if err := w.add(rec); err != nil {
+		if rec.Kind == record.KindSetPtr {
+			ptr, err := record.DecodePtr(rec.Value)
+			if err != nil {
 				return err
 			}
-			continue
-		}
-		ptr, err := record.DecodePtr(rec.Value)
-		if err != nil {
-			return err
-		}
-		if !collect[ptr.LogNum] {
-			if err := w.add(rec); err != nil {
-				return err
+			if !hasActive || ptr.LogNum != active {
+				// The frame moves log to log through the rewrite log's staging
+				// buffer, bypassing the value cache: GC touches every live value
+				// once and would otherwise flush the hot set with dead-cold data.
+				nptr, err := d.Rewrite(ptr)
+				if err != nil {
+					return err
+				}
+				rewritten += int64(ptr.Length)
+				rec.Value = nptr.Encode(ptrBuf[:0])
 			}
-			continue
 		}
-		// The frame moves log to log through the rewrite log's staging
-		// buffer, bypassing the value cache: GC touches every live value
-		// once and would otherwise flush the hot set with dead-cold data.
-		nptr, err := d.Rewrite(ptr)
-		if err != nil {
-			return err
-		}
-		rewritten += int64(ptr.Length)
-		if err := w.add(record.Record{
-			Key: rec.Key, Seq: rec.Seq, Kind: record.KindSetPtr,
-			Value: nptr.Encode(ptrBuf[:0]),
-		}); err != nil {
+		if err := w.add(rec); err != nil {
 			return err
 		}
 	}
@@ -111,7 +101,7 @@ func (p *partition) gc(v *version) error {
 		return err
 	}
 	if nonEmpty {
-		logs = mergeLogs(logs, map[uint32]bool{d.Num(): true})
+		logs = mergeLogs(logs, d.Num())
 	}
 	// New tables and the rewrite log must be findable after a crash before
 	// the GC_done commit (d.Finish synced the vlog directory).

@@ -34,15 +34,17 @@ func TestLazyValueSplitLifecycle(t *testing.T) {
 		t.Fatalf("no split happened")
 	}
 
-	// Find logs shared by more than one partition.
-	db.logRefs.Lock()
+	// Find logs shared by more than one partition: named by more than one
+	// current version.
+	owners := ownersByScan(db)
 	shared := map[uint32]int{}
-	for n, owners := range db.logRefs.owners {
-		if owners > 1 {
-			shared[n] = owners
+	for _, p := range db.partitions() {
+		for _, n := range p.cur.Load().logs {
+			if c := owners(n); c > 1 {
+				shared[n] = c
+			}
 		}
 	}
-	db.logRefs.Unlock()
 	if len(shared) == 0 {
 		t.Fatal("split left no shared logs — lazy value split untested")
 	}
@@ -77,15 +79,14 @@ func TestLazyValueSplitLifecycle(t *testing.T) {
 	if db.Metrics().GCs == 0 {
 		t.Fatal("no GC ran")
 	}
-	// Every originally shared log must be unreferenced and deleted now.
-	db.logRefs.Lock()
+	// Every originally shared log must be named by no version and deleted now.
+	owners = ownersByScan(db)
 	for num := range shared {
-		if refs, ok := db.logRefs.refs[num]; ok && refs > 0 {
-			db.logRefs.Unlock()
-			t.Fatalf("shared log %d still has %d refs after GC everywhere", num, refs)
+		if c := owners(num); c > 0 {
+			t.Fatalf("shared log %d still has %d owners after GC everywhere", num, c)
 		}
 	}
-	db.logRefs.Unlock()
+	checkLogAccounting(t, db)
 	for num := range shared {
 		if fs.Exists("db/vlog/" + vlog.LogName(num)) {
 			t.Fatalf("shared log %d not deleted after both children GC'd", num)
@@ -286,4 +287,90 @@ func TestSplitReadFaultNeverTruncates(t *testing.T) {
 		k := k
 		t.Run(fmt.Sprintf("read=%d", k), func(t *testing.T) { split(t, k) })
 	}
+}
+
+// TestMergeLogsOutliveGCBesideIt replays, step by step, the race the vlog
+// append pins once fenced. Partition A's merge appends its values to the
+// shared active log L, which rotates in the middle of the build, so some of
+// A's uncommitted pointers lead into L. Partition B, whose own merge wrote
+// into L before, then GCs — L is no longer active, so B collects it — and
+// commits a version without L. No version names L any more; A's merge, in
+// flight, names every log from L up, and so L stays until A commits a
+// version naming it. Every one of A's values reads back.
+func TestMergeLogsOutliveGCBesideIt(t *testing.T) {
+	opts := smallOpts(vfs.NewMem())
+	opts.DisableScanMerge = true
+	db, err := Open("db", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for n := 0; len(db.partitions()) == 1; n++ {
+		if n > 100000 {
+			t.Fatal("never split")
+		}
+		if err := db.Put(key(n), val(n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// From here on every merge, GC and split is the test's.
+	db.opts.PartitionSizeLimit, db.opts.UnsortedLimit = 1<<40, 1<<40
+	a, b := db.partitions()[0], db.partitions()[1]
+	value := func(k string) []byte { return bytes.Repeat([]byte(k), 256/len(k)) }
+	load := func(p *partition, prefix string, n int) (keys []string) {
+		for i := 0; i < n; i++ {
+			k := fmt.Sprintf("%s%s-%04d", p.lower, prefix, i)
+			if err := db.Put([]byte(k), value(k)); err != nil {
+				t.Fatal(err)
+			}
+			keys = append(keys, k)
+		}
+		if err := p.flushAll(); err != nil {
+			t.Fatal(err)
+		}
+		return keys
+	}
+	runJob := func(p *partition, job func(*version) error) {
+		t.Helper()
+		p.maintMu.Lock()
+		v := p.acquire()
+		err := job(v)
+		v.release()
+		p.maintMu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	load(b, "b", 10)
+	runJob(b, b.merge)
+	l, ok := db.vl.ActiveNum()
+	if !ok || !b.cur.Load().hasLog(l) {
+		t.Fatalf("B's merge left no active log it names (active %d, %v)", l, ok)
+	}
+	keys := load(a, "a", 120) // 30 KiB of values: the 8 KiB log rotates under A's merge
+	db.testHookMergeBuild = func(p *partition) {
+		if p != a {
+			return
+		}
+		if active, _ := db.vl.ActiveNum(); active == l {
+			t.Fatal("the active log did not rotate during A's merge")
+		}
+		runJob(b, b.gc)
+		if b.cur.Load().hasLog(l) {
+			t.Fatalf("B's GC kept log %d", l)
+		}
+	}
+	runJob(a, a.merge)
+	db.testHookMergeBuild = nil
+	if !a.cur.Load().hasLog(l) {
+		t.Fatalf("A's merge put nothing into log %d", l)
+	}
+	for _, k := range keys {
+		if got, err := db.Get([]byte(k)); err != nil || !bytes.Equal(got, value(k)) {
+			t.Fatalf("%s after the GC beside the merge: %q, %v", k, got, err)
+		}
+	}
+	checkLogAccounting(t, db)
+	checkFileSet(t, db)
 }

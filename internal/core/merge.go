@@ -22,11 +22,11 @@ func newMergeIter(iters []recIter) *mergeIter { return mergeiter.New(iters) }
 
 // ---------------------------------------------------------------------------
 // tableWriter emits a series of SortedStore tables capped at
-// TargetTableSize each.
+// TargetTableSize each, naming each in its job before creating it.
 
 type tableWriter struct {
 	p      *partition
-	dir    string
+	j      *job
 	tables []*sorted.Table
 	b      *sstable.Builder
 	f      interface {
@@ -35,14 +35,15 @@ type tableWriter struct {
 	num uint64
 }
 
-func (p *partition) newTableWriter(dir string) *tableWriter {
-	return &tableWriter{p: p, dir: dir}
+func (p *partition) newTableWriter(j *job) *tableWriter {
+	return &tableWriter{p: p, j: j}
 }
 
 func (w *tableWriter) add(rec record.Record) error {
 	if w.b == nil {
 		w.num = w.p.db.allocFileNum()
-		f, err := w.p.db.fs.Create(tableName(w.dir, w.num))
+		w.p.db.name(w.j, w.p.file(fileTable, w.num))
+		f, err := w.p.db.fs.Create(tableName(w.p.dir, w.num))
 		if err != nil {
 			return err
 		}
@@ -69,7 +70,7 @@ func (w *tableWriter) roll() error {
 		return err
 	}
 	meta := tableMeta(w.num, props)
-	rdr, err := w.p.db.openTable(w.dir, meta)
+	rdr, err := w.p.openTable(meta)
 	if err != nil {
 		return err
 	}
@@ -85,14 +86,6 @@ func (w *tableWriter) finish() ([]*sorted.Table, error) {
 		return nil, err
 	}
 	return w.tables, nil
-}
-
-// close drops the writer's references on the readers it opened: after a
-// commit the published version holds its own, after a failure nobody does.
-func (w *tableWriter) close() {
-	for _, t := range w.tables {
-		t.Reader.Close()
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -127,11 +120,11 @@ type separator struct {
 	pending []pendingRec
 	ptrs    []record.ValuePtr
 	ptrBuf  [record.EncodedPtrLen]byte
-	logs    map[uint32]bool // logs that received values
+	logs    []uint32 // logs that received values, ascending
 }
 
 func (p *partition) newSeparator(w *tableWriter) *separator {
-	return &separator{p: p, w: w, logs: map[uint32]bool{}}
+	return &separator{p: p, w: w}
 }
 
 // separates reports whether rec's value belongs in the value log.
@@ -174,7 +167,9 @@ func (s *separator) flush() error {
 		if pr.staged {
 			ptr := ptrs[next]
 			next++
-			s.logs[ptr.LogNum] = true
+			if n := len(s.logs); n == 0 || s.logs[n-1] != ptr.LogNum {
+				s.logs = append(s.logs, ptr.LogNum) // the active log only moves up
+			}
 			rec.Kind = record.KindSetPtr
 			rec.Value = ptr.Encode(s.ptrBuf[:0])
 		}
@@ -195,20 +190,26 @@ func (s *separator) flush() error {
 // prefix of the UnsortedStore while concurrent flushes land behind them —
 // into the SortedStore, with no partition lock until the commit. The
 // SortedStore cannot change meanwhile: structural jobs are serialized by
-// maintMu, which the caller holds, and flushes only append.
+// maintMu, which the caller holds, and flushes only append. Separated values
+// land in the shared active log, which can rotate mid-merge; until the
+// commit the job keeps every log from the active one up on the disk.
 func (p *partition) merge(v *version) error {
-	if h := p.db.testHookMergeBuild; h != nil {
-		h(p) // test-only gate: hold the merge "mid-build", no partition lock held
+	if v.unsTables == 0 {
+		return nil
 	}
-	m, err := p.buildMerge(v)
-	if m == nil {
+	j := p.db.beginJob()
+	defer p.db.endJob(j)
+	tables, logs, err := p.buildMerge(j, v)
+	if err != nil {
 		return err
 	}
-	defer m.close()
+	if h := p.db.testHookMergeBuild; h != nil {
+		h(p) // test-only gate: hold the merge between build and commit, no partition lock held
+	}
 	// Log set: keep everything previously referenced (their pointers were
 	// carried through) plus the logs the new values landed in.
 	err = p.replaceUnsorted(len(v.uns.Tables()), nil, func(next *version) []manifest.Edit {
-		next.srt, next.logs = sorted.New(m.tables), mergeLogs(next.logs, m.logs)
+		next.srt, next.logs = sorted.New(tables), mergeLogs(next.logs, logs...)
 		return []manifest.Edit{manifest.LastSeq(p.db.seq.Load()), p.db.nextFileEdit()}
 	})
 	if err == nil {
@@ -217,49 +218,17 @@ func (p *partition) merge(v *version) error {
 	return err
 }
 
-// mergeBuild is a merge between its build and its commit: the new sorted
-// run, the logs its separated values landed in, and the append-window pin.
-type mergeBuild struct {
-	p      *partition
-	w      *tableWriter
-	tables []*sorted.Table
-	logs   map[uint32]bool
-	pin    uint64
-}
-
-// close drops what the build held for the commit.
-func (m *mergeBuild) close() {
-	m.w.close()
-	m.p.db.vl.Unpin(m.pin)
-}
-
 // buildMerge merges v's unsorted tables (a prefix of the UnsortedStore in
 // flush order) and its SortedStore run into a new sorted run: keys are
 // merge-sorted with the existing run; values of incoming (hot-tier) records
 // are appended to the value log and replaced by pointers; existing pointers
-// are carried through untouched. It touches only new files, and returns
-// nil with nothing to merge.
-func (p *partition) buildMerge(v *version) (*mergeBuild, error) {
-	if v.unsTables == 0 {
-		return nil, nil
-	}
-	// Separated values land in the shared active log, which can rotate
-	// mid-merge; their pointers become visible only at commit. Pin the
-	// append window so a concurrent GC in another partition does not
-	// collect the logs we are writing into.
-	m := &mergeBuild{p: p, w: p.newTableWriter(p.dir), pin: p.db.vl.Pin()}
-	if err := m.run(v); err != nil {
-		m.close()
-		return nil, err
-	}
-	return m, nil
-}
-
-func (m *mergeBuild) run(v *version) (err error) {
-	p, db := m.p, m.p.db
+// are carried through untouched. It touches only new files, which j names,
+// and returns the run with the logs its separated values landed in.
+func (p *partition) buildMerge(j *job, v *version) ([]*sorted.Table, []uint32, error) {
+	db := p.db
+	w := p.newTableWriter(j)
+	sep := p.newSeparator(w)
 	mi := v.newFullMergeIter()
-	sep := p.newSeparator(m.w)
-	m.logs = sep.logs
 	var lastKey []byte
 	for ok := mi.First(); ok; ok = mi.Next() {
 		rec := mi.Record()
@@ -275,24 +244,25 @@ func (m *mergeBuild) run(v *version) (err error) {
 			continue
 		}
 		if err := sep.add(rec); err != nil {
-			return err
+			return nil, nil, err
 		}
 	}
 	if err := sep.flush(); err != nil {
-		return err
+		return nil, nil, err
 	}
 	if err := mi.Err(); err != nil {
-		return err
+		return nil, nil, err
 	}
-	if m.tables, err = m.w.finish(); err != nil {
-		return err
+	tables, err := w.finish()
+	if err != nil {
+		return nil, nil, err
 	}
 	if err := db.vl.Sync(); err != nil {
-		return err
+		return nil, nil, err
 	}
 	// Make the new run's directory entries durable before the commit
 	// references them (vl.Sync above covered the value-log directory).
-	return db.fs.SyncDir(p.dir)
+	return tables, sep.logs, db.fs.SyncDir(p.dir)
 }
 
 // replaceUnsorted commits a merge or scan merge of the first merged
@@ -346,11 +316,15 @@ func (p *partition) accountGarbage(rec record.Record) {
 // table takes the oldest position and later-flushed tables keep shadowing
 // it, preserving newest-first probe order.
 func (p *partition) scanMerge(v *version) error {
-	tbl, err := p.buildScanMerge(v)
-	if tbl == nil {
+	if v.unsTables <= 1 {
+		return nil
+	}
+	j := p.db.beginJob()
+	defer p.db.endJob(j)
+	tbl, err := p.buildScanMerge(j, v)
+	if err != nil {
 		return err
 	}
-	defer tbl.Reader.Close()
 	err = p.replaceUnsorted(len(v.uns.Tables()), tbl, func(*version) []manifest.Edit {
 		return []manifest.Edit{p.db.nextFileEdit()}
 	})
@@ -360,22 +334,18 @@ func (p *partition) scanMerge(v *version) error {
 	return err
 }
 
-// buildScanMerge compacts v's unsorted tables into a single table that
-// keeps tombstones and inline values; nil with fewer than two.
-func (p *partition) buildScanMerge(v *version) (*unsorted.Table, error) {
-	snap := v.uns.Tables()
-	if len(snap) <= 1 {
-		return nil, nil
-	}
+// buildScanMerge compacts v's unsorted tables into a single table, which j
+// names, that keeps tombstones and inline values.
+func (p *partition) buildScanMerge(j *job, v *version) (*unsorted.Table, error) {
 	db := p.db
-
-	iters := make([]recIter, 0, len(snap))
-	for _, t := range snap {
+	iters := make([]recIter, 0, v.unsTables)
+	for _, t := range v.uns.Tables() {
 		iters = append(iters, t.Reader.NewMaintIterator())
 	}
 	m := newMergeIter(iters)
 
 	num := db.allocFileNum()
+	db.name(j, p.file(fileTable, num))
 	f, err := db.fs.Create(tableName(p.dir, num))
 	if err != nil {
 		return nil, err
@@ -403,13 +373,9 @@ func (p *partition) buildScanMerge(v *version) (*unsorted.Table, error) {
 		return nil, err
 	}
 	meta := tableMeta(num, props)
-	rdr, err := db.openTable(p.dir, meta)
+	rdr, err := p.openTable(meta)
 	if err != nil {
 		return nil, err
 	}
-	if err := db.fs.SyncDir(p.dir); err != nil {
-		rdr.Close()
-		return nil, err
-	}
-	return &unsorted.Table{Meta: meta, Reader: rdr}, nil
+	return &unsorted.Table{Meta: meta, Reader: rdr}, db.fs.SyncDir(p.dir)
 }

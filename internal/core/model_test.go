@@ -13,12 +13,14 @@ import (
 )
 
 // TestQuickModel drives the engine with random op sequences (put, delete,
-// get, start- and end-bounded scans, snapshot open / scan / close) plus a
-// backup and a reopen every 500 ops — every other reopen after a Repair of
-// the closed directory — and checks every observation against a model map.
-// Scan results are kept across later ops and re-verified byte for byte after
-// every op, so memory a result still points into must not be recycled, and
-// after every op the manifest must describe exactly the current versions.
+// get, start- and end-bounded scans, snapshot open / scan / close, a forced
+// Flush or CompactAll) plus a backup and a reopen every 500 ops — every
+// other reopen after a Repair of the closed directory — and checks every
+// observation against a model map. Scan results are kept across later ops
+// and re-verified byte for byte after every op, so memory a result still
+// points into must not be recycled; after every op the manifest must
+// describe exactly the current versions, and once a forced step has settled
+// with no snapshot open, the disk must hold exactly the files they name.
 // This is the main end-to-end property test: it routinely crosses flush,
 // scan-merge, merge, GC, and split boundaries because of the tiny limits —
 // run by the writer itself, and behind its back by a worker.
@@ -153,6 +155,19 @@ func quickModel(t *testing.T, workers int) {
 				watchGauges(t, db, exact)
 				if !checkStore("reopened", db, model) {
 					return false
+				}
+			case rnd.Intn(50) == 0: // a forced flush or CompactAll, then the file set
+				force, name := db.Flush, "flush"
+				if rnd.Intn(2) == 0 {
+					force, name = db.CompactAll, "compact"
+				}
+				if err := force(); err != nil {
+					t.Logf("%s: %v", name, err)
+					return false
+				}
+				settle(db)
+				if snap == nil {
+					checkFileSet(t, db) // a snapshot's versions keep more
 				}
 			default:
 				switch rnd.Intn(10) {

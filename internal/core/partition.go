@@ -21,8 +21,8 @@ import (
 // partition is one range partition: a WAL and the published version naming
 // its memtables, UnsortedStore, SortedStore and value logs (see version.go).
 // mu serializes what changes the partition: the WAL (append, sync, rotation),
-// memtable insertion, sequence assignment, immWALs, the hash-checkpoint
-// pointer, and installing a version with the manifest batch that commits it.
+// memtable insertion, sequence assignment, and installing a version with the
+// manifest batch that commits it.
 // Nobody reads or writes a table while holding it, and reads take no
 // partition lock at all.
 type partition struct {
@@ -46,12 +46,9 @@ type partition struct {
 	// left unbuilt (see scanView).
 	viewBuilding atomic.Bool
 
-	mu       sync.Mutex
-	immWALs  []uint64 // WAL file per frozen memtable of cur.imm (0 = none)
-	wal      *wal.Writer
-	walNum   uint64
-	walBuf   []byte // WAL record encoding scratch, reused under mu
-	hashCkpt uint64 // current checkpoint file number (0 = none)
+	mu     sync.Mutex
+	wal    *wal.Writer // the live memtable's WAL, open for appends
+	walBuf []byte      // WAL record encoding scratch, reused under mu
 	// splitting is non-nil while the partition splits: a writer that finds
 	// it lets go of mu, waits for it to be closed and routes again.
 	splitting chan struct{}
@@ -76,16 +73,15 @@ func newMemtable() *memtable.Memtable { return memtable.New() }
 // up to upper.
 func (p *partition) emptyVersion(upper []byte) *version {
 	opts := &p.db.opts
-	return &version{p: p, upper: upper, mem: newMemtable(),
+	return &version{p: p, upper: upper, mem: newMemtable(), wals: []uint64{0},
 		uns: unsorted.New(opts.HashBuckets, opts.DisableHashIndex, opts.SortedViewOff),
 		srt: sorted.New(nil)}
 }
 
-// newWALLocked creates a fresh WAL file (no manifest commit; callers batch
-// the SetWAL edit). The directory entry is fsynced immediately: every
-// subsequent WAL Sync only makes the file's contents durable, and an
-// acknowledged write would be lost if a crash dropped the entry itself.
-func (p *partition) newWALLocked() error {
+// newWALLocked creates a fresh WAL file for the live memtable of next, the
+// version to be published (callers batch the SetWAL edit). The directory
+// entry is fsynced at once: a WAL Sync makes only the contents durable.
+func (p *partition) newWALLocked(next *version) error {
 	num := p.db.allocFileNum()
 	f, err := p.db.fs.Create(walName(p.dir, num))
 	if err != nil {
@@ -95,14 +91,15 @@ func (p *partition) newWALLocked() error {
 		return err
 	}
 	p.wal = wal.NewWriter(f)
-	p.walNum = num
+	last := len(next.wals) - 1
+	next.wals = append(next.wals[:last:last], num)
 	return nil
 }
 
-// rotateWALLocked swaps in a fresh WAL and commits the pointer change. The
-// old file is removed after the commit.
+// rotateWALLocked moves the empty live memtable onto a fresh WAL and
+// commits the pointer to the oldest WAL still holding unflushed data; the
+// version it publishes no longer names the memtable's old WALs.
 func (p *partition) rotateWALLocked() error {
-	oldNum := p.walNum
 	if p.wal != nil {
 		if err := p.wal.Sync(); err != nil {
 			return err
@@ -110,19 +107,18 @@ func (p *partition) rotateWALLocked() error {
 		p.wal.Close()
 		p.wal = nil
 	}
-	if err := p.newWALLocked(); err != nil {
+	next := p.cur.Load().successor()
+	if err := p.newWALLocked(next); err != nil {
 		return err
 	}
 	if err := p.db.man.Apply(
-		manifest.SetWAL(p.id, p.walNum),
+		manifest.SetWAL(p.id, next.wals[0]),
 		manifest.LastSeq(p.db.seq.Load()),
 		p.db.nextFileEdit(),
 	); err != nil {
 		return err
 	}
-	if oldNum != 0 {
-		p.db.fs.Remove(walName(p.dir, oldNum))
-	}
+	p.publish(next)
 	return nil
 }
 
@@ -156,26 +152,16 @@ func replayWAL(fs vfs.FS, name string, mem *memtable.Memtable) error {
 	}
 }
 
-// ensureWALLocked lazily recreates the WAL after a failed rotation left
-// p.wal nil (a transient fault in newWALLocked aborts the rotating write
-// or freeze, but the partition must not silently accept un-logged writes
-// afterwards: a later crash would lose them even though they were acked).
-// File numbers are monotonic, so the replacement WAL replays after the
-// closed one and write order is preserved.
-//
-// It also moves the partition off a WAL whose last write left partial bytes
-// in the file. Replay stops at the tear, so nothing more may be logged there
-// — but everything acknowledged sits before it, which makes the file a valid
-// log of exactly the live memtable. So the memtable is frozen with it and
-// the write goes on into a fresh memtable on a fresh WAL; one WAL per
-// memtable still holds. Until this succeeds the partition rejects writes.
+// ensureWALLocked moves the partition onto a fresh WAL when it has none
+// open — a transient fault in newWALLocked aborted a freeze or rotation, and
+// an un-logged write must not be acked — or when the last write left partial
+// bytes in its WAL, past which replay stops. Either file is a valid log of
+// exactly the live memtable, so the memtable is frozen with it (rotated off
+// it when empty) and the write goes on into a fresh memtable on a fresh WAL;
+// one WAL per memtable still holds. Until this succeeds writes fail.
 func (p *partition) ensureWALLocked() error {
 	switch {
-	case p.db.opts.DisableWAL:
-		return nil
-	case p.wal == nil:
-		return p.newWALLocked()
-	case !p.wal.Torn():
+	case p.db.opts.DisableWAL, p.wal != nil && !p.wal.Torn():
 		return nil
 	case p.cur.Load().mem.Empty():
 		return p.rotateWALLocked()
@@ -241,7 +227,6 @@ func (p *partition) freezeMemLocked() error {
 	if v.mem.Empty() {
 		return nil
 	}
-	frozenWAL := p.walNum // logs exactly v.mem; open only if this handle wrote it
 	if p.wal != nil {
 		if err := p.wal.Sync(); err != nil {
 			return err
@@ -249,15 +234,14 @@ func (p *partition) freezeMemLocked() error {
 		p.wal.Close()
 		p.wal = nil
 	}
-	if p.db.opts.DisableWAL {
-		p.walNum = 0
-	} else if err := p.newWALLocked(); err != nil {
-		return err
-	}
 	next := v.successor()
 	next.imm = append(v.imm[:len(v.imm):len(v.imm)], v.mem)
-	next.mem = newMemtable()
-	p.immWALs = append(p.immWALs, frozenWAL)
+	next.mem, next.wals = newMemtable(), append(v.wals[:len(v.wals):len(v.wals)], 0)
+	if !p.db.opts.DisableWAL {
+		if err := p.newWALLocked(next); err != nil {
+			return err
+		}
+	}
 	p.publish(next)
 	return nil
 }
@@ -269,10 +253,10 @@ func (p *partition) freezeMemLocked() error {
 // the sorted view is enabled, the view entries collected in the same pass
 // (Builder.NextPosition yields each record's cursor before it is written),
 // so the flush commit extends the view without re-reading the file.
-func (p *partition) buildTable(mem *memtable.Memtable) (*unsorted.Table, [][]byte, []sortedview.Entry, error) {
+func (p *partition) buildTable(j *job, mem *memtable.Memtable) (*unsorted.Table, [][]byte, []sortedview.Entry, error) {
 	num := p.db.allocFileNum()
-	name := tableName(p.dir, num)
-	f, err := p.db.fs.Create(name)
+	p.db.name(j, p.file(fileTable, num))
+	f, err := p.db.fs.Create(tableName(p.dir, num))
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -315,7 +299,7 @@ func (p *partition) buildTable(mem *memtable.Memtable) (*unsorted.Table, [][]byt
 		return nil, nil, nil, err
 	}
 	meta := tableMeta(num, props)
-	rdr, err := p.db.openTable(p.dir, meta)
+	rdr, err := p.openTable(meta)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -369,15 +353,16 @@ func (p *partition) flushNext() (bool, error) {
 // directory entry with no partition lock held — readers keep hitting the
 // frozen memtable meanwhile — and takes the lock to commit: one manifest
 // batch adds the table and advances the WAL pointer to the oldest WAL still
-// holding unflushed data, the memtable leaves the queue and its WAL the
-// disk, and the hash index is checkpointed on schedule (the paper: every
+// holding unflushed data, and the memtable and its WAL leave the version.
+// The hash index is checkpointed on schedule behind it (the paper: every
 // UnsortedLimit/2 worth of flushed tables). Requires flushMu.
 func (p *partition) flushOldest(v *version) error {
-	tbl, keys, entries, err := p.buildTable(v.imm[0])
+	j := p.db.beginJob()
+	defer p.db.endJob(j)
+	tbl, keys, entries, err := p.buildTable(j, v.imm[0])
 	if err != nil {
 		return err
 	}
-	defer tbl.Reader.Close() // the build's reference; the version holds its own
 	uns, err := v.uns.WithTable(tbl, keys, entries)
 	if err != nil {
 		return err
@@ -388,62 +373,55 @@ func (p *partition) flushOldest(v *version) error {
 		return err
 	}
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	cur := p.cur.Load()
 	if cur.uns != v.uns {
 		// A structural job, or the first scan's view, replaced the store
 		// while the table was built: extend the current one. In memory.
-		if uns, err = cur.uns.WithTable(tbl, keys, entries); err != nil {
-			return err
-		}
+		uns, err = cur.uns.WithTable(tbl, keys, entries)
 	}
 	next := cur.successor()
-	next.imm, next.uns = cur.imm[1:], uns
-	nextWAL := p.walNum
-	if len(p.immWALs) > 1 {
-		nextWAL = p.immWALs[1]
-	}
-	extra := []manifest.Edit{manifest.LastSeq(p.db.seq.Load()), p.db.nextFileEdit(), manifest.SetWAL(p.id, nextWAL)}
-	if nextWAL == 0 {
+	next.imm, next.uns, next.wals = cur.imm[1:], uns, cur.wals[1:]
+	extra := []manifest.Edit{manifest.LastSeq(p.db.seq.Load()), p.db.nextFileEdit(), manifest.SetWAL(p.id, next.wals[0])}
+	if next.wals[0] == 0 {
 		extra = extra[:2]
 	}
-	if err := p.commit(next, extra...); err != nil {
-		return err
+	if err == nil {
+		if err = p.commit(next, extra...); err == nil {
+			p.db.stats.Flushes.Add(1)
+			p.flushesSinceCkpt++
+		}
 	}
-	oldWAL := p.immWALs[0]
-	p.immWALs = p.immWALs[1:]
-	if oldWAL != 0 {
-		p.db.fs.Remove(walName(p.dir, oldWAL))
+	due := err == nil && !p.db.opts.DisableHashCkpt && p.flushesSinceCkpt >= p.db.opts.HashCheckpointEvery
+	p.mu.Unlock()
+	if due {
+		err = p.checkpointHash(j)
 	}
-	p.db.stats.Flushes.Add(1)
-	p.flushesSinceCkpt++
-	if p.db.opts.DisableHashCkpt || p.flushesSinceCkpt < p.db.opts.HashCheckpointEvery {
-		return nil
-	}
-	return p.checkpointHashLocked()
+	return err
 }
 
-// checkpointHashLocked persists the hash index and commits the pointer.
-func (p *partition) checkpointHashLocked() error {
-	num := p.db.allocFileNum()
-	if err := p.cur.Load().uns.Checkpoint(p.db.fs, ckptName(p.dir, num)); err != nil {
+// checkpointHash writes the current UnsortedStore's hash index to a new
+// checkpoint file, which j names, under flushMu alone — it keeps every change
+// of the table list out — and takes the partition lock only to commit the
+// pointer and publish the version naming the file.
+func (p *partition) checkpointHash(j *job) error {
+	db := p.db
+	num := db.allocFileNum()
+	db.name(j, p.file(fileCkpt, num))
+	if err := p.cur.Load().uns.Checkpoint(db.fs, ckptName(p.dir, num)); err != nil {
 		return err
 	}
-	old := p.hashCkpt
-	if err := p.db.fs.SyncDir(p.dir); err != nil {
+	if err := db.fs.SyncDir(p.dir); err != nil {
 		return err
 	}
-	if err := p.db.man.Apply(
-		manifest.SetHashCkpt(p.id, num),
-		p.db.nextFileEdit(),
-	); err != nil {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if err := db.man.Apply(manifest.SetHashCkpt(p.id, num), db.nextFileEdit()); err != nil {
 		return err
 	}
-	p.hashCkpt = num
+	next := p.cur.Load().successor()
+	next.ckpt = num
+	p.publish(next)
 	p.flushesSinceCkpt = 0
-	if old != 0 {
-		p.db.fs.Remove(ckptName(p.dir, old))
-	}
 	return nil
 }
 
@@ -456,9 +434,11 @@ func tableMeta(num uint64, props sstable.Props) manifest.TableMeta {
 	}
 }
 
-// openTable opens table tm of the partition directory pdir.
-func (db *DB) openTable(pdir string, tm manifest.TableMeta) (*sstable.Reader, error) {
-	f, err := db.fs.Open(tableName(pdir, tm.FileNum))
+// openTable opens the partition's table tm. The reader belongs to the
+// live-file registry, which closes it when the file goes.
+func (p *partition) openTable(tm manifest.TableMeta) (*sstable.Reader, error) {
+	db := p.db
+	f, err := db.fs.Open(tableName(p.dir, tm.FileNum))
 	if err != nil {
 		return nil, err
 	}
@@ -468,5 +448,8 @@ func (db *DB) openTable(pdir string, tm manifest.TableMeta) (*sstable.Reader, er
 		return nil, err
 	}
 	rdr.SetCache(db.cache, tm.FileNum)
+	db.liveFiles.Lock()
+	db.liveFiles.readers[p.file(fileTable, tm.FileNum)] = rdr
+	db.liveFiles.Unlock()
 	return rdr, nil
 }

@@ -246,10 +246,10 @@ func (r *repairer) rebuildState() (state *manifest.State, tables bool, err error
 		meta := &manifest.PartitionMeta{ID: pid}
 		var nums []uint64
 		for _, e := range entries {
-			switch n, ext, _ := parseFileName(e); ext {
-			case ".sst":
+			switch n, kind, ok := parseFileName(e); {
+			case ok && kind == fileTable:
 				nums = append(nums, n)
-			case ".wal":
+			case ok && kind == fileWAL:
 				if meta.WALNum == 0 || n < meta.WALNum {
 					meta.WALNum = n
 				}
@@ -389,13 +389,13 @@ func (r *repairer) repairPartitions() error {
 		entries, err := r.fs.List(pdir)
 		if err == nil {
 			for _, e := range entries {
-				switch n, ext, _ := parseFileName(e); {
-				case ext == ".sst" && !known[n]:
+				switch n, kind, ok := parseFileName(e); {
+				case ok && kind == fileTable && !known[n]:
 					if err := r.toLost(filepath.Join(pdir, e)); err != nil {
 						return err
 					}
 					r.report.OrphansMoved = append(r.report.OrphansMoved, filepath.Join(pdir, e))
-				case ext == ".ckpt":
+				case ok && kind == fileCkpt:
 					r.fs.Remove(filepath.Join(pdir, e))
 				}
 			}

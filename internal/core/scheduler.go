@@ -36,7 +36,7 @@ import (
 // with a long merge build. Lock order:
 //
 //	snapMu -> maintMu -> flushMu -> router.mu -> partition.mu
-//	  -> logRefs.mu -> hotring.writerMu
+//	  -> liveFiles.mu -> hotring.writerMu
 //
 // A pooled job's error is classified (see errors.go) before it can do
 // damage: a transient error is retried with bounded exponential backoff +
@@ -284,17 +284,26 @@ func (s *scheduler) jobDone(t task, err error) {
 }
 
 // afterCommit is what the pool does behind a commit on p, beyond looking at
-// p's triggers: a commit that took p into or out of a shared value log armed
-// more than p's, so the log's other owners get their gauges refreshed and
-// their triggers looked at too, and what runs next does not depend on which
-// of them happened to publish last. A split re-checks every partition. The
+// p's triggers: the partitions whose share of a value log another one's
+// publish moved (liveFiles.stale) get a version with exact gauges and their
+// triggers looked at too, so what runs next does not depend on which of
+// them happened to publish last. A split re-checks every partition. The
 // caller-run schedule has no such step.
 func (db *DB) afterCommit(p *partition, after jobKind) {
 	if db.sched.workers == 0 {
 		return
 	}
+	db.liveFiles.Lock()
+	stale := db.liveFiles.stale
+	db.liveFiles.stale = map[*partition]bool{}
+	db.liveFiles.Unlock()
 	for _, q := range db.partitions() {
-		if q.refreshShares() || q == p || after == jobSplit {
+		if stale[q] {
+			q.mu.Lock()
+			q.publish(q.cur.Load().successor())
+			q.mu.Unlock()
+		}
+		if stale[q] || q == p || after == jobSplit {
 			db.checkMaintenance(q, after)
 		}
 	}
@@ -306,7 +315,7 @@ func (db *DB) afterCommit(p *partition, after jobKind) {
 // terminal failure the caller escalates to degraded mode. Retrying from
 // scratch is safe: jobs commit durable and in-memory changes only at
 // their single manifest-Apply point, so a failed attempt left no partial
-// state behind (orphaned build output is swept at the next open).
+// state behind (its build output went when its job entry ended).
 func (s *scheduler) runWithRetry(t task) error {
 	db := s.db
 	delay := db.opts.RetryBaseDelay

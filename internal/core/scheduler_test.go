@@ -396,8 +396,8 @@ func TestBackgroundReadsDuringMerge(t *testing.T) {
 		t.Fatal("merge job never started on the busy partition")
 	}
 
-	// Partition B is now parked inside its merge build. Operations
-	// elsewhere (and reads on B itself) must not wait for it.
+	// Partition B is now parked inside its merge, built but not committed.
+	// Operations elsewhere (and reads on B itself) must not wait for it.
 	const bound = 2 * time.Second
 	ops := []struct {
 		name string

@@ -82,6 +82,8 @@ func (db *DB) splitPartition(parent *partition) error {
 	// Pass 2: stream the merge, writing the first half to the parent's new
 	// run and the rest to the child's, with fresh logs for unsorted-tier
 	// values.
+	j := db.beginJob()
+	defer db.endJob(j)
 	leftLog, err := db.vl.NewDedicatedLog(parent.id)
 	if err != nil {
 		return err
@@ -90,10 +92,8 @@ func (db *DB) splitPartition(parent *partition) error {
 	if err != nil {
 		return err
 	}
-	leftW := parent.newTableWriter(parent.dir)
-	defer leftW.close()
-	rightW := child.newTableWriter(childDir)
-	defer rightW.close()
+	leftW := parent.newTableWriter(j)
+	rightW := child.newTableWriter(j)
 
 	m := v.newFullMergeIter()
 	var lastKey []byte
@@ -161,10 +161,10 @@ func (db *DB) splitPartition(parent *partition) error {
 	// own fresh one.
 	leftLogs, rightLogs := v.logs, v.logs
 	if leftHasLog {
-		leftLogs = mergeLogs(v.logs, map[uint32]bool{leftLog.Num(): true})
+		leftLogs = mergeLogs(v.logs, leftLog.Num())
 	}
 	if rightHasLog {
-		rightLogs = mergeLogs(v.logs, map[uint32]bool{rightLog.Num(): true})
+		rightLogs = mergeLogs(v.logs, rightLog.Num())
 	}
 
 	leftUns, err := v.uns.Rebuild(nil)
@@ -182,10 +182,11 @@ func (db *DB) splitPartition(parent *partition) error {
 		manifest.NextPart(db.nextPart.Load()),
 	}, empty.edits(right)...)
 	if !db.opts.DisableWAL {
-		if err := child.newWALLocked(); err != nil {
+		if err := child.newWALLocked(right); err != nil {
 			return err
 		}
-		edits = append(edits, manifest.SetWAL(childID, child.walNum))
+		db.name(j, child.file(fileWAL, right.wals[0]))
+		edits = append(edits, manifest.SetWAL(childID, right.wals[0]))
 	}
 	// Both children's new tables must be findable after a crash before the
 	// manifest references them (the vlog and WAL directory entries were
@@ -199,11 +200,9 @@ func (db *DB) splitPartition(parent *partition) error {
 
 	// Commit: one manifest batch, the two versions and the router entry. The
 	// parent's next version ends at the boundary, the child's first one
-	// starts there. The replaced tables are deleted once the last version
-	// naming them — the parent's old one, or an older one a reader or
-	// snapshot pins — is released: a split invalidates nothing a pinned
-	// reader can still reach. The child is installed first, so that the
-	// parent's version counts its share of the logs they now share.
+	// starts there; the replaced tables go with the last version naming them.
+	// The child is installed first, so that the parent's version counts its
+	// share of the logs they now share.
 	db.router.Lock()
 	defer db.router.Unlock()
 	parent.mu.Lock()

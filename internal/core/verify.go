@@ -107,39 +107,35 @@ func (db *DB) VerifyIntegrityReport() ([]CorruptionReport, error) {
 }
 
 // verifyLogs is the one walk over the value logs, VerifyIntegrity's and
-// the scrub's: every log some partition's current version named when the
-// pass began, once, in ascending order, the active log up to its sealed
-// frame boundary (bytes past it are appends in flight, not damage). A log
-// is held only while the walk is on it: when the walk reaches it, it is
-// retained from inside a pinned version that still names it — so a GC
-// cannot remove the file under the walk — and released after; a log no
-// current version names any more was retired meanwhile and is skipped, for
-// a retired log is not damage. pace is as in sstable.Reader.VerifyChecksums.
-// done gets each walked log with the partitions naming it (ascending), the
-// length of its valid frame prefix and the walk's error; returning false
-// ends the pass.
+// the scrub's: every log there was as the pass began, once, in ascending
+// order, the active log up to its sealed frame boundary (bytes past it are
+// appends in flight, not damage; taken after the listing, so every other
+// listed log is sealed). While the walk is on a log it pins a current
+// version naming it, so a GC cannot remove the file under the walk; a log
+// no current version names was retired, which is not damage, and is
+// skipped. pace is as in sstable.Reader.VerifyChecksums. done gets each
+// walked log with the partitions naming it (ascending), the length of its
+// valid frame prefix and the walk's error; returning false ends the pass.
 func (db *DB) verifyLogs(pace func(int64) error, done func(n uint32, owners []uint32, off int64, err error) bool) {
-	var nums []uint32
-	for _, p := range db.partitions() {
-		v := p.acquire()
-		nums = append(nums, v.logs...)
-		v.release()
-	}
-	slices.Sort(nums)
+	nums := db.vl.LogNums()
 	activeNum, activeOff, hasActive := db.vl.ActiveBound()
-	for _, n := range slices.Compact(nums) {
+	for _, n := range nums {
 		var owners []uint32
+		var held *version
 		for _, p := range db.partitions() {
 			v := p.acquire()
-			if v.hasLog(n) {
-				if owners == nil {
-					db.retainLogs([]uint32{n})
-				}
-				owners = append(owners, p.id)
+			if !v.hasLog(n) {
+				v.release()
+				continue
 			}
-			v.release()
+			owners = append(owners, p.id)
+			if held == nil {
+				held = v
+			} else {
+				v.release()
+			}
 		}
-		if owners == nil {
+		if held == nil {
 			continue
 		}
 		limit := int64(-1)
@@ -147,7 +143,7 @@ func (db *DB) verifyLogs(pace func(int64) error, done func(n uint32, owners []ui
 			limit = activeOff
 		}
 		_, off, err := db.vl.VerifyLogPrefix(n, limit, pace)
-		db.releaseLogs([]uint32{n})
+		held.release()
 		slices.Sort(owners)
 		if !done(n, owners, off, err) {
 			return

@@ -21,13 +21,9 @@ import (
 // which only grows (and, along a flush, the hash index inside uns — see
 // unsorted.Store).
 //
-// Lifetime: a version holds its files. publish takes one reference on every
-// table reader and one retention on every value log the version names, and
-// the version gives them back when its own count reaches zero — the
-// partition holds one count for the current version, each reader one from
-// acquire to release. So a file leaves the disk with the last version that
-// names it: install marks the tables a commit replaced obsolete, and the
-// reader's last Close removes the file.
+// Lifetime: a version names its files in the live-file registry (files.go)
+// from publish until its count reaches zero — the partition holds one count
+// for the current version, each reader one from acquire to release.
 //
 // A commit is a version diff: the job builds the successor, and the manifest
 // batch that makes it durable is derived from the pair (edits), never listed
@@ -47,20 +43,19 @@ type version struct {
 	srt *sorted.Store
 	// logs is the set of value logs the tables point into, ascending.
 	logs []uint32
+	// wals[i] is the WAL imm[i] is logged in, the last one mem's (0: none),
+	// ascending. ckpt is the hash checkpoint of uns (0: none).
+	wals []uint64
+	ckpt uint64
 
 	// Gauges, computed by publish. unsBytes, unsTables and nImm follow from
 	// the fields above; logBytes is the partition's share of its value logs
-	// (a log's size divided by the number of partitions whose current
-	// version names it) and size adds the tables, memtables and logBytes
-	// up. Both were exact when the version was published: mem and the
-	// active value log grow underneath them until the next publish, which
-	// comes at the latest when mem is full, and a job of another partition
-	// that changes a shared log's owner count republishes (refreshShares).
+	// (see DB.hold) and size adds the tables, memtables and logBytes up. Both
+	// were exact when the version was published: mem and the active value
+	// log grow underneath them until the next publish, which comes at the
+	// latest when mem is full, or when afterCommit finds the share stale.
 	nImm, unsTables          int
 	unsBytes, logBytes, size int64
-	// sharesAt is logRefs.moved as of logBytes: while they are equal no
-	// other partition's commit has changed this one's share of a log.
-	sharesAt uint64
 
 	refs atomic.Int32
 }
@@ -75,8 +70,8 @@ func (v *version) covers(key []byte) bool {
 
 // successor returns an unpublished copy of v for the caller to change.
 func (v *version) successor() *version {
-	return &version{p: v.p, upper: v.upper,
-		mem: v.mem, imm: v.imm, uns: v.uns, srt: v.srt, logs: v.logs}
+	return &version{p: v.p, upper: v.upper, mem: v.mem, imm: v.imm,
+		uns: v.uns, srt: v.srt, logs: v.logs, wals: v.wals, ckpt: v.ckpt}
 }
 
 // hasLog reports whether v names value log n.
@@ -99,41 +94,19 @@ func (p *partition) acquire() *version {
 
 // release drops one reference; the last one gives the files back.
 func (v *version) release() {
-	if v.refs.Add(-1) > 0 {
-		return
-	}
-	v.closeTables()
-	v.p.db.releaseLogs(v.logs)
-}
-
-// closeTables drops one reference on every table reader v names.
-func (v *version) closeTables() {
-	for _, t := range v.uns.Tables() {
-		t.Reader.Close()
-	}
-	for _, t := range v.srt.Tables() {
-		t.Reader.Close()
+	if v.refs.Add(-1) == 0 {
+		v.p.db.drop(v, nil)
 	}
 }
 
-// publish makes next the partition's current version: it takes next's hold
-// on its files, fills in the gauges, stores the pointer and drops the
-// partition's reference on the version it replaces. This is the only place
+// publish makes next the partition's current version: it names next's
+// files, fills in the gauges, stores the pointer and drops the partition's
+// reference on the version it replaces. This is the only place
 // partition.cur is stored. Requires p.mu held, except while the partition
 // is still private to its creator (open, split).
 func (p *partition) publish(next *version) {
-	for _, t := range next.uns.Tables() {
-		t.Reader.Ref()
-	}
-	for _, t := range next.srt.Tables() {
-		t.Reader.Ref()
-	}
 	old := p.cur.Load()
-	var oldLogs []uint32
-	if old != nil {
-		oldLogs = old.logs
-	}
-	next.logBytes, next.sharesAt = p.db.holdLogs(oldLogs, next.logs)
+	next.logBytes = p.db.hold(next)
 	next.nImm = len(next.imm)
 	next.unsTables = next.uns.NumTables()
 	next.unsBytes = next.uns.SizeBytes()
@@ -206,43 +179,15 @@ func (p *partition) commit(next *version, extra ...manifest.Edit) error {
 	return nil
 }
 
-// install publishes next as a committed change: every table the current
-// version names and next does not is marked obsolete, so the reader's last
-// Close — the replaced version's, or that of an older one a reader or
-// snapshot pins — removes the file (best effort; the orphan sweep covers
-// failures), and an UnsortedStore that was replaced rather than extended
-// takes its hash checkpoint along. A partition's first version (a split's
-// child) replaces nothing. Requires p.mu held, or the partition still
-// private to its creator.
+// install publishes next as a committed change; an UnsortedStore replaced
+// rather than extended drops its hash checkpoint, which indexes the old one.
+// Requires p.mu held, or the partition still private to its creator.
 func (p *partition) install(next *version) {
-	cur := p.cur.Load()
-	if cur == nil {
-		p.publish(next)
-		return
-	}
-	retire := func(num uint64, r *sstable.Reader) {
-		fs, name := p.db.fs, tableName(p.dir, num)
-		r.SetRetire(func() { fs.Remove(name) })
-	}
-	for _, t := range cur.uns.Tables() {
-		if !slices.Contains(next.uns.Tables(), t) {
-			retire(t.Meta.FileNum, t.Reader)
-		}
-	}
-	for _, t := range cur.srt.Tables() {
-		if !slices.Contains(next.srt.Tables(), t) {
-			retire(t.Meta.FileNum, t.Reader)
-		}
+	if cur := p.cur.Load(); cur != nil && cur.replacesUnsorted(next) {
+		next.ckpt = 0
+		p.flushesSinceCkpt = 0
 	}
 	p.publish(next)
-	if !cur.replacesUnsorted(next) {
-		return
-	}
-	if p.hashCkpt != 0 {
-		p.db.fs.Remove(ckptName(p.dir, p.hashCkpt))
-	}
-	p.hashCkpt = 0
-	p.flushesSinceCkpt = 0
 }
 
 // tableRef names one table of a version, for the walks over all of them.
@@ -264,68 +209,10 @@ func tablesOf(v *version) []tableRef {
 	return tables
 }
 
-// holdLogs retains every log in next for a version about to be published,
-// moves the partition's ownership from the logs of the version it replaces
-// to next, and returns the value-log bytes attributable to the partition —
-// each log's size divided by its number of owning partitions (a log shared
-// after a split counts half to each child until their lazy value splits
-// disentangle it) — with the count of share moves they were taken at.
-func (db *DB) holdLogs(old, next []uint32) (size int64, sharesAt uint64) {
-	db.logRefs.Lock()
-	defer db.logRefs.Unlock()
-	owners := db.logRefs.owners
-	for _, n := range old {
-		if _, kept := slices.BinarySearch(next, n); kept {
-			continue
-		}
-		if owners[n]--; owners[n] <= 0 {
-			delete(owners, n)
-		} else {
-			db.logRefs.moved++ // the remaining owners' shares grew
-		}
-	}
-	for _, n := range next {
-		db.logRefs.refs[n]++
-		if _, had := slices.BinarySearch(old, n); had {
-			continue
-		}
-		if owners[n]++; owners[n] > 1 {
-			db.logRefs.moved++ // the other owners' shares shrank
-		}
-	}
-	for _, n := range next {
-		size += db.vl.SizeOf(n) / int64(owners[n])
-	}
-	return size, db.logRefs.moved
-}
-
-// refreshShares gives p a version with exact gauges again if a partition
-// has joined or left a shared value log since p's current one was
-// published — another partition's GC makes p the sole owner of the logs
-// their common parent left them, say, and p's logBytes and size double
-// without p having changed. Reports whether it published.
-func (p *partition) refreshShares() bool {
-	p.db.logRefs.Lock()
-	moved := p.db.logRefs.moved
-	p.db.logRefs.Unlock()
-	if p.cur.Load().sharesAt == moved {
-		return false
-	}
-	p.mu.Lock()
-	p.publish(p.cur.Load().successor())
-	p.mu.Unlock()
-	return true
-}
-
-// mergeLogs returns logs plus the members of add, ascending. It never
+// mergeLogs returns logs plus add, ascending and without repeats. It never
 // changes logs, which a published version owns.
-func mergeLogs(logs []uint32, add map[uint32]bool) []uint32 {
-	out := slices.Clone(logs)
-	for n := range add {
-		if _, ok := slices.BinarySearch(logs, n); !ok {
-			out = append(out, n)
-		}
-	}
+func mergeLogs(logs []uint32, add ...uint32) []uint32 {
+	out := append(slices.Clone(logs), add...)
 	slices.Sort(out)
-	return out
+	return slices.Compact(out)
 }

@@ -75,16 +75,25 @@ func liveGauges(p *partition) gauges {
 
 // watchGauges checks every version db publishes from here on, at the moment
 // it becomes current: the gauges it caches must equal the values recomputed
-// from scratch. The log share is compared only with exact set — a test
-// whose maintenance all runs on the one goroutine that writes — because
-// another partition's merge may append to the shared active log between the
-// publish and the recount; the owner counts behind it are checked at rest
-// by checkLogAccounting either way.
+// from scratch, a log's owners counted over the current versions. The log
+// share is compared only with exact set — a test whose maintenance all runs
+// on the one goroutine that writes — because another partition's merge may
+// append to the shared active log between the publish and the recount; the
+// owner counts behind it are checked at rest by checkLogAccounting either
+// way.
 func watchGauges(t testing.TB, db *DB, exact bool) {
 	db.testHookPublish = func(v *version) {
-		db.logRefs.Lock()
-		want := scratchGauges(v, func(n uint32) int { return db.logRefs.owners[n] })
-		db.logRefs.Unlock()
+		db.liveFiles.Lock()
+		want := scratchGauges(v, func(n uint32) int {
+			owners := 0
+			for _, c := range db.liveFiles.current {
+				if c.hasLog(n) {
+					owners++
+				}
+			}
+			return owners
+		})
+		db.liveFiles.Unlock()
 		got := v.gauges()
 		if !exact {
 			want.size += got.logBytes - want.logBytes
@@ -96,10 +105,10 @@ func watchGauges(t testing.TB, db *DB, exact bool) {
 	}
 }
 
-// checkLogAccounting verifies the value logs' two counts while nothing is
-// running and no reader or snapshot pins an old version: a log's owners are
-// the partitions whose current version names it, its holders the same
-// versions, and every held log is on disk.
+// checkLogAccounting verifies the value logs' accounting while nothing is
+// running and no reader or snapshot pins an old version: a log's holders in
+// the live-file registry are exactly the current versions naming it, every
+// held log is on disk, and a partition idles with its exact share.
 func checkLogAccounting(t testing.TB, db *DB) {
 	t.Helper()
 	scan := ownersByScan(db)
@@ -110,19 +119,19 @@ func checkLogAccounting(t testing.TB, db *DB) {
 			seen[n] = true
 		}
 	}
-	db.logRefs.Lock()
-	defer db.logRefs.Unlock()
+	db.liveFiles.Lock()
+	defer db.liveFiles.Unlock()
 	for n := range seen {
-		if got, want := db.logRefs.owners[n], scan(n); got != want || db.logRefs.refs[n] != want {
-			t.Errorf("log %d: owners=%d holders=%d, but %d current versions name it", n, got, db.logRefs.refs[n], want)
+		if got, want := db.liveFiles.refs[logFile(n)], scan(n); got != want {
+			t.Errorf("log %d: %d holders, but %d current versions name it", n, got, want)
 		}
 		if !db.fs.Exists(filepath.Join(db.vlogDir(), vlog.LogName(n))) {
 			t.Errorf("log %d is named by a current version but not on disk", n)
 		}
 	}
-	for n, c := range db.logRefs.owners {
-		if !seen[n] {
-			t.Errorf("log %d has %d owners but no current version names it", n, c)
+	for f, c := range db.liveFiles.refs {
+		if f.kind == fileLog && !seen[uint32(f.num)] {
+			t.Errorf("log %d has %d holders but no current version names it", f.num, c)
 		}
 	}
 	// Background mode keeps every partition's share exact at rest: a job
@@ -133,17 +142,12 @@ func checkLogAccounting(t testing.TB, db *DB) {
 			t.Errorf("partition %d idles with logBytes %d, its logs and their owners say %d", p.id, v.logBytes, want)
 		}
 	}
-	for n, c := range db.logRefs.refs {
-		if !seen[n] {
-			t.Errorf("log %d has %d holders but no current version names it", n, c)
-		}
-	}
 }
 
 // TestVersionPutPathConsultsNoTriggers is the timing-free guard on the
 // write path: 10 000 puts into a memtable that never fills evaluate no
 // maintenance trigger and take neither the value-log manager's mutex nor
-// the log-reference mutex — the test holds both while the puts run.
+// the live-file registry's — the test holds both while the puts run.
 func TestVersionPutPathConsultsNoTriggers(t *testing.T) {
 	opts := bgOpts(vfs.NewMem())
 	opts.MemtableSize = 64 << 20
@@ -156,7 +160,7 @@ func TestVersionPutPathConsultsNoTriggers(t *testing.T) {
 	db.testHookPublish = func(*version) { publishes++ }
 
 	done := make(chan error, 1)
-	db.logRefs.Lock()
+	db.liveFiles.Lock()
 	db.vl.Exclusive(func() {
 		go func() {
 			for i := 0; i < 10000; i++ {
@@ -174,10 +178,10 @@ func TestVersionPutPathConsultsNoTriggers(t *testing.T) {
 		select {
 		case err = <-done:
 		case <-time.After(30 * time.Second):
-			err = errors.New("the put path waits for vlog.Manager's or logRefs' mutex")
+			err = errors.New("the put path waits for vlog.Manager's or the live-file registry's mutex")
 		}
 	})
-	db.logRefs.Unlock()
+	db.liveFiles.Unlock()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +232,7 @@ func TestVersionTriggersEvaluatedPerPublish(t *testing.T) {
 // evaluation gone: a partition that crosses ScanMergeLimit, UnsortedLimit,
 // GCRatio and PartitionSizeLimit gets its scan merge, merge, GC and split
 // from the evaluations at freezes and job commits alone — also past a flush
-// job that fails once and is retried.
+// job that fails once and is retried, which leaves no file behind.
 func TestVersionTriggersStayLive(t *testing.T) {
 	ffs := vfs.NewFail(vfs.NewMem())
 	opts := retryOpts(ffs)
@@ -264,7 +268,8 @@ func TestVersionTriggersStayLive(t *testing.T) {
 			t.Errorf("partition %d is idle with a trigger armed: %+v garbage=%d", p.id, v.gauges(), p.garbageBytes.Load())
 		}
 	}
-	checkLogAccounting(t, db) // the failed attempt's table stays for the next open's orphan sweep
+	checkLogAccounting(t, db)
+	checkFileSet(t, db) // the failed attempt's table went as its job ended
 }
 
 // TestVersionSharesFollowOtherPartitions: the children of a split share
@@ -332,8 +337,8 @@ func TestVersionSharesFollowOtherPartitions(t *testing.T) {
 	checkFileSet(t, db)
 }
 
-// probeFS reports every table read, table write and directory sync to a
-// callback.
+// probeFS reports every table read, write and sync, every hash-checkpoint
+// write and every directory sync to a callback.
 type probeFS struct {
 	vfs.FS
 	onIO func(op, name string)
@@ -354,6 +359,16 @@ func (fs *probeFS) Open(name string) (vfs.File, error) {
 		return f, err
 	}
 	return &probeFile{File: f, fs: fs, name: name}, nil
+}
+
+// WriteFile is how a hash checkpoint is created, written and synced.
+func (fs *probeFS) WriteFile(name string, data []byte) error {
+	if strings.HasSuffix(name, ".ckpt") {
+		for _, op := range []string{"Create", "Write", "Sync"} {
+			fs.onIO(op, name)
+		}
+	}
+	return fs.FS.WriteFile(name, data)
 }
 
 func (fs *probeFS) SyncDir(dir string) error {
@@ -377,11 +392,17 @@ func (f *probeFile) Write(p []byte) (int, error) {
 	return f.File.Write(p)
 }
 
+func (f *probeFile) Sync() error {
+	f.fs.onIO("Sync", f.name)
+	return f.File.Sync()
+}
+
 // TestVersionCommitsDoNoIOUnderLock holds every maintenance job, on either
-// executor, to the one job shape: no table is created, written or read with
-// a partition lock held — flush, merge, scan merge, GC and split build in
-// front of it — and a structural job's commit under it is the manifest edit
-// and the publish, without a directory sync. (Before the inline twins were
+// executor, to the one job shape: no table is created, written, synced or
+// read, and no hash checkpoint created, written or synced, with a partition
+// lock held — flush, merge, scan merge, GC, split and the checkpoint build
+// in front of it — and a structural job's commit under it is the manifest
+// edit and the publish, without a directory sync. (Before the inline twins were
 // deleted a zero-worker store did all of a job under the lock.) The writer
 // pauses while pooled jobs run and a pooled job parks before it starts while
 // the writer runs, so whoever holds a partition lock when a table I/O
@@ -394,12 +415,13 @@ func TestVersionCommitsDoNoIOUnderLock(t *testing.T) {
 				structural atomic.Pointer[partition]
 				parts      sync.Map // every partition that ever published
 				checked    atomic.Int64
+				ckpts      atomic.Int64 // hash-checkpoint I/Os seen
 			)
 			fs := &probeFS{FS: vfs.NewMem()}
 			fs.onIO = func(op, name string) {
 				if op == "SyncDir" {
-					// Outside a structural job the WAL rotation and the hash
-					// checkpoint sync the directory under the lock.
+					// Outside a structural job a WAL rotation syncs the
+					// directory under the lock.
 					if p := structural.Load(); p != nil && !p.mu.TryLock() {
 						t.Errorf("SyncDir %s with partition %d's lock held by its structural job", name, p.id)
 					} else if p != nil {
@@ -408,6 +430,9 @@ func TestVersionCommitsDoNoIOUnderLock(t *testing.T) {
 					return
 				}
 				checked.Add(1)
+				if strings.HasSuffix(name, ".ckpt") {
+					ckpts.Add(1)
+				}
 				parts.Range(func(k, _ any) bool {
 					p := k.(*partition)
 					if !p.mu.TryLock() {
@@ -452,9 +477,9 @@ func TestVersionCommitsDoNoIOUnderLock(t *testing.T) {
 			}
 			gate.Unlock()
 			m := db.Metrics()
-			if m.Merges == 0 || m.ScanMerges == 0 || m.GCs == 0 || m.Splits == 0 || checked.Load() == 0 {
-				t.Fatalf("nothing to check: merges=%d scan-merges=%d gcs=%d splits=%d, %d I/Os seen",
-					m.Merges, m.ScanMerges, m.GCs, m.Splits, checked.Load())
+			if m.Merges == 0 || m.ScanMerges == 0 || m.GCs == 0 || m.Splits == 0 || ckpts.Load() == 0 {
+				t.Fatalf("nothing to check: merges=%d scan-merges=%d gcs=%d splits=%d, %d I/Os seen, %d of checkpoints",
+					m.Merges, m.ScanMerges, m.GCs, m.Splits, checked.Load(), ckpts.Load())
 			}
 		})
 	}

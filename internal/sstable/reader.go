@@ -44,17 +44,6 @@ type Reader struct {
 	// excluded), powering the read-amplification and access-frequency
 	// experiments.
 	BlockReads atomic.Int64
-
-	// refs counts owners of the reader: the store that opened it plus any
-	// live snapshot pinning it. Close decrements; resources are released
-	// only when the last owner closes, so a snapshot can keep reading a
-	// table the engine has already retired.
-	refs atomic.Int32
-
-	// retire, when set, runs after the last Close releases the file —
-	// the engine uses it to defer deleting a retired table file until no
-	// snapshot can reach it.
-	retire func()
 }
 
 // SetCache attaches the shared block cache, which accounts this table's
@@ -103,7 +92,6 @@ func Open(f vfs.File) (*Reader, error) {
 	}
 
 	r := &Reader{f: f, size: size}
-	r.refs.Store(1)
 
 	meta, err := r.readChecked(metaOff, metaLen)
 	if err != nil {
@@ -391,31 +379,12 @@ func (r *Reader) Size() int64 { return r.size }
 // NumBlocks returns the number of data blocks.
 func (r *Reader) NumBlocks() int { return len(r.index) }
 
-// Ref adds an owner: a matching Close is required before the reader's
-// resources are released. Snapshots pin tables this way.
-func (r *Reader) Ref() { r.refs.Add(1) }
-
-// SetRetire registers fn to run after the final Close has released the
-// file and evicted the cache. The engine points it at the table file's
-// deletion so retirement waits for the last snapshot pin to drop. Call
-// from the retirement path (single goroutine) before that path's Close.
-func (r *Reader) SetRetire(fn func()) { r.retire = fn }
-
-// Close drops one ownership reference. When the last owner closes, the
-// underlying file is released, the table's cached blocks are dropped, and
-// any retire hook runs. Every retirement path (merge, scan merge, GC,
-// split) closes the old readers, so eviction here keeps the cache free of
-// dead tables.
+// Close releases the file and drops the table's cached blocks. The engine
+// closes a reader exactly when it removes the table's file, so the cache
+// never holds the blocks of a dead table.
 func (r *Reader) Close() error {
-	if r.refs.Add(-1) > 0 {
-		return nil
-	}
 	r.cache.Close()
-	err := r.f.Close()
-	if r.retire != nil {
-		r.retire()
-	}
-	return err
+	return r.f.Close()
 }
 
 // VerifyChecksums is the one walk over a table's bytes — the engine's

@@ -74,10 +74,8 @@ type Manager struct {
 	scratch   Batch              // Append's one-value batch (guarded by mu)
 	ptr1      [1]record.ValuePtr // and its pointer
 
-	sizes   map[uint32]int64  // total bytes per log
-	garbage map[uint32]int64  // dead bytes per log (greedy GC accounting)
-	pins    map[uint64]uint32 // open append windows: token → lowest log num
-	pinSeq  uint64
+	sizes   map[uint32]int64 // total bytes per log
+	garbage map[uint32]int64 // dead bytes per log (greedy GC accounting)
 
 	// readers is the read-handle table, published copy-on-write: readers
 	// Load it without a lock (so no read ever queues behind an Append's
@@ -114,7 +112,6 @@ func Open(fs vfs.FS, dir string, opts Options) (*Manager, error) {
 		opts:    opts,
 		sizes:   make(map[uint32]int64),
 		garbage: make(map[uint32]int64),
-		pins:    make(map[uint64]uint32),
 	}
 	m.readers.Store(&map[uint32]vfs.File{})
 	names, err := fs.List(dir)
@@ -359,8 +356,8 @@ func (d *DedicatedLog) Size() int64 { return d.off }
 
 // Append stages one value and returns the pointer it will have. A failed
 // write poisons the whole log: the owning job fails, the file is abandoned
-// (orphan cleanup removes it at the next open), and a retry starts over on
-// a fresh dedicated log.
+// (the engine removes it as the job ends), and a retry starts over on a
+// fresh dedicated log.
 func (d *DedicatedLog) Append(value []byte) (record.ValuePtr, error) {
 	d.stage = frameInto(d.stage, value)
 	return d.placed(uint32(len(value)))
@@ -676,47 +673,6 @@ func (m *Manager) SealActive() error {
 	}
 	m.active = nil
 	return nil
-}
-
-// Pin opens an append window and returns its token: until Unpin, every
-// log numbered at or above the window's bound may be receiving values
-// whose pointers are not yet visible to readers. GC must treat those
-// logs as live (see MinPinned) — the active log can rotate mid-merge,
-// and without the pin a concurrent GC in another partition could
-// collect-and-delete the pre-rotation log while the merge still holds
-// uncommitted pointers into it.
-func (m *Manager) Pin() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	bound := m.nextNum
-	if m.active != nil {
-		bound = m.activeNum
-	}
-	m.pinSeq++
-	m.pins[m.pinSeq] = bound
-	return m.pinSeq
-}
-
-// Unpin closes the append window opened by Pin.
-func (m *Manager) Unpin(token uint64) {
-	m.mu.Lock()
-	delete(m.pins, token)
-	m.mu.Unlock()
-}
-
-// MinPinned returns the lowest bound across open append windows, or
-// (0, false) when none are open.
-func (m *Manager) MinPinned() (uint32, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var min uint32
-	ok := false
-	for _, b := range m.pins {
-		if !ok || b < min {
-			min, ok = b, true
-		}
-	}
-	return min, ok
 }
 
 // ActiveNum returns the number of the log currently receiving appends, or

@@ -608,58 +608,6 @@ func TestVerifyLog(t *testing.T) {
 	}
 }
 
-func TestPinWindow(t *testing.T) {
-	fs := vfs.NewMem()
-	m := newMgr(t, fs, Options{MaxLogSize: 128})
-	defer m.Close()
-
-	if _, ok := m.MinPinned(); ok {
-		t.Fatal("fresh manager reports a pinned window")
-	}
-
-	// Pin before any append: the bound covers the first log to be created.
-	pin1 := m.Pin()
-	ptr, err := m.Append(make([]byte, 32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	bound, ok := m.MinPinned()
-	if !ok || bound > ptr.LogNum {
-		t.Fatalf("MinPinned=(%d,%v), appended into log %d", bound, ok, ptr.LogNum)
-	}
-
-	// A second pin taken mid-stream covers the current active log; the
-	// minimum still reflects the older window.
-	pin2 := m.Pin()
-	if got, _ := m.MinPinned(); got != bound {
-		t.Fatalf("MinPinned moved to %d with older pin live", got)
-	}
-	m.Unpin(pin1)
-	got, ok := m.MinPinned()
-	if !ok || got < bound {
-		t.Fatalf("MinPinned=(%d,%v) after releasing older pin", got, ok)
-	}
-	m.Unpin(pin2)
-	if _, ok := m.MinPinned(); ok {
-		t.Fatal("window still pinned after both Unpins")
-	}
-
-	// Rotation during a pinned window: every log receiving appends stays
-	// at or above the bound.
-	pin3 := m.Pin()
-	bound, _ = m.MinPinned()
-	for i := 0; i < 20; i++ {
-		ptr, err := m.Append(make([]byte, 64))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ptr.LogNum < bound {
-			t.Fatalf("append landed in log %d below pinned bound %d", ptr.LogNum, bound)
-		}
-	}
-	m.Unpin(pin3)
-}
-
 var benchSink []byte
 
 // benchLog is a manager whose first log holds n 1 KiB values.
