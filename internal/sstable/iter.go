@@ -9,7 +9,7 @@ import (
 // data blocks lazily.
 type Iterator struct {
 	r        *Reader
-	noFill   bool // maintenance pass: read through the cache, never populate it
+	fill     fillMode // noFill for a maintenance pass: read through the cache, never populate it
 	blockIdx int
 	pb       parsedBlock
 	pos      int // record index within pb; pb.n means exhausted
@@ -20,7 +20,7 @@ type Iterator struct {
 
 // NewIterator returns an iterator positioned before the first record.
 func (r *Reader) NewIterator() *Iterator {
-	return &Iterator{r: r, blockIdx: -1}
+	return &Iterator{r: r, blockIdx: -1, fill: fillPlain}
 }
 
 // NewMaintIterator returns an iterator for a one-shot pass over the whole
@@ -28,12 +28,12 @@ func (r *Reader) NewIterator() *Iterator {
 // after. It takes blocks the cache already holds but never adds the ones
 // it reads, so a maintenance job cannot evict the read path's hot set.
 func (r *Reader) NewMaintIterator() *Iterator {
-	return &Iterator{r: r, blockIdx: -1, noFill: true}
+	return &Iterator{r: r, blockIdx: -1, fill: noFill}
 }
 
 // Reset repositions the iterator before the first record of r, keeping its
 // mode (NewIterator or NewMaintIterator) and dropping its block.
-func (it *Iterator) Reset(r *Reader) { *it = Iterator{r: r, blockIdx: -1, noFill: it.noFill} }
+func (it *Iterator) Reset(r *Reader) { *it = Iterator{r: r, blockIdx: -1, fill: it.fill} }
 
 // Err returns the first I/O or corruption error encountered.
 func (it *Iterator) Err() error { return it.err }
@@ -61,7 +61,7 @@ func (it *Iterator) First() bool {
 
 // loadBlock reads and parses block i, positioning before its first record.
 func (it *Iterator) loadBlock(i int) bool {
-	b, err := it.r.readBlock(i, !it.noFill)
+	b, err := it.r.readBlock(i, it.fill)
 	if err != nil {
 		it.err = err
 		it.valid = false

@@ -1,8 +1,11 @@
 package sstable
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"hash/maphash"
+	"slices"
 	"sync/atomic"
 
 	"unikv/internal/cache"
@@ -93,7 +96,7 @@ func Open(f vfs.File) (*Reader, error) {
 
 	r := &Reader{f: f, size: size}
 
-	meta, err := r.readChecked(metaOff, metaLen)
+	meta, err := r.readChecked(metaOff, metaLen, false)
 	if err != nil {
 		return nil, err
 	}
@@ -124,7 +127,7 @@ func Open(f vfs.File) (*Reader, error) {
 	r.largest = append([]byte(nil), largest...)
 	r.filter = append([]byte(nil), filter...)
 
-	index, err := r.readChecked(indexOff, indexLen)
+	index, err := r.readChecked(indexOff, indexLen, false)
 	if err != nil {
 		return nil, err
 	}
@@ -148,12 +151,21 @@ func Open(f vfs.File) (*Reader, error) {
 
 // readChecked reads a payload and verifies its trailing CRC. Bounds come
 // from the footer or index, which a corrupted file controls, so they are
-// validated against the file size before allocating.
-func (r *Reader) readChecked(off uint64, length uint32) ([]byte, error) {
+// validated against the file size before allocating. The buffer is exactly
+// payload + CRC, or with spare set, as large as the allocator's size class
+// makes it anyway: the payload's capacity then runs on past the CRC into
+// slack that hashBlock can use.
+func (r *Reader) readChecked(off uint64, length uint32, spare bool) ([]byte, error) {
 	if off > uint64(r.size) || uint64(length)+4 > uint64(r.size)-off {
 		return nil, ErrCorruptTable
 	}
-	buf := make([]byte, int(length)+4)
+	n := int(length) + 4
+	var buf []byte
+	if spare {
+		buf = slices.Grow(buf, n)[:n]
+	} else {
+		buf = make([]byte, n)
+	}
 	if _, err := r.f.ReadAt(buf, int64(off)); err != nil {
 		return nil, fmt.Errorf("sstable: read @%d+%d: %w", off, length, err)
 	}
@@ -166,25 +178,96 @@ func (r *Reader) readChecked(off uint64, length uint32) ([]byte, error) {
 	return payload, nil
 }
 
-// readBlock fetches data block i, consulting the attached cache first and,
-// when fill is set, leaving the block there for the next reader. The
-// returned bytes may be shared with the cache and other readers: callers
-// must treat them as immutable (records parsed from a block are copied
-// before they leave the engine).
-func (r *Reader) readBlock(i int, fill bool) ([]byte, error) {
+// fillMode is what a block read that misses the cache leaves in it.
+type fillMode uint8
+
+const (
+	noFill     fillMode = iota // maintenance passes: read through, add nothing
+	fillPlain                  // iterators and LoadBlock: the block as read
+	fillHashed                 // point reads: the block with its hash (hashBlock)
+)
+
+// readBlock fetches data block i, consulting the attached cache first and
+// leaving the block there for the next reader as fill says. The returned
+// bytes may be shared with the cache and other readers: callers must treat
+// them as immutable (records parsed from a block are copied before they
+// leave the engine).
+func (r *Reader) readBlock(i int, fill fillMode) ([]byte, error) {
 	if b, ok := r.cache.Get(i); ok {
 		return b, nil
 	}
 	h := r.index[i]
 	r.BlockReads.Add(1)
-	b, err := r.readChecked(h.offset, h.length)
+	hashed := fill == fillHashed && r.cache != nil
+	b, err := r.readChecked(h.offset, h.length, hashed)
 	if err != nil {
 		return nil, err
 	}
-	if fill {
+	if hashed {
+		b = hashBlock(b)
+	}
+	if fill != noFill {
 		r.cache.Add(i, b)
 	}
 	return b, nil
+}
+
+// The block hash: a point read's index of the cached block it filled, from
+// key to the newest record of that key, so that a lookup reads one bucket,
+// that record's trailer entry and the record instead of binary-searching
+// the offset trailer. It lives in
+// the slack of the block's buffer, behind the payload and its CRC — 2 bytes
+// a bucket, {record index + 1 (0: empty), 8-bit tag}, linear probing — and
+// never reaches the disk: the cache is charged the payload alone, and the
+// buffer is the one allocation the read makes anyway. A block's capacity
+// ends at its CRC when it has no hash and at its last bucket when it has one.
+
+// blockHashSeed seeds the block hash. Each process picks its own: the hash
+// is built in memory from the block it indexes and never stored.
+var blockHashSeed = maphash.MakeSeed()
+
+// maxHashedRecords is the most records a hashed block holds: a bucket names
+// its record in one byte.
+const maxHashedRecords = 255
+
+// bucketOf maps a key hash onto nb buckets (multiply-shift, no division).
+func bucketOf(h uint64, nb int) int { return int(uint64(uint32(h)) * uint64(nb) >> 32) }
+
+// hashBlock builds the block hash into the slack of a point read's buffer
+// and returns the payload with its capacity ending at the last bucket. A
+// block it cannot hash — fewer than 2 buckets of slack per record, more than
+// maxHashedRecords records, or a record that does not decode — comes back
+// with its capacity ending at the CRC, to be binary-searched.
+func hashBlock(block []byte) []byte {
+	end := len(block) + 4
+	plain := block[:len(block):end]
+	nb := (cap(block) - end) / 2
+	pb, err := parseBlock(block)
+	if err != nil || pb.n > maxHashedRecords || nb < 2*pb.n {
+		return plain
+	}
+	buckets := block[end : end+2*nb]
+	clear(buckets)
+	var prev []byte
+	for i := 0; i < pb.n; i++ {
+		key, err := pb.keyAt(i)
+		if err != nil {
+			return plain
+		}
+		if i > 0 && bytes.Equal(key, prev) {
+			continue // an older version: the bucket names the newest
+		}
+		prev = key
+		h := maphash.Bytes(blockHashSeed, key)
+		b := bucketOf(h, nb)
+		for buckets[2*b] != 0 {
+			if b++; b == nb {
+				b = 0
+			}
+		}
+		buckets[2*b], buckets[2*b+1] = byte(i+1), byte(h>>56)
+	}
+	return block[: len(block) : end+2*nb]
 }
 
 // Block is a parsed data block handed out by LoadBlock for positional
@@ -215,7 +298,7 @@ func (r *Reader) LoadBlock(i int) (Block, error) {
 	if i < 0 || i >= len(r.index) {
 		return Block{}, ErrCorruptTable
 	}
-	raw, err := r.readBlock(i, true)
+	raw, err := r.readBlock(i, fillPlain)
 	if err != nil {
 		return Block{}, err
 	}
@@ -232,6 +315,7 @@ type parsedBlock struct {
 	data    []byte // record region
 	offsets []byte // 2 bytes LE per record
 	n       int
+	buckets []byte // the block hash; empty when the block has none
 }
 
 // parseBlock validates and splits a block payload.
@@ -244,11 +328,15 @@ func parseBlock(block []byte) (parsedBlock, error) {
 	if n == 0 || trailer > len(block) {
 		return parsedBlock{}, ErrCorruptTable
 	}
-	return parsedBlock{
+	pb := parsedBlock{
 		data:    block[:len(block)-trailer],
 		offsets: block[len(block)-trailer : len(block)-2],
 		n:       n,
-	}, nil
+	}
+	if end := len(block) + 4; cap(block) > end {
+		pb.buckets = block[end:cap(block)]
+	}
+	return pb, nil
 }
 
 // at returns the byte offset of record i.
@@ -295,6 +383,36 @@ func (p parsedBlock) search(target []byte) (int, error) {
 	return lo, nil
 }
 
+// find returns the newest record whose key is key: through the block hash
+// when the block has one — an empty bucket answers "absent" without touching
+// a record — else by binary search.
+func (p parsedBlock) find(key []byte) (record.Record, bool, error) {
+	if nb := len(p.buckets) / 2; nb > 0 {
+		h := maphash.Bytes(blockHashSeed, key)
+		for b := bucketOf(h, nb); p.buckets[2*b] != 0; {
+			if p.buckets[2*b+1] == byte(h>>56) {
+				rec, err := p.recordAt(int(p.buckets[2*b]) - 1)
+				if err != nil || bytes.Equal(rec.Key, key) {
+					return rec, err == nil, err
+				}
+			}
+			if b++; b == nb {
+				b = 0
+			}
+		}
+		return record.Record{}, false, nil
+	}
+	i, err := p.search(key)
+	if err != nil || i >= p.n {
+		return record.Record{}, false, err
+	}
+	rec, err := p.recordAt(i)
+	if err != nil || !bytes.Equal(rec.Key, key) {
+		return record.Record{}, false, err
+	}
+	return rec, true, nil
+}
+
 // blockFor returns the index of the first block whose lastKey >= key, or
 // len(index) if key is past the table.
 func (r *Reader) blockFor(key []byte) int {
@@ -322,7 +440,7 @@ func (r *Reader) Get(key []byte) (record.Record, bool, error) {
 	if bi >= len(r.index) {
 		return record.Record{}, false, nil
 	}
-	block, err := r.readBlock(bi, true)
+	block, err := r.readBlock(bi, fillHashed)
 	if err != nil {
 		return record.Record{}, false, err
 	}
@@ -330,24 +448,10 @@ func (r *Reader) Get(key []byte) (record.Record, bool, error) {
 	if err != nil {
 		return record.Record{}, false, err
 	}
-	i, err := pb.search(key)
-	if err != nil {
-		return record.Record{}, false, err
-	}
-	if i >= pb.n {
-		return record.Record{}, false, nil
-	}
-	rec, err := pb.recordAt(i)
-	if err != nil {
-		return record.Record{}, false, err
-	}
-	if codec.Compare(rec.Key, key) != 0 {
-		return record.Record{}, false, nil
-	}
 	// The record aliases the block buffer, which is either freshly
 	// allocated or a shared immutable cache resident; callers copy before
 	// exposing bytes outside the engine and never mutate records in place.
-	return rec, true, nil
+	return pb.find(key)
 }
 
 // MayContain consults the Bloom filter (true when absent or no filter).
@@ -415,7 +519,7 @@ func (r *Reader) VerifyChecksums(pace func(int64) error) (int, error) {
 func (r *Reader) VerifyBlock(i int) (int64, error) {
 	h := r.index[i]
 	r.BlockReads.Add(1)
-	block, err := r.readChecked(h.offset, h.length)
+	block, err := r.readChecked(h.offset, h.length, false)
 	if err != nil {
 		return 0, fmt.Errorf("block %d: %w", i, err)
 	}

@@ -6,7 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -59,10 +61,37 @@ func sortedRecords(n int, valSize int) []record.Record {
 	return recs
 }
 
-func TestBuildAndGet(t *testing.T) {
+// bothPaths runs a Get-shaped test twice: on an uncached reader, which
+// binary-searches every block, and on a cached one, whose point reads fill
+// blocks that carry the block hash and look records up through it.
+func bothPaths(t *testing.T, test func(t *testing.T, attach func(*Reader))) {
+	t.Run("uncached", func(t *testing.T) { test(t, func(*Reader) {}) })
+	t.Run("cached", func(t *testing.T) {
+		test(t, func(r *Reader) { r.SetCache(cache.New(8<<20, 0), 1) })
+	})
+}
+
+// hashed reports whether a block buffer carries the block hash: its
+// capacity runs past the CRC.
+func hashed(block []byte) bool { return cap(block) > len(block)+4 }
+
+// resident returns block i as r's cache holds it.
+func resident(t *testing.T, r *Reader, i int) []byte {
+	t.Helper()
+	b, ok := r.cache.Get(i)
+	if !ok {
+		t.Fatalf("block %d is not resident", i)
+	}
+	return b
+}
+
+func TestBuildAndGet(t *testing.T) { bothPaths(t, testBuildAndGet) }
+
+func testBuildAndGet(t *testing.T, attach func(*Reader)) {
 	fs := vfs.NewMem()
 	recs := sortedRecords(1000, 64)
 	r := buildTable(t, fs, "t.sst", BuilderOptions{}, recs)
+	attach(r)
 	defer r.Close()
 
 	if r.Count() != 1000 {
@@ -90,13 +119,16 @@ func TestBuildAndGet(t *testing.T) {
 	}
 }
 
-func TestMultipleVersions(t *testing.T) {
+func TestMultipleVersions(t *testing.T) { bothPaths(t, testMultipleVersions) }
+
+func testMultipleVersions(t *testing.T, attach func(*Reader)) {
 	fs := vfs.NewMem()
 	recs := []record.Record{
 		{Key: []byte("k"), Seq: 9, Kind: record.KindSet, Value: []byte("new")},
 		{Key: []byte("k"), Seq: 3, Kind: record.KindSet, Value: []byte("old")},
 	}
 	r := buildTable(t, fs, "t.sst", BuilderOptions{}, recs)
+	attach(r)
 	defer r.Close()
 	got, ok, err := r.Get([]byte("k"))
 	if err != nil || !ok || string(got.Value) != "new" {
@@ -191,7 +223,9 @@ func TestNoBloomWhenDisabled(t *testing.T) {
 	}
 }
 
-func TestValuePointerRecords(t *testing.T) {
+func TestValuePointerRecords(t *testing.T) { bothPaths(t, testValuePointerRecords) }
+
+func testValuePointerRecords(t *testing.T, attach func(*Reader)) {
 	fs := vfs.NewMem()
 	ptr := record.ValuePtr{Partition: 1, LogNum: 7, Offset: 4096, Length: 100}
 	recs := []record.Record{
@@ -199,6 +233,7 @@ func TestValuePointerRecords(t *testing.T) {
 		{Key: []byte("b"), Seq: 2, Kind: record.KindDelete},
 	}
 	r := buildTable(t, fs, "t.sst", BuilderOptions{}, recs)
+	attach(r)
 	defer r.Close()
 	got, ok, err := r.Get([]byte("a"))
 	if err != nil || !ok || got.Kind != record.KindSetPtr {
@@ -278,7 +313,9 @@ func TestEstimatedSizeGrows(t *testing.T) {
 
 // TestQuickRoundTrip: random sorted key sets round-trip through the table
 // and agree with a model on Get + full iteration.
-func TestQuickRoundTrip(t *testing.T) {
+func TestQuickRoundTrip(t *testing.T) { bothPaths(t, testQuickRoundTrip) }
+
+func testQuickRoundTrip(t *testing.T, attach func(*Reader)) {
 	f := func(seed int64, bloom bool) bool {
 		rnd := rand.New(rand.NewSource(seed))
 		n := rnd.Intn(400) + 1
@@ -316,6 +353,7 @@ func TestQuickRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		attach(r)
 		defer r.Close()
 		for _, rec := range recs {
 			got, ok, err := r.Get(rec.Key)
@@ -382,7 +420,9 @@ func TestEmptyTable(t *testing.T) {
 	}
 }
 
-func TestHugeRecordsBlockOffsets(t *testing.T) {
+func TestHugeRecordsBlockOffsets(t *testing.T) { bothPaths(t, testHugeRecordsBlockOffsets) }
+
+func testHugeRecordsBlockOffsets(t *testing.T, attach func(*Reader)) {
 	// Records large enough that a block would blow the uint16 offset
 	// budget if the builder didn't flush early.
 	fs := vfs.NewMem()
@@ -397,6 +437,7 @@ func TestHugeRecordsBlockOffsets(t *testing.T) {
 	}
 	// Oversized block target tries to pack several 30 KB records together.
 	r := buildTable(t, fs, "huge.sst", BuilderOptions{BlockSize: 1 << 20}, recs)
+	attach(r)
 	defer r.Close()
 	for _, rec := range recs {
 		got, ok, err := r.Get(rec.Key)
@@ -414,10 +455,13 @@ func TestHugeRecordsBlockOffsets(t *testing.T) {
 	}
 }
 
-func TestSingleRecordTable(t *testing.T) {
+func TestSingleRecordTable(t *testing.T) { bothPaths(t, testSingleRecordTable) }
+
+func testSingleRecordTable(t *testing.T, attach func(*Reader)) {
 	fs := vfs.NewMem()
 	recs := []record.Record{{Key: []byte("only"), Seq: 1, Kind: record.KindSet, Value: []byte("v")}}
 	r := buildTable(t, fs, "one.sst", BuilderOptions{}, recs)
+	attach(r)
 	defer r.Close()
 	if got, ok, _ := r.Get([]byte("only")); !ok || string(got.Value) != "v" {
 		t.Fatal("single record lost")
@@ -690,6 +734,245 @@ func TestGetOutsideRange(t *testing.T) {
 	}
 }
 
+// TestGetNewestVersion: a key's versions may share a block or straddle a
+// block boundary; either way Get returns the newest, and a key between two
+// stored keys is absent.
+func TestGetNewestVersion(t *testing.T) { bothPaths(t, testGetNewestVersion) }
+
+func testGetNewestVersion(t *testing.T, attach func(*Reader)) {
+	var recs []record.Record
+	newest := map[string]uint64{}
+	seq := uint64(1 << 20)
+	for i := 0; i < 300; i++ {
+		key := []byte(fmt.Sprintf("key-%04d", i))
+		newest[string(key)] = seq
+		for v := 0; v <= i%7; v++ {
+			recs = append(recs, record.Record{Key: key, Seq: seq, Kind: record.KindSet, Value: bytes.Repeat([]byte{byte(v)}, 300)})
+			seq--
+		}
+	}
+	r := buildTable(t, vfs.NewMem(), "v.sst", BuilderOptions{}, recs)
+	attach(r)
+	defer r.Close()
+
+	// The table must hold both shapes: versions inside one block, and a
+	// key whose versions straddle a boundary.
+	inBlock, straddles := false, false
+	it := r.NewMaintIterator()
+	var prevKey []byte
+	prevBlock := -1
+	for ok := it.First(); ok; ok = it.Next() {
+		b, _ := it.Position()
+		if bytes.Equal(it.Record().Key, prevKey) {
+			inBlock = inBlock || b == prevBlock
+			straddles = straddles || b != prevBlock
+		}
+		prevKey, prevBlock = append(prevKey[:0], it.Record().Key...), b
+	}
+	if !inBlock || !straddles {
+		t.Fatalf("table shape: versions in one block %v, across a boundary %v", inBlock, straddles)
+	}
+
+	for key, seq := range newest {
+		got, ok, err := r.Get([]byte(key))
+		if err != nil || !ok || got.Seq != seq || got.Value[0] != 0 {
+			t.Fatalf("Get(%q) = seq %d ok=%v err=%v, want the newest, seq %d", key, got.Seq, ok, err, seq)
+		}
+		if _, ok, err := r.Get([]byte(key + "\x00")); ok || err != nil {
+			t.Fatalf("Get(%q+0x00): found=%v err=%v", key, ok, err)
+		}
+	}
+	for i := 0; i < r.NumBlocks(); i++ {
+		if b, ok := r.cache.Get(i); ok && !hashed(b) {
+			t.Fatalf("block %d, filled by a point read, has no hash", i)
+		}
+	}
+}
+
+// TestGetManyTinyRecords: a block of more than 255 records is not hashed —
+// a bucket names its record in one byte — and Get binary-searches it.
+func TestGetManyTinyRecords(t *testing.T) { bothPaths(t, testGetManyTinyRecords) }
+
+func testGetManyTinyRecords(t *testing.T, attach func(*Reader)) {
+	var recs []record.Record
+	for i := 0; i < 3000; i++ {
+		recs = append(recs, record.Record{Key: []byte(fmt.Sprintf("k%05d", 2*i)), Seq: uint64(i + 1), Kind: record.KindSet})
+	}
+	r := buildTable(t, vfs.NewMem(), "tiny.sst", BuilderOptions{}, recs)
+	attach(r)
+	defer r.Close()
+	for i, rec := range recs {
+		if got, ok, err := r.Get(rec.Key); err != nil || !ok || got.Seq != rec.Seq {
+			t.Fatalf("Get(%q): seq %d ok=%v err=%v", rec.Key, got.Seq, ok, err)
+		}
+		if _, ok, err := r.Get([]byte(fmt.Sprintf("k%05d", 2*i+1))); ok || err != nil {
+			t.Fatalf("absent key %d: found=%v err=%v", 2*i+1, ok, err)
+		}
+	}
+	for i := 0; i < r.NumBlocks()-1; i++ { // the last block holds the remainder
+		if b, ok := r.cache.Get(i); ok {
+			if pb, _ := parseBlock(b); pb.n <= maxHashedRecords || hashed(b) {
+				t.Fatalf("block %d: %d records, hashed %v", i, pb.n, hashed(b))
+			}
+		}
+	}
+	// Such blocks have little slack too; with room to spare it is still not hashed.
+	raw, err := r.readChecked(r.index[0].offset, r.index[0].length, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	roomy := append(make([]byte, 0, len(raw)+4+16*maxHashedRecords), raw...)
+	if b := hashBlock(roomy); hashed(b) {
+		t.Fatal("a block of more than 255 records was hashed")
+	}
+}
+
+// TestGetWithoutSlack: a block whose buffer has less slack than 2 buckets a
+// record — none at all when payload and CRC fill a size class exactly — is
+// not hashed, and Get binary-searches it; from 2 buckets a record it is.
+func TestGetWithoutSlack(t *testing.T) {
+	seen := map[bool]bool{}
+	noSlack := false
+	for vlen := 3900; vlen < 4100; vlen++ {
+		recs := []record.Record{
+			{Key: []byte("a"), Seq: 2, Kind: record.KindSet, Value: []byte("x")},
+			{Key: []byte("b"), Seq: 1, Kind: record.KindSet, Value: make([]byte, vlen)},
+		}
+		r := buildTable(t, vfs.NewMem(), "s.sst", BuilderOptions{}, recs)
+		r.SetCache(cache.New(8<<20, 0), 1)
+		n := int(r.index[0].length) + 4
+		slack := cap(slices.Grow([]byte(nil), n)) - n
+		for _, rec := range recs {
+			if got, ok, err := r.Get(rec.Key); err != nil || !ok || got.Seq != rec.Seq {
+				t.Fatalf("slack %d: Get(%q) ok=%v err=%v", slack, rec.Key, ok, err)
+			}
+		}
+		for _, k := range []string{"", "a\x00", "c"} {
+			if _, ok, err := r.Get([]byte(k)); ok || err != nil {
+				t.Fatalf("slack %d: Get(%q) found=%v err=%v", slack, k, ok, err)
+			}
+		}
+		want := slack/2 >= 2*len(recs)
+		if got := hashed(resident(t, r, 0)); got != want {
+			t.Fatalf("%d bytes of slack for %d records: hashed %v", slack, len(recs), got)
+		}
+		seen[want] = true
+		noSlack = noSlack || slack == 0
+		r.Close()
+	}
+	if !seen[true] || !seen[false] || !noSlack {
+		t.Fatalf("cases covered: hashed %v, not hashed %v, no slack at all %v", seen[true], seen[false], noSlack)
+	}
+}
+
+// TestGetOnIteratorFilledBlock: an iterator fills the cache with blocks as
+// they were read, without a hash; a later Get takes them as they are and
+// binary-searches.
+func TestGetOnIteratorFilledBlock(t *testing.T) {
+	recs := sortedRecords(2000, 100)
+	r := buildTable(t, vfs.NewMem(), "t.sst", BuilderOptions{}, recs)
+	defer r.Close()
+	r.SetCache(cache.New(8<<20, 0), 1)
+	it := r.NewIterator()
+	for ok := it.First(); ok; ok = it.Next() {
+	}
+	reads := r.BlockReads.Load()
+	for i, rec := range recs {
+		if got, ok, err := r.Get(rec.Key); err != nil || !ok || !bytes.Equal(got.Value, rec.Value) {
+			t.Fatalf("Get(%q): ok=%v err=%v", rec.Key, ok, err)
+		}
+		if _, ok, err := r.Get([]byte(fmt.Sprintf("key-%06d+", i))); ok || err != nil {
+			t.Fatalf("absent key after %q: found=%v err=%v", rec.Key, ok, err)
+		}
+	}
+	if n := r.BlockReads.Load() - reads; n != 0 {
+		t.Fatalf("gets on resident blocks read %d blocks", n)
+	}
+	for i := 0; i < r.NumBlocks(); i++ {
+		if hashed(resident(t, r, i)) {
+			t.Fatalf("block %d, filled by an iterator, carries a hash", i)
+		}
+	}
+}
+
+// TestConcurrentHashedGets: goroutines whose point reads race to fill,
+// evict and refill the same blocks each find every key — a hash is written
+// before its block is published and never after.
+func TestConcurrentHashedGets(t *testing.T) {
+	recs := sortedRecords(3000, 100)
+	r := buildTable(t, vfs.NewMem(), "t.sst", BuilderOptions{}, recs)
+	defer r.Close()
+	c := cache.New(64<<10, 2) // a fraction of the table: blocks are evicted and filled again
+	r.SetCache(c, 1)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				rec := recs[(i*7+g*701)%len(recs)]
+				if got, ok, err := r.Get(rec.Key); err != nil || !ok || !bytes.Equal(got.Value, rec.Value) {
+					t.Errorf("goroutine %d: Get(%q) ok=%v err=%v", g, rec.Key, ok, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if s := c.Snapshot(); s.Evictions == 0 {
+		t.Fatalf("no block was evicted: %+v", s)
+	}
+}
+
+// TestPointReadFillCostsNothingMore pins what the block hash costs: a Get
+// that misses allocates the block's one buffer (and, cached, the cache's
+// entry for it), and the cache is charged for the block what a plain fill
+// charges — the hash lives in the buffer's slack.
+func TestPointReadFillCostsNothingMore(t *testing.T) {
+	r := buildTable(t, vfs.NewMem(), "t.sst", BuilderOptions{}, sortedRecords(6000, 100))
+	defer r.Close()
+	if r.NumBlocks() < 102 {
+		t.Fatalf("only %d blocks; every run of the loop below must miss", r.NumBlocks())
+	}
+	missAllocs := func() float64 {
+		i := 0
+		return testing.AllocsPerRun(100, func() {
+			if _, ok, err := r.Get(r.index[i].lastKey); !ok || err != nil {
+				t.Fatalf("block %d: %v %v", i, ok, err)
+			}
+			i++
+		})
+	}
+	if a := missAllocs(); a != 1 {
+		t.Fatalf("an uncached get allocates %v times, want 1 (the block)", a)
+	}
+	c := cache.New(8<<20, 0)
+	r.SetCache(c, 1)
+	if a := missAllocs(); a != 2 && !raceEnabled {
+		t.Fatalf("a get that misses the cache allocates %v times, want 2 (the block, the cache entry)", a)
+	}
+	if !hashed(resident(t, r, 0)) {
+		t.Fatal("a point read filled block 0 without its hash")
+	}
+
+	// One fill each way, into caches of their own.
+	hc := cache.New(8<<20, 0)
+	r.SetCache(hc, 1)
+	if _, ok, err := r.Get(r.index[7].lastKey); !ok || err != nil {
+		t.Fatalf("get: %v %v", ok, err)
+	}
+	plain := buildTable(t, vfs.NewMem(), "t.sst", BuilderOptions{}, sortedRecords(6000, 100))
+	defer plain.Close()
+	pc := cache.New(8<<20, 0)
+	plain.SetCache(pc, 1)
+	if _, err := plain.LoadBlock(7); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := hc.Snapshot().Bytes, pc.Snapshot().Bytes; got != want || got <= int64(r.index[7].length) {
+		t.Fatalf("a hashed fill charges %d bytes, a plain fill %d", got, want)
+	}
+}
+
 // benchRecords is the benchmarks' table: 4 MiB of 1 KiB records, the
 // shape of one flushed memtable.
 func benchRecords() []record.Record {
@@ -789,4 +1072,77 @@ func BenchmarkIterate(b *testing.B) {
 			benchSink = it.Record()
 		}
 	}
+}
+
+// sortedStoreTable builds a SortedStore-shaped table of the keys
+// user<i> for i = first, first+step, ...: 24-byte keys, each with a 16-byte
+// value pointer, about 90 records to a 4 KiB block.
+func sortedStoreTable(b *testing.B, n, first, step int) (*Reader, [][]byte) {
+	fs := vfs.NewMem()
+	f, err := fs.Create("s.sst")
+	if err != nil {
+		b.Fatal(err)
+	}
+	bl := NewBuilder(f, BuilderOptions{})
+	keys := make([][]byte, n)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("user%020d", first+i*step))
+		ptr := record.ValuePtr{Partition: 1, LogNum: 3, Offset: uint32(i * 1032), Length: 1024}
+		bl.Add(record.Record{Key: keys[i], Seq: uint64(i + 1), Kind: record.KindSetPtr, Value: ptr.Encode(nil)})
+	}
+	if _, err := bl.Finish(); err != nil {
+		b.Fatal(err)
+	}
+	f.Close()
+	rf, err := fs.Open("s.sst")
+	if err != nil {
+		b.Fatal(err)
+	}
+	r, err := Open(rf)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { r.Close() })
+	return r, keys
+}
+
+// BenchmarkGetCached is a point read whose block is resident, filled by an
+// earlier point read: hit finds a stored key, absent a key between two
+// stored ones, and many-tables spreads hits over 48 tables whose resident
+// blocks (about 9 MiB) do not fit in L2.
+func BenchmarkGetCached(b *testing.B) {
+	const perTable = 4096
+	run := func(b *testing.B, tables, first int) {
+		c := cache.New(64<<20, 0)
+		readers := make([]*Reader, tables)
+		var probes [][][]byte
+		for t := range readers {
+			r, keys := sortedStoreTable(b, perTable, 0, 2)
+			r.SetCache(c, uint64(t+1))
+			for _, k := range keys {
+				r.Get(k)
+			}
+			readers[t] = r
+			ks := make([][]byte, len(keys))
+			for i := range ks {
+				ks[i] = []byte(fmt.Sprintf("user%020d", 2*i+first))
+			}
+			probes = append(probes, ks)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		x := uint32(1)
+		for i := 0; i < b.N; i++ {
+			x = x*1664525 + 1013904223
+			t, k := int(x>>8)%tables, int(x>>16)%perTable
+			rec, ok, err := readers[t].Get(probes[t][k])
+			if ok != (first == 0) || err != nil {
+				b.Fatal(ok, err)
+			}
+			benchSink = rec
+		}
+	}
+	b.Run("hit", func(b *testing.B) { run(b, 1, 0) })
+	b.Run("absent", func(b *testing.B) { run(b, 1, 1) })
+	b.Run("many-tables", func(b *testing.B) { run(b, 48, 0) })
 }
