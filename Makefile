@@ -84,8 +84,10 @@ fault-sweep:
 # The corruption campaign: persistent byte flips and read-time CorruptPlans
 # across file classes and offsets; each point must be detected (scrub or
 # foreground read), quarantined with partition scope, repaired offline, and
-# reopen with every surviving key byte-identical. Includes the scrub/GC/
-# snapshot race storm and the offline repair suite.
+# reopen with every surviving key byte-identical and every lost key in the
+# loss report. Includes the scrub/GC/snapshot race storm and the offline
+# repair suite (TestRepair*: a flip at every manifest byte and a removed
+# CURRENT, which Open must refuse rather than sweep; rewrite numbering).
 corruption-sweep:
 	$(GO) test -race -run 'TestCorruptionSweep|TestScrub|TestForeground|TestRepair' ./internal/core/
 	$(GO) test -race -run 'TestFailFSCorrupt' ./internal/vfs/

@@ -64,11 +64,7 @@ func (db *DB) BackupAt(s *Snapshot, destDir string) error {
 			logSizes[n] = db.vl.SizeOf(n)
 		}
 	}
-	maxLog := uint32(0)
 	for n, sz := range logSizes {
-		if n >= maxLog {
-			maxLog = n + 1
-		}
 		src := filepath.Join(db.vlogDir(), vlog.LogName(n))
 		if err := db.copyPrefix(src, filepath.Join(destVlog, vlog.LogName(n)), sz); err != nil {
 			return fmt.Errorf("unikv: backup value log %d: %w", n, err)
@@ -82,14 +78,10 @@ func (db *DB) BackupAt(s *Snapshot, destDir string) error {
 	// memtable queue. Table files are immutable and kept alive by the
 	// snapshot's versions even if the engine replaces them mid-backup
 	// (removal is deferred until the last version naming them is released).
-	maxPart := uint32(0)
 	var edits []manifest.Edit
 	empty := s.parts[0].p.emptyVersion(nil) // no files; edits reads only next's id
 	for _, v := range s.parts {
 		id := v.p.id
-		if id >= maxPart {
-			maxPart = id + 1
-		}
 		srcDir := v.p.dir
 		dstDir := filepath.Join(destDir, fmt.Sprintf("p%d", id))
 		if err := db.fs.MkdirAll(dstDir); err != nil {
@@ -122,21 +114,13 @@ func (db *DB) BackupAt(s *Snapshot, destDir string) error {
 
 	// The manifest is written last, after every file it references is
 	// durable: a crash mid-backup leaves a destination that never names a
-	// missing file (an empty-manifest dest simply fails/bootstraps and is
-	// discarded by the caller).
-	head := []manifest.Edit{
-		db.nextFileEdit(), // past the WAL numbers allocated above
-		manifest.LastSeq(s.seq),
-		manifest.NextPart(maxPart),
-	}
-	if maxLog > 0 {
-		head = append(head, manifest.NextLog(maxLog))
-	}
+	// missing file (an empty-manifest dest is refused at open and discarded
+	// by the caller). The counters past the pinned ones are derived at open.
 	man, err := manifest.Open(db.fs, destDir)
 	if err != nil {
 		return err
 	}
-	if err := man.Apply(append(head, edits...)...); err != nil {
+	if err := man.Apply(append([]manifest.Edit{manifest.LastSeq(s.seq)}, edits...)...); err != nil {
 		man.Close()
 		return err
 	}

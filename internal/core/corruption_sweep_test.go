@@ -104,12 +104,14 @@ func TestCorruptionSweepPersistent(t *testing.T) {
 				t.Fatalf("repair found nothing to fix after %s flip:\n%s", pt, report)
 			}
 
-			// Phase 3: audit — reopen clean, every surviving key intact.
+			// Phase 3: audit — reopen clean, every surviving key intact, and
+			// every lost one accounted for by the report.
 			intact, lost := reopenAndAudit(t, fs, n)
 			if intact == 0 {
 				t.Fatalf("repair lost everything for one flipped byte (%s)", pt)
 			}
-			t.Logf("%s: %d intact, %d lost\n%s", pt, intact, lost, report)
+			checkLossAccounted(t, report, lost)
+			t.Logf("%s: %d intact, %d lost\n%s", pt, intact, len(lost), report)
 		})
 	}
 }
@@ -215,5 +217,5 @@ func TestCorruptionSweepTornTail(t *testing.T) {
 	if intact == 0 {
 		t.Fatal("torn tail repair lost everything")
 	}
-	_ = lost // the torn frame's key is allowed to be gone — it is reported
+	checkLossAccounted(t, report, lost) // the torn frame's key may be gone, reported
 }

@@ -255,9 +255,10 @@ type StatsSnapshot struct {
 
 // file-name helpers -----------------------------------------------------
 
-func (db *DB) partDir(id uint32) string {
-	return filepath.Join(db.dir, fmt.Sprintf("p%d", id))
-}
+// partDir is the directory of partition id under dir.
+func partDir(dir string, id uint32) string { return filepath.Join(dir, fmt.Sprintf("p%d", id)) }
+
+func (db *DB) partDir(id uint32) string { return partDir(db.dir, id) }
 
 func tableName(dir string, num uint64) string { return partFileName(dir, fileTable, num) }
 
@@ -301,34 +302,52 @@ func (db *DB) nextFileEdit() manifest.Edit {
 // Open opens (creating if necessary) a UniKV database in dir.
 func Open(dir string, opts Options) (*DB, error) {
 	opts = opts.Sanitize()
-	db := &DB{opts: opts, fs: opts.FS, dir: dir}
-	db.liveFiles = liveFiles{refs: map[fileID]int{}, readers: map[fileID]*sstable.Reader{},
-		jobs: map[*job]bool{}, current: map[*partition]*version{}, stale: map[*partition]bool{},
-		owners: map[uint32]int64{}}
-	db.snaps.m = make(map[uint64]*Snapshot)
-	if err := db.fs.MkdirAll(dir); err != nil {
+	if err := opts.FS.MkdirAll(dir); err != nil {
 		return nil, err
 	}
 	// Lock the directory before reading any state: losing the race here is
 	// how a second opener used to rotate CURRENT and sweep the live owner's
 	// files.
-	dirLock, err := db.fs.TryLockDir(dir)
+	lock, err := lockDir(opts.FS, dir)
 	if err != nil {
-		if errors.Is(err, vfs.ErrLocked) {
-			return nil, fmt.Errorf("%w: %s", ErrDBLocked, dir)
-		}
 		return nil, err
 	}
-	db.dirLock = dirLock
-	man, err := manifest.Open(db.fs, dir)
+	db, err := open(dir, opts, lock)
+	if Classify(err) == ClassCorruption {
+		return nil, fmt.Errorf("%w (unikv-ctl -dir %s repair salvages it)", err, dir)
+	}
+	return db, err
+}
+
+// lockDir takes dir's LOCK-file lock, for Open and Repair.
+func lockDir(fs vfs.FS, dir string) (vfs.DirLock, error) {
+	lock, err := fs.TryLockDir(dir)
+	if errors.Is(err, vfs.ErrLocked) {
+		return nil, fmt.Errorf("%w: %s", ErrDBLocked, dir)
+	}
+	return lock, err
+}
+
+// open is Open's body once it holds dir's lock, which passes to the DB:
+// Close releases it, as does a failed open. Repair ends by opening through
+// it.
+func open(dir string, opts Options, lock vfs.DirLock) (*DB, error) {
+	db := &DB{opts: opts, fs: opts.FS, dir: dir, dirLock: lock}
+	db.liveFiles = liveFiles{refs: map[fileID]int{}, readers: map[fileID]*sstable.Reader{},
+		jobs: map[*job]bool{}, current: map[*partition]*version{}, stale: map[*partition]bool{},
+		owners: map[uint32]int64{}}
+	db.snaps.m = make(map[uint64]*Snapshot)
+	state, gen, files, err := loadState(db.fs, dir)
+	if err == nil {
+		db.man, err = manifest.Continue(db.fs, dir, state, gen)
+	}
 	if err != nil {
 		db.releaseDirLock()
 		return nil, err
 	}
-	db.man = man
-	state := man.State()
 	db.nextFile.Store(state.NextFileNum)
 	db.seq.Store(state.LastSeq)
+	db.nextPart.Store(state.NextPartID)
 	db.cache = cache.New(opts.CacheBytes, 0)
 	if opts.HotRingEntries > 0 {
 		db.hot = hotring.New(hotring.Config{
@@ -342,7 +361,7 @@ func Open(dir string, opts Options) (*DB, error) {
 
 	vl, err := vlog.Open(db.fs, db.vlogDir(), vlog.Options{MaxLogSize: opts.MaxLogSize, Cache: db.cache})
 	if err != nil {
-		man.Close()
+		db.man.Close()
 		db.releaseDirLock()
 		return nil, err
 	}
@@ -351,17 +370,14 @@ func Open(dir string, opts Options) (*DB, error) {
 	db.sched = newScheduler(db, opts.BackgroundWorkers)
 
 	if len(state.Partitions) == 0 {
-		if err := db.bootstrap(); err != nil {
-			db.Close()
-			return nil, err
-		}
+		err = db.bootstrap()
 	} else {
-		if err := db.recover(state); err != nil {
-			db.Close()
-			return nil, err
-		}
+		err = db.recover(state, files)
 	}
-	db.nextPart.Store(man.State().NextPartID)
+	if err != nil {
+		db.Close()
+		return nil, err
+	}
 	if !opts.DisableOrphanCleanup {
 		db.sweepOrphans()
 	}
@@ -370,6 +386,67 @@ func Open(dir string, opts Options) (*DB, error) {
 	}
 	return db, nil
 }
+
+// loadState reads dir's manifest state, and the directory listing
+// (diskFiles), for Open and Repair alike. Before anything is written it
+// refuses, as corruption, a state that does not describe the directory:
+//   - a record stream damaged short of a torn final record (manifest.Load);
+//   - a state naming a table or WAL the directory lacks: files lost beside
+//     a whole manifest (errNamesMissing), or, past a torn final record, an
+//     older state than the one committed last, whose files are gone;
+//   - a state naming no partition (a missing CURRENT reads as one) while a
+//     partition directory holds a table or a written WAL.
+//
+// Opening over any of them would bootstrap over, or sweep, the files the
+// lost records named. A refusal still returns the listing, and the state
+// when one was read, for Repair.
+func loadState(fs vfs.FS, dir string) (*manifest.State, uint64, []fileID, error) {
+	files := diskFiles(fs, dir)
+	state, gen, torn, err := manifest.Load(fs, dir)
+	if err != nil {
+		return nil, 0, files, err
+	}
+	refuse := func(why error, format string, args ...any) (*manifest.State, uint64, []fileID, error) {
+		return state, gen, files, fmt.Errorf("%w: %s", why, fmt.Sprintf(format, args...))
+	}
+	for _, meta := range state.Partitions {
+		named := []fileID{{meta.ID, fileWAL, meta.WALNum}}
+		for _, tm := range slices.Concat(meta.Unsorted, meta.Sorted) {
+			named = append(named, fileID{meta.ID, fileTable, tm.FileNum})
+		}
+		for _, f := range named {
+			if _, ok := slices.BinarySearchFunc(files, f, compareFiles); ok || f.num == 0 {
+				continue
+			}
+			why := errNamesMissing
+			if torn { // maybe the lost final record retired f
+				why = fmt.Errorf("%w: past a torn final record", manifest.ErrCorrupt)
+			}
+			return refuse(why, "p%d/%s is missing", f.part, partFileName("", f.kind, f.num))
+		}
+	}
+	if len(state.Partitions) > 0 {
+		return state, gen, files, nil
+	}
+	for _, f := range files {
+		written := f.kind == fileTable
+		if f.kind == fileWAL { // bootstrap creates its WAL before the batch naming it
+			data, err := fs.ReadFile(walName(partDir(dir, f.part), f.num))
+			if err != nil {
+				return nil, 0, files, err
+			}
+			written = len(data) > 0
+		}
+		if written {
+			return refuse(manifest.ErrCorrupt, "it names no partition, but p%d holds %s", f.part, partFileName("", f.kind, f.num))
+		}
+	}
+	return state, gen, files, nil
+}
+
+// errNamesMissing is loadState's refusal of a whole manifest naming files
+// the directory lacks; Repair keeps that state and drops them from it.
+var errNamesMissing = fmt.Errorf("%w: it names a file the directory lacks", manifest.ErrCorrupt)
 
 // bootstrap creates the initial single partition covering the whole key
 // space.
@@ -397,12 +474,14 @@ func (db *DB) bootstrap() error {
 	}
 	p.publish(v)
 	db.router.parts = []*partition{p}
+	db.nextPart.Store(2)
 	return nil
 }
 
 // recover rebuilds all partitions from the manifest state, replaying WALs
-// and hash-index checkpoints.
-func (db *DB) recover(state *manifest.State) error {
+// and hash-index checkpoints, and flushes what the WALs held. files is the
+// directory listing (diskFiles).
+func (db *DB) recover(state *manifest.State, files []fileID) error {
 	metas := state.SortedPartitions()
 	parts := make([]*partition, 0, len(metas))
 	for i, meta := range metas {
@@ -410,26 +489,13 @@ func (db *DB) recover(state *manifest.State) error {
 		if i+1 < len(metas) {
 			upper = append(upper, metas[i+1].Lower...)
 		}
-		p, err := db.recoverPartition(meta, upper)
+		p, err := db.recoverPartition(meta, upper, files)
 		if err != nil {
 			return err
 		}
 		parts = append(parts, p)
 	}
 	db.router.parts = parts
-	// Sequence: manifest's LastSeq covers flushed data; WAL replay may
-	// have seen higher.
-	for _, p := range parts {
-		v := p.cur.Load()
-		if s := v.mem.MaxSeq(); s > db.seq.Load() {
-			db.seq.Store(s)
-		}
-		for _, t := range v.uns.Tables() {
-			if t.Meta.MaxSeq > db.seq.Load() {
-				db.seq.Store(t.Meta.MaxSeq)
-			}
-		}
-	}
 	// Flush recovered memtables so recovery converges to a clean WAL.
 	for _, p := range parts {
 		err := p.flushAll()
@@ -445,9 +511,12 @@ func (db *DB) recover(state *manifest.State) error {
 	return nil
 }
 
-// recoverPartition restores one partition — its stores, its memtable from
-// the WALs — and publishes its first version.
-func (db *DB) recoverPartition(meta *manifest.PartitionMeta, upper []byte) (*partition, error) {
+// recoverPartition is the one constructor of a version from a
+// PartitionMeta: it restores the stores and, from the WALs (files is the
+// diskFiles listing), the memtable, publishes the version, and moves the
+// counters past what it opened — file numbers, sequence numbers and the
+// partition ID — so none the state records can be handed out twice.
+func (db *DB) recoverPartition(meta *manifest.PartitionMeta, upper []byte, files []fileID) (*partition, error) {
 	pdir := db.partDir(meta.ID)
 	if err := db.fs.MkdirAll(pdir); err != nil {
 		return nil, err
@@ -482,47 +551,43 @@ func (db *DB) recoverPartition(meta *manifest.PartitionMeta, upper []byte) (*par
 	v.srt = sorted.New(run)
 
 	// WAL replay. The manifest records the oldest WAL still holding
-	// unflushed data; a full memtable is frozen onto its own WAL
-	// without a manifest edit, so any later-numbered .wal file in the
-	// directory is unflushed frozen data from before the crash. File numbers
-	// are monotonic, so replaying ascending from meta.WALNum reconstructs
-	// write order — as long as no number is handed out twice: a freeze
-	// allocates its WAL's number without a manifest batch, so the recorded
-	// counter may lag behind these files, and is moved past each one. The
-	// version names the last; recover() moves the memtable off them at once
-	// and the orphan sweep removes the rest.
+	// unflushed data; a memtable is frozen onto its own WAL without a
+	// manifest edit, so replaying every later WAL in ascending number order
+	// reconstructs write order. The version names the last; recover() moves
+	// the memtable off them at once and the orphan sweep removes the rest.
 	if meta.WALNum != 0 {
-		for _, num := range walNumsFrom(db.fs, pdir, meta.WALNum) {
+		for _, num := range walNumsFrom(files, meta.ID, meta.WALNum) {
 			if err := replayWAL(db.fs, walName(pdir, num), v.mem); err != nil {
 				return nil, err
 			}
 			v.wals[0] = num
-			if num >= db.nextFile.Load() {
-				db.nextFile.Store(num + 1)
-			}
 		}
 	}
+	// A freeze allocates its WAL's number, and a job its outputs', ahead of
+	// the batch that records the counter, so the counters are derived here.
+	v.each(func(f fileID) {
+		if f.kind != fileLog {
+			db.nextFile.Store(max(db.nextFile.Load(), f.num+1))
+		}
+	})
+	db.seq.Store(max(db.seq.Load(), v.mem.MaxSeq()))
+	for _, t := range tablesOf(v) {
+		db.seq.Store(max(db.seq.Load(), t.r.MaxSeq()))
+	}
+	db.nextPart.Store(max(db.nextPart.Load(), meta.ID+1))
 	p.publish(v)
 	return p, nil
 }
 
-// walNumsFrom lists the .wal file numbers in pdir that are >= from, in
-// ascending order.
-func walNumsFrom(fs vfs.FS, pdir string, from uint64) []uint64 {
-	names, err := fs.List(pdir)
-	if err != nil {
-		if fs.Exists(walName(pdir, from)) {
-			return []uint64{from}
-		}
-		return nil
-	}
+// walNumsFrom lists partition pid's .wal file numbers in files (diskFiles)
+// that are >= from, in ascending order.
+func walNumsFrom(files []fileID, pid uint32, from uint64) []uint64 {
 	var nums []uint64
-	for _, name := range names {
-		if n, kind, ok := parseFileName(name); ok && kind == fileWAL && n >= from {
-			nums = append(nums, n)
+	for _, f := range files {
+		if f.part == pid && f.kind == fileWAL && f.num >= from {
+			nums = append(nums, f.num)
 		}
 	}
-	slices.Sort(nums)
 	return nums
 }
 

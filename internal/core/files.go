@@ -1,12 +1,14 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"path/filepath"
 	"slices"
 	"sync"
 
 	"unikv/internal/sstable"
+	"unikv/internal/vfs"
 )
 
 // File lifetime is version membership (LevelDB's VersionSet::AddLiveFiles):
@@ -195,20 +197,36 @@ func (db *DB) logPinned(n uint32) bool {
 // interrupted, replaced WALs and checkpoints, an uncommitted split's child.
 func (db *DB) sweepOrphans() {
 	j := db.beginJob() // every log: none is active before the first merge
-	dirs, _ := db.fs.List(db.dir)
-	for _, dir := range dirs {
-		id, ok := parsePartDir(dir)
+	for _, f := range diskFiles(db.fs, db.dir) {
+		db.name(j, f)
+	}
+	db.endJob(j)
+}
+
+// diskFiles lists the numbered files of every partition directory under
+// dir, ordered by partition, kind and number: the one directory scan behind
+// the open-time sweep, WAL replay, the hollow-state check and Repair.
+func diskFiles(fs vfs.FS, dir string) []fileID {
+	var files []fileID
+	dirs, _ := fs.List(dir)
+	for _, d := range dirs {
+		id, ok := parsePartDir(d)
 		if !ok {
 			continue
 		}
-		names, _ := db.fs.List(filepath.Join(db.dir, dir))
+		names, _ := fs.List(filepath.Join(dir, d))
 		for _, name := range names {
 			if num, kind, ok := parseFileName(name); ok {
-				db.name(j, fileID{id, kind, num})
+				files = append(files, fileID{id, kind, num})
 			}
 		}
 	}
-	db.endJob(j)
+	slices.SortFunc(files, compareFiles)
+	return files
+}
+
+func compareFiles(a, b fileID) int {
+	return cmp.Or(cmp.Compare(a.part, b.part), cmp.Compare(a.kind, b.kind), cmp.Compare(a.num, b.num))
 }
 
 // partFileName is the path of a partition file in dir.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
+	"path/filepath"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -15,12 +16,15 @@ import (
 // TestQuickModel drives the engine with random op sequences (put, delete,
 // get, start- and end-bounded scans, snapshot open / scan / close, a forced
 // Flush or CompactAll) plus a backup and a reopen every 500 ops — every
-// other reopen after a Repair of the closed directory — and checks every
-// observation against a model map. Scan results are kept across later ops
-// and re-verified byte for byte after every op, so memory a result still
-// points into must not be recycled; after every op the manifest must
-// describe exactly the current versions, and once a forced step has settled
-// with no snapshot open, the disk must hold exactly the files they name.
+// other reopen after a Repair of the closed directory, half of those after
+// a byte of a table or sealed value log was flipped, when every key that
+// changed must be accounted for by the loss report and the model adopts
+// what survived — and checks every observation against a model map. Scan
+// results are kept across later ops and re-verified byte for byte after
+// every op, so memory a result still points into must not be recycled;
+// after every op the manifest must describe exactly the current versions,
+// and once a forced step has settled with no snapshot open, the disk must
+// hold exactly the files they name.
 // This is the main end-to-end property test: it routinely crosses flush,
 // scan-merge, merge, GC, and split boundaries because of the tiny limits —
 // run by the writer itself, and behind its back by a worker.
@@ -109,6 +113,34 @@ func quickModel(t *testing.T, workers int) {
 			return checkScan(what+" scan", kvs, model, "", "", len(model))
 		}
 
+		// adopt checks that the repair report accounts for every key the
+		// store now answers differently from model — lost, or an older value
+		// back — then makes model what the store holds.
+		adopt := func(db *DB, report *RepairReport) bool {
+			var differ [][]byte
+			for i := 0; i < 400; i++ {
+				k := fmt.Sprintf("key-%04d", i)
+				got, err := db.Get([]byte(k))
+				if err != nil && err != ErrNotFound {
+					t.Logf("get %s after repair: %v", k, err)
+					return false
+				}
+				if want, ok := model[k]; ok != (err == nil) || string(got) != want {
+					differ = append(differ, []byte(k))
+					delete(model, k)
+					if err == nil {
+						model[k] = string(got)
+					}
+				}
+			}
+			if out := lossUnaccounted(report, differ); out != nil {
+				t.Logf("%d keys changed outside every dropped table, %d pointers dropped (first %q):\n%s",
+					len(out), report.PointersDropped, out[0], report)
+				return false
+			}
+			return true
+		}
+
 		for op := 0; op < 3000; op++ {
 			switch {
 			case op%500 == 249: // backup, then open it beside the store
@@ -141,11 +173,16 @@ func quickModel(t *testing.T, workers int) {
 					t.Logf("close: %v", err)
 					return false
 				}
+				var damage *RepairReport // the report of a repair after a flipped byte
 				if op%1000 == 999 {
+					flipped := rnd.Intn(2) == 0 && flipStoredByte(fs, rnd)
 					report, err := Repair("db", opts)
-					if err != nil || report.String() != "repair: no damage found\n" {
-						t.Logf("repair after a clean close: %v\n%s", err, report)
+					if err != nil || !flipped && report.String() != "repair: no damage found\n" {
+						t.Logf("repair (byte flipped: %v): %v\n%s", flipped, err, report)
 						return false
+					}
+					if flipped {
+						damage = report
 					}
 				}
 				if db, err = Open("db", opts); err != nil {
@@ -153,8 +190,15 @@ func quickModel(t *testing.T, workers int) {
 					return false
 				}
 				watchGauges(t, db, exact)
+				if damage != nil && !adopt(db, damage) {
+					return false
+				}
 				if !checkStore("reopened", db, model) {
 					return false
+				}
+				if damage != nil {
+					settle(db)
+					checkFileSet(t, db)
 				}
 			case rnd.Intn(50) == 0: // a forced flush or CompactAll, then the file set
 				force, name := db.Flush, "flush"
@@ -257,6 +301,31 @@ func quickModel(t *testing.T, workers int) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 6}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// flipStoredByte flips one byte of a random table or sealed value log of
+// the closed store in fs, reporting whether it found one.
+func flipStoredByte(fs vfs.FS, rnd *rand.Rand) bool {
+	var names []string
+	for _, f := range diskFiles(fs, "db") {
+		if f.kind == fileTable {
+			names = append(names, tableName(partDir("db", f.part), f.num))
+		}
+	}
+	logs, _ := fs.List(filepath.Join("db", "vlog"))
+	for i := 0; i+1 < len(logs); i++ { // the newest log was the active one
+		names = append(names, filepath.Join("db", "vlog", logs[i]))
+	}
+	if len(names) == 0 {
+		return false
+	}
+	name := names[rnd.Intn(len(names))]
+	data, err := fs.ReadFile(name)
+	if err != nil || len(data) == 0 {
+		return false
+	}
+	data[rnd.Intn(len(data))] ^= 0xff
+	return fs.WriteFile(name, data) == nil
 }
 
 // TestAblationsStillCorrect runs the same workload under every ablation

@@ -30,19 +30,24 @@ import (
 //   - Surviving tables are rescanned for value pointers that now dangle
 //     (into a truncated region or a dropped log); a table with dangling
 //     pointers is rewritten without them (the original also goes to lost/).
-//   - Per-partition hash-index checkpoints are discarded (recovery rebuilds
-//     the index from the tables), and the manifest is rewritten from the
-//     surviving files. If the manifest itself is unreadable, the partition
-//     layout is reconstructed from the directory shape, with every salvaged
-//     table treated as unsorted (the probe path tolerates overlap; the
-//     sorted invariants cannot be re-proven cheaply).
+//   - Tables the manifest names but the directory lacks are reported with
+//     the key range the manifest records for them.
+//   - Per-partition hash-index checkpoints are dropped from the state, and
+//     the manifest is rewritten from the surviving files. If Open would
+//     refuse the manifest (loadState) for more than missing files, the
+//     partition layout is reconstructed from the directory shape, with
+//     every salvaged table treated as unsorted (the probe path tolerates
+//     overlap; the sorted invariants cannot be re-proven cheaply).
 //
 // WAL files are kept untouched: the WAL reader already self-heals by
 // stopping replay at the first torn record, so recovery handles them.
 //
-// The report enumerates every file dropped or rewritten and the key ranges
-// affected, so an operator knows exactly what was lost. A repaired DB must
-// reopen cleanly and pass VerifyIntegrity.
+// Repair then opens the database through the same body as Open — recovery
+// replays the WALs, rebuilds the hash indexes, derives the counters and
+// sweeps the files the new state does not name — and fails unless
+// VerifyIntegrityReport comes back empty. The report enumerates every file
+// dropped or rewritten and the key ranges affected, so an operator knows
+// exactly what was lost.
 
 // DroppedFile records one file repair moved into dir/lost/.
 type DroppedFile struct {
@@ -64,8 +69,8 @@ type LogTruncation struct {
 // RepairReport is the loss report Repair returns: everything it dropped,
 // truncated, or rewrote while salvaging the database.
 type RepairReport struct {
-	// ManifestRebuilt is true when the manifest was unreadable and the
-	// partition layout was reconstructed from the directory shape.
+	// ManifestRebuilt is true when the manifest could not describe the
+	// directory and the partition layout was reconstructed from its shape.
 	ManifestRebuilt bool
 	// TablesDropped lists tables moved to lost/ because they failed
 	// verification (or lost every record to dangling pointers).
@@ -95,7 +100,7 @@ func (r *RepairReport) DataLost() bool {
 func (r *RepairReport) String() string {
 	var b strings.Builder
 	if r.ManifestRebuilt {
-		b.WriteString("manifest: unreadable, rebuilt from directory scan\n")
+		b.WriteString("manifest: does not describe the directory, rebuilt from directory scan\n")
 	}
 	for _, t := range r.LogsTruncated {
 		fmt.Fprintf(&b, "truncated: value log %d %d -> %d bytes (torn tail)\n", t.Log, t.OldSize, t.NewSize)
@@ -123,32 +128,33 @@ func (r *RepairReport) String() string {
 	return b.String()
 }
 
-// Repair salvages the UniKV database in dir. The database must not be
-// open (Repair takes the same directory lock as Open). It returns the
-// loss report; a non-nil report is returned even alongside an error so
-// partial progress is visible.
+// Repair salvages the UniKV database in dir, then opens and verifies it.
+// The database must not be open (Repair takes the same directory lock as
+// Open). It returns the loss report; a non-nil report is returned even
+// alongside an error so partial progress is visible.
 func Repair(dir string, opts Options) (*RepairReport, error) {
 	opts = opts.Sanitize()
-	fs := opts.FS
-	lock, err := fs.TryLockDir(dir)
+	lock, err := lockDir(opts.FS, dir)
 	if err != nil {
-		if errors.Is(err, vfs.ErrLocked) {
-			return nil, fmt.Errorf("%w: %s", ErrDBLocked, dir)
-		}
 		return nil, err
 	}
-	defer lock.Release()
-	r := &repairer{
-		fs:       fs,
-		dir:      dir,
-		opts:     opts,
-		report:   &RepairReport{},
-		logValid: make(map[uint32]int64),
-	}
-	if err := r.run(); err != nil {
+	r := &repairer{fs: opts.FS, dir: dir, opts: opts, report: &RepairReport{}, logValid: map[uint32]int64{}}
+	if err := r.salvage(); err != nil {
+		lock.Release()
 		return r.report, classified(err)
 	}
-	return r.report, nil
+	db, err := open(dir, opts, lock)
+	if err != nil {
+		return r.report, classified(err)
+	}
+	reports, err := db.VerifyIntegrityReport()
+	if err == nil && len(reports) > 0 {
+		err = WithClass(ClassCorruption, fmt.Errorf("unikv: the repaired database does not verify: %s", reports[0]))
+	}
+	if cerr := db.Close(); err == nil {
+		err = cerr
+	}
+	return r.report, err
 }
 
 type repairer struct {
@@ -157,33 +163,48 @@ type repairer struct {
 	opts   Options
 	report *RepairReport
 	state  *manifest.State
+	files  []fileID // the directory scan (diskFiles)
 
-	nextFile uint64           // file-number allocator for rewritten tables
+	nextFile uint64           // number of the next rewritten table: above every file on disk
 	logValid map[uint32]int64 // surviving log -> valid byte length
-	maxLog   uint32
-	maxSeq   uint64
 }
-
-func (r *repairer) lostDir() string { return filepath.Join(r.dir, "lost") }
 
 // toLost moves path into dir/lost/, prefixing the base name with its
 // source directory so same-numbered files from different partitions do
 // not collide.
 func (r *repairer) toLost(path string) error {
-	if err := r.fs.MkdirAll(r.lostDir()); err != nil {
+	lost := filepath.Join(r.dir, "lost")
+	if err := r.fs.MkdirAll(lost); err != nil {
 		return err
 	}
 	prefix := filepath.Base(filepath.Dir(path))
-	dst := filepath.Join(r.lostDir(), prefix+"-"+filepath.Base(path))
-	if err := r.fs.Rename(path, dst); err != nil {
+	if err := r.fs.Rename(path, filepath.Join(lost, prefix+"-"+filepath.Base(path))); err != nil {
 		return err
 	}
-	return r.fs.SyncDir(r.lostDir())
+	return r.fs.SyncDir(lost)
 }
 
-func (r *repairer) run() error {
-	if err := r.loadState(); err != nil {
+// salvage repairs the files and writes the state that describes them. A
+// state Open would refuse is rebuilt from the directory, unless its one
+// fault is naming files the directory lacks: then those are dropped from it.
+func (r *repairer) salvage() error {
+	state, _, files, err := loadState(r.fs, r.dir)
+	r.files = files
+	if Classify(err) == ClassCorruption {
+		if state != nil {
+			r.dropMissing(state)
+		}
+		if !errors.Is(err, errNamesMissing) {
+			state, r.report.ManifestRebuilt = r.rebuildState(), true
+		}
+		err = nil
+	}
+	if err != nil {
 		return err
+	}
+	r.state, r.nextFile = state, state.NextFileNum
+	for _, f := range r.files {
+		r.nextFile = max(r.nextFile, f.num+1)
 	}
 	if err := r.repairLogs(); err != nil {
 		return err
@@ -191,81 +212,52 @@ func (r *repairer) run() error {
 	if err := r.repairPartitions(); err != nil {
 		return err
 	}
-	return r.finish()
+	return manifest.Rewrite(r.fs, r.dir, r.state)
 }
 
-// loadState reads the manifest if it is intact, otherwise reconstructs
-// the partition layout from the directory shape.
-func (r *repairer) loadState() error {
-	man, err := manifest.Open(r.fs, r.dir)
-	if err == nil {
-		r.state = man.State()
-		man.Close()
-		r.nextFile, r.maxSeq = r.state.NextFileNum, r.state.LastSeq
-		if len(r.state.Partitions) > 0 {
-			return nil
-		}
-	} else if Classify(err) != ClassCorruption {
-		return err
-	}
-	// The manifest rides the self-healing WAL format, so a corrupt early
-	// record silently truncates replay instead of failing — in the worst
-	// case to an empty state that would make Open bootstrap a fresh DB on
-	// top of the surviving tables. Tables on disk with no partition in the
-	// state is that signature: fall back to the directory rebuild rather
-	// than trust the hollow manifest.
-	state, tables, err := r.rebuildState()
-	if err != nil || r.state != nil && !tables {
-		return err
-	}
-	r.state, r.nextFile, r.maxSeq, r.report.ManifestRebuilt = state, 0, 0, true
-	return nil
-}
-
-// rebuildState reconstructs a State from the directory shape: every p*
-// directory becomes a partition holding all of its tables as unsorted
-// (ordered by file number, approximating flush order), and tables reports
-// whether there were any. Lower bounds are assigned in a later pass, once
-// table key ranges are known.
-func (r *repairer) rebuildState() (state *manifest.State, tables bool, err error) {
-	state = manifest.NewState()
-	names, err := r.fs.List(r.dir)
-	if err != nil {
-		return nil, false, err
-	}
-	for _, name := range names {
-		pid, ok := parsePartDir(name)
-		if !ok {
-			continue
-		}
-		pdir := filepath.Join(r.dir, name)
-		entries, err := r.fs.List(pdir)
-		if err != nil {
-			continue // not a directory
-		}
-		meta := &manifest.PartitionMeta{ID: pid}
-		var nums []uint64
-		for _, e := range entries {
-			switch n, kind, ok := parseFileName(e); {
-			case ok && kind == fileTable:
-				nums = append(nums, n)
-			case ok && kind == fileWAL:
-				if meta.WALNum == 0 || n < meta.WALNum {
-					meta.WALNum = n
-				}
+// dropMissing reports every table state names that the directory lacks,
+// with the key range state records for it, and takes it out of state; a
+// missing WAL pointer moves to the next WAL on disk, if any.
+func (r *repairer) dropMissing(state *manifest.State) {
+	for _, meta := range state.Partitions {
+		missing := func(tm manifest.TableMeta) bool {
+			if _, ok := slices.BinarySearchFunc(r.files, fileID{meta.ID, fileTable, tm.FileNum}, compareFiles); ok {
+				return false
 			}
+			r.report.TablesDropped = append(r.report.TablesDropped, DroppedFile{Partition: meta.ID,
+				Path: tableName(partDir(r.dir, meta.ID), tm.FileNum), Smallest: tm.Smallest, Largest: tm.Largest,
+				Reason: "named by the manifest, missing from disk"})
+			return true
 		}
-		slices.Sort(nums)
-		for _, n := range nums {
-			meta.Unsorted = append(meta.Unsorted, tableMeta(n, sstable.Props{})) // read back by repairTable
-		}
-		tables = tables || len(nums) > 0
-		state.Partitions[pid] = meta
-		if pid >= state.NextPartID {
-			state.NextPartID = pid + 1
+		meta.Unsorted = slices.DeleteFunc(meta.Unsorted, missing)
+		meta.Sorted = slices.DeleteFunc(meta.Sorted, missing)
+		if meta.WALNum != 0 {
+			meta.WALNum = append(walNumsFrom(r.files, meta.ID, meta.WALNum), 0)[0]
 		}
 	}
-	return state, tables, nil
+}
+
+// rebuildState reconstructs a State from the directory shape: every
+// partition directory holding files becomes a partition with all of its
+// tables as unsorted (ordered by file number, approximating flush order)
+// and its oldest WAL. Lower bounds are assigned in a later pass, once
+// table key ranges are known.
+func (r *repairer) rebuildState() *manifest.State {
+	state := manifest.NewState()
+	for _, f := range r.files { // by partition, kind and number
+		meta := state.Partitions[f.part]
+		if meta == nil {
+			meta = &manifest.PartitionMeta{ID: f.part}
+			state.Partitions[f.part] = meta
+		}
+		switch {
+		case f.kind == fileTable:
+			meta.Unsorted = append(meta.Unsorted, tableMeta(f.num, sstable.Props{})) // read back by repairTable
+		case f.kind == fileWAL && meta.WALNum == 0:
+			meta.WALNum = f.num
+		}
+	}
+	return state
 }
 
 // repairLogs scans every value log and truncates torn tails at the last
@@ -281,9 +273,6 @@ func (r *repairer) repairLogs() error {
 		n, ok := vlog.ParseLogName(name)
 		if !ok {
 			continue
-		}
-		if n > r.maxLog {
-			r.maxLog = n
 		}
 		path := filepath.Join(vdir, name)
 		f, err := r.fs.Open(path)
@@ -308,10 +297,7 @@ func (r *repairer) repairLogs() error {
 			if err := r.toLost(path); err != nil {
 				return err
 			}
-			r.report.LogsDropped = append(r.report.LogsDropped, DroppedFile{
-				Path:   path,
-				Reason: fmt.Sprintf("no valid frame: %v", verr),
-			})
+			r.report.LogsDropped = append(r.report.LogsDropped, DroppedFile{Path: path, Reason: fmt.Sprintf("no valid frame: %v", verr)})
 			continue
 		}
 		data, err := r.fs.ReadFile(path)
@@ -325,9 +311,7 @@ func (r *repairer) repairLogs() error {
 			return err
 		}
 		r.logValid[n] = valid
-		r.report.LogsTruncated = append(r.report.LogsTruncated, LogTruncation{
-			Log: n, OldSize: size, NewSize: valid,
-		})
+		r.report.LogsTruncated = append(r.report.LogsTruncated, LogTruncation{Log: n, OldSize: size, NewSize: valid})
 	}
 	return nil
 }
@@ -336,110 +320,81 @@ func (r *repairer) repairLogs() error {
 // tables with dangling value pointers, recomputes per-partition log sets,
 // and discards hash-index checkpoints.
 func (r *repairer) repairPartitions() error {
-	rebuilt := r.report.ManifestRebuilt
-	type bound struct {
-		meta *manifest.PartitionMeta
-		min  []byte
-		ok   bool
-	}
-	var bounds []bound
+	lows := map[uint32][]byte{} // each partition's smallest salvaged key
 	for _, meta := range r.state.SortedPartitions() {
-		pdir := filepath.Join(r.dir, fmt.Sprintf("p%d", meta.ID))
-		known := map[uint64]bool{} // tables kept; any other on disk is an orphan
-		logs := make(map[uint32]bool)
-		var minKey []byte
-		haveMin := false
-		note := func(k []byte) {
-			if !haveMin || bytes.Compare(k, minKey) < 0 {
-				minKey = append([]byte(nil), k...)
-				haveMin = true
+		pdir := partDir(r.dir, meta.ID)
+		// Orphans: unreferenced tables are crashed merge/split outputs whose
+		// records live on in the inputs.
+		tables := slices.Concat(meta.Unsorted, meta.Sorted)
+		for _, f := range r.files {
+			named := func(tm manifest.TableMeta) bool { return tm.FileNum == f.num }
+			if f.part == meta.ID && f.kind == fileTable && !slices.ContainsFunc(tables, named) {
+				if err := r.toLost(tableName(pdir, f.num)); err != nil {
+					return err
+				}
+				r.report.OrphansMoved = append(r.report.OrphansMoved, tableName(pdir, f.num))
 			}
 		}
-		repairTier := func(tier []manifest.TableMeta) ([]manifest.TableMeta, error) {
-			out := tier[:0]
-			for _, tm := range tier {
+		note := func(k []byte) {
+			if low, ok := lows[meta.ID]; !ok || bytes.Compare(k, low) < 0 {
+				lows[meta.ID] = slices.Clone(k)
+			}
+		}
+		logs := make(map[uint32]bool)
+		for _, tier := range []*[]manifest.TableMeta{&meta.Unsorted, &meta.Sorted} {
+			out := (*tier)[:0]
+			for _, tm := range *tier {
 				nm, kept, err := r.repairTable(meta.ID, pdir, tm, logs)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				if kept {
 					out = append(out, nm)
-					known[nm.FileNum] = true // rewrites land under fresh numbers
 					if nm.Count > 0 {
 						note(nm.Smallest)
 					}
-					if nm.MaxSeq > r.maxSeq {
-						r.maxSeq = nm.MaxSeq
-					}
 				}
 			}
-			return out, nil
+			*tier = out
 		}
-		var err error
-		if meta.Unsorted, err = repairTier(meta.Unsorted); err != nil {
-			return err
-		}
-		if meta.Sorted, err = repairTier(meta.Sorted); err != nil {
-			return err
-		}
-		// Orphans and stale checkpoints: unreferenced tables are crashed
-		// merge/split outputs whose records live on in the inputs; hash
-		// checkpoints are discarded so recovery rebuilds the index from
-		// the repaired tables.
-		entries, err := r.fs.List(pdir)
-		if err == nil {
-			for _, e := range entries {
-				switch n, kind, ok := parseFileName(e); {
-				case ok && kind == fileTable && !known[n]:
-					if err := r.toLost(filepath.Join(pdir, e)); err != nil {
-						return err
-					}
-					r.report.OrphansMoved = append(r.report.OrphansMoved, filepath.Join(pdir, e))
-				case ok && kind == fileCkpt:
-					r.fs.Remove(filepath.Join(pdir, e))
-				}
-			}
-		}
-		meta.HashCkpt = 0
+		meta.HashCkpt = 0 // the open that ends the repair rebuilds the index and sweeps the file
 		meta.Logs = meta.Logs[:0]
 		for n := range logs {
 			meta.Logs = append(meta.Logs, n)
 		}
 		slices.Sort(meta.Logs)
-		if rebuilt && !haveMin && meta.WALNum != 0 {
+		if _, ok := lows[meta.ID]; !ok && r.report.ManifestRebuilt {
 			// No table survived to bound the partition: its WALs' smallest
 			// key does, replayed as recovery will (best effort — whatever
 			// replays before a read error counts).
 			mem := newMemtable()
-			for _, n := range walNumsFrom(r.fs, pdir, meta.WALNum) {
+			for _, n := range walNumsFrom(r.files, meta.ID, meta.WALNum) {
 				_ = replayWAL(r.fs, walName(pdir, n), mem)
 			}
 			if it := mem.NewIterator(); it.First() {
-				minKey, haveMin = slices.Clone(it.Record().Key), true
+				note(it.Record().Key)
 			}
 		}
-		bounds = append(bounds, bound{meta: meta, min: minKey, ok: haveMin})
 	}
-	if rebuilt {
-		// Assign partition boundaries from the salvaged key ranges: order
-		// by minimum key, first partition open at the bottom. Partitions
-		// with no surviving data (and no WAL) hold nothing routable — drop
-		// them from the layout.
-		kept := bounds[:0]
-		for _, b := range bounds {
-			if b.ok {
-				kept = append(kept, b)
-			} else {
-				delete(r.state.Partitions, b.meta.ID)
-			}
+	if !r.report.ManifestRebuilt {
+		return nil
+	}
+	// Assign partition boundaries from the salvaged key ranges: order by
+	// minimum key, first partition open at the bottom. Partitions with no
+	// surviving data hold nothing routable — drop them from the layout.
+	var ids []uint32
+	for id := range r.state.Partitions {
+		if _, ok := lows[id]; ok {
+			ids = append(ids, id)
+		} else {
+			delete(r.state.Partitions, id)
 		}
-		slices.SortFunc(kept, func(a, b bound) int { return bytes.Compare(a.min, b.min) })
-		for i, b := range kept {
-			if i == 0 {
-				b.meta.Lower = nil
-			} else {
-				b.meta.Lower = b.min
-			}
+	}
+	slices.SortFunc(ids, func(a, b uint32) int { return bytes.Compare(lows[a], lows[b]) })
+	for i, id := range ids {
+		r.state.Partitions[id].Lower = lows[id]
+		if i == 0 {
+			r.state.Partitions[id].Lower = nil
 		}
 	}
 	return nil
@@ -453,39 +408,27 @@ func (r *repairer) repairPartitions() error {
 func (r *repairer) repairTable(pid uint32, pdir string, tm manifest.TableMeta, logs map[uint32]bool) (manifest.TableMeta, bool, error) {
 	path := tableName(pdir, tm.FileNum)
 	drop := func(reason string) (manifest.TableMeta, bool, error) {
-		if r.fs.Exists(path) {
-			if err := r.toLost(path); err != nil {
-				return tm, false, err
-			}
-		}
 		r.report.TablesDropped = append(r.report.TablesDropped, DroppedFile{
-			Partition: pid,
-			Path:      path,
-			Smallest:  tm.Smallest,
-			Largest:   tm.Largest,
-			Reason:    reason,
-		})
-		return tm, false, nil
+			Partition: pid, Path: path, Smallest: tm.Smallest, Largest: tm.Largest, Reason: reason})
+		return tm, false, r.toLost(path)
 	}
-	f, err := r.fs.Open(path)
+	f, err := r.fs.Open(path) // loadState made sure every table the state names is there
 	if err != nil {
-		return drop(fmt.Sprintf("unreadable: %v", err))
+		return tm, false, err
 	}
 	rdr, err := sstable.Open(f)
 	if err != nil {
 		f.Close()
-		if Classify(err) == ClassCorruption {
-			return drop(fmt.Sprintf("corrupt: %v", err))
-		}
+	} else {
+		defer rdr.Close()
+		_, err = rdr.VerifyChecksums(nil)
+	}
+	if Classify(err) == ClassCorruption {
+		return drop(fmt.Sprintf("corrupt: %v", err))
+	} else if err != nil {
 		return tm, false, err
 	}
-	defer rdr.Close()
-	if _, err := rdr.VerifyChecksums(nil); err != nil {
-		if Classify(err) == ClassCorruption {
-			return drop(fmt.Sprintf("corrupt: %v", err))
-		}
-		return tm, false, err
-	}
+	tm.Smallest, tm.Largest = rdr.Smallest(), rdr.Largest() // the report's range, also after a rebuild
 	// Dangling-pointer scan: every record checksummed clean, so iterator
 	// errors below would be unexpected (fail the repair rather than guess).
 	var keep []record.Record
@@ -522,7 +465,8 @@ func (r *repairer) repairTable(pid uint32, pdir string, tm manifest.TableMeta, l
 	}
 	// Rewrite without the dangling records, then retire the original to
 	// lost/ so the dropped pointers stay inspectable.
-	num := r.allocFileNum()
+	num := r.nextFile
+	r.nextFile++
 	nf, err := r.fs.Create(tableName(pdir, num))
 	if err != nil {
 		return tm, false, err
@@ -542,62 +486,7 @@ func (r *repairer) repairTable(pid uint32, pdir string, tm manifest.TableMeta, l
 	if err := r.fs.SyncDir(pdir); err != nil {
 		return tm, false, err
 	}
-	if err := r.toLost(path); err != nil {
-		return tm, false, err
-	}
 	r.report.TablesRewritten++
-	r.report.TablesDropped = append(r.report.TablesDropped, DroppedFile{
-		Partition: pid,
-		Path:      path,
-		Smallest:  tm.Smallest,
-		Largest:   tm.Largest,
-		Reason:    fmt.Sprintf("%d record(s) pointed into lost log bytes; survivors rewritten to %08d.sst", dangling, num),
-	})
-	return tableMeta(num, props), true, nil
-}
-
-// allocFileNum hands out file numbers above everything observed so far.
-func (r *repairer) allocFileNum() uint64 {
-	if r.nextFile == 0 {
-		r.nextFile = 1
-	}
-	n := r.nextFile
-	r.nextFile++
-	return n
-}
-
-// finish bumps the allocator counters past everything observed and writes
-// the rebuilt manifest.
-func (r *repairer) finish() error {
-	// File numbers: above every surviving table, WAL, and rewrite output.
-	maxFile := r.nextFile
-	for _, meta := range r.state.Partitions {
-		for _, t := range meta.Unsorted {
-			if t.FileNum >= maxFile {
-				maxFile = t.FileNum + 1
-			}
-		}
-		for _, t := range meta.Sorted {
-			if t.FileNum >= maxFile {
-				maxFile = t.FileNum + 1
-			}
-		}
-		if meta.WALNum >= maxFile {
-			maxFile = meta.WALNum + 1
-		}
-	}
-	if maxFile == 0 {
-		maxFile = 1
-	}
-	r.state.NextFileNum = maxFile
-	if r.maxSeq > r.state.LastSeq {
-		r.state.LastSeq = r.maxSeq
-	}
-	if r.maxLog >= r.state.NextLogNum {
-		r.state.NextLogNum = r.maxLog + 1
-	}
-	if r.state.NextPartID == 0 {
-		r.state.NextPartID = 1
-	}
-	return manifest.Rewrite(r.fs, r.dir, r.state)
+	_, _, err = drop(fmt.Sprintf("%d record(s) pointed into lost log bytes; survivors rewritten to %08d.sst", dangling, num))
+	return tableMeta(num, props), err == nil, err
 }

@@ -438,56 +438,66 @@ func Open(fs vfs.FS, dir string) (*Manifest, error) {
 	if err := fs.MkdirAll(dir); err != nil {
 		return nil, err
 	}
-	m := &Manifest{fs: fs, dir: dir, RotateAt: 1 << 20}
+	state, gen, _, err := Load(fs, dir)
+	if err != nil {
+		return nil, err
+	}
+	return Continue(fs, dir, state, gen)
+}
+
+// Load reads the state the manifest in dir records, writing nothing. gen is
+// the generation CURRENT names, 0 with no CURRENT (and an empty state). A
+// torn final record is a crash mid-commit and is dropped (torn reports it);
+// a record stream damaged anywhere else is ErrCorrupt, since every record
+// before the last was acknowledged and acted on.
+func Load(fs vfs.FS, dir string) (state *State, gen uint64, torn bool, err error) {
 	cur := filepath.Join(dir, currentName)
 	if !fs.Exists(cur) {
-		m.state = NewState()
-		m.gen = 1
-		if err := m.writeFresh(); err != nil {
-			return nil, err
-		}
-		return m, nil
+		return NewState(), 0, false, nil
 	}
 	name, err := fs.ReadFile(cur)
 	if err != nil {
-		return nil, err
+		return nil, 0, false, err
 	}
 	base := strings.TrimSpace(string(name))
-	if _, err := fmt.Sscanf(base, "MANIFEST-%06d", &m.gen); err != nil {
-		return nil, ErrCorrupt
+	if _, err := fmt.Sscanf(base, "MANIFEST-%06d", &gen); err != nil || !fs.Exists(filepath.Join(dir, base)) {
+		return nil, 0, false, fmt.Errorf("%w: CURRENT names %q", ErrCorrupt, base)
 	}
 	f, err := fs.Open(filepath.Join(dir, base))
 	if err != nil {
-		return nil, err
+		return nil, 0, false, err
 	}
-	state := NewState()
+	defer f.Close()
+	state = NewState()
 	r := wal.NewReader(f)
 	for {
 		rec, err := r.Next()
+		if err == io.EOF && r.Damaged() {
+			return nil, 0, false, fmt.Errorf("%w: %s has a damaged record, not a torn tail", ErrCorrupt, base)
+		}
 		if err == io.EOF {
-			break
+			return state, gen, r.Torn(), nil
 		}
 		if err != nil {
-			f.Close()
-			return nil, err
+			return nil, 0, false, err
 		}
 		for len(rec) > 0 {
 			var e Edit
 			if e, rec, err = decodeEdit(rec); err != nil {
-				f.Close()
-				return nil, err
+				return nil, 0, false, err
 			}
 			if err := e.apply(state); err != nil {
-				f.Close()
-				return nil, err
+				return nil, 0, false, fmt.Errorf("%w: %v", ErrCorrupt, err)
 			}
 		}
 	}
-	f.Close()
-	m.state = state
-	// Continue in a fresh generation so we never append to a log we only
-	// partially validated.
-	m.gen++
+}
+
+// Continue makes state, which Load read as generation gen, the live
+// manifest: it starts generation gen+1 with a snapshot of it, so nothing is
+// ever appended to a log only partially validated.
+func Continue(fs vfs.FS, dir string, state *State, gen uint64) (*Manifest, error) {
+	m := &Manifest{fs: fs, dir: dir, RotateAt: 1 << 20, state: state, gen: gen + 1}
 	if err := m.writeFresh(); err != nil {
 		return nil, err
 	}

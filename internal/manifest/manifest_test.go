@@ -2,6 +2,7 @@ package manifest
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -207,6 +208,35 @@ func TestTornManifestTail(t *testing.T) {
 	defer m2.Close()
 	if _, ok := m2.State().Partitions[1]; !ok {
 		t.Fatal("partition lost to torn tail")
+	}
+}
+
+// TestDamagedManifestRefused: a flipped byte before the final record, or a
+// CURRENT naming no manifest, is ErrCorrupt — not the prefix that reads
+// clean — and Load writes nothing while it refuses.
+func TestDamagedManifestRefused(t *testing.T) {
+	fs := vfs.NewMem()
+	m, _ := Open(fs, "db")
+	m.Apply(AddPartition(1, nil))
+	m.Apply(SetWAL(1, 7))
+	cur, _ := fs.ReadFile("db/CURRENT")
+	name := "db/" + string(bytes.TrimSpace(cur))
+	m.Close()
+	data, _ := fs.ReadFile(name)
+	data[10] ^= 0xff // inside the snapshot record
+	fs.WriteFile(name, data)
+	if _, _, _, err := Load(fs, "db"); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Load of a damaged manifest: %v, want ErrCorrupt", err)
+	}
+	if _, err := Open(fs, "db"); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Open of a damaged manifest: %v, want ErrCorrupt", err)
+	}
+	if got, _ := fs.ReadFile(name); !bytes.Equal(got, data) {
+		t.Fatal("refusing a damaged manifest rewrote it")
+	}
+	fs.WriteFile("db/CURRENT", []byte("MANIFEST-000099\n"))
+	if _, _, _, err := Load(fs, "db"); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Load with CURRENT naming no manifest: %v, want ErrCorrupt", err)
 	}
 }
 

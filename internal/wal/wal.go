@@ -154,7 +154,8 @@ func (w *Writer) Close() error {
 
 // Reader replays logical records from a log file. Corruption (torn tail,
 // bad CRC) terminates iteration without error: everything before the
-// corruption is returned, matching recovery semantics.
+// corruption is returned, matching recovery semantics. Damaged tells the
+// two apart afterwards.
 type Reader struct {
 	f         vfs.File
 	off       int64
@@ -163,6 +164,7 @@ type Reader struct {
 	blockPos  int
 	rec       []byte
 	badRecord bool
+	damaged   bool
 }
 
 // NewReader returns a reader positioned at the start of f.
@@ -195,8 +197,14 @@ func (r *Reader) nextFragment() (byte, []byte, error) {
 			r.blockPos = r.blockLen
 			continue
 		}
-		if r.blockPos+headerLen+length > r.blockLen {
-			// Torn fragment.
+		if end := r.blockPos + headerLen + length; end > r.blockLen {
+			// A fragment never crosses its block: one that runs past a full
+			// block, or past the block size, is damage. Past the short last
+			// block it is a tail a crash cut off — unless a complete fragment
+			// follows it, which a crash never leaves behind the cut.
+			if r.blockLen == BlockSize || end > BlockSize || r.fragmentAfter() {
+				return 0, nil, errDamaged
+			}
 			return 0, nil, errTorn
 		}
 		payload := r.block[r.blockPos+headerLen : r.blockPos+headerLen+length]
@@ -204,14 +212,45 @@ func (r *Reader) nextFragment() (byte, []byte, error) {
 		// Type byte and payload are adjacent in the block: no temporary.
 		got := codec.Checksum(r.block[r.blockPos+headerLen-1 : r.blockPos+headerLen+length])
 		if want != got {
-			return 0, nil, errTorn
+			return 0, nil, errDamaged // a crash leaves a prefix, never a complete bad fragment
 		}
 		r.blockPos += headerLen + length
 		return typ, payload, nil
 	}
 }
 
-var errTorn = fmt.Errorf("wal: torn record")
+// fragmentAfter reports whether a complete fragment with a good checksum
+// starts anywhere behind the current header in the loaded block.
+func (r *Reader) fragmentAfter() bool {
+	for p := r.blockPos + headerLen; p+headerLen <= r.blockLen; p++ {
+		hdr := r.block[p : p+headerLen]
+		end := p + headerLen + int(binary.LittleEndian.Uint16(hdr[4:6]))
+		if hdr[6] >= typeFull && hdr[6] <= typeLast && end <= r.blockLen &&
+			codec.UnmaskChecksum(binary.LittleEndian.Uint32(hdr)) == codec.Checksum(r.block[p+headerLen-1:end]) {
+			return true
+		}
+	}
+	return false
+}
+
+var (
+	errTorn    = fmt.Errorf("wal: torn record")
+	errDamaged = fmt.Errorf("wal: damaged record")
+)
+
+// Damaged reports whether the records Next returned stop at damage rather
+// than at the end of the log or a torn tail: a complete fragment whose
+// checksum fails, one out of sequence, one that crosses its block, or one
+// whose length runs past the end of the log while a complete fragment lies
+// behind it. A crash mid-append leaves only a tail cut short, so a log whose
+// writer synced every record (the manifest) is damaged when a record it
+// acknowledged is unreadable — with one exception: a final fragment whose
+// length grew reads exactly like a crash's cut, and Damaged reports false.
+func (r *Reader) Damaged() bool { return r.damaged }
+
+// Torn reports whether the records Next returned stop at a tail cut short,
+// as a crash mid-append leaves it (or as a grown final length reads).
+func (r *Reader) Torn() bool { return r.badRecord && !r.damaged }
 
 // Next returns the next logical record, or io.EOF when the log is
 // exhausted (including the everything-after-corruption case).
@@ -225,46 +264,29 @@ func (r *Reader) Next() ([]byte, error) {
 	inRecord := false
 	for {
 		typ, payload, err := r.nextFragment()
-		if err == errTorn {
-			r.badRecord = true
+		if err == errTorn || err == errDamaged {
+			r.badRecord, r.damaged = true, err == errDamaged
 			return nil, io.EOF
 		}
 		if err != nil {
 			if err == io.EOF && inRecord {
 				// Truncated multi-fragment record: drop it.
+				r.badRecord = true
 				return nil, io.EOF
 			}
 			return nil, err
 		}
-		switch typ {
-		case typeFull:
-			if inRecord {
-				r.badRecord = true
-				return nil, io.EOF
-			}
-			return append(r.rec, payload...), nil
-		case typeFirst:
-			if inRecord {
-				r.badRecord = true
-				return nil, io.EOF
-			}
-			inRecord = true
-			r.rec = append(r.rec, payload...)
-		case typeMiddle:
-			if !inRecord {
-				r.badRecord = true
-				return nil, io.EOF
-			}
-			r.rec = append(r.rec, payload...)
-		case typeLast:
-			if !inRecord {
-				r.badRecord = true
-				return nil, io.EOF
-			}
-			return append(r.rec, payload...), nil
-		default:
-			r.badRecord = true
+		// A full or first fragment starts a record, a middle or last one
+		// continues it.
+		starts := typ == typeFull || typ == typeFirst
+		if typ < typeFull || typ > typeLast || starts == inRecord {
+			r.badRecord, r.damaged = true, true
 			return nil, io.EOF
 		}
+		r.rec = append(r.rec, payload...)
+		if typ == typeFull || typ == typeLast {
+			return r.rec, nil
+		}
+		inRecord = true
 	}
 }

@@ -168,11 +168,19 @@ func TestTornTail(t *testing.T) {
 		if n > len(in) {
 			t.Fatalf("cut=%d: phantom records", cut)
 		}
+		// Torn exactly when the cut lies inside a record.
+		if torn := cut > n*(headerLen+len(in[0])); r.Damaged() || r.Torn() != torn {
+			t.Fatalf("cut=%d: damaged=%v torn=%v, want torn=%v", cut, r.Damaged(), r.Torn(), torn)
+		}
 	}
 }
 
-// TestCorruptMiddle flips a byte mid-log; recovery must stop at the flip,
-// not return garbage.
+// TestCorruptMiddle flips a byte mid-log, and in the final record; recovery
+// must stop at the flip, not return garbage, and report damage wherever the
+// log tells it from a crash's cut: a complete fragment failing its checksum,
+// or a length running past the end with complete fragments behind it. A
+// grown length in the final fragment reads exactly like a cut, and is
+// reported torn.
 func TestCorruptMiddle(t *testing.T) {
 	fs := vfs.NewMem()
 	f, _ := fs.Create("log")
@@ -181,30 +189,43 @@ func TestCorruptMiddle(t *testing.T) {
 		w.AddRecord([]byte(fmt.Sprintf("rec-%d", i)))
 	}
 	w.Close()
-	data, _ := fs.ReadFile("log")
-	data[40] ^= 0xff
-	fs2 := vfs.NewMem()
-	fs2.WriteFile("log", data)
-	rf, _ := fs2.Open("log")
-	defer rf.Close()
-	r := NewReader(rf)
-	n := 0
-	for {
-		rec, err := r.Next()
-		if err == io.EOF {
-			break
+	clean, _ := fs.ReadFile("log")
+	last := len(clean) - 12 // records are 7-byte header + 5-byte payload
+	for _, c := range []struct {
+		off     int
+		damaged bool
+	}{
+		{38, true},             // a checksum byte of record 3
+		{40, true},             // the low length byte of record 3: runs past the end
+		{len(clean) - 2, true}, // the final payload
+		{last + 4, false},      // the final length: indistinguishable from a cut
+	} {
+		data := bytes.Clone(clean)
+		data[c.off] ^= 0xff
+		fs2 := vfs.NewMem()
+		fs2.WriteFile("log", data)
+		rf, _ := fs2.Open("log")
+		r := NewReader(rf)
+		n := 0
+		for {
+			rec, err := r.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := fmt.Sprintf("rec-%d", n)
+			if string(rec) != want {
+				t.Fatalf("record %d = %q want %q", n, rec, want)
+			}
+			n++
 		}
-		if err != nil {
-			t.Fatal(err)
+		rf.Close()
+		if n >= 10 || r.Damaged() != c.damaged || r.Torn() == c.damaged {
+			t.Fatalf("flip at %d: %d records, damaged=%v torn=%v, want damaged=%v",
+				c.off, n, r.Damaged(), r.Torn(), c.damaged)
 		}
-		want := fmt.Sprintf("rec-%d", n)
-		if string(rec) != want {
-			t.Fatalf("record %d = %q want %q", n, rec, want)
-		}
-		n++
-	}
-	if n >= 10 {
-		t.Fatal("corruption not detected")
 	}
 }
 

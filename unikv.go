@@ -334,7 +334,8 @@ type RepairReport = core.RepairReport
 // open): torn value-log tails are truncated at the last valid frame,
 // unreadable tables are moved into path/lost/, surviving tables are
 // rewritten without pointers into lost log bytes, and the manifest is
-// rebuilt from what remains. The report enumerates every file dropped and
+// rebuilt from what remains. Repair then opens the result and fails unless
+// every checksum verifies. The report enumerates every file dropped and
 // the key ranges affected. A nil opts selects defaults (opts matters when
 // the database uses a custom FS).
 func Repair(path string, opts *Options) (*RepairReport, error) {
