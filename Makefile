@@ -76,10 +76,12 @@ fig-scan:
 	$(GO) run ./cmd/unikv-bench -exp fig-scan -n 20000 -ops 3000 -json -json-dir bench
 
 # The systematic fault-injection sweep (short, strided profile), including
-# the open-snapshot campaigns (faults armed while a pinned snapshot reads).
+# the open-snapshot campaigns (faults armed while a pinned snapshot reads),
+# and one failed flush, scan merge, merge, GC and split each, which must
+# leave none of the files the job was writing open.
 # Set UNIKV_FAULT_SWEEP=full to arm a fault at every op index (minutes).
 fault-sweep:
-	$(GO) test -race -run 'TestFaultSweep|TestCorrupt|TestBackgroundTransient|TestBackgroundSticky' ./internal/core/
+	$(GO) test -race -run 'TestFaultSweep|TestCorrupt|TestBackgroundTransient|TestBackgroundSticky|TestFailedJobClosesItsFiles' ./internal/core/
 
 # The corruption campaign: persistent byte flips and read-time CorruptPlans
 # across file classes and offsets; each point must be detected (scrub or

@@ -6,6 +6,12 @@
 // the refcount stays above zero forever, which permanently keeps every file
 // the version names on disk (internal/core/files.go).
 //
+// A job's writers pair the same way: a table writer (any call returning a
+// *tableWriter) or a dedicated value log (a *DedicatedLog) must reach
+// finish/abort (Finish/Abort) on every error path. A writer abandoned on an
+// error return keeps its half-written file open after the job's end removed
+// it, one more handle per retry.
+//
 // Success returns are deliberately exempt: the engine's constructors
 // transfer ownership on success (NewSnapshot hands its pins to the
 // Snapshot), and a transfer looks exactly like a leak to a checker that
@@ -33,6 +39,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 
 	"unikv/internal/analysis"
 	"unikv/internal/analysis/callgraph"
@@ -42,7 +49,8 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "refpair",
 	Doc: "require every acquired reference (a pinned partition version or " +
-		"NewSnapshot handle) to be released on all error " +
+		"NewSnapshot handle) to be released, and every job writer (table " +
+		"writer, dedicated value log) finished or aborted, on all error " +
 		"paths — a leaked ref keeps the files it fences on disk forever",
 	Run: run,
 }
@@ -54,8 +62,16 @@ type pairKind uint8
 
 const (
 	kindHandle pairKind = iota // acquire / release, NewSnapshot / Close
+	kindWriter                 // a *tableWriter or *DedicatedLog / finish, abort
 	numKinds
 )
+
+// writerTypes are the job writers kindWriter pairs, with their release
+// methods.
+var writerTypes = map[string][]string{
+	"tableWriter":  {"finish", "abort"},
+	"DedicatedLog": {"Finish", "Abort"},
+}
 
 // evKind enumerates the replayed event stream.
 type evKind uint8
@@ -71,7 +87,7 @@ const (
 type event struct {
 	kind evKind
 	pair pairKind
-	// key pairs acquire with release: the handle variable ("v", "s").
+	// key pairs acquire with release: the handle variable ("v", "s", "w").
 	key string
 	pos token.Pos
 	// errObj, on an evAcquire from a (handle, error) constructor, is the
@@ -175,7 +191,7 @@ func replay(pass *analysis.Pass, f *callgraph.Func, events []event, sums map[*ca
 	release := func(pair pairKind, key string, deferOnly bool) {
 		kept := live[:0]
 		for _, h := range live {
-			match := h.pair == pair && (pair != kindHandle || h.key == key)
+			match := h.pair == pair && h.key == key
 			if match {
 				if deferOnly {
 					h.deferred = true
@@ -233,6 +249,12 @@ func replay(pass *analysis.Pass, f *callgraph.Func, events []event, sums map[*ca
 				if h.errObj != nil && ev.errObj != nil && h.errObj == ev.errObj {
 					continue // the constructor's own failure: nothing acquired
 				}
+				if h.pair == kindWriter {
+					pass.Reportf(ev.pos,
+						"error return leaves writer %s created at %s open: finish or abort it on this path (or defer its abort) — each failed attempt would leak a file handle",
+						h.key, pass.Fset.Position(h.pos))
+					continue
+				}
 				pass.Reportf(ev.pos,
 					"error return leaks handle %s acquired at %s: release it on this path (or defer the release/Close) — a leaked reference permanently blocks value-log GC",
 					h.key, pass.Fset.Position(h.pos))
@@ -265,13 +287,11 @@ func collect(pass *analysis.Pass, g *callgraph.Graph, f *callgraph.Func) []event
 				// Constructor shape: handle[, err] := acquire/NewSnapshot call.
 				if len(n.Rhs) == 1 {
 					if call, ok := ast.Unparen(n.Rhs[0]).(*ast.CallExpr); ok {
-						if ev, ok := classifyAcquire(call); ok {
-							if ev.pair == kindHandle {
-								if id, ok := n.Lhs[0].(*ast.Ident); ok {
-									ev.key = id.Name
-									if len(n.Lhs) > 1 {
-										ev.errObj = objOf(info, n.Lhs[len(n.Lhs)-1])
-									}
+						if ev, ok := classifyAcquire(info, call); ok {
+							if id, ok := n.Lhs[0].(*ast.Ident); ok {
+								ev.key = id.Name
+								if len(n.Lhs) > 1 {
+									ev.errObj = objOf(info, n.Lhs[len(n.Lhs)-1])
 								}
 							}
 							out = append(out, ev)
@@ -293,13 +313,13 @@ func collect(pass *analysis.Pass, g *callgraph.Graph, f *callgraph.Func) []event
 				}
 				return false
 			case *ast.CallExpr:
-				if ev, ok := classifyAcquire(call(n)); ok {
+				if ev, ok := classifyAcquire(info, n); ok {
 					if !inDefer { // a deferred acquire makes no sense; ignore
 						out = append(out, ev)
 					}
 					return true
 				}
-				if ev, ok := classifyRelease(n); ok {
+				if ev, ok := classifyRelease(info, n); ok {
 					if inDefer {
 						ev.kind = evDeferRelease
 					}
@@ -320,8 +340,6 @@ func collect(pass *analysis.Pass, g *callgraph.Graph, f *callgraph.Func) []event
 	return out
 }
 
-func call(c *ast.CallExpr) *ast.CallExpr { return c }
-
 func objOf(info *types.Info, e ast.Expr) types.Object {
 	id, ok := e.(*ast.Ident)
 	if !ok {
@@ -333,21 +351,39 @@ func objOf(info *types.Info, e ast.Expr) types.Object {
 	return info.Uses[id]
 }
 
-// classifyAcquire recognizes the acquire half of each protocol.
-func classifyAcquire(c *ast.CallExpr) (event, bool) {
+// classifyAcquire recognizes the acquire half of each protocol: handles by
+// the constructor's name, writers by the type of its first result.
+func classifyAcquire(info *types.Info, c *ast.CallExpr) (event, bool) {
+	ev := event{kind: evAcquire, pair: kindHandle, key: "<unnamed>", pos: c.Pos()}
 	sel, ok := ast.Unparen(c.Fun).(*ast.SelectorExpr)
 	if ok && (sel.Sel.Name == "acquire" || sel.Sel.Name == "NewSnapshot") {
-		return event{kind: evAcquire, pair: kindHandle, key: "<unnamed>", pos: c.Pos()}, true
+		return ev, true
+	}
+	t := info.TypeOf(c)
+	if tuple, ok := t.(*types.Tuple); ok && tuple.Len() > 0 {
+		t = tuple.At(0).Type()
+	}
+	if _, ok := t.(*types.Pointer); ok && writerTypes[lintutil.NamedName(t)] != nil {
+		ev.pair = kindWriter
+		return ev, true
 	}
 	return event{}, false
 }
 
-// classifyRelease recognizes the release half of each protocol.
-func classifyRelease(c *ast.CallExpr) (event, bool) {
-	// Pairs by key: releases the handle held in that variable.
+// classifyRelease recognizes the release half of each protocol. It pairs by
+// key: it releases the handle or writer held in that variable.
+func classifyRelease(info *types.Info, c *ast.CallExpr) (event, bool) {
 	sel, ok := ast.Unparen(c.Fun).(*ast.SelectorExpr)
-	if ok && (sel.Sel.Name == "release" || sel.Sel.Name == "Close") {
-		return event{kind: evRelease, pair: kindHandle, key: lintutil.ExprString(sel.X), pos: c.Pos()}, true
+	if !ok {
+		return event{}, false
+	}
+	ev := event{kind: evRelease, pair: kindHandle, key: lintutil.ExprString(sel.X), pos: c.Pos()}
+	if sel.Sel.Name == "release" || sel.Sel.Name == "Close" {
+		return ev, true
+	}
+	if t := info.TypeOf(sel.X); t != nil && slices.Contains(writerTypes[lintutil.NamedName(t)], sel.Sel.Name) {
+		ev.pair = kindWriter
+		return ev, true
 	}
 	return event{}, false
 }

@@ -66,98 +66,4 @@ func (b *Batch) Reset() {
 // ApplyBatch applies every operation in the batch. Operations are
 // sequenced in queue order; per-key ordering is always preserved (a key
 // maps to exactly one partition).
-func (db *DB) ApplyBatch(b *Batch) error {
-	if db.closed.Load() {
-		return ErrClosed
-	}
-	if err := db.degradedErr(); err != nil {
-		return err
-	}
-	for i := range b.ops {
-		op := &b.ops[i]
-		if len(op.Key) == 0 || len(op.Key) >= maxKeyLen || len(op.Value) >= maxValueLen {
-			return ErrKeyTooLarge
-		}
-	}
-	for i := range b.ops {
-		if b.ops[i].Kind == record.KindDelete {
-			db.stats.Deletes.Add(1)
-		} else {
-			db.stats.Puts.Add(1)
-		}
-	}
-	pending := b.ops
-	retries := 0
-	for len(pending) > 0 {
-		p := db.partitionFor(pending[0].Key)
-		if err := db.throttle(p); err != nil {
-			return err
-		}
-		p.mu.Lock()
-		if done := p.splitting; done != nil {
-			p.mu.Unlock()
-			<-done
-			continue
-		}
-		v := p.cur.Load()
-		if !v.covers(pending[0].Key) {
-			p.mu.Unlock()
-			if retries++; retries >= maxRouteRetries {
-				return classified(ErrRouterInconsistent)
-			}
-			continue // split raced; re-route
-		}
-		if err := p.quarantineErr(); err != nil {
-			p.mu.Unlock()
-			return err
-		}
-		retries = 0 // progress on a partition resets the budget
-		// Split pending into this partition's ops (order preserved) and
-		// the rest. A batch that stays inside one partition — every lone
-		// put off the wire — is sequenced and applied where it lies.
-		mine, rest := pending, []record.Record(nil)
-		if i := firstOutside(v, pending); i < len(pending) {
-			mine = append([]record.Record(nil), pending[:i]...)
-			for _, op := range pending[i:] {
-				if v.covers(op.Key) {
-					mine = append(mine, op)
-				} else {
-					rest = append(rest, op)
-				}
-			}
-		}
-		// Sequence this partition's chunk under its lock (see apply: a
-		// snapshot pin loads db.seq under every partition lock, so writes
-		// must not carry a seq before they are visible in a memtable).
-		// Per-key order is preserved — a key maps to exactly one partition
-		// and mine keeps queue order.
-		for i := range mine {
-			mine[i].Seq = db.seq.Add(1)
-		}
-		err := p.putBatch(mine)
-		froze := p.cur.Load() != v
-		p.mu.Unlock()
-		// Hot-ring staleness protocol: every written key is invalidated
-		// after the batch applied, before it is acknowledged (also on
-		// error — a partial application must not leave hot entries).
-		for i := range mine {
-			db.hot.Invalidate(mine[i].Key)
-		}
-		if err := db.written(p, froze, err); err != nil {
-			return err
-		}
-		pending = rest
-	}
-	return nil
-}
-
-// firstOutside returns the index of the first op whose key v does not
-// cover, or len(ops).
-func firstOutside(v *version, ops []record.Record) int {
-	for i := range ops {
-		if !v.covers(ops[i].Key) {
-			return i
-		}
-	}
-	return len(ops)
-}
+func (db *DB) ApplyBatch(b *Batch) error { return db.write(b.ops) }

@@ -7,6 +7,7 @@ import (
 
 	"unikv/internal/record"
 	"unikv/internal/vfs"
+	"unikv/internal/wal"
 )
 
 func TestBatchBasic(t *testing.T) {
@@ -291,6 +292,52 @@ func TestSelectiveSeparationSurvivesSplitAndGC(t *testing.T) {
 		}
 		if i%2 == 1 && (len(got) != 201 || got[200] != 7) {
 			t.Fatalf("key %d: wrong large value", i)
+		}
+	}
+}
+
+// TestPutIsABatchOfOne pins a put to the batch path: its WAL record is the
+// encoding of its one record, and a put that does not fill the memtable
+// allocates nothing — the one-record batch stays on the stack, the WAL
+// encodes into the partition's reused buffer and the memtable copies into
+// its slabs. Put allocated nothing when it still had a path of its own.
+func TestPutIsABatchOfOne(t *testing.T) {
+	fs := vfs.NewMem()
+	opts := smallOpts(fs)
+	opts.MemtableSize = 64 << 20
+	db, err := Open("db", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	k, v := key(1), val(1)
+	if err := db.Put(k, v); err != nil {
+		t.Fatal(err)
+	}
+	p := db.partitions()[0]
+	f, err := fs.Open(walName(p.dir, p.cur.Load().wals[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := wal.NewReader(f).Next()
+	f.Close()
+	want := record.Record{Key: k, Kind: record.KindSet, Value: v, Seq: db.seq.Load()}.Encode(nil)
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("the WAL record of a put is %x (%v), want %x", got, err, want)
+	}
+
+	const putAllocs = 0
+	for _, op := range []struct {
+		name string
+		fn   func() error
+	}{{"put", func() error { return db.Put(k, v) }}, {"delete", func() error { return db.Delete(k) }}} {
+		allocs := testing.AllocsPerRun(1000, func() {
+			if err := op.fn(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > putAllocs && !raceEnabled {
+			t.Errorf("a %s allocates %v times, want at most %d", op.name, allocs, putAllocs)
 		}
 	}
 }

@@ -69,7 +69,7 @@ func TestCommitEdits(t *testing.T) {
 	uns := func(nums ...uint64) *unsorted.Store {
 		s := unsorted.New(16, true, true)
 		for _, n := range nums {
-			s, _ = s.WithTable(&unsorted.Table{Meta: tm(n)}, nil, nil)
+			s, _ = s.WithTable(&sorted.Table{Meta: tm(n)}, nil, nil)
 		}
 		return s
 	}
@@ -94,7 +94,7 @@ func TestCommitEdits(t *testing.T) {
 		change(v)
 		return v
 	}
-	flushed, _ := cur.uns.WithTable(&unsorted.Table{Meta: tm(9)}, nil, nil)
+	flushed, _ := cur.uns.WithTable(&sorted.Table{Meta: tm(9)}, nil, nil)
 	empty := child.emptyVersion(nil)
 	right := empty.successor()
 	right.srt, right.logs = srt(12), []uint32{1, 2, 6}

@@ -62,7 +62,9 @@ func (p *partition) gc(v *version) error {
 	if err != nil {
 		return err
 	}
-	w := p.newTableWriter(j)
+	defer d.Abort()
+	w := p.newTableWriter(j, db.opts.TargetTableSize)
+	defer w.abort()
 	it := v.srt.NewMaintIterator()
 	var rewritten int64
 	var ptrBuf [record.EncodedPtrLen]byte
@@ -85,7 +87,7 @@ func (p *partition) gc(v *version) error {
 				rec.Value = nptr.Encode(ptrBuf[:0])
 			}
 		}
-		if err := w.add(rec); err != nil {
+		if _, _, err := w.add(rec); err != nil {
 			return err
 		}
 	}

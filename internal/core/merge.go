@@ -1,13 +1,15 @@
 package core
 
 import (
+	"slices"
+
 	"unikv/internal/codec"
 	"unikv/internal/manifest"
 	"unikv/internal/mergeiter"
 	"unikv/internal/record"
 	"unikv/internal/sorted"
 	"unikv/internal/sstable"
-	"unikv/internal/unsorted"
+	"unikv/internal/vfs"
 	"unikv/internal/vlog"
 )
 
@@ -21,43 +23,52 @@ type (
 func newMergeIter(iters []recIter) *mergeIter { return mergeiter.New(iters) }
 
 // ---------------------------------------------------------------------------
-// tableWriter emits a series of SortedStore tables capped at
-// TargetTableSize each, naming each in its job before creating it.
+// The table writer and the live-record stream: every job that writes tables
+// — flush, scan merge, merge, split and GC — writes them through a
+// tableWriter, and all but GC (one run, nothing shadowed) feed it from
+// eachNewest.
 
+// tableWriter writes a job's tables from a sorted record stream. It names
+// each table in the job before creating it, rolls to a new one once the
+// current one reaches rollAt bytes (0: never — a flushed or scan-merged table
+// is one file), and opens a reader over each it finishes. A job defers abort,
+// which closes a half-written table; the job's end removes its files.
 type tableWriter struct {
 	p      *partition
 	j      *job
+	rollAt int64
 	tables []*sorted.Table
 	b      *sstable.Builder
-	f      interface {
-		Close() error
-	}
-	num uint64
+	f      vfs.File
+	num    uint64
 }
 
-func (p *partition) newTableWriter(j *job) *tableWriter {
-	return &tableWriter{p: p, j: j}
+func (p *partition) newTableWriter(j *job, rollAt int64) *tableWriter {
+	return &tableWriter{p: p, j: j, rollAt: rollAt}
 }
 
-func (w *tableWriter) add(rec record.Record) error {
+// add appends rec and returns where it landed: its block, and its position
+// there, in the table being written.
+func (w *tableWriter) add(rec record.Record) (block, pos int, err error) {
 	if w.b == nil {
-		w.num = w.p.db.allocFileNum()
-		w.p.db.name(w.j, w.p.file(fileTable, w.num))
-		f, err := w.p.db.fs.Create(tableName(w.p.dir, w.num))
+		db := w.p.db
+		w.num = db.allocFileNum()
+		db.name(w.j, w.p.file(fileTable, w.num))
+		f, err := db.fs.Create(tableName(w.p.dir, w.num))
 		if err != nil {
-			return err
+			return 0, 0, err
 		}
-		w.f = f
-		w.b = sstable.NewBuilder(f, sstable.BuilderOptions{BlockSize: w.p.db.opts.BlockSize})
+		w.b, w.f = sstable.NewBuilder(f, sstable.BuilderOptions{BlockSize: db.opts.BlockSize}), f
 	}
+	block, pos = w.b.NextPosition()
 	w.b.Add(rec)
-	if w.b.EstimatedSize() >= w.p.db.opts.TargetTableSize {
-		return w.roll()
+	if w.rollAt > 0 && w.b.EstimatedSize() >= w.rollAt {
+		err = w.roll()
 	}
-	return nil
+	return block, pos, err
 }
 
-// roll finishes the current table and opens its reader.
+// roll finishes the table being written and opens its reader.
 func (w *tableWriter) roll() error {
 	if w.b == nil {
 		return nil
@@ -66,7 +77,9 @@ func (w *tableWriter) roll() error {
 	if err != nil {
 		return err
 	}
-	if err := w.f.Close(); err != nil {
+	f := w.f
+	w.b, w.f = nil, nil
+	if err := f.Close(); err != nil {
 		return err
 	}
 	meta := tableMeta(w.num, props)
@@ -75,17 +88,54 @@ func (w *tableWriter) roll() error {
 		return err
 	}
 	w.tables = append(w.tables, &sorted.Table{Meta: meta, Reader: rdr})
-	w.b = nil
-	w.f = nil
 	return nil
 }
 
-// finish flushes the trailing table and returns the run.
+// finish finishes the trailing table and returns every table written. A
+// failed finish closes the table it could not finish, as abort does.
 func (w *tableWriter) finish() ([]*sorted.Table, error) {
 	if err := w.roll(); err != nil {
+		w.abort()
 		return nil, err
 	}
 	return w.tables, nil
+}
+
+// abort closes the table being written, unfinished. The tables already
+// finished need nothing: their readers go with their files.
+func (w *tableWriter) abort() {
+	if w.f != nil {
+		w.f.Close()
+		w.b, w.f = nil, nil
+	}
+}
+
+// eachNewest walks m — key ascending, newest version first — and hands the
+// newest record of each key to emit: the one rule by which every job that
+// rewrites a partition's data decides what survives (RocksDB's
+// CompactionIterator). Into the SortedStore (bottom) tombstones are dropped
+// too, as nothing below is left for them to shadow. shadowed, when set, gets
+// every older version. m is the concrete merge iterator, not a recIter:
+// reached through an interface, the stream made a merge build 8 % slower.
+func eachNewest(m *mergeIter, bottom bool, shadowed func(record.Record), emit func(record.Record) error) error {
+	var last []byte
+	for ok := m.First(); ok; ok = m.Next() {
+		rec := m.Record()
+		if last != nil && codec.Compare(rec.Key, last) == 0 {
+			if shadowed != nil {
+				shadowed(rec)
+			}
+			continue
+		}
+		last = rec.Key // aliases an immutable block or a frozen memtable
+		if bottom && rec.Kind == record.KindDelete {
+			continue
+		}
+		if err := emit(rec); err != nil {
+			return err
+		}
+	}
+	return m.Err() // a read fault must not pass for the end of the stream
 }
 
 // ---------------------------------------------------------------------------
@@ -137,7 +187,8 @@ func (p *partition) separates(rec record.Record) bool {
 func (s *separator) add(rec record.Record) error {
 	staged := s.p.separates(rec)
 	if !staged && len(s.pending) == 0 {
-		return s.w.add(rec)
+		_, _, err := s.w.add(rec)
+		return err
 	}
 	if staged {
 		s.batch.Add(rec.Value)
@@ -173,7 +224,7 @@ func (s *separator) flush() error {
 			rec.Kind = record.KindSetPtr
 			rec.Value = ptr.Encode(s.ptrBuf[:0])
 		}
-		if err := s.w.add(rec); err != nil {
+		if _, _, err := s.w.add(rec); err != nil {
 			return err
 		}
 	}
@@ -226,31 +277,14 @@ func (p *partition) merge(v *version) error {
 // and returns the run with the logs its separated values landed in.
 func (p *partition) buildMerge(j *job, v *version) ([]*sorted.Table, []uint32, error) {
 	db := p.db
-	w := p.newTableWriter(j)
+	w := p.newTableWriter(j, db.opts.TargetTableSize)
+	defer w.abort()
 	sep := p.newSeparator(w)
-	mi := v.newFullMergeIter()
-	var lastKey []byte
-	for ok := mi.First(); ok; ok = mi.Next() {
-		rec := mi.Record()
-		if lastKey != nil && codec.Compare(rec.Key, lastKey) == 0 {
-			// Shadowed version: if it pointed into a log, that value is
-			// now garbage.
-			p.accountGarbage(rec)
-			continue
-		}
-		lastKey = rec.Key // aliases an immutable block
-		if rec.Kind == record.KindDelete {
-			// The SortedStore is the bottom tier: drop the tombstone.
-			continue
-		}
-		if err := sep.add(rec); err != nil {
-			return nil, nil, err
-		}
-	}
-	if err := sep.flush(); err != nil {
+	// A shadowed version that pointed into a log leaves its value garbage.
+	if err := eachNewest(v.newFullMergeIter(), true, p.accountGarbage, sep.add); err != nil {
 		return nil, nil, err
 	}
-	if err := mi.Err(); err != nil {
+	if err := sep.flush(); err != nil {
 		return nil, nil, err
 	}
 	tables, err := w.finish()
@@ -267,22 +301,18 @@ func (p *partition) buildMerge(j *job, v *version) ([]*sorted.Table, []uint32, e
 
 // replaceUnsorted commits a merge or scan merge of the first merged
 // unsorted tables. It builds the UnsortedStore the commit installs — head
-// (nil when the merged tables drain into the SortedStore) followed by
+// (none when the merged tables drain into the SortedStore) followed by
 // whatever was flushed behind them, under a fresh hash index and view (local
 // IDs are positional) — which reads those tables and so happens in front of
 // the partition lock. Under it, change completes the successor carrying that
 // store, in memory, and returns the edits the commit logs beside the derived
 // ones. flushMu is held across both so that no flush lands a table the new
 // store would miss.
-func (p *partition) replaceUnsorted(merged int, head *unsorted.Table, change func(next *version) []manifest.Edit) error {
+func (p *partition) replaceUnsorted(merged int, head []*sorted.Table, change func(next *version) []manifest.Edit) error {
 	p.flushMu.Lock()
 	defer p.flushMu.Unlock()
 	cur := p.cur.Load().uns // maintMu plus flushMu pin its table list
-	var tables []*unsorted.Table
-	if head != nil {
-		tables = append(tables, head)
-	}
-	uns, err := cur.Rebuild(append(tables, cur.Tables()[merged:]...))
+	uns, err := cur.Rebuild(slices.Concat(head, cur.Tables()[merged:]))
 	if err != nil {
 		return err
 	}
@@ -321,11 +351,11 @@ func (p *partition) scanMerge(v *version) error {
 	}
 	j := p.db.beginJob()
 	defer p.db.endJob(j)
-	tbl, err := p.buildScanMerge(j, v)
+	tables, err := p.buildScanMerge(j, v)
 	if err != nil {
 		return err
 	}
-	err = p.replaceUnsorted(len(v.uns.Tables()), tbl, func(*version) []manifest.Edit {
+	err = p.replaceUnsorted(len(v.uns.Tables()), tables, func(*version) []manifest.Edit {
 		return []manifest.Edit{p.db.nextFileEdit()}
 	})
 	if err == nil {
@@ -336,46 +366,23 @@ func (p *partition) scanMerge(v *version) error {
 
 // buildScanMerge compacts v's unsorted tables into a single table, which j
 // names, that keeps tombstones and inline values.
-func (p *partition) buildScanMerge(j *job, v *version) (*unsorted.Table, error) {
-	db := p.db
+func (p *partition) buildScanMerge(j *job, v *version) ([]*sorted.Table, error) {
 	iters := make([]recIter, 0, v.unsTables)
 	for _, t := range v.uns.Tables() {
 		iters = append(iters, t.Reader.NewMaintIterator())
 	}
-	m := newMergeIter(iters)
-
-	num := db.allocFileNum()
-	db.name(j, p.file(fileTable, num))
-	f, err := db.fs.Create(tableName(p.dir, num))
+	w := p.newTableWriter(j, 0)
+	defer w.abort()
+	err := eachNewest(newMergeIter(iters), false, nil, func(rec record.Record) error {
+		_, _, err := w.add(rec)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	b := sstable.NewBuilder(f, sstable.BuilderOptions{BlockSize: db.opts.BlockSize})
-	var lastKey []byte
-	for ok := m.First(); ok; ok = m.Next() {
-		rec := m.Record()
-		if lastKey != nil && codec.Compare(rec.Key, lastKey) == 0 {
-			continue
-		}
-		lastKey = rec.Key // aliases an immutable block
-		b.Add(rec)
-	}
-	if err := m.Err(); err != nil {
-		f.Close()
-		return nil, err
-	}
-	props, err := b.Finish()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	if err := f.Close(); err != nil {
-		return nil, err
-	}
-	meta := tableMeta(num, props)
-	rdr, err := p.openTable(meta)
+	tables, err := w.finish()
 	if err != nil {
 		return nil, err
 	}
-	return &unsorted.Table{Meta: meta, Reader: rdr}, db.fs.SyncDir(p.dir)
+	return tables, p.db.fs.SyncDir(p.dir)
 }

@@ -14,17 +14,19 @@ import (
 )
 
 // TestQuickModel drives the engine with random op sequences (put, delete,
-// get, start- and end-bounded scans, snapshot open / scan / close, a forced
-// Flush or CompactAll) plus a backup and a reopen every 500 ops — every
-// other reopen after a Repair of the closed directory, half of those after
-// a byte of a table or sealed value log was flipped, when every key that
-// changed must be accounted for by the loss report and the model adopts
-// what survived — and checks every observation against a model map. Scan
-// results are kept across later ops and re-verified byte for byte after
-// every op, so memory a result still points into must not be recycled;
-// after every op the manifest must describe exactly the current versions,
-// and once a forced step has settled with no snapshot open, the disk must
-// hold exactly the files they name.
+// a batch of copied and borrowed puts and deletes, get, start- and
+// end-bounded scans, snapshot open / scan / close, a forced Flush or
+// CompactAll, a forced GC of one partition) plus a backup and a reopen every
+// 500 ops — every other reopen after a Repair of the closed directory, half
+// of those after a byte of a table or sealed value log was flipped, when
+// every key that changed must be accounted for by the loss report and the
+// model adopts what survived — and checks every observation against a model
+// map. A batch draws its keys from the whole key space, so most straddle a
+// partition boundary. Scan results are kept across later ops and re-verified
+// byte for byte after every op, so memory a result still points into must
+// not be recycled; after every op the manifest must describe exactly the
+// current versions, and once a forced step has settled with no snapshot
+// open, the disk must hold exactly the files they name.
 // This is the main end-to-end property test: it routinely crosses flush,
 // scan-merge, merge, GC, and split boundaries because of the tiny limits —
 // run by the writer itself, and behind its back by a worker.
@@ -213,8 +215,25 @@ func quickModel(t *testing.T, workers int) {
 				if snap == nil {
 					checkFileSet(t, db) // a snapshot's versions keep more
 				}
+			case rnd.Intn(100) == 0: // a forced GC of a random partition, then the file set
+				parts := db.partitions()
+				p := parts[rnd.Intn(len(parts))]
+				p.maintMu.Lock()
+				v := p.acquire()
+				err := p.gc(v)
+				v.release()
+				p.maintMu.Unlock()
+				if err != nil {
+					t.Logf("gc: %v", err)
+					return false
+				}
+				db.afterCommit(p, jobGC)
+				settle(db)
+				if snap == nil {
+					checkFileSet(t, db)
+				}
 			default:
-				switch rnd.Intn(10) {
+				switch rnd.Intn(11) {
 				case 0, 1, 2, 3, 4: // put
 					k, v := keyOf(), fmt.Sprintf("val-%d-%d", op, rnd.Int63())
 					if err := db.Put([]byte(k), []byte(v)); err != nil {
@@ -261,6 +280,47 @@ func quickModel(t *testing.T, workers int) {
 							kept = kept[1:]
 						}
 						kept = append(kept, keptScan{got: kvs, want: cloneKVs(kvs)})
+					}
+				case 10: // a batch of 1-8 copied and borrowed puts and deletes
+					type batchOp struct {
+						k, v string
+						del  bool
+					}
+					b, ops := NewBatch(), []batchOp{}
+					var borrowed [][]byte
+					borrow := func(s string) []byte {
+						borrowed = append(borrowed, []byte(s))
+						return borrowed[len(borrowed)-1]
+					}
+					for i := rnd.Intn(8); i >= 0; i-- {
+						o := batchOp{k: keyOf(), v: fmt.Sprintf("batch-%d-%d-%d", op, i, rnd.Int63()), del: rnd.Intn(4) == 0}
+						switch copied := rnd.Intn(2) == 0; {
+						case o.del && copied:
+							b.Delete([]byte(o.k))
+						case o.del:
+							b.DeleteBorrowed(borrow(o.k))
+						case copied:
+							b.Put([]byte(o.k), []byte(o.v))
+						default:
+							b.PutBorrowed(borrow(o.k), borrow(o.v))
+						}
+						ops = append(ops, o)
+					}
+					if err := db.ApplyBatch(b); err != nil {
+						t.Logf("batch: %v", err)
+						return false
+					}
+					for _, buf := range borrowed { // the store kept none of them
+						for j := range buf {
+							buf[j] = 0xee
+						}
+					}
+					for _, o := range ops { // queue order
+						if o.del {
+							delete(model, o.k)
+						} else {
+							model[o.k] = o.v
+						}
 					}
 				case 9: // snapshot open / scan / close
 					switch {

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"unikv/internal/arena"
-	"unikv/internal/codec"
 	"unikv/internal/manifest"
 	"unikv/internal/memtable"
 	"unikv/internal/record"
@@ -45,6 +44,12 @@ type partition struct {
 	// viewBuilding is held by the scan building the sorted view recovery
 	// left unbuilt (see scanView).
 	viewBuilding atomic.Bool
+	// noSplit is the size at which a split last found fewer than two live
+	// keys (one value over the size limit, or a share of logs the partition
+	// no longer uses). The split trigger holds still while the size stays
+	// there; the pool would otherwise re-arm the split behind itself
+	// forever.
+	noSplit atomic.Int64
 
 	mu     sync.Mutex
 	wal    *wal.Writer // the live memtable's WAL, open for appends
@@ -173,11 +178,6 @@ func (p *partition) ensureWALLocked() error {
 // writes, so one huge batch does not pin its size.
 const maxRetainedWALBuf = 1 << 20
 
-// put applies one record.
-func (p *partition) put(rec record.Record) error {
-	return p.putBatch([]record.Record{rec})
-}
-
 // putBatch applies several records with one WAL record — they become
 // durable atomically within this partition — and freezes the memtable if
 // that filled it; the caller, which holds p.mu, sees the version move and
@@ -246,21 +246,17 @@ func (p *partition) freezeMemLocked() error {
 	return nil
 }
 
-// buildTable writes mem's live records into a new table file and opens a
-// reader over it. It only touches fresh files and the given frozen
-// memtable, so it needs no lock.
+// buildTable writes the newest record of each key in mem — walked as a merge
+// of one input, the stream eachNewest takes — to a new table through the
+// job's writer. It only touches fresh files and the given frozen memtable,
+// so it needs no lock.
 // Alongside the table it returns the key list for the hash index and, when
 // the sorted view is enabled, the view entries collected in the same pass
-// (Builder.NextPosition yields each record's cursor before it is written),
-// so the flush commit extends the view without re-reading the file.
-func (p *partition) buildTable(j *job, mem *memtable.Memtable) (*unsorted.Table, [][]byte, []sortedview.Entry, error) {
-	num := p.db.allocFileNum()
-	p.db.name(j, p.file(fileTable, num))
-	f, err := p.db.fs.Create(tableName(p.dir, num))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	b := sstable.NewBuilder(f, sstable.BuilderOptions{BlockSize: p.db.opts.BlockSize})
+// from where the writer placed each record, so the flush commit extends the
+// view without re-reading the file.
+func (p *partition) buildTable(j *job, mem *memtable.Memtable) (*sorted.Table, [][]byte, []sortedview.Entry, error) {
+	w := p.newTableWriter(j, 0)
+	defer w.abort()
 	collect := !p.db.opts.SortedViewOff
 	keys := make([][]byte, 0, mem.Len())
 	var entries []sortedview.Entry
@@ -270,40 +266,30 @@ func (p *partition) buildTable(j *job, mem *memtable.Memtable) (*unsorted.Table,
 	if collect {
 		entries = make([]sortedview.Entry, 0, mem.Len())
 	}
-	it := mem.NewIterator()
-	var last []byte
-	for ok := it.First(); ok; ok = it.Next() {
-		rec := it.Record()
-		if last != nil && codec.Compare(rec.Key, last) == 0 {
-			continue // older version of the same key
+	err := eachNewest(newMergeIter([]recIter{mem.NewIterator()}), false, nil, func(rec record.Record) error {
+		block, pos, err := w.add(rec)
+		if err != nil {
+			return err
 		}
-		last = rec.Key
 		k := rec.Key
 		if collect {
 			k = keyArena.Copy(rec.Key)
-			block, pos := b.NextPosition()
 			entries = append(entries, sortedview.Entry{
 				Key: k, Seq: rec.Seq, Kind: rec.Kind,
 				Block: int32(block), Pos: int32(pos),
 			})
 		}
-		b.Add(rec)
 		keys = append(keys, k)
-	}
-	props, err := b.Finish()
-	if err != nil {
-		f.Close()
-		return nil, nil, nil, err
-	}
-	if err := f.Close(); err != nil {
-		return nil, nil, nil, err
-	}
-	meta := tableMeta(num, props)
-	rdr, err := p.openTable(meta)
+		return nil
+	})
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return &unsorted.Table{Meta: meta, Reader: rdr}, keys, entries, nil
+	tables, err := w.finish()
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return tables[0], keys, entries, nil // a frozen memtable is never empty
 }
 
 // flushAll freezes the live memtable and flushes the whole immutable queue,

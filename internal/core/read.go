@@ -16,8 +16,8 @@ import (
 	"unikv/internal/vlog"
 )
 
-// maxRouteRetries bounds the route→version→covers dance in Get, Scan,
-// apply, and ApplyBatch. A re-route is legitimate only when a concurrent
+// maxRouteRetries bounds the route→version→covers dance in Get, Scan and
+// the write path. A re-route is legitimate only when a concurrent
 // split moves a boundary between partitionFor and the look at the
 // partition's version; that cannot recur this many times for one key, so
 // exhausting the bound means the router is inconsistent (see

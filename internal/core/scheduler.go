@@ -128,7 +128,7 @@ func (v *version) due(k jobKind) bool {
 	case jobGC:
 		return v.needsGC()
 	case jobSplit:
-		return !opts.DisablePartitioning && v.size >= opts.PartitionSizeLimit
+		return !opts.DisablePartitioning && v.size >= opts.PartitionSizeLimit && v.size != v.p.noSplit.Load()
 	}
 	return false
 }

@@ -604,3 +604,51 @@ func BenchmarkPut(b *testing.B) {
 		}
 	}
 }
+
+// TestUnsplittablePartitionSettles holds one value larger than the partition
+// limit: the split trigger fires, the split finds one live key and declines,
+// and the pool must not re-arm it behind itself — it used to spin on that
+// split forever. A second key makes the partition splittable again.
+func TestUnsplittablePartitionSettles(t *testing.T) {
+	db, err := Open("db", bgOpts(vfs.NewMem()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	big := bytes.Repeat([]byte("x"), 100<<10) // over the 64 KiB limit
+	settled := func(what string) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for db.sched.pendingJobs() > 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: maintenance never settles (%d splits)", what, db.Metrics().Splits)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if err := db.Put([]byte("a"), big); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CompactAll(); err != nil {
+		t.Fatal(err)
+	}
+	settled("one key")
+	if n := db.Metrics().Splits; n != 0 {
+		t.Fatalf("a partition of one key split %d times", n)
+	}
+	if err := db.Put([]byte("b"), big); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CompactAll(); err != nil {
+		t.Fatal(err)
+	}
+	settled("two keys")
+	if n := db.Metrics().Splits; n != 1 {
+		t.Fatalf("two keys over the limit split %d times, want once", n)
+	}
+	for _, k := range []string{"a", "b"} {
+		if got, err := db.Get([]byte(k)); err != nil || !bytes.Equal(got, big) {
+			t.Fatalf("get %s: %d bytes, %v", k, len(got), err)
+		}
+	}
+}

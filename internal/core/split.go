@@ -1,7 +1,6 @@
 package core
 
 import (
-	"unikv/internal/codec"
 	"unikv/internal/manifest"
 	"unikv/internal/record"
 	"unikv/internal/sorted"
@@ -62,11 +61,12 @@ func (db *DB) splitPartition(parent *partition) error {
 	defer v.release()
 
 	// Pass 1: count output records to locate the median.
-	total, err := v.countMerged()
-	if err != nil {
+	total := 0
+	if err := eachNewest(v.newFullMergeIter(), true, nil, func(record.Record) error { total++; return nil }); err != nil {
 		return err
 	}
 	if total < 2 {
+		parent.noSplit.Store(v.size)
 		return nil
 	}
 	half := total / 2
@@ -88,38 +88,31 @@ func (db *DB) splitPartition(parent *partition) error {
 	if err != nil {
 		return err
 	}
+	defer leftLog.Abort()
 	rightLog, err := db.vl.NewDedicatedLog(childID)
 	if err != nil {
 		return err
 	}
-	leftW := parent.newTableWriter(j)
-	rightW := child.newTableWriter(j)
+	defer rightLog.Abort()
+	leftW := parent.newTableWriter(j, db.opts.TargetTableSize)
+	defer leftW.abort()
+	rightW := child.newTableWriter(j, db.opts.TargetTableSize)
+	defer rightW.abort()
 
-	m := v.newFullMergeIter()
-	var lastKey []byte
+	// Pass 1 counted this stream, so its half-th record exists and opens the
+	// child's range.
 	var ptrBuf [record.EncodedPtrLen]byte
 	idx := 0
 	var boundary []byte
-	for ok := m.First(); ok; ok = m.Next() {
-		rec := m.Record()
-		if lastKey != nil && codec.Compare(rec.Key, lastKey) == 0 {
-			parent.accountGarbage(rec)
-			continue
-		}
-		lastKey = rec.Key // aliases an immutable block
-		if rec.Kind == record.KindDelete {
-			continue
-		}
-		right := idx >= half
-		if right && boundary == nil {
-			boundary = append([]byte(nil), rec.Key...)
-		}
-		idx++
-
+	err = eachNewest(v.newFullMergeIter(), true, parent.accountGarbage, func(rec record.Record) error {
 		w, lg := leftW, leftLog
-		if right {
+		if idx >= half {
+			if boundary == nil {
+				boundary = append([]byte(nil), rec.Key...)
+			}
 			w, lg = rightW, rightLog
 		}
+		idx++
 		if parent.separates(rec) {
 			ptr, err := lg.Append(rec.Value)
 			if err != nil {
@@ -128,12 +121,11 @@ func (db *DB) splitPartition(parent *partition) error {
 			rec.Kind = record.KindSetPtr
 			rec.Value = ptr.Encode(ptrBuf[:0])
 		}
-		if err := w.add(rec); err != nil {
-			return err
-		}
-	}
-	if err := m.Err(); err != nil {
-		return err // a read fault must not pass for the end of the stream
+		_, _, err := w.add(rec)
+		return err
+	})
+	if err != nil {
+		return err
 	}
 	leftTables, err := leftW.finish()
 	if err != nil {
@@ -150,11 +142,6 @@ func (db *DB) splitPartition(parent *partition) error {
 	rightHasLog, err := rightLog.Finish()
 	if err != nil {
 		return err
-	}
-	if boundary == nil {
-		// Everything deduplicated/deleted into fewer than half records:
-		// nothing to split after all.
-		boundary = append([]byte(nil), lastKey...)
 	}
 
 	// Log sets: each child references all previously shared logs plus its
@@ -251,24 +238,4 @@ func (v *version) newFullMergeIter() *mergeIter {
 	}
 	iters = append(iters, v.srt.NewMaintIterator())
 	return newMergeIter(iters)
-}
-
-// countMerged counts the records a full merge would output (unique live
-// keys), for median finding.
-func (v *version) countMerged() (int, error) {
-	m := v.newFullMergeIter()
-	var lastKey []byte
-	n := 0
-	for ok := m.First(); ok; ok = m.Next() {
-		rec := m.Record()
-		if lastKey != nil && codec.Compare(rec.Key, lastKey) == 0 {
-			continue
-		}
-		lastKey = rec.Key // aliases an immutable block
-		if rec.Kind == record.KindDelete {
-			continue
-		}
-		n++
-	}
-	return n, m.Err()
 }

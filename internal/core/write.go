@@ -14,36 +14,49 @@ const (
 	maxValueLen = 1 << 30
 )
 
-// Put inserts or overwrites key with value.
+// Put inserts or overwrites key with value: a batch of one, held on the
+// stack. The record borrows the caller's slices — the WAL encodes them and
+// the memtable copies them into its own slabs before Put returns, so the
+// engine retains nothing of the caller's.
 func (db *DB) Put(key, value []byte) error {
-	db.stats.Puts.Add(1)
-	return db.apply(key, value, record.KindSet)
+	recs := [1]record.Record{{Key: key, Kind: record.KindSet, Value: value}}
+	return db.write(recs[:])
 }
 
 // Delete removes key (writes a tombstone).
 func (db *DB) Delete(key []byte) error {
-	db.stats.Deletes.Add(1)
-	return db.apply(key, nil, record.KindDelete)
+	recs := [1]record.Record{{Key: key, Kind: record.KindDelete}}
+	return db.write(recs[:])
 }
 
-// apply routes one write to its partition, retrying if a concurrent split
-// moves the boundary.
-func (db *DB) apply(key, value []byte, kind record.Kind) error {
+// write is the one write path, behind Put, Delete and ApplyBatch: it routes
+// recs to their partitions, retrying if a concurrent split moves a boundary,
+// and applies each partition's share — in queue order — with one WAL
+// record. Operations are sequenced in queue order; per-key ordering is
+// always preserved (a key maps to exactly one partition).
+func (db *DB) write(recs []record.Record) error {
 	if db.closed.Load() {
 		return ErrClosed
 	}
 	if err := db.degradedErr(); err != nil {
 		return err
 	}
-	if len(key) == 0 || len(key) >= maxKeyLen || len(value) >= maxValueLen {
-		return ErrKeyTooLarge
+	for i := range recs {
+		if len(recs[i].Key) == 0 || len(recs[i].Key) >= maxKeyLen || len(recs[i].Value) >= maxValueLen {
+			return ErrKeyTooLarge
+		}
 	}
-	// The record borrows the caller's slices: the WAL encodes them and the
-	// memtable copies them into its own slabs before apply returns, so the
-	// engine retains nothing of the caller's.
-	rec := record.Record{Key: key, Kind: kind, Value: value}
-	for tries := 0; tries < maxRouteRetries; tries++ {
-		p := db.partitionFor(key)
+	for i := range recs {
+		if recs[i].Kind == record.KindDelete {
+			db.stats.Deletes.Add(1)
+		} else {
+			db.stats.Puts.Add(1)
+		}
+	}
+	pending := recs
+	retries := 0
+	for len(pending) > 0 {
+		p := db.partitionFor(pending[0].Key)
 		if err := db.throttle(p); err != nil {
 			return err
 		}
@@ -54,9 +67,12 @@ func (db *DB) apply(key, value []byte, kind record.Kind) error {
 			continue
 		}
 		v := p.cur.Load()
-		if !v.covers(key) {
+		if !v.covers(pending[0].Key) {
 			p.mu.Unlock()
-			continue
+			if retries++; retries >= maxRouteRetries {
+				return classified(ErrRouterInconsistent)
+			}
+			continue // split raced; re-route
 		}
 		// Quarantine is checked after routing settles: only writes bound
 		// for the damaged partition fail; every other partition accepts.
@@ -64,23 +80,50 @@ func (db *DB) apply(key, value []byte, kind record.Kind) error {
 			p.mu.Unlock()
 			return err
 		}
+		retries = 0 // progress on a partition resets the budget
+		// Split pending into this partition's ops (order preserved) and
+		// the rest. A batch that stays inside one partition — every Put,
+		// every lone put off the wire — is sequenced and applied where it
+		// lies.
+		i := 1 // pending[0] is covered
+		for i < len(pending) && v.covers(pending[i].Key) {
+			i++
+		}
+		mine, rest := pending, []record.Record(nil)
+		if i < len(pending) {
+			mine = append([]record.Record(nil), pending[:i]...)
+			for _, op := range pending[i:] {
+				if v.covers(op.Key) {
+					mine = append(mine, op)
+				} else {
+					rest = append(rest, op)
+				}
+			}
+		}
 		// Sequence under the partition lock: a snapshot pins by loading
 		// db.seq while holding every partition's lock, so any write
 		// sequenced before the pin is already in its memtable and any write
 		// sequenced after carries a larger seq. Assigning before the lock
 		// would let a pinned snapshot admit an in-flight write it can later
 		// observe appearing in the shared memtable.
-		rec.Seq = db.seq.Add(1)
-		err := p.put(rec)
+		for i := range mine {
+			mine[i].Seq = db.seq.Add(1)
+		}
+		err := p.putBatch(mine)
 		froze := p.cur.Load() != v
 		p.mu.Unlock()
 		// Invalidate after the write applied, before it is acknowledged —
 		// the hot ring's staleness protocol (also on error: the write may
 		// have partially applied, and dropping a hot entry is always safe).
-		db.hot.Invalidate(key)
-		return db.written(p, froze, err)
+		for i := range mine {
+			db.hot.Invalidate(mine[i].Key)
+		}
+		if err := db.written(p, froze, err); err != nil {
+			return err
+		}
+		pending = rest
 	}
-	return classified(ErrRouterInconsistent)
+	return nil
 }
 
 // written ends a write to p that returned err, after p.mu is released. A

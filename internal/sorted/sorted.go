@@ -13,7 +13,8 @@ import (
 	"unikv/internal/sstable"
 )
 
-// Table is one SortedStore table.
+// Table is one table of a partition, in either store: its manifest entry
+// and its open reader. The UnsortedStore lists the same type.
 type Table struct {
 	Meta   manifest.TableMeta
 	Reader *sstable.Reader

@@ -21,6 +21,7 @@ import (
 	"unikv/internal/hashindex"
 	"unikv/internal/manifest"
 	"unikv/internal/record"
+	"unikv/internal/sorted"
 	"unikv/internal/sortedview"
 	"unikv/internal/sstable"
 	"unikv/internal/vfs"
@@ -28,12 +29,6 @@ import (
 
 // ErrBadCheckpoint reports an unusable store checkpoint.
 var ErrBadCheckpoint = errors.New("unsorted: checkpoint does not match table set")
-
-// Table is one flushed UnsortedStore table.
-type Table struct {
-	Meta   manifest.TableMeta
-	Reader *sstable.Reader
-}
 
 // Store is one immutable state of a partition's UnsortedStore: a table list
 // in flush order, the hash index over it and the cross-table sorted view.
@@ -49,7 +44,7 @@ type Table struct {
 // always starts a fresh index, so a Store's index never holds an entry for
 // an ID below len(tables) that is not about its own table of that ID.
 type Store struct {
-	tables   []*Table
+	tables   []*sorted.Table
 	index    *hashindex.Index
 	nBuckets int
 	size     int64
@@ -101,7 +96,7 @@ func New(nBuckets int, disableIndex, disableView bool) *Store {
 // for whatever is missing (Rebuild and Recover). The receiver is unchanged
 // except for its hash index, which the successor shares (see Store): at
 // most one WithTable successor of a Store may ever be published.
-func (s *Store) WithTable(t *Table, keys [][]byte, entries []sortedview.Entry) (*Store, error) {
+func (s *Store) WithTable(t *sorted.Table, keys [][]byte, entries []sortedview.Entry) (*Store, error) {
 	id := len(s.tables)
 	if id > 0xffff {
 		return nil, fmt.Errorf("unsorted: too many tables (%d)", id)
@@ -158,7 +153,7 @@ func (s *Store) WithTable(t *Table, keys [][]byte, entries []sortedview.Entry) (
 // view read from them (local IDs and view table IDs are positional, so the
 // survivors of a partial replacement need fresh ones). It reads every
 // table once; callers run it before taking the partition lock.
-func (s *Store) Rebuild(tables []*Table) (*Store, error) {
+func (s *Store) Rebuild(tables []*sorted.Table) (*Store, error) {
 	next := New(s.nBuckets, s.disableIndex, s.disableView)
 	next.stats = s.stats
 	if !s.disableView {
@@ -246,7 +241,7 @@ func (s *Store) probeAll(key []byte) (record.Record, bool, error) {
 }
 
 // Tables returns the tables in flush order (oldest first).
-func (s *Store) Tables() []*Table { return s.tables }
+func (s *Store) Tables() []*sorted.Table { return s.tables }
 
 // NumTables returns the number of tables.
 func (s *Store) NumTables() int { return len(s.tables) }
@@ -350,7 +345,7 @@ func Recover(
 		if err != nil {
 			return nil, err
 		}
-		t := &Table{Meta: meta, Reader: rdr}
+		t := &sorted.Table{Meta: meta, Reader: rdr}
 		if i < covered {
 			// The index already has this table's entries.
 			s.tables = append(s.tables, t)

@@ -11,13 +11,14 @@ import (
 
 	"unikv/internal/manifest"
 	"unikv/internal/record"
+	"unikv/internal/sorted"
 	"unikv/internal/sortedview"
 	"unikv/internal/sstable"
 	"unikv/internal/vfs"
 )
 
 // buildTable writes kvs (map key→value) as a sorted table and returns it.
-func buildTable(t testing.TB, fs vfs.FS, fileNum uint64, kvs map[string]string, seqBase uint64) (*Table, [][]byte) {
+func buildTable(t testing.TB, fs vfs.FS, fileNum uint64, kvs map[string]string, seqBase uint64) (*sorted.Table, [][]byte) {
 	t.Helper()
 	keys := make([]string, 0, len(kvs))
 	for k := range kvs {
@@ -53,7 +54,7 @@ func buildTable(t testing.TB, fs vfs.FS, fileNum uint64, kvs map[string]string, 
 		Smallest: props.Smallest, Largest: props.Largest,
 		MinSeq: props.MinSeq, MaxSeq: props.MaxSeq,
 	}
-	return &Table{Meta: meta, Reader: rdr}, rawKeys
+	return &sorted.Table{Meta: meta, Reader: rdr}, rawKeys
 }
 
 // holder plays the partition's part in these tests: it names the current
@@ -65,7 +66,7 @@ func newHolder(nBuckets int, disableView bool) *holder {
 	return &holder{New(nBuckets, false, disableView)}
 }
 
-func (h *holder) AddTable(t *Table, keys [][]byte, entries []sortedview.Entry) error {
+func (h *holder) AddTable(t *sorted.Table, keys [][]byte, entries []sortedview.Entry) error {
 	next, err := h.WithTable(t, keys, entries)
 	if err == nil {
 		h.Store = next
@@ -73,7 +74,7 @@ func (h *holder) AddTable(t *Table, keys [][]byte, entries []sortedview.Entry) e
 	return err
 }
 
-func (h *holder) ReplaceAll(tables ...*Table) error {
+func (h *holder) ReplaceAll(tables ...*sorted.Table) error {
 	next, err := h.Rebuild(tables)
 	if err == nil {
 		h.Store = next
@@ -181,7 +182,7 @@ func TestPredecessorIgnoresLaterFlush(t *testing.T) {
 
 	// A merge that drops t1: the successor answers from t2 alone through a
 	// fresh index, and the store it replaced is untouched.
-	s3, err := s2.Rebuild([]*Table{t2})
+	s3, err := s2.Rebuild([]*sorted.Table{t2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -530,7 +531,7 @@ func TestQuickModel(t *testing.T) {
 }
 
 // buildTableQ is buildTable without *testing.T for quick properties.
-func buildTableQ(fs vfs.FS, fileNum uint64, kvs map[string]string, seqBase uint64) (*Table, [][]byte) {
+func buildTableQ(fs vfs.FS, fileNum uint64, kvs map[string]string, seqBase uint64) (*sorted.Table, [][]byte) {
 	keys := make([]string, 0, len(kvs))
 	for k := range kvs {
 		keys = append(keys, k)
@@ -553,7 +554,7 @@ func buildTableQ(fs vfs.FS, fileNum uint64, kvs map[string]string, seqBase uint6
 		Smallest: props.Smallest, Largest: props.Largest,
 		MinSeq: props.MinSeq, MaxSeq: props.MaxSeq,
 	}
-	return &Table{Meta: meta, Reader: rdr}, rawKeys
+	return &sorted.Table{Meta: meta, Reader: rdr}, rawKeys
 }
 
 // goldenCheckpointSum is the SHA-256 of the checkpoint file below as the

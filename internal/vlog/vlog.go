@@ -405,21 +405,23 @@ func (d *DedicatedLog) flush() error {
 	return nil
 }
 
-// Finish writes what is still staged, then syncs and closes the log. The
-// log remains readable via the Manager. If nothing was appended the empty
-// file is removed and Finish reports that via the returned bool.
+// Finish writes what is still staged, then syncs and closes the log; it
+// closes the file on failure too. The log remains readable via the Manager.
+// If nothing was appended the empty file is removed and Finish reports that
+// via the returned bool.
 func (d *DedicatedLog) Finish() (nonEmpty bool, err error) {
 	if d.done {
 		return d.off > 0, nil
 	}
 	d.done = true
-	if err := d.flush(); err != nil {
-		return false, err
+	err = d.flush()
+	if err == nil {
+		err = d.f.Sync()
 	}
-	if err := d.f.Sync(); err != nil {
-		return false, err
+	if cerr := d.f.Close(); err == nil {
+		err = cerr
 	}
-	if err := d.f.Close(); err != nil {
+	if err != nil {
 		return false, err
 	}
 	if d.off == 0 {
@@ -433,6 +435,16 @@ func (d *DedicatedLog) Finish() (nonEmpty bool, err error) {
 	d.m.mu.Lock()
 	defer d.m.mu.Unlock()
 	return true, d.m.syncDirLocked()
+}
+
+// Abort closes the log's file without syncing unless Finish ran: the
+// owning job failed, and its end removes the file. A job defers it right
+// after NewDedicatedLog.
+func (d *DedicatedLog) Abort() {
+	if !d.done {
+		d.done = true
+		d.f.Close()
+	}
 }
 
 // syncDirLocked fsyncs the log directory if any log file was created since
