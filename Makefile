@@ -32,12 +32,12 @@ $(BIN)/unikvlint: FORCE
 
 # One iteration per benchmark: compiles and runs them without measuring.
 # The substrate packages carry the per-layer microbenchmarks (ns/op and
-# allocs/op of vfs, wal, memtable, sstable, vlog, the hash-index checkpoint,
+# allocs/op of vfs, wal, arena, memtable, sstable, vlog, the hash-index checkpoint,
 # the core put/scan paths, protocol encode/decode, a server round trip, the
 # read path's cache, hot ring, hash probe and boundary search, and the scan
 # path's k-way merge and sorted view).
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/bench/ ./internal/vfs/ ./internal/wal/ ./internal/memtable/ ./internal/sstable/ ./internal/vlog/ ./internal/hashindex/ ./internal/core/ ./internal/protocol/ ./internal/server/ ./internal/cache/ ./internal/hotring/ ./internal/sorted/ ./internal/unsorted/ ./internal/mergeiter/ ./internal/sortedview/
+	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/bench/ ./internal/vfs/ ./internal/wal/ ./internal/arena/ ./internal/memtable/ ./internal/sstable/ ./internal/vlog/ ./internal/hashindex/ ./internal/core/ ./internal/protocol/ ./internal/server/ ./internal/cache/ ./internal/hotring/ ./internal/sorted/ ./internal/unsorted/ ./internal/mergeiter/ ./internal/sortedview/
 
 # The perf ledger (perf/README.md, BENCHMARK.json): every workload, timed
 # and traced. perf/ is a Go module of its own, so `go test ./...` at the

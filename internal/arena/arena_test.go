@@ -2,6 +2,7 @@ package arena
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 )
 
@@ -58,3 +59,31 @@ func TestChunkPolicy(t *testing.T) {
 		t.Fatal("zero-length request")
 	}
 }
+
+// BenchmarkAlloc and BenchmarkCopy cut the memtable's two shapes — 24-byte
+// keys and 1 KiB values — from an arena sized like the memtable's value
+// slabs, replaced every 4096 requests the way a flush replaces a memtable.
+func BenchmarkAlloc(b *testing.B) {
+	benchCuts(b, func(a *Bytes, src []byte) []byte { return a.Alloc(len(src)) })
+}
+
+func BenchmarkCopy(b *testing.B) { benchCuts(b, (*Bytes).Copy) }
+
+func benchCuts(b *testing.B, cut func(*Bytes, []byte) []byte) {
+	for _, n := range []int{24, 1024} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			src := bytes.Repeat([]byte{0x5a}, n)
+			b.ReportAllocs()
+			b.SetBytes(int64(n))
+			var a Bytes
+			for i := 0; i < b.N; i++ {
+				if i%4096 == 0 {
+					a = New(4<<10, 64<<10)
+				}
+				benchSink = cut(&a, src)
+			}
+		})
+	}
+}
+
+var benchSink []byte

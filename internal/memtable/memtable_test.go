@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -129,50 +130,229 @@ func TestSizeAndLen(t *testing.T) {
 	}
 }
 
-// TestAgainstModel is the property test: a random op sequence applied to the
-// skiplist and a Go map must agree on every lookup.
+// TestAgainstModel is the property test: a random op sequence applied to
+// the memtable and to a plain list of records must agree on every lookup.
+// Sequence numbers are a shuffled permutation, so one key's versions arrive
+// out of order; reads run at the newest version and at random pins, for
+// present and absent keys, and iteration and Seek must reproduce the list
+// sorted by (key asc, seq desc) record for record.
 func TestAgainstModel(t *testing.T) {
 	f := func(seed int64) bool {
 		rnd := rand.New(rand.NewSource(seed))
+		const puts = 500
 		m := New()
-		model := map[string]string{}
-		seq := uint64(0)
-		for i := 0; i < 500; i++ {
-			k := fmt.Sprintf("key-%03d", rnd.Intn(80))
-			v := fmt.Sprintf("val-%d", rnd.Int63())
-			seq++
-			m.Put(rec(k, seq, v))
-			model[k] = v
+		var model []record.Record
+		for i, s := range rnd.Perm(puts) {
+			r := rec(fmt.Sprintf("key-%03d", rnd.Intn(80)), uint64(s+1), fmt.Sprintf("val-%d", i))
+			m.Put(r)
+			model = append(model, r)
 		}
-		for k, v := range model {
-			got, ok := m.Get([]byte(k))
-			if !ok || string(got.Value) != v {
+		sort.Slice(model, func(i, j int) bool {
+			if c := bytes.Compare(model[i].Key, model[j].Key); c != 0 {
+				return c < 0
+			}
+			return model[i].Seq > model[j].Seq
+		})
+		// want is the reference read: the newest version of key at or
+		// below pin (model is sorted, so the first one met).
+		want := func(key []byte, pin uint64) (record.Record, bool) {
+			for _, r := range model {
+				if bytes.Equal(r.Key, key) && r.Seq <= pin {
+					return r, true
+				}
+			}
+			return record.Record{}, false
+		}
+		same := func(a, b record.Record) bool {
+			return bytes.Equal(a.Key, b.Key) && a.Seq == b.Seq && a.Kind == b.Kind && bytes.Equal(a.Value, b.Value)
+		}
+		for i := 0; i < 300; i++ {
+			// Keys 80..99 are never written.
+			key := []byte(fmt.Sprintf("key-%03d", rnd.Intn(100)))
+			pin := uint64(rnd.Intn(puts + 2))
+			w, wok := want(key, ^uint64(0))
+			if g, ok := m.Get(key); ok != wok || ok && !same(g, w) {
+				t.Logf("Get(%s) = %+v %v, want %+v %v", key, g, ok, w, wok)
+				return false
+			}
+			w, wok = want(key, pin)
+			if g, ok := m.GetAtSeq(key, pin); ok != wok || ok && !same(g, w) {
+				t.Logf("GetAtSeq(%s, %d) = %+v %v, want %+v %v", key, pin, g, ok, w, wok)
 				return false
 			}
 		}
-		// Iteration yields keys in sorted order with newest version first
-		// per key.
 		it := m.NewIterator()
-		var prevKey []byte
-		var prevSeq uint64
+		i := 0
 		for ok := it.First(); ok; ok = it.Next() {
-			r := it.Record()
-			if prevKey != nil {
-				c := bytes.Compare(prevKey, r.Key)
-				if c > 0 {
-					return false
-				}
-				if c == 0 && prevSeq <= r.Seq {
-					return false
-				}
+			if i >= len(model) || !same(it.Record(), model[i]) {
+				t.Logf("record %d of the iteration is %+v", i, it.Record())
+				return false
 			}
-			prevKey = append(prevKey[:0], r.Key...)
-			prevSeq = r.Seq
+			i++
+		}
+		if i != len(model) || m.Len() != len(model) {
+			t.Logf("iterated %d records, Len %d, want %d", i, m.Len(), len(model))
+			return false
+		}
+		for i := 0; i < 100; i++ {
+			target := []byte(fmt.Sprintf("key-%03d%s", rnd.Intn(101), []string{"", "\x00", "~"}[rnd.Intn(3)]))
+			at := sort.Search(len(model), func(j int) bool { return bytes.Compare(model[j].Key, target) >= 0 })
+			ok := it.Seek(target)
+			for j := at; j < min(at+5, len(model)); j++ {
+				if !ok || !same(it.Record(), model[j]) {
+					t.Logf("Seek(%q) step %d: valid %v, want %+v", target, j-at, ok, model[j])
+					return false
+				}
+				ok = it.Next()
+			}
+			if at+5 >= len(model) && ok {
+				t.Logf("Seek(%q) ran past the last record", target)
+				return false
+			}
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEqualSequenceShadows pins the rule for a repeated (key, seq): the
+// later Put goes ahead of the earlier one, reads return it, and iteration
+// yields both.
+func TestEqualSequenceShadows(t *testing.T) {
+	m := New()
+	m.Put(rec("k", 5, "first"))
+	m.Put(rec("k", 3, "older"))
+	m.Put(rec("k", 5, "second"))
+	for _, got := range []func() (record.Record, bool){
+		func() (record.Record, bool) { return m.Get([]byte("k")) },
+		func() (record.Record, bool) { return m.GetAtSeq([]byte("k"), 5) },
+	} {
+		if r, ok := got(); !ok || string(r.Value) != "second" {
+			t.Fatalf("read %q %v, want the later Put", r.Value, ok)
+		}
+	}
+	var vals []string
+	it := m.NewIterator()
+	for ok := it.First(); ok; ok = it.Next() {
+		vals = append(vals, string(it.Record().Value))
+	}
+	if fmt.Sprint(vals) != "[second first older]" || m.Len() != 3 {
+		t.Fatalf("iteration %v, Len %d", vals, m.Len())
+	}
+}
+
+// TestFingerprintCollisions fills the key table to 2^17 keys, where the
+// fingerprint bits below a slot's home bits are few enough that absent keys
+// meet equal fingerprints: a probe must still compare keys, never trust the
+// fingerprint alone.
+func TestFingerprintCollisions(t *testing.T) {
+	const n = 1 << 17
+	m := New()
+	key := func(i int) []byte { return []byte(fmt.Sprintf("k%07d", i)) }
+	for i := 0; i < n; i++ {
+		m.Put(record.Record{Key: key(2 * i), Seq: uint64(i + 1), Kind: record.KindSet})
+	}
+	for i := 0; i < 2*n; i++ {
+		r, ok := m.Get(key(i))
+		if ok != (i%2 == 0) || ok && !bytes.Equal(r.Key, key(i)) {
+			t.Fatalf("Get(%s) = %s, %v", key(i), r.Key, ok)
+		}
+	}
+}
+
+// TestConcurrentPinnedReaders runs one writer that overwrites and inserts
+// (growing the key table several times) beside readers pinned at the
+// memtable's MaxSeq when they start. The writer's sequences ascend, so a
+// pinned reader's view is complete and fixed: iteration must stay in
+// (key asc, seq desc) order, meet each sequence up to the pin exactly once,
+// and agree with GetAtSeq at the pin, which never returns a later record.
+func TestConcurrentPinnedReaders(t *testing.T) {
+	const initial, writes, readers = 200, 20000, 4
+	m := New()
+	val := func(key []byte, seq uint64) []byte { return []byte(fmt.Sprintf("%s@%d", key, seq)) }
+	keys := 0
+	put := func(rnd *rand.Rand, seq uint64) { // half inserts, half overwrites
+		k := keys
+		if rnd.Intn(2) == 0 && keys > 0 {
+			k = rnd.Intn(keys)
+		} else {
+			keys++
+		}
+		key := []byte(fmt.Sprintf("k%06d", k))
+		m.Put(record.Record{Key: key, Seq: seq, Kind: record.KindSet, Value: val(key, seq)})
+	}
+	wrnd := rand.New(rand.NewSource(1))
+	for seq := uint64(1); seq <= initial; seq++ {
+		put(wrnd, seq)
+	}
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(stop)
+		for seq := uint64(initial + 1); seq <= initial+writes; seq++ {
+			put(wrnd, seq)
+		}
+	}()
+	errs := make(chan error, readers)
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rnd := rand.New(rand.NewSource(int64(g)))
+			check := func() error {
+				pin := m.MaxSeq()
+				seen := make(map[uint64]bool, pin)
+				it := m.NewIterator()
+				var prev record.Record
+				ok := it.First()
+				if g%2 == 1 { // half the passes start from a random key
+					ok = it.Seek([]byte(fmt.Sprintf("k%06d", rnd.Intn(initial))))
+				}
+				for ; ok; ok = it.Next() {
+					r := it.Record()
+					if prev.Key != nil {
+						if c := bytes.Compare(prev.Key, r.Key); c > 0 || c == 0 && prev.Seq <= r.Seq {
+							return fmt.Errorf("%s@%d after %s@%d", r.Key, r.Seq, prev.Key, prev.Seq)
+						}
+					}
+					prev = r
+					if r.Seq > pin {
+						continue
+					}
+					if seen[r.Seq] || !bytes.Equal(r.Value, val(r.Key, r.Seq)) {
+						return fmt.Errorf("record %s@%d repeated or damaged", r.Key, r.Seq)
+					}
+					seen[r.Seq] = true
+					if got, ok := m.GetAtSeq(r.Key, pin); !ok || got.Seq > pin || got.Seq < r.Seq {
+						return fmt.Errorf("GetAtSeq(%s, %d) = seq %d %v beside %s@%d", r.Key, pin, got.Seq, ok, r.Key, r.Seq)
+					}
+				}
+				if g%2 == 0 && uint64(len(seen)) != pin {
+					return fmt.Errorf("pinned at %d, met %d sequences", pin, len(seen))
+				}
+				return nil
+			}
+			for {
+				if err := check(); err != nil {
+					errs <- err
+					return
+				}
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 
@@ -264,6 +444,65 @@ func BenchmarkIterate(b *testing.B) {
 		it := m.NewIterator()
 		for ok := it.First(); ok; ok = it.Next() {
 			benchSink = it.Record()
+		}
+	}
+}
+
+// BenchmarkGetMiss looks up keys of the same shape that the table does not
+// hold — what a Get pays in every memtable it passes on the way to a
+// table.
+func BenchmarkGetMiss(b *testing.B) {
+	m, recs := benchTable()
+	absent := make([][]byte, len(recs))
+	for i, r := range recs {
+		absent[i] = append([]byte("absent"), r.Key[len("absent"):]...)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := m.Get(absent[i%benchFill]); ok {
+			b.Fatal("found an absent key")
+		}
+	}
+}
+
+// BenchmarkPutOverwrite overwrites zipfian-chosen keys of a full table:
+// each round of benchFill puts starts from a fresh table holding every key
+// once, as an update workload's memtable does after its first flush.
+func BenchmarkPutOverwrite(b *testing.B) {
+	recs := benchRecords(benchFill)
+	zipf := rand.NewZipf(rand.New(rand.NewSource(2)), 1.1, 1, benchFill-1)
+	order := make([]record.Record, benchFill)
+	for i := range order {
+		order[i] = recs[zipf.Uint64()]
+		order[i].Seq = uint64(benchFill + i + 1)
+	}
+	b.ReportAllocs()
+	b.SetBytes(1024)
+	b.ResetTimer()
+	var m *Memtable
+	for i := 0; i < b.N; i++ {
+		if i%benchFill == 0 {
+			b.StopTimer()
+			m, _ = benchTable()
+			b.StartTimer()
+		}
+		m.Put(order[i%benchFill])
+	}
+}
+
+// BenchmarkSeekNext is a 100-record range read: a Seek to a present key,
+// then 100 Next calls. One op is the whole range.
+func BenchmarkSeekNext(b *testing.B) {
+	m, recs := benchTable()
+	it := m.NewIterator()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ok := it.Seek(recs[i%benchFill].Key)
+		for j := 0; j < 100 && ok; j++ {
+			benchSink = it.Record()
+			ok = it.Next()
 		}
 	}
 }
