@@ -14,7 +14,6 @@ import (
 	"fmt"
 
 	"unikv/internal/core"
-	"unikv/internal/flsm"
 	"unikv/internal/hashstore"
 	"unikv/internal/lsm"
 	"unikv/internal/vfs"
@@ -118,31 +117,20 @@ func OpenStore(kind string, env Env) (Store, error) {
 			return nil, err
 		}
 		return &unikvStore{db: db}, nil
-	case KindLevelDB, KindRocksDB, KindHyperLevelDB:
-		var cfg lsm.Config
-		scale := float64(memtable) / float64(4<<20)
-		switch kind {
-		case KindLevelDB:
-			cfg = lsm.ConfigLevelDB(scale)
-		case KindRocksDB:
-			cfg = lsm.ConfigRocksDB(scale)
-		case KindHyperLevelDB:
-			cfg = lsm.ConfigHyperLevelDB(scale)
+	case KindLevelDB, KindRocksDB, KindHyperLevelDB, KindPebblesDB:
+		presets := map[string]func(float64) lsm.Config{
+			KindLevelDB:      lsm.ConfigLevelDB,
+			KindRocksDB:      lsm.ConfigRocksDB,
+			KindHyperLevelDB: lsm.ConfigHyperLevelDB,
+			KindPebblesDB:    lsm.ConfigPebblesDB,
 		}
+		cfg := presets[kind](float64(memtable) / float64(4<<20))
 		cfg.FS = env.FS
 		db, err := lsm.Open(env.Dir, cfg)
 		if err != nil {
 			return nil, err
 		}
 		return &lsmStore{db: db, name: kind}, nil
-	case KindPebblesDB:
-		cfg := flsm.ConfigPebblesDB(float64(memtable) / float64(4<<20))
-		cfg.FS = env.FS
-		db, err := flsm.Open(env.Dir, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return &flsmStore{db: db}, nil
 	case KindHashStore:
 		// Fixed directory (SkimpyStash's low-RAM design point).
 		db, err := hashstore.Open(env.Dir, hashstore.Config{Buckets: 1 << 12, FS: env.FS})
@@ -184,40 +172,14 @@ type lsmStore struct {
 	name string
 }
 
-func (s *lsmStore) Name() string          { return s.name }
-func (s *lsmStore) Put(k, v []byte) error { return s.db.Put(k, v) }
-func (s *lsmStore) Delete(k []byte) error { return s.db.Delete(k) }
-func (s *lsmStore) Compact() error        { return s.db.Compact() }
-func (s *lsmStore) Close() error          { return s.db.Close() }
-func (s *lsmStore) DB() *lsm.DB           { return s.db }
-func (s *lsmStore) Get(k []byte) ([]byte, error) {
-	v, err := s.db.Get(k)
-	if err == lsm.ErrNotFound {
-		return nil, err
-	}
-	return v, err
-}
+func (s *lsmStore) Name() string                 { return s.name }
+func (s *lsmStore) Put(k, v []byte) error        { return s.db.Put(k, v) }
+func (s *lsmStore) Delete(k []byte) error        { return s.db.Delete(k) }
+func (s *lsmStore) Compact() error               { return s.db.Compact() }
+func (s *lsmStore) Close() error                 { return s.db.Close() }
+func (s *lsmStore) Get(k []byte) ([]byte, error) { return s.db.Get(k) }
+func (s *lsmStore) DB() *lsm.DB                  { return s.db }
 func (s *lsmStore) Scan(start []byte, limit int) ([]KV, error) {
-	kvs, err := s.db.Scan(start, nil, limit)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]KV, len(kvs))
-	for i, kv := range kvs {
-		out[i] = KV{Key: kv.Key, Value: kv.Value}
-	}
-	return out, nil
-}
-
-type flsmStore struct{ db *flsm.DB }
-
-func (s *flsmStore) Name() string                 { return KindPebblesDB }
-func (s *flsmStore) Put(k, v []byte) error        { return s.db.Put(k, v) }
-func (s *flsmStore) Delete(k []byte) error        { return s.db.Delete(k) }
-func (s *flsmStore) Compact() error               { return s.db.Flush() }
-func (s *flsmStore) Close() error                 { return s.db.Close() }
-func (s *flsmStore) Get(k []byte) ([]byte, error) { return s.db.Get(k) }
-func (s *flsmStore) Scan(start []byte, limit int) ([]KV, error) {
 	kvs, err := s.db.Scan(start, nil, limit)
 	if err != nil {
 		return nil, err

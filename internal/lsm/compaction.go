@@ -1,69 +1,94 @@
 package lsm
 
 import (
+	"math"
+	"slices"
+
 	"unikv/internal/codec"
 	"unikv/internal/memtable"
 	"unikv/internal/mergeiter"
 	"unikv/internal/record"
 	"unikv/internal/sstable"
+	"unikv/internal/vfs"
 )
 
-// flushLocked writes the memtable to a new L0 table.
+// flushLocked writes the memtable as a new one-table L0 run, then starts
+// a fresh WAL.
 func (db *DB) flushLocked() error {
-	it := db.mem.NewIterator()
-	var recs []record.Record
-	var last []byte
-	for ok := it.First(); ok; ok = it.Next() {
-		rec := it.Record()
-		if last != nil && codec.Compare(rec.Key, last) == 0 {
-			continue
-		}
-		last = rec.Key
-		recs = append(recs, rec)
-	}
-	if len(recs) == 0 {
-		return nil
-	}
-	t, err := db.writeTable(recs)
+	mem := mergeiter.NewDedup(mergeiter.New([]mergeiter.RecIter{db.mem.NewIterator()}))
+	r, err := db.writeRun(mem, math.MaxInt64, false)
 	if err != nil {
 		return err
 	}
-	db.levels[0] = append(db.levels[0], t)
+	db.levels[0] = append([]run{r}, db.levels[0]...)
 	db.mem = memtable.New()
 	db.flushes.Add(1)
-	if db.logw != nil {
-		if err := db.newWALLocked(); err != nil {
-			return err
-		}
-	}
-	return db.saveVersion()
+	return db.rotateWALLocked()
 }
 
-// writeTable persists recs (already sorted, deduped) as one table.
-func (db *DB) writeTable(recs []record.Record) (*table, error) {
-	num := db.nextFile
-	db.nextFile++
-	name := db.tableName(num)
-	f, err := db.fs.Create(name)
-	if err != nil {
-		return nil, err
+// writeRun writes the stream's records as a run of tables, cutting a
+// table once its records reach limit bytes and skipping tombstones when
+// dropTombstones is set.
+func (db *DB) writeRun(it *mergeiter.Dedup, limit int64, dropTombstones bool) (run, error) {
+	var (
+		out  run
+		f    vfs.File
+		b    *sstable.Builder
+		num  uint64
+		size int64
+	)
+	finish := func() error {
+		props, err := b.Finish()
+		b = nil
+		if err != nil {
+			f.Close()
+			return err
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+		t, err := db.openTable(num, props)
+		if err != nil {
+			return err
+		}
+		out = append(out, t)
+		return nil
 	}
-	b := sstable.NewBuilder(f, sstable.BuilderOptions{
-		BloomBitsPerKey: db.cfg.BloomBitsPerKey,
-		BlockSize:       db.cfg.BlockSize,
-	})
-	for _, rec := range recs {
+	for ok := it.First(); ok; ok = it.Next() {
+		rec := it.Record()
+		if rec.Kind == record.KindDelete && dropTombstones {
+			continue
+		}
+		if b == nil {
+			num = db.nextFile
+			db.nextFile++
+			var err error
+			if f, err = db.fs.Create(db.tableName(num)); err != nil {
+				return nil, err
+			}
+			b = sstable.NewBuilder(f, sstable.BuilderOptions{
+				BloomBitsPerKey: db.cfg.BloomBitsPerKey,
+				BlockSize:       db.cfg.BlockSize,
+			})
+			size = 0
+		}
 		b.Add(rec)
+		size += int64(len(rec.Key) + len(rec.Value) + 16)
+		if size >= limit {
+			if err := finish(); err != nil {
+				return nil, err
+			}
+		}
 	}
-	props, err := b.Finish()
-	if err != nil {
-		f.Close()
+	if err := it.Err(); err != nil {
 		return nil, err
 	}
-	if err := f.Close(); err != nil {
-		return nil, err
+	if b != nil {
+		if err := finish(); err != nil {
+			return nil, err
+		}
 	}
-	return db.openTable(num, props)
+	return out, nil
 }
 
 func (db *DB) openTable(num uint64, props sstable.Props) (*table, error) {
@@ -82,65 +107,86 @@ func (db *DB) openTable(num uint64, props sstable.Props) (*table, error) {
 	}, nil
 }
 
-// levelTarget returns level lev's size budget.
-func (db *DB) levelTarget(lev int) int64 {
-	t := db.cfg.LevelSizeBase
+// overLimit reports whether level lev must compact: L0 at
+// L0CompactTrigger runs, a deeper level at RunsPerLevel runs under
+// tiering or past its size budget under leveling.
+func (db *DB) overLimit(lev int) bool {
+	switch {
+	case lev == 0:
+		return len(db.levels[0]) >= db.cfg.L0CompactTrigger
+	case db.cfg.RunsPerLevel > 0:
+		return len(db.levels[lev]) >= db.cfg.RunsPerLevel
+	}
+	budget := db.cfg.LevelSizeBase
 	for i := 1; i < lev; i++ {
-		t *= int64(db.cfg.LevelMultiplier)
+		budget *= int64(db.cfg.LevelMultiplier)
 	}
-	return t
+	var size int64
+	for _, r := range db.levels[lev] {
+		for _, t := range r {
+			size += t.size
+		}
+	}
+	return size > budget
 }
 
-func levelBytes(tables []*table) int64 {
-	var n int64
-	for _, t := range tables {
-		n += t.size
-	}
-	return n
-}
-
-// maybeCompactLocked runs compactions until the tree satisfies its shape
-// invariants (the synchronous analogue of LevelDB's background thread).
+// maybeCompactLocked compacts the shallowest level over its limit until
+// none is (the synchronous analogue of LevelDB's background thread).
 func (db *DB) maybeCompactLocked() error {
 	for {
-		if len(db.levels[0]) >= db.cfg.L0CompactTrigger {
-			if err := db.compactLocked(0); err != nil {
-				return err
-			}
-			continue
+		lev := 0
+		for lev < NumLevels-1 && !db.overLimit(lev) {
+			lev++
 		}
-		compacted := false
-		for lev := 1; lev < NumLevels-1; lev++ {
-			if levelBytes(db.levels[lev]) > db.levelTarget(lev) {
-				if err := db.compactLocked(lev); err != nil {
-					return err
-				}
-				compacted = true
-				break
-			}
-		}
-		if !compacted {
+		if lev == NumLevels-1 {
 			return nil
+		}
+		if err := db.compactLocked(lev); err != nil {
+			return err
 		}
 	}
 }
 
-// overlaps reports range intersection.
-func overlaps(t *table, lo, hi []byte) bool {
-	return codec.Compare(t.largest, lo) >= 0 && codec.Compare(t.smallest, hi) <= 0
+// pick is the compaction policy: the runs a compaction of level lev takes
+// from lev, and the next level's tables they merge with. Tiering takes
+// every run of lev and nothing below it. Leveling takes all of L0, or one
+// deeper table chosen round-robin, together with the tables of the next
+// level's run that overlap it.
+func (db *DB) pick(lev int) (inputs []run, below run) {
+	inputs = db.levels[lev]
+	if db.cfg.RunsPerLevel > 0 {
+		return inputs, nil
+	}
+	if lev > 0 {
+		// Round-robin cursor: the first table past the last compacted key.
+		r := db.levels[lev][0]
+		pick := r[0]
+		if cur := db.cursor[lev]; cur != nil {
+			for _, t := range r {
+				if codec.Compare(t.smallest, cur) > 0 {
+					pick = t
+					break
+				}
+			}
+		}
+		db.cursor[lev] = append([]byte(nil), pick.largest...)
+		inputs = []run{{pick}}
+	}
+	lo, hi := keyRange(inputs)
+	for _, r := range db.levels[lev+1] {
+		for _, t := range r {
+			if overlaps(t, lo, hi) {
+				below = append(below, t)
+			}
+		}
+	}
+	return inputs, below
 }
 
-// compactLocked merges level lev into lev+1. For lev == 0 all L0 tables
-// participate (they overlap); deeper levels pick one table round-robin.
-func (db *DB) compactLocked(lev int) error {
-	var inputs []*table
-	var lo, hi []byte
-	if lev == 0 {
-		if len(db.levels[0]) == 0 {
-			return nil
-		}
-		inputs = append(inputs, db.levels[0]...)
-		for _, t := range inputs {
+// keyRange returns the smallest and largest key of the runs' tables.
+func keyRange(runs []run) (lo, hi []byte) {
+	for _, r := range runs {
+		for _, t := range r {
 			if lo == nil || codec.Compare(t.smallest, lo) < 0 {
 				lo = t.smallest
 			}
@@ -148,125 +194,90 @@ func (db *DB) compactLocked(lev int) error {
 				hi = t.largest
 			}
 		}
-	} else {
-		tables := db.levels[lev]
-		if len(tables) == 0 {
-			return nil
+	}
+	return lo, hi
+}
+
+// overlaps reports range intersection.
+func overlaps(t *table, lo, hi []byte) bool {
+	return codec.Compare(t.largest, lo) >= 0 && codec.Compare(t.smallest, hi) <= 0
+}
+
+// compactLocked merges what pick chooses from level lev into one new run
+// and installs it in level lev+1: prepended as a run of its own under
+// tiering, or in place of the overlapped tables of the level's one run
+// under leveling.
+func (db *DB) compactLocked(lev int) error {
+	inputs, below := db.pick(lev)
+	merging := append(slices.Clip(inputs), below)
+	gone := map[*table]bool{}
+	var iters []mergeiter.RecIter
+	for _, r := range merging {
+		iters = append(iters, newRunIter(r))
+		for _, t := range r {
+			gone[t] = true
 		}
-		// Round-robin cursor: first table past the last compacted key.
-		pick := tables[0]
-		if cur := db.cursor[lev]; cur != nil {
-			for _, t := range tables {
-				if codec.Compare(t.smallest, cur) > 0 {
-					pick = t
-					break
+	}
+	// Deeper levels hold older data: a tombstone may go when no table
+	// there, beyond those being merged, overlaps the inputs' key range.
+	lo, hi := keyRange(inputs)
+	drop := true
+	for _, runs := range db.levels[lev+1:] {
+		for _, r := range runs {
+			for _, t := range r {
+				if !gone[t] && overlaps(t, lo, hi) {
+					drop = false
 				}
 			}
 		}
-		inputs = append(inputs, pick)
-		lo, hi = pick.smallest, pick.largest
-		db.cursor[lev] = append([]byte(nil), pick.largest...)
+	}
+	out, err := db.writeRun(mergeiter.NewDedup(mergeiter.New(iters)), db.cfg.TargetTableSize, drop)
+	if err != nil {
+		return err
 	}
 
 	next := lev + 1
-	var overlapping []*table
-	var keep []*table
-	for _, t := range db.levels[next] {
-		if overlaps(t, lo, hi) {
-			overlapping = append(overlapping, t)
-		} else {
-			keep = append(keep, t)
-		}
-	}
-
-	// Tombstones can be dropped when nothing deeper can hold the key.
-	dropTombstones := true
-	for l := next + 1; l < NumLevels; l++ {
-		for _, t := range db.levels[l] {
-			if overlaps(t, lo, hi) {
-				dropTombstones = false
-			}
-		}
-	}
-
-	// Merge: inputs ordered newest-first for seq precedence is handled by
-	// the seq-aware merge itself.
-	var iters []mergeiter.RecIter
-	for _, t := range inputs {
-		iters = append(iters, t.rdr.NewIterator())
-	}
-	for _, t := range overlapping {
-		iters = append(iters, t.rdr.NewIterator())
-	}
-	d := mergeiter.NewDedup(mergeiter.New(iters))
-
-	var out []*table
-	var batch []record.Record
-	var batchBytes int64
-	emit := func() error {
-		if len(batch) == 0 {
-			return nil
-		}
-		t, err := db.writeTable(batch)
-		if err != nil {
-			return err
-		}
-		out = append(out, t)
-		batch = batch[:0]
-		batchBytes = 0
-		return nil
-	}
-	for ok := d.First(); ok; ok = d.Next() {
-		rec := d.Record()
-		if rec.Kind == record.KindDelete && dropTombstones {
-			continue
-		}
-		batch = append(batch, rec.Clone())
-		batchBytes += int64(len(rec.Key) + len(rec.Value) + 16)
-		if batchBytes >= db.cfg.TargetTableSize {
-			if err := emit(); err != nil {
-				return err
-			}
-		}
-	}
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if err := emit(); err != nil {
-		return err
-	}
-
-	// Install: new level contents sorted by smallest key.
-	merged := append(keep, out...)
-	sortTables(merged)
-	db.levels[next] = merged
-	if lev == 0 {
-		db.levels[0] = nil
+	db.levels[lev] = without(db.levels[lev], gone)
+	if db.cfg.RunsPerLevel > 0 {
+		db.levels[next] = without(append([]run{out}, db.levels[next]...), gone)
 	} else {
-		var rest []*table
-		for _, t := range db.levels[lev] {
-			if t != inputs[0] {
-				rest = append(rest, t)
-			}
+		for _, r := range db.levels[next] {
+			out = append(out, r...)
 		}
-		db.levels[lev] = rest
+		sortTables(out)
+		db.levels[next] = without([]run{out}, gone)
 	}
 	if err := db.saveVersion(); err != nil {
 		return err
 	}
-	for _, t := range inputs {
-		t.rdr.Close()
-		db.fs.Remove(db.tableName(t.fileNum))
-	}
-	for _, t := range overlapping {
-		t.rdr.Close()
-		db.fs.Remove(db.tableName(t.fileNum))
+	for _, r := range merging {
+		for _, t := range r {
+			t.rdr.Close()
+			db.fs.Remove(db.tableName(t.fileNum))
+		}
 	}
 	db.compactions.Add(1)
 	return nil
 }
 
-func sortTables(tables []*table) {
+// without returns runs minus the tables in gone, dropping runs left empty.
+func without(runs []run, gone map[*table]bool) []run {
+	var out []run
+	for _, r := range runs {
+		var kept run
+		for _, t := range r {
+			if !gone[t] {
+				kept = append(kept, t)
+			}
+		}
+		if len(kept) > 0 {
+			out = append(out, kept)
+		}
+	}
+	return out
+}
+
+func sortTables(tables run) {
 	for i := 1; i < len(tables); i++ {
 		for j := i; j > 0 && codec.Compare(tables[j].smallest, tables[j-1].smallest) < 0; j-- {
 			tables[j], tables[j-1] = tables[j-1], tables[j]
@@ -279,7 +290,7 @@ func sortTables(tables []*table) {
 // shape plus counters (the baseline's analogue of a MANIFEST; structural
 // changes are rare enough that full snapshots are cheap at this scale).
 
-const versionMagic uint64 = 0x756e696b766c736d // "unikvlsm"
+const versionMagic uint64 = 0x756e696b7672756e // "unikvrun"
 
 func (db *DB) saveVersion() error {
 	var buf []byte
@@ -287,14 +298,17 @@ func (db *DB) saveVersion() error {
 	buf = codec.PutUvarint(buf, db.nextFile)
 	buf = codec.PutUvarint(buf, db.seq)
 	buf = codec.PutUvarint(buf, db.walNum)
-	for lev := 0; lev < NumLevels; lev++ {
-		buf = codec.PutUvarint(buf, uint64(len(db.levels[lev])))
-		for _, t := range db.levels[lev] {
-			buf = codec.PutUvarint(buf, t.fileNum)
-			buf = codec.PutUvarint(buf, uint64(t.size))
-			buf = codec.PutUvarint(buf, uint64(t.count))
-			buf = codec.PutBytes(buf, t.smallest)
-			buf = codec.PutBytes(buf, t.largest)
+	for _, runs := range db.levels {
+		buf = codec.PutUvarint(buf, uint64(len(runs)))
+		for _, r := range runs {
+			buf = codec.PutUvarint(buf, uint64(len(r)))
+			for _, t := range r {
+				buf = codec.PutUvarint(buf, t.fileNum)
+				buf = codec.PutUvarint(buf, uint64(t.size))
+				buf = codec.PutUvarint(buf, uint64(t.count))
+				buf = codec.PutBytes(buf, t.smallest)
+				buf = codec.PutBytes(buf, t.largest)
+			}
 		}
 	}
 	buf = codec.PutUint32(buf, codec.MaskChecksum(codec.Checksum(buf)))
@@ -318,49 +332,37 @@ func (db *DB) loadVersion() error {
 	if magic, body, err = codec.Uint64(body); err != nil || magic != versionMagic {
 		return codec.ErrCorrupt
 	}
-	if db.nextFile, body, err = codec.Uvarint(body); err != nil {
-		return err
-	}
-	if db.seq, body, err = codec.Uvarint(body); err != nil {
-		return err
-	}
-	if db.walNum, body, err = codec.Uvarint(body); err != nil {
-		return err
-	}
-	for lev := 0; lev < NumLevels; lev++ {
-		var n uint64
-		if n, body, err = codec.Uvarint(body); err != nil {
-			return err
+	// Decoders keep the first error and return zero values after it.
+	uvarint := func() (v uint64) {
+		if err == nil {
+			v, body, err = codec.Uvarint(body)
 		}
-		for i := uint64(0); i < n; i++ {
-			var fileNum, size, count uint64
-			var smallest, largest []byte
-			if fileNum, body, err = codec.Uvarint(body); err != nil {
-				return err
+		return v
+	}
+	bytes := func() (b []byte) {
+		if err == nil {
+			b, body, err = codec.Bytes(body)
+		}
+		return append([]byte(nil), b...)
+	}
+	db.nextFile, db.seq, db.walNum = uvarint(), uvarint(), uvarint()
+	for lev := range db.levels {
+		for runs := uvarint(); err == nil && runs > 0; runs-- {
+			var r run
+			for tables := uvarint(); err == nil && tables > 0; tables-- {
+				num, size, count := uvarint(), uvarint(), uvarint()
+				props := sstable.Props{Size: int64(size), Count: int(count), Smallest: bytes(), Largest: bytes()}
+				if err != nil {
+					return err
+				}
+				t, err := db.openTable(num, props)
+				if err != nil {
+					return err
+				}
+				r = append(r, t)
 			}
-			if size, body, err = codec.Uvarint(body); err != nil {
-				return err
-			}
-			if count, body, err = codec.Uvarint(body); err != nil {
-				return err
-			}
-			if smallest, body, err = codec.Bytes(body); err != nil {
-				return err
-			}
-			if largest, body, err = codec.Bytes(body); err != nil {
-				return err
-			}
-			t, err := db.openTable(fileNum, sstable.Props{
-				Size: int64(size), Count: int(count),
-				Smallest: append([]byte(nil), smallest...),
-				Largest:  append([]byte(nil), largest...),
-			})
-			if err != nil {
-				return err
-			}
-			db.levels[lev] = append(db.levels[lev], t)
+			db.levels[lev] = append(db.levels[lev], r)
 		}
 	}
-	db.sweepOrphans()
-	return nil
+	return err
 }

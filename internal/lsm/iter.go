@@ -7,32 +7,30 @@ import (
 	"unikv/internal/sstable"
 )
 
-// levelIter concatenates a sorted level's non-overlapping tables into one
-// stream.
-type levelIter struct {
-	tables []*table
+// runIter concatenates a run's non-overlapping tables into one stream,
+// opening a table only when the stream reaches it.
+type runIter struct {
+	tables run
 	ti     int
 	it     *sstable.Iterator
 	err    error
 }
 
-func newLevelIter(tables []*table) *levelIter {
-	return &levelIter{tables: tables, ti: -1}
-}
+func newRunIter(r run) *runIter { return &runIter{tables: r, ti: -1} }
 
-func (l *levelIter) Valid() bool { return l.it != nil && l.it.Valid() }
+func (l *runIter) Valid() bool { return l.it != nil && l.it.Valid() }
 
-func (l *levelIter) Record() record.Record { return l.it.Record() }
+func (l *runIter) Record() record.Record { return l.it.Record() }
 
-func (l *levelIter) Err() error { return l.err }
+func (l *runIter) Err() error { return l.err }
 
-func (l *levelIter) First() bool {
+func (l *runIter) First() bool {
 	l.ti = -1
 	l.it = nil
 	return l.Next()
 }
 
-func (l *levelIter) Next() bool {
+func (l *runIter) Next() bool {
 	if l.err != nil {
 		return false
 	}
@@ -59,27 +57,19 @@ func (l *levelIter) Next() bool {
 	}
 }
 
-func (l *levelIter) Seek(target []byte) bool {
+// Seek skips every table that lies wholly below target without reading it.
+func (l *runIter) Seek(target []byte) bool {
 	if l.err != nil {
 		return false
 	}
-	lo, hi := 0, len(l.tables)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if codec.Compare(l.tables[mid].largest, target) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo >= len(l.tables) {
+	l.ti = seekTable(l.tables, target)
+	if l.ti >= len(l.tables) {
 		l.it = nil
-		l.ti = len(l.tables)
 		return false
 	}
-	l.ti = lo
-	l.it = l.tables[lo].rdr.NewIterator()
-	l.tables[lo].accesses.Add(1)
+	t := l.tables[l.ti]
+	l.it = t.rdr.NewIterator()
+	t.accesses.Add(1)
 	if l.it.Seek(target) {
 		return true
 	}
@@ -97,8 +87,8 @@ type KV struct {
 }
 
 // Scan returns up to limit pairs with start <= key < end, merging the
-// memtable, every L0 table, and one concatenated iterator per deeper
-// level — LevelDB's iterator stack.
+// memtable with one iterator per run — LevelDB's iterator stack, and
+// under tiering the many-run merge that makes PebblesDB's scans costly.
 func (db *DB) Scan(start, end []byte, limit int) ([]KV, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -108,15 +98,10 @@ func (db *DB) Scan(start, end []byte, limit int) ([]KV, error) {
 	if limit <= 0 && end == nil {
 		limit = 1 << 30
 	}
-	var iters []mergeiter.RecIter
-	iters = append(iters, db.mem.NewIterator())
-	for _, t := range db.levels[0] {
-		t.accesses.Add(1)
-		iters = append(iters, t.rdr.NewIterator())
-	}
-	for lev := 1; lev < NumLevels; lev++ {
-		if len(db.levels[lev]) > 0 {
-			iters = append(iters, newLevelIter(db.levels[lev]))
+	iters := []mergeiter.RecIter{db.mem.NewIterator()}
+	for _, runs := range db.levels {
+		for _, r := range runs {
+			iters = append(iters, newRunIter(r))
 		}
 	}
 	d := mergeiter.NewDedup(mergeiter.New(iters))

@@ -1,15 +1,25 @@
-// Package lsm implements a leveled LSM-tree key-value store — the
-// LevelDB-class baseline the paper compares against. It reuses the same
-// memtable/WAL/SSTable substrates as UniKV but organizes tables into
-// exponentially sized levels with Bloom filters and leveled compaction:
-// the design whose multi-level reads and compaction rewrites UniKV's
-// unified index is built to avoid.
+// Package lsm implements the LSM-tree baselines the paper compares UniKV
+// against: the leveled tree of LevelDB, RocksDB and HyperLevelDB, and the
+// tiered (fragmented) tree of PebblesDB. It reuses UniKV's memtable, WAL
+// and SSTable substrates, and the two shapes share every path except the
+// compaction policy.
 //
-// Config presets approximate LevelDB (small write buffer, single
-// synchronous compaction, 10× level fanout), RocksDB (larger buffers and
-// files), and HyperLevelDB (higher L0 tolerance, lazier compaction) at a
-// chosen scale. They reproduce those systems' architectural behaviours,
-// not vendor tuning.
+// Each level holds sorted runs, newest first; a run is key-ordered,
+// non-overlapping tables with Bloom filters. A flush adds a one-table run
+// to L0. Under leveling (Config.RunsPerLevel == 0) each deeper level holds
+// at most one run within an exponentially growing size budget, and a
+// compaction merges its inputs with the next level's overlapping tables —
+// the multi-level reads and compaction rewrites UniKV's unified index is
+// built to avoid. Under tiering (RunsPerLevel = K > 0) a level compacts
+// once it holds K runs, merging them into one new run prepended to the
+// next level without rewriting that level's runs: each key is rewritten
+// once per level, but reads probe and scans merge more runs.
+//
+// Config presets approximate LevelDB (small write buffer, 10× level
+// fanout), RocksDB (larger buffers and files), HyperLevelDB (higher L0
+// tolerance, lazier compaction) and PebblesDB (tiering) at a chosen scale.
+// They reproduce those systems' architectural behaviours, not vendor
+// tuning.
 package lsm
 
 import (
@@ -17,7 +27,6 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -44,14 +53,18 @@ type Config struct {
 	Name string
 	// MemtableSize flushes the write buffer at this many bytes.
 	MemtableSize int64
-	// L0CompactTrigger compacts L0 into L1 at this many L0 tables.
+	// L0CompactTrigger compacts L0 into L1 at this many L0 runs.
 	L0CompactTrigger int
-	// LevelSizeBase is L1's target size; level L targets
+	// RunsPerLevel selects the compaction policy: 0 is leveling, where a
+	// deeper level compacts past its size budget; K > 0 is tiering, where
+	// a deeper level compacts once it holds K runs.
+	RunsPerLevel int
+	// LevelSizeBase is L1's size budget under leveling; level L's is
 	// LevelSizeBase × LevelMultiplier^(L-1).
 	LevelSizeBase int64
 	// LevelMultiplier is the per-level fanout (10 in LevelDB).
 	LevelMultiplier int
-	// TargetTableSize bounds output tables.
+	// TargetTableSize bounds compaction output tables.
 	TargetTableSize int64
 	// BloomBitsPerKey configures per-table Bloom filters (10 ≈ 1 % FPR).
 	BloomBitsPerKey int
@@ -108,6 +121,20 @@ func ConfigHyperLevelDB(scale float64) Config {
 	}
 }
 
+// ConfigPebblesDB approximates PebblesDB: LevelDB's buffers with tiered
+// compaction, four runs per level, trading read and scan cost for write
+// amplification.
+func ConfigPebblesDB(scale float64) Config {
+	return Config{
+		Name:             "pebblesdb",
+		MemtableSize:     int64(4 << 20 * scale),
+		L0CompactTrigger: 4,
+		RunsPerLevel:     4,
+		TargetTableSize:  int64(2 << 20 * scale),
+		BloomBitsPerKey:  10,
+	}
+}
+
 func (c Config) sanitize() Config {
 	if c.MemtableSize <= 0 {
 		c.MemtableSize = 4 << 20
@@ -142,7 +169,10 @@ type table struct {
 	accesses atomic.Int64
 }
 
-// DB is a leveled LSM-tree store.
+// run is one sorted run: key-ordered, non-overlapping tables.
+type run []*table
+
+// DB is an LSM-tree store.
 type DB struct {
 	cfg Config
 	fs  vfs.FS
@@ -153,10 +183,10 @@ type DB struct {
 	logBuf   []byte // WAL record encoding scratch, reused under mu
 	logw     *wal.Writer
 	walNum   uint64
-	levels   [NumLevels][]*table // L0 in flush order (oldest first); L1+ key-sorted
+	levels   [NumLevels][]run // runs newest first
 	nextFile uint64
 	seq      uint64
-	cursor   [NumLevels][]byte // round-robin compaction cursors
+	cursor   [NumLevels][]byte // leveled round-robin compaction cursors
 
 	flushes     atomic.Int64
 	compactions atomic.Int64
@@ -166,34 +196,30 @@ type DB struct {
 // Open opens (creating if necessary) a store in dir.
 func Open(dir string, cfg Config) (*DB, error) {
 	cfg = cfg.sanitize()
-	db := &DB{cfg: cfg, fs: cfg.FS, dir: dir, nextFile: 1}
+	db := &DB{cfg: cfg, fs: cfg.FS, dir: dir, nextFile: 1, mem: memtable.New()}
 	if err := db.fs.MkdirAll(dir); err != nil {
 		return nil, err
 	}
-	db.mem = memtable.New()
 	if db.fs.Exists(db.versionName()) {
 		if err := db.loadVersion(); err != nil {
 			return nil, err
 		}
+		db.sweepOrphans()
 	}
-	// Replay the WAL, then start a fresh one.
 	if db.walNum != 0 && db.fs.Exists(db.walName(db.walNum)) {
 		if err := db.replayWAL(); err != nil {
 			return nil, err
 		}
 	}
+	// Replayed records go to a table; either way a fresh WAL starts.
+	var err error
 	if !db.mem.Empty() {
-		if err := db.flushLocked(); err != nil {
-			return nil, err
-		}
+		err = db.flushLocked()
+	} else if !cfg.DisableWAL {
+		err = db.rotateWALLocked()
 	}
-	if !cfg.DisableWAL {
-		if err := db.newWALLocked(); err != nil {
-			return nil, err
-		}
-		if err := db.saveVersion(); err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
 	return db, nil
 }
@@ -240,16 +266,14 @@ func (db *DB) apply(rec record.Record) error {
 		if err := db.flushLocked(); err != nil {
 			return err
 		}
-		if err := db.maybeCompactLocked(); err != nil {
-			return err
-		}
+		return db.maybeCompactLocked()
 	}
 	return nil
 }
 
-// Get returns the value for key. Read path: memtable, then L0 tables
-// newest-first, then one candidate table per deeper level — each gated by
-// its Bloom filter (the multi-level read amplification UniKV removes).
+// Get returns the value for key. Read path: the memtable, then every run
+// of every level, newest first, one candidate table per run, each gated by
+// its Bloom filter — the multi-level read amplification UniKV removes.
 func (db *DB) Get(key []byte) ([]byte, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -259,40 +283,20 @@ func (db *DB) Get(key []byte) ([]byte, error) {
 	if rec, ok := db.mem.Get(key); ok {
 		return resolve(rec)
 	}
-	// L0: overlapping tables, newest (last-flushed) first.
-	l0 := db.levels[0]
-	for i := len(l0) - 1; i >= 0; i-- {
-		t := l0[i]
-		if codec.Compare(key, t.smallest) < 0 || codec.Compare(key, t.largest) > 0 {
-			continue
-		}
-		if !t.rdr.MayContain(key) {
-			continue
-		}
-		t.accesses.Add(1)
-		rec, ok, err := t.rdr.Get(key)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			return resolve(rec)
-		}
-	}
-	for lev := 1; lev < NumLevels; lev++ {
-		t := findTable(db.levels[lev], key)
-		if t == nil {
-			continue
-		}
-		if !t.rdr.MayContain(key) {
-			continue
-		}
-		t.accesses.Add(1)
-		rec, ok, err := t.rdr.Get(key)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			return resolve(rec)
+	for _, runs := range db.levels {
+		for _, r := range runs {
+			t := findTable(r, key)
+			if t == nil || !t.rdr.MayContain(key) {
+				continue
+			}
+			t.accesses.Add(1)
+			rec, ok, err := t.rdr.Get(key)
+			if err != nil {
+				return nil, err
+			}
+			if ok {
+				return resolve(rec)
+			}
 		}
 	}
 	return nil, ErrNotFound
@@ -305,40 +309,32 @@ func resolve(rec record.Record) ([]byte, error) {
 	return append([]byte(nil), rec.Value...), nil
 }
 
-// findTable binary-searches a sorted level for the table covering key.
-func findTable(tables []*table, key []byte) *table {
-	lo, hi := 0, len(tables)
+// seekTable returns the index of the first table in r whose largest key
+// is >= key (len(r) if none).
+func seekTable(r run, key []byte) int {
+	lo, hi := 0, len(r)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if codec.Compare(tables[mid].largest, key) < 0 {
+		if codec.Compare(r[mid].largest, key) < 0 {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo == len(tables) || codec.Compare(key, tables[lo].smallest) < 0 {
-		return nil
-	}
-	return tables[lo]
+	return lo
 }
 
-// Flush forces the memtable to L0.
-func (db *DB) Flush() error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return ErrClosed
-	}
-	if db.mem.Empty() {
+// findTable returns the table of r whose range covers key, or nil.
+func findTable(r run, key []byte) *table {
+	i := seekTable(r, key)
+	if i == len(r) || codec.Compare(key, r[i].smallest) < 0 {
 		return nil
 	}
-	if err := db.flushLocked(); err != nil {
-		return err
-	}
-	return db.maybeCompactLocked()
+	return r[i]
 }
 
-// Compact drives compaction until every level is within its target.
+// Compact flushes the memtable and compacts until every level is within
+// its limit.
 func (db *DB) Compact() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -362,18 +358,18 @@ func (db *DB) Close() error {
 	}
 	var first error
 	if !db.mem.Empty() {
-		if err := db.flushLocked(); err != nil {
-			first = err
-		}
+		first = db.flushLocked()
 	}
 	if db.logw != nil {
 		db.logw.Sync()
 		db.logw.Close()
 		db.logw = nil
 	}
-	for lev := range db.levels {
-		for _, t := range db.levels[lev] {
-			t.rdr.Close()
+	for _, runs := range db.levels {
+		for _, r := range runs {
+			for _, t := range r {
+				t.rdr.Close()
+			}
 		}
 	}
 	db.closed = true
@@ -391,6 +387,7 @@ type Stats struct {
 // LevelStats describes one level.
 type LevelStats struct {
 	Level    int
+	Runs     int
 	Tables   int
 	Bytes    int64
 	Accesses int64
@@ -401,55 +398,61 @@ func (db *DB) Stats() Stats {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	s := Stats{Name: db.cfg.Name, Flushes: db.flushes.Load(), Compactions: db.compactions.Load()}
-	for lev := range db.levels {
-		ls := LevelStats{Level: lev, Tables: len(db.levels[lev])}
-		for _, t := range db.levels[lev] {
-			ls.Bytes += t.size
-			ls.Accesses += t.accesses.Load()
+	for lev, runs := range db.levels {
+		ls := LevelStats{Level: lev, Runs: len(runs)}
+		for _, r := range runs {
+			ls.Tables += len(r)
+			for _, t := range r {
+				ls.Bytes += t.size
+				ls.Accesses += t.accesses.Load()
+			}
 		}
 		s.Levels = append(s.Levels, ls)
 	}
 	return s
 }
 
-// TableAccesses returns per-table access counts ordered from L0 outward —
-// the series behind the paper's Fig. 2.
+// TableAccesses returns per-table access counts ordered from L0 outward,
+// newest run first — "lower ID = closer to memory", the series behind the
+// paper's Fig. 2.
 func (db *DB) TableAccesses() []int64 {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	var out []int64
-	for lev := range db.levels {
-		tables := db.levels[lev]
-		if lev == 0 {
-			// Newest first, matching "lower ID = closer to memory".
-			for i := len(tables) - 1; i >= 0; i-- {
-				out = append(out, tables[i].accesses.Load())
+	for _, runs := range db.levels {
+		for _, r := range runs {
+			for _, t := range r {
+				out = append(out, t.accesses.Load())
 			}
-			continue
-		}
-		for _, t := range tables {
-			out = append(out, t.accesses.Load())
 		}
 	}
 	return out
 }
 
-// newWALLocked starts a fresh WAL file.
-func (db *DB) newWALLocked() error {
+// rotateWALLocked starts a fresh WAL (none under DisableWAL) and saves
+// VERSION naming it. The old WAL is removed only after that save: until
+// VERSION names the flushed table, the old WAL is what recovery replays.
+func (db *DB) rotateWALLocked() error {
 	old := db.walNum
 	if db.logw != nil {
 		db.logw.Sync()
 		db.logw.Close()
 		db.logw = nil
 	}
-	num := db.nextFile
-	db.nextFile++
-	f, err := db.fs.Create(db.walName(num))
-	if err != nil {
+	db.walNum = 0
+	if !db.cfg.DisableWAL {
+		num := db.nextFile
+		db.nextFile++
+		f, err := db.fs.Create(db.walName(num))
+		if err != nil {
+			return err
+		}
+		db.logw = wal.NewWriter(f)
+		db.walNum = num
+	}
+	if err := db.saveVersion(); err != nil {
 		return err
 	}
-	db.logw = wal.NewWriter(f)
-	db.walNum = num
 	if old != 0 {
 		db.fs.Remove(db.walName(old))
 	}
@@ -485,20 +488,24 @@ func (db *DB) replayWAL() error {
 	}
 }
 
-// sweepOrphans removes table files not referenced by the current version.
+// sweepOrphans removes every table and WAL file VERSION does not name:
+// what a flush or compaction left behind when it failed, or the process
+// died, before its VERSION save.
 func (db *DB) sweepOrphans() {
 	names, err := db.fs.List(db.dir)
 	if err != nil {
 		return
 	}
-	ref := map[string]bool{}
-	for lev := range db.levels {
-		for _, t := range db.levels[lev] {
-			ref[filepath.Base(db.tableName(t.fileNum))] = true
+	live := map[string]bool{filepath.Base(db.walName(db.walNum)): true}
+	for _, runs := range db.levels {
+		for _, r := range runs {
+			for _, t := range r {
+				live[filepath.Base(db.tableName(t.fileNum))] = true
+			}
 		}
 	}
 	for _, name := range names {
-		if strings.HasSuffix(name, ".sst") && !ref[name] {
+		if ext := filepath.Ext(name); (ext == ".sst" || ext == ".wal") && !live[name] {
 			db.fs.Remove(filepath.Join(db.dir, name))
 		}
 	}

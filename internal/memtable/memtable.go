@@ -6,7 +6,7 @@
 // LevelDB. A point read is one hash probe and a walk down the chain; a Put
 // of a key already present is a probe and a prepend, and only a new key
 // searches the skiplist. A full memtable is flushed to an SSTable in the
-// UnsortedStore. The LSM and FLSM baselines (internal/lsm, internal/flsm)
+// UnsortedStore. The LSM baselines (internal/lsm, leveled and tiered)
 // use the same memtable.
 //
 // The memtable owns every byte it stores: Put copies the record's key (once
