@@ -227,9 +227,9 @@ type StatsSnapshot struct {
 
 	// Sorted-view gauges and counters (all zero with SortedViewOff; see
 	// internal/sortedview). Entries/Bytes gauge the views' current size
-	// across partitions; Builds counts incremental per-flush extensions,
-	// Rebuilds from-scratch reconstructions (table replacement, split,
-	// lazy post-recovery rebuild).
+	// across partitions; Builds counts views derived in memory (a flush's
+	// extension, a merge's, scan merge's or split's replacement), Rebuilds
+	// views built by reading every table (the first scan after recovery).
 	SortedViewEntries  int64
 	SortedViewBytes    int64
 	SortedViewBuilds   int64

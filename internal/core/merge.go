@@ -1,13 +1,12 @@
 package core
 
 import (
-	"slices"
-
 	"unikv/internal/codec"
 	"unikv/internal/manifest"
 	"unikv/internal/mergeiter"
 	"unikv/internal/record"
 	"unikv/internal/sorted"
+	"unikv/internal/sortedview"
 	"unikv/internal/sstable"
 	"unikv/internal/vfs"
 	"unikv/internal/vlog"
@@ -259,7 +258,7 @@ func (p *partition) merge(v *version) error {
 	}
 	// Log set: keep everything previously referenced (their pointers were
 	// carried through) plus the logs the new values landed in.
-	err = p.replaceUnsorted(len(v.uns.Tables()), nil, func(next *version) []manifest.Edit {
+	err = p.replaceUnsorted(len(v.uns.Tables()), nil, nil, nil, func(next *version) []manifest.Edit {
 		next.srt, next.logs = sorted.New(tables), mergeLogs(next.logs, logs...)
 		return []manifest.Edit{manifest.LastSeq(p.db.seq.Load()), p.db.nextFileEdit()}
 	})
@@ -300,22 +299,18 @@ func (p *partition) buildMerge(j *job, v *version) ([]*sorted.Table, []uint32, e
 }
 
 // replaceUnsorted commits a merge or scan merge of the first merged
-// unsorted tables. It builds the UnsortedStore the commit installs — head
-// (none when the merged tables drain into the SortedStore) followed by
-// whatever was flushed behind them, under a fresh hash index and view (local
-// IDs are positional) — which reads those tables and so happens in front of
-// the partition lock. Under it, change completes the successor carrying that
-// store, in memory, and returns the edits the commit logs beside the derived
-// ones. flushMu is held across both so that no flush lands a table the new
-// store would miss.
-func (p *partition) replaceUnsorted(merged int, head []*sorted.Table, change func(next *version) []manifest.Edit) error {
+// unsorted tables. The UnsortedStore it installs — head (none when the
+// merged tables drain into the SortedStore) followed by whatever was flushed
+// behind them — is derived in memory from the current one and head's keys
+// and view entries, collected while it was written (unsorted.Store.Replace);
+// no table is read. Under the partition lock, change completes the
+// successor carrying that store and returns the edits the commit logs
+// beside the derived ones. flushMu is held across both so that no flush
+// lands a table the new store would miss.
+func (p *partition) replaceUnsorted(merged int, head *sorted.Table, keys [][]byte, entries []sortedview.Entry, change func(next *version) []manifest.Edit) error {
 	p.flushMu.Lock()
 	defer p.flushMu.Unlock()
-	cur := p.cur.Load().uns // maintMu plus flushMu pin its table list
-	uns, err := cur.Rebuild(slices.Concat(head, cur.Tables()[merged:]))
-	if err != nil {
-		return err
-	}
+	uns := p.cur.Load().uns.Replace(merged, head, keys, entries) // maintMu plus flushMu pin its table list
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	next := p.cur.Load().successor()
@@ -351,11 +346,14 @@ func (p *partition) scanMerge(v *version) error {
 	}
 	j := p.db.beginJob()
 	defer p.db.endJob(j)
-	tables, err := p.buildScanMerge(j, v)
+	head, c, err := p.buildScanMerge(j, v)
 	if err != nil {
 		return err
 	}
-	err = p.replaceUnsorted(len(v.uns.Tables()), tables, func(*version) []manifest.Edit {
+	if h := p.db.testHookMergeBuild; h != nil {
+		h(p) // test-only gate, as in merge
+	}
+	err = p.replaceUnsorted(len(v.uns.Tables()), head, c.keys, c.entries, func(*version) []manifest.Edit {
 		return []manifest.Edit{p.db.nextFileEdit()}
 	})
 	if err == nil {
@@ -365,24 +363,24 @@ func (p *partition) scanMerge(v *version) error {
 }
 
 // buildScanMerge compacts v's unsorted tables into a single table, which j
-// names, that keeps tombstones and inline values.
-func (p *partition) buildScanMerge(j *job, v *version) ([]*sorted.Table, error) {
+// names, that keeps tombstones and inline values, collecting its keys and
+// view entries as the flush does.
+func (p *partition) buildScanMerge(j *job, v *version) (*sorted.Table, *collector, error) {
 	iters := make([]recIter, 0, v.unsTables)
+	n := 0
 	for _, t := range v.uns.Tables() {
 		iters = append(iters, t.Reader.NewMaintIterator())
+		n += int(t.Meta.Count)
 	}
 	w := p.newTableWriter(j, 0)
 	defer w.abort()
-	err := eachNewest(newMergeIter(iters), false, nil, func(rec record.Record) error {
-		_, _, err := w.add(rec)
-		return err
-	})
-	if err != nil {
-		return nil, err
+	c := p.newCollector(w, n)
+	if err := eachNewest(newMergeIter(iters), false, nil, c.add); err != nil {
+		return nil, nil, err
 	}
 	tables, err := w.finish()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return tables, p.db.fs.SyncDir(p.dir)
+	return tables[0], c, p.db.fs.SyncDir(p.dir) // v holds two tables or more: the merge is not empty
 }

@@ -16,8 +16,10 @@ import (
 // TestQuickModel drives the engine with random op sequences (put, delete,
 // a batch of copied and borrowed puts and deletes, get, start- and
 // end-bounded scans, snapshot open / scan / close, a forced Flush or
-// CompactAll, a forced GC of one partition) plus a backup and a reopen every
-// 500 ops — every other reopen after a Repair of the closed directory, half
+// CompactAll, a forced GC or scan merge of one partition) plus a backup and
+// a reopen every 500 ops — each reopen is checked by Gets, then a scan
+// merge is forced while the sorted view is still unbuilt, and every other
+// reopen comes after a Repair of the closed directory, half
 // of those after a byte of a table or sealed value log was flipped, when
 // every key that changed must be accounted for by the loss report and the
 // model adopts what survived — and checks every observation against a model
@@ -98,7 +100,9 @@ func quickModel(t *testing.T, workers int) {
 
 		// checkStore compares a whole store — every key the ops pick from, and
 		// a full scan — with model.
-		checkStore := func(what string, db *DB, model map[string]string) bool {
+		// checkGets reads every key point-wise, which builds no sorted view;
+		// checkStore scans the store too.
+		checkGets := func(what string, db *DB, model map[string]string) bool {
 			for i := 0; i < 400; i++ {
 				k := fmt.Sprintf("key-%04d", i)
 				got, err := db.Get([]byte(k))
@@ -106,6 +110,12 @@ func quickModel(t *testing.T, workers int) {
 					t.Logf("%s: get %s: %q %v want %q", what, k, got, err, want)
 					return false
 				}
+			}
+			return true
+		}
+		checkStore := func(what string, db *DB, model map[string]string) bool {
+			if !checkGets(what, db, model) {
+				return false
 			}
 			kvs, err := db.Scan(nil, nil, 0)
 			if err != nil {
@@ -139,6 +149,28 @@ func quickModel(t *testing.T, workers int) {
 				t.Logf("%d keys changed outside every dropped table, %d pointers dropped (first %q):\n%s",
 					len(out), report.PointersDropped, out[0], report)
 				return false
+			}
+			return true
+		}
+
+		// forceJob runs a structural job on a random partition as the pool
+		// would, then checks the file set.
+		forceJob := func(kind jobKind, job func(*partition, *version) error) bool {
+			parts := db.partitions()
+			p := parts[rnd.Intn(len(parts))]
+			p.maintMu.Lock()
+			v := p.acquire()
+			err := job(p, v)
+			v.release()
+			p.maintMu.Unlock()
+			if err != nil {
+				t.Logf("%s: %v", kind, err)
+				return false
+			}
+			db.afterCommit(p, kind)
+			settle(db)
+			if snap == nil {
+				checkFileSet(t, db)
 			}
 			return true
 		}
@@ -195,7 +227,11 @@ func quickModel(t *testing.T, workers int) {
 				if damage != nil && !adopt(db, damage) {
 					return false
 				}
-				if !checkStore("reopened", db, model) {
+				// The recovered index answers every Get; then, before the
+				// first scan builds it, the view recovery left unbuilt goes
+				// through a scan merge.
+				if !checkGets("reopened", db, model) || !forceJob(jobScanMerge, (*partition).scanMerge) ||
+					!checkStore("reopened, scan-merged", db, model) {
 					return false
 				}
 				if damage != nil {
@@ -216,21 +252,12 @@ func quickModel(t *testing.T, workers int) {
 					checkFileSet(t, db) // a snapshot's versions keep more
 				}
 			case rnd.Intn(100) == 0: // a forced GC of a random partition, then the file set
-				parts := db.partitions()
-				p := parts[rnd.Intn(len(parts))]
-				p.maintMu.Lock()
-				v := p.acquire()
-				err := p.gc(v)
-				v.release()
-				p.maintMu.Unlock()
-				if err != nil {
-					t.Logf("gc: %v", err)
+				if !forceJob(jobGC, (*partition).gc) {
 					return false
 				}
-				db.afterCommit(p, jobGC)
-				settle(db)
-				if snap == nil {
-					checkFileSet(t, db)
+			case rnd.Intn(50) == 0: // a forced scan merge of a random partition, then the file set
+				if !forceJob(jobScanMerge, (*partition).scanMerge) {
+					return false
 				}
 			default:
 				switch rnd.Intn(11) {

@@ -34,7 +34,7 @@ type partition struct {
 	// this partition; flushMu serializes flushes (a flush may run
 	// concurrently with a structural job, but not with a split, a
 	// user-driven Flush draining the immutable queue, or the moment a
-	// structural job rebuilds the UnsortedStore for its commit). Both are
+	// structural job derives the UnsortedStore for its commit). Both are
 	// acquired before mu; see scheduler.go for the full lock order.
 	maintMu sync.Mutex
 	flushMu sync.Mutex
@@ -249,47 +249,63 @@ func (p *partition) freezeMemLocked() error {
 // buildTable writes the newest record of each key in mem — walked as a merge
 // of one input, the stream eachNewest takes — to a new table through the
 // job's writer. It only touches fresh files and the given frozen memtable,
-// so it needs no lock.
-// Alongside the table it returns the key list for the hash index and, when
-// the sorted view is enabled, the view entries collected in the same pass
-// from where the writer placed each record, so the flush commit extends the
-// view without re-reading the file.
-func (p *partition) buildTable(j *job, mem *memtable.Memtable) (*sorted.Table, [][]byte, []sortedview.Entry, error) {
+// so it needs no lock. Alongside the table it returns what the collector
+// gathered, so the flush commit extends the store without re-reading the
+// file.
+func (p *partition) buildTable(j *job, mem *memtable.Memtable) (*sorted.Table, *collector, error) {
 	w := p.newTableWriter(j, 0)
 	defer w.abort()
-	collect := !p.db.opts.SortedViewOff
-	keys := make([][]byte, 0, mem.Len())
-	var entries []sortedview.Entry
-	// View entries outlive the memtable and must not pin its slabs: their
-	// keys are copied into one arena per table.
-	var keyArena arena.Bytes
-	if collect {
-		entries = make([]sortedview.Entry, 0, mem.Len())
-	}
-	err := eachNewest(newMergeIter([]recIter{mem.NewIterator()}), false, nil, func(rec record.Record) error {
-		block, pos, err := w.add(rec)
-		if err != nil {
-			return err
-		}
-		k := rec.Key
-		if collect {
-			k = keyArena.Copy(rec.Key)
-			entries = append(entries, sortedview.Entry{
-				Key: k, Seq: rec.Seq, Kind: rec.Kind,
-				Block: int32(block), Pos: int32(pos),
-			})
-		}
-		keys = append(keys, k)
-		return nil
-	})
-	if err != nil {
-		return nil, nil, nil, err
+	c := p.newCollector(w, mem.Len())
+	if err := eachNewest(newMergeIter([]recIter{mem.NewIterator()}), false, nil, c.add); err != nil {
+		return nil, nil, err
 	}
 	tables, err := w.finish()
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	return tables[0], keys, entries, nil // a frozen memtable is never empty
+	return tables[0], c, nil // a frozen memtable is never empty
+}
+
+// collector writes a flushed or scan-merged table through its writer and
+// gathers, from where the writer placed each record, the table's keys for
+// the hash index and, when the sorted view is enabled, its view entries:
+// what unsorted.Store.WithTable and Replace take instead of reading the
+// table.
+type collector struct {
+	w       *tableWriter
+	keys    [][]byte
+	entries []sortedview.Entry
+	view    bool
+	// Keys and view entries outlive the job's inputs and must not pin a
+	// memtable's slabs or a scan merge's input blocks: their keys are
+	// copied into one arena per table.
+	keyArena arena.Bytes
+}
+
+// newCollector sizes the collector for about n records.
+func (p *partition) newCollector(w *tableWriter, n int) *collector {
+	c := &collector{w: w, keys: make([][]byte, 0, n), view: !p.db.opts.SortedViewOff}
+	if c.view {
+		c.entries = make([]sortedview.Entry, 0, n)
+	}
+	return c
+}
+
+// add writes rec and collects it.
+func (c *collector) add(rec record.Record) error {
+	block, pos, err := c.w.add(rec)
+	if err != nil {
+		return err
+	}
+	k := c.keyArena.Copy(rec.Key)
+	if c.view {
+		c.entries = append(c.entries, sortedview.Entry{
+			Key: k, Seq: rec.Seq, Kind: rec.Kind,
+			Block: int32(block), Pos: int32(pos),
+		})
+	}
+	c.keys = append(c.keys, k)
+	return nil
 }
 
 // flushAll freezes the live memtable and flushes the whole immutable queue,
@@ -345,11 +361,11 @@ func (p *partition) flushNext() (bool, error) {
 func (p *partition) flushOldest(v *version) error {
 	j := p.db.beginJob()
 	defer p.db.endJob(j)
-	tbl, keys, entries, err := p.buildTable(j, v.imm[0])
+	tbl, c, err := p.buildTable(j, v.imm[0])
 	if err != nil {
 		return err
 	}
-	uns, err := v.uns.WithTable(tbl, keys, entries)
+	uns, err := v.uns.WithTable(tbl, c.keys, c.entries)
 	if err != nil {
 		return err
 	}
@@ -363,7 +379,7 @@ func (p *partition) flushOldest(v *version) error {
 	if cur.uns != v.uns {
 		// A structural job, or the first scan's view, replaced the store
 		// while the table was built: extend the current one. In memory.
-		uns, err = cur.uns.WithTable(tbl, keys, entries)
+		uns, err = cur.uns.WithTable(tbl, c.keys, c.entries)
 	}
 	next := cur.successor()
 	next.imm, next.uns, next.wals = cur.imm[1:], uns, cur.wals[1:]

@@ -84,7 +84,7 @@ func runScheduleGolden(t *testing.T) scheduleGolden {
 func TestScheduleGolden(t *testing.T) {
 	want := scheduleGolden{
 		Flushes: 438, Merges: 57, ScanMerges: 138, GCs: 20, Splits: 5,
-		BytesWritten: 10744204, BytesRead: 3058181, WriteOps: 11788, ReadOps: 10648,
+		BytesWritten: 10744204, BytesRead: 3048433, WriteOps: 11788, ReadOps: 10645,
 		Syncs: 2443, FilesNew: 1553,
 		Parts: " 1/3/4 0/2/2 1/2/6 1/2/14 2/2/14 1/3/12",
 	}

@@ -154,10 +154,7 @@ func (db *DB) splitPartition(parent *partition) error {
 		rightLogs = mergeLogs(v.logs, rightLog.Num())
 	}
 
-	leftUns, err := v.uns.Rebuild(nil)
-	if err != nil {
-		return err
-	}
+	leftUns := v.uns.Replace(v.unsTables, nil, nil, nil) // the split drained every unsorted table
 
 	// The child's first version, and its edits from the empty one.
 	child.lower = boundary

@@ -6,10 +6,11 @@
 // probes buckets h_1(key)%N .. h_n(key)%N (cuckoo-style multi-choice) for a
 // free direct slot and otherwise chains an overflow entry onto bucket
 // h_n(key)%N. A lookup probes in the reverse order, h_n .. h_1, checking
-// chain entries newest-first before the direct slot, so the most recently
-// inserted version of a key is always found first (slot occupancy is
-// monotone between rebuilds, so newer entries can only land at
-// higher-numbered probes or in chains).
+// chain entries newest-first before the direct slot, so along a run of
+// inserts the most recently inserted version of a key is found first (slot
+// occupancy is monotone, so newer entries can only land at higher-numbered
+// probes or in chains). Carry, which derives a successor index from a live
+// one, does not keep that order: see Lookup.
 //
 // Each entry costs 8 bytes — <keyTag(2B), tableID(2B), pointer(4B)> — the
 // paper's budget. keyTag is the top 16 bits of an (n+1)-th hash and filters
@@ -146,9 +147,55 @@ func (x *Index) Insert(key []byte, table uint16) {
 	x.count++
 }
 
-// Lookup calls fn with each candidate tableID, newest insertion first,
-// until fn returns true (found) or candidates are exhausted. It returns
-// whether fn stopped the search.
+// Carry inserts into x every entry of src that table keeps, under the table
+// ID it returns, each into the bucket it occupies in src: the direct slot if
+// free, else that bucket's chain. A bucket an entry sits in is one of its
+// key's probe buckets, so Lookup still finds it — though a carried entry can
+// come up before a newer one (see Lookup). x and src must have the same
+// geometry (SameGeometry).
+func (x *Index) Carry(src *Index, table func(uint16) (uint16, bool)) {
+	if !x.SameGeometry(src) {
+		panic("hashindex: Carry between indexes of different geometry")
+	}
+	src.mu.RLock()
+	defer src.mu.RUnlock()
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	put := func(bi int, tag, id uint16) {
+		if b := &x.buckets[bi]; !b.used {
+			b.used, b.tag, b.table = true, tag, id
+		} else {
+			x.arena = append(x.arena, overflow{tag: tag, table: id, next: b.head})
+			b.head = uint32(len(x.arena))
+		}
+		x.count++
+	}
+	for bi := range src.buckets {
+		b := &src.buckets[bi]
+		if id, ok := table(b.table); ok && b.used {
+			put(bi, b.tag, id)
+		}
+		for ai := b.head; ai != 0; ai = src.arena[ai-1].next {
+			e := &src.arena[ai-1]
+			if id, ok := table(e.table); ok {
+				put(bi, e.tag, id)
+			}
+		}
+	}
+}
+
+// SameGeometry reports whether x and y have the same buckets and probe
+// functions, so that each key probes the same buckets in both.
+func (x *Index) SameGeometry(y *Index) bool {
+	return len(x.buckets) == len(y.buckets) && x.numHash == y.numHash
+}
+
+// Lookup calls fn with each candidate tableID until fn returns true (found)
+// or candidates are exhausted, and returns whether fn stopped the search.
+// Between Carry calls candidates come newest insertion first; a carried
+// index does not keep that order, so a caller that needs the newest version
+// ranks the candidates itself (unsorted.Store.Get probes them in descending
+// table ID).
 func (x *Index) Lookup(key []byte, fn func(table uint16) bool) bool {
 	var arr [maxNumHash]uint32
 	bs, tag := x.hashes(key, &arr)

@@ -131,6 +131,57 @@ func TestOverflowChains(t *testing.T) {
 	}
 }
 
+// TestCarry: a carried index keeps exactly the entries the table map keeps,
+// under their new IDs, and every kept key is still found — with the direct
+// slots it wants already taken, so entries move into chains.
+func TestCarry(t *testing.T) {
+	src := New(64, 0)
+	for i := 0; i < 300; i++ {
+		src.Insert([]byte(fmt.Sprintf("k%04d", i)), uint16(i%6))
+	}
+	dst := New(64, 0)
+	for i := 0; i < 40; i++ {
+		dst.Insert([]byte(fmt.Sprintf("h%04d", i)), 0)
+	}
+	// Tables 0 and 1 were merged, 5 was never published: 2..4 become 1..3.
+	dst.Carry(src, func(id uint16) (uint16, bool) { return id - 1, id >= 2 && id < 5 })
+	if want := 40 + 150; dst.Count() != want {
+		t.Fatalf("Count = %d, want %d", dst.Count(), want)
+	}
+	for i := 0; i < 300; i++ {
+		got := candidates(dst, []byte(fmt.Sprintf("k%04d", i)))
+		found := false
+		for _, id := range got {
+			found = found || id == uint16(i%6-1)
+			if id > 3 {
+				t.Fatalf("k%04d: candidate %d is no table of the carried index", i, id)
+			}
+		}
+		if kept := i%6 >= 2 && i%6 < 5; kept != found {
+			t.Fatalf("k%04d (table %d): candidates %v", i, i%6, got)
+		}
+	}
+}
+
+// TestCarryOtherGeometry: Carry refuses an index of another bucket count or
+// probe count rather than file entries in buckets their keys do not probe.
+func TestCarryOtherGeometry(t *testing.T) {
+	for _, src := range []*Index{New(32, 0), New(64, 2)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Carry from %d buckets, %d hashes into 64, %d did not panic",
+						len(src.buckets), src.numHash, DefaultNumHash)
+				}
+			}()
+			New(64, 0).Carry(src, func(id uint16) (uint16, bool) { return id, true })
+		}()
+	}
+	if !New(64, 0).SameGeometry(New(64, DefaultNumHash)) {
+		t.Fatal("SameGeometry: one geometry reported as two")
+	}
+}
+
 func TestReset(t *testing.T) {
 	x := New(64, 4)
 	for i := 0; i < 100; i++ {

@@ -292,6 +292,8 @@ func sortTables(tables run) {
 
 const versionMagic uint64 = 0x756e696b7672756e // "unikvrun"
 
+// saveVersion replaces VERSION with the tree in memory. A failure is
+// sticky (see DB.saveErr).
 func (db *DB) saveVersion() error {
 	var buf []byte
 	buf = codec.PutUint64(buf, versionMagic)
@@ -312,7 +314,11 @@ func (db *DB) saveVersion() error {
 		}
 	}
 	buf = codec.PutUint32(buf, codec.MaskChecksum(codec.Checksum(buf)))
-	return db.fs.WriteFile(db.versionName(), buf)
+	if err := db.fs.WriteFile(db.versionName(), buf); err != nil {
+		db.saveErr = err
+		return err
+	}
+	return nil
 }
 
 func (db *DB) loadVersion() error {

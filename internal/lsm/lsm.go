@@ -191,6 +191,10 @@ type DB struct {
 	flushes     atomic.Int64
 	compactions atomic.Int64
 	closed      bool
+	// saveErr is the first failed VERSION save, LevelDB's bg_error_: the
+	// tree in memory has moved past what VERSION names, so every later
+	// write fails with it until the store is reopened. Reads go on.
+	saveErr error
 }
 
 // Open opens (creating if necessary) a store in dir.
@@ -247,6 +251,9 @@ func (db *DB) apply(rec record.Record) error {
 	defer db.mu.Unlock()
 	if db.closed {
 		return ErrClosed
+	}
+	if db.saveErr != nil {
+		return db.saveErr
 	}
 	db.seq++
 	rec.Seq = db.seq
@@ -340,6 +347,9 @@ func (db *DB) Compact() error {
 	defer db.mu.Unlock()
 	if db.closed {
 		return ErrClosed
+	}
+	if db.saveErr != nil {
+		return db.saveErr
 	}
 	if !db.mem.Empty() {
 		if err := db.flushLocked(); err != nil {

@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -206,6 +207,53 @@ func TestFailedVersionSave(t *testing.T) {
 			if !live[name] {
 				t.Errorf("%s left behind", name)
 			}
+		}
+	})
+}
+
+// TestWritesFailAfterFailedVersionSave: a failed VERSION save leaves the
+// tree in memory past what VERSION names — the flush moved on to a WAL
+// VERSION does not name — so every later write must fail with that error
+// until the store is reopened, while reads go on. Reopening the files
+// without Close must then find every write that was acknowledged.
+func TestWritesFailAfterFailedVersionSave(t *testing.T) {
+	forEachPolicy(t, func(t *testing.T, fs vfs.FS, cfg Config) {
+		ffs := vfs.NewFail(fs)
+		cfg.FS = ffs
+		db := mustOpen(t, cfg)
+		ffs.ArmPlan(vfs.FailPlan{Pattern: "VERSION", Fail: 1})
+		acked := 0
+		var saveErr error
+		for saveErr == nil {
+			if saveErr = db.Put(key(acked), val(acked)); saveErr == nil {
+				acked++
+			}
+		}
+		var later []int // acknowledged after the failure
+		for i := acked + 1; i <= acked+5; i++ {
+			if err := db.Put(key(i), val(i)); err == nil {
+				later = append(later, i)
+			} else if !errors.Is(err, saveErr) {
+				t.Errorf("put %d: %v, want the failed save's %v", i, err, saveErr)
+			}
+		}
+		checkGets(t, db, acked)
+
+		cfg.FS = fs
+		db2 := mustOpen(t, cfg)
+		checkGets(t, db2, acked)
+		lost := 0
+		for _, i := range later {
+			if got, err := db2.Get(key(i)); err != nil || !bytes.Equal(got, val(i)) {
+				lost++
+			}
+		}
+		db2.Close()
+		if len(later) > 0 {
+			t.Errorf("%d writes acknowledged after the failed save, lost %d of them on reopen", len(later), lost)
+		}
+		if err := db.Compact(); !errors.Is(err, saveErr) {
+			t.Errorf("Compact after the failed save: %v, want %v", err, saveErr)
 		}
 	})
 }

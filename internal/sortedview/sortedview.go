@@ -13,9 +13,11 @@
 // view exploits that unsorted tables are immutable between flush and
 // scan-merge: it is built incrementally at flush — the new table's
 // pre-sorted entries are merged into the existing sorted array in one
-// linear pass, never a from-scratch rebuild — and dropped or rebuilt
-// wholesale when a merge, scan merge, GC-adjacent rewrite, or split
-// replaces the table set.
+// linear pass, never a from-scratch rebuild — and a merge or scan merge
+// that replaces the table set derives the successor the same way
+// (Replace): the survivors' entries are kept, renumbered, and the
+// scan-merged table's entries, collected while it was written, are merged
+// in. Only the first scan after a recovery builds a view by reading tables.
 //
 // A View is immutable after construction and carries a monotonically
 // increasing version. Its owner, an internal/unsorted.Store, is immutable
@@ -112,33 +114,66 @@ func (v *View) WithTable(r *sstable.Reader, entries []Entry) *View {
 		panic("sortedview: too many tables")
 	}
 	nv := &View{
-		version: versions.Add(1),
-		tables:  append(append([]*sstable.Reader(nil), v.tables...), r),
-		entries: make([]Entry, 0, len(v.entries)+len(entries)),
+		version:  versions.Add(1),
+		tables:   append(append([]*sstable.Reader(nil), v.tables...), r),
+		entries:  merge(make([]Entry, 0, len(v.entries)+len(entries)), v.entries, entries, uint16(id)),
+		keyBytes: v.keyBytes,
 	}
-	i, j := 0, 0
-	for i < len(v.entries) && j < len(entries) {
-		a, b := v.entries[i], entries[j]
-		if less(b.Key, b.Seq, a.Key, a.Seq) {
-			b.Table = uint16(id)
-			nv.entries = append(nv.entries, b)
-			j++
-		} else {
-			nv.entries = append(nv.entries, a)
-			i++
-		}
-	}
-	nv.entries = append(nv.entries, v.entries[i:]...)
-	for ; j < len(entries); j++ {
-		e := entries[j]
-		e.Table = uint16(id)
-		nv.entries = append(nv.entries, e)
-	}
-	nv.keyBytes = v.keyBytes
 	for _, e := range entries {
 		nv.keyBytes += int64(len(e.Key))
 	}
 	return nv
+}
+
+// Replace returns the view over head (nil: none) followed by v's tables
+// from drop on, the table set a merge or scan merge commits. It keeps those
+// tables' entries, renumbered, and merges head's entries — in table order,
+// as for WithTable — in under table 0. It reads no table.
+func (v *View) Replace(drop int, head *sstable.Reader, entries []Entry) *View {
+	first := 0
+	var tables []*sstable.Reader
+	if head != nil {
+		first, tables = 1, []*sstable.Reader{head}
+	}
+	nv := &View{version: versions.Add(1), tables: append(tables, v.tables[drop:]...)}
+	kept := make([]Entry, 0, len(v.entries)+len(entries))
+	for _, e := range v.entries {
+		if int(e.Table) >= drop {
+			e.Table = uint16(int(e.Table) - drop + first)
+			kept = append(kept, e)
+		}
+	}
+	if head != nil {
+		kept = merge(make([]Entry, 0, len(kept)+len(entries)), kept, entries, 0)
+	}
+	nv.entries = kept
+	for _, e := range kept {
+		nv.keyBytes += int64(len(e.Key))
+	}
+	return nv
+}
+
+// merge appends a and b, each in merge order, to dst in merge order; b's
+// entries get table id, a's keep theirs.
+func merge(dst, a, b []Entry, id uint16) []Entry {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		if x, y := a[i], b[j]; less(y.Key, y.Seq, x.Key, x.Seq) {
+			y.Table = id
+			dst = append(dst, y)
+			j++
+		} else {
+			dst = append(dst, x)
+			i++
+		}
+	}
+	dst = append(dst, a[i:]...)
+	for ; j < len(b); j++ {
+		e := b[j]
+		e.Table = id
+		dst = append(dst, e)
+	}
+	return dst
 }
 
 // less is merge order: key ascending, sequence descending (the newest

@@ -33,16 +33,19 @@ var ErrBadCheckpoint = errors.New("unsorted: checkpoint does not match table set
 // Store is one immutable state of a partition's UnsortedStore: a table list
 // in flush order, the hash index over it and the cross-table sorted view.
 // A partition version names one Store; readers use it without any lock.
-// Every change builds a successor — WithTable for a flush, Rebuild when a
-// merge, scan merge or split replaces the table set — and the partition
-// publishes it in a new version.
+// Every change builds a successor in memory — WithTable for a flush,
+// Replace when a merge or scan merge replaces the table set — and the
+// partition publishes it in a new version. No successor reads a table:
+// only Recover (for tables its checkpoint does not cover) and the first
+// scan's BuildView do.
 //
 // The one structure successors share is the hash index, and only along
 // WithTable: a flush inserts the new table's keys under local ID
 // len(tables), which the predecessor's Get skips (its table list is one
-// shorter, and it still reads those keys from the frozen memtable). Rebuild
-// always starts a fresh index, so a Store's index never holds an entry for
-// an ID below len(tables) that is not about its own table of that ID.
+// shorter, and it still reads those keys from the frozen memtable). Replace
+// always starts a fresh index, carrying over only the entries of its own
+// tables, so a Store's index never holds an entry for an ID below
+// len(tables) that is not about its own table of that ID.
 type Store struct {
 	tables   []*sorted.Table
 	index    *hashindex.Index
@@ -67,9 +70,9 @@ type Store struct {
 	stats *viewStats
 }
 
-// viewStats: builds counts tables merged into a maintained view (one per
-// WithTable), rebuilds counts views started from scratch (Rebuild, a lazy
-// BuildView installed by WithView).
+// viewStats: builds counts views derived from a maintained one (one per
+// WithTable or Replace), rebuilds counts views built by reading every table
+// (a lazy BuildView installed by WithView).
 type viewStats struct {
 	builds, rebuilds atomic.Int64
 }
@@ -93,7 +96,7 @@ func New(nBuckets int, disableIndex, disableView bool) *Store {
 // table's keys in any order and entries the table's sorted-view cursors in
 // table order, when the caller already has them (the flush path collects
 // both while writing the table); pass nil to have the table iterated once
-// for whatever is missing (Rebuild and Recover). The receiver is unchanged
+// for whatever is missing (Recover). The receiver is unchanged
 // except for its hash index, which the successor shares (see Store): at
 // most one WithTable successor of a Store may ever be published.
 func (s *Store) WithTable(t *sorted.Table, keys [][]byte, entries []sortedview.Entry) (*Store, error) {
@@ -149,23 +152,42 @@ func (s *Store) WithTable(t *sorted.Table, keys [][]byte, entries []sortedview.E
 	return &next, nil
 }
 
-// Rebuild returns a store over exactly tables, with a fresh hash index and
-// view read from them (local IDs and view table IDs are positional, so the
-// survivors of a partial replacement need fresh ones). It reads every
-// table once; callers run it before taking the partition lock.
-func (s *Store) Rebuild(tables []*sorted.Table) (*Store, error) {
+// Replace returns the store a merge or scan merge commits: head (nil for a
+// merge, whose tables drain into the SortedStore) followed by s's tables
+// from merged on. keys and entries are head's, collected while it was
+// written, as for WithTable. It reads no table: the survivors keep their
+// hash and view entries under IDs shifted to their new positions (local IDs
+// are positional) in a fresh index and view; the merged tables' entries are
+// dropped, and so are any an unpublished WithTable successor of s put in
+// the shared index. An unbuilt view stays unbuilt.
+func (s *Store) Replace(merged int, head *sorted.Table, keys [][]byte, entries []sortedview.Entry) *Store {
 	next := New(s.nBuckets, s.disableIndex, s.disableView)
-	next.stats = s.stats
-	if !s.disableView {
-		s.stats.rebuilds.Add(1)
+	next.stats, next.view = s.stats, nil
+	var headReader *sstable.Reader
+	if head != nil {
+		headReader = head.Reader
+		next.tables = []*sorted.Table{head}
 	}
-	for _, t := range tables {
-		var err error
-		if next, err = next.WithTable(t, nil, nil); err != nil {
-			return nil, err
+	first := len(next.tables)
+	next.tables = append(next.tables, s.tables[merged:]...)
+	for _, t := range next.tables {
+		next.size += t.Meta.Size
+	}
+	if !s.disableIndex {
+		for _, k := range keys {
+			next.index.Insert(k, 0)
+		}
+		if n := len(s.tables); merged < n {
+			next.index.Carry(s.index, func(id uint16) (uint16, bool) {
+				return uint16(int(id) - merged + first), int(id) >= merged && int(id) < n
+			})
 		}
 	}
-	return next, nil
+	if s.view != nil {
+		next.view = s.view.Replace(merged, headReader, entries)
+		s.stats.builds.Add(1)
+	}
+	return next
 }
 
 // Get returns the newest record for key across all tables, using the hash
@@ -333,12 +355,14 @@ func Recover(
 	covered := 0
 	if !disableIndex && ckptName != "" && fs.Exists(ckptName) {
 		idx, n, err := loadCheckpoint(fs, ckptName, metas)
-		if err == nil {
+		if err == nil && idx.SameGeometry(s.index) {
 			s.index = idx
 			covered = n
 		}
 		// A mismatching or corrupt checkpoint is not fatal: fall back to a
-		// full rebuild (err == nil only on a usable checkpoint).
+		// full rebuild. So is one of another geometry (the store reopened
+		// with another bucket count): Replace carries entries bucket for
+		// bucket, so every index of a successor chain has nBuckets' geometry.
 	}
 	for i, meta := range metas {
 		rdr, err := openTable(meta)

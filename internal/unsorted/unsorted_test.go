@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -74,12 +75,27 @@ func (h *holder) AddTable(t *sorted.Table, keys [][]byte, entries []sortedview.E
 	return err
 }
 
-func (h *holder) ReplaceAll(tables ...*sorted.Table) error {
-	next, err := h.Rebuild(tables)
+// ReplaceAll models a merge (head nil) or a scan merge of every table into
+// head, handing Replace the keys and view entries the writer would collect.
+func (h *holder) ReplaceAll(head *sorted.Table) error {
+	keys, entries, err := collect(head)
 	if err == nil {
-		h.Store = next
+		h.Store = h.Replace(h.NumTables(), head, keys, entries)
 	}
 	return err
+}
+
+// collect reads t's keys and view entries (none for a nil t).
+func collect(t *sorted.Table) ([][]byte, []sortedview.Entry, error) {
+	if t == nil {
+		return nil, nil, nil
+	}
+	entries, err := sortedview.Collect(t.Reader)
+	keys := make([][]byte, len(entries))
+	for i, e := range entries {
+		keys[i] = e.Key
+	}
+	return keys, entries, err
 }
 
 // ScanView is the scan path's view lookup: an unbuilt view is built and
@@ -132,7 +148,7 @@ func TestGetAcrossTables(t *testing.T) {
 // on: WithTable inserts the new table's keys into the hash index its
 // predecessor shares, and the predecessor — which a reader may still hold —
 // keeps answering from its own tables because it skips local IDs beyond
-// them; Rebuild starts a fresh index and leaves the old chain alone.
+// them; Replace starts a fresh index and leaves the old chain alone.
 func TestPredecessorIgnoresLaterFlush(t *testing.T) {
 	fs := vfs.NewMem()
 	fs.MkdirAll("db")
@@ -182,12 +198,9 @@ func TestPredecessorIgnoresLaterFlush(t *testing.T) {
 
 	// A merge that drops t1: the successor answers from t2 alone through a
 	// fresh index, and the store it replaced is untouched.
-	s3, err := s2.Rebuild([]*sorted.Table{t2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s3 := s2.Replace(1, nil, nil, nil)
 	if s3.Index() == s2.Index() {
-		t.Fatal("Rebuild must not reuse the index")
+		t.Fatal("Replace must not reuse the index")
 	}
 	if a, b := get(s3, "a"), get(s3, "b"); a != "" || b != "b2" {
 		t.Fatalf("rebuilt store: a=%q b=%q", a, b)
@@ -330,7 +343,7 @@ func TestResetAndReplaceAll(t *testing.T) {
 	s := newHolder(256, false)
 	tab, keys := buildTable(t, fs, 1, map[string]string{"a": "1", "b": "2"}, 1)
 	s.AddTable(tab, keys, nil)
-	s.ReplaceAll()
+	s.ReplaceAll(nil)
 	if s.NumTables() != 0 || s.SizeBytes() != 0 || s.Index().Count() != 0 {
 		t.Fatal("Reset left state behind")
 	}
@@ -353,7 +366,7 @@ func TestResetAndReplaceAll(t *testing.T) {
 }
 
 // TestViewTracksTableSet verifies the sorted view stays in lockstep with
-// WithTable / Rebuild, and that a view-less store keeps it off.
+// WithTable / Replace, and that a view-less store keeps it off.
 func TestViewTracksTableSet(t *testing.T) {
 	fs := vfs.NewMem()
 	fs.MkdirAll("db")
@@ -408,11 +421,11 @@ func TestViewTracksTableSet(t *testing.T) {
 	if v3.Len() != 3 || v3.NumTables() != 1 {
 		t.Fatalf("after ReplaceAll: Len=%d NumTables=%d", v3.Len(), v3.NumTables())
 	}
-	if _, _, _, rebuilds := s.ViewStats(); rebuilds != 1 {
-		t.Fatal("ReplaceAll should count one rebuild")
+	if _, _, builds, rebuilds := s.ViewStats(); builds != 3 || rebuilds != 0 {
+		t.Fatalf("ReplaceAll should count one build, no rebuild: builds=%d rebuilds=%d", builds, rebuilds)
 	}
 
-	s.ReplaceAll()
+	s.ReplaceAll(nil)
 	if v := s.ScanView(); v.Len() != 0 || v.NumTables() != 0 {
 		t.Fatal("Reset left view entries")
 	}
@@ -636,6 +649,303 @@ func BenchmarkGetAbsent(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, ok, err := s.Get(absent[i%len(absent)]); ok || err != nil {
 			b.Fatalf("%v %v", ok, err)
+		}
+	}
+}
+
+// writeTable writes recs, in table order, as table num.
+func writeTable(t testing.TB, fs vfs.FS, num uint64, recs []record.Record) *sorted.Table {
+	t.Helper()
+	name := filepath.Join("db", fmt.Sprintf("%06d.sst", num))
+	f, err := fs.Create(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := sstable.NewBuilder(f, sstable.BuilderOptions{BlockSize: 256})
+	for _, r := range recs {
+		b.Add(r)
+	}
+	props, err := b.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	rf, err := fs.Open(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rdr, err := sstable.Open(rf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &sorted.Table{Reader: rdr, Meta: manifest.TableMeta{
+		FileNum: num, Size: props.Size, Count: props.Count,
+		Smallest: props.Smallest, Largest: props.Largest, MinSeq: props.MinSeq, MaxSeq: props.MaxSeq,
+	}}
+}
+
+// replaceCase is one random table list, a merged prefix of it and, for a
+// scan merge, the head that prefix merges into.
+type replaceCase struct {
+	src     *Store
+	merged  int
+	head    *sorted.Table
+	keys    [][]byte
+	entries []sortedview.Entry
+	space   int // keys key-000 .. of the key space, some never written
+}
+
+// newReplaceCase builds 2–7 tables over a 60-key space (overlapping keys,
+// repeated versions, some tombstones) into a store with a small index, so
+// chains form; half the time an unpublished WithTable successor inserts
+// into the shared index, as a failed flush commit leaves it. With unbuilt
+// the store is recovered (view unbuilt) rather than flushed into.
+func newReplaceCase(t *testing.T, rnd *rand.Rand, disableIndex, disableView, unbuilt bool) replaceCase {
+	fs := vfs.NewMem()
+	fs.MkdirAll("db")
+	const space, buckets = 60, 32
+	c := replaceCase{src: New(buckets, disableIndex, disableView), space: space}
+	seq := uint64(1)
+	table := func(num uint64) *sorted.Table {
+		var recs []record.Record
+		for k := 0; k < space; k++ {
+			if rnd.Intn(3) == 0 {
+				kind := record.KindSet
+				if rnd.Intn(8) == 0 {
+					kind = record.KindDelete
+				}
+				recs = append(recs, record.Record{Key: []byte(fmt.Sprintf("key-%03d", k)), Seq: seq, Kind: kind,
+					Value: []byte(fmt.Sprintf("v%d-%d", num, seq))})
+				seq++
+			}
+		}
+		if len(recs) == 0 {
+			recs = append(recs, record.Record{Key: []byte("key-000"), Seq: seq, Kind: record.KindSet, Value: []byte("only")})
+			seq++
+		}
+		return writeTable(t, fs, num, recs)
+	}
+	n := 2 + rnd.Intn(6)
+	var metas []manifest.TableMeta
+	for i := 1; i <= n; i++ {
+		tb := table(uint64(i))
+		metas = append(metas, tb.Meta)
+		next, err := c.src.WithTable(tb, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.src = next
+	}
+	if unbuilt {
+		rs, err := Recover(fs, buckets, metas, "", disableIndex, disableView, func(m manifest.TableMeta) (*sstable.Reader, error) {
+			f, err := fs.Open(filepath.Join("db", fmt.Sprintf("%06d.sst", m.FileNum)))
+			if err != nil {
+				return nil, err
+			}
+			return sstable.Open(f)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.src = rs
+	}
+	if rnd.Intn(2) == 0 {
+		if _, err := c.src.WithTable(table(99), nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.merged = rnd.Intn(n + 1)
+	if c.merged > 0 && rnd.Intn(2) == 0 {
+		// The scan merge's output: the newest version of each key across
+		// the prefix, tombstones kept.
+		newest := map[string]record.Record{}
+		for _, tb := range c.src.Tables()[:c.merged] {
+			entries, err := sortedview.Collect(tb.Reader)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range entries {
+				rec, _, err := tb.Reader.Get(e.Key)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if old, ok := newest[string(e.Key)]; !ok || rec.Seq > old.Seq {
+					newest[string(e.Key)] = record.Record{Key: e.Key, Seq: rec.Seq, Kind: rec.Kind, Value: append([]byte(nil), rec.Value...)}
+				}
+			}
+		}
+		recs := make([]record.Record, 0, len(newest))
+		for _, r := range newest {
+			recs = append(recs, r)
+		}
+		sort.Slice(recs, func(i, j int) bool { return string(recs[i].Key) < string(recs[j].Key) })
+		c.head = writeTable(t, fs, 100, recs)
+		var err error
+		if c.keys, c.entries, err = collect(c.head); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return c
+}
+
+// scratch is the store WithTable builds over Replace's table list.
+func (c replaceCase) scratch(t *testing.T) *Store {
+	s := New(32, c.src.disableIndex, c.src.disableView)
+	tables := c.src.Tables()[c.merged:]
+	if c.head != nil {
+		tables = append([]*sorted.Table{c.head}, tables...)
+	}
+	for _, tb := range tables {
+		var err error
+		if s, err = s.WithTable(tb, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s
+}
+
+// TestReplaceMatchesScratch: the store Replace derives for a merge (no
+// head) or scan merge (head) of a random prefix answers every Get, present
+// and absent keys alike, as a store built from scratch over the same table
+// list, and its view holds the same records in the same order — with the
+// view built, unbuilt (it stays so) and disabled, and with the index off.
+func TestReplaceMatchesScratch(t *testing.T) {
+	for _, m := range []struct {
+		name                           string
+		disableIndex, disableView, unb bool
+	}{
+		{"view-built", false, false, false},
+		{"view-unbuilt", false, false, true},
+		{"view-off", false, true, false},
+		{"index-off", true, false, false},
+	} {
+		t.Run(m.name, func(t *testing.T) {
+			for seed := int64(0); seed < 40; seed++ {
+				rnd := rand.New(rand.NewSource(seed))
+				c := newReplaceCase(t, rnd, m.disableIndex, m.disableView, m.unb)
+				got, want := c.src.Replace(c.merged, c.head, c.keys, c.entries), c.scratch(t)
+				what := fmt.Sprintf("seed %d, %d tables, merged %d, head %v", seed, c.src.NumTables(), c.merged, c.head != nil)
+				if got.NumTables() != want.NumTables() || got.SizeBytes() != want.SizeBytes() || got.Index().Count() != want.Index().Count() {
+					t.Fatalf("%s: tables %d/%d, bytes %d/%d, index entries %d/%d", what,
+						got.NumTables(), want.NumTables(), got.SizeBytes(), want.SizeBytes(), got.Index().Count(), want.Index().Count())
+				}
+				for k := 0; k < c.space+5; k++ {
+					key := []byte(fmt.Sprintf("key-%03d", k))
+					g, gok, gerr := got.Get(key)
+					w, wok, werr := want.Get(key)
+					if gerr != nil || werr != nil || gok != wok || gok && (g.Seq != w.Seq || g.Kind != w.Kind || string(g.Value) != string(w.Value)) {
+						t.Fatalf("%s: Get(%s) = %v %v %v, from scratch %v %v %v", what, key, g, gok, gerr, w, wok, werr)
+					}
+				}
+				switch {
+				case m.disableView:
+					if got.View() != nil || got.NeedsView() {
+						t.Fatalf("%s: a disabled view came back", what)
+					}
+				case m.unb:
+					if !got.NeedsView() {
+						t.Fatalf("%s: an unbuilt view was built", what)
+					}
+				default:
+					sameView(t, what, got.View(), want.View())
+				}
+			}
+		})
+	}
+}
+
+// sameView compares two views record by record.
+func sameView(t *testing.T, what string, a, b *sortedview.View) {
+	t.Helper()
+	if a.Len() != b.Len() || a.NumTables() != b.NumTables() || a.MemoryBytes() != b.MemoryBytes() {
+		t.Fatalf("%s: view of %d entries over %d tables (%d B), from scratch %d over %d (%d B)",
+			what, a.Len(), a.NumTables(), a.MemoryBytes(), b.Len(), b.NumTables(), b.MemoryBytes())
+	}
+	ia, ib := a.NewIterator(), b.NewIterator()
+	for i, oka, okb := 0, ia.First(), ib.First(); oka || okb; i, oka, okb = i+1, ia.Next(), ib.Next() {
+		ra, rb := ia.Record(), ib.Record()
+		if oka != okb || string(ra.Key) != string(rb.Key) || ra.Seq != rb.Seq || ra.Kind != rb.Kind || string(ra.Value) != string(rb.Value) {
+			t.Fatalf("%s: view record %d = %v (%v), from scratch %v (%v)", what, i, ra, oka, rb, okb)
+		}
+	}
+	if ia.Err() != nil || ib.Err() != nil {
+		t.Fatalf("%s: %v, %v", what, ia.Err(), ib.Err())
+	}
+}
+
+// TestReplaceBesideLookups runs Gets on a store — hash lookups on the index
+// Replace carries from — while Replace derives successors from it: run it
+// with -race.
+func TestReplaceBesideLookups(t *testing.T) {
+	c := newReplaceCase(t, rand.New(rand.NewSource(7)), false, false, false)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, _, err := c.src.Get([]byte(fmt.Sprintf("key-%03d", i%c.space))); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 200; i++ {
+		c.src.Replace(i%(c.src.NumTables()+1), nil, nil, nil)
+	}
+	close(stop)
+	wg.Wait()
+}
+
+// TestReplaceAfterRecoverAtOtherGeometry: a store reopened with another
+// bucket count than its checkpoint's replays the tables instead of loading
+// the checkpoint, so a later Replace carries entries between indexes of one
+// geometry and every key still reads its newest version from a survivor.
+func TestReplaceAfterRecoverAtOtherGeometry(t *testing.T) {
+	for _, buckets := range []int{16, 64} {
+		fs := vfs.NewMem()
+		fs.MkdirAll("db")
+		s := New(32, false, false)
+		var metas []manifest.TableMeta
+		for i := 1; i <= 4; i++ {
+			var recs []record.Record
+			for k := 0; k < 40; k++ {
+				recs = append(recs, record.Record{Key: []byte(fmt.Sprintf("key-%03d", k)), Seq: uint64(i*100 + k),
+					Kind: record.KindSet, Value: []byte(fmt.Sprintf("v%d", i))})
+			}
+			tb := writeTable(t, fs, uint64(i), recs)
+			metas = append(metas, tb.Meta)
+			var err error
+			if s, err = s.WithTable(tb, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Checkpoint(fs, "db/hashidx.ckpt"); err != nil {
+			t.Fatal(err)
+		}
+		rs, err := Recover(fs, buckets, metas, "db/hashidx.ckpt", false, false, func(m manifest.TableMeta) (*sstable.Reader, error) {
+			f, err := fs.Open(filepath.Join("db", fmt.Sprintf("%06d.sst", m.FileNum)))
+			if err != nil {
+				return nil, err
+			}
+			return sstable.Open(f)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := rs.Replace(1, nil, nil, nil)
+		for k := 0; k < 40; k++ {
+			key := []byte(fmt.Sprintf("key-%03d", k))
+			if rec, ok, err := got.Get(key); err != nil || !ok || string(rec.Value) != "v4" {
+				t.Fatalf("%d buckets: Get(%s) after Replace = %q %v %v, want v4", buckets, key, rec.Value, ok, err)
+			}
 		}
 	}
 }
