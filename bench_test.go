@@ -368,9 +368,9 @@ func BenchmarkTabMemOverhead(b *testing.B) {
 // and without hash-index checkpoints.
 func BenchmarkTabRecovery(b *testing.B) {
 	for _, cfg := range []struct {
-		name    string
-		disable bool
-	}{{"with-checkpoint", false}, {"without-checkpoint", true}} {
+		name      string
+		ckptEvery int // HashCheckpointEvery; negative never checkpoints
+	}{{"with-checkpoint", 2}, {"without-checkpoint", -1}} {
 		b.Run(cfg.name, func(b *testing.B) {
 			fs := vfs.NewMem()
 			opts := core.Options{
@@ -379,8 +379,7 @@ func BenchmarkTabRecovery(b *testing.B) {
 				UnsortedLimit:       1 << 40,
 				PartitionSizeLimit:  1 << 40,
 				ScanMergeLimit:      1 << 30,
-				DisableHashCkpt:     cfg.disable,
-				HashCheckpointEvery: 2,
+				HashCheckpointEvery: cfg.ckptEvery,
 				HashBuckets:         benchN,
 			}
 			db, err := core.Open("db", opts)

@@ -129,58 +129,68 @@ func kops(ops int, d time.Duration) string {
 func ratio(v float64) string { return fmt.Sprintf("%.2f", v) }
 
 // ---------------------------------------------------------------------------
-// Workload phases.
+// Workload phases. Each returns the phase's wall time and, given a non-nil
+// Hist, records every op's latency in it; a nil Hist reads no per-op clock.
 
 // loadPhase inserts n records in random key order (the paper's random-load
-// microbenchmark) and returns the wall time.
-func loadPhase(s Store, n, valueSize int) (time.Duration, error) {
+// microbenchmark).
+func loadPhase(s Store, n, valueSize int, h *Hist) (time.Duration, error) {
 	start := time.Now()
 	for i := 0; i < n; i++ {
+		t0 := h.start()
 		if err := s.Put(ycsb.Key(i), ycsb.Value(i, valueSize)); err != nil {
 			return 0, err
 		}
+		h.stop(t0)
 	}
 	return time.Since(start), nil
 }
 
 // readPhase performs ops point reads; dist selects keys over [0, n).
-func readPhase(s Store, n, ops int, dist ycsb.Distribution, seed int64) (time.Duration, error) {
+func readPhase(s Store, n, ops int, dist ycsb.Distribution, seed int64, h *Hist) (time.Duration, error) {
 	w := ycsb.Workload{Name: "read", ReadProp: 1, Dist: dist}
 	c := ycsb.NewClient(w, n, seed)
 	start := time.Now()
 	for i := 0; i < ops; i++ {
 		op := c.Next()
+		t0 := h.start()
 		if _, err := s.Get(op.Key); err != nil && !isNotFound(err) {
 			return 0, err
 		}
+		h.stop(t0)
 	}
 	return time.Since(start), nil
 }
 
-// scanPhase performs ops scans of scanLen entries from random start keys.
-func scanPhase(s Store, n, ops, scanLen int, seed int64) (time.Duration, error) {
+// scanPhase performs ops scans of scanLen entries from uniform random start
+// keys.
+func scanPhase(s Store, n, ops, scanLen int, seed int64, h *Hist) (time.Duration, error) {
 	rnd := rand.New(rand.NewSource(seed))
 	start := time.Now()
 	for i := 0; i < ops; i++ {
 		k := ycsb.Key(rnd.Intn(n))
+		t0 := h.start()
 		if _, err := s.Scan(k, scanLen); err != nil {
 			return 0, err
 		}
+		h.stop(t0)
 	}
 	return time.Since(start), nil
 }
 
 // updatePhase performs ops zipfian overwrites (includes merge/compaction/GC
 // cost, per the paper's measurement methodology).
-func updatePhase(s Store, n, ops, valueSize int, seed int64) (time.Duration, error) {
+func updatePhase(s Store, n, ops, valueSize int, seed int64, h *Hist) (time.Duration, error) {
 	w := ycsb.Workload{Name: "update", UpdateProp: 1, Dist: ycsb.Zipfian}
 	c := ycsb.NewClient(w, n, seed)
 	start := time.Now()
 	for i := 0; i < ops; i++ {
 		op := c.Next()
+		t0 := h.start()
 		if err := s.Put(op.Key, ycsb.Value(i, valueSize)); err != nil {
 			return 0, err
 		}
+		h.stop(t0)
 	}
 	return time.Since(start), nil
 }

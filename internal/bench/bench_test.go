@@ -109,7 +109,7 @@ func TestPhasesAgainstModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if _, err := loadPhase(s, 500, 32); err != nil {
+	if _, err := loadPhase(s, 500, 32, nil); err != nil {
 		t.Fatal(err)
 	}
 	// All loaded keys resolve.
@@ -119,13 +119,13 @@ func TestPhasesAgainstModel(t *testing.T) {
 			t.Fatalf("key %d: %v", i, err)
 		}
 	}
-	if _, err := readPhase(s, 500, 200, ycsb.Zipfian, 1); err != nil {
+	if _, err := readPhase(s, 500, 200, ycsb.Zipfian, 1, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := scanPhase(s, 500, 20, 10, 1); err != nil {
+	if _, err := scanPhase(s, 500, 20, 10, 1, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := updatePhase(s, 500, 200, 32, 1); err != nil {
+	if _, err := updatePhase(s, 500, 200, 32, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := runYCSB(s, ycsb.WorkloadA, 500, 200, 32, 1); err != nil {

@@ -44,7 +44,7 @@ func FigCache(p Params) []Table {
 	for _, sz := range sizes {
 		for _, wl := range workloads {
 			s, _ := openUniKV(p, func(o *core.Options) { o.CacheBytes = sz.bytes })
-			if _, err := loadPhase(s, p.N, p.ValueSize); err != nil {
+			if _, err := loadPhase(s, p.N, p.ValueSize, nil); err != nil {
 				panic(err)
 			}
 			if err := s.Compact(); err != nil {

@@ -102,7 +102,7 @@ func FigHotRing(p Params) []Table {
 			for _, mode := range modes {
 				entries := mode.entries
 				s, _ := openUniKV(p, func(o *core.Options) { o.HotRingEntries = entries })
-				if _, err := loadPhase(s, p.N, p.ValueSize); err != nil {
+				if _, err := loadPhase(s, p.N, p.ValueSize, nil); err != nil {
 					panic(err)
 				}
 				if err := s.Compact(); err != nil {

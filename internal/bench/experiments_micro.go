@@ -37,7 +37,7 @@ func Fig7(p Params) []Table {
 		if err != nil {
 			panic(err)
 		}
-		dLoad, err := loadPhase(s, p.N, p.ValueSize)
+		dLoad, err := loadPhase(s, p.N, p.ValueSize, nil)
 		if err != nil {
 			panic(err)
 		}
@@ -46,7 +46,7 @@ func Fig7(p Params) []Table {
 
 		// No forced compaction: reads measure the post-load state, as the
 		// paper does.
-		dRead, err := readPhase(s, p.N, p.Ops, ycsb.Uniform, p.Seed)
+		dRead, err := readPhase(s, p.N, p.Ops, ycsb.Uniform, p.Seed, nil)
 		if err != nil {
 			panic(err)
 		}
@@ -57,14 +57,14 @@ func Fig7(p Params) []Table {
 		if scans < 1 {
 			scans = 1
 		}
-		dScan, err := scanPhase(s, p.N, scans, 50, p.Seed)
+		dScan, err := scanPhase(s, p.N, scans, 50, p.Seed, nil)
 		if err != nil {
 			panic(err)
 		}
 		scan.Rows = append(scan.Rows, []string{kind, kops(scans, dScan)})
 		p.logf("fig7 %s: scan %s Kscans/s", kind, kops(scans, dScan))
 
-		dUpd, err := updatePhase(s, p.N, p.Ops, p.ValueSize, p.Seed)
+		dUpd, err := updatePhase(s, p.N, p.Ops, p.ValueSize, p.Seed, nil)
 		if err != nil {
 			panic(err)
 		}
@@ -98,12 +98,12 @@ func Fig9(p Params) []Table {
 			if err != nil {
 				panic(err)
 			}
-			dLoad, err := loadPhase(s, n, p.ValueSize)
+			dLoad, err := loadPhase(s, n, p.ValueSize, nil)
 			if err != nil {
 				panic(err)
 			}
 			ops := n / 2
-			dRead, err := readPhase(s, n, ops, ycsb.Uniform, p.Seed)
+			dRead, err := readPhase(s, n, ops, ycsb.Uniform, p.Seed, nil)
 			if err != nil {
 				panic(err)
 			}
@@ -145,13 +145,13 @@ func Fig10(p Params) []Table {
 			if err != nil {
 				panic(err)
 			}
-			dLoad, err := loadPhase(s, n, vs)
+			dLoad, err := loadPhase(s, n, vs, nil)
 			if err != nil {
 				panic(err)
 			}
 			s.Compact()
 			ops := n / 2
-			dRead, err := readPhase(s, n, ops, ycsb.Uniform, p.Seed)
+			dRead, err := readPhase(s, n, ops, ycsb.Uniform, p.Seed, nil)
 			if err != nil {
 				panic(err)
 			}

@@ -30,12 +30,12 @@ func Fig1(p Params) []Table {
 			if err != nil {
 				panic(err)
 			}
-			dLoad, err := loadPhase(s, n, p.ValueSize)
+			dLoad, err := loadPhase(s, n, p.ValueSize, nil)
 			if err != nil {
 				panic(err)
 			}
 			ops := n / 2
-			dRead, err := readPhase(s, n, ops, ycsb.Uniform, p.Seed)
+			dRead, err := readPhase(s, n, ops, ycsb.Uniform, p.Seed, nil)
 			if err != nil {
 				panic(err)
 			}
@@ -61,14 +61,14 @@ func Fig2(p Params) []Table {
 		panic(err)
 	}
 	defer s.Close()
-	if _, err := loadPhase(s, p.N, p.ValueSize); err != nil {
+	if _, err := loadPhase(s, p.N, p.ValueSize, nil); err != nil {
 		panic(err)
 	}
 	// Real KV workloads skew toward recently written data (the paper's
 	// premise); the Latest distribution models that. Rank-zipfian would
 	// instead hammer the earliest-inserted keys, which compaction has
 	// already pushed to the deepest level.
-	if _, err := readPhase(s, p.N, p.Ops, ycsb.Latest, p.Seed); err != nil {
+	if _, err := readPhase(s, p.N, p.Ops, ycsb.Latest, p.Seed, nil); err != nil {
 		panic(err)
 	}
 	db := s.(*lsmStore).DB()
@@ -125,13 +125,13 @@ func TabIO(p Params) []Table {
 		if err != nil {
 			panic(err)
 		}
-		if _, err := loadPhase(s, p.N, p.ValueSize); err != nil {
+		if _, err := loadPhase(s, p.N, p.ValueSize, nil); err != nil {
 			panic(err)
 		}
 		wrote := float64(fs.Counters().BytesWritten.Load())
 		before := fs.Counters().BytesRead.Load()
 		readOpsBefore := fs.Counters().ReadOps.Load()
-		if _, err := readPhase(s, p.N, p.Ops, ycsb.Zipfian, p.Seed); err != nil {
+		if _, err := readPhase(s, p.N, p.Ops, ycsb.Zipfian, p.Seed, nil); err != nil {
 			panic(err)
 		}
 		readBytes := float64(fs.Counters().BytesRead.Load() - before)

@@ -2,30 +2,11 @@ package bench
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"unikv/internal/core"
 	"unikv/internal/ycsb"
 )
-
-// scanPhaseHist performs ops scans of scanLen entries from uniform random
-// start keys, recording per-scan latency. Returns the wall time and the
-// latency histogram.
-func scanPhaseHist(s Store, n, ops, scanLen int, seed int64) (time.Duration, *Hist, error) {
-	rnd := rand.New(rand.NewSource(seed))
-	h := &Hist{}
-	start := time.Now()
-	for i := 0; i < ops; i++ {
-		k := ycsb.Key(rnd.Intn(n))
-		t0 := time.Now()
-		if _, err := s.Scan(k, scanLen); err != nil {
-			return 0, nil, err
-		}
-		h.Record(time.Since(t0))
-	}
-	return time.Since(start), h, nil
-}
 
 // FigScan measures range-scan cost against the number of overlapping
 // unsorted tables, sorted view on vs off. The view's claim is REMIX's:
@@ -85,10 +66,11 @@ func FigScan(p Params) []Table {
 			}
 			// Warm pass: faults blocks into the cache (and, view-on, pays
 			// any lazy build) so the measured phase is steady state.
-			if _, _, err := scanPhaseHist(s, p.N, p.Ops, scanLen, p.Seed); err != nil {
+			if _, err := scanPhase(s, p.N, p.Ops, scanLen, p.Seed, nil); err != nil {
 				panic(err)
 			}
-			d, h, err := scanPhaseHist(s, p.N, p.Ops, scanLen, p.Seed+1)
+			var h Hist
+			d, err := scanPhase(s, p.N, p.Ops, scanLen, p.Seed+1, &h)
 			if err != nil {
 				panic(err)
 			}

@@ -43,11 +43,11 @@ func Fig11(p Params) []Table {
 	}
 	for _, v := range variants {
 		s, fs := openUniKV(p, v.tweak)
-		dLoad, err := loadPhase(s, p.N, p.ValueSize)
+		dLoad, err := loadPhase(s, p.N, p.ValueSize, nil)
 		if err != nil {
 			panic(err)
 		}
-		dRead, err := readPhase(s, p.N, p.Ops, ycsb.Uniform, p.Seed)
+		dRead, err := readPhase(s, p.N, p.Ops, ycsb.Uniform, p.Seed, nil)
 		if err != nil {
 			panic(err)
 		}
@@ -55,11 +55,11 @@ func Fig11(p Params) []Table {
 		if scans < 1 {
 			scans = 1
 		}
-		dScan, err := scanPhase(s, p.N, scans, 50, p.Seed)
+		dScan, err := scanPhase(s, p.N, scans, 50, p.Seed, nil)
 		if err != nil {
 			panic(err)
 		}
-		dUpd, err := updatePhase(s, p.N, p.Ops, p.ValueSize, p.Seed)
+		dUpd, err := updatePhase(s, p.N, p.Ops, p.ValueSize, p.Seed, nil)
 		if err != nil {
 			panic(err)
 		}
@@ -111,7 +111,7 @@ func FigSelective(p Params) []Table {
 			}
 		}
 		dLoad := time.Since(start)
-		dRead, err := readPhase(s, p.N, p.Ops, ycsb.Zipfian, p.Seed)
+		dRead, err := readPhase(s, p.N, p.Ops, ycsb.Zipfian, p.Seed, nil)
 		if err != nil {
 			panic(err)
 		}
@@ -156,7 +156,7 @@ func TabMem(p Params) []Table {
 			o.ScanMergeLimit = 1 << 30
 			o.HashBuckets = int(n)
 		})
-		if _, err := loadPhase(s, int(n), vs); err != nil {
+		if _, err := loadPhase(s, int(n), vs, nil); err != nil {
 			panic(err)
 		}
 		if err := s.(*unikvStore).DB().Flush(); err != nil {
@@ -186,9 +186,9 @@ func TabRecovery(p Params) []Table {
 		Header: []string{"config", "reopen-ms", "bytes-read"},
 	}
 	for _, cfg := range []struct {
-		name    string
-		disable bool
-	}{{"with-hash-checkpoint", false}, {"without-checkpoint", true}} {
+		name      string
+		ckptEvery int // HashCheckpointEvery; negative never checkpoints
+	}{{"with-hash-checkpoint", 2}, {"without-checkpoint", -1}} {
 		fs := vfs.NewMem()
 		opts := core.Options{
 			FS:           fs,
@@ -198,8 +198,7 @@ func TabRecovery(p Params) []Table {
 			UnsortedLimit:       1 << 40,
 			PartitionSizeLimit:  1 << 40,
 			ScanMergeLimit:      1 << 30,
-			DisableHashCkpt:     cfg.disable,
-			HashCheckpointEvery: 2,
+			HashCheckpointEvery: cfg.ckptEvery,
 			HashBuckets:         p.N,
 		}
 		db, err := core.Open("db", opts)
@@ -252,11 +251,11 @@ func FigGC(p Params) []Table {
 		s, _ := openUniKV(Params{N: p.N / 4, ValueSize: p.ValueSize}.WithDefaults(),
 			func(o *core.Options) { o.GCRatio = gcRatio })
 		n := p.N / 4
-		if _, err := loadPhase(s, n, p.ValueSize); err != nil {
+		if _, err := loadPhase(s, n, p.ValueSize, nil); err != nil {
 			panic(err)
 		}
 		ops := 8 * n
-		d, err := updatePhase(s, n, ops, p.ValueSize, p.Seed)
+		d, err := updatePhase(s, n, ops, p.ValueSize, p.Seed, nil)
 		if err != nil {
 			panic(err)
 		}
@@ -292,11 +291,11 @@ func FigParamUnsorted(p Params) []Table {
 			o.UnsortedLimit = limit
 			o.PartitionSizeLimit = base / 2
 		})
-		dLoad, err := loadPhase(s, p.N, p.ValueSize)
+		dLoad, err := loadPhase(s, p.N, p.ValueSize, nil)
 		if err != nil {
 			panic(err)
 		}
-		dRead, err := readPhase(s, p.N, p.Ops, ycsb.Zipfian, p.Seed)
+		dRead, err := readPhase(s, p.N, p.Ops, ycsb.Zipfian, p.Seed, nil)
 		if err != nil {
 			panic(err)
 		}
@@ -304,7 +303,7 @@ func FigParamUnsorted(p Params) []Table {
 		if scans < 1 {
 			scans = 1
 		}
-		dScan, err := scanPhase(s, p.N, scans, 50, p.Seed)
+		dScan, err := scanPhase(s, p.N, scans, 50, p.Seed, nil)
 		if err != nil {
 			panic(err)
 		}
@@ -334,12 +333,12 @@ func FigParamPartition(p Params) []Table {
 	for _, frac := range []int64{8, 4, 2, 1} {
 		limit := base / frac
 		s, _ := openUniKV(p, func(o *core.Options) { o.PartitionSizeLimit = limit })
-		dLoad, err := loadPhase(s, p.N, p.ValueSize)
+		dLoad, err := loadPhase(s, p.N, p.ValueSize, nil)
 		if err != nil {
 			panic(err)
 		}
 		s.Compact()
-		dRead, err := readPhase(s, p.N, p.Ops, ycsb.Uniform, p.Seed)
+		dRead, err := readPhase(s, p.N, p.Ops, ycsb.Uniform, p.Seed, nil)
 		if err != nil {
 			panic(err)
 		}
@@ -383,7 +382,7 @@ func FigScanOpt(p Params) []Table {
 	}
 	for _, v := range variants {
 		s, _ := openUniKV(p, v.tweak)
-		if _, err := loadPhase(s, p.N, p.ValueSize); err != nil {
+		if _, err := loadPhase(s, p.N, p.ValueSize, nil); err != nil {
 			panic(err)
 		}
 		// Overwrite a slice of keys so the unsorted tier holds overlapping
@@ -395,11 +394,11 @@ func FigScanOpt(p Params) []Table {
 		if scans < 1 {
 			scans = 1
 		}
-		dShort, err := scanPhase(s, p.N, scans, 10, p.Seed)
+		dShort, err := scanPhase(s, p.N, scans, 10, p.Seed, nil)
 		if err != nil {
 			panic(err)
 		}
-		dLong, err := scanPhase(s, p.N, scans, 100, p.Seed)
+		dLong, err := scanPhase(s, p.N, scans, 100, p.Seed, nil)
 		if err != nil {
 			panic(err)
 		}

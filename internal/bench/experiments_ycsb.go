@@ -25,7 +25,7 @@ func Fig8(p Params) []Table {
 			if err != nil {
 				panic(err)
 			}
-			if _, err := loadPhase(s, p.N, p.ValueSize); err != nil {
+			if _, err := loadPhase(s, p.N, p.ValueSize, nil); err != nil {
 				panic(err)
 			}
 			d, err := runYCSB(s, w, p.N, p.Ops, p.ValueSize, p.Seed)

@@ -52,6 +52,23 @@ func (h *Hist) Record(d time.Duration) {
 	}
 }
 
+// start returns the time an op starts; a nil h (an untimed phase) reads no
+// clock.
+func (h *Hist) start() time.Time {
+	if h == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// stop records the latency of an op that started at t0; a nil h records
+// nothing.
+func (h *Hist) stop(t0 time.Time) {
+	if h != nil {
+		h.Record(time.Since(t0))
+	}
+}
+
 // Merge folds o into h.
 func (h *Hist) Merge(o *Hist) {
 	for i, c := range o.buckets {
@@ -113,52 +130,6 @@ func (h *Hist) LatencyRow() []string {
 // LatencyHeader matches LatencyRow.
 func LatencyHeader() []string { return []string{"p50", "p99", "p99.9", "max"} }
 
-// ---------------------------------------------------------------------------
-// Instrumented phases: the load/read/update loops of bench.go with per-op
-// timing.
-
-func loadPhaseHist(s Store, n, valueSize int, h *Hist) (time.Duration, error) {
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		t0 := time.Now()
-		if err := s.Put(ycsb.Key(i), ycsb.Value(i, valueSize)); err != nil {
-			return 0, err
-		}
-		h.Record(time.Since(t0))
-	}
-	return time.Since(start), nil
-}
-
-func readPhaseHist(s Store, n, ops int, dist ycsb.Distribution, seed int64, h *Hist) (time.Duration, error) {
-	w := ycsb.Workload{Name: "read", ReadProp: 1, Dist: dist}
-	c := ycsb.NewClient(w, n, seed)
-	start := time.Now()
-	for i := 0; i < ops; i++ {
-		op := c.Next()
-		t0 := time.Now()
-		if _, err := s.Get(op.Key); err != nil && !isNotFound(err) {
-			return 0, err
-		}
-		h.Record(time.Since(t0))
-	}
-	return time.Since(start), nil
-}
-
-func updatePhaseHist(s Store, n, ops, valueSize int, seed int64, h *Hist) (time.Duration, error) {
-	w := ycsb.Workload{Name: "update", UpdateProp: 1, Dist: ycsb.Zipfian}
-	c := ycsb.NewClient(w, n, seed)
-	start := time.Now()
-	for i := 0; i < ops; i++ {
-		op := c.Next()
-		t0 := time.Now()
-		if err := s.Put(op.Key, ycsb.Value(i, valueSize)); err != nil {
-			return 0, err
-		}
-		h.Record(time.Since(t0))
-	}
-	return time.Since(start), nil
-}
-
 // FigLatency measures per-op latency percentiles for load/read/update on
 // UniKV with inline vs background maintenance — the tail-latency claim
 // behind the background scheduler: the tentpole moves flush/merge/GC/split
@@ -192,21 +163,21 @@ func FigLatency(p Params) []Table {
 			continue
 		}
 		var hLoad, hRead, hUpd Hist
-		dLoad, err := loadPhaseHist(s, p.N, p.ValueSize, &hLoad)
+		dLoad, err := loadPhase(s, p.N, p.ValueSize, &hLoad)
 		if err == nil {
 			t.Rows = append(t.Rows, append([]string{mode.name, "load", kops(p.N, dLoad)}, hLoad.LatencyRow()...))
 			err = s.Compact()
 		}
 		if err == nil {
 			var dRead time.Duration
-			dRead, err = readPhaseHist(s, p.N, p.Ops, ycsb.Uniform, p.Seed, &hRead)
+			dRead, err = readPhase(s, p.N, p.Ops, ycsb.Uniform, p.Seed, &hRead)
 			if err == nil {
 				t.Rows = append(t.Rows, append([]string{mode.name, "read", kops(p.Ops, dRead)}, hRead.LatencyRow()...))
 			}
 		}
 		if err == nil {
 			var dUpd time.Duration
-			dUpd, err = updatePhaseHist(s, p.N, p.Ops, p.ValueSize, p.Seed, &hUpd)
+			dUpd, err = updatePhase(s, p.N, p.Ops, p.ValueSize, p.Seed, &hUpd)
 			if err == nil {
 				t.Rows = append(t.Rows, append([]string{mode.name, "update", kops(p.Ops, dUpd)}, hUpd.LatencyRow()...))
 			}

@@ -21,7 +21,6 @@ func smallOpts(fs vfs.FS) Options {
 		MaxLogSize:         8 << 10,
 		TargetTableSize:    4 << 10,
 		HashBuckets:        1 << 12,
-		ScanWorkers:        4,
 	}
 }
 

@@ -352,8 +352,6 @@ func open(dir string, opts Options, lock vfs.DirLock) (*DB, error) {
 	if opts.HotRingEntries > 0 {
 		db.hot = hotring.New(hotring.Config{
 			Entries:      opts.HotRingEntries,
-			Shards:       opts.HotRingShards,
-			MaxValue:     opts.HotRingMaxValue,
 			SampleEvery:  opts.HotRingSampleEvery,
 			PromoteAfter: opts.HotRingPromoteAfter,
 		})
@@ -366,7 +364,7 @@ func open(dir string, opts Options, lock vfs.DirLock) (*DB, error) {
 		return nil, err
 	}
 	db.vl = vl
-	db.pool = newFetchPool(opts.ScanWorkers)
+	db.pool = newFetchPool(scanWorkers)
 	db.sched = newScheduler(db, opts.BackgroundWorkers)
 
 	if len(state.Partitions) == 0 {
@@ -462,13 +460,10 @@ func (db *DB) bootstrap() error {
 		manifest.AddPartition(pid, nil),
 		manifest.NextPart(2),
 	}
-	if !db.opts.DisableWAL {
-		if err := p.newWALLocked(v); err != nil {
-			return err
-		}
-		edits = append(edits, manifest.SetWAL(pid, v.wals[0]))
+	if err := p.newWALLocked(v); err != nil {
+		return err
 	}
-	edits = append(edits, db.nextFileEdit())
+	edits = append(edits, manifest.SetWAL(pid, v.wals[0]), db.nextFileEdit())
 	if err := db.man.Apply(edits...); err != nil {
 		return err
 	}
@@ -499,7 +494,7 @@ func (db *DB) recover(state *manifest.State, files []fileID) error {
 	// Flush recovered memtables so recovery converges to a clean WAL.
 	for _, p := range parts {
 		err := p.flushAll()
-		if err == nil && p.wal == nil && !db.opts.DisableWAL {
+		if err == nil && p.wal == nil {
 			p.mu.Lock()
 			err = p.rotateWALLocked() // nothing to flush: just open a log
 			p.mu.Unlock()
@@ -784,6 +779,9 @@ func (db *DB) Counters() *vfs.Counters { return db.fs.Counters() }
 // ---------------------------------------------------------------------------
 // fetchPool: the fixed worker pool used to fetch scan values in parallel
 // (paper: a 32-thread pool feeding from a worker queue).
+
+// scanWorkers is the fetch pool's size: the paper's 32 threads.
+const scanWorkers = 32
 
 type fetchPool struct {
 	jobs chan func()

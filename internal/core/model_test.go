@@ -425,8 +425,7 @@ func TestAblationsStillCorrect(t *testing.T) {
 		"no-scan-merge":    func(o *Options) { o.DisableScanMerge = true },
 		"no-prefetch":      func(o *Options) { o.DisableScanPrefetch = true },
 		"no-parallel":      func(o *Options) { o.DisableScanParallel = true },
-		"no-wal":           func(o *Options) { o.DisableWAL = true },
-		"no-hash-ckpt":     func(o *Options) { o.DisableHashCkpt = true },
+		"no-hash-ckpt":     func(o *Options) { o.HashCheckpointEvery = -1 },
 	}
 	for name, tweak := range variants {
 		name, tweak := name, tweak
@@ -468,19 +467,15 @@ func TestAblationsStillCorrect(t *testing.T) {
 			if err := db.Close(); err != nil {
 				t.Fatal(err)
 			}
-			// Reopen (skip strict check for no-WAL: unflushed data may be
-			// lost by design — but flushed data must remain).
 			db2, err := Open("db", opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer db2.Close()
-			if !opts.DisableWAL {
-				for k, v := range model {
-					got, err := db2.Get([]byte(k))
-					if err != nil || string(got) != v {
-						t.Fatalf("reopen get %s: %q %v want %q", k, got, err, v)
-					}
+			for k, v := range model {
+				got, err := db2.Get([]byte(k))
+				if err != nil || string(got) != v {
+					t.Fatalf("reopen get %s: %q %v want %q", k, got, err, v)
 				}
 			}
 		})

@@ -19,34 +19,39 @@ const CacheOff = -1
 // Options.HotRingEntries (0 means "use the default size").
 const HotRingOff = -1
 
-// Options tunes the engine. The zero value is usable; Sanitize fills
-// defaults matching the paper's configuration scaled to test sizes.
+// Options tunes the engine; unikv.Options is this type, so this comment is
+// the one reference for every field. The zero value selects the defaults
+// (filled by Sanitize, matching the paper's configuration scaled to test
+// sizes); every field is optional.
 type Options struct {
 	// MemtableSize flushes the memtable once it reaches this many bytes.
+	// Default 4 MiB.
 	MemtableSize int64
-	// UnsortedLimit caps a partition's UnsortedStore; reaching it triggers
-	// the merge into the SortedStore (paper: configured from available
-	// memory, since the hash index grows with the UnsortedStore).
+	// UnsortedLimit caps a partition's UnsortedStore (the hash-indexed hot
+	// tier); reaching it triggers the merge into the SortedStore (paper:
+	// configured from available memory, since the hash index grows with
+	// the UnsortedStore). Default 8 × MemtableSize.
 	UnsortedLimit int64
 	// ScanMergeLimit is the UnsortedStore table count that triggers the
-	// size-based merge (scan optimization).
+	// size-based merge keeping scans fast (scan optimization). Default 8.
 	ScanMergeLimit int
-	// PartitionSizeLimit splits a partition once its data (sorted +
-	// unsorted + owned log bytes) exceeds this many bytes.
+	// PartitionSizeLimit splits a partition at its median key once its
+	// data (sorted + unsorted + owned log bytes) exceeds this many bytes.
+	// Default 8 × UnsortedLimit.
 	PartitionSizeLimit int64
 	// GCRatio triggers value-log GC in a partition when its dead bytes
-	// exceed GCRatio × its referenced log bytes.
+	// exceed GCRatio × its referenced log bytes. Default 0.3.
 	GCRatio float64
-	// MaxLogSize rotates the shared value log at this size.
+	// MaxLogSize rotates the shared value log at this size. Default 8 MiB.
 	MaxLogSize int64
 	// TargetTableSize bounds SortedStore tables produced by merges.
+	// Default 2 MiB.
 	TargetTableSize int64
 	// BlockSize overrides the SSTable data-block size.
 	BlockSize int
 	// HashBuckets sizes each partition's hash index (first-level buckets).
+	// Default UnsortedLimit/100, at least 1024.
 	HashBuckets int
-	// ScanWorkers sizes the parallel value-fetch pool (paper: 32 threads).
-	ScanWorkers int
 	// ValueThreshold enables selective KV separation: values smaller than
 	// this many bytes stay inline in the SortedStore instead of moving to
 	// a value log (the paper's suggested mitigation for small-KV
@@ -57,8 +62,6 @@ type Options struct {
 	// SyncWrites fsyncs the WAL on every write (off: fsync at rotation,
 	// like LevelDB's default).
 	SyncWrites bool
-	// DisableWAL skips the write-ahead log entirely.
-	DisableWAL bool
 	// BackgroundWorkers sizes the maintenance worker pool. Every maintenance
 	// step is a job — pin the partition's version, build new files with no
 	// partition lock held, commit under it — and this picks who runs the
@@ -110,13 +113,9 @@ type Options struct {
 	// hottest keys in a single probe before partition routing. On by
 	// default: 0 selects the default size (4096 slots); a negative value
 	// (HotRingOff) disables the layer, restoring the bare tiered read path.
+	// The ring keeps its own defaults for the rest: 16 shards, and values
+	// above 4 KiB always take the tiered path.
 	HotRingEntries int
-	// HotRingShards is the hot ring's shard count (rounded up to a power
-	// of two). Default 16.
-	HotRingShards int
-	// HotRingMaxValue is the largest value (bytes) the hot ring admits;
-	// larger values always take the tiered path. Default 4096.
-	HotRingMaxValue int
 	// HotRingSampleEvery is the miss-sampling period: every n-th ring miss
 	// records its key as a promotion candidate. Default 8.
 	HotRingSampleEvery int
@@ -124,27 +123,27 @@ type Options struct {
 	// promoted into the ring. Default 2.
 	HotRingPromoteAfter int
 
+	// Ablations and experiments (fig11, fig-scan, the hash-checkpoint
+	// test). Each field below switches off, or retunes, one of the
+	// paper's techniques; leave them zero outside an experiment.
+	//
 	// SortedViewOff disables the REMIX-style cross-table sorted view over
 	// each partition's unsorted tables (internal/sortedview): scans fall
-	// back to a per-call k-way merge across all unsorted tables, the
-	// pre-view behavior. The view is on by default — it is memory-only,
-	// rebuilt at recovery, and bounded by UnsortedLimit like the hash
-	// index. The fig-scan experiment measures the difference.
-	SortedViewOff bool
-
-	// Ablation toggles (experiment fig11). Each disables one of the
-	// paper's techniques.
+	// back to a per-call k-way merge across all unsorted tables. The view
+	// is memory-only, rebuilt at recovery, and bounded by UnsortedLimit
+	// like the hash index.
+	SortedViewOff        bool
 	DisableHashIndex     bool // probe unsorted tables newest-first instead
 	DisableKVSeparation  bool // keep values inline in the SortedStore
 	DisablePartitioning  bool // never split; the single partition grows
 	DisableScanMerge     bool // never run the size-based merge
 	DisableScanPrefetch  bool // no value-log readahead on scans
 	DisableScanParallel  bool // fetch scan values serially
-	HashCheckpointEvery  int  // flushes between hash-index checkpoints (0 = derive from UnsortedLimit/2)
-	DisableHashCkpt      bool // never checkpoint the hash index
-	DisableOrphanCleanup bool // keep orphan files at open (debugging)
+	HashCheckpointEvery  int  // flushes between hash-index checkpoints (0 = derive from UnsortedLimit/2; negative = never)
+	DisableOrphanCleanup bool // keep orphan files at open (offline tools, debugging)
 
 	// FS overrides the file system (tests and I/O-accounted benchmarks).
+	// Default: the operating system's.
 	FS vfs.FS
 }
 
@@ -179,10 +178,7 @@ func (o Options) Sanitize() Options {
 			o.HashBuckets = 1024
 		}
 	}
-	if o.ScanWorkers <= 0 {
-		o.ScanWorkers = 32
-	}
-	if o.HashCheckpointEvery <= 0 {
+	if o.HashCheckpointEvery == 0 { // negative stays: never checkpoint
 		// Paper: checkpoint every UnsortedLimit/2 worth of flushes.
 		n := int(o.UnsortedLimit / (2 * o.MemtableSize))
 		if n < 1 {
@@ -228,7 +224,8 @@ func (o Options) Sanitize() Options {
 	} else if o.HotRingEntries < 0 {
 		o.HotRingEntries = 0 // HotRingOff: post-Sanitize 0 means disabled
 	}
-	// The remaining HotRing* knobs default inside hotring.Config.
+	// HotRingSampleEvery and HotRingPromoteAfter default inside
+	// hotring.Config.
 	if o.FS == nil {
 		o.FS = vfs.NewOS()
 	}

@@ -13,7 +13,7 @@ func TestSanitizeDefaults(t *testing.T) {
 	if o.PartitionSizeLimit != 8*o.UnsortedLimit {
 		t.Fatalf("PartitionSizeLimit=%d", o.PartitionSizeLimit)
 	}
-	if o.ScanMergeLimit != 8 || o.GCRatio != 0.3 || o.ScanWorkers != 32 {
+	if o.ScanMergeLimit != 8 || o.GCRatio != 0.3 {
 		t.Fatalf("%+v", o)
 	}
 	if o.HashBuckets <= 0 || o.HashCheckpointEvery <= 0 || o.FS == nil {
@@ -22,6 +22,10 @@ func TestSanitizeDefaults(t *testing.T) {
 	// Checkpoint cadence derives from UnsortedLimit/2 worth of memtables.
 	if o.HashCheckpointEvery != int(o.UnsortedLimit/(2*o.MemtableSize)) {
 		t.Fatalf("HashCheckpointEvery=%d", o.HashCheckpointEvery)
+	}
+	// A negative cadence means "never checkpoint" and survives Sanitize.
+	if o := (Options{HashCheckpointEvery: -1}).Sanitize(); o.HashCheckpointEvery != -1 {
+		t.Fatalf("HashCheckpointEvery=%d, want -1 (never)", o.HashCheckpointEvery)
 	}
 }
 
@@ -32,13 +36,12 @@ func TestSanitizePreservesExplicit(t *testing.T) {
 		ScanMergeLimit:     3,
 		PartitionSizeLimit: 9 << 10,
 		GCRatio:            0.5,
-		ScanWorkers:        2,
 		ValueThreshold:     128,
 	}
 	o := in.Sanitize()
 	if o.MemtableSize != in.MemtableSize || o.UnsortedLimit != in.UnsortedLimit ||
 		o.ScanMergeLimit != in.ScanMergeLimit || o.PartitionSizeLimit != in.PartitionSizeLimit ||
-		o.GCRatio != in.GCRatio || o.ScanWorkers != in.ScanWorkers ||
+		o.GCRatio != in.GCRatio ||
 		o.ValueThreshold != 128 {
 		t.Fatalf("explicit values overwritten: %+v", o)
 	}

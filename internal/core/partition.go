@@ -166,7 +166,7 @@ func replayWAL(fs vfs.FS, name string, mem *memtable.Memtable) error {
 // one WAL per memtable still holds. Until this succeeds writes fail.
 func (p *partition) ensureWALLocked() error {
 	switch {
-	case p.db.opts.DisableWAL, p.wal != nil && !p.wal.Torn():
+	case p.wal != nil && !p.wal.Torn():
 		return nil
 	case p.cur.Load().mem.Empty():
 		return p.rotateWALLocked()
@@ -188,21 +188,19 @@ func (p *partition) putBatch(recs []record.Record) error {
 	if err := p.ensureWALLocked(); err != nil {
 		return err
 	}
-	if p.wal != nil {
-		buf := p.walBuf[:0]
-		for _, rec := range recs {
-			buf = rec.Encode(buf)
-		}
-		if cap(buf) <= maxRetainedWALBuf {
-			p.walBuf = buf
-		}
-		if err := p.wal.AddRecord(buf); err != nil {
-			return err // a torn WAL is retired by the next write's ensureWALLocked
-		}
-		if p.db.opts.SyncWrites {
-			if err := p.wal.Sync(); err != nil {
-				return err
-			}
+	buf := p.walBuf[:0]
+	for _, rec := range recs {
+		buf = rec.Encode(buf)
+	}
+	if cap(buf) <= maxRetainedWALBuf {
+		p.walBuf = buf
+	}
+	if err := p.wal.AddRecord(buf); err != nil {
+		return err // a torn WAL is retired by the next write's ensureWALLocked
+	}
+	if p.db.opts.SyncWrites {
+		if err := p.wal.Sync(); err != nil {
+			return err
 		}
 	}
 	mem := p.cur.Load().mem // after ensureWALLocked, which may publish
@@ -237,10 +235,8 @@ func (p *partition) freezeMemLocked() error {
 	next := v.successor()
 	next.imm = append(v.imm[:len(v.imm):len(v.imm)], v.mem)
 	next.mem, next.wals = newMemtable(), append(v.wals[:len(v.wals):len(v.wals)], 0)
-	if !p.db.opts.DisableWAL {
-		if err := p.newWALLocked(next); err != nil {
-			return err
-		}
+	if err := p.newWALLocked(next); err != nil {
+		return err
 	}
 	p.publish(next)
 	return nil
@@ -393,7 +389,7 @@ func (p *partition) flushOldest(v *version) error {
 			p.flushesSinceCkpt++
 		}
 	}
-	due := err == nil && !p.db.opts.DisableHashCkpt && p.flushesSinceCkpt >= p.db.opts.HashCheckpointEvery
+	due := err == nil && p.db.opts.HashCheckpointEvery > 0 && p.flushesSinceCkpt >= p.db.opts.HashCheckpointEvery
 	p.mu.Unlock()
 	if due {
 		err = p.checkpointHash(j)

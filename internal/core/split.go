@@ -165,13 +165,11 @@ func (db *DB) splitPartition(parent *partition) error {
 		manifest.AddPartition(childID, boundary),
 		manifest.NextPart(db.nextPart.Load()),
 	}, empty.edits(right)...)
-	if !db.opts.DisableWAL {
-		if err := child.newWALLocked(right); err != nil {
-			return err
-		}
-		db.name(j, child.file(fileWAL, right.wals[0]))
-		edits = append(edits, manifest.SetWAL(childID, right.wals[0]))
+	if err := child.newWALLocked(right); err != nil {
+		return err
 	}
+	db.name(j, child.file(fileWAL, right.wals[0]))
+	edits = append(edits, manifest.SetWAL(childID, right.wals[0]))
 	// Both children's new tables must be findable after a crash before the
 	// manifest references them (the vlog and WAL directory entries were
 	// synced by DedicatedLog.Finish and newWALLocked above).

@@ -72,8 +72,6 @@ type Config struct {
 	BlockSize int
 	// SyncWrites fsyncs the WAL per write.
 	SyncWrites bool
-	// DisableWAL skips write-ahead logging.
-	DisableWAL bool
 	// FS overrides the file system.
 	FS vfs.FS
 }
@@ -219,7 +217,7 @@ func Open(dir string, cfg Config) (*DB, error) {
 	var err error
 	if !db.mem.Empty() {
 		err = db.flushLocked()
-	} else if !cfg.DisableWAL {
+	} else {
 		err = db.rotateWALLocked()
 	}
 	if err != nil {
@@ -255,17 +253,21 @@ func (db *DB) apply(rec record.Record) error {
 	if db.saveErr != nil {
 		return db.saveErr
 	}
-	db.seq++
-	rec.Seq = db.seq
-	if db.logw != nil {
-		db.logBuf = rec.Encode(db.logBuf[:0])
-		if err := db.logw.AddRecord(db.logBuf); err != nil {
+	if db.logw == nil {
+		// A flush's WAL create failed: no write is acknowledged unlogged.
+		if err := db.rotateWALLocked(); err != nil {
 			return err
 		}
-		if db.cfg.SyncWrites {
-			if err := db.logw.Sync(); err != nil {
-				return err
-			}
+	}
+	db.seq++
+	rec.Seq = db.seq
+	db.logBuf = rec.Encode(db.logBuf[:0])
+	if err := db.logw.AddRecord(db.logBuf); err != nil {
+		return err
+	}
+	if db.cfg.SyncWrites {
+		if err := db.logw.Sync(); err != nil {
+			return err
 		}
 	}
 	db.mem.Put(rec)
@@ -439,27 +441,24 @@ func (db *DB) TableAccesses() []int64 {
 	return out
 }
 
-// rotateWALLocked starts a fresh WAL (none under DisableWAL) and saves
-// VERSION naming it. The old WAL is removed only after that save: until
-// VERSION names the flushed table, the old WAL is what recovery replays.
+// rotateWALLocked starts a fresh WAL and saves VERSION naming it. The old
+// WAL is removed only after that save: until VERSION names the flushed
+// table, the old WAL is what recovery replays. A failed create leaves no
+// WAL open (the next write retries) and the old one named.
 func (db *DB) rotateWALLocked() error {
-	old := db.walNum
 	if db.logw != nil {
 		db.logw.Sync()
 		db.logw.Close()
 		db.logw = nil
 	}
-	db.walNum = 0
-	if !db.cfg.DisableWAL {
-		num := db.nextFile
-		db.nextFile++
-		f, err := db.fs.Create(db.walName(num))
-		if err != nil {
-			return err
-		}
-		db.logw = wal.NewWriter(f)
-		db.walNum = num
+	num := db.nextFile
+	db.nextFile++
+	f, err := db.fs.Create(db.walName(num))
+	if err != nil {
+		return err
 	}
+	old := db.walNum
+	db.logw, db.walNum = wal.NewWriter(f), num
 	if err := db.saveVersion(); err != nil {
 		return err
 	}

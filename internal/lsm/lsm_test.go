@@ -258,6 +258,42 @@ func TestWritesFailAfterFailedVersionSave(t *testing.T) {
 	})
 }
 
+// TestWritesAfterFailedWALCreateAreLogged: a flush whose new WAL cannot be
+// created leaves no log open. Every write acknowledged after that must
+// still be logged, so it survives a crash (an abandoned handle, reopened).
+func TestWritesAfterFailedWALCreateAreLogged(t *testing.T) {
+	forEachPolicy(t, func(t *testing.T, fs vfs.FS, cfg Config) {
+		ffs := vfs.NewFail(fs)
+		cfg.FS = ffs
+		db := mustOpen(t, cfg)
+		ffs.ArmPlan(vfs.FailPlan{Pattern: "*.wal", Kinds: vfs.OpCreate, Fail: 1})
+		acked := 0
+		for ; acked < 10000; acked++ {
+			if err := db.Put(key(acked), val(acked)); err != nil {
+				break
+			}
+		}
+		if acked == 10000 {
+			t.Fatal("no flush created a WAL")
+		}
+		var later []int
+		for i := acked + 1; i <= acked+5; i++ {
+			if err := db.Put(key(i), val(i)); err == nil {
+				later = append(later, i)
+			}
+		}
+		cfg.FS = fs
+		db2 := mustOpen(t, cfg)
+		defer db2.Close()
+		checkGets(t, db2, acked)
+		for _, i := range later {
+			if got, err := db2.Get(key(i)); err != nil || !bytes.Equal(got, val(i)) {
+				t.Errorf("put %d, acknowledged after the failed WAL create, lost on reopen: %v", i, err)
+			}
+		}
+	})
+}
+
 func TestPresets(t *testing.T) {
 	for _, cfg := range []Config{ConfigLevelDB(1), ConfigRocksDB(1), ConfigHyperLevelDB(1), ConfigPebblesDB(1)} {
 		c := cfg.sanitize()

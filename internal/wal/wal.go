@@ -5,8 +5,11 @@
 //
 //	masked CRC-32C (4B) | length (2B LE) | type (1B) | payload
 //
-// where type is full / first / middle / last. Torn tails (a crash mid-write)
-// decode as corruption and recovery stops at the last complete record.
+// where type is full / first / middle / last. Only a block tail too short
+// for a header is zero-padded, so a zero header with room for a real one is
+// a hole (a page that never reached the disk). Torn tails (a crash
+// mid-write) and holes decode as corruption and recovery stops at the last
+// complete record before them.
 package wal
 
 import (
@@ -193,9 +196,17 @@ func (r *Reader) nextFragment() (byte, []byte, error) {
 		length := int(binary.LittleEndian.Uint16(hdr[4:6]))
 		typ := hdr[6]
 		if typ == 0 && length == 0 {
-			// Zero padding at block tail.
-			r.blockPos = r.blockLen
-			continue
+			// A hole: the writer pads only tails too short for a header.
+			// Zeros to the end of the log are a tail the crash left
+			// unwritten; anything behind the hole is damage.
+			zeros, err := r.zerosToEnd()
+			if err != nil {
+				return 0, nil, err
+			}
+			if zeros {
+				return 0, nil, errTorn
+			}
+			return 0, nil, errDamaged
 		}
 		if end := r.blockPos + headerLen + length; end > r.blockLen {
 			// A fragment never crosses its block: one that runs past a full
@@ -216,6 +227,27 @@ func (r *Reader) nextFragment() (byte, []byte, error) {
 		}
 		r.blockPos += headerLen + length
 		return typ, payload, nil
+	}
+}
+
+// zerosToEnd reports whether every byte from the current header to the end
+// of the log is zero.
+func (r *Reader) zerosToEnd() (bool, error) {
+	for {
+		for _, b := range r.block[r.blockPos:r.blockLen] {
+			if b != 0 {
+				return false, nil
+			}
+		}
+		n, err := r.f.ReadAt(r.block[:], r.off)
+		if n == 0 {
+			if err == io.EOF || err == nil {
+				return true, nil
+			}
+			return false, err
+		}
+		r.off += int64(n)
+		r.blockLen, r.blockPos = n, 0
 	}
 }
 
@@ -240,16 +272,17 @@ var (
 
 // Damaged reports whether the records Next returned stop at damage rather
 // than at the end of the log or a torn tail: a complete fragment whose
-// checksum fails, one out of sequence, one that crosses its block, or one
+// checksum fails, one out of sequence, one that crosses its block, one
 // whose length runs past the end of the log while a complete fragment lies
-// behind it. A crash mid-append leaves only a tail cut short, so a log whose
+// behind it, or a hole with non-zero bytes behind it. A crash mid-append leaves only a tail cut short, so a log whose
 // writer synced every record (the manifest) is damaged when a record it
 // acknowledged is unreadable — with one exception: a final fragment whose
 // length grew reads exactly like a crash's cut, and Damaged reports false.
 func (r *Reader) Damaged() bool { return r.damaged }
 
 // Torn reports whether the records Next returned stop at a tail cut short,
-// as a crash mid-append leaves it (or as a grown final length reads).
+// as a crash mid-append leaves it (or as a grown final length reads), or at
+// a hole with only zeros behind it to the end of the log.
 func (r *Reader) Torn() bool { return r.badRecord && !r.damaged }
 
 // Next returns the next logical record, or io.EOF when the log is

@@ -229,6 +229,64 @@ func TestCorruptMiddle(t *testing.T) {
 	}
 }
 
+// TestPageHole zeroes 4 KiB pages of a log whose records each frame to
+// exactly one page, as a crash that persisted later unsynced pages but not
+// an earlier one leaves it. Replay must stop at the hole: records behind it
+// are not a prefix of the write order. A hole with intact records behind it
+// is damage; zeros to the end of the log are a torn tail.
+func TestPageHole(t *testing.T) {
+	const page, n = 4096, 200
+	fs := vfs.NewMem()
+	f, _ := fs.Create("log")
+	w := NewWriter(f)
+	for i := 0; i < n; i++ {
+		rec := bytes.Repeat([]byte{byte(i)}, page-headerLen)
+		if err := w.AddRecord(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.Close()
+	clean, _ := fs.ReadFile("log")
+	if len(clean) != n*page {
+		t.Fatalf("log is %d bytes, want %d", len(clean), n*page)
+	}
+	for _, c := range []struct {
+		from, to int // zeroed pages [from, to)
+		damaged  bool
+	}{
+		{3, 4, true},    // record 3's page; records 4..199 intact behind it
+		{8, 9, true},    // the first page of a block
+		{197, n, false}, // every page from record 197 on: a tail the crash lost
+	} {
+		data := bytes.Clone(clean)
+		clear(data[c.from*page : c.to*page])
+		fs.WriteFile("hole", data)
+		rf, _ := fs.Open("hole")
+		r := NewReader(rf)
+		var got [][]byte
+		for {
+			rec, err := r.Next()
+			if err != nil {
+				break
+			}
+			got = append(got, rec)
+		}
+		rf.Close()
+		if len(got) != c.from {
+			t.Fatalf("pages [%d,%d) zeroed: %d records replayed, want %d", c.from, c.to, len(got), c.from)
+		}
+		for i, rec := range got {
+			if len(rec) != page-headerLen || rec[0] != byte(i) {
+				t.Fatalf("pages [%d,%d) zeroed: record %d is wrong", c.from, c.to, i)
+			}
+		}
+		if r.Damaged() != c.damaged || r.Torn() == c.damaged {
+			t.Fatalf("pages [%d,%d) zeroed: damaged=%v torn=%v, want damaged=%v",
+				c.from, c.to, r.Damaged(), r.Torn(), c.damaged)
+		}
+	}
+}
+
 func TestWriterClosed(t *testing.T) {
 	fs := vfs.NewMem()
 	f, _ := fs.Create("log")

@@ -37,12 +37,7 @@
 // package's API. See the README's "Serving" section for a quick start.
 package unikv
 
-import (
-	"time"
-
-	"unikv/internal/core"
-	"unikv/internal/vfs"
-)
+import "unikv/internal/core"
 
 // ErrNotFound is returned by Get when the key does not exist.
 var ErrNotFound = core.ErrNotFound
@@ -121,136 +116,17 @@ type KV = core.KV
 // Metrics is a snapshot of engine statistics.
 type Metrics = core.StatsSnapshot
 
-// Options tunes the store. The zero value (or a nil pointer) selects the
-// defaults; every field is optional.
-type Options struct {
-	// MemtableSize flushes the in-memory write buffer at this many bytes.
-	// Default 4 MiB.
-	MemtableSize int64
-	// UnsortedLimit caps each partition's UnsortedStore (the hash-indexed
-	// hot tier); reaching it triggers a merge into the SortedStore.
-	// Default 8 × MemtableSize.
-	UnsortedLimit int64
-	// ScanMergeLimit is the UnsortedStore table count that triggers the
-	// size-based merge keeping scans fast. Default 8.
-	ScanMergeLimit int
-	// PartitionSizeLimit splits a partition beyond this many bytes.
-	// Default 8 × UnsortedLimit.
-	PartitionSizeLimit int64
-	// GCRatio runs value-log garbage collection in a partition once its
-	// dead bytes exceed GCRatio of its referenced log bytes. Default 0.3.
-	GCRatio float64
-	// MaxLogSize rotates value logs at this size. Default 8 MiB.
-	MaxLogSize int64
-	// SyncWrites fsyncs the WAL on every write. Default false (fsync at
-	// memtable flush, like LevelDB's default).
-	SyncWrites bool
-	// DisableWAL turns off the write-ahead log: unflushed writes are lost
-	// on crash.
-	DisableWAL bool
-	// ScanWorkers sizes the parallel value-fetch pool used by Scan.
-	// Default 32.
-	ScanWorkers int
-	// ValueThreshold keeps values smaller than this many bytes inline in
-	// the sorted tier instead of KV-separating them into value logs
-	// (selective KV separation — worthwhile for small-KV workloads).
-	// 0 separates everything.
-	ValueThreshold int
-	// BackgroundWorkers moves maintenance (memtable flush, merge, GC,
-	// partition split) onto this many background workers: a full memtable
-	// is frozen onto an immutable queue — still served by reads — and the
-	// writer returns immediately instead of running the jobs itself.
-	// Writers only slow down or stall when maintenance falls behind. 0 (the
-	// default) runs the same jobs on the writing goroutine, before the Put
-	// that filled the memtable returns: deterministic with one writer, and
-	// other readers and writers are not locked out while a job builds.
-	BackgroundWorkers int
-	// CacheBytes bounds the in-memory read cache shared by all partitions,
-	// holding hot SSTable data blocks and hot value-log entries. The cache
-	// is on by default: 0 selects the default size (32 MiB); CacheOff (any
-	// negative value) disables caching entirely.
-	CacheBytes int64
-	// HotRingEntries sizes the hot-key read layer: a sharded, lock-free
-	// structure serving the hottest keys in a single memory probe before
-	// partition routing (see README "Skewed workloads"). On by default:
-	// 0 selects the default size (4096 slots); HotRingOff (any negative
-	// value) disables the layer entirely.
-	HotRingEntries int
-	// HotRingMaxValue caps the value size (bytes) admitted to the hot
-	// ring; larger values always take the tiered read path. Default 4096.
-	HotRingMaxValue int
-	// JobRetries caps how many times a background maintenance job is
-	// retried on a transient error before the database enters degraded
-	// read-only mode (see ErrDegraded). Corruption is never retried.
-	// Default 3; negative disables retries.
-	JobRetries int
-	// RetryBaseDelay is the first retry's backoff; it doubles per retry
-	// (with jitter) up to RetryMaxDelay. Defaults 10ms and 1s.
-	RetryBaseDelay time.Duration
-	RetryMaxDelay  time.Duration
-	// ScrubInterval enables the background integrity scrub: every interval
-	// the engine re-reads and checksum-verifies every table block and
-	// value-log frame, quarantining exactly the partitions whose files turn
-	// out corrupt (see ErrPartitionQuarantined) while the rest keep
-	// serving. 0 (the default) disables scrubbing entirely.
-	ScrubInterval time.Duration
-	// ScrubBytesPerSec bounds the scrub's read rate so verification cannot
-	// starve foreground I/O. 0 selects the default (8 MiB/s); negative
-	// removes the bound.
-	ScrubBytesPerSec int64
+// Options tunes the store; it is the engine's own option set, documented
+// on core.Options. The zero value (or a nil pointer) selects the defaults;
+// every field is optional.
+type Options = core.Options
 
-	// Advanced / experiment knobs. Leave zero unless reproducing the
-	// paper's ablations.
-	TargetTableSize     int64
-	BlockSize           int
-	HashBuckets         int
-	DisableHashIndex    bool
-	DisableKVSeparation bool
-	DisablePartitioning bool
-	DisableScanMerge    bool
-	DisableScanPrefetch bool
-	DisableScanParallel bool
-
-	// FS overrides the file system (in-memory testing, I/O accounting).
-	FS vfs.FS
-}
-
-// toCore maps public options onto the engine's option set.
-func (o *Options) toCore() core.Options {
+// orDefaults returns *o, or the zero Options (every default) for nil.
+func orDefaults(o *Options) Options {
 	if o == nil {
-		return core.Options{}
+		return Options{}
 	}
-	return core.Options{
-		MemtableSize:        o.MemtableSize,
-		UnsortedLimit:       o.UnsortedLimit,
-		ScanMergeLimit:      o.ScanMergeLimit,
-		PartitionSizeLimit:  o.PartitionSizeLimit,
-		GCRatio:             o.GCRatio,
-		MaxLogSize:          o.MaxLogSize,
-		TargetTableSize:     o.TargetTableSize,
-		BlockSize:           o.BlockSize,
-		HashBuckets:         o.HashBuckets,
-		ScanWorkers:         o.ScanWorkers,
-		ValueThreshold:      o.ValueThreshold,
-		BackgroundWorkers:   o.BackgroundWorkers,
-		CacheBytes:          o.CacheBytes,
-		HotRingEntries:      o.HotRingEntries,
-		HotRingMaxValue:     o.HotRingMaxValue,
-		JobRetries:          o.JobRetries,
-		RetryBaseDelay:      o.RetryBaseDelay,
-		RetryMaxDelay:       o.RetryMaxDelay,
-		ScrubInterval:       o.ScrubInterval,
-		ScrubBytesPerSec:    o.ScrubBytesPerSec,
-		SyncWrites:          o.SyncWrites,
-		DisableWAL:          o.DisableWAL,
-		DisableHashIndex:    o.DisableHashIndex,
-		DisableKVSeparation: o.DisableKVSeparation,
-		DisablePartitioning: o.DisablePartitioning,
-		DisableScanMerge:    o.DisableScanMerge,
-		DisableScanPrefetch: o.DisableScanPrefetch,
-		DisableScanParallel: o.DisableScanParallel,
-		FS:                  o.FS,
-	}
+	return *o
 }
 
 // DB is a UniKV database handle. It is safe for concurrent use.
@@ -261,7 +137,7 @@ type DB struct {
 // Open opens (creating if necessary) a database rooted at path. A nil opts
 // selects defaults.
 func Open(path string, opts *Options) (*DB, error) {
-	eng, err := core.Open(path, opts.toCore())
+	eng, err := core.Open(path, orDefaults(opts))
 	if err != nil {
 		return nil, err
 	}
@@ -339,7 +215,7 @@ type RepairReport = core.RepairReport
 // the key ranges affected. A nil opts selects defaults (opts matters when
 // the database uses a custom FS).
 func Repair(path string, opts *Options) (*RepairReport, error) {
-	return core.Repair(path, opts.toCore())
+	return core.Repair(path, orDefaults(opts))
 }
 
 // Snapshot is a consistent point-in-time read handle: Get and Scan observe
