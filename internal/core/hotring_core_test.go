@@ -164,7 +164,26 @@ func runHotRingStorm(t *testing.T, bgWorkers int) {
 // to a ring-on DB (aggressive promotion) and a ring-off DB must produce
 // identical results for every Get, Put, Delete, and Scan.
 func TestHotRingEquivalence(t *testing.T) {
-	on, err := Open("on", hotOpts(vfs.NewMem()))
+	runHotRingEquivalence(t, hotOpts(vfs.NewMem()), func(rnd *rand.Rand) int { return rnd.Intn(200) })
+}
+
+// TestHotRingEquivalenceDefaultSampling replays a skewed trace (most ops on
+// 16 hot keys) at the ring's default sampling. There, a key earns its slot
+// once, and a write leaves it hollow: the next read refills it, so refills
+// are how the trace's hot keys get back into the ring.
+func TestHotRingEquivalenceDefaultSampling(t *testing.T) {
+	runHotRingEquivalence(t, smallOpts(vfs.NewMem()), func(rnd *rand.Rand) int {
+		if rnd.Intn(10) < 8 {
+			return rnd.Intn(16)
+		}
+		return rnd.Intn(200)
+	})
+}
+
+// runHotRingEquivalence applies one random trace, whose keys pick draws,
+// to a DB opened with onOpts and to a ring-off DB.
+func runHotRingEquivalence(t *testing.T, onOpts Options, pick func(*rand.Rand) int) {
+	on, err := Open("on", onOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +197,7 @@ func TestHotRingEquivalence(t *testing.T) {
 	defer off.Close()
 
 	rnd := rand.New(rand.NewSource(42))
-	k := func() []byte { return []byte(fmt.Sprintf("key-%03d", rnd.Intn(200))) }
+	k := func() []byte { return []byte(fmt.Sprintf("key-%03d", pick(rnd))) }
 	for op := 0; op < 6000; op++ {
 		switch rnd.Intn(10) {
 		case 0, 1, 2, 3: // Put
@@ -227,8 +246,8 @@ func TestHotRingEquivalence(t *testing.T) {
 			}
 		}
 	}
-	if m := on.Metrics(); m.HotRingHits == 0 {
-		t.Fatalf("trace never hit the ring: %+v", m)
+	if m := on.Metrics(); m.HotRingHits == 0 || m.HotRingInvalidations == 0 {
+		t.Fatalf("trace never hit the ring, or never wrote a resident key: %+v", m)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 )
 
 // promote drives key through the miss→candidate→install cycle until it is
@@ -76,6 +77,144 @@ func TestInvalidateDropsEntryAndAbortsInflightPromotion(t *testing.T) {
 	}
 	if _, ok := r.Get(key); ok {
 		t.Fatal("stale value resident")
+	}
+}
+
+// TestHollowRefillAtDefaultSampling is the hollow lifecycle at the default
+// SampleEvery and PromoteAfter: a write leaves the key's slot hollow (a
+// miss), and the key's very next miss promotes without sampling, so one
+// slow-path read puts the fresh value back.
+func TestHollowRefillAtDefaultSampling(t *testing.T) {
+	r := New(Config{Entries: 64, Shards: 1})
+	key := []byte("k")
+	promote(t, r, key, []byte("v1"))
+	r.Invalidate(key)
+	if v, ok := r.Get(key); ok {
+		t.Fatalf("hollow entry served %q", v)
+	}
+	tok := r.BeginMiss(key)
+	if !tok.Promote || !tok.Warm {
+		t.Fatalf("first miss after a write should refill: %+v", tok)
+	}
+	if !r.Install(tok, key, []byte("v2")) {
+		t.Fatal("refill did not install")
+	}
+	if v, ok := r.Get(key); !ok || string(v) != "v2" {
+		t.Fatalf("after refill got %q %v, want v2", v, ok)
+	}
+}
+
+// TestHollowRefillAbortsOnWrite: a write between the refilling miss and its
+// Install aborts the install, and the slot stays hollow for the next read.
+func TestHollowRefillAbortsOnWrite(t *testing.T) {
+	r := New(Config{Entries: 64, Shards: 1})
+	key := []byte("k")
+	promote(t, r, key, []byte("v1"))
+	r.Invalidate(key)
+	tok := r.BeginMiss(key)
+	r.Invalidate(key)
+	if r.Install(tok, key, []byte("v2")) {
+		t.Fatal("refill installed a value read before a later write")
+	}
+	if _, ok := r.Get(key); ok {
+		t.Fatal("hit after an aborted refill")
+	}
+	tok = r.BeginMiss(key)
+	if !tok.Promote || !r.Install(tok, key, []byte("v3")) {
+		t.Fatalf("slot lost its hollow entry after an aborted refill: %+v", tok)
+	}
+	if v, _ := r.Get(key); string(v) != "v3" {
+		t.Fatalf("got %q, want v3", v)
+	}
+}
+
+// TestInvalidateRangeEmptiesHollow: a split empties hollow slots too, so the
+// key's next miss is sampled like any other.
+func TestInvalidateRangeEmptiesHollow(t *testing.T) {
+	r := New(Config{Entries: 64, Shards: 1})
+	key := []byte("m1")
+	promote(t, r, key, []byte("v1"))
+	r.Invalidate(key)
+	r.InvalidateRange([]byte("m"), []byte("n"))
+	if tok := r.BeginMiss(key); tok.Promote {
+		t.Fatalf("miss after InvalidateRange promoted without sampling: %+v", tok)
+	}
+}
+
+// TestHollowLosesSlotWhenCold: a hollow entry defends its slot in the
+// frequency duel like a resident one, and a challenger that keeps coming
+// halves it out once its key stops being read.
+func TestHollowLosesSlotWhenCold(t *testing.T) {
+	r := New(Config{Entries: 1, Shards: 1, SampleEvery: 1, PromoteAfter: 1})
+	a, b := []byte("aa"), []byte("bb")
+	promote(t, r, a, []byte("va"))
+	for i := 0; i < 100; i++ {
+		r.Get(a) // a is hot: its frequency climbs past 100
+	}
+	r.Invalidate(a)
+	lost := 0
+	for i := 0; i < 1000; i++ {
+		if _, ok := r.Get(b); ok {
+			break
+		}
+		if tok := r.BeginMiss(b); tok.Promote && !r.Install(tok, b, []byte("vb")) {
+			lost++
+		}
+	}
+	if _, ok := r.Get(b); !ok {
+		t.Fatal("challenger never displaced a cold hollow entry")
+	}
+	if lost == 0 {
+		t.Fatal("challenger took the hollow slot without a duel")
+	}
+}
+
+// TestHollowNotResident: the residency gauges count values, and a hollow
+// entry holds none.
+func TestHollowNotResident(t *testing.T) {
+	r := New(Config{Entries: 64, Shards: 1})
+	key, val := []byte("k"), []byte("value")
+	promote(t, r, key, val)
+	want := Stats{Resident: 1, ResidentBytes: int64(len(key) + len(val))}
+	gauges := func() Stats {
+		s := r.Snapshot()
+		return Stats{Resident: s.Resident, ResidentBytes: s.ResidentBytes}
+	}
+	if g := gauges(); g != want {
+		t.Fatalf("resident gauges %+v, want %+v", g, want)
+	}
+	r.Invalidate(key)
+	r.Invalidate(key) // a second write to a hollow key changes nothing
+	if g := gauges(); g != (Stats{}) {
+		t.Fatalf("hollow entry counted: %+v", g)
+	}
+	r.Install(r.BeginMiss(key), key, val)
+	if g := gauges(); g != want {
+		t.Fatalf("after refill %+v, want %+v", g, want)
+	}
+	r.Invalidate(key)
+	r.InvalidateRange(nil, nil)
+	if g := gauges(); g != (Stats{}) {
+		t.Fatalf("after emptying %+v", g)
+	}
+}
+
+// TestShardCountersOffSlotLine pins the shard layout: the counters a probe
+// writes sit on cache lines of their own, apart from the slot tables every
+// probe reads, and shards stay whole lines apart.
+func TestShardCountersOffSlotLine(t *testing.T) {
+	var s shard
+	if off := unsafe.Offsetof(s.hits); off != cacheLine {
+		t.Fatalf("hits at offset %d, want %d", off, cacheLine)
+	}
+	if off := unsafe.Offsetof(s.missTick); off != 2*cacheLine {
+		t.Fatalf("missTick at offset %d, want %d", off, 2*cacheLine)
+	}
+	if off := unsafe.Offsetof(s.writerMu); off != 3*cacheLine {
+		t.Fatalf("writerMu at offset %d, want %d", off, 3*cacheLine)
+	}
+	if size := unsafe.Sizeof(s); size%cacheLine != 0 {
+		t.Fatalf("shard is %d bytes, not a whole number of lines", size)
 	}
 }
 
