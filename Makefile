@@ -37,7 +37,7 @@ $(BIN)/unikvlint: FORCE
 # read path's cache, hot ring, hash probe and boundary search, and the scan
 # path's k-way merge and sorted view).
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/bench/ ./internal/vfs/ ./internal/wal/ ./internal/arena/ ./internal/memtable/ ./internal/sstable/ ./internal/vlog/ ./internal/hashindex/ ./internal/core/ ./internal/protocol/ ./internal/server/ ./internal/cache/ ./internal/hotring/ ./internal/sorted/ ./internal/unsorted/ ./internal/mergeiter/ ./internal/sortedview/
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/bench/ ./internal/vfs/ ./internal/wal/ ./internal/arena/ ./internal/memtable/ ./internal/sstable/ ./internal/vlog/ ./internal/hashindex/ ./internal/core/ ./internal/protocol/ ./internal/server/ ./internal/cache/ ./internal/hotring/ ./internal/sorted/ ./internal/unsorted/ ./internal/mergeiter/ ./internal/sortedview/
 
 # The perf ledger (perf/README.md, BENCHMARK.json): every workload, timed
 # and traced. perf/ is a Go module of its own, so `go test ./...` at the

@@ -179,7 +179,7 @@ func orDefault(s, def string) string {
 // WAL cut, exactly what a restore does — and checksum-verifies everything
 // it references.
 func restoreAndVerify(dest string) {
-	db, err := core.Open(dest, core.Options{DisableOrphanCleanup: true})
+	db, err := core.Open(dest, offlineOptions())
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "restore-open of backup failed: %v\n", err)
 		os.Exit(1)
@@ -195,9 +195,17 @@ func restoreAndVerify(dest string) {
 	fmt.Println("backup restore-opened and verified: all checksums ok")
 }
 
+// offlineOptions are the options every command opens a database with:
+// the defaults, keeping any orphan file for the operator to inspect.
+func offlineOptions() core.Options {
+	var o core.Options
+	core.ExperimentOf(&o).DisableOrphanCleanup = true
+	return o
+}
+
 // withDB opens the database read-mostly and runs fn.
 func withDB(dir string, fn func(*core.DB)) {
-	db, err := core.Open(dir, core.Options{DisableOrphanCleanup: true})
+	db, err := core.Open(dir, offlineOptions())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -258,7 +266,7 @@ func repair(dir string) {
 // report is used when the database opens; a database too damaged to open
 // falls back to an offline per-file walk.
 func verify(dir string) {
-	db, err := core.Open(dir, core.Options{DisableOrphanCleanup: true})
+	db, err := core.Open(dir, offlineOptions())
 	if err == nil {
 		reports, verr := db.VerifyIntegrityReport()
 		if cerr := db.Close(); verr == nil {

@@ -44,12 +44,12 @@ func FigScan(p Params) []Table {
 		for _, mode := range modes {
 			off := mode.off
 			s, _ := openUniKV(p, func(o *core.Options) {
-				o.SortedViewOff = off
+				core.ExperimentOf(o).SortedViewOff = off
 				// One explicit flush per round is the only table source.
 				o.MemtableSize = 2 * p.DatasetBytes()
 				o.UnsortedLimit = 8 * p.DatasetBytes()
 				o.HashBuckets = 1 << 14
-				o.DisableScanMerge = true
+				core.ExperimentOf(o).DisableScanMerge = true
 			})
 			db := s.(*unikvStore).DB()
 			// Round r holds keys {r, r+k, r+2k, ...}: every table covers

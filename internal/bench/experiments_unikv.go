@@ -30,10 +30,10 @@ func Fig11(p Params) []Table {
 		tweak func(*core.Options)
 	}{
 		{"unikv(full)", nil},
-		{"-hash-index", func(o *core.Options) { o.DisableHashIndex = true }},
-		{"-kv-separation", func(o *core.Options) { o.DisableKVSeparation = true }},
-		{"-partitioning", func(o *core.Options) { o.DisablePartitioning = true }},
-		{"-scan-merge", func(o *core.Options) { o.DisableScanMerge = true }},
+		{"-hash-index", func(o *core.Options) { core.ExperimentOf(o).DisableHashIndex = true }},
+		{"-kv-separation", func(o *core.Options) { core.ExperimentOf(o).DisableKVSeparation = true }},
+		{"-partitioning", func(o *core.Options) { core.ExperimentOf(o).DisablePartitioning = true }},
+		{"-scan-merge", func(o *core.Options) { core.ExperimentOf(o).DisableScanMerge = true }},
 	}
 	t := Table{
 		Title: "fig11: ablation of UniKV's techniques (KOps/s; scans in Kscans/s)",
@@ -94,7 +94,7 @@ func FigSelective(p Params) []Table {
 		tweak func(*core.Options)
 	}{
 		{"full-separation", nil},
-		{"no-separation", func(o *core.Options) { o.DisableKVSeparation = true }},
+		{"no-separation", func(o *core.Options) { core.ExperimentOf(o).DisableKVSeparation = true }},
 		{"selective(256B)", func(o *core.Options) { o.ValueThreshold = 256 }},
 	}
 	t := Table{
@@ -187,7 +187,7 @@ func TabRecovery(p Params) []Table {
 	}
 	for _, cfg := range []struct {
 		name      string
-		ckptEvery int // HashCheckpointEvery; negative never checkpoints
+		ckptEvery int // Experiment.HashCheckpointEvery; negative never checkpoints
 	}{{"with-hash-checkpoint", 2}, {"without-checkpoint", -1}} {
 		fs := vfs.NewMem()
 		opts := core.Options{
@@ -195,12 +195,12 @@ func TabRecovery(p Params) []Table {
 			MemtableSize: clampMin(p.DatasetBytes()/64, 16<<10),
 			// Keep data in the UnsortedStore: recovery must rebuild or
 			// reload the hash index.
-			UnsortedLimit:       1 << 40,
-			PartitionSizeLimit:  1 << 40,
-			ScanMergeLimit:      1 << 30,
-			HashCheckpointEvery: cfg.ckptEvery,
-			HashBuckets:         p.N,
+			UnsortedLimit:      1 << 40,
+			PartitionSizeLimit: 1 << 40,
+			ScanMergeLimit:     1 << 30,
+			HashBuckets:        p.N,
 		}
+		core.ExperimentOf(&opts).HashCheckpointEvery = cfg.ckptEvery
 		db, err := core.Open("db", opts)
 		if err != nil {
 			panic(err)
@@ -366,13 +366,12 @@ func FigScanOpt(p Params) []Table {
 		tweak func(*core.Options)
 	}{
 		{"all-optimizations", nil},
-		{"-size-based-merge", func(o *core.Options) { o.DisableScanMerge = true }},
-		{"-parallel-fetch", func(o *core.Options) { o.DisableScanParallel = true }},
-		{"-prefetch", func(o *core.Options) { o.DisableScanPrefetch = true }},
+		{"-size-based-merge", func(o *core.Options) { core.ExperimentOf(o).DisableScanMerge = true }},
+		{"-parallel-fetch", func(o *core.Options) { core.ExperimentOf(o).DisableScanParallel = true }},
+		{"-prefetch", func(o *core.Options) { core.ExperimentOf(o).DisableScanPrefetch = true }},
 		{"none", func(o *core.Options) {
-			o.DisableScanMerge = true
-			o.DisableScanParallel = true
-			o.DisableScanPrefetch = true
+			e := core.ExperimentOf(o)
+			e.DisableScanMerge, e.DisableScanParallel, e.DisableScanPrefetch = true, true, true
 		}},
 	}
 	t := Table{

@@ -28,7 +28,7 @@ func TestCommitReadsNoTable(t *testing.T) {
 	}}
 	opts := smallOpts(fs)
 	opts.BackgroundWorkers = 1
-	opts.DisablePartitioning = true
+	opts.exp.DisablePartitioning = true
 	// A table per Flush, and no trigger fires: the test runs every
 	// structural job itself.
 	opts.MemtableSize, opts.UnsortedLimit, opts.ScanMergeLimit, opts.GCRatio = 1<<20, 1<<40, 1<<20, 1e9

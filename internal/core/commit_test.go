@@ -59,7 +59,7 @@ func checkManifestMatchesVersions(t testing.TB, db *DB) {
 // commit steps used to list by hand — TestScheduleGolden pins their bytes —
 // and applied to the current entry they must yield next's.
 func TestCommitEdits(t *testing.T) {
-	db := &DB{opts: smallOpts(vfs.NewMem()).Sanitize()}
+	db := &DB{opts: smallOpts(vfs.NewMem()).sanitize()}
 	p := &partition{db: db, id: 3, lower: []byte("m")}
 	child := &partition{db: db, id: 4, lower: []byte("t")}
 	tm := func(n uint64) manifest.TableMeta {

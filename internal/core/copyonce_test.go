@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"unikv/internal/vfs"
 )
@@ -291,10 +290,9 @@ func crashAtEveryWriteIndex(t *testing.T, workers int) {
 	syncSmall := func(fs vfs.FS) Options {
 		o := smallOpts(fs)
 		o.SyncWrites = true
-		o.DisablePartitioning = true
+		o.exp.DisablePartitioning = true
 		o.GCRatio = 0.2
 		o.BackgroundWorkers = workers
-		o.RetryBaseDelay, o.RetryMaxDelay = time.Millisecond, time.Millisecond
 		return o
 	}
 	cases := []crashCase{
@@ -584,10 +582,10 @@ func TestTornWALRotationKeepsFrozenWAL(t *testing.T) {
 func TestMaintenanceLeavesCacheResidentsAlone(t *testing.T) {
 	fs := vfs.NewMem()
 	opts := smallOpts(fs)
-	opts.BlockSize = 512
+	opts.exp.BlockSize = 512
 	opts.CacheBytes = 48 << 10 // 3 KiB shards: the hot set fits, one merge's input overflows every one
 	opts.HotRingEntries = HotRingOff
-	opts.DisableScanMerge = true
+	opts.exp.DisableScanMerge = true
 	opts.PartitionSizeLimit = 1 << 30
 	db, err := Open("db", opts)
 	if err != nil {

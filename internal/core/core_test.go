@@ -286,7 +286,7 @@ func TestGCReclaims(t *testing.T) {
 	fs := vfs.NewMem()
 	opts := smallOpts(fs)
 	opts.GCRatio = 0.2
-	opts.DisablePartitioning = true
+	opts.exp.DisablePartitioning = true
 	db, err := Open("db", opts)
 	if err != nil {
 		t.Fatal(err)

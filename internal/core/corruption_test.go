@@ -123,7 +123,7 @@ func TestCorruptTableClassifiedAndNotRetried(t *testing.T) {
 	// partition on the first attempt instead of retrying bytes that cannot
 	// heal, and must NOT degrade the whole database (the damage is scoped
 	// to one partition's files).
-	db2, err := Open("db", retryOpts(fs))
+	db2, err := Open("db", bgOpts(fs))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,7 +77,7 @@ func crashDuringGC(t *testing.T, workers int) {
 	ffs := vfs.NewFail(inner)
 	opts := smallOpts(ffs)
 	opts.GCRatio = 0.2
-	opts.DisablePartitioning = true
+	opts.exp.DisablePartitioning = true
 	opts.BackgroundWorkers = workers
 	db, err := Open("db", opts)
 	if err != nil {
@@ -322,7 +322,7 @@ func TestRecoveryUsesHashCheckpoint(t *testing.T) {
 	build := func(ckptEvery int) int64 { // negative: never checkpoint
 		fs := vfs.NewMem()
 		opts := smallOpts(fs)
-		opts.HashCheckpointEvery = ckptEvery
+		opts.exp.HashCheckpointEvery = ckptEvery
 		// Size the index realistically relative to the data (the paper's
 		// regime: index ≈ 1 % of UnsortedStore bytes) and keep everything
 		// in the unsorted store (no merge) so recovery has index work.
@@ -547,7 +547,7 @@ func TestVerifyIntegrityBesideGC(t *testing.T) {
 // dead files or reporting them missing.
 func TestVerifyLogsHoldsOnlyTheWalkedLog(t *testing.T) {
 	opts := smallOpts(vfs.NewMem())
-	opts.DisablePartitioning = true
+	opts.exp.DisablePartitioning = true
 	db, err := Open("db", opts)
 	if err != nil {
 		t.Fatal(err)

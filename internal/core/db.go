@@ -111,7 +111,7 @@ type DB struct {
 	// degradedState holds the first terminal background failure; once set
 	// the DB is degraded: writes return a DegradedError, reads keep
 	// serving. Only a job error that classifies as corruption/fatal, or a
-	// transient error surviving JobRetries retries, lands here.
+	// transient error surviving jobRetries retries, lands here.
 	degradedState atomic.Pointer[DegradedError]
 
 	// triggerEvals counts checkMaintenance calls: one per published version
@@ -301,7 +301,7 @@ func (db *DB) nextFileEdit() manifest.Edit {
 
 // Open opens (creating if necessary) a UniKV database in dir.
 func Open(dir string, opts Options) (*DB, error) {
-	opts = opts.Sanitize()
+	opts = opts.sanitize()
 	if err := opts.FS.MkdirAll(dir); err != nil {
 		return nil, err
 	}
@@ -352,8 +352,8 @@ func open(dir string, opts Options, lock vfs.DirLock) (*DB, error) {
 	if opts.HotRingEntries > 0 {
 		db.hot = hotring.New(hotring.Config{
 			Entries:      opts.HotRingEntries,
-			SampleEvery:  opts.HotRingSampleEvery,
-			PromoteAfter: opts.HotRingPromoteAfter,
+			SampleEvery:  opts.exp.HotRingSampleEvery,
+			PromoteAfter: opts.exp.HotRingPromoteAfter,
 		})
 	}
 
@@ -376,7 +376,7 @@ func open(dir string, opts Options, lock vfs.DirLock) (*DB, error) {
 		db.Close()
 		return nil, err
 	}
-	if !opts.DisableOrphanCleanup {
+	if !opts.exp.DisableOrphanCleanup {
 		db.sweepOrphans()
 	}
 	if opts.ScrubInterval > 0 {
@@ -529,7 +529,7 @@ func (db *DB) recoverPartition(meta *manifest.PartitionMeta, upper []byte, files
 	}
 	var err error
 	v.uns, err = unsorted.Recover(db.fs, db.opts.HashBuckets, meta.Unsorted, ckpt,
-		db.opts.DisableHashIndex, db.opts.SortedViewOff, p.openTable)
+		db.opts.exp.DisableHashIndex, db.opts.exp.SortedViewOff, p.openTable)
 	if err != nil {
 		return nil, err
 	}

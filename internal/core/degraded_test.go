@@ -10,15 +10,6 @@ import (
 	"unikv/internal/vfs"
 )
 
-// retryOpts is bgOpts with the retry clock sped up so degraded-mode tests
-// finish in milliseconds instead of the production backoff's seconds.
-func retryOpts(fs vfs.FS) Options {
-	opts := bgOpts(fs)
-	opts.RetryBaseDelay = time.Millisecond
-	opts.RetryMaxDelay = 5 * time.Millisecond
-	return opts
-}
-
 // waitMetrics polls Metrics until cond is satisfied or the deadline
 // passes, returning the last snapshot either way.
 func waitMetrics(db *DB, cond func(StatsSnapshot) bool) StatsSnapshot {
@@ -40,7 +31,7 @@ func waitMetrics(db *DB, cond func(StatsSnapshot) bool) StatsSnapshot {
 func TestBackgroundTransientRetryAbsorbed(t *testing.T) {
 	inner := vfs.NewMem()
 	ffs := vfs.NewFail(inner)
-	db, err := Open("db", retryOpts(ffs))
+	db, err := Open("db", bgOpts(ffs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +82,7 @@ func TestBackgroundTransientRetryAbsorbed(t *testing.T) {
 func TestBackgroundStickyFaultDegrades(t *testing.T) {
 	inner := vfs.NewMem()
 	ffs := vfs.NewFail(inner)
-	db, err := Open("db", retryOpts(ffs))
+	db, err := Open("db", bgOpts(ffs))
 	if err != nil {
 		t.Fatal(err)
 	}

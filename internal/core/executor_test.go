@@ -44,7 +44,7 @@ func park(db *DB) {
 // the last two waited for it to end.
 func TestExecutorCallerRunHoldsNoLock(t *testing.T) {
 	opts := smallOpts(vfs.NewMem())
-	opts.DisablePartitioning = true
+	opts.exp.DisablePartitioning = true
 	db, err := Open("db", opts)
 	if err != nil {
 		t.Fatal(err)
@@ -197,7 +197,7 @@ func TestExecutorErrorSinks(t *testing.T) {
 	for _, workers := range executors {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			ffs := vfs.NewFail(vfs.NewMem())
-			opts := retryOpts(ffs)
+			opts := bgOpts(ffs)
 			opts.BackgroundWorkers = workers
 			db, err := Open("db", opts)
 			if err != nil {

@@ -24,8 +24,8 @@ import (
 //     VerifyIntegrity is clean, and the database accepts new writes.
 //
 // Transient campaigns (the fault clears after two hits) additionally must
-// never trip degraded mode: the scheduler's retry budget (JobRetries,
-// default 3) absorbs them.
+// never trip degraded mode: the scheduler's retry budget (jobRetries, 3)
+// absorbs them.
 //
 // The default profile strides across the op-index space; set
 // UNIKV_FAULT_SWEEP=full to arm every index (slow, minutes).
@@ -54,7 +54,7 @@ type sweepOutcome struct {
 // sweepOpts is the canonical workload's configuration: background workers,
 // fast retry clock, synced writes (so "acked" means "durable").
 func sweepOpts(fs vfs.FS) Options {
-	opts := retryOpts(fs)
+	opts := bgOpts(fs)
 	opts.SyncWrites = true
 	return opts
 }

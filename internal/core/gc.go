@@ -14,7 +14,7 @@ import (
 // due again behind its own GC, forever.
 func (v *version) needsGC() bool {
 	opts := &v.p.db.opts
-	if opts.DisableKVSeparation || v.logBytes == 0 ||
+	if opts.exp.DisableKVSeparation || v.logBytes == 0 ||
 		float64(v.p.garbageBytes.Load()) < opts.GCRatio*float64(v.logBytes) {
 		return false
 	}

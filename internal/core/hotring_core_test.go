@@ -17,8 +17,8 @@ import (
 // races constantly.
 func hotOpts(fs vfs.FS) Options {
 	o := smallOpts(fs)
-	o.HotRingSampleEvery = 1
-	o.HotRingPromoteAfter = 1
+	o.exp.HotRingSampleEvery = 1
+	o.exp.HotRingPromoteAfter = 1
 	return o
 }
 

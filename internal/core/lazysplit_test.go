@@ -299,7 +299,7 @@ func TestSplitReadFaultNeverTruncates(t *testing.T) {
 // version naming it. Every one of A's values reads back.
 func TestMergeLogsOutliveGCBesideIt(t *testing.T) {
 	opts := smallOpts(vfs.NewMem())
-	opts.DisableScanMerge = true
+	opts.exp.DisableScanMerge = true
 	db, err := Open("db", opts)
 	if err != nil {
 		t.Fatal(err)

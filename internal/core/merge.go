@@ -57,7 +57,7 @@ func (w *tableWriter) add(rec record.Record) (block, pos int, err error) {
 		if err != nil {
 			return 0, 0, err
 		}
-		w.b, w.f = sstable.NewBuilder(f, sstable.BuilderOptions{BlockSize: db.opts.BlockSize}), f
+		w.b, w.f = sstable.NewBuilder(f, sstable.BuilderOptions{BlockSize: db.opts.exp.BlockSize}), f
 	}
 	block, pos = w.b.NextPosition()
 	w.b.Add(rec)
@@ -178,7 +178,7 @@ func (p *partition) newSeparator(w *tableWriter) *separator {
 
 // separates reports whether rec's value belongs in the value log.
 func (p *partition) separates(rec record.Record) bool {
-	return rec.Kind == record.KindSet && !p.db.opts.DisableKVSeparation &&
+	return rec.Kind == record.KindSet && !p.db.opts.exp.DisableKVSeparation &&
 		len(rec.Value) >= p.db.opts.ValueThreshold
 }
 

@@ -17,10 +17,13 @@ import (
 // a batch of copied and borrowed puts and deletes, get, start- and
 // end-bounded scans, snapshot open / scan / close, a forced Flush or
 // CompactAll, a forced GC or scan merge of one partition) plus a backup and
-// a reopen every 500 ops — each reopen is checked by Gets, then a scan
-// merge is forced while the sorted view is still unbuilt, and every other
-// reopen comes after a Repair of the closed directory, half
-// of those after a byte of a table or sealed value log was flipped, when
+// a reopen every 500 ops — each reopen redraws the hash geometry, the tier
+// limits, the sorted view, the read cache and the hot ring from a seeded
+// set, is checked by Gets, then a scan merge is forced while the sorted
+// view is still unbuilt, with a flush landing between its build and its
+// commit, and every other reopen comes after a Repair of the closed
+// directory, half of those after a byte of a table or sealed value log was
+// flipped, when
 // every key that changed must be accounted for by the loss report and the
 // model adopts what survived — and checks every observation against a model
 // map. A batch draws its keys from the whole key space, so most straddle a
@@ -154,15 +157,37 @@ func quickModel(t *testing.T, workers int) {
 		}
 
 		// forceJob runs a structural job on a random partition as the pool
-		// would, then checks the file set.
-		forceJob := func(kind jobKind, job func(*partition, *version) error) bool {
-			parts := db.partitions()
-			p := parts[rnd.Intn(len(parts))]
+		// would, then checks the file set. With behind, it first puts a key
+		// and runs the job on that key's partition, whose memtable is
+		// flushed between the job's build and its commit: the commit keeps
+		// a table the job did not merge, as when a flush lands beside a
+		// pool's merge.
+		forceJob := func(kind jobKind, job func(*partition, *version) error, behind bool) bool {
+			var p *partition
+			var flushErr error
+			if !behind {
+				parts := db.partitions()
+				p = parts[rnd.Intn(len(parts))]
+			} else {
+				k, v := keyOf(), fmt.Sprintf("behind-%d", rnd.Int63())
+				if err := db.Put([]byte(k), []byte(v)); err != nil {
+					t.Logf("put: %v", err)
+					return false
+				}
+				model[k] = v
+				settle(db) // no pool job reads the hook while it is set
+				p = db.partitionFor([]byte(k))
+				db.testHookMergeBuild = func(q *partition) { flushErr = q.flushAll() }
+			}
 			p.maintMu.Lock()
 			v := p.acquire()
 			err := job(p, v)
 			v.release()
 			p.maintMu.Unlock()
+			db.testHookMergeBuild = nil
+			if err == nil {
+				err = flushErr
+			}
 			if err != nil {
 				t.Logf("%s: %v", kind, err)
 				return false
@@ -207,6 +232,15 @@ func quickModel(t *testing.T, workers int) {
 					t.Logf("close: %v", err)
 					return false
 				}
+				// Recovery must take the store as it finds it under other
+				// options: a checkpoint of another hash geometry, another
+				// tier limit, and the view and accelerators on or off.
+				opts.HashBuckets = []int{1 << 10, 1 << 12, 3000}[rnd.Intn(3)]
+				opts.UnsortedLimit = []int64{4 << 10, 8 << 10, 16 << 10}[rnd.Intn(3)]
+				opts.PartitionSizeLimit = []int64{16 << 10, 32 << 10}[rnd.Intn(2)]
+				opts.exp.SortedViewOff = rnd.Intn(2) == 0
+				opts.CacheBytes = []int64{0, 64 << 10, CacheOff}[rnd.Intn(3)]
+				opts.HotRingEntries = []int{0, 64, HotRingOff}[rnd.Intn(3)]
 				var damage *RepairReport // the report of a repair after a flipped byte
 				if op%1000 == 999 {
 					flipped := rnd.Intn(2) == 0 && flipStoredByte(fs, rnd)
@@ -230,7 +264,7 @@ func quickModel(t *testing.T, workers int) {
 				// The recovered index answers every Get; then, before the
 				// first scan builds it, the view recovery left unbuilt goes
 				// through a scan merge.
-				if !checkGets("reopened", db, model) || !forceJob(jobScanMerge, (*partition).scanMerge) ||
+				if !checkGets("reopened", db, model) || !forceJob(jobScanMerge, (*partition).scanMerge, true) ||
 					!checkStore("reopened, scan-merged", db, model) {
 					return false
 				}
@@ -252,11 +286,11 @@ func quickModel(t *testing.T, workers int) {
 					checkFileSet(t, db) // a snapshot's versions keep more
 				}
 			case rnd.Intn(100) == 0: // a forced GC of a random partition, then the file set
-				if !forceJob(jobGC, (*partition).gc) {
+				if !forceJob(jobGC, (*partition).gc, false) {
 					return false
 				}
 			case rnd.Intn(50) == 0: // a forced scan merge of a random partition, then the file set
-				if !forceJob(jobScanMerge, (*partition).scanMerge) {
+				if !forceJob(jobScanMerge, (*partition).scanMerge, rnd.Intn(2) == 0) {
 					return false
 				}
 			default:
@@ -419,13 +453,13 @@ func flipStoredByte(fs vfs.FS, rnd *rand.Rand) bool {
 // toggle: disabling an optimization must never change results.
 func TestAblationsStillCorrect(t *testing.T) {
 	variants := map[string]func(*Options){
-		"no-hash-index":    func(o *Options) { o.DisableHashIndex = true },
-		"no-kv-separation": func(o *Options) { o.DisableKVSeparation = true },
-		"no-partitioning":  func(o *Options) { o.DisablePartitioning = true },
-		"no-scan-merge":    func(o *Options) { o.DisableScanMerge = true },
-		"no-prefetch":      func(o *Options) { o.DisableScanPrefetch = true },
-		"no-parallel":      func(o *Options) { o.DisableScanParallel = true },
-		"no-hash-ckpt":     func(o *Options) { o.HashCheckpointEvery = -1 },
+		"no-hash-index":    func(o *Options) { o.exp.DisableHashIndex = true },
+		"no-kv-separation": func(o *Options) { o.exp.DisableKVSeparation = true },
+		"no-partitioning":  func(o *Options) { o.exp.DisablePartitioning = true },
+		"no-scan-merge":    func(o *Options) { o.exp.DisableScanMerge = true },
+		"no-prefetch":      func(o *Options) { o.exp.DisableScanPrefetch = true },
+		"no-parallel":      func(o *Options) { o.exp.DisableScanParallel = true },
+		"no-hash-ckpt":     func(o *Options) { o.exp.HashCheckpointEvery = -1 },
 	}
 	for name, tweak := range variants {
 		name, tweak := name, tweak

@@ -21,7 +21,7 @@ const HotRingOff = -1
 
 // Options tunes the engine; unikv.Options is this type, so this comment is
 // the one reference for every field. The zero value selects the defaults
-// (filled by Sanitize, matching the paper's configuration scaled to test
+// (filled at Open, matching the paper's configuration scaled to test
 // sizes); every field is optional.
 type Options struct {
 	// MemtableSize flushes the memtable once it reaches this many bytes.
@@ -47,8 +47,6 @@ type Options struct {
 	// TargetTableSize bounds SortedStore tables produced by merges.
 	// Default 2 MiB.
 	TargetTableSize int64
-	// BlockSize overrides the SSTable data-block size.
-	BlockSize int
 	// HashBuckets sizes each partition's hash index (first-level buckets).
 	// Default UnsortedLimit/100, at least 1024.
 	HashBuckets int
@@ -82,17 +80,6 @@ type Options struct {
 	// StallImmutables blocks writers entirely until a flush completes once
 	// the immutable queue reaches this depth. Default 4.
 	StallImmutables int
-	// JobRetries is how many times a background job whose error classifies
-	// as transient (see Classify) is retried before the DB enters degraded
-	// read-only mode. Corruption and fatal errors are never retried.
-	// Default 3; negative disables retries.
-	JobRetries int
-	// RetryBaseDelay is the first retry's backoff; each subsequent retry
-	// doubles it (with jitter) up to RetryMaxDelay. Default 10ms.
-	RetryBaseDelay time.Duration
-	// RetryMaxDelay caps the exponential backoff between job retries.
-	// Default 1s.
-	RetryMaxDelay time.Duration
 	// ScrubInterval starts a full background scrub pass (checksum
 	// verification of every table and value log, see internal/core/scrub.go)
 	// this often. Unlike most knobs, scrubbing is opt-in: 0 — the default —
@@ -116,17 +103,21 @@ type Options struct {
 	// The ring keeps its own defaults for the rest: 16 shards, and values
 	// above 4 KiB always take the tiered path.
 	HotRingEntries int
-	// HotRingSampleEvery is the miss-sampling period: every n-th ring miss
-	// records its key as a promotion candidate. Default 8.
-	HotRingSampleEvery int
-	// HotRingPromoteAfter is the sampled miss count at which a key is
-	// promoted into the ring. Default 2.
-	HotRingPromoteAfter int
+	// FS overrides the file system (tests and I/O-accounted benchmarks).
+	// Default: the operating system's.
+	FS vfs.FS
 
-	// Ablations and experiments (fig11, fig-scan, the hash-checkpoint
-	// test). Each field below switches off, or retunes, one of the
-	// paper's techniques; leave them zero outside an experiment.
-	//
+	// exp holds the ablation and test knobs; only code inside this module
+	// reaches them, through ExperimentOf.
+	exp Experiment
+}
+
+// Experiment holds the knobs that switch off, or retune, one of the
+// paper's techniques for an ablation (fig11, fig-scan, fig-scanopt), or
+// that a test or an offline tool needs. They are not part of the user's
+// option set: set them through ExperimentOf, and leave them zero outside
+// an experiment.
+type Experiment struct {
 	// SortedViewOff disables the REMIX-style cross-table sorted view over
 	// each partition's unsorted tables (internal/sortedview): scans fall
 	// back to a per-call k-way merge across all unsorted tables. The view
@@ -141,14 +132,27 @@ type Options struct {
 	DisableScanParallel  bool // fetch scan values serially
 	HashCheckpointEvery  int  // flushes between hash-index checkpoints (0 = derive from UnsortedLimit/2; negative = never)
 	DisableOrphanCleanup bool // keep orphan files at open (offline tools, debugging)
-
-	// FS overrides the file system (tests and I/O-accounted benchmarks).
-	// Default: the operating system's.
-	FS vfs.FS
+	BlockSize            int  // SSTable data-block size (0 = sstable.BlockSize)
+	HotRingSampleEvery   int  // every n-th ring miss is sampled (0 = the ring's default, 8)
+	HotRingPromoteAfter  int  // sampled misses that promote a key (0 = the ring's default, 2)
 }
 
-// Sanitize fills in defaults and returns the completed options.
-func (o Options) Sanitize() Options {
+// ExperimentOf returns o's experiment knobs, to set before Open.
+func ExperimentOf(o *Options) *Experiment { return &o.exp }
+
+// jobRetries is how many times a background job whose error classifies as
+// transient (see Classify) is retried before the DB enters degraded
+// read-only mode; corruption and fatal errors are never retried. The first
+// retry waits about retryBaseDelay, and each later one twice the last.
+const (
+	jobRetries     = 3
+	retryBaseDelay = 10 * time.Millisecond
+)
+
+// sanitize fills in defaults and returns the completed options. A value
+// that means "off" (CacheOff, HotRingOff, a negative ScrubBytesPerSec)
+// stays as given, so sanitizing twice is sanitizing once.
+func (o Options) sanitize() Options {
 	if o.MemtableSize <= 0 {
 		o.MemtableSize = 4 << 20
 	}
@@ -178,13 +182,13 @@ func (o Options) Sanitize() Options {
 			o.HashBuckets = 1024
 		}
 	}
-	if o.HashCheckpointEvery == 0 { // negative stays: never checkpoint
+	if o.exp.HashCheckpointEvery == 0 { // negative stays: never checkpoint
 		// Paper: checkpoint every UnsortedLimit/2 worth of flushes.
 		n := int(o.UnsortedLimit / (2 * o.MemtableSize))
 		if n < 1 {
 			n = 1
 		}
-		o.HashCheckpointEvery = n
+		o.exp.HashCheckpointEvery = n
 	}
 	if o.BackgroundWorkers < 0 {
 		o.BackgroundWorkers = 0
@@ -195,37 +199,18 @@ func (o Options) Sanitize() Options {
 	if o.StallImmutables <= o.SlowdownImmutables {
 		o.StallImmutables = o.SlowdownImmutables + 2
 	}
-	if o.JobRetries == 0 {
-		o.JobRetries = 3
-	} else if o.JobRetries < 0 {
-		o.JobRetries = 0
-	}
-	if o.RetryBaseDelay <= 0 {
-		o.RetryBaseDelay = 10 * time.Millisecond
-	}
-	if o.RetryMaxDelay <= 0 {
-		o.RetryMaxDelay = time.Second
-	}
 	if o.ScrubInterval < 0 {
 		o.ScrubInterval = 0 // scrubbing stays opt-in
 	}
 	if o.ScrubBytesPerSec == 0 {
 		o.ScrubBytesPerSec = 8 << 20
-	} else if o.ScrubBytesPerSec < 0 {
-		o.ScrubBytesPerSec = 0 // post-Sanitize 0 means unlimited
 	}
 	if o.CacheBytes == 0 {
 		o.CacheBytes = 32 << 20
-	} else if o.CacheBytes < 0 {
-		o.CacheBytes = 0 // CacheOff: post-Sanitize 0 means disabled
 	}
 	if o.HotRingEntries == 0 {
 		o.HotRingEntries = 4096
-	} else if o.HotRingEntries < 0 {
-		o.HotRingEntries = 0 // HotRingOff: post-Sanitize 0 means disabled
 	}
-	// HotRingSampleEvery and HotRingPromoteAfter default inside
-	// hotring.Config.
 	if o.FS == nil {
 		o.FS = vfs.NewOS()
 	}

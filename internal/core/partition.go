@@ -79,7 +79,7 @@ func newMemtable() *memtable.Memtable { return memtable.New() }
 func (p *partition) emptyVersion(upper []byte) *version {
 	opts := &p.db.opts
 	return &version{p: p, upper: upper, mem: newMemtable(), wals: []uint64{0},
-		uns: unsorted.New(opts.HashBuckets, opts.DisableHashIndex, opts.SortedViewOff),
+		uns: unsorted.New(opts.HashBuckets, opts.exp.DisableHashIndex, opts.exp.SortedViewOff),
 		srt: sorted.New(nil)}
 }
 
@@ -280,7 +280,7 @@ type collector struct {
 
 // newCollector sizes the collector for about n records.
 func (p *partition) newCollector(w *tableWriter, n int) *collector {
-	c := &collector{w: w, keys: make([][]byte, 0, n), view: !p.db.opts.SortedViewOff}
+	c := &collector{w: w, keys: make([][]byte, 0, n), view: !p.db.opts.exp.SortedViewOff}
 	if c.view {
 		c.entries = make([]sortedview.Entry, 0, n)
 	}
@@ -389,7 +389,7 @@ func (p *partition) flushOldest(v *version) error {
 			p.flushesSinceCkpt++
 		}
 	}
-	due := err == nil && p.db.opts.HashCheckpointEvery > 0 && p.flushesSinceCkpt >= p.db.opts.HashCheckpointEvery
+	due := err == nil && p.db.opts.exp.HashCheckpointEvery > 0 && p.flushesSinceCkpt >= p.db.opts.exp.HashCheckpointEvery
 	p.mu.Unlock()
 	if due {
 		err = p.checkpointHash(j)

@@ -444,7 +444,7 @@ func (sc *scanner) fill(pairs []KV) error {
 // makes every frame its own unit.
 func (sc *scanner) plan(n int) int {
 	f := sc.fetches
-	runs := !sc.db.opts.DisableScanPrefetch
+	runs := !sc.db.opts.exp.DisableScanPrefetch
 	if runs && !slices.IsSortedFunc(f, byLogPos) {
 		slices.SortFunc(f, byLogPos)
 	}
@@ -483,7 +483,7 @@ func frameExtent(ptr record.ValuePtr) (off, end int64) {
 func (sc *scanner) read() error {
 	chunks := (len(sc.units) + fetchChunk - 1) / fetchChunk
 	sc.spans = slices.Grow(sc.spans[:0], chunks)[:chunks]
-	if sc.db.opts.DisableScanParallel || chunks <= 1 {
+	if sc.db.opts.exp.DisableScanParallel || chunks <= 1 {
 		return sc.readUnits(sc.units, 0)
 	}
 	sc.errs = slices.Grow(sc.errs[:0], chunks)[:chunks]

@@ -133,7 +133,7 @@ func (r *RepairReport) String() string {
 // Open). It returns the loss report; a non-nil report is returned even
 // alongside an error so partial progress is visible.
 func Repair(dir string, opts Options) (*RepairReport, error) {
-	opts = opts.Sanitize()
+	opts = opts.sanitize()
 	lock, err := lockDir(opts.FS, dir)
 	if err != nil {
 		return nil, err
@@ -471,7 +471,7 @@ func (r *repairer) repairTable(pid uint32, pdir string, tm manifest.TableMeta, l
 	if err != nil {
 		return tm, false, err
 	}
-	b := sstable.NewBuilder(nf, sstable.BuilderOptions{BlockSize: r.opts.BlockSize})
+	b := sstable.NewBuilder(nf, sstable.BuilderOptions{BlockSize: r.opts.exp.BlockSize})
 	for _, rec := range keep {
 		b.Add(rec)
 	}

@@ -208,8 +208,8 @@ func TestScanCorruptLogQuarantinesOwner(t *testing.T) {
 func TestSnapshotScanMatchesLiveScan(t *testing.T) {
 	variants := map[string]func(*Options){
 		"default":     func(*Options) {},
-		"no-prefetch": func(o *Options) { o.DisableScanPrefetch = true },
-		"no-parallel": func(o *Options) { o.DisableScanParallel = true },
+		"no-prefetch": func(o *Options) { o.exp.DisableScanPrefetch = true },
+		"no-parallel": func(o *Options) { o.exp.DisableScanParallel = true },
 	}
 	for name, tweak := range variants {
 		tweak := tweak
@@ -377,8 +377,8 @@ func scanAllocDB(t *testing.T, tweak func(*Options)) (*DB, int) {
 func TestScanAllocations(t *testing.T) {
 	variants := map[string]func(*Options){
 		"default":     func(*Options) {},
-		"no-prefetch": func(o *Options) { o.DisableScanPrefetch = true },
-		"no-parallel": func(o *Options) { o.DisableScanParallel = true },
+		"no-prefetch": func(o *Options) { o.exp.DisableScanPrefetch = true },
+		"no-parallel": func(o *Options) { o.exp.DisableScanParallel = true },
 	}
 	for name, tweak := range variants {
 		t.Run(name, func(t *testing.T) {
@@ -527,7 +527,7 @@ func TestReleasedScannerHoldsNothing(t *testing.T) {
 	}
 	for _, viewOff := range []bool{false, true} {
 		t.Run(fmt.Sprintf("SortedViewOff=%v", viewOff), func(t *testing.T) {
-			db, _ := scanAllocDB(t, func(o *Options) { o.SortedViewOff = viewOff })
+			db, _ := scanAllocDB(t, func(o *Options) { o.exp.SortedViewOff = viewOff })
 			snap, err := db.NewSnapshot()
 			if err != nil {
 				t.Fatal(err)

@@ -27,7 +27,7 @@ func runScheduleGolden(t *testing.T) scheduleGolden {
 	t.Helper()
 	fs := vfs.NewMem()
 	opts := smallOpts(fs)
-	opts.DisableScanParallel = true
+	opts.exp.DisableScanParallel = true
 	db, err := Open("db", opts)
 	if err != nil {
 		t.Fatal(err)

@@ -124,11 +124,11 @@ func (v *version) due(k jobKind) bool {
 	case jobMerge:
 		return v.unsBytes >= opts.UnsortedLimit
 	case jobScanMerge:
-		return !opts.DisableScanMerge && v.unsTables >= opts.ScanMergeLimit
+		return !opts.exp.DisableScanMerge && v.unsTables >= opts.ScanMergeLimit
 	case jobGC:
 		return v.needsGC()
 	case jobSplit:
-		return !opts.DisablePartitioning && v.size >= opts.PartitionSizeLimit && v.size != v.p.noSplit.Load()
+		return !opts.exp.DisablePartitioning && v.size >= opts.PartitionSizeLimit && v.size != v.p.noSplit.Load()
 	}
 	return false
 }
@@ -318,13 +318,13 @@ func (db *DB) afterCommit(p *partition, after jobKind) {
 // state behind (its build output went when its job entry ended).
 func (s *scheduler) runWithRetry(t task) error {
 	db := s.db
-	delay := db.opts.RetryBaseDelay
+	delay := retryBaseDelay
 	for attempt := 0; ; attempt++ {
 		err := s.run(t)
 		if err == nil {
 			return nil
 		}
-		if Classify(err) != ClassTransient || attempt >= db.opts.JobRetries {
+		if Classify(err) != ClassTransient || attempt >= jobRetries {
 			db.stats.BackgroundErrors.Add(1)
 			return err
 		}
@@ -337,9 +337,7 @@ func (s *scheduler) runWithRetry(t task) error {
 			return nil // closing: Close drains the partitions; do not degrade
 		case <-time.After(d):
 		}
-		if delay *= 2; delay > db.opts.RetryMaxDelay {
-			delay = db.opts.RetryMaxDelay
-		}
+		delay *= 2
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 // scrubOpts enables a fast, unthrottled background scrub on top of the
 // background-worker configuration.
 func scrubOpts(fs vfs.FS) Options {
-	opts := retryOpts(fs)
+	opts := bgOpts(fs)
 	opts.ScrubInterval = 5 * time.Millisecond
 	opts.ScrubBytesPerSec = -1 // unlimited: the tests want detection latency
 	return opts

@@ -44,7 +44,7 @@ func sortedViewEquivalence(t *testing.T, workers int) {
 	defer on.Close()
 	offOpts := smallOpts(vfs.NewMem())
 	offOpts.PartitionSizeLimit = 16 << 10
-	offOpts.SortedViewOff = true
+	offOpts.exp.SortedViewOff = true
 	offOpts.BackgroundWorkers = workers
 	off, err := Open("off", offOpts)
 	if err != nil {
@@ -174,7 +174,7 @@ func TestScanLimitEquivalenceViewOnOff(t *testing.T) {
 	defer on.Close()
 	offOpts := smallOpts(vfs.NewMem())
 	offOpts.PartitionSizeLimit = 16 << 10
-	offOpts.SortedViewOff = true
+	offOpts.exp.SortedViewOff = true
 	off, err := Open("off", offOpts)
 	if err != nil {
 		t.Fatal(err)
@@ -301,8 +301,8 @@ func TestFirstScansBuildTheViewOnce(t *testing.T) {
 	opts.MemtableSize = 16 << 10
 	opts.UnsortedLimit = 1 << 20
 	opts.PartitionSizeLimit = 1 << 30
-	opts.BlockSize = 256
-	opts.DisableScanMerge = true
+	opts.exp.BlockSize = 256
+	opts.exp.DisableScanMerge = true
 	opts.CacheBytes = CacheOff
 	db, err := Open("db", opts)
 	if err != nil {

@@ -21,7 +21,7 @@ import (
 // (now shared) logs, and each child's next GC rewrites its live values into
 // its own logs (a shared log goes once both sides' versions moved on).
 func (db *DB) splitPartition(parent *partition) error {
-	if db.opts.DisablePartitioning {
+	if db.opts.exp.DisablePartitioning {
 		return nil
 	}
 	// No structural job and no flush beside a split; another split of this

@@ -23,7 +23,7 @@ import (
 func benchLoaded(b *testing.B, n int, maxLogSize, memtableSize int64) *DB {
 	b.Helper()
 	fs := vfs.NewMem()
-	load, err := Open("db", Options{FS: fs, MaxLogSize: maxLogSize, DisablePartitioning: true, GCRatio: 1e9})
+	load, err := Open("db", Options{FS: fs, MaxLogSize: maxLogSize, exp: Experiment{DisablePartitioning: true}, GCRatio: 1e9})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func benchLoaded(b *testing.B, n int, maxLogSize, memtableSize int64) *DB {
 	if err := load.Close(); err != nil {
 		b.Fatal(err)
 	}
-	db, err := Open("db", Options{FS: fs, MaxLogSize: maxLogSize, DisablePartitioning: true, GCRatio: 1e9,
+	db, err := Open("db", Options{FS: fs, MaxLogSize: maxLogSize, exp: Experiment{DisablePartitioning: true}, GCRatio: 1e9,
 		BackgroundWorkers: 1, MemtableSize: memtableSize})
 	if err != nil {
 		b.Fatal(err)

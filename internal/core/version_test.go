@@ -195,7 +195,7 @@ func TestVersionPutPathConsultsNoTriggers(t *testing.T) {
 // per completed job, nowhere else.
 func TestVersionTriggersEvaluatedPerPublish(t *testing.T) {
 	opts := bgOpts(vfs.NewMem())
-	opts.DisablePartitioning = true // a split re-checks every partition
+	opts.exp.DisablePartitioning = true // a split re-checks every partition
 	db, err := Open("db", opts)
 	if err != nil {
 		t.Fatal(err)
@@ -235,7 +235,7 @@ func TestVersionTriggersEvaluatedPerPublish(t *testing.T) {
 // job that fails once and is retried, which leaves no file behind.
 func TestVersionTriggersStayLive(t *testing.T) {
 	ffs := vfs.NewFail(vfs.NewMem())
-	opts := retryOpts(ffs)
+	opts := bgOpts(ffs)
 	opts.BackgroundWorkers = 1
 	opts.ScanMergeLimit = 2
 	db, err := Open("db", opts)
@@ -293,7 +293,7 @@ func TestVersionSharesFollowOtherPartitions(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := bgOpts(fs)
-	opts.DisablePartitioning = true // q must sit still under its new size
+	opts.exp.DisablePartitioning = true // q must sit still under its new size
 	db, err := Open("db", opts)
 	if err != nil {
 		t.Fatal(err)

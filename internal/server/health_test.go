@@ -6,7 +6,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"unikv"
 	"unikv/internal/vfs"
@@ -23,9 +22,6 @@ func TestHealthHandler(t *testing.T) {
 		MemtableSize:      2 << 10,
 		UnsortedLimit:     8 << 10,
 		BackgroundWorkers: 2,
-		JobRetries:        1,
-		RetryBaseDelay:    time.Millisecond,
-		RetryMaxDelay:     2 * time.Millisecond,
 	}, Options{})
 	h := s.HealthHandler()
 

@@ -61,7 +61,7 @@ type Store struct {
 
 	// disableIndex turns off the hash index (the fig11 ablation): lookups
 	// probe tables newest-first like a conventional L0. disableView turns
-	// off the sorted view (Options.SortedViewOff): scans merge one iterator
+	// off the sorted view (Experiment.SortedViewOff): scans merge one iterator
 	// per table.
 	disableIndex bool
 	disableView  bool

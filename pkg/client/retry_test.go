@@ -188,9 +188,6 @@ func TestDegradedEndToEnd(t *testing.T) {
 		UnsortedLimit:     8 << 10,
 		MaxLogSize:        8 << 10,
 		BackgroundWorkers: 2,
-		JobRetries:        1,
-		RetryBaseDelay:    time.Millisecond,
-		RetryMaxDelay:     2 * time.Millisecond,
 	}, server.Options{})
 	c := dialClient(t, addr, nil)
 
@@ -244,9 +241,6 @@ func TestQuarantinedEndToEnd(t *testing.T) {
 		UnsortedLimit:     8 << 10,
 		MaxLogSize:        8 << 10,
 		BackgroundWorkers: 2,
-		JobRetries:        1,
-		RetryBaseDelay:    time.Millisecond,
-		RetryMaxDelay:     2 * time.Millisecond,
 	}, server.Options{})
 	c := dialClient(t, addr, nil)
 
@@ -314,9 +308,6 @@ func TestGroupCommitIsolatesQuarantine(t *testing.T) {
 			MaxLogSize:         8 << 10,
 			PartitionSizeLimit: 64 << 10,
 			BackgroundWorkers:  2,
-			JobRetries:         1,
-			RetryBaseDelay:     time.Millisecond,
-			RetryMaxDelay:      2 * time.Millisecond,
 		}
 	}
 	// Seed embedded, settle everything into tables, and damage one block.

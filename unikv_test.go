@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 
 	"unikv/internal/vfs"
@@ -236,5 +238,27 @@ func TestOpenLockedDir(t *testing.T) {
 				t.Fatal("post-contention write lost")
 			}
 		})
+	}
+}
+
+// TestPublicOptionFields pins the user's option set: a field added to (or
+// dropped from) Options changes the public API, and README's "Options that
+// matter" table has one row per field. Ablation and test knobs live in
+// core.Experiment instead.
+func TestPublicOptionFields(t *testing.T) {
+	want := []string{
+		"MemtableSize", "UnsortedLimit", "ScanMergeLimit", "PartitionSizeLimit",
+		"GCRatio", "MaxLogSize", "TargetTableSize", "HashBuckets", "ValueThreshold",
+		"SyncWrites", "BackgroundWorkers", "SlowdownImmutables", "StallImmutables",
+		"ScrubInterval", "ScrubBytesPerSec", "CacheBytes", "HotRingEntries", "FS",
+	}
+	var got []string
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(Options{})) {
+		if f.IsExported() {
+			got = append(got, f.Name)
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("Options fields:\n got %v\nwant %v", got, want)
 	}
 }
