@@ -16,7 +16,11 @@
 //
 //  3. A value obtained from Load must never be mutated: it is shared with
 //     every other reader. Copy-on-write means clone-then-modify-then-Store,
-//     never modify-in-place.
+//     never modify-in-place. For an atomic.Pointer to a slice (the DB's
+//     router order), `v := *X.Load()` binds the shared slice itself, and a
+//     same-package function whose body is `return X.Load()` or
+//     `return *X.Load()` is a loader: `v := f()` binds what it loaded.
+//     Likewise `X.Store(&v)` publishes v.
 //
 //  4. A pointer type with a registered publish helper (singlePublisher) is
 //     stored only inside that helper — the partition version, whose publish
@@ -148,13 +152,44 @@ func run(pass *analysis.Pass) (any, error) {
 		return s
 	})
 
+	loaders := map[*callgraph.Func]string{}
+	for _, f := range g.Funcs {
+		if body := f.Decl.Body.List; len(body) == 1 {
+			if ret, ok := body[0].(*ast.ReturnStmt); ok && len(ret.Results) == 1 {
+				if x := loadedFrom(pass.TypesInfo, ret.Results[0]); x != "" {
+					loaders[f] = x
+				}
+			}
+		}
+	}
+
 	for _, f := range g.Funcs {
 		if f.TestFile {
 			continue
 		}
-		checkFunc(pass, g, f, mutates)
+		checkFunc(pass, g, f, mutates, loaders)
 	}
 	return nil, nil
+}
+
+// loadedFrom returns the atomic.Pointer expression e loads from, as text,
+// when e is X.Load() or *X.Load(), and "" otherwise.
+func loadedFrom(info *types.Info, e ast.Expr) string {
+	if star, ok := ast.Unparen(e).(*ast.StarExpr); ok {
+		e = star.X
+	}
+	call, ok := ast.Unparen(e).(*ast.CallExpr)
+	if !ok {
+		return ""
+	}
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "Load" {
+		return ""
+	}
+	if tv, ok := info.Types[sel.X]; !ok || !isAtomicPointer(tv.Type) {
+		return ""
+	}
+	return exprString(sel.X)
 }
 
 // paramObjs maps f's pointer-typed parameter objects to their indices
@@ -213,7 +248,7 @@ type published struct {
 	how string    // "published via X.Store" or "loaded from X.Load"
 }
 
-func checkFunc(pass *analysis.Pass, g *callgraph.Graph, f *callgraph.Func, mutates map[*callgraph.Func]mutSummary) {
+func checkFunc(pass *analysis.Pass, g *callgraph.Graph, f *callgraph.Func, mutates map[*callgraph.Func]mutSummary, loaders map[*callgraph.Func]string) {
 	info := pass.TypesInfo
 
 	// Pass 1 — rule 1, and collect the published/loaded variables.
@@ -274,6 +309,9 @@ func checkFunc(pass *analysis.Pass, g *callgraph.Graph, f *callgraph.Func, mutat
 			if arg == nil {
 				return true
 			}
+			if addr, ok := ast.Unparen(arg).(*ast.UnaryExpr); ok && addr.Op == token.AND {
+				arg = addr.X // X.Store(&v) publishes v
+			}
 			if id, ok := ast.Unparen(arg).(*ast.Ident); ok {
 				if obj := info.Uses[id]; obj != nil {
 					pubs = append(pubs, published{
@@ -284,17 +322,18 @@ func checkFunc(pass *analysis.Pass, g *callgraph.Graph, f *callgraph.Func, mutat
 			}
 		}
 
-		// Collect loads: v := X.Load() (also v, ok := ...; v = X.Load()).
+		// Collect loads: v := X.Load() or *X.Load() or a loader's result
+		// (also v, ok := ...; v = X.Load()).
 		if as, ok := n.(*ast.AssignStmt); ok && len(as.Rhs) == 1 {
-			call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr)
-			if !ok {
-				return true
+			how := ""
+			if x := loadedFrom(info, as.Rhs[0]); x != "" {
+				how = "loaded from " + x + ".Load"
+			} else if call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr); ok {
+				if callee := g.ByObj[callgraph.StaticCallee(info, call)]; callee != nil && loaders[callee] != "" {
+					how = "loaded from " + loaders[callee] + ".Load by " + callee.Name
+				}
 			}
-			sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-			if !ok || sel.Sel.Name != "Load" {
-				return true
-			}
-			if tv, ok := info.Types[sel.X]; !ok || !isAtomicPointer(tv.Type) {
+			if how == "" {
 				return true
 			}
 			if id, ok := as.Lhs[0].(*ast.Ident); ok {
@@ -303,10 +342,7 @@ func checkFunc(pass *analysis.Pass, g *callgraph.Graph, f *callgraph.Func, mutat
 					obj = info.Uses[id]
 				}
 				if obj != nil {
-					pubs = append(pubs, published{
-						obj: obj, pos: call.Pos(),
-						how: "loaded from " + exprString(sel.X) + ".Load",
-					})
+					pubs = append(pubs, published{obj: obj, pos: as.Rhs[0].Pos(), how: how})
 				}
 			}
 		}

@@ -177,3 +177,40 @@ func (p *part) bypass(next *version) {
 func (p *part) bypassCAS(old, next *version) bool {
 	return p.cur.CompareAndSwap(old, next) // want `p\.cur\.CompareAndSwap outside publish`
 }
+
+// ---------------------------------------------------------------------------
+// An atomic.Pointer to a slice (the router order shape): the published
+// slice is replaced by a copy, never edited, and a loader function's
+// result is as shared as the Load it returns.
+
+type node struct{ lower string }
+
+type router struct {
+	routes atomic.Pointer[[]*node]
+}
+
+func (r *router) nodes() []*node { return *r.routes.Load() }
+
+// Copy, insert, publish: clean.
+func (r *router) insertClean(pos int, n *node) {
+	old := r.nodes()
+	next := make([]*node, 0, len(old)+1)
+	next = append(append(append(next, old[:pos]...), n), old[pos:]...)
+	r.routes.Store(&next)
+}
+
+func (r *router) insertInPlace(pos int, n *node) {
+	old := r.nodes()
+	old[pos] = n // want `mutation of old, loaded from r\.routes\.Load by nodes`
+}
+
+func (r *router) derefInPlace(n *node) {
+	cur := *r.routes.Load()
+	cur[0] = n // want `mutation of cur, loaded from r\.routes\.Load`
+}
+
+func (r *router) editAfterPublish(n *node) {
+	next := []*node{n}
+	r.routes.Store(&next)
+	next[0] = nil // want `mutation of next, published via r\.routes\.Store`
+}

@@ -35,10 +35,10 @@ func checkManifestMatchesVersions(t testing.TB, db *DB) {
 	t.Helper()
 	db.router.RLock()
 	defer db.router.RUnlock()
-	if got, want := len(db.man.State().Partitions), len(db.router.parts); got != want {
+	if got, want := len(db.man.State().Partitions), len(db.partitions()); got != want {
 		t.Fatalf("the manifest names %d partitions, the router %d", got, want)
 	}
-	for _, p := range db.router.parts {
+	for _, p := range db.partitions() {
 		p.mu.Lock()
 		meta, ok := db.man.State().Partitions[p.id]
 		v := p.cur.Load()

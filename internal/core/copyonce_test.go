@@ -649,15 +649,19 @@ func TestMaintenanceLeavesCacheResidentsAlone(t *testing.T) {
 }
 
 // TestColdGetAllocatesOnlyItsValue: a get that goes all the way down — ring
-// miss, memtable miss, hash-index miss, SortedStore block resident in the
-// cache, value read from its log — into a cache too full to admit the value
-// allocates once: the buffer it returns.
+// miss into a full set, memtable miss, hash-index miss, SortedStore block
+// resident in the cache, value read from its log — into a cache too full to
+// admit the value allocates once: the buffer it returns.
 func TestColdGetAllocatesOnlyItsValue(t *testing.T) {
 	const keys = 1000
 	fs := vfs.NewMem()
 	opts := smallOpts(fs)
 	opts.CacheBytes = 256 << 10 // a quarter of the values
 	opts.PartitionSizeLimit = 1 << 30
+	// A ring of 16 one-set shards, which the even keys below fill: a miss
+	// into a set with an empty way installs the value it reads (the ring's
+	// own copy), which is not the path under test.
+	opts.HotRingEntries = 128
 	db, err := Open("db", opts)
 	if err != nil {
 		t.Fatal(err)

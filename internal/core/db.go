@@ -16,6 +16,7 @@ import (
 	"unikv/internal/manifest"
 	"unikv/internal/sorted"
 	"unikv/internal/sstable"
+	"unikv/internal/stripe"
 	"unikv/internal/unsorted"
 	"unikv/internal/vfs"
 	"unikv/internal/vlog"
@@ -71,14 +72,18 @@ type DB struct {
 	nextFile atomic.Uint64
 	nextPart atomic.Uint32 // next partition ID; persisted by the split that used one
 
-	// router orders partitions by lower boundary key. Lock order:
+	// router orders partitions by lower boundary key. routes holds the
+	// partitions in that order, copy-on-write: readers route with one
+	// Load and no lock, and a split publishes a new slice (never edits the
+	// published one) under router.mu, which also holds splits off while
+	// NewSnapshot captures every partition. Lock order:
 	// snapMu -> maintMu -> flushMu -> router.mu -> partition.mu
 	//   -> liveFiles.mu -> hotring.writerMu
 	// (snapMu is the snapshot-registry lock below; maintMu/flushMu exist
 	// per partition and order maintenance jobs; see scheduler.go.)
 	router struct {
 		sync.RWMutex
-		parts []*partition
+		routes atomic.Pointer[[]*partition]
 	}
 
 	// snaps registers live MVCC snapshots, keyed by handle ID; each entry
@@ -130,9 +135,13 @@ type DB struct {
 
 // Stats aggregates operation counters for the experiments.
 type Stats struct {
-	Puts, Gets, Deletes, Scans               atomic.Int64
+	Puts, Deletes, Scans                     atomic.Int64
 	Flushes, Merges, ScanMerges, GCs, Splits atomic.Int64
-	GCBytesRewritten                         atomic.Int64
+	// Gets is striped (internal/stripe): every Get counts, and two
+	// goroutines' Gets write one line only when their stacks hash to the
+	// same cell.
+	Gets             stripe.Counter
+	GCBytesRewritten atomic.Int64
 	// Snapshots counts NewSnapshot calls; SnapshotGets/SnapshotScans count
 	// reads served through pinned handles.
 	Snapshots, SnapshotGets, SnapshotScans atomic.Int64
@@ -337,6 +346,7 @@ func open(dir string, opts Options, lock vfs.DirLock) (*DB, error) {
 		jobs: map[*job]bool{}, current: map[*partition]*version{}, stale: map[*partition]bool{},
 		owners: map[uint32]int64{}}
 	db.snaps.m = make(map[uint64]*Snapshot)
+	db.router.routes.Store(&[]*partition{}) // no partition until bootstrap or recover; Close may run first
 	state, gen, files, err := loadState(db.fs, dir)
 	if err == nil {
 		db.man, err = manifest.Continue(db.fs, dir, state, gen)
@@ -468,7 +478,7 @@ func (db *DB) bootstrap() error {
 		return err
 	}
 	p.publish(v)
-	db.router.parts = []*partition{p}
+	db.router.routes.Store(&[]*partition{p})
 	db.nextPart.Store(2)
 	return nil
 }
@@ -490,7 +500,7 @@ func (db *DB) recover(state *manifest.State, files []fileID) error {
 		}
 		parts = append(parts, p)
 	}
-	db.router.parts = parts
+	db.router.routes.Store(&parts)
 	// Flush recovered memtables so recovery converges to a clean WAL.
 	for _, p := range parts {
 		err := p.flushAll()
@@ -670,10 +680,11 @@ func (db *DB) releaseDirLock() error {
 }
 
 // partitionFor routes key to its partition (largest lower bound <= key).
+// It takes no lock: a split racing the route is caught by the caller's
+// covers check on the partition's version, which awaits the split's
+// routes and re-routes.
 func (db *DB) partitionFor(key []byte) *partition {
-	db.router.RLock()
-	defer db.router.RUnlock()
-	parts := db.router.parts
+	parts := db.partitions()
 	lo, hi := 0, len(parts)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -691,11 +702,19 @@ func (db *DB) partitionFor(key []byte) *partition {
 	return parts[lo-1]
 }
 
-// partitions snapshots the router order.
-func (db *DB) partitions() []*partition {
+// awaitRoutes waits until no split is committing. A route whose partition
+// does not cover the key raced a split, which narrows the parent before it
+// publishes the router order under router.mu; the caller re-routes after
+// this returns and finds the child.
+func (db *DB) awaitRoutes() {
 	db.router.RLock()
-	defer db.router.RUnlock()
-	return append([]*partition(nil), db.router.parts...)
+	db.router.RUnlock()
+}
+
+// partitions returns the router order as last published. The slice is
+// shared with every other reader: callers must not modify it.
+func (db *DB) partitions() []*partition {
+	return *db.router.routes.Load()
 }
 
 // Metrics returns a snapshot of engine statistics.

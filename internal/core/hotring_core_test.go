@@ -267,12 +267,12 @@ func TestRouterInconsistencyBounded(t *testing.T) {
 	// Break the invariant: the sole partition claims to start above every
 	// key, so covers always fails while partitionFor still returns it.
 	db.router.Lock()
-	saved := db.router.parts[0].lower
-	db.router.parts[0].lower = []byte("zzz-broken")
+	saved := db.partitions()[0].lower
+	db.partitions()[0].lower = []byte("zzz-broken")
 	db.router.Unlock()
 	defer func() {
 		db.router.Lock()
-		db.router.parts[0].lower = saved
+		db.partitions()[0].lower = saved
 		db.router.Unlock()
 	}()
 

@@ -50,6 +50,7 @@ func (db *DB) Get(key []byte) ([]byte, error) {
 		v := p.acquire()
 		if !v.covers(key) {
 			v.release()
+			db.awaitRoutes()
 			continue
 		}
 		val, err := v.get(key, math.MaxUint64, warm)
@@ -155,6 +156,7 @@ func (db *DB) Scan(start, end []byte, limit int) ([]KV, error) {
 			if retries++; retries >= maxRouteRetries {
 				return nil, classified(ErrRouterInconsistent)
 			}
+			db.awaitRoutes()
 			continue
 		}
 		retries = 0 // advancing to the next partition resets the budget

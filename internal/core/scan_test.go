@@ -357,7 +357,7 @@ func scanAllocDB(t *testing.T, tweak func(*Options)) (*DB, int) {
 		}
 	}
 	db.router.RLock()
-	parts := db.router.parts
+	parts := db.partitions()
 	db.router.RUnlock()
 	if len(parts) < 2 {
 		t.Fatalf("%d partitions, want at least 2", len(parts))

@@ -44,7 +44,7 @@ func (db *DB) NewSnapshot() (*Snapshot, error) {
 		return nil, ErrClosed
 	}
 	db.router.RLock()
-	parts := db.router.parts
+	parts := db.partitions()
 	for _, p := range parts {
 		//unikv:allow(lockorder) all-partition capture, the one place that holds more than one partition lock (router order, router.mu held): released below via parts[i].mu.Unlock in reverse order
 		p.mu.Lock()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"unikv/internal/manifest"
 	"unikv/internal/record"
 	"unikv/internal/sorted"
@@ -184,7 +185,10 @@ func (db *DB) splitPartition(parent *partition) error {
 	// parent's next version ends at the boundary, the child's first one
 	// starts there; the replaced tables go with the last version naming them.
 	// The child is installed first, so that the parent's version counts its
-	// share of the logs they now share.
+	// share of the logs they now share. The router order is published last,
+	// so nothing routes to the child before the split is committed; a route
+	// that finds the parent's narrowed version first waits on router.mu
+	// (awaitRoutes) for this publish.
 	db.router.Lock()
 	defer db.router.Unlock()
 	parent.mu.Lock()
@@ -201,26 +205,20 @@ func (db *DB) splitPartition(parent *partition) error {
 	parent.garbageBytes.Store(parent.garbageBytes.Load() / 2)
 	child.garbageBytes.Store(parent.garbageBytes.Load())
 
-	// Insert the child after the parent in router order.
-	parts := db.router.parts
-	pos := 0
-	for i, q := range parts {
-		if q == parent {
-			pos = i + 1
-			break
-		}
-	}
-	parts = append(parts, nil)
-	copy(parts[pos+1:], parts[pos:])
-	parts[pos] = child
-	db.router.parts = parts
-
 	// Drop the handed-over range [boundary, upper) from the hot ring: its
 	// heat belongs to the child now, and a ranged handoff must never leave
 	// hits behind (hotring.writerMu is the last lock rank, safe under
 	// router.mu + parent.mu held here).
 	db.hot.InvalidateRange(boundary, v.upper)
 	db.stats.Splits.Add(1)
+
+	// Publish a copy of the router order with the child after the parent;
+	// the published slice is never edited.
+	parts := db.partitions()
+	pos := slices.Index(parts, parent) + 1
+	routes := make([]*partition, 0, len(parts)+1)
+	routes = append(append(append(routes, parts[:pos]...), child), parts[pos:]...)
+	db.router.routes.Store(&routes)
 	return nil
 }
 

@@ -72,6 +72,7 @@ func (db *DB) write(recs []record.Record) error {
 			if retries++; retries >= maxRouteRetries {
 				return classified(ErrRouterInconsistent)
 			}
+			db.awaitRoutes()
 			continue // split raced; re-route
 		}
 		// Quarantine is checked after routing settles: only writes bound

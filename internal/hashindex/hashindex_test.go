@@ -1,12 +1,15 @@
 package hashindex
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
+	"unikv/internal/codec"
 	"unikv/internal/vfs"
 )
 
@@ -345,6 +348,54 @@ func TestGoldenBytes(t *testing.T) {
 	}
 	if want := x.marshaledSize(); len(data) != want || cap(data) != want {
 		t.Fatalf("Marshal returned len %d cap %d, want both %d", len(data), cap(data), want)
+	}
+}
+
+// TestEntriesAreEightBytes: the paper's 8 bytes per entry hold in memory,
+// for a bucket (its in-use flag folded into the chain head) and for an
+// overflow entry.
+func TestEntriesAreEightBytes(t *testing.T) {
+	if size := unsafe.Sizeof(bucket{}); size != 8 {
+		t.Fatalf("bucket is %d bytes, want 8", size)
+	}
+	if size := unsafe.Sizeof(overflow{}); size != 8 {
+		t.Fatalf("overflow entry is %d bytes, want 8", size)
+	}
+}
+
+// TestInsertAllMatchesInsert: InsertAll builds, chunk by chunk, the very
+// index that one Insert per key builds, down to the checkpoint bytes.
+func TestInsertAllMatchesInsert(t *testing.T) {
+	one, all := New(512, 4), New(512, 4)
+	rng := rand.New(rand.NewSource(7))
+	for table := uint16(0); table < 8; table++ {
+		keys := make([][]byte, rng.Intn(3*insertChunk))
+		for i := range keys {
+			keys[i] = []byte(fmt.Sprintf("key-%04d", rng.Intn(2000)))
+			one.Insert(keys[i], table)
+		}
+		all.InsertAll(keys, table)
+	}
+	if !bytes.Equal(one.Marshal(), all.Marshal()) {
+		t.Fatal("InsertAll built another index than Insert")
+	}
+	if one.Count() != all.Count() || one.OverflowLen() == 0 {
+		t.Fatalf("counts %d vs %d, overflow %d", one.Count(), all.Count(), one.OverflowLen())
+	}
+}
+
+// TestLoadRejectsUsedBitInChain: a checkpoint's chain head is a 31-bit
+// arena index; one with the in-use bit set is corrupt, not a huge index.
+func TestLoadRejectsUsedBitInChain(t *testing.T) {
+	x := New(16, 4)
+	x.Insert([]byte("k"), 1)
+	data := x.Marshal()
+	body := data[:len(data)-4]
+	head := 8 + 3 + 1 + 4 // magic, three one-byte uvarints, bucket 0's used byte and packed word
+	body[head+3] |= 0x80
+	data = codec.PutUint32(body, codec.MaskChecksum(codec.Checksum(body)))
+	if _, err := Unmarshal(data); err != ErrBadCheckpoint {
+		t.Fatalf("Unmarshal = %v, want ErrBadCheckpoint", err)
 	}
 }
 

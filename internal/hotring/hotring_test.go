@@ -25,8 +25,40 @@ func promote(t *testing.T, r *Ring, key, value []byte) {
 	t.Fatalf("key %q never promoted", key)
 }
 
+// oneSet is a ring of one shard holding a single 8-way set, so every key
+// competes for the same ways.
+func oneSet(cfg Config) *Ring {
+	cfg.Entries, cfg.Shards = ways, 1
+	return New(cfg)
+}
+
+// fill installs ways-n filler keys into r's one set, leaving n ways empty,
+// and hits each filler hits times (so a filler's frequency is 1 + hits, up
+// to maxFreq). It returns the fillers.
+func fill(t *testing.T, r *Ring, n, hits int) [][]byte {
+	t.Helper()
+	var keys [][]byte
+	for i := 0; i < ways-n; i++ {
+		k := []byte(fmt.Sprintf("fill%d", i))
+		for tries := 0; !r.Install(r.BeginMiss(k), k, []byte("f")); tries++ {
+			if tries == 1000 {
+				t.Fatalf("filler %q never installed", k)
+			}
+		}
+		for j := 0; j < hits; j++ {
+			r.Get(k)
+		}
+		keys = append(keys, k)
+	}
+	return keys
+}
+
+// TestGetMissThenPromote: into a full set, a key promotes on its
+// PromoteAfter-th sampled miss, and its install wins the duel against the
+// least-frequent way.
 func TestGetMissThenPromote(t *testing.T) {
-	r := New(Config{Entries: 64, Shards: 2, SampleEvery: 1, PromoteAfter: 2})
+	r := oneSet(Config{SampleEvery: 1, PromoteAfter: 2})
+	fill(t, r, 0, 0)
 	key, val := []byte("k1"), []byte("v1")
 	if _, ok := r.Get(key); ok {
 		t.Fatal("hit on empty ring")
@@ -53,9 +85,70 @@ func TestGetMissThenPromote(t *testing.T) {
 		t.Fatal("Get returned an aliased buffer")
 	}
 	s := r.Snapshot()
-	if s.Hits < 2 || s.Promotions != 1 || s.Resident != 1 {
+	if s.Hits < 2 || s.Promotions != ways+1 || s.Resident != ways {
 		t.Fatalf("stats %+v", s)
 	}
+}
+
+// TestFreeWayPromotesOnFirstMiss: at the default sampling, a miss whose set
+// has an empty way promotes at once, until the set is full.
+func TestFreeWayPromotesOnFirstMiss(t *testing.T) {
+	r := oneSet(Config{})
+	for i := 0; i < ways; i++ {
+		key := []byte(fmt.Sprintf("k%d", i))
+		tok := r.BeginMiss(key)
+		if !tok.Promote || tok.Warm {
+			t.Fatalf("miss %d into a set with an empty way: %+v, want a cold promoting token", i, tok)
+		}
+		if !r.Install(tok, key, []byte("v")) {
+			t.Fatalf("install %d into an empty way failed", i)
+		}
+		if _, ok := r.Get(key); !ok {
+			t.Fatalf("key %d not resident after its first miss", i)
+		}
+	}
+	if tok := r.BeginMiss([]byte("late")); tok.Promote {
+		t.Fatalf("first miss into a full set promoted: %+v", tok)
+	}
+}
+
+// TestFullSetNeedsSampledDuel: into a full set of hot ways, a key needs
+// PromoteAfter sampled misses before it carries a token, loses its first
+// duels (each halving the least-frequent way) and wins one in the end.
+func TestFullSetNeedsSampledDuel(t *testing.T) {
+	const sampleEvery, promoteAfter = 2, 3
+	r := oneSet(Config{SampleEvery: sampleEvery, PromoteAfter: promoteAfter})
+	fillers := fill(t, r, 0, 100)
+	key := []byte("challenger")
+	misses := 0
+	var tok Token
+	for !tok.Promote {
+		if misses++; misses > promoteAfter*sampleEvery {
+			t.Fatalf("no token after %d misses", misses)
+		}
+		tok = r.BeginMiss(key)
+	}
+	if misses <= (promoteAfter-1)*sampleEvery {
+		t.Fatalf("token after %d misses, before %d sampled ones", misses, promoteAfter)
+	}
+	if r.Install(tok, key, []byte("v")) {
+		t.Fatal("challenger took a way from hot residents without a duel")
+	}
+	lost := 0
+	for _, k := range fillers {
+		if _, e := r.shards[0].set(0).find(tagOf(hash(k)), k); e.freq.Load() < maxFreq {
+			lost++
+		}
+	}
+	if lost != 1 {
+		t.Fatalf("%d ways aged by one lost duel, want 1", lost)
+	}
+	for i := 0; i < 1000; i++ {
+		if tok := r.BeginMiss(key); tok.Promote && r.Install(tok, key, []byte("v")) {
+			return
+		}
+	}
+	t.Fatal("challenger never won a duel")
 }
 
 func TestInvalidateDropsEntryAndAbortsInflightPromotion(t *testing.T) {
@@ -128,28 +221,32 @@ func TestHollowRefillAbortsOnWrite(t *testing.T) {
 	}
 }
 
-// TestInvalidateRangeEmptiesHollow: a split empties hollow slots too, so the
-// key's next miss is sampled like any other.
+// TestInvalidateRangeEmptiesHollow: a split empties hollow ways too, so
+// once another key takes the freed way, the key's next miss into the full
+// set is sampled like any other.
 func TestInvalidateRangeEmptiesHollow(t *testing.T) {
-	r := New(Config{Entries: 64, Shards: 1})
+	r := oneSet(Config{})
+	fill(t, r, 1, 0)
 	key := []byte("m1")
 	promote(t, r, key, []byte("v1"))
 	r.Invalidate(key)
 	r.InvalidateRange([]byte("m"), []byte("n"))
+	promote(t, r, []byte("z1"), []byte("v")) // takes the way the split emptied
 	if tok := r.BeginMiss(key); tok.Promote {
 		t.Fatalf("miss after InvalidateRange promoted without sampling: %+v", tok)
 	}
 }
 
-// TestHollowLosesSlotWhenCold: a hollow entry defends its slot in the
-// frequency duel like a resident one, and a challenger that keeps coming
-// halves it out once its key stops being read.
+// TestHollowLosesSlotWhenCold: in a full set, a hollow entry defends its
+// way in the frequency duel like a resident one, and a challenger that
+// keeps coming halves it out once its key stops being read.
 func TestHollowLosesSlotWhenCold(t *testing.T) {
-	r := New(Config{Entries: 1, Shards: 1, SampleEvery: 1, PromoteAfter: 1})
+	r := oneSet(Config{SampleEvery: 1, PromoteAfter: 1})
+	fillers := fill(t, r, 1, 100) // hotter than a: the duels go against a
 	a, b := []byte("aa"), []byte("bb")
 	promote(t, r, a, []byte("va"))
-	for i := 0; i < 100; i++ {
-		r.Get(a) // a is hot: its frequency climbs past 100
+	for i := 0; i < 4; i++ {
+		r.Get(a)
 	}
 	r.Invalidate(a)
 	lost := 0
@@ -165,7 +262,12 @@ func TestHollowLosesSlotWhenCold(t *testing.T) {
 		t.Fatal("challenger never displaced a cold hollow entry")
 	}
 	if lost == 0 {
-		t.Fatal("challenger took the hollow slot without a duel")
+		t.Fatal("challenger took the hollow way without a duel")
+	}
+	for _, k := range fillers {
+		if _, ok := r.Get(k); !ok {
+			t.Fatalf("filler %q lost its way, not the cold hollow entry", k)
+		}
 	}
 }
 
@@ -199,14 +301,12 @@ func TestHollowNotResident(t *testing.T) {
 	}
 }
 
-// TestShardCountersOffSlotLine pins the shard layout: the counters a probe
-// writes sit on cache lines of their own, apart from the slot tables every
-// probe reads, and shards stay whole lines apart.
+// TestShardCountersOffSlotLine pins the shard layout: the counters a miss
+// writes sit on a cache line of their own, apart from the set and version
+// tables every probe reads, and shards stay whole lines apart. The hit
+// counter is striped (internal/stripe pins its layout).
 func TestShardCountersOffSlotLine(t *testing.T) {
 	var s shard
-	if off := unsafe.Offsetof(s.hits); off != cacheLine {
-		t.Fatalf("hits at offset %d, want %d", off, cacheLine)
-	}
 	if off := unsafe.Offsetof(s.missTick); off != 2*cacheLine {
 		t.Fatalf("missTick at offset %d, want %d", off, 2*cacheLine)
 	}
@@ -215,6 +315,41 @@ func TestShardCountersOffSlotLine(t *testing.T) {
 	}
 	if size := unsafe.Sizeof(s); size%cacheLine != 0 {
 		t.Fatalf("shard is %d bytes, not a whole number of lines", size)
+	}
+}
+
+// TestTagLineAligned: a set's 8 tags fill exactly one cache line, at every
+// ring size, so a probe reads one line of tags.
+func TestTagLineAligned(t *testing.T) {
+	for _, cfg := range []Config{{Entries: 1, Shards: 1}, {Entries: 64, Shards: 2}, {}, {Entries: 1 << 16}} {
+		r := New(cfg)
+		for i := range r.shards {
+			for j := 0; j < len(r.shards[i].tags); j += ways {
+				if addr := uintptr(unsafe.Pointer(&r.shards[i].tags[j])); addr%cacheLine != 0 {
+					t.Fatalf("%+v: shard %d set %d tag line at %#x, not line-aligned", cfg, i, j, addr)
+				}
+			}
+		}
+	}
+}
+
+// TestHitFrequencySaturates: an entry's hits stop writing its frequency at
+// maxFreq.
+func TestHitFrequencySaturates(t *testing.T) {
+	r := New(Config{})
+	key := []byte("k")
+	promote(t, r, key, []byte("v"))
+	before := r.Snapshot().Hits
+	for i := 0; i < 10*maxFreq; i++ {
+		r.Get(key)
+	}
+	h := hash(key)
+	_, _, st := r.locate(h)
+	if _, e := st.find(tagOf(h), key); e.freq.Load() != maxFreq {
+		t.Fatalf("freq %d after %d hits, want %d", e.freq.Load(), 10*maxFreq, maxFreq)
+	}
+	if s := r.Snapshot(); s.Hits-before != 10*maxFreq {
+		t.Fatalf("hits %d, want %d", s.Hits-before, 10*maxFreq)
 	}
 }
 
@@ -231,19 +366,22 @@ func TestMaxValueNotAdmitted(t *testing.T) {
 	}
 }
 
+// TestSlotDuelAgesResident: the ways of a full set are hot; a challenger
+// must out-count the least-frequent one, which aging guarantees eventually.
 func TestSlotDuelAgesResident(t *testing.T) {
-	r := New(Config{Entries: 1, Shards: 1, SampleEvery: 1, PromoteAfter: 1})
-	// Two keys share the single slot. The first wins it; the challenger
-	// must out-count it, which aging guarantees eventually.
-	a, b := []byte("aa"), []byte("bb")
-	promote(t, r, a, []byte("va"))
+	r := oneSet(Config{SampleEvery: 1, PromoteAfter: 1})
+	fill(t, r, 0, 100)
+	b := []byte("bb")
+	lost := 0
 	for i := 0; i < 1000; i++ {
 		if _, ok := r.Get(b); ok {
+			if lost == 0 {
+				t.Fatal("challenger took a hot way without a duel")
+			}
 			return
 		}
-		tok := r.BeginMiss(b)
-		if tok.Promote {
-			r.Install(tok, b, []byte("vb"))
+		if tok := r.BeginMiss(b); tok.Promote && !r.Install(tok, b, []byte("vb")) {
+			lost++
 		}
 	}
 	t.Fatal("challenger never displaced a cold resident")

@@ -138,9 +138,7 @@ func (s *Store) WithTable(t *sorted.Table, keys [][]byte, entries []sortedview.E
 		}
 	}
 	if !s.disableIndex {
-		for _, k := range keys {
-			s.index.Insert(k, uint16(id))
-		}
+		s.index.InsertAll(keys, uint16(id))
 	}
 	next := *s
 	next.tables = append(s.tables[:id:id], t)
@@ -174,9 +172,7 @@ func (s *Store) Replace(merged int, head *sorted.Table, keys [][]byte, entries [
 		next.size += t.Meta.Size
 	}
 	if !s.disableIndex {
-		for _, k := range keys {
-			next.index.Insert(k, 0)
-		}
+		next.index.InsertAll(keys, 0)
 		if n := len(s.tables); merged < n {
 			next.index.Carry(s.index, func(id uint16) (uint16, bool) {
 				return uint16(int(id) - merged + first), int(id) >= merged && int(id) < n
