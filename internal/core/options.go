@@ -96,12 +96,12 @@ type Options struct {
 	// caching entirely, restoring the uncached read path byte for byte.
 	CacheBytes int64
 	// HotRingEntries sizes the hot-key read layer (internal/hotring): the
-	// total slot count of the sharded, lock-free structure that serves the
-	// hottest keys in a single probe before partition routing. On by
-	// default: 0 selects the default size (4096 slots); a negative value
-	// (HotRingOff) disables the layer, restoring the bare tiered read path.
-	// The ring keeps its own defaults for the rest: 16 shards, and values
-	// above 4 KiB always take the tiered path.
+	// total way count of the sharded, lock-free, 8-way set-associative
+	// structure that serves the hottest keys in one probe before partition
+	// routing. On by default: 0 selects the default size (4096 ways); a
+	// negative value (HotRingOff) disables the layer, restoring the bare
+	// tiered read path. The ring keeps its own defaults for the rest: 16
+	// shards, and values above 4 KiB always take the tiered path.
 	HotRingEntries int
 	// FS overrides the file system (tests and I/O-accounted benchmarks).
 	// Default: the operating system's.
