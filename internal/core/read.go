@@ -24,7 +24,14 @@ import (
 // ErrRouterInconsistent) — fail instead of spinning forever.
 const maxRouteRetries = 64
 
-// Get returns the value stored for key, or ErrNotFound.
+// Get returns the value stored for key, or ErrNotFound: AppendGet into no
+// buffer, so the value is the caller's own allocation.
+func (db *DB) Get(key []byte) ([]byte, error) { return db.AppendGet(nil, key) }
+
+// AppendGet appends the value stored for key to dst and returns the
+// extended slice, or dst unchanged with ErrNotFound or another error. The
+// engine keeps no reference to dst: the hot ring and the value cache keep
+// copies of what they admit.
 //
 // Read path (paper §Design): hot ring (single probe, lock-free) →
 // memtable → UnsortedStore via the hash index → SortedStore via
@@ -33,13 +40,13 @@ const maxRouteRetries = 64
 // lookup so the value it reads can be installed without ever serving a
 // concurrently overwritten value (see internal/hotring). The lookup runs
 // on a pinned version of the partition and takes no partition lock.
-func (db *DB) Get(key []byte) ([]byte, error) {
+func (db *DB) AppendGet(dst, key []byte) ([]byte, error) {
 	if db.closed.Load() {
-		return nil, ErrClosed
+		return dst, ErrClosed
 	}
 	db.stats.Gets.Add(1)
-	if val, ok := db.hot.Get(key); ok {
-		return val, nil
+	if out, ok := db.hot.AppendGet(dst, key); ok {
+		return out, nil
 	}
 	tok := db.hot.BeginMiss(key)
 	// Without the ring there is no frequency signal: every point read stays
@@ -53,68 +60,67 @@ func (db *DB) Get(key []byte) ([]byte, error) {
 			db.awaitRoutes()
 			continue
 		}
-		val, err := v.get(key, math.MaxUint64, warm)
+		out, err := v.get(dst, key, math.MaxUint64, warm)
 		v.release()
 		if err == nil && tok.Promote {
-			db.hot.Install(tok, key, val)
+			db.hot.Install(tok, key, out[len(dst):])
 		}
 		// A corruption-classed read failure quarantines the partition:
 		// the read still fails the same way, but writes into files the
 		// engine can no longer trust stop immediately.
 		db.noteReadCorruption(p, err)
-		return val, err
+		return out, err
 	}
-	return nil, classified(ErrRouterInconsistent)
+	return dst, classified(ErrRouterInconsistent)
 }
 
-// get is the tiered lookup of key as of seq (live reads pass the maximum):
-// memtable, frozen memtables newest first, UnsortedStore, SortedStore.
-// Only the memtables filter by sequence: a version pinned at a sequence
-// was captured with every partition's writers excluded, so its tables hold
-// nothing newer. warm is the hot ring's cache admission hint for a
-// value-log dereference. The caller holds v.
-func (v *version) get(key []byte, seq uint64, warm bool) ([]byte, error) {
+// get appends the value of key as of seq (live reads pass the maximum) to
+// dst: the tiered lookup — memtable, frozen memtables newest first,
+// UnsortedStore, SortedStore — behind every point read. On an error dst
+// comes back unchanged. Only the memtables filter by sequence: a version
+// pinned at a sequence was captured with every partition's writers
+// excluded, so its tables hold nothing newer. warm is the hot ring's cache
+// admission hint for a value-log dereference. The caller holds v.
+func (v *version) get(dst, key []byte, seq uint64, warm bool) ([]byte, error) {
 	if rec, ok := v.mem.GetAtSeq(key, seq); ok {
-		return v.resolve(rec, warm)
+		return v.resolve(dst, rec, warm)
 	}
 	for i := len(v.imm) - 1; i >= 0; i-- {
 		if rec, ok := v.imm[i].GetAtSeq(key, seq); ok {
-			return v.resolve(rec, warm)
+			return v.resolve(dst, rec, warm)
 		}
 	}
 	if rec, ok, err := v.uns.Get(key); err != nil {
-		return nil, err
+		return dst, err
 	} else if ok {
-		return v.resolve(rec, warm)
+		return v.resolve(dst, rec, warm)
 	}
 	if rec, ok, err := v.srt.Get(key); err != nil {
-		return nil, err
+		return dst, err
 	} else if ok {
-		return v.resolve(rec, warm)
+		return v.resolve(dst, rec, warm)
 	}
-	return nil, ErrNotFound
+	return dst, ErrNotFound
 }
 
-// resolve materializes a record into its user value. warm gates value-cache
+// resolve appends a record's user value to dst. warm gates value-cache
 // admission on a log read: a key the hot ring has sampled at least twice
 // may evict cache residents, a cold one is admitted only into free space.
 // The version's hold on its logs keeps the pointed-to segment in place.
-func (v *version) resolve(rec record.Record, warm bool) ([]byte, error) {
+func (v *version) resolve(dst []byte, rec record.Record, warm bool) ([]byte, error) {
 	switch rec.Kind {
 	case record.KindDelete:
-		return nil, ErrNotFound
+		return dst, ErrNotFound
 	case record.KindSet:
-		return append([]byte(nil), rec.Value...), nil
+		return append(dst, rec.Value...), nil
 	case record.KindSetPtr:
 		ptr, err := record.DecodePtr(rec.Value)
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
-		// vl.ReadHinted returns a freshly allocated buffer; no further copy
-		// is needed.
-		return v.p.db.vl.ReadHinted(ptr, warm)
+		return v.p.db.vl.ReadHinted(dst, ptr, warm)
 	}
-	return nil, codec.ErrCorrupt
+	return dst, codec.ErrCorrupt
 }
 
 // KV is one scan result, the caller's to keep or mutate: the engine holds

@@ -123,7 +123,7 @@ func (s *Snapshot) Get(key []byte) ([]byte, error) {
 		return nil, ErrSnapshotClosed
 	}
 	s.db.stats.SnapshotGets.Add(1)
-	return s.parts[s.partIdxFor(key)].get(key, s.seq, true)
+	return s.parts[s.partIdxFor(key)].get(nil, key, s.seq, true)
 }
 
 // Scan returns up to limit pairs with start <= key < end as of the pinned

@@ -740,7 +740,7 @@ func TestVersionReaderStorm(t *testing.T) {
 		}
 		to := 0
 		for to < nKeys && v.covers(stormKey(to)) {
-			get(func(k []byte) ([]byte, error) { return v.get(k, math.MaxUint64, true) }, to, lo[to])
+			get(func(k []byte) ([]byte, error) { return v.get(nil, k, math.MaxUint64, true) }, to, lo[to])
 			to++
 		}
 		sc := getScanner(db, stormKey(to), 0)
@@ -810,7 +810,7 @@ func TestVersionSplitKeepsParentReadable(t *testing.T) {
 		if !v.covers(key(i)) {
 			t.Fatalf("held version disowns key %d", i)
 		}
-		got, err := v.get(key(i), math.MaxUint64, true)
+		got, err := v.get(nil, key(i), math.MaxUint64, true)
 		if err != nil || !bytes.Equal(got, val(i)) {
 			t.Fatalf("key %d through the pre-split version: %q, %v", i, got, err)
 		}

@@ -28,6 +28,15 @@
 // The miss counters and the sampling clock live in the shard, on a line
 // apart from the one its readers load the set and version tables from.
 //
+// # Where a hit's value goes
+//
+// AppendGet appends a hit's value to a buffer the caller owns — the engine
+// passes a server's response frame, so a served GET copies the value once,
+// from the entry into the frame. Get is AppendGet into no buffer: it
+// returns a private copy. Entries are immutable, so neither ever hands out
+// the entry's own bytes, and Install copies the value it is offered: the
+// ring keeps no reference to a caller's buffer.
+//
 // # Admission and promotion
 //
 // A miss whose set has an empty way promotes at once: the *next* step of
@@ -337,24 +346,29 @@ func (s *shard) set(i int) set {
 }
 
 // Get serves key from the ring if it is resident. The returned slice is a
-// private copy. One hash, one tag line, and an entry load and key compare
-// per matching tag. A hollow entry is a miss.
-func (r *Ring) Get(key []byte) ([]byte, bool) {
+// private copy: Get is AppendGet into no buffer.
+func (r *Ring) Get(key []byte) ([]byte, bool) { return r.AppendGet(nil, key) }
+
+// AppendGet appends key's value to dst if the key is resident, and reports
+// whether it was; on a miss dst comes back unchanged. One hash, one tag
+// line, and an entry load and key compare per matching tag. A hollow entry
+// is a miss. The ring keeps no reference to dst.
+func (r *Ring) AppendGet(dst, key []byte) ([]byte, bool) {
 	if r == nil {
-		return nil, false
+		return dst, false
 	}
 	h := hash(key)
 	s, _, st := r.locate(h)
 	_, e := st.find(tagOf(h), key)
 	if e == nil || e.hollow {
 		s.misses.Add(1)
-		return nil, false
+		return dst, false
 	}
 	if e.freq.Load() < maxFreq {
 		e.freq.Add(1)
 	}
 	r.hits.Add(1)
-	return append([]byte(nil), e.value...), true
+	return append(dst, e.value...), true
 }
 
 // Token carries a miss's promotion state through the slow-path read. The

@@ -14,6 +14,12 @@
 // The manager holds no read-side state beyond the value cache: a scan's
 // readahead (paper: posix_fadvise(WILLNEED) before dereferencing pointers)
 // is ReadSpan into memory the scan owns, decoded in place by SpanValue.
+//
+// A point read is ReadHinted, which appends the value to a buffer the
+// caller passes: the frame is read once into the buffer's tail, verified
+// there, and the value moved down over the frame header. A server GET
+// passes its response frame, so the value's bytes go from the file into
+// the frame with no buffer of their own. Read is ReadHinted into no buffer.
 package vlog
 
 import (
@@ -22,6 +28,7 @@ import (
 	"io"
 	"maps"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -510,42 +517,49 @@ func (m *Manager) setReaderLocked(n uint32, f vfs.File) vfs.File {
 // checksum. The value cache is consulted first; a miss reads the log and
 // caches the verified value. The returned buffer is owned by the caller.
 func (m *Manager) Read(ptr record.ValuePtr) ([]byte, error) {
-	return m.ReadHinted(ptr, true)
+	return m.ReadHinted(nil, ptr, true)
 }
 
-// ReadHinted is Read with a cache-admission hint: warm reads admit their
-// value with the evicting Add (the pre-hint behavior), cold reads with
-// AddCold, which only fills free space. The engine derives warm from the
-// hot ring's frequency signal — a key it has sampled at least twice — so
-// scattered reads over a cold tail cannot evict the resident hot set.
-// AddCold is handed the very buffer the caller gets and copies it only if
-// it admits it, so a cold read of a full cache costs no second buffer.
-func (m *Manager) ReadHinted(ptr record.ValuePtr, warm bool) ([]byte, error) {
+// ReadHinted appends the value at ptr to dst — Read with a caller's buffer
+// and a cache-admission hint. On any error dst comes back unchanged. A
+// value-cache hit is copied onto dst; a miss reads the frame once into
+// dst's tail, verifies it there, and moves the value down over the frame
+// header (a nil dst gets the frame's tail as it is), so a nil dst costs one
+// allocation and a dst with room none. The manager keeps no reference to
+// dst: a warm read admits a copy of the value with the evicting Add (the
+// pre-hint behavior), a cold one hands the value to AddCold, which only
+// fills free space and copies what it admits. The engine derives warm from
+// the hot ring's frequency signal — a key it has sampled at least twice —
+// so scattered reads over a cold tail cannot evict the resident hot set.
+func (m *Manager) ReadHinted(dst []byte, ptr record.ValuePtr, warm bool) ([]byte, error) {
 	ck := cache.Key{Pool: cache.PoolValue, ID: uint64(ptr.LogNum), Off: uint64(ptr.Offset)}
 	if b, ok := m.opts.Cache.Get(ck); ok && uint32(len(b)) == ptr.Length {
-		// Cached bytes are shared and immutable; Read hands the buffer to
-		// the caller, so copy.
-		return append([]byte(nil), b...), nil
+		// Cached bytes are shared and immutable: the caller gets a copy.
+		return append(dst, b...), nil
 	}
-	val, err := m.ReadUncached(ptr)
+	start := len(dst)
+	out, err := m.appendFrame(dst, ptr)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
+	if dst == nil {
+		out = out[headerLen:] // the frame is a buffer of its own: no move
+	} else {
+		out = out[:start+copy(out[start:], out[start+headerLen:])]
+	}
+	val := out[start:]
 	if warm {
 		m.opts.Cache.Add(ck, append([]byte(nil), val...))
 	} else {
 		m.opts.Cache.AddCold(ck, val)
 	}
-	return val, nil
+	return out, nil
 }
 
 // ReadUncached reads and validates the framed value at ptr from the log
 // file, without value-cache participation (it neither consults nor
 // populates it): scans and GC use it so bulk value traffic cannot evict
-// the point-read hot set. A short read — a pointer past the synced tail
-// after a crash — is an explicit error, never partial data: ReadAt can
-// return n < len(buf) with io.EOF, and the stale/zero suffix of buf must
-// not reach the decoder as if it had been read.
+// the point-read hot set.
 func (m *Manager) ReadUncached(ptr record.ValuePtr) ([]byte, error) {
 	frame, err := m.appendFrame(nil, ptr)
 	if err != nil {
@@ -555,7 +569,11 @@ func (m *Manager) ReadUncached(ptr record.ValuePtr) ([]byte, error) {
 }
 
 // appendFrame reads the frame ptr addresses (header and value) onto the end
-// of dst and verifies it there; on any error dst comes back unchanged.
+// of dst and verifies it there; on any error dst comes back unchanged. dst
+// grows without zeroing: a short read — a pointer past the synced tail
+// after a crash — is an explicit error, never partial data (ReadAt can
+// return n < len(buf) with io.EOF), so bytes the read did not fill never
+// reach the decoder as if they had been read.
 func (m *Manager) appendFrame(dst []byte, ptr record.ValuePtr) ([]byte, error) {
 	f, err := m.reader(ptr.LogNum)
 	if err != nil {
@@ -563,7 +581,7 @@ func (m *Manager) appendFrame(dst []byte, ptr record.ValuePtr) ([]byte, error) {
 	}
 	start := len(dst)
 	want := headerLen + int(ptr.Length)
-	dst = append(dst, make([]byte, want)...)
+	dst = slices.Grow(dst, want)[:start+want]
 	n, err := f.ReadAt(dst[start:], int64(ptr.Offset))
 	if err != nil && err != io.EOF {
 		return dst[:start], err

@@ -151,6 +151,13 @@ func (db *DB) Put(key, value []byte) error { return db.eng.Put(key, value) }
 // Get returns the value stored for key, or ErrNotFound.
 func (db *DB) Get(key []byte) ([]byte, error) { return db.eng.Get(key) }
 
+// AppendGet appends the value stored for key to dst and returns the
+// extended slice; on ErrNotFound or any other error it returns dst
+// unchanged. Get is AppendGet(nil, key). A caller that reuses one buffer
+// — a server encoding a response frame — reads a value without allocating
+// for it. The store keeps no reference to dst.
+func (db *DB) AppendGet(dst, key []byte) ([]byte, error) { return db.eng.AppendGet(dst, key) }
+
 // Delete removes key. Deleting an absent key is not an error.
 func (db *DB) Delete(key []byte) error { return db.eng.Delete(key) }
 
