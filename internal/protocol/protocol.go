@@ -226,8 +226,10 @@ func beginFrame(dst []byte) ([]byte, int) {
 	return append(dst, 0, 0, 0, 0), off
 }
 
-// endFrame patches the reserved length word at off.
-func endFrame(dst []byte, off int) []byte {
+// EndFrame closes the frame begun at off (by BeginOK, or any of this
+// package's encoders): it sets the reserved length word to the bytes
+// appended since.
+func EndFrame(dst []byte, off int) []byte {
 	binary.LittleEndian.PutUint32(dst[off:], uint32(len(dst)-off-4))
 	return dst
 }
@@ -241,14 +243,14 @@ func appendReqHeader(dst []byte, op Op, id uint32) []byte {
 func AppendPing(dst []byte, id uint32) []byte {
 	dst, off := beginFrame(dst)
 	dst = appendReqHeader(dst, OpPing, id)
-	return endFrame(dst, off)
+	return EndFrame(dst, off)
 }
 
 // AppendStats appends a STATS request frame.
 func AppendStats(dst []byte, id uint32) []byte {
 	dst, off := beginFrame(dst)
 	dst = appendReqHeader(dst, OpStats, id)
-	return endFrame(dst, off)
+	return EndFrame(dst, off)
 }
 
 // AppendGet appends a GET request frame.
@@ -256,7 +258,7 @@ func AppendGet(dst []byte, id uint32, key []byte) []byte {
 	dst, off := beginFrame(dst)
 	dst = appendReqHeader(dst, OpGet, id)
 	dst = append(dst, key...)
-	return endFrame(dst, off)
+	return EndFrame(dst, off)
 }
 
 // AppendDelete appends a DELETE request frame.
@@ -264,7 +266,7 @@ func AppendDelete(dst []byte, id uint32, key []byte) []byte {
 	dst, off := beginFrame(dst)
 	dst = appendReqHeader(dst, OpDelete, id)
 	dst = append(dst, key...)
-	return endFrame(dst, off)
+	return EndFrame(dst, off)
 }
 
 // AppendPut appends a PUT request frame.
@@ -274,7 +276,7 @@ func AppendPut(dst []byte, id uint32, key, value []byte) []byte {
 	dst = appendU32(dst, uint32(len(key)))
 	dst = append(dst, key...)
 	dst = append(dst, value...)
-	return endFrame(dst, off)
+	return EndFrame(dst, off)
 }
 
 // AppendScan appends a SCAN request frame. A nil end (with noEnd true)
@@ -295,7 +297,7 @@ func AppendScan(dst []byte, id uint32, start, end []byte, noEnd bool, limit int)
 	} else {
 		dst = appendU32(dst, uint32(limit))
 	}
-	return endFrame(dst, off)
+	return EndFrame(dst, off)
 }
 
 // AppendBatch appends a BATCH request frame.
@@ -314,41 +316,49 @@ func AppendBatch(dst []byte, id uint32, ops []BatchOp) []byte {
 		dst = appendU32(dst, uint32(len(op.Value)))
 		dst = append(dst, op.Value...)
 	}
-	return endFrame(dst, off)
+	return EndFrame(dst, off)
 }
 
 // AppendOKEmpty appends an empty-payload StatusOK response (PING, PUT,
 // DELETE, BATCH).
 func AppendOKEmpty(dst []byte, id uint32) []byte {
+	dst, off := BeginOK(dst, id)
+	return EndFrame(dst, off)
+}
+
+// BeginOK opens a StatusOK response frame for id on dst — its length word,
+// still unset, the status and the id — and returns the frame's offset in
+// dst. The caller appends the payload in place and closes the frame with
+// EndFrame; to answer with another frame instead, it truncates dst back
+// to the offset. A server GET appends the engine's value this way, with
+// no buffer between the store and the frame.
+func BeginOK(dst []byte, id uint32) ([]byte, int) {
 	dst, off := beginFrame(dst)
 	dst = append(dst, byte(StatusOK))
-	dst = appendU32(dst, id)
-	return endFrame(dst, off)
+	return appendU32(dst, id), off
 }
 
 // AppendOKValue appends a StatusOK response carrying one opaque payload
 // (GET values, STATS documents).
 func AppendOKValue(dst []byte, id uint32, payload []byte) []byte {
-	dst, off := beginFrame(dst)
-	dst = append(dst, byte(StatusOK))
-	dst = appendU32(dst, id)
+	dst, off := BeginOK(dst, id)
 	dst = append(dst, payload...)
-	return endFrame(dst, off)
+	return EndFrame(dst, off)
 }
 
-// AppendOKPairs appends a StatusOK SCAN response.
-func AppendOKPairs(dst []byte, id uint32, pairs []KV) []byte {
-	dst, off := beginFrame(dst)
-	dst = append(dst, byte(StatusOK))
-	dst = appendU32(dst, id)
+// AppendOKPairs appends a StatusOK SCAN response. It takes any pair type
+// with KV's shape, so that a store's own scan results encode as they are.
+func AppendOKPairs[P ~struct{ Key, Value []byte }](dst []byte, id uint32, pairs []P) []byte {
+	dst, off := BeginOK(dst, id)
 	dst = appendU32(dst, uint32(len(pairs)))
-	for _, kv := range pairs {
+	for _, p := range pairs {
+		kv := KV(p)
 		dst = appendU32(dst, uint32(len(kv.Key)))
 		dst = append(dst, kv.Key...)
 		dst = appendU32(dst, uint32(len(kv.Value)))
 		dst = append(dst, kv.Value...)
 	}
-	return endFrame(dst, off)
+	return EndFrame(dst, off)
 }
 
 // AppendError appends a non-OK response with a message.
@@ -357,7 +367,7 @@ func AppendError(dst []byte, id uint32, st Status, msg string) []byte {
 	dst = append(dst, byte(st))
 	dst = appendU32(dst, id)
 	dst = append(dst, msg...)
-	return endFrame(dst, off)
+	return EndFrame(dst, off)
 }
 
 // --------------------------------------------------------------------------

@@ -143,11 +143,15 @@ func (c *conn) read(dst []byte, req *protocol.Request) []byte {
 	case protocol.OpStats:
 		return protocol.AppendOKValue(dst, req.ID, s.statsJSON())
 	case protocol.OpGet:
-		v, err := s.db.Get(req.Key)
+		// The engine appends the value right behind the frame's header, so
+		// it is copied once, from the store into the frame; a miss or an
+		// error rewinds to the frame's start for the status frame.
+		frame, off := protocol.BeginOK(dst, req.ID)
+		frame, err := s.db.AppendGet(frame, req.Key)
 		if err != nil {
-			return s.appendStatus(dst, req.ID, err)
+			return s.appendStatus(frame[:off], req.ID, err)
 		}
-		return protocol.AppendOKValue(dst, req.ID, v)
+		return protocol.EndFrame(frame, off)
 	case protocol.OpScan:
 		end := req.End
 		if req.NoEnd {
@@ -157,11 +161,7 @@ func (c *conn) read(dst []byte, req *protocol.Request) []byte {
 		if err != nil {
 			return s.appendStatus(dst, req.ID, err)
 		}
-		pairs := make([]protocol.KV, len(kvs))
-		for i, kv := range kvs {
-			pairs[i] = protocol.KV{Key: kv.Key, Value: kv.Value}
-		}
-		return protocol.AppendOKPairs(dst, req.ID, pairs)
+		return protocol.AppendOKPairs(dst, req.ID, kvs)
 	default: // PING
 		return protocol.AppendOKEmpty(dst, req.ID)
 	}

@@ -341,19 +341,34 @@ func (c *Client) Scan(start, end []byte, limit int) ([]unikv.KV, error) {
 			return protocol.AppendScan(buf, id, start, end, end == nil, limit)
 		},
 		func(resp protocol.Response) error {
-			kvs = make([]unikv.KV, len(resp.Pairs))
-			for i, p := range resp.Pairs {
-				kvs[i] = unikv.KV{
-					Key:   append([]byte(nil), p.Key...),
-					Value: append([]byte(nil), p.Value...),
-				}
-			}
+			kvs = copyPairs(resp.Pairs)
 			return nil
 		})
 	if err != nil {
 		return nil, err
 	}
 	return kvs, nil
+}
+
+// copyPairs copies a SCAN response's pairs out of the connection's buffer
+// into one region, as the embedded Scan returns them (see unikv.KV): the
+// result slice and the region are its only allocations, whatever the pair
+// count. Each slice's capacity ends where it does, so appending to one
+// reallocates instead of running into a neighbour.
+func copyPairs(pairs []protocol.KV) []unikv.KV {
+	n := 0
+	for _, p := range pairs {
+		n += len(p.Key) + len(p.Value)
+	}
+	region := make([]byte, 0, n)
+	kvs := make([]unikv.KV, len(pairs))
+	for i, p := range pairs {
+		k := len(region)
+		region = append(append(region, p.Key...), p.Value...)
+		v := k + len(p.Key)
+		kvs[i] = unikv.KV{Key: region[k:v:v], Value: region[v:len(region):len(region)]}
+	}
+	return kvs
 }
 
 // Batch collects writes for Client.Apply. It mirrors unikv.Batch; the
