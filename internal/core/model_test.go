@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -175,16 +176,22 @@ func quickModel(t *testing.T, workers int) {
 					return false
 				}
 				model[k] = v
-				settle(db) // no pool job reads the hook while it is set
+				settle(db) // no pool job runs when the hook is set
 				p = db.partitionFor([]byte(k))
-				db.testHookMergeBuild = func(q *partition) { flushErr = q.flushAll() }
+				// The flush is this job's: a pool job it arms (a scan merge
+				// of the table it adds) finds the hook spent.
+				var once sync.Once
+				db.testHookMergeBuild = func(q *partition) { once.Do(func() { flushErr = q.flushAll() }) }
 			}
 			p.maintMu.Lock()
 			v := p.acquire()
 			err := job(p, v)
 			v.release()
 			p.maintMu.Unlock()
-			db.testHookMergeBuild = nil
+			if behind {
+				settle(db) // that pool job reads the hook until it ends
+				db.testHookMergeBuild = nil
+			}
 			if err == nil {
 				err = flushErr
 			}

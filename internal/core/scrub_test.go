@@ -24,8 +24,9 @@ func scrubOpts(fs vfs.FS) Options {
 }
 
 // bigSeed loads enough keys through background mode to force partition
-// splits, drains to the sorted tier, and closes — a multi-partition
-// on-disk state for quarantine-scoping tests. Returns the key count.
+// splits, drains to the sorted tier, lets the maintenance that armed run,
+// and closes — a multi-partition on-disk state for quarantine-scoping
+// tests, on which a reopen finds nothing to do. Returns the key count.
 func bigSeed(t *testing.T, fs vfs.FS) int {
 	t.Helper()
 	db, err := Open("db", bgOpts(fs))
@@ -41,6 +42,10 @@ func bigSeed(t *testing.T, fs vfs.FS) int {
 	if err := db.CompactAll(); err != nil {
 		t.Fatal(err)
 	}
+	// CompactAll's merges can leave a partition over PartitionSizeLimit
+	// with its split queued; unsettled, Close drops it and the reopened
+	// store splits the partition under the test's feet.
+	settle(db)
 	if db.Metrics().Partitions < 2 {
 		t.Fatalf("seed produced %d partitions, need >= 2 for scoping asserts", db.Metrics().Partitions)
 	}
@@ -180,6 +185,13 @@ func TestScrubDetectsCorruptVlogQuarantinesOwners(t *testing.T) {
 	}
 	if m.Degraded {
 		t.Fatalf("whole DB degraded (%q); vlog corruption must quarantine only pointer holders", m.DegradedCause)
+	}
+	// The expected owners come from the manifest read before Open: a job
+	// that ran since (a split hands its parent's logs to the child) moved
+	// them, and the seed is at fault, not the scrub.
+	if m.Flushes+m.Merges+m.ScanMerges+m.GCs+m.Splits != 0 {
+		t.Fatalf("maintenance ran beside the scrub (%d flushes, %d merges, %d scan merges, %d GCs, %d splits): the seed left work pending",
+			m.Flushes, m.Merges, m.ScanMerges, m.GCs, m.Splits)
 	}
 	if m.QuarantinedPartitions != best {
 		t.Fatalf("QuarantinedPartitions=%d, want exactly the %d owners of log %d",
